@@ -27,7 +27,7 @@ class _ItemLock:
     def compatible(self, mode, requester):
         if not self.holders:
             return True
-        if any(txn == requester for txn in self.holders):
+        if requester in self.holders:
             # Upgrade/re-request handled by the caller.
             raise AssertionError("requester already holds this lock")
         return mode is LockMode.READ and all(
@@ -42,11 +42,17 @@ class LockTable:
     (no reader overtaking — prevents writer starvation and matches a strict
     FIFO server queue). On release, the longest compatible prefix of the
     queue is granted, so a run of readers at the head is granted together.
+
+    A wait index (txn -> items it is queued on) is kept current at every
+    queue change, so release, drop and deadlock detection touch only the
+    queues a transaction sits in.
     """
 
     def __init__(self):
         self._items = {}
         self._held_by_txn = {}
+        self._queued_on = {}  # txn -> [item per queued request]
+        self._n_queued = 0
 
     def _item(self, item):
         lock = self._items.get(item)
@@ -68,7 +74,7 @@ class LockTable:
 
     def total_waiters(self):
         """Total queued requests across all items (a contention gauge)."""
-        return sum(len(lock.queue) for lock in self._items.values())
+        return self._n_queued
 
     def held_items(self, txn):
         """Items currently held by ``txn`` as a mapping item -> mode."""
@@ -90,20 +96,46 @@ class LockTable:
         lock = self._items.get(item)
         if lock is None:
             return []
-        mode = None
-        ahead = []
-        for queued_txn, queued_mode in lock.queue:
+        ahead = []    # earlier-queued requests: a WRITE conflicts with all,
+        writers = []  # a READ only with the writers among them
+        for queued_txn, mode in lock.queue:
             if queued_txn == txn:
-                mode = queued_mode
                 break
-            ahead.append((queued_txn, queued_mode))
-        if mode is None:
+            ahead.append(queued_txn)
+            if mode is LockMode.WRITE:
+                writers.append(queued_txn)
+        else:
             return []
-        blockers = [holder for holder, held in lock.holders.items()
-                    if not mode.compatible_with(held)]
-        blockers.extend(queued_txn for queued_txn, queued_mode in ahead
-                        if not mode.compatible_with(queued_mode))
+        if mode is LockMode.WRITE:
+            return list(lock.holders) + ahead
+        return [holder for holder, held in lock.holders.items()
+                if held is LockMode.WRITE] + writers
+
+    def waits_for(self, txn):
+        """Every transaction a queued request of ``txn`` waits for (its
+        wait-for successors), ``txn`` itself excluded."""
+        blockers = set()
+        for item in self._queued_on.get(txn, ()):
+            blockers.update(self.blockers_of(txn, item))
+        blockers.discard(txn)  # an upgrade "waits" for its own read lock
         return blockers
+
+    def wait_edges(self):
+        """Yield ``(txn, waits_for(txn))`` for every waiting transaction."""
+        for txn in self._queued_on:
+            yield txn, self.waits_for(txn)
+
+    def can_be_waited_on(self, txn):
+        """Could any queued request be waiting for ``txn``? That needs a
+        request queued on an item ``txn`` holds, or behind one of its own.
+        False is exact (given one queued request per transaction per item,
+        all any protocol issues); True may overstate (no conflict needed).
+        """
+        items = self._items
+        return (any(items[item].queue
+                    for item in self._held_by_txn.get(txn, ()))
+                or any(items[item].queue[-1][0] != txn
+                       for item in self._queued_on.get(txn, ())))
 
     # -- state changes -------------------------------------------------------
 
@@ -125,12 +157,14 @@ class LockTable:
                 held[item] = LockMode.WRITE
                 return LockRequestState.GRANTED
             lock.queue.appendleft((txn, LockMode.WRITE))
-            return LockRequestState.WAITING
-        if not lock.queue and lock.compatible(mode, txn):
+        elif not lock.queue and lock.compatible(mode, txn):
             lock.holders[txn] = mode
             held[item] = mode
             return LockRequestState.GRANTED
-        lock.queue.append((txn, mode))
+        else:
+            lock.queue.append((txn, mode))
+        self._queued_on.setdefault(txn, []).append(item)
+        self._n_queued += 1
         return LockRequestState.WAITING
 
     def drop_queued(self, txn):
@@ -143,13 +177,18 @@ class LockTable:
         unblock readers behind it).
         """
         granted = []
-        for item, lock in list(self._items.items()):
+        items = self._queued_on.pop(txn, ())
+        if len(items) > 1:
+            # Grants come back in table order, whatever order txn queued in.
+            queued = set(items)
+            items = [item for item in self._items if item in queued]
+        for item in items:
+            lock = self._items[item]
             before = len(lock.queue)
-            if before:
-                lock.queue = deque(
-                    entry for entry in lock.queue if entry[0] != txn)
-                if len(lock.queue) != before:
-                    granted.extend(self._grant_from_queue(item, lock))
+            lock.queue = deque(
+                entry for entry in lock.queue if entry[0] != txn)
+            self._n_queued -= before - len(lock.queue)
+            granted.extend(self._grant_from_queue(item, lock))
         return granted
 
     def release_all(self, txn):
@@ -159,51 +198,46 @@ class LockTable:
         grant order.
         """
         granted = []
-        held = self._held_by_txn.pop(txn, {})
-        for item in held:
+        for item in self._held_by_txn.pop(txn, ()):
             lock = self._items[item]
             lock.holders.pop(txn, None)
             granted.extend(self._grant_from_queue(item, lock))
-        # Drop queued requests of the released txn on other items.
-        for item, lock in list(self._items.items()):
-            before = len(lock.queue)
-            if before:
-                lock.queue = deque(
-                    entry for entry in lock.queue if entry[0] != txn)
-                if len(lock.queue) != before:
-                    granted.extend(self._grant_from_queue(item, lock))
+        granted.extend(self.drop_queued(txn))
         return granted
 
     def _grant_from_queue(self, item, lock):
         granted = []
-        while lock.queue:
-            txn, mode = lock.queue[0]
-            upgrade = txn in lock.holders
+        queue, holders = lock.queue, lock.holders
+        # Holders are all READ or one WRITE, and the loop below only adds
+        # readers to readers, so one look at them serves every iteration.
+        shared = all(held is LockMode.READ for held in holders.values())
+        while queue:
+            txn, mode = queue[0]
+            upgrade = txn in holders
             if upgrade:
                 # READ→WRITE upgrade waiting at the head.
-                if len(lock.holders) != 1:
+                if len(holders) != 1:
                     break
-                lock.queue.popleft()
-                lock.holders[txn] = LockMode.WRITE
-                self._held_by_txn[txn][item] = LockMode.WRITE
-                granted.append((txn, item, LockMode.WRITE))
-                continue
-            if lock.holders and not (
-                    mode is LockMode.READ and all(
-                        held is LockMode.READ
-                        for held in lock.holders.values())):
+                shared = False
+            elif holders and not (shared and mode is LockMode.READ):
                 break
-            lock.queue.popleft()
-            lock.holders[txn] = mode
+            queue.popleft()
+            waiting = self._queued_on[txn]
+            if len(waiting) == 1:
+                del self._queued_on[txn]
+            else:
+                waiting.remove(item)
+            self._n_queued -= 1
+            holders[txn] = mode
             self._held_by_txn.setdefault(txn, {})[item] = mode
             granted.append((txn, item, mode))
-            if mode is LockMode.WRITE:
+            if mode is LockMode.WRITE and not upgrade:
                 break
-        if not lock.holders and not lock.queue:
+        if not holders and not queue:
             self._items.pop(item, None)
         return granted
 
     def __repr__(self):
         active = sum(1 for lock in self._items.values() if lock.holders)
-        queued = sum(len(lock.queue) for lock in self._items.values())
-        return f"<LockTable {active} held items, {queued} queued requests>"
+        return (f"<LockTable {active} held items, "
+                f"{self._n_queued} queued requests>")

@@ -117,18 +117,11 @@ class C2PLServer(S2PLServer):
 
     # -- deadlock plumbing -------------------------------------------------------
 
-    def _build_waitfor_graph(self):
-        wfg = super()._build_waitfor_graph()
-        for (writer, busy), _item in self._busy_edges.items():
-            wfg.add_edge(writer, busy)
-        return wfg
-
     def _extra_wait_edges(self):
-        if not self._busy_edges:
-            return None
         extra = {}
         for writer, busy in self._busy_edges:
-            extra.setdefault(writer, set()).add(busy)
+            if writer != busy:  # MPL > 1: a writer can pin its own copy
+                extra.setdefault(writer, set()).add(busy)
         return extra
 
     def _drop_busy_edges(self, writer):

@@ -15,7 +15,7 @@ Protocol (§3.1, §4):
 
 from repro.locking.lock_table import LockRequestState, LockTable
 from repro.locking.modes import LockMode
-from repro.locking.waitfor import WaitForGraph
+from repro.locking.waitfor import find_cycle_through
 from repro.protocols.base import (
     SERVER_SITE_ID,
     ProtocolClient,
@@ -33,6 +33,16 @@ from repro.sim.errors import Interrupt
 from repro.sim.timers import Timer
 
 VICTIM_POLICIES = ("requester", "youngest", "oldest")
+
+
+def choose_victim(cycle, policy, first_seen):
+    """The member of ``cycle`` (first == last) that ``policy`` aborts;
+    ``first_seen(txn)`` is its age, ties broken by transaction id."""
+    members = list(dict.fromkeys(cycle))  # unique, order-preserving
+    if policy == "requester":
+        return members[0]
+    pick = max if policy == "youngest" else min
+    return pick(members, key=lambda txn: (first_seen(txn), txn))
 
 
 class S2PLServer(ProtocolServer):
@@ -95,7 +105,7 @@ class S2PLServer(ProtocolServer):
         if msg.txn_id in self._dead or msg.txn_id in self._swept:
             return  # request from a transaction this server already aborted
         if msg.txn_id not in self._txns:
-            self._txns[msg.txn_id] = (self._client_of(msg), self.sim.now)
+            self._txns[msg.txn_id] = (msg.client_id, self.sim.now)
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.emit("lock.request", txn=msg.txn_id, item=msg.item_id,
@@ -137,15 +147,6 @@ class S2PLServer(ProtocolServer):
 
     # -- internals -----------------------------------------------------------
 
-    def _client_of(self, msg):
-        # Transaction ids are globally unique; clients identify themselves
-        # implicitly by being the only site that ever mentions the txn.
-        # The envelope's source is not visible here, so the client id rides
-        # in the txn registry set up by the client protocol: by convention
-        # txn ids encode nothing, so the first LockRequest must tell us.
-        # We recover it from the message itself.
-        return msg.client_id
-
     def _finish(self, txn_id):
         self._txns.pop(txn_id, None)
         granted = self.lock_table.release_all(txn_id)
@@ -179,68 +180,29 @@ class S2PLServer(ProtocolServer):
         """Total queued (waiting) lock requests — a contention gauge."""
         return self.lock_table.total_waiters()
 
-    def _build_waitfor_graph(self):
-        wfg = WaitForGraph()
-        table = self.lock_table
-        for item_id in list(table._items):
-            for txn_id, _mode in table.waiters(item_id):
-                wfg.add_edges(txn_id, table.blockers_of(txn_id, item_id))
-        return wfg
-
     def _extra_wait_edges(self):
-        """Wait-for edges beyond lock-queue blocking (subclass hook; c-2PL
-        adds callback busy edges). None when there are none."""
-        return None
+        """Wait-for edges beyond lock-queue blocking, as waiter -> set of
+        blockers (subclass hook; c-2PL adds callback busy edges)."""
+        return {}
 
     def _find_cycle_from(self, requester):
         """A wait-for cycle through ``requester`` (first == last), or None.
 
-        Equivalent to ``self._build_waitfor_graph().find_cycle_from(...)``
-        — same DFS, same sorted successor order, so the identical cycle
-        comes back — but blocker edges are computed only for transactions
-        the search actually reaches.  Detection runs on every request that
-        queues and almost always finds nothing; materialising the full
-        graph first made it the hottest path of the s-2PL server.
+        The cycle ``WaitForGraph.find_cycle_from`` would return on the
+        materialised graph, without building it: successors come from the
+        lock table's wait index, only for transactions the search reaches.
+        Detection runs on every request that queues and mostly finds
+        nothing, so the search is skipped when no wait edge can point at
+        ``requester``. That prune is exact: a cycle needs an edge into it.
         """
         table = self.lock_table
-        waits = {}
-        for item_id, lock in table._items.items():
-            for txn_id, _mode in lock.queue:
-                waits.setdefault(txn_id, []).append(item_id)
         extra = self._extra_wait_edges()
-
-        def successors(node):
-            succ = set()
-            items = waits.get(node)
-            if items:
-                for item_id in items:
-                    succ.update(table.blockers_of(node, item_id))
-            if extra is not None:
-                found = extra.get(node)
-                if found:
-                    succ |= found
-            succ.discard(node)
-            return succ
-
-        parent = {}
-        stack = [requester]
-        visited = {requester}
-        while stack:
-            node = stack.pop()
-            for nxt in sorted(successors(node), key=repr, reverse=True):
-                if nxt == requester:
-                    path = [requester, node]
-                    cursor = node
-                    while cursor != requester:
-                        cursor = parent[cursor]
-                        path.append(cursor)
-                    path.reverse()
-                    return path
-                if nxt not in visited:
-                    visited.add(nxt)
-                    parent[nxt] = node
-                    stack.append(nxt)
-        return None
+        if not table.can_be_waited_on(requester) and not any(
+                requester in blockers for blockers in extra.values()):
+            return None
+        return find_cycle_through(
+            requester,
+            lambda node: table.waits_for(node).union(extra.get(node, ())))
 
     def _detect_and_resolve(self, requester):
         """Abort transactions until no wait-for cycle involves ``requester``."""
@@ -249,7 +211,8 @@ class S2PLServer(ProtocolServer):
             if cycle is None:
                 return
             self.deadlocks_found += 1
-            victim = self._choose_victim(cycle)
+            victim = choose_victim(cycle, self.config.victim_policy,
+                                   lambda txn: self._txns[txn][1])
             tracer = self.sim.tracer
             if tracer is not None:
                 tracer.emit("lock.deadlock", requester=requester,
@@ -257,16 +220,6 @@ class S2PLServer(ProtocolServer):
             self._abort(victim, reason="deadlock")
             if victim == requester:
                 return
-
-    def _choose_victim(self, cycle):
-        members = list(dict.fromkeys(cycle))  # unique, order-preserving
-        policy = self.config.victim_policy
-        if policy == "requester":
-            return members[0]
-        ages = {txn: self._txns[txn][1] for txn in members}
-        if policy == "youngest":
-            return max(members, key=lambda txn: (ages[txn], txn))
-        return min(members, key=lambda txn: (ages[txn], txn))
 
     def _abort(self, txn_id, reason):
         """Choose ``txn_id`` as a deadlock victim.

@@ -26,6 +26,7 @@ Cross-shard coordination state shared between shard servers:
 from repro.locking.waitfor import WaitForGraph
 from repro.protocols.base import SERVER_SITE_ID
 from repro.protocols.precedence import PrecedenceGraph
+from repro.protocols.s2pl import choose_victim
 from repro.sim.timers import Timer
 
 
@@ -199,25 +200,13 @@ class GlobalDeadlockDetector:
         waiting_at = {}   # txn -> first server it was seen waiting at
         first_seen = {}   # txn -> min first_seen across shards
         for server in self.servers:
-            table = server.lock_table
-            for item_id in list(table._items):
-                for txn_id, _mode in table.waiters(item_id):
-                    union.add_edges(txn_id,
-                                    table.blockers_of(txn_id, item_id))
-                    waiting_at.setdefault(txn_id, server)
+            for txn_id, blockers in server.lock_table.wait_edges():
+                union.add_edges(txn_id, blockers)
+                waiting_at.setdefault(txn_id, server)
             for txn_id, (_client, seen) in server._txns.items():
                 if txn_id not in first_seen or seen < first_seen[txn_id]:
                     first_seen[txn_id] = seen
         return union, waiting_at, first_seen
-
-    def _choose_victim(self, cycle, first_seen):
-        members = list(dict.fromkeys(cycle))
-        if self.victim_policy == "requester":
-            return members[0]
-        ages = {txn: first_seen.get(txn, 0.0) for txn in members}
-        if self.victim_policy == "youngest":
-            return max(members, key=lambda txn: (ages[txn], txn))
-        return min(members, key=lambda txn: (ages[txn], txn))
 
     def _sweep(self):
         union, waiting_at, first_seen = self._collect()
@@ -225,7 +214,8 @@ class GlobalDeadlockDetector:
             cycle = union.find_any_cycle()
             if cycle is None:
                 return
-            victim = self._choose_victim(cycle, first_seen)
+            victim = choose_victim(cycle, self.victim_policy,
+                                   lambda txn: first_seen.get(txn, 0.0))
             server = waiting_at.get(victim)
             if (server is None or victim not in server._txns
                     or victim in server._dead):

@@ -231,7 +231,36 @@ class TwoVersionServer(ProtocolServer):
                                        if t != txn_id])
         return wfg
 
+    def _can_be_waited_on(self, txn_id):
+        """Could any wait edge of ``_build_waitfor_graph`` point at
+        ``txn_id``? False is exact; True may overstate.
+
+        Edges run from a queued request to the item's write/certify lock
+        holder and to write requests queued ahead of it, and from a
+        pending certification to the other readers of what it wrote.
+        """
+        for pending_txn, pending in self._certifications.items():
+            if pending_txn != txn_id and any(
+                    txn_id in self._items[item_id].readers
+                    for item_id in pending["waiting_on"]):
+                return True
+        for state in self._items.values():
+            queue = state.queue
+            if queue and (txn_id in (state.writer, state.certifying) or (
+                    queue[-1][0] != txn_id
+                    and any(txn == txn_id for txn, _mode in queue))):
+                return True
+        return False
+
     def _detect(self, requester):
+        """Abort ``requester`` if its new wait closes a cycle.
+
+        Only cycles through the requester are looked for, and the graph is
+        not even built when nothing can be waiting on it (a cycle through a
+        node needs an edge into it) — the same exact prune as s-2PL's.
+        """
+        if not self._can_be_waited_on(requester):
+            return
         cycle = self._build_waitfor_graph().find_cycle_from(requester)
         if cycle is None:
             return

@@ -95,6 +95,18 @@ def test_dropping_queued_writer_unblocks_reader(table):
     assert granted == [("r2", "x", R)]
 
 
+def test_drop_grants_in_table_order_not_queueing_order(table):
+    table.acquire("r0", "x", R)
+    table.acquire("r1", "y", R)  # the table holds x, then y
+    table.acquire("w", "y", W)   # w queues on y first, then on x
+    table.acquire("w", "x", W)
+    table.acquire("r2", "x", R)  # both stuck behind w
+    table.acquire("r3", "y", R)
+    assert table.total_waiters() == 4
+    assert table.drop_queued("w") == [("r2", "x", R), ("r3", "y", R)]
+    assert table.total_waiters() == 0
+
+
 def test_rerequest_same_mode_granted(table):
     table.acquire("t1", "x", R)
     assert table.acquire("t1", "x", R) is GRANTED

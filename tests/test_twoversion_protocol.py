@@ -152,3 +152,23 @@ def test_contended_runs_serializable_and_strict():
             total_transactions=150, warmup_transactions=0, seed=seed))
         assert result.serializability.ok
         assert result.metrics.finished == 150
+
+
+def test_detection_prune_never_changes_a_trajectory(monkeypatch):
+    """The prune skips only searches that could not find a cycle: a run
+    that always builds the graph has the same fingerprint."""
+    from repro import SimulationConfig, run_simulation
+    from repro.perf.fingerprint import result_fingerprint
+    from repro.protocols.twoversion import TwoVersionServer
+
+    def fingerprint(seed):
+        return result_fingerprint(run_simulation(SimulationConfig(
+            protocol="2v2pl", n_clients=12, n_items=5, max_ops=4,
+            read_probability=0.5, network_latency=20.0,
+            total_transactions=400, warmup_transactions=40, seed=seed)))
+
+    pruned = {seed: fingerprint(seed) for seed in (1, 2, 3)}
+    assert any(fp["server_stats"]["deadlocks_found"] for fp in pruned.values())
+    monkeypatch.setattr(TwoVersionServer, "_can_be_waited_on",
+                        lambda self, txn_id: True)
+    assert {seed: fingerprint(seed) for seed in (1, 2, 3)} == pruned

@@ -1,5 +1,9 @@
 """Unit tests for the wait-for graph."""
 
+import graphlib
+
+from hypothesis import given, settings, strategies as st
+
 from repro.locking import WaitForGraph
 
 
@@ -93,3 +97,30 @@ def test_long_cycle_detected():
     cycle = wfg.find_cycle_from("t0")
     assert cycle is not None
     assert len(cycle) == 51
+
+
+@given(st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+               max_size=30))
+@settings(max_examples=500, deadline=None)
+def test_find_any_cycle_matches_the_per_node_loop(edges):
+    """The sink-peeling fast path changes neither which cycle comes back
+    nor when one does: the oracle is the loop it replaced."""
+    wfg = WaitForGraph()
+    for waiter, holder in edges:
+        wfg.add_edge(waiter, holder)
+    expected = None
+    for node in sorted(wfg._out, key=repr):
+        expected = wfg.find_cycle_from(node)
+        if expected:
+            break
+    assert wfg.find_any_cycle() == expected
+    sorter = graphlib.TopologicalSorter()
+    for waiter, holder in edges:
+        if waiter != holder:
+            sorter.add(waiter, holder)
+    try:
+        sorter.prepare()
+        acyclic = True
+    except graphlib.CycleError:
+        acyclic = False
+    assert (expected is None) == acyclic
