@@ -99,10 +99,6 @@ def _add_workload_args(parser):
              "a shard-local workload, --cross-shard 0); bit-identical "
              "to the serial run")
     parser.add_argument(
-        "--no-batch-delivery", action="store_true",
-        help="disable same-timestamp delivery batching in the transport "
-             "(A/B knob; trajectories are bit-identical either way)")
-    parser.add_argument(
         "--trace", action="store_true",
         help="collect structured trace events and per-transaction "
              "round/latency accounting (metrics stay bit-identical)")
@@ -198,7 +194,6 @@ def _config_from(args, protocol):
         streaming=streaming,
         termination=termination,
         lp=lp,
-        batch_delivery=not getattr(args, "no_batch_delivery", False),
         trace=getattr(args, "trace", False),
         probe_interval=getattr(args, "probe_interval", None),
         adapt_window=getattr(args, "adapt_window", False),

@@ -146,10 +146,6 @@ class SimulationConfig:
     # reproduce the serial trajectory exactly.
     termination: str = "global"
 
-    # kernel: coalesce same-timestamp deliveries per link into one heap
-    # entry that fans out on pop (bit-identical trajectories; see
-    # network/transport.py). Off switch for A/B benchmarking.
-    batch_delivery: bool = True
     # run shards as conservatively-synchronized logical processes over
     # a process pool (repro.core.lp); requires n_shards > 1, quota
     # termination, and a shard-local workload (cross_shard_probability=0)

@@ -185,8 +185,7 @@ def _build_lp(config, seed, shard):
     # region placement, identical to the serial run's model even though
     # only this LP's sites are registered.
     network = Network(sim, _build_topology(config, shard_map),
-                      bandwidth=config.bandwidth, faults=None,
-                      batch_delivery=config.batch_delivery)
+                      bandwidth=config.bandwidth, faults=None)
     client_ids = lp_client_ids(config.n_clients, config.n_shards, shard)
     store = VersionedStore(shard_map.items_of(shard))
     wal = WriteAheadLog()

@@ -206,8 +206,7 @@ def run_simulation(config, seed=None, check_serializability=None):
         injector = FaultInjector(config.faults, streams.spawn("faults"))
         _validate_faults(config, injector)
     network = Network(sim, _build_topology(config, shard_map),
-                      bandwidth=config.bandwidth, faults=injector,
-                      batch_delivery=config.batch_delivery)
+                      bandwidth=config.bandwidth, faults=injector)
     if tracer is not None:
         tracer.bind_network(network)
     client_ids = list(range(1, config.n_clients + 1))

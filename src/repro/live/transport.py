@@ -80,14 +80,6 @@ class LiveTransport(SiteRegistry):
 
     # -- Network-compatible surface ------------------------------------------
 
-    def refresh_fast_path(self):
-        """Tracer attach hook (`Tracer.bind_network`); nothing to select —
-        the live send path checks ``kernel.tracer`` per send."""
-
-    def delay(self, src, dst, size=1.0):
-        """Shaped one-way delay in simulation units (no bandwidth term)."""
-        return self.topology.latency(src, dst)
-
     def send(self, src, dst, payload, size=1.0):
         """Ship ``payload`` to ``dst``, shaped to the topology's latency.
 

@@ -233,9 +233,9 @@ class FaultInjector:
         self.spec = spec
         # Bound C draws: ``Random.random`` is a C method, so binding it once
         # and calling it directly is the cheapest per-decision draw CPython
-        # offers. (A BufferedStream wrapper was benchmarked here and *lost*:
-        # its Python-level random() costs more than the C call it batches.
-        # The sequences are identical either way, so this is purely a speed
+        # offers. (A Python-level buffering wrapper was benchmarked here and
+        # *lost*: its random() costs more than the C call it batches. The
+        # sequences are identical either way, so this is purely a speed
         # choice.)
         self._loss_random = streams.stream("loss").random
         self._dup_random = streams.stream("dup").random

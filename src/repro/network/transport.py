@@ -1,43 +1,24 @@
 """Message transport: delivery scheduling and traffic accounting.
 
 ``Network.send`` is on the kernel's hot path (one call per protocol
-message), so the transport is built fast-path style:
+message).  There is one send path and one delivery path; the tracer and
+the fault injector are read per call, so attaching either at any point
+takes effect on the next message.  Two things keep the path cheap:
 
-* the send implementation is **selected once per run** — plain, traced,
-  or faulted — and bound directly as the instance's ``send`` attribute,
-  so per-message code never re-checks ``sim.tracer`` or ``faults``
-  (:meth:`Network.refresh_fast_path` re-selects; the tracer's
-  ``bind_network`` calls it when tracing attaches after construction);
 * per-(src, dst) link latency is **memoised** in a flat dict — the
   topology object is consulted once per pair, not once per message —
-  with the bandwidth term's reciprocal-free division kept bit-identical
-  to the unmemoised arithmetic;
+  with the bandwidth term added per send exactly as the unmemoised
+  arithmetic did;
 * payload traffic classes are cached per payload *type* instead of
   re-deriving ``type(...).__name__`` (plus wrapper unwrapping) per send.
 
-All fast paths produce byte-identical trajectories to the original
-single-path implementation: same envelope fields, same heap timestamps
-(including the ``now + (deliver - now)`` float quirk of the original
-relative scheduling), same FIFO clamping, same stats.
-
-Batched delivery (the default; ``config.batch_delivery``) goes one step
-further: consecutive sends on the same (src, dst) link that compute the
-*same* delivery timestamp coalesce into one heap entry holding a mutable
-list, which fans out on pop.  Coalescing is only allowed while the batch
-entry is the most recent heap push — every scheduling call allocates a
-sequence number, so ``seq == batch.last_seq + 1`` proves nothing was
-scheduled in between — which makes the fan-out order provably identical
-to the unbatched per-message heap order (each appended message consumes
-the very sequence number its own heap entry would have carried).  The
-engine's logical-delivery counters (``Simulator._hidden`` /
-``_extra_events`` / ``_batch_peak``) keep ``pending``,
-``processed_events`` and ``peak_heap_depth`` identical to an unbatched
-run.  The faulted path never batches (jitter makes shared timestamps
-rare and duplicates complicate fan-out), and batching turns itself off
-under the per-heap-entry engine trace hook.
+Every delivery is one ``Simulator.schedule_at`` entry.  Its timestamp is
+``now + (deliver - now)``, the float the original relative
+``call_later`` produced: scheduling at ``deliver`` directly could move
+the heap timestamp by one ulp and reorder ties, and the golden
+trajectories depend on it.
 """
 
-import heapq
 from dataclasses import dataclass, field
 
 from repro.network.message import Envelope
@@ -123,8 +104,7 @@ class Network(SiteRegistry):
     endpoint.
     """
 
-    def __init__(self, sim, topology, bandwidth=None, faults=None,
-                 batch_delivery=True):
+    def __init__(self, sim, topology, bandwidth=None, faults=None):
         if bandwidth is not None and bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
         super().__init__()
@@ -132,65 +112,9 @@ class Network(SiteRegistry):
         self.topology = topology
         self.bandwidth = bandwidth
         self.faults = faults
-        self.batch_delivery = batch_delivery
         self.stats = NetworkStats()
         self._last_deliver = {}  # (src, dst) -> last scheduled delivery time
         self._latency_cache = {}  # (src, dst) -> topology latency
-        self._open_batches = {}  # (src, dst) -> [key, items, when, last_seq]
-        self._thunk_cache = {}   # dst -> (callable, takes_payload)
-        self._tracer = None
-        self.refresh_fast_path()
-
-    def refresh_fast_path(self):
-        """Re-select the per-run send/deliver implementations.
-
-        Called at construction and whenever the run's observers change
-        (:meth:`~repro.obs.tracer.Tracer.bind_network` attaches a tracer).
-        The chosen implementation is bound straight onto the instance, so
-        dispatching a send is a single attribute load — no per-message
-        tracer or faults checks.
-        """
-        tracer = self._tracer = self.sim.tracer
-        # Per-heap-entry engine tracing samples every dispatch; a batch
-        # entry would collapse k dispatch samples into one, so batching
-        # stands down when that hook is armed.
-        batch = (self.batch_delivery and self.faults is None
-                 and (tracer is None or not tracer.engine_events))
-        self._open_batches.clear()
-        self._thunk_cache.clear()
-        if self.faults is not None:
-            self.send = self._send_faulted
-        elif tracer is not None:
-            self.send = (self._send_traced_batched if batch
-                         else self._send_traced)
-        else:
-            self.send = (self._send_plain_batched if batch
-                         else self._send_plain)
-        self._deliver_impl = (self._deliver_plain if tracer is None
-                              else self._deliver_traced)
-
-    # -- delay model ---------------------------------------------------------
-
-    def _base_latency(self, src, dst):
-        cache = self._latency_cache
-        key = (src, dst)
-        latency = cache.get(key)
-        if latency is None:
-            latency = cache[key] = self.topology.latency(src, dst)
-        return latency
-
-    def delay(self, src, dst, size=1.0):
-        """Total wire delay for a message of ``size`` between two sites."""
-        latency = self._base_latency(src, dst)
-        if self.bandwidth is not None:
-            latency += size / self.bandwidth
-        return latency
-
-    # -- send fast paths -----------------------------------------------------
-    #
-    # ``send`` is assigned per instance by refresh_fast_path; the class
-    # attribute below only provides the documented signature (and handles
-    # the pathological case of a send before __init__ finished).
 
     def send(self, src, dst, payload, size=1.0):
         """Ship ``payload`` from ``src`` to ``dst``; returns the envelope.
@@ -203,11 +127,6 @@ class Network(SiteRegistry):
         earlier large one whenever finite ``bandwidth`` (or jitter) makes
         the delay size-dependent.
         """
-        self.refresh_fast_path()
-        return self.send(src, dst, payload, size=size)
-
-    def _send_plain(self, src, dst, payload, size=1.0):
-        """Fast path: no tracer, no faults — the common benchmark cell."""
         sites = self._sites
         if dst not in sites:
             raise KeyError(f"unknown destination site {dst!r}")
@@ -222,258 +141,6 @@ class Network(SiteRegistry):
         kind = payload_kind(payload)
         per_type = stats.per_type
         per_type[kind] = per_type.get(kind, 0) + 1
-        latency_cache = self._latency_cache
-        key = (src, dst)
-        latency = latency_cache.get(key)
-        if latency is None:
-            latency = latency_cache[key] = self.topology.latency(src, dst)
-        if self.bandwidth is not None:
-            latency = latency + size / self.bandwidth
-        deliver = now + latency
-        last = self._last_deliver
-        prev = last.get(key)
-        if prev is not None and prev > deliver:
-            deliver = prev
-        last[key] = deliver
-        # now + (deliver - now): the exact float the original relative
-        # call_later produced; scheduling at `deliver` directly could move
-        # the heap timestamp by one ulp and reorder ties.
-        sim.schedule_at(now + (deliver - now), self._deliver_impl, envelope)
-        envelope.deliver_time = deliver
-        return envelope
-
-    def _send_traced(self, src, dst, payload, size=1.0):
-        """Tracer attached, no faults."""
-        envelope = self._send_plain(src, dst, payload, size)
-        tracer = self._tracer
-        tracer.net_scheduled(envelope)
-        tracer.net_send(envelope, payload_kind(payload))
-        return envelope
-
-    # -- batched sends -------------------------------------------------------
-    #
-    # A batch record is ``[key, items, when, last_seq, fn]``; the heap
-    # entry holds the record itself, so later sends extend it in place
-    # without touching the heap.  Every item on a record shares one
-    # destination (batches are per link), so the delivery call ``fn`` is
-    # resolved once per record, not per message.  The ``last_seq``
-    # contiguity check (see module docstring) makes appending exactly
-    # equivalent to pushing a fresh per-message entry, because the
-    # appended message consumes the very sequence number that entry would
-    # have carried.  Only stock protocol sites batch; a site with a
-    # custom ``receive`` (or a reliable channel) keeps the classic
-    # one-entry-per-message schedule, which is faster for traffic that
-    # can never coalesce.
-
-    def _resolve_thunk(self, dst):
-        """Pick the per-destination delivery treatment once per run.
-
-        Stock dispatcher sites with no reliable channel batch, taking the
-        payload straight into ``_dispatch`` (untraced) or the envelope
-        into ``receive`` (traced).  Anything else returns False: those
-        destinations use the classic unbatched schedule.
-        """
-        site = self._sites[dst]
-        from repro.protocols.base import _Dispatcher
-
-        if (isinstance(site, _Dispatcher)
-                and type(site).receive is _Dispatcher.receive
-                and site.reliable is None):
-            fn = site._dispatch if self._tracer is None else site.receive
-        else:
-            fn = False
-        self._thunk_cache[dst] = fn
-        return fn
-
-    def _send_plain_batched(self, src, dst, payload, size=1.0):
-        """Batched fast path: no tracer, no faults (the default)."""
-        sites = self._sites
-        if dst not in sites:
-            raise KeyError(f"unknown destination site {dst!r}")
-        if src not in sites:
-            raise KeyError(f"unknown source site {src!r}")
-        sim = self.sim
-        now = sim._now
-        envelope = Envelope(src, dst, payload, size, now)
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.data_units_sent += size
-        kind = payload_kind(payload)
-        per_type = stats.per_type
-        per_type[kind] = per_type.get(kind, 0) + 1
-        latency_cache = self._latency_cache
-        key = (src, dst)
-        latency = latency_cache.get(key)
-        if latency is None:
-            latency = latency_cache[key] = self.topology.latency(src, dst)
-        if self.bandwidth is not None:
-            latency = latency + size / self.bandwidth
-        deliver = now + latency
-        last = self._last_deliver
-        prev = last.get(key)
-        if prev is not None and prev > deliver:
-            deliver = prev
-        last[key] = deliver
-        envelope.deliver_time = deliver
-        # now + (deliver - now): the exact float the unbatched path
-        # schedules at (see _send_plain).
-        when = now + (deliver - now)
-        cache = self._thunk_cache
-        fn = cache[dst] if dst in cache else self._resolve_thunk(dst)
-        if fn is False:
-            sim.schedule_at(when, self._deliver_plain, envelope)
-            return envelope
-        seq = next(sim._seq)
-        rec = self._open_batches.get(key)
-        if rec is not None and rec[2] == when and rec[3] == seq - 1:
-            rec[1].append(payload)
-            rec[3] = seq
-            sim._hidden += 1
-        else:
-            rec = [key, [payload], when, seq, fn]
-            self._open_batches[key] = rec
-            heapq.heappush(sim._heap,
-                           (when, seq, self._deliver_batch, (rec,)))
-        return envelope
-
-    def _send_traced_batched(self, src, dst, payload, size=1.0):
-        """Batched with a tracer attached: items carry full envelopes so
-        the fan-out can replay ``net_delivered`` per message."""
-        sites = self._sites
-        if dst not in sites:
-            raise KeyError(f"unknown destination site {dst!r}")
-        if src not in sites:
-            raise KeyError(f"unknown source site {src!r}")
-        sim = self.sim
-        now = sim._now
-        envelope = Envelope(src, dst, payload, size, now)
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.data_units_sent += size
-        kind = payload_kind(payload)
-        per_type = stats.per_type
-        per_type[kind] = per_type.get(kind, 0) + 1
-        latency_cache = self._latency_cache
-        key = (src, dst)
-        latency = latency_cache.get(key)
-        if latency is None:
-            latency = latency_cache[key] = self.topology.latency(src, dst)
-        if self.bandwidth is not None:
-            latency = latency + size / self.bandwidth
-        deliver = now + latency
-        last = self._last_deliver
-        prev = last.get(key)
-        if prev is not None and prev > deliver:
-            deliver = prev
-        last[key] = deliver
-        envelope.deliver_time = deliver
-        when = now + (deliver - now)
-        cache = self._thunk_cache
-        fn = cache[dst] if dst in cache else self._resolve_thunk(dst)
-        if fn is False:
-            sim.schedule_at(when, self._deliver_traced, envelope)
-        else:
-            seq = next(sim._seq)
-            rec = self._open_batches.get(key)
-            if rec is not None and rec[2] == when and rec[3] == seq - 1:
-                rec[1].append(envelope)
-                rec[3] = seq
-                sim._hidden += 1
-            else:
-                rec = [key, [envelope], when, seq, fn]
-                self._open_batches[key] = rec
-                heapq.heappush(
-                    sim._heap,
-                    (when, seq, self._deliver_batch_traced, (rec,)))
-        tracer = self._tracer
-        tracer.net_scheduled(envelope)
-        tracer.net_send(envelope, kind)
-        return envelope
-
-    def _deliver_batch(self, rec):
-        """Fan a coalesced entry out in append (= sequence) order.
-
-        The record is closed first so a handler's same-timestamp send on
-        this link opens a fresh entry (it pops right after this one —
-        unbatched order).  Depth samples and the extra-delivery count are
-        reported per logical delivery, so engine diagnostics match the
-        unbatched run exactly (``k - idx`` deliveries of this batch are
-        still pending when delivery ``idx`` is sampled).
-        """
-        open_batches = self._open_batches
-        key = rec[0]
-        if open_batches.get(key) is rec:
-            del open_batches[key]
-        lst = rec[1]
-        fn = rec[4]
-        if len(lst) == 1:
-            fn(lst[0])
-            return
-        sim = self.sim
-        k = len(lst)
-        sim._hidden -= k - 1
-        heap = sim._heap
-        batch_peak = sim._batch_peak
-        idx = 0
-        for arg in lst:
-            if idx:
-                depth = len(heap) + sim._hidden + (k - idx)
-                if depth > batch_peak:
-                    batch_peak = depth
-            idx += 1
-            fn(arg)
-        sim._batch_peak = batch_peak
-        sim._extra_events += k - 1
-
-    def _deliver_batch_traced(self, rec):
-        """Traced fan-out: ``net_delivered`` fires per envelope, exactly
-        as the unbatched per-entry deliveries would."""
-        open_batches = self._open_batches
-        key = rec[0]
-        if open_batches.get(key) is rec:
-            del open_batches[key]
-        lst = rec[1]
-        fn = rec[4]
-        tracer = self._tracer
-        if len(lst) == 1:
-            env = lst[0]
-            tracer.net_delivered(env)
-            fn(env)
-            return
-        sim = self.sim
-        k = len(lst)
-        sim._hidden -= k - 1
-        heap = sim._heap
-        batch_peak = sim._batch_peak
-        idx = 0
-        for env in lst:
-            if idx:
-                depth = len(heap) + sim._hidden + (k - idx)
-                if depth > batch_peak:
-                    batch_peak = depth
-            idx += 1
-            tracer.net_delivered(env)
-            fn(env)
-        sim._batch_peak = batch_peak
-        sim._extra_events += k - 1
-
-    def _send_faulted(self, src, dst, payload, size=1.0):
-        """Fault injector consulted per send; tracer optional."""
-        sites = self._sites
-        if dst not in sites:
-            raise KeyError(f"unknown destination site {dst!r}")
-        if src not in sites:
-            raise KeyError(f"unknown source site {src!r}")
-        sim = self.sim
-        now = sim._now
-        envelope = Envelope(src, dst, payload, size, now)
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.data_units_sent += size
-        kind = payload_kind(payload)
-        per_type = stats.per_type
-        per_type[kind] = per_type.get(kind, 0) + 1
-        tracer = self._tracer
         latency_cache = self._latency_cache
         key = (src, dst)
         base_delay = latency_cache.get(key)
@@ -481,35 +148,46 @@ class Network(SiteRegistry):
             base_delay = latency_cache[key] = self.topology.latency(src, dst)
         if self.bandwidth is not None:
             base_delay = base_delay + size / self.bandwidth
-        faults = self.faults
-        fstats = faults.stats
-        if tracer is not None:
-            pre_loss = fstats.dropped_loss
-            pre_partition = fstats.dropped_partition
-            pre_dup = fstats.duplicated
         last = self._last_deliver
-        severed_by_crash = faults.severed_by_crash
+        tracer = sim.tracer
+        faults = self.faults
+        if faults is None:
+            # The common case, straight-line: exactly one copy, nothing
+            # to drop.  Same arithmetic as the loop below at extra == 0.0.
+            deliver = now + base_delay
+            prev = last.get(key)
+            if prev is not None and prev > deliver:
+                deliver = prev
+            last[key] = deliver
+            # now + (deliver - now): see the module docstring.
+            sim.schedule_at(now + (deliver - now), self._deliver, envelope)
+            envelope.deliver_time = deliver
+            if tracer is not None:
+                tracer.net_scheduled(envelope)
+                tracer.net_send(envelope, kind)
+            return envelope
+        fstats = faults.stats
+        # plan_delays counts its drops and duplicates eagerly; snapshot
+        # first so the tracer can report this send's share afterwards.
+        pre_loss = fstats.dropped_loss
+        pre_partition = fstats.dropped_partition
+        pre_dup = fstats.duplicated
         first = None
         for extra in faults.plan_delays(src, dst, now):
+            # Clamping against last[key] also orders our own copies: a
+            # duplicate with less jitter must not overtake the first.
             deliver = now + base_delay + extra
             prev = last.get(key)
             if prev is not None and prev > deliver:
                 deliver = prev
-            if severed_by_crash(src, dst, now, deliver):
+            if faults.severed_by_crash(src, dst, now, deliver):
                 fstats.dropped_crash += 1
                 if tracer is not None:
                     tracer.net_dropped(envelope, "crash")
                 continue
             fstats.delivered += 1
-            # Clamp again against our own earlier copies (a duplicate with
-            # less jitter must not overtake the first copy), then schedule
-            # with the exact float the original relative call_later built.
-            prev = last.get(key)
-            if prev is not None and prev > deliver:
-                deliver = prev
             last[key] = deliver
-            sim.schedule_at(now + (deliver - now), self._deliver_impl,
-                            envelope)
+            sim.schedule_at(now + (deliver - now), self._deliver, envelope)
             if tracer is not None:
                 tracer.net_scheduled(envelope)
             if first is None:
@@ -524,18 +202,11 @@ class Network(SiteRegistry):
                 tracer.net_dropped(envelope, "partition")
             for _ in range(fstats.duplicated - pre_dup):
                 tracer.net_duplicated(envelope)
-            tracer.net_send(envelope, payload_kind(payload))
+            tracer.net_send(envelope, kind)
         return envelope
 
-    # -- delivery ------------------------------------------------------------
-
-    def _deliver_plain(self, envelope):
-        self._sites[envelope.dst].receive(envelope)
-
-    def _deliver_traced(self, envelope):
-        self._tracer.net_delivered(envelope)
-        self._sites[envelope.dst].receive(envelope)
-
     def _deliver(self, envelope):
-        # Back-compat alias for the pre-fast-path entry point.
-        self._deliver_impl(envelope)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.net_delivered(envelope)
+        self._sites[envelope.dst].receive(envelope)

@@ -113,13 +113,8 @@ class Tracer:
         self.duplicates_suppressed = 0
 
     def bind_network(self, network):
-        """Attach the network whose topology/bandwidth price the wires.
-
-        Also re-selects the network's send fast path: the transport binds
-        its per-run send implementation once, so a tracer attached after
-        network construction must trigger a re-selection."""
+        """Attach the network whose topology/bandwidth price the wires."""
         self.network = network
-        network.refresh_fast_path()
 
     # -- generic events ------------------------------------------------------
 

@@ -59,11 +59,6 @@ class _Dispatcher(Site):
         if payload is not None:
             self._dispatch(payload)
 
-    def _unwrap(self, envelope):
-        if self.reliable is None:
-            return envelope.payload
-        return self.reliable.on_receive(envelope)
-
     def _dispatch(self, payload):
         handler = self._handlers.get(payload.__class__)
         if handler is None:

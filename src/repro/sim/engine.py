@@ -1,11 +1,13 @@
 """The simulator: clock, event heap, and run loop.
 
 The run loop is the hottest code in the repository — every message
-delivery, timeout, and process resumption passes through it — so it is
-written fast-path style: heap and counters are bound to locals for the
-duration of a run (written back on exit, including on error), the tracer
-hook is resolved once per run instead of per dispatch, and heap entries
-are dispatched straight from the popped tuple without re-packing.
+delivery, timeout, and process resumption passes through it — so it
+binds the heap and counters to locals for the duration of a run (written
+back on exit, including on error), resolves the tracer hook once per run
+instead of per dispatch, and dispatches heap entries straight from the
+popped tuple without re-packing.  ``run`` and ``run_window`` share that
+one loop (:meth:`Simulator._drain`); :meth:`Simulator.step` is the only
+other place an entry is popped.
 
 Heap entries are ``(when, seq, callback, args)`` tuples; cancellable
 entries (armed by :meth:`Simulator.call_later_cancellable`, used by
@@ -17,16 +19,6 @@ clock, the processed-events counter, and the engine trace hook exactly as
 the live no-op call used to, so diagnostics and traces stay bit-identical
 with pre-fast-path kernels; they are additionally counted in
 :attr:`Simulator.cancelled_events`.
-
-Batched delivery (``network/transport.py``) may hide several logical
-deliveries behind one heap entry that fans out on pop.  The engine's
-diagnostics stay *logical*: the transport keeps :attr:`Simulator._hidden`
-equal to the number of deliveries hidden behind batch heads still on the
-heap, so ``pending`` and the per-pop depth samples count deliveries, not
-batch nodes; the fan-out reports its extra deliveries and intra-batch
-depth samples through ``_extra_events`` / ``_batch_peak``, which the
-``processed_events`` / ``peak_heap_depth`` properties fold back in.  All
-counters therefore match an unbatched run exactly.
 """
 
 import gc
@@ -46,11 +38,20 @@ def relaxed_gc(threshold=(500_000, 1_000, 1_000)):
     envelopes, events) fast enough that CPython's default generation-0
     trigger (700 net allocations) fires thousands of times per run, and
     every full collection rescans the long-lived simulation graph.  The
-    garbage is overwhelmingly acyclic and dies to refcounting anyway;
-    collecting the genuine Event/Process cycles a few times per run
-    instead of thousands is worth 10-30% of wall time on the protocol
-    cells.  Thresholds are restored on exit; trajectories are unaffected
-    (the simulator is deterministic regardless of collector timing).
+    garbage is overwhelmingly acyclic and dies to refcounting anyway, so
+    the genuine Event/Process cycles are collected a few times per run
+    instead of thousands.
+
+    What that is worth, measured (EXPERIMENTS.md appendix J; run time
+    with the default thresholds over run time with these): nothing on
+    the untraced protocol cells — ``closed_s2pl`` 0.996, ``closed_g2pl``
+    0.994, ``sharded_2pc`` 0.999, ``open_population`` 1.016 — and 4-13%
+    on ``traced_g2pl`` (1.037 with the JSONL export inside the timed
+    region, 1.07 and 1.13 in two CPU-time A/Bs without it).  It stays
+    for the traced run: a tracer keeps every event of the run resident,
+    and that list is what the default collector keeps rescanning.
+    Thresholds are restored on exit; trajectories are unaffected (the
+    simulator is deterministic regardless of collector timing).
     """
     saved = gc.get_threshold()
     gc.set_threshold(*threshold)
@@ -75,13 +76,6 @@ class Simulator:
         self._event_count = 0
         self._peak_heap = 0
         self._cancelled_count = 0
-        # Batched-delivery accounting (see module docstring): logical
-        # deliveries hidden behind batch heap entries, extra deliveries
-        # fanned out beyond the popped entry, and the deepest *logical*
-        # depth observed inside a fan-out.
-        self._hidden = 0
-        self._extra_events = 0
-        self._batch_peak = 0
         #: optional :class:`~repro.obs.tracer.Tracer`; every instrumented
         #: component reads it through its ``sim`` reference, so attaching
         #: one here turns tracing on for the whole stack.
@@ -94,26 +88,19 @@ class Simulator:
 
     @property
     def processed_events(self):
-        """Total number of *logical* events processed so far (diagnostics).
+        """Total number of heap entries processed so far (diagnostics).
 
         Includes cancelled-timer entries: they are popped and skipped, but
         they occupied the heap and the dispatch loop all the same (and were
         processed as no-op calls before lazy deletion existed, so the
-        counter is comparable across kernel versions).  Deliveries fanned
-        out of a coalesced batch entry each count as one event, exactly as
-        their unbatched heap entries would have.
+        counter is comparable across kernel versions).
         """
-        return self._event_count + self._extra_events
+        return self._event_count
 
     @property
     def peak_heap_depth(self):
-        """Deepest the *logical* event backlog has been while processing.
-
-        With batched delivery a heap node may stand for several pending
-        deliveries; the depth samples count those individually, so the
-        value is identical to an unbatched run's."""
-        return (self._peak_heap if self._peak_heap >= self._batch_peak
-                else self._batch_peak)
+        """Deepest the event heap has been while processing."""
+        return self._peak_heap
 
     @property
     def cancelled_events(self):
@@ -201,6 +188,42 @@ class Simulator:
 
     # -- run loop -----------------------------------------------------------
 
+    def _drain(self, horizon, inclusive, done=()):
+        """The pop-dispatch loop behind :meth:`run` and :meth:`run_window`.
+
+        Processes entries in heap order until the heap drains, ``done``
+        turns truthy, or the next entry lies beyond ``horizon`` (entries
+        *at* the horizon are processed only when ``inclusive``).  The
+        clock is left at the last processed entry's timestamp.
+        """
+        heap = self._heap
+        hook = self._engine_hook()
+        heappop = heapq.heappop
+        events = self._event_count
+        peak = self._peak_heap
+        cancelled = self._cancelled_count
+        try:
+            while heap and not done:
+                when = heap[0][0]
+                if when >= horizon and (when > horizon or not inclusive):
+                    break
+                depth = len(heap)
+                if depth > peak:
+                    peak = depth
+                entry = heappop(heap)
+                self._now = when
+                events += 1
+                if hook is not None:
+                    hook(when, depth)
+                if len(entry) == 5 and entry[4][0]:
+                    cancelled += 1
+                    continue
+                entry[2](*entry[3])
+        finally:
+            self._event_count = events
+            self._peak_heap = peak
+            self._cancelled_count = cancelled
+
     def run(self, until=None):
         """Process events until the heap drains or the clock passes ``until``.
 
@@ -223,48 +246,7 @@ class Simulator:
         if horizon < self._now:
             raise SimulationError(
                 f"cannot run until {horizon} which is before now={self._now}")
-        heap = self._heap
-        hook = self._engine_hook()
-        heappop = heapq.heappop
-        events = self._event_count
-        peak = self._peak_heap
-        cancelled = self._cancelled_count
-        try:
-            if hook is None:
-                while heap:
-                    when = heap[0][0]
-                    if when > horizon:
-                        break
-                    depth = len(heap) + self._hidden
-                    if depth > peak:
-                        peak = depth
-                    entry = heappop(heap)
-                    self._now = when
-                    events += 1
-                    if len(entry) == 5 and entry[4][0]:
-                        cancelled += 1
-                        continue
-                    entry[2](*entry[3])
-            else:
-                while heap:
-                    when = heap[0][0]
-                    if when > horizon:
-                        break
-                    depth = len(heap) + self._hidden
-                    if depth > peak:
-                        peak = depth
-                    entry = heappop(heap)
-                    self._now = when
-                    events += 1
-                    hook(when, depth)
-                    if len(entry) == 5 and entry[4][0]:
-                        cancelled += 1
-                        continue
-                    entry[2](*entry[3])
-        finally:
-            self._event_count = events
-            self._peak_heap = peak
-            self._cancelled_count = cancelled
+        self._drain(horizon, inclusive=True)
         if horizon != float("inf"):
             self._now = horizon
         return None
@@ -281,62 +263,13 @@ class Simulator:
         depends on the true next-event time, which this method returns
         (``inf`` when the heap drained).
         """
-        heap = self._heap
-        hook = self._engine_hook()
-        heappop = heapq.heappop
-        events = self._event_count
-        peak = self._peak_heap
-        cancelled = self._cancelled_count
-        try:
-            while heap:
-                when = heap[0][0]
-                if when >= horizon:
-                    break
-                depth = len(heap) + self._hidden
-                if depth > peak:
-                    peak = depth
-                entry = heappop(heap)
-                self._now = when
-                events += 1
-                if hook is not None:
-                    hook(when, depth)
-                if len(entry) == 5 and entry[4][0]:
-                    cancelled += 1
-                    continue
-                entry[2](*entry[3])
-        finally:
-            self._event_count = events
-            self._peak_heap = peak
-            self._cancelled_count = cancelled
-        return heap[0][0] if heap else float("inf")
+        self._drain(horizon, inclusive=False)
+        return self.peek()
 
     def _run_until_event(self, event):
         done = []
         event.add_callback(done.append)
-        heap = self._heap
-        hook = self._engine_hook()
-        heappop = heapq.heappop
-        events = self._event_count
-        peak = self._peak_heap
-        cancelled = self._cancelled_count
-        try:
-            while heap and not done:
-                depth = len(heap) + self._hidden
-                if depth > peak:
-                    peak = depth
-                entry = heappop(heap)
-                self._now = entry[0]
-                events += 1
-                if hook is not None:
-                    hook(entry[0], depth)
-                if len(entry) == 5 and entry[4][0]:
-                    cancelled += 1
-                    continue
-                entry[2](*entry[3])
-        finally:
-            self._event_count = events
-            self._peak_heap = peak
-            self._cancelled_count = cancelled
+        self._drain(float("inf"), inclusive=True, done=done)
         if not done:
             raise SimulationError(
                 "simulation ran out of events before the awaited event fired")
@@ -349,12 +282,15 @@ class Simulator:
         """Process a single heap entry; returns False if the heap is empty."""
         if not self._heap:
             return False
-        depth = len(self._heap) + self._hidden
+        depth = len(self._heap)
         if depth > self._peak_heap:
             self._peak_heap = depth
         entry = heapq.heappop(self._heap)
         self._now = entry[0]
         self._event_count += 1
+        hook = self._engine_hook()
+        if hook is not None:
+            hook(entry[0], depth)
         if len(entry) == 5 and entry[4][0]:
             self._cancelled_count += 1
             return True
@@ -363,9 +299,8 @@ class Simulator:
 
     @property
     def pending(self):
-        """Number of logical events currently pending (batch entries count
-        once per delivery they will fan out)."""
-        return len(self._heap) + self._hidden
+        """Number of heap entries currently pending."""
+        return len(self._heap)
 
     def peek(self):
         """Timestamp of the next heap entry, or ``inf`` when drained."""

@@ -15,56 +15,6 @@ def _derive_seed(root_seed, name):
     return int.from_bytes(digest[:8], "big")
 
 
-class BufferedStream:
-    """Batched draws from one ``random.Random`` stream.
-
-    Pulls ``batch`` values at a time and serves them from a list —
-    **bit-identical** to unbatched draws, because the underlying Mersenne
-    state advances by exactly the same ``random()`` calls in the same
-    order.
-
-    When to use it: consumers that can amortise the refill by reading many
-    draws per call site (e.g. grabbing the buffer wholesale). For one draw
-    at a time, calling the bound C method ``Random.random`` directly is
-    *faster* than this Python-level wrapper — the fault injector was
-    benchmarked both ways and binds the raw C draw for exactly that
-    reason. The value of the class is the guarantee: batch consumption
-    provably cannot change a replay.
-
-    Only safe for streams consumed *exclusively* through ``random()`` /
-    ``uniform()``: mixing in ``randint``/``sample``/``getrandbits`` (which
-    advance the generator state by different amounts) would interleave
-    with the prefetched buffer and desynchronise the sequence.  The
-    workload's transaction stream mixes draw kinds and therefore must not
-    be buffered; idle, stagger, and fault streams qualify.
-    """
-
-    __slots__ = ("_rng", "_batch", "_buffer", "_index")
-
-    def __init__(self, rng, batch=256):
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch!r}")
-        self._rng = rng
-        self._batch = batch
-        self._buffer = ()
-        self._index = 0
-
-    def random(self):
-        """Next U(0, 1) draw (same sequence as the raw stream)."""
-        index = self._index
-        buffer = self._buffer
-        if index >= len(buffer):
-            draw = self._rng.random
-            buffer = self._buffer = [draw() for _ in range(self._batch)]
-            index = 0
-        self._index = index + 1
-        return buffer[index]
-
-    def uniform(self, low, high):
-        """U(low, high), computed exactly like ``Random.uniform``."""
-        return low + (high - low) * self.random()
-
-
 class RandomStreams:
     """A family of independent ``random.Random`` streams under one root seed."""
 
@@ -91,13 +41,6 @@ class RandomStreams:
     def spawn(self, name):
         """Derive a child :class:`RandomStreams` namespace."""
         return RandomStreams(_derive_seed(self.root_seed, name))
-
-    def buffered(self, name, batch=256):
-        """A :class:`BufferedStream` over stream ``name``.
-
-        The caller must be the stream's only consumer and must draw solely
-        via ``random()``/``uniform()`` (see :class:`BufferedStream`)."""
-        return BufferedStream(self.stream(name), batch)
 
     def __repr__(self):
         return f"RandomStreams(root_seed={self.root_seed!r})"

@@ -11,6 +11,7 @@ from repro.network import (
     UniformTopology,
     environment_for_latency,
 )
+from repro.obs.tracer import Tracer
 from repro.sim import Simulator
 
 
@@ -64,6 +65,20 @@ def test_fifo_on_same_pair():
     assert [p for (_, _, p) in sites[1].received] == ["first", "second"]
 
 
+def test_same_timestamp_sends_are_one_heap_entry_each():
+    # Five sends on one link at one timestamp: delivered in send order,
+    # and the engine's counters see five entries before, during and after.
+    sim, net, sites = make_net(latency=10.0)
+    for payload in range(5):
+        net.send(0, 1, payload)
+    assert sim.pending == 5
+    sim.run()
+    assert sites[1].received == [(10.0, 0, p) for p in range(5)]
+    assert sim.processed_events == 5
+    assert sim.peak_heap_depth == 5
+    assert sim.pending == 0
+
+
 def test_fifo_small_after_large_under_finite_bandwidth():
     # Regression: without the per-link delivery-time clamp the second
     # (small) message's shorter transmission time let it overtake the
@@ -113,6 +128,25 @@ def test_unknown_sites_rejected():
         net.send(0, 99, "x")
     with pytest.raises(KeyError):
         net.send(99, 0, "x")
+
+
+def test_tracer_attached_after_construction_sees_traffic():
+    # Regression: send used to be bound to the untraced variant when the
+    # Network was built, so a tracer attached later recorded nothing
+    # unless the caller remembered to rebind.
+    sim, net, sites = make_net(latency=10.0)
+    tracer = sim.tracer = Tracer(sim)
+    net.send(0, 1, "traced")
+    sim.run()
+    assert tracer.messages_sent == 1
+    assert [kind for _, kind, _ in tracer.events] == [
+        "msg.send", "msg.deliver"]
+    sim.tracer = None
+    net.send(0, 1, "untraced")
+    sim.run()
+    assert tracer.messages_sent == 1
+    assert len(tracer.events) == 2
+    assert [p for (_, _, p) in sites[1].received] == ["traced", "untraced"]
 
 
 def test_duplicate_site_id_rejected():

@@ -1,7 +1,9 @@
 """Unit tests for the simulation engine (clock, heap, run loop)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.obs.tracer import Tracer
 from repro.sim import Simulator, SimulationError
 
 
@@ -164,3 +166,123 @@ def test_nested_scheduling_during_run():
     sim.call_soon(chain, 0)
     sim.run()
     assert seen == [(0.0, 0), (1.0, 1), (2.0, 2), (3.0, 3)]
+
+
+def _dispatch_samples(sim):
+    return [(when, fields["depth"]) for when, kind, fields
+            in sim.tracer.events if kind == "engine.dispatch"]
+
+
+def test_step_feeds_the_engine_trace_hook():
+    # Regression: step() popped and dispatched without sampling the
+    # per-entry hook, so a step-driven run traced no engine.dispatch.
+    def build():
+        sim = Simulator()
+        sim.tracer = Tracer(sim, engine_events=True)
+        sim.call_later(1.0, lambda: None)
+        sim.call_later(2.0, lambda: None)
+        return sim
+
+    ran = build()
+    ran.run()
+    stepped = build()
+    while stepped.step():
+        pass
+    assert _dispatch_samples(ran) == [(1.0, 2), (2.0, 1)]
+    assert _dispatch_samples(stepped) == _dispatch_samples(ran)
+
+
+# -- one loop, five drivers ---------------------------------------------------
+#
+# run(), run(until=t), run_window(t), run(until=event) and step() share
+# one pop-dispatch body; whichever way a schedule is driven it must
+# replay the same callbacks, counters and per-entry hook samples.
+
+_END = 50.0  # sentinel timeout, later than any generated entry (<= 4 + 3)
+
+ENTRIES = st.tuples(
+    st.integers(0, 4),                          # delay; small ints make ties
+    st.sampled_from(["plain", "timer", "cancelled"]),
+    st.lists(st.integers(0, 3), max_size=2),    # delays it schedules on firing
+    st.one_of(st.none(), st.integers(0, 7)))    # timer it cancels on firing
+SCHEDULES = st.lists(ENTRIES, min_size=1, max_size=8)
+CUTS = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 6.0]),
+                max_size=4)
+
+
+def _build(schedule):
+    sim = Simulator()
+    sim.tracer = Tracer(sim, engine_events=True)
+    order = []
+    tokens = []
+
+    def fire(label, children, cancels):
+        order.append((sim.now, label))
+        for n, delay in enumerate(children):
+            sim.call_later(float(delay), fire, f"{label}.{n}", (), None)
+        if cancels is not None and tokens:
+            tokens[cancels % len(tokens)][0] = True
+
+    for index, (delay, kind, children, cancels) in enumerate(schedule):
+        if kind == "plain":
+            sim.call_later(float(delay), fire, index, children, cancels)
+        else:
+            token = sim.call_later_cancellable(
+                float(delay), fire, index, children, cancels)
+            token[0] = kind == "cancelled"
+            tokens.append(token)
+    return sim, order, sim.timeout(_END)
+
+
+def _observed(sim, order):
+    assert sim.pending == 0
+    return (order, sim.processed_events, sim.peak_heap_depth,
+            sim.cancelled_events, _dispatch_samples(sim))
+
+
+def _last_dispatch_time(sim):
+    samples = _dispatch_samples(sim)
+    return samples[-1][0] if samples else 0.0
+
+
+@given(SCHEDULES, CUTS)
+@settings(max_examples=150, deadline=None)
+def test_every_driver_replays_the_same_trajectory(schedule, cuts):
+    # always cut at one entry's own timestamp: the boundary case
+    boundary = float(schedule[0][0])
+    cuts = sorted(set(cuts) | {boundary})
+
+    sim, order, _ = _build(schedule)
+    sim.run()
+    reference = _observed(sim, order)
+
+    # run(until=t) processes entries *at* t and lands the clock on t
+    sim, order, _ = _build(schedule)
+    for t in cuts:
+        assert sim.run(until=t) is None
+        assert sim.now == t
+        assert sim.peek() > t
+    sim.run()
+    assert _observed(sim, order) == reference
+
+    # run_window(t) leaves entries at t, keeps the clock on the last
+    # entry it processed, and returns the next timestamp
+    sim, order, _ = _build(schedule)
+    for t in cuts:
+        upcoming = sim.run_window(t)
+        assert upcoming == sim.peek() >= t
+        if t == boundary:
+            assert upcoming == t
+        assert sim.now == _last_dispatch_time(sim)  # some entry before t
+    assert sim.run_window(float("inf")) == float("inf")
+    assert _observed(sim, order) == reference
+
+    sim, order, end = _build(schedule)
+    assert sim.run(until=end) is None
+    assert sim.now == _END
+    assert _observed(sim, order) == reference
+
+    sim, order, _ = _build(schedule)
+    while sim.step():
+        pass
+    assert _observed(sim, order) == reference

@@ -56,28 +56,3 @@ def test_spawn_derives_independent_namespace():
     again = RandomStreams(11).spawn("replication-1")
     assert again.stream("w").random() == RandomStreams(11).spawn(
         "replication-1").stream("w").random()
-
-
-def test_buffered_stream_is_bit_identical_to_raw_draws():
-    raw = RandomStreams(42)
-    expected = [raw.stream("x").random() for _ in range(700)]
-
-    buffered = RandomStreams(42).buffered("x", batch=256)
-    got = [buffered.random() for _ in range(700)]
-    assert got == expected
-
-
-def test_buffered_uniform_matches_random_uniform():
-    raw = RandomStreams(7)
-    expected = [raw.stream("u").uniform(2.0, 9.0) for _ in range(300)]
-
-    buffered = RandomStreams(7).buffered("u", batch=64)
-    got = [buffered.uniform(2.0, 9.0) for _ in range(300)]
-    assert got == expected
-
-
-def test_buffered_stream_rejects_bad_batch():
-    import pytest
-
-    with pytest.raises(ValueError):
-        RandomStreams(1).buffered("x", batch=0)
