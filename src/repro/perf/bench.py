@@ -40,9 +40,11 @@ result, so a bench run doubles as a determinism probe: if a kernel
 :func:`compare_benchmarks` fails the run before any timing is trusted.
 
 Wall-clock numbers are machine-dependent.  ``compare_benchmarks``
-therefore supports normalising each cell's events/sec ratio by the
+therefore supports normalising each cell's speed ratio by the
 ``engine_churn`` ratio, cancelling host speed out of CI comparisons
-against the committed ``BENCH_kernel.json``.
+against the committed ``BENCH_kernel.json``.  The gate compares time
+for equal work, not events/sec (see :func:`_speed_ratio`): a cell that
+reaches the same digest with fewer heap entries got faster, not slower.
 """
 
 import json
@@ -391,7 +393,7 @@ class CellComparison:
     name: str
     baseline_eps: float
     current_eps: float
-    ratio: float              # current / baseline (raw)
+    ratio: float              # current / baseline speed (raw)
     normalized_ratio: float   # ratio / normaliser-cell ratio
     digest_match: object      # True / False / None (not comparable)
 
@@ -429,11 +431,31 @@ class BenchComparison:
         return "\n".join(lines)
 
 
+def _speed_ratio(cur_cell, base_cell, same_work):
+    """How fast ``cur_cell`` ran against ``base_cell`` (> 1 is faster).
+
+    Events/sec compares speed only while a cell's work costs the same
+    number of heap entries.  When both files run the same cell definition
+    (``same_work``) and both cells carry ``events``, the ratio is scaled
+    by ``baseline_events / current_events``, which makes it baseline wall
+    over current wall — time for the same work — so a change that removes
+    events at an equal digest is not read as a slowdown.  Unchanged event
+    counts give exactly the events/sec ratio.
+    """
+    base_eps = base_cell["events_per_sec"]
+    ratio = (cur_cell["events_per_sec"] / base_eps if base_eps > 0
+             else float("inf"))
+    if same_work and base_cell.get("events") and cur_cell.get("events"):
+        ratio *= base_cell["events"] / cur_cell["events"]
+    return ratio
+
+
 def compare_benchmarks(current, baseline, tolerance=0.2, normalize=False,
                        check_digests=True):
-    """Diff ``current`` against ``baseline``; flag events/sec regressions.
+    """Diff ``current`` against ``baseline``; flag speed regressions.
 
-    A cell fails when its events/sec ratio (current/baseline, optionally
+    A cell fails when its speed ratio (:func:`_speed_ratio`: time for the
+    same work where that is known, events/sec otherwise; optionally
     normalised by the ``engine_churn`` ratio to cancel host speed) drops
     below ``1 - tolerance``.  Digest mismatches fail outright when both
     files were produced by the same cell revision and mode — a digest
@@ -442,17 +464,16 @@ def compare_benchmarks(current, baseline, tolerance=0.2, normalize=False,
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance!r}")
-    comparable_digests = (
-        check_digests
-        and current.get("mode") == baseline.get("mode")
+    same_work = (
+        current.get("mode") == baseline.get("mode")
         and current.get("cell_revision") == baseline.get("cell_revision"))
+    comparable_digests = check_digests and same_work
     norm_ratio = 1.0
     if normalize:
         base_churn = baseline["cells"].get("engine_churn")
         cur_churn = current["cells"].get("engine_churn")
         if base_churn and cur_churn and base_churn["events_per_sec"] > 0:
-            norm_ratio = (cur_churn["events_per_sec"]
-                          / base_churn["events_per_sec"])
+            norm_ratio = _speed_ratio(cur_churn, base_churn, same_work)
     comparisons = []
     failures = []
     for name, base_cell in sorted(baseline["cells"].items()):
@@ -462,7 +483,7 @@ def compare_benchmarks(current, baseline, tolerance=0.2, normalize=False,
             continue
         base_eps = base_cell["events_per_sec"]
         cur_eps = cur_cell["events_per_sec"]
-        ratio = cur_eps / base_eps if base_eps > 0 else float("inf")
+        ratio = _speed_ratio(cur_cell, base_cell, same_work)
         normalized_ratio = ratio / norm_ratio if norm_ratio > 0 else ratio
         digest_match = None
         if comparable_digests and "digest" in base_cell:
@@ -474,7 +495,7 @@ def compare_benchmarks(current, baseline, tolerance=0.2, normalize=False,
         effective = normalized_ratio if normalize else ratio
         if effective < 1.0 - tolerance:
             failures.append(
-                f"{name}: events/sec regressed to {effective:.2f}x of "
+                f"{name}: speed regressed to {effective:.2f}x of "
                 f"baseline (tolerance {1.0 - tolerance:.2f}x)")
         if digest_match is False:
             failures.append(

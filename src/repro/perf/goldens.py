@@ -103,6 +103,20 @@ GOLDEN_CELLS = {
         read_probability=0.6, network_latency=400.0,
         total_transactions=100, warmup_transactions=15, trace=True,
         record_history=False), 7),
+    # Saturated open-arrival cells: six sites pinned at an admission cap
+    # of 2, ~92% of arrivals shed. Recorded on the driver that paid one
+    # heap entry per arrival; the skip-ahead driver must reproduce them.
+    "g2pl_population_saturated": (dict(
+        protocol="g2pl", n_clients=6, n_items=40, network_latency=100.0,
+        population=600, arrival="burst", arrival_rate=2e-4,
+        access_skew=0.5, max_inflight_per_site=2, total_transactions=150,
+        warmup_transactions=20, record_history=False), 11),
+    "s2pl_population_saturated": (dict(
+        protocol="s2pl", n_clients=6, n_items=40, network_latency=100.0,
+        population=600, arrival="diurnal", arrival_rate=2e-4,
+        access_skew=0.5, max_inflight_per_site=2, streaming=True,
+        total_transactions=150, warmup_transactions=20,
+        record_history=False), 11),
 }
 
 

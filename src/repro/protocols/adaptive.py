@@ -268,30 +268,7 @@ class AdaptiveG2PLServer(G2PLServer):
         """Freeze the away item's window into an FL without dispatching:
         the quiescence bound proved no earlier request can still arrive,
         so the freeze is exactly the one the item's return would run."""
-        window = info.window
-        if len(window) == 1:
-            order = [window[0].ref.txn_id]
-        else:
-            order = self.precedence.linear_extension(
-                [w.ref.txn_id for w in window],
-                key=self._ordering_key(window))
-        by_txn = {w.ref.txn_id: w for w in window}
-        selected_ids, leftover_ids = self._select_window(info, order)
-        selected = [by_txn[txn_id] for txn_id in selected_ids]
-        self.window_frozen += len(selected)
-        info.window = sorted((by_txn[txn_id] for txn_id in leftover_ids),
-                             key=lambda w: w.arrival)
-        fl = ForwardList.from_requests([(w.ref, w.mode) for w in selected])
-        entries = fl.entries
-        add_edge = self.precedence.add_edge_unchecked
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                for src in entries[i].txns:
-                    for dst in entries[j].txns:
-                        add_edge(src.txn_id, dst.txn_id)
-        for w in info.window:
-            for s in selected:
-                add_edge(s.ref.txn_id, w.ref.txn_id)
+        selected, fl = self._freeze_window(info)
         # The pre-frozen members join the live chain immediately: later
         # requests must order after them exactly as after dispatched
         # members, and aborts must know which item holds their position.
@@ -299,9 +276,8 @@ class AdaptiveG2PLServer(G2PLServer):
         for w in selected:
             if w.ref.txn_id not in self._dead:
                 info.chain_live.add(w.ref.txn_id)
-            self._txns[w.ref.txn_id].chain_items.add(info.item_id)
         info.chain_has_writer = info.chain_has_writer or any(
-            entry.mode is LockMode.WRITE for entry in entries)
+            entry.mode is LockMode.WRITE for entry in fl.entries)
         self.windows_dispatched += 1
         self.fl_lengths.append(fl.txn_count())
         tracer = self.sim.tracer

@@ -206,11 +206,16 @@ class C2PLClient(S2PLClient):
                  if msg.item_id in used]
         if users:
             self._deferred_recalls.add(msg.item_id)
-            self.send(self.server_id,
-                      CacheRecallAck(item_id=msg.item_id,
-                                     client_id=self.client_id, final=False,
-                                     busy_txn=users[0]),
-                      size=CONTROL_SIZE)
+            # One busy ack per pinning transaction (MPL > 1 can have
+            # several): the server needs a wait-for edge to each, or the
+            # edge to the first points at nobody once that one commits
+            # and a cycle through the others goes undetected.
+            for busy_txn in users:
+                self.send(self.server_id,
+                          CacheRecallAck(item_id=msg.item_id,
+                                         client_id=self.client_id,
+                                         final=False, busy_txn=busy_txn),
+                          size=CONTROL_SIZE)
             return
         self._cache_drop(msg.item_id)
         self.send(self.server_id,

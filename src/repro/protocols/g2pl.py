@@ -185,12 +185,13 @@ class _ItemState:
 
 
 class _TxnEntry:
-    __slots__ = ("client_id", "first_seen", "chain_items")
+    __slots__ = ("client_id", "first_seen", "chain_items", "window_items")
 
     def __init__(self, client_id, first_seen):
         self.client_id = client_id
         self.first_seen = first_seen
         self.chain_items = set()  # items whose un-returned chain includes txn
+        self.window_items = set()  # items whose window holds a request of txn
 
 
 class G2PLServer(ProtocolServer):
@@ -271,6 +272,7 @@ class G2PLServer(ProtocolServer):
             add_edge(chain_txn, txn_id)
         info.window.append(
             _WindowRequest(ref=ref, mode=msg.mode, arrival=self.sim.now))
+        entry.window_items.add(msg.item_id)
         self.window_enqueued += 1
         if tracer is not None:
             tracer.emit("fl.collect", txn=txn_id, item=msg.item_id,
@@ -539,14 +541,14 @@ class G2PLServer(ProtocolServer):
         if tracer is not None:
             tracer.emit("txn.abort", txn=txn_id, reason=reason)
         expect = tuple(sorted(entry.chain_items))
-        # Defensive: purge any window entries (none exist for a sequential
-        # client, but cheap to guarantee). Rebuild only windows that
-        # actually mention the victim — almost none do.
-        for info in self._items.values():
-            if any(w.ref.txn_id == txn_id for w in info.window):
-                kept = [w for w in info.window if w.ref.txn_id != txn_id]
-                self.window_purged += len(info.window) - len(kept)
-                info.window = kept
+        # Purge the victim's window entries. A sequential client has none
+        # (its one outstanding request is the one being refused); only a
+        # client-crash victim can be waiting in another item's window.
+        for item_id in entry.window_items:
+            info = self._items[item_id]
+            kept = [w for w in info.window if w.ref.txn_id != txn_id]
+            self.window_purged += len(info.window) - len(kept)
+            info.window = kept
         self._retire(txn_id)
         if reason == "client-crash":
             return  # nobody home to notify; chain repair moves the data
@@ -617,9 +619,12 @@ class G2PLServer(ProtocolServer):
             return order, []
         return order[:cap], order[cap:]
 
-    def _maybe_dispatch(self, info):
-        if not info.at_server or not info.window:
-            return
+    def _freeze_window(self, info):
+        """Freeze the window into a forward list without dispatching it:
+        order by a linear extension of the DAG, cut (:meth:`_select_window`),
+        carry the leftovers into the next window, fix the chain order in
+        the DAG. Returns ``(selected, fl)``, the frozen requests in chain
+        order and their :class:`ForwardList`."""
         window = info.window
         if len(window) == 1:
             # A one-request window needs no ordering key and no extension.
@@ -633,6 +638,11 @@ class G2PLServer(ProtocolServer):
 
         selected = [by_txn[txn_id] for txn_id in selected_ids]
         self.window_frozen += len(selected)
+        for w in selected:
+            # The request leaves the window for the chain.
+            entry = self._txns[w.ref.txn_id]
+            entry.window_items.discard(info.item_id)
+            entry.chain_items.add(info.item_id)
         info.window = sorted((by_txn[txn_id] for txn_id in leftover_ids),
                              key=lambda w: w.arrival)
 
@@ -655,7 +665,13 @@ class G2PLServer(ProtocolServer):
         for w in info.window:
             for s in selected:
                 add_edge(s.ref.txn_id, w.ref.txn_id)
+        return selected, fl
 
+    def _maybe_dispatch(self, info):
+        if not info.at_server or not info.window:
+            return
+        selected, fl = self._freeze_window(info)
+        entries = fl.entries
         info.at_server = False
         info.chain_all = [w.ref for w in selected]
         info.chain_live = {w.ref.txn_id for w in selected
@@ -666,8 +682,6 @@ class G2PLServer(ProtocolServer):
         info.expected_returns = len(last.txns) if last.is_read_group else 1
         info.returns_received = 0
         info.returned_version = -1
-        for w in selected:
-            self._txns[w.ref.txn_id].chain_items.add(info.item_id)
         if self.fault_mode:
             info.fl = fl
             info.released = set()
@@ -703,7 +717,7 @@ class G2PLServer(ProtocolServer):
 
     def queue_depth(self):
         """Requests waiting in collection windows (contention gauge)."""
-        return sum(len(info.window) for info in self._items.values())
+        return self.window_enqueued - self.window_frozen - self.window_purged
 
     def fl_occupancy(self):
         """Live transactions on currently-dispatched forward lists."""
@@ -726,6 +740,15 @@ class G2PLServer(ProtocolServer):
                 f"enqueued={self.window_enqueued} != "
                 f"frozen={self.window_frozen} + purged={self.window_purged}"
                 f" + pending={pending}")
+        scanned = {}
+        for item_id, info in self._items.items():
+            for w in info.window:
+                scanned.setdefault(w.ref.txn_id, set()).add(item_id)
+        indexed = {txn_id: entry.window_items
+                   for txn_id, entry in self._txns.items()
+                   if entry.window_items}
+        if indexed != scanned:
+            raise AssertionError(f"window index {indexed} != scan {scanned}")
 
 
 # ---------------------------------------------------------------------------

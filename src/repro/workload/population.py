@@ -23,6 +23,43 @@ Determinism: each site draws from two dedicated named streams
 (``client{id}.arrival`` for arrival times, ``client{id}.popn`` for user
 picks and spec draws), so population runs replay bit-identically at any
 ``jobs=`` fan-out and never perturb the closed-loop streams.
+
+Saturated sites
+---------------
+An overloaded run costs what it *admits*, not what it is *offered*. Each
+site keeps one heap entry: its next arrival. A site that has reached
+``max_inflight`` keeps none — every arrival until one of its own
+transactions completes is refused whatever else happens in the system,
+so the site draws the next arrival's timestamp, remembers it, and goes to
+sleep. When one of its transactions completes (or its counters are read,
+or the run ends) it *replays* the arrivals it slept through — the same
+user draw from ``popn`` and the same gap draw from ``arrival`` per
+arrival, in the same order, against the active set as it was while
+asleep — counts each as a busy-skip or a shed, and re-arms one real heap
+entry. A refused arrival therefore costs two random draws, not a heap
+event, a ``Timeout`` and three coroutine hops; the trajectory (every
+admission decision, draw and timestamp) is the one a driver paying a heap
+entry per arrival produces, which ``tests/helpers.EagerPopulationDriver``
+keeps as a reference implementation.
+
+*Timestamps.* The arrival after the one at ``t`` lands at
+``t + (A(t) - t)`` with ``A = arrivals.next_arrival`` — what a
+``Timeout(A(t) - t)`` armed at ``t`` puts on the heap. That is not
+``A(t)`` in floating point, and the burst/diurnal thinning reads
+``rate_at`` of the timestamp, so the formula, not a simplification of
+it, is the contract; slept-through arrivals use it too.
+
+*Ties.* An arrival whose timestamp is bit-equal to the completion that
+wakes its site is handled after that completion (the replay stops
+strictly before ``sim.now``); a heap holding both could order them
+either way. Likewise a counter read at an instant bit-equal to an
+arrival's does not yet include it.
+
+*What counts heap entries.* The entries a sleeping site never pushes are
+missing from ``engine_stats.processed_events`` / ``peak_heap_depth``
+and, in a traced run, from ``trace_summary.processed_events`` /
+``peak_heap_depth``, the ``heap_pending`` probe series and the
+``engine.dispatch`` events of ``trace_engine=True``. Nothing else moves.
 """
 
 import bisect
@@ -235,11 +272,13 @@ class PopulationState:
 class PopulationDriver:
     """Multiplexes one site's share of the logical-user population.
 
-    One arrival-loop coroutine per site plus one short-lived coroutine
-    per *in-flight* transaction (capped at ``max_inflight``) — never a
-    coroutine per user. Outcome handling (collector, tracer, run
-    control) mirrors :class:`~repro.workload.driver.ClientDriver`
-    exactly, so metrics and traces mean the same thing in both models.
+    One heap entry per site for the next arrival plus one short-lived
+    coroutine per *in-flight* transaction (capped at ``max_inflight``) —
+    never a coroutine per user, and no arrival entry at all while the
+    site sits at its cap (see the module docstring, "Saturated sites").
+    Outcome handling (collector, tracer, run control) mirrors
+    :class:`~repro.workload.driver.ClientDriver` exactly, so metrics and
+    traces mean the same thing in both models.
     """
 
     def __init__(self, sim, client_id, protocol_client, generator, control,
@@ -256,26 +295,50 @@ class PopulationDriver:
         self.collector = collector
         self.arrivals = arrivals
         self.max_inflight = max_inflight
-        self.state = PopulationState(n_users=n_users)
+        self._state = PopulationState(n_users=n_users)
         self._user_rng = user_rng
+        # Timestamp of the next arrival while the site sleeps at its cap
+        # (that arrival has no heap entry); None while one is armed, and
+        # for good once the run is over.
+        self._slept = None
+
+    @property
+    def state(self):
+        """The site's :class:`PopulationState`, counters current to
+        ``sim.now``: arrivals a saturated site slept through are replayed
+        before the state is handed out."""
+        self._replay()
+        return self._state
 
     def start(self):
-        """Spawn the site's arrival loop; returns the process list."""
-        return [self.sim.spawn(self._arrival_loop())]
+        """Arm the site's first arrival."""
+        self.sim.call_soon(self._arm)
+        self.control.done_event.add_callback(self._on_done)
 
-    def _arrival_loop(self):
-        sim = self.sim
-        control = self.control
-        arrivals = self.arrivals
-        while not control.done:
-            when = arrivals.next_arrival(sim.now)
-            yield sim.timeout(when - sim.now)
-            if control.done:
-                break
-            self._on_arrival()
+    def _after(self, fire):
+        """Timestamp of the arrival that follows the one at ``fire``:
+        ``fire + (A(fire) - fire)``, kept in exactly that form because it
+        is not ``A(fire)`` in floating point (module docstring)."""
+        return fire + (self.arrivals.next_arrival(fire) - fire)
+
+    def _arm(self):
+        """Draw the next arrival; put it on the heap, or — at the cap,
+        where nothing but one of this site's own completions can change
+        what it does — only remember it."""
+        fire = self._after(self.sim.now)
+        if len(self._state.active) >= self.max_inflight:
+            self._slept = fire
+        else:
+            self.sim.schedule_at(fire, self._arrive)
+
+    def _arrive(self):
+        if self.control.done:
+            return
+        self._on_arrival()
+        self._arm()
 
     def _on_arrival(self):
-        state = self.state
+        state = self._state
         state.arrivals += 1
         user = self._user_rng.randrange(state.n_users)
         if user in state.active:
@@ -299,6 +362,40 @@ class PopulationDriver:
             tracer.txn_begin(txn)
         self.sim.spawn(self._run(user, txn))
 
+    def _replay(self):
+        """Count the arrivals a sleeping site was offered before now.
+
+        The site is at its cap for the whole stretch and ``active`` has
+        not changed, so each is :meth:`_on_arrival` minus the branch that
+        cannot be taken: the same user draw, a busy-skip or a shed, and
+        the same draw for the next timestamp.
+        """
+        fire = self._slept
+        now = self.sim.now
+        if fire is None or fire >= now:
+            return
+        state = self._state
+        active = state.active
+        n_users = state.n_users
+        randrange = self._user_rng.randrange
+        next_arrival = self.arrivals.next_arrival
+        arrivals = busy = 0
+        while fire < now:
+            arrivals += 1
+            if randrange(n_users) in active:
+                busy += 1
+            fire = fire + (next_arrival(fire) - fire)  # _after, inlined
+        state.arrivals += arrivals
+        state.busy_skipped += busy
+        state.shed += arrivals - busy
+        self._slept = fire
+
+    def _on_done(self, _event):
+        # The run is over: count what a sleeping site was offered up to
+        # this instant, then stop for good (a later read replays nothing).
+        self._replay()
+        self._slept = None
+
     def _run(self, user, txn):
         # Inlined rather than spawned as a nested process: with crash
         # faults excluded for population runs there is nothing to
@@ -306,8 +403,12 @@ class PopulationDriver:
         # keeps 10⁵ transactions/run cheap.
         try:
             outcome = yield from self.protocol_client.execute(txn)
+            # Normal completion only (not a generator closed at teardown):
+            # the slept arrivals saw this user busy, so replay them before
+            # it leaves the active set.
+            self._replay()
         finally:
-            self.state.active.pop(user, None)
+            self._state.active.pop(user, None)
         if self.control.done:
             return  # the run closed while this transaction was in flight
         self.collector.record_outcome(outcome)
@@ -315,3 +416,7 @@ class PopulationDriver:
         if tracer is not None:
             tracer.txn_finished(outcome, measured=self.collector.measuring)
         self.control.transaction_finished()
+        if self._slept is not None and not self.control.done:
+            # Below the cap again: wake, with one real heap entry.
+            fire, self._slept = self._slept, None
+            self.sim.schedule_at(fire, self._arrive)

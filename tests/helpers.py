@@ -10,6 +10,7 @@ from repro.sim.engine import Simulator
 from repro.storage.store import VersionedStore
 from repro.storage.wal import WriteAheadLog
 from repro.validate.history import HistoryRecorder
+from repro.workload.population import PopulationDriver
 from repro.workload.spec import Operation, TransactionSpec
 
 R, W = LockMode.READ, LockMode.WRITE
@@ -77,3 +78,40 @@ class Harness:
         report = check_history(self.history)
         assert report.ok, str(report)
         return report
+
+
+class EagerPopulationDriver(PopulationDriver):
+    """The population driver as it was before skip-ahead arrivals: an
+    arrival-loop coroutine yielding one ``Timeout`` per arrival, admitted
+    or refused. Reference implementation — the oracle the shipped driver
+    is differentially tested against; it never sleeps, so there is
+    nothing to replay and ``state`` is a plain read."""
+
+    state = property(lambda self: self._state)
+
+    def start(self):
+        return [self.sim.spawn(self._arrival_loop())]
+
+    def _arrival_loop(self):
+        sim = self.sim
+        control = self.control
+        arrivals = self.arrivals
+        while not control.done:
+            when = arrivals.next_arrival(sim.now)
+            yield sim.timeout(when - sim.now)
+            if control.done:
+                break
+            self._on_arrival()
+
+    def _run(self, user, txn):
+        try:
+            outcome = yield from self.protocol_client.execute(txn)
+        finally:
+            self._state.active.pop(user, None)
+        if self.control.done:
+            return
+        self.collector.record_outcome(outcome)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.txn_finished(outcome, measured=self.collector.measuring)
+        self.control.transaction_finished()

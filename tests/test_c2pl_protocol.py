@@ -71,6 +71,59 @@ def test_callback_deadlock_detected():
     h.check_serializable()
 
 
+def test_recall_of_a_copy_pinned_twice_reports_both_transactions():
+    """MPL > 1: two local transactions pin the recalled copy. The server
+    needs a wait-for edge to each; told only about the first, it misses
+    the cycle through the second once the first commits, and stalls."""
+    h = Harness("c2pl", n_clients=2, latency=10.0, mpl=2)
+    h.launch(1, spec((0, R), think=1.0), txn_id=1)   # client 1 caches item 0
+    # txns 2 and 3 at client 1 both use the cached copy; 3 then wants item 1.
+    h.launch(1, spec((0, R), think=60.0), delay=40.0, txn_id=2)
+    h.launch(1, spec((0, R), (1, R), think=10.0), delay=41.0, txn_id=3)
+    # txn 4 at client 2 holds item 1, then writes item 0: the recall finds
+    # the copy pinned by 2 and 3, and 3 is waiting for 4's lock on item 1.
+    h.launch(2, spec((1, W), (0, W), think=5.0), delay=40.0, txn_id=4)
+    seen = []
+    detect = h.server._detect_and_resolve
+
+    def recording_detect(txn_id):
+        seen.append(set(h.server._busy_edges))
+        detect(txn_id)
+
+    h.server._detect_and_resolve = recording_detect
+    outcomes = h.run()
+    assert {(4, 2), (4, 3)} in seen       # both busy edges, at once
+    assert sorted(outcomes) == [1, 2, 3, 4]  # nobody is left waiting
+    assert [o.txn_id for o in outcomes.values() if not o.committed] in (
+        [3], [4])                          # the 4 -> 3 -> 4 cycle was broken
+    h.check_serializable()
+
+
+def test_mpl2_recall_stall_config_runs_to_completion(monkeypatch):
+    """The tier-1 flake PR 17 recorded: stalled at 44 of 60 knowing only
+    the busy edge 44 -> 45, while the real cycle 44 -> 47 -> 48 -> 44 ran
+    through the pin of item 0 by 47 that nobody reported."""
+    from repro import SimulationConfig, run_simulation
+    from repro.protocols.c2pl import C2PLServer
+
+    seen = []
+    on_ack = C2PLServer.on_CacheRecallAck
+
+    def recording_ack(self, msg):
+        on_ack(self, msg)
+        seen.append(set(self._busy_edges))
+
+    monkeypatch.setattr(C2PLServer, "on_CacheRecallAck", recording_ack)
+    config = SimulationConfig(
+        protocol="c2pl", n_clients=3, n_items=2, read_probability=0.7,
+        network_latency=1.0, max_ops=2, mpl=2, access_skew=1.0, seed=101,
+        total_transactions=60, warmup_transactions=0)
+    result = run_simulation(config)
+    assert any({(44, 45), (44, 47)} <= edges for edges in seen)
+    assert result.metrics.finished == 60
+    assert result.serializability.ok
+
+
 def test_writer_caches_its_own_update():
     h = Harness("c2pl", n_clients=1, latency=10.0)
     h.launch(1, spec((0, W), think=1.0), txn_id=1)

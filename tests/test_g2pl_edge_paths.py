@@ -130,3 +130,75 @@ def test_windows_drain_when_clients_stop():
     assert not info.window
     assert h.server.precedence.edge_count == 0
     assert len(h.server.precedence) == 0
+
+
+# -- window bookkeeping: the per-transaction index and the O(1) gauge --------
+
+def _run_capturing_server(monkeypatch, config, seed):
+    import repro.core.runner as runner_mod
+
+    captured = {}
+    real = runner_mod.make_protocol
+
+    def capture(*args, **kwargs):
+        server, clients = real(*args, **kwargs)
+        captured["server"] = server
+        return server, clients
+
+    monkeypatch.setattr(runner_mod, "make_protocol", capture)
+    result = runner_mod.run_simulation(config, seed=seed)
+    return captured["server"], result
+
+
+def test_abort_purge_finds_a_crash_victims_window_entry_by_index(monkeypatch):
+    """The purge in ``_abort`` finds something only when a client-crash
+    victim is waiting in another item's window; the faulted golden config
+    does that exactly once at seed 6 (seeds 1-39 otherwise purge nothing).
+    The victim's ``window_items`` must lead straight to that window."""
+    from repro.perf.goldens import golden_config
+    from repro.protocols.g2pl import G2PLServer
+
+    aborts = []
+    real_abort = G2PLServer._abort
+
+    def recording_abort(self, txn_id, reason):
+        aborts.append((reason, set(self._txns[txn_id].window_items),
+                       self.window_purged))
+        real_abort(self, txn_id, reason)
+
+    monkeypatch.setattr(G2PLServer, "_abort", recording_abort)
+    config, _ = golden_config("g2pl_faulted")
+    server, _ = _run_capturing_server(monkeypatch, config, seed=6)
+    assert server.window_purged == 1
+    waiting = [(reason, items) for reason, items, _ in aborts if items]
+    assert len(waiting) == 1
+    reason, items = waiting[0]
+    assert reason == "client-crash" and len(items) == 1
+    pending = sum(len(info.window) for info in server._items.values())
+    assert server.window_enqueued == server.window_frozen + 1 + pending
+    server.assert_invariants()  # ledger balances and index equals scan
+
+
+def test_queue_depth_equals_the_window_scan_at_every_probe_tick(monkeypatch):
+    from repro.perf.goldens import golden_config
+    from repro.protocols.g2pl import G2PLServer
+
+    depths = []
+    ledger_depth = G2PLServer.queue_depth
+
+    def checked_depth(self):
+        depth = ledger_depth(self)
+        assert depth == sum(len(info.window)
+                            for info in self._items.values())
+        depths.append(depth)
+        return depth
+
+    monkeypatch.setattr(G2PLServer, "queue_depth", checked_depth)
+    config, _ = golden_config("g2pl_faulted")
+    config = config.replace(trace=True, probe_interval=40.0)
+    server, result = _run_capturing_server(monkeypatch, config, seed=6)
+    assert server.window_purged == 1  # the purge door is on the path too
+    ticks = sum(1 for _, name, _ in result.trace.probes
+                if name == "lock_queue_depth")
+    assert len(depths) == ticks > 50
+    assert max(depths) > 1

@@ -93,6 +93,28 @@ class TestCompare:
                                         normalize=True)
         assert normalized.ok
 
+    def test_same_work_in_fewer_events_is_faster_not_slower(self):
+        # Equal digest, a fifth of the events, half the wall: events/sec
+        # fell to 0.4x, but the cell does the same work twice as fast.
+        def cell(events, wall):
+            return {"events": events, "wall_seconds": wall,
+                    "events_per_sec": events / wall, "digest": "d0"}
+
+        baseline = _bench({"a": cell(10_000, 10.0)})
+        faster = _bench({"a": cell(2_000, 5.0)})
+        comparison = compare_benchmarks(faster, baseline, tolerance=0.2)
+        assert comparison.ok, comparison.describe()
+        assert comparison.cells[0].ratio == pytest.approx(2.0)
+        # ... and fewer events do not excuse taking longer.
+        slower = _bench({"a": cell(2_000, 20.0)})
+        comparison = compare_benchmarks(slower, baseline, tolerance=0.2)
+        assert not comparison.ok
+        assert comparison.cells[0].ratio == pytest.approx(0.5)
+        # Across modes the cells are different work: events/sec, as before.
+        quick = _bench({"a": cell(2_000, 5.0)}, mode="quick")
+        comparison = compare_benchmarks(quick, baseline, tolerance=0.2)
+        assert comparison.cells[0].ratio == pytest.approx(0.4)
+
     def test_bad_tolerance_rejected(self):
         bench = _bench({"a": _cell(1.0)})
         with pytest.raises(ValueError):

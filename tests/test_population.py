@@ -2,15 +2,21 @@
 transaction mix, Zipf sampling, the population driver, and end-to-end
 determinism of population runs."""
 
+import copy
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.core.runner as runner_mod
 from repro.core.config import SimulationConfig
 from repro.core.parallel import SimulationCell, run_cells
 from repro.core.runner import run_simulation
+from repro.obs.export import write_jsonl
 from repro.perf.fingerprint import result_fingerprint
+from repro.protocols.transaction import TxnOutcome
 from repro.sim import RandomStreams, Simulator
 from repro.stats.collector import MetricsCollector
 from repro.workload.arrivals import (
@@ -30,6 +36,8 @@ from repro.workload.population import (
     parse_txn_mix,
     split_population,
 )
+
+from helpers import EagerPopulationDriver
 
 
 def popn_config(**overrides):
@@ -223,38 +231,79 @@ class TestSplitPopulation:
             assert sum(split_population(population, n)) == population
 
 
-class InstantClient:
-    """Protocol-client stub: commits after one time unit."""
+class StubClient:
+    """Protocol-client stub: commits after a service time that is a pure
+    function of the transaction id (``services`` cycled), and records
+    every admitted transaction."""
 
-    def __init__(self, sim):
+    def __init__(self, sim, services=(1.0,)):
         self.sim = sim
-        self.executed = []
+        self.services = services
+        self.admitted = []   # (txn_id, birth, spec) in admission order
 
     def execute(self, txn):
-        self.executed.append(txn.txn_id)
-        yield self.sim.timeout(1.0)
+        self.admitted.append((txn.txn_id, txn.birth, txn.spec))
+        start = self.sim.now
+        yield self.sim.timeout(self.services[txn.txn_id % len(self.services)])
         txn.commit()
-        from repro.protocols.transaction import TxnOutcome
-
         return TxnOutcome(txn_id=txn.txn_id, client_id=txn.client_id,
-                          committed=True, start_time=self.sim.now - 1.0,
+                          committed=True, start_time=start,
                           end_time=self.sim.now, n_ops=txn.spec.n_ops,
                           n_writes=txn.spec.n_writes)
 
 
+class ScriptedArrivals:
+    """Two scripted arrivals, then gaps growing by a quarter. The second is
+    answered as ``A(t) = 1.8948738187308816``, but a ``Timeout`` armed at
+    ``t`` lands on ``t + (A(t) - t) = 1.8948738187308818``: the heap's
+    timestamp is not ``A(t)``."""
+
+    FIRST, SECOND = 0.8814427419165355, 1.8948738187308816
+
+    def __init__(self, rng, rate):
+        pass
+
+    def next_arrival(self, now):
+        if now == 0.0:
+            return self.FIRST
+        return self.SECOND if now == self.FIRST else now * 1.25
+
+
+class UnitArrivals:
+    """An arrival every whole time unit, exactly."""
+
+    def __init__(self, rng, rate):
+        pass
+
+    def next_arrival(self, now):
+        return now + 1.0
+
+
+ARRIVAL_KINDS = {
+    "scripted": ScriptedArrivals,
+    "unit": UnitArrivals,
+    "poisson": PoissonArrivals,
+    "burst": lambda rng, rate: BurstArrivals(rng, rate, period=20.0),
+    "diurnal": lambda rng, rate: DiurnalArrivals(rng, rate, period=50.0),
+}
+
+
 def build_population_driver(sim, n_users=20, rate=0.5, max_inflight=256,
-                            target=30):
+                            target=30, driver_class=PopulationDriver,
+                            arrival="poisson", services=(1.0,)):
     control = RunControl(sim, target)
     collector = MetricsCollector(0)
     streams = RandomStreams(9)
     params = WorkloadParams(n_items=20)
-    client = InstantClient(sim)
-    driver = PopulationDriver(
-        sim, 1, client, OpenArrivalGenerator(params, default_classes(params),
-                                             streams.stream("popn")),
-        control, collector, PoissonArrivals(streams.stream("arr"), rate),
-        n_users, user_rng=streams.stream("users"),
-        max_inflight=max_inflight)
+    client = StubClient(sim, services)
+    # As in the runner: user picks and spec draws share one stream.
+    popn_rng = streams.stream("popn")
+    driver = driver_class(
+        sim, 1, client,
+        OpenArrivalGenerator(params, default_classes(params), popn_rng),
+        control, collector,
+        ARRIVAL_KINDS[arrival](streams.stream("arr"), rate),
+        n_users, user_rng=popn_rng, max_inflight=max_inflight)
     driver.start()
     return control, collector, driver, client
 
@@ -279,7 +328,7 @@ class TestPopulationDriver:
         sim.run(until=control.done_event)
         assert driver.state.busy_skipped > 0
         assert driver.state.peak_active == 1
-        assert len(client.executed) >= 10
+        assert len(client.admitted) >= 10
 
     def test_admission_cap_sheds(self):
         sim = Simulator()
@@ -295,6 +344,248 @@ class TestPopulationDriver:
             build_population_driver(sim, n_users=0)
         with pytest.raises(ValueError):
             build_population_driver(sim, max_inflight=0)
+
+
+def counters(driver):
+    state = driver.state
+    return (state.arrivals, state.busy_skipped, state.shed, state.started,
+            state.peak_active, sorted(state.active.items()))
+
+
+def run_twin(driver_class, read_times=(), **kwargs):
+    """One driver on its own simulator: counters at every read time and
+    at the end, the admitted sequence, the collector's metrics and the
+    heap entries it cost."""
+    sim = Simulator()
+    control, collector, driver, client = build_population_driver(
+        sim, driver_class=driver_class, **kwargs)
+    reads = []
+    for when in read_times:
+        sim.run(until=when)
+        reads.append(counters(driver))
+    if not control.done_event.processed:
+        sim.run(until=control.done_event)
+    metrics = collector.metrics
+    return {
+        "reads": reads,
+        "final": counters(driver),
+        "admitted": client.admitted,
+        "metrics": (metrics.committed, metrics.aborted,
+                    list(metrics.response_times),
+                    metrics.first_measured_at, metrics.last_measured_at),
+        "finished": control.finished,
+    }, sim.processed_events
+
+
+class TestSkipAheadMatchesEagerOracle:
+    """The shipped driver sleeps at its admission cap and replays what it
+    slept through; :class:`EagerPopulationDriver` (the driver it replaced,
+    one heap entry per arrival) is the oracle."""
+
+    @given(
+        n_users=st.integers(min_value=1, max_value=40),
+        rate=st.sampled_from([0.05, 0.5, 5.0, 50.0]),
+        max_inflight=st.sampled_from([1, 2, 3, 8, 256]),
+        arrival=st.sampled_from(["poisson", "burst", "diurnal"]),
+        services=st.lists(
+            st.floats(min_value=0.01, max_value=30.0, allow_nan=False),
+            min_size=1, max_size=5),
+        target=st.integers(min_value=1, max_value=40),
+        read_times=st.lists(
+            st.floats(min_value=0.001, max_value=400.0, allow_nan=False),
+            max_size=6, unique=True),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_same_counters_admissions_and_metrics(
+            self, n_users, rate, max_inflight, arrival, services, target,
+            read_times):
+        kwargs = dict(n_users=n_users, rate=rate, max_inflight=max_inflight,
+                      arrival=arrival, services=tuple(services),
+                      target=target, read_times=sorted(read_times))
+        eager, eager_events = run_twin(EagerPopulationDriver, **kwargs)
+        skip, skip_events = run_twin(PopulationDriver, **kwargs)
+        assert skip == eager
+        assert skip["finished"] >= target
+        assert skip_events <= eager_events
+        if skip["final"][2]:  # anything shed: those arrivals cost no entry
+            assert skip_events < eager_events
+
+    def test_one_user_at_cap_one_is_all_busy_skips(self):
+        kwargs = dict(n_users=1, rate=20.0, max_inflight=1, target=12,
+                      services=(3.0, 0.5), read_times=(1.0, 7.5, 20.0))
+        eager, eager_events = run_twin(EagerPopulationDriver, **kwargs)
+        skip, skip_events = run_twin(PopulationDriver, **kwargs)
+        assert skip == eager
+        arrivals, busy_skipped, shed, started, peak, _ = skip["final"]
+        assert shed == 0 and peak == 1
+        assert busy_skipped == arrivals - started > 100
+        assert skip_events < eager_events / 5
+
+    @pytest.mark.parametrize("max_inflight", [1, 2])
+    def test_timestamps_are_the_timeout_formula_not_next_arrival(
+            self, max_inflight):
+        # Cap 2 admits the second arrival (the armed path); cap 1 sleeps
+        # through it (the replayed path, which seeds the wake's timestamp).
+        kwargs = dict(n_users=50, max_inflight=max_inflight, target=3,
+                      arrival="scripted", services=(1.1,))
+        eager, _ = run_twin(EagerPopulationDriver, **kwargs)
+        skip, _ = run_twin(PopulationDriver, **kwargs)
+        assert skip == eager
+        process = ScriptedArrivals(None, None)
+        as_armed, as_answered = [0.0], [0.0]
+        for _ in range(8):
+            fire = as_armed[-1]
+            as_armed.append(fire + (process.next_arrival(fire) - fire))
+            as_answered.append(process.next_arrival(as_answered[-1]))
+        births = [birth for _, birth, _ in skip["admitted"]]
+        assert len(births) >= 3
+        assert set(births) <= set(as_armed)
+        assert not set(births[1:]) & set(as_answered)
+
+    def test_arrival_tied_with_a_completion_comes_after_it(self):
+        # The documented tie rule. Arrivals at 1, 2, 3, ... and a service
+        # time of exactly 1: every arrival is bit-equal to the completion
+        # that frees the site's only slot, and finds it free. (The eager
+        # heap happens to order this one the other way and sheds; it
+        # could order a tie either way, which is why the rule exists.)
+        skip, _ = run_twin(PopulationDriver, n_users=50, max_inflight=1,
+                           target=5, arrival="unit", services=(1.0,))
+        arrivals, busy_skipped, shed, started, _, _ = skip["final"]
+        assert (busy_skipped, shed) == (0, 0)
+        assert arrivals == started >= 5
+
+    def test_completion_that_ends_the_run_does_not_rearm(self):
+        sim = Simulator()
+        control, _, driver, _ = build_population_driver(
+            sim, n_users=50, rate=5.0, max_inflight=1, target=1,
+            services=(10.0,))
+        sim.run(until=control.done_event)
+        assert driver.state.shed > 10
+        assert sim.pending == 1  # the finished process's own event, only
+
+    def _sleeping_site(self, driver_class=PopulationDriver):
+        """A site whose only slot is taken by a 10-unit transaction."""
+        sim = Simulator()
+        spawned = []
+        spawn = sim.spawn
+        sim.spawn = lambda gen: spawned.append(gen) or spawn(gen)
+        control, _, driver, _ = build_population_driver(
+            sim, n_users=50, rate=5.0, max_inflight=1, target=3,
+            services=(10.0,), driver_class=driver_class)
+        return sim, control, driver, spawned
+
+    def test_finishing_after_done_neither_replays_nor_rearms(self):
+        snapshots = {}
+        for cls in (EagerPopulationDriver, PopulationDriver):
+            sim, control, driver, _ = self._sleeping_site(cls)
+            sim.call_later(5.0, control.done_event.succeed, 0)
+            sim.run(until=control.done_event)
+            at_done = counters(driver)
+            assert at_done[2] > 10          # shed while asleep, all counted
+            sim.run()                       # the transaction ends at ~10
+            assert sim.now > 10.0
+            assert sim.pending == 0         # nothing re-armed
+            assert counters(driver)[:5] == at_done[:5]
+            assert driver.state.active == {}
+            snapshots[cls] = at_done
+        assert snapshots[PopulationDriver] == snapshots[EagerPopulationDriver]
+
+    def test_closing_an_unfinished_run_touches_nothing(self):
+        sim, control, driver, spawned = self._sleeping_site()
+        sim.run(until=5.0)
+        assert len(spawned) == 1 and driver._slept is not None
+        raw = driver._state   # not .state: a read would replay
+        before = (sim.pending, driver._slept, raw.arrivals,
+                  raw.busy_skipped, raw.shed, raw.started)
+        spawned[0].close()    # teardown: GeneratorExit at the yield
+        assert raw.active == {}
+        assert before == (sim.pending, driver._slept, raw.arrivals,
+                          raw.busy_skipped, raw.shed, raw.started)
+
+
+def without_heap_counts(fingerprint):
+    """A fingerprint minus the diagnostics that count heap entries."""
+    fingerprint = copy.deepcopy(fingerprint)
+    summary = fingerprint.get("trace_summary")
+    if summary is not None:
+        del summary["processed_events"], summary["peak_heap_depth"]
+        summary["probe_series"].pop("heap_pending", None)
+    return fingerprint
+
+
+def jsonl_body(result, config, path):
+    write_jsonl(str(path), result.trace, config, result.seed)
+    with open(path, encoding="utf-8") as handle:
+        rows = handle.read().splitlines()
+    return [row for row in rows[1:]           # [0] is the summary header
+            if '"name": "heap_pending"' not in row]
+
+
+class TestFullStackDifferential:
+    """run_simulation with the eager oracle patched in vs the shipped
+    driver: the same run but for the counts of heap entries."""
+
+    @given(
+        protocol=st.sampled_from(["g2pl", "s2pl", "g2pl-ro", "hybrid"]),
+        n_clients=st.integers(min_value=2, max_value=6),
+        users_per_site=st.sampled_from([1, 3, 40]),
+        arrival=st.sampled_from(["poisson", "burst", "diurnal"]),
+        arrival_rate=st.sampled_from([2e-4, 2e-3, 2e-2]),
+        cap=st.sampled_from([1, 2, 4, 256]),
+        extras=st.sampled_from([
+            {}, {"streaming": True}, {"faults": "loss=0.03"},
+            {"trace": True, "probe_interval": 37.0},
+            {"trace": True, "probe_interval": 400.0, "faults": "loss=0.02"},
+            {"txn_mix": "browse:6:1-3:0.9,update:3:2-4:0.3"}]),
+        seed=st.integers(min_value=1, max_value=10_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_fingerprints_and_exports_match(
+            self, tmp_path_factory, protocol, n_clients, users_per_site,
+            arrival, arrival_rate, cap, extras, seed):
+        if "faults" in extras and protocol == "hybrid":
+            extras = {}
+        config = popn_config(
+            protocol=protocol, n_clients=n_clients, n_items=12,
+            population=n_clients * users_per_site, arrival=arrival,
+            arrival_rate=arrival_rate, max_inflight_per_site=cap,
+            total_transactions=60, warmup_transactions=6, **extras)
+        skip = run_simulation(config, seed=seed)
+        with mock.patch.object(runner_mod, "PopulationDriver",
+                               EagerPopulationDriver):
+            eager = run_simulation(config, seed=seed)
+        assert (without_heap_counts(result_fingerprint(skip))
+                == without_heap_counts(result_fingerprint(eager)))
+        assert (skip.engine_stats["processed_events"]
+                <= eager.engine_stats["processed_events"])
+        if not config.trace:
+            assert result_fingerprint(skip) == result_fingerprint(eager)
+        else:
+            out = tmp_path_factory.mktemp("jsonl")
+            assert (jsonl_body(skip, config, out / "skip.jsonl")
+                    == jsonl_body(eager, config, out / "eager.jsonl"))
+
+    def test_saturated_traced_export_differs_only_in_heap_counts(
+            self, tmp_path):
+        from repro.perf.goldens import golden_config
+
+        config, seed = golden_config("g2pl_population_saturated")
+        config = config.replace(trace=True, probe_interval=50.0)
+        skip = run_simulation(config, seed=seed)
+        with mock.patch.object(runner_mod, "PopulationDriver",
+                               EagerPopulationDriver):
+            eager = run_simulation(config, seed=seed)
+        assert skip.server_stats["popn_shed"] > 2000
+        assert (jsonl_body(skip, config, tmp_path / "skip.jsonl")
+                == jsonl_body(eager, config, tmp_path / "eager.jsonl"))
+        left = result_fingerprint(skip)["trace_summary"]
+        right = result_fingerprint(eager)["trace_summary"]
+        moved = {key for key in left if left[key] != right[key]}
+        assert moved == {"processed_events", "peak_heap_depth",
+                         "probe_series"}
+        assert ({name for name in left["probe_series"]
+                 if left["probe_series"][name]
+                 != right["probe_series"][name]} == {"heap_pending"})
 
 
 class TestPopulationConfig:

@@ -1,7 +1,7 @@
 """End-to-end property test: serializability holds for arbitrary small
 workload configurations under every protocol."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import SimulationConfig, run_simulation
 
@@ -19,7 +19,16 @@ CONFIGS = st.fixed_dictionaries({
 })
 
 
+# c-2PL at MPL 2 with a copy pinned by two local transactions: stalled
+# (busy ack named only the first pinner) until the recall acked each one.
+C2PL_MPL2_STALL = dict(protocol="c2pl", n_items=2, read_probability=0.7,
+                       max_ops=2, mpl=2, access_skew=1.0)
+
+
 @given(CONFIGS)
+@example(dict(C2PL_MPL2_STALL, n_clients=3, network_latency=1.0, seed=101))
+@example(dict(C2PL_MPL2_STALL, n_clients=5, network_latency=25.0, seed=153))
+@example(dict(C2PL_MPL2_STALL, n_clients=8, network_latency=1.0, seed=18))
 @settings(max_examples=25, deadline=None)
 def test_every_configuration_is_serializable(params):
     params = dict(params)
