@@ -29,10 +29,21 @@ class ProbeSampler:
     def _tick(self):
         if self.stop_when is not None and self.stop_when():
             return  # run is over; stop rescheduling, drain quietly
+        now = self.sim.now
+        sample = self.tracer.probes.append
         for name, read in self.sources:
-            self.tracer.probe(name, float(read()))
+            sample((now, name, float(read())))
         self.samples_taken += 1
         self.sim.call_later(self.interval, self._tick)
+
+
+def _total(servers, gauge):
+    """A reader of ``gauge()`` summed over ``servers``; one server's own
+    bound method when there is only one (every tick calls it)."""
+    readers = [getattr(server, gauge) for server in servers]
+    if len(readers) == 1:
+        return readers[0]
+    return lambda: sum(read() for read in readers)
 
 
 def default_sources(sim, network, server, tracer, drivers=None):
@@ -58,28 +69,23 @@ def default_sources(sim, network, server, tracer, drivers=None):
     ]
     with_queue = [s for s in servers if hasattr(s, "queue_depth")]
     if with_queue:
-        sources.append(("lock_queue_depth",
-                        lambda: sum(s.queue_depth() for s in with_queue)))
+        sources.append(("lock_queue_depth", _total(with_queue, "queue_depth")))
     with_fl = [s for s in servers if hasattr(s, "fl_occupancy")]
     if with_fl:
-        sources.append(("fl_occupancy",
-                        lambda: sum(s.fl_occupancy() for s in with_fl)))
+        sources.append(("fl_occupancy", _total(with_fl, "fl_occupancy")))
     adaptive = [s for s in servers if hasattr(s, "window_depth")]
     if adaptive:
         # Adaptive controllers (repro.adapt): the window-occupancy signal
         # the window controller feeds on, plus live controller state.
         # Gated on the adaptive server type so static-protocol probe
         # traces (and their goldens) are unchanged.
-        sources.append(("window_occupancy",
-                        lambda: sum(s.window_depth() for s in adaptive)))
+        sources.append(("window_occupancy", _total(adaptive, "window_depth")))
         sources.append(("adapt_hold_pending",
-                        lambda: sum(s.hold_pending() for s in adaptive)))
+                        _total(adaptive, "hold_pending")))
         sources.append(("hybrid_single_items",
-                        lambda: sum(s.single_mode_items()
-                                    for s in adaptive)))
+                        _total(adaptive, "single_mode_items")))
         sources.append(("spec_outstanding",
-                        lambda: sum(s.spec_outstanding()
-                                    for s in adaptive)))
+                        _total(adaptive, "spec_outstanding")))
     popn = [d for d in (drivers or []) if hasattr(d, "state")]
     if popn:
         sources.append(("popn_inflight",

@@ -1,11 +1,13 @@
 """The trace event schema and its validator (used by CI's chaos smoke)."""
 
-#: event kind -> required field names (extra fields are allowed)
+#: event kind -> required field names (extra fields are allowed, but
+#: every event of one kind must carry the same names in the same order:
+#: the tracer keeps them once per kind and exporters compile per kind)
 EVENT_SCHEMA = {
     # sim engine (only with engine-event tracing enabled)
     "engine.dispatch": frozenset({"depth"}),
     # network
-    "msg.send": frozenset({"id", "src", "dst", "kind", "size", "deliver"}),
+    "msg.send": frozenset({"id", "src", "dst", "msg", "size", "deliver"}),
     "msg.deliver": frozenset({"id", "src", "dst"}),
     "msg.drop": frozenset({"id", "src", "dst", "cause"}),
     "msg.dup": frozenset({"id", "src", "dst"}),
@@ -17,6 +19,7 @@ EVENT_SCHEMA = {
     "lock.grant": frozenset({"txn", "item", "mode"}),
     "lock.release": frozenset({"txn", "granted"}),
     "lock.deadlock": frozenset({"requester", "victim", "cycle"}),
+    "lock.deadlock.distributed": frozenset({"victim", "cycle", "shard"}),
     # transaction lifecycle
     "txn.begin": frozenset({"txn", "client"}),
     "txn.end": frozenset({"txn", "client", "committed", "response"}),
@@ -33,8 +36,24 @@ EVENT_SCHEMA = {
     "fl.handoff": frozenset({"txn", "item", "to"}),
     "fl.return": frozenset({"txn", "item"}),
     "fl.watchdog": frozenset({"item", "attempt"}),
-    "fl.repair": frozenset({"item", "action"}),
+    "fl.repair": frozenset({"item", "action", "crashed"}),
     "chain.commit": frozenset({"txn"}),
+    # cross-shard two-phase commit (sharded runs)
+    "twopc.prepare": frozenset({"txn", "shard", "vote"}),
+    "twopc.vote.piggyback": frozenset({"txn", "shard"}),
+    "twopc.decision": frozenset({"txn", "shard", "commit"}),
+    "twopc.terminate": frozenset({"txn", "shard", "peers"}),
+    "twopc.terminate.commit": frozenset({"txn", "shard"}),
+    "twopc.terminate.abort": frozenset({"txn", "shard"}),
+    # adaptive controllers (repro.adapt)
+    "hybrid.switch": frozenset({"item", "mode", "epoch", "score"}),
+    "window.hold": frozenset({"item", "hold", "depth"}),
+    "spec.extend": frozenset({"item", "tail", "n_txns"}),
+    "spec.accept": frozenset({"item", "tail", "n_txns"}),
+    "spec.decline": frozenset({"item", "tail"}),
+    "spec.repair": frozenset({"item", "epoch", "n_txns"}),
+    "spec.splice": frozenset({"txn", "item"}),
+    "spec.refuse": frozenset({"txn", "item"}),
 }
 
 #: keys every per-transaction accounting record must carry
@@ -50,10 +69,12 @@ def validate_events(events, max_errors=20):
     """Check a trace's event stream against :data:`EVENT_SCHEMA`.
 
     Returns a list of error strings (empty = valid): unknown kinds,
-    missing required fields, and non-monotonic timestamps.
+    missing required fields, a kind whose events disagree on their field
+    names, and non-monotonic timestamps.
     """
     errors = []
     previous_time = float("-inf")
+    columns = {}
     for index, (time, kind, fields) in enumerate(events):
         if len(errors) >= max_errors:
             errors.append("... (further errors suppressed)")
@@ -71,6 +92,11 @@ def validate_events(events, max_errors=20):
         if missing:
             errors.append(
                 f"event {index} ({kind}): missing fields {sorted(missing)}")
+        names = tuple(fields)
+        if columns.setdefault(kind, names) != names:
+            errors.append(
+                f"event {index} ({kind}): fields {names} differ from the "
+                f"kind's columns {columns[kind]}")
     return errors
 
 

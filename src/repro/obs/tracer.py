@@ -9,17 +9,29 @@ with tracing produces bit-identical :class:`RunMetrics`).
 
 Three kinds of records are captured:
 
-* **events** — ``(sim_time, kind, fields)`` tuples for every structured
+* **events** — one flat row ``(sim_time, kind, *values)`` per structured
   event (message sends/drops, lock grants, FL dispatches, watchdog
-  repairs, transaction lifecycle, ...); see :mod:`repro.obs.schema`.
+  repairs, transaction lifecycle, ...), the field names kept once per
+  kind; :class:`EventLog` reads them back as ``(sim_time, kind, fields)``
+  triples. See :mod:`repro.obs.schema`.
 * **transactions** — per-transaction latency-round accounting: the count
   of *sequential message rounds* a transaction's busy period contributed
   (the paper's 3m vs 2m+1 arithmetic) and a decomposition of its response
   time into propagation, transmission, server-queueing, client-processing
   (think), delivery slack (jitter / FIFO clamping), and residual lock
   wait.
-* **probes** — periodic gauge samples recorded by
-  :class:`~repro.obs.probes.ProbeSampler`.
+* **probes** — periodic gauge samples, ``(sim_time, series, value)``,
+  appended by :class:`~repro.obs.probes.ProbeSampler`.
+
+Row layout is the capture cost. An event is one tuple of the clock
+reading, the kind and the field values in emit order (86 B of container
+on the ledger's ``traced_g2pl``, against 271 B for a tuple holding a
+keyword dict); :meth:`Tracer.emit` checks the keyword names against the
+kind's column tuple and flattens the values, and the two per-message
+rows (``msg.send``, ``msg.deliver`` — over half of all events) are
+appended by the network hooks without building a dict at all.
+:meth:`Tracer.finish` hands the same row lists to :class:`TraceData`;
+nothing is copied.
 
 Round-charging scheme (validates the paper's arithmetic exactly on the
 worked-example scenario):
@@ -47,13 +59,72 @@ from dataclasses import dataclass
 from repro.obs.summary import NON_SEQUENTIAL_ROUND_KINDS, TraceSummary
 
 
+#: keys :func:`repro.obs.export.write_jsonl` gives every event row itself
+RESERVED_FIELDS = ("type", "t", "kind")
+
+
+class EventLog:
+    """The captured events: flat rows, read as a list of triples.
+
+    A row is ``(time, kind, *values)`` — one tuple per event instead of a
+    tuple holding a keyword dict, which is what makes a resident trace
+    cost about a third of what it did. The field names live once per kind
+    in ``columns``; a row whose names differ from its kind's (no shipped
+    kind does this, :func:`~repro.obs.schema.validate_events` reports it)
+    keeps its own under its index in ``odd``.
+
+    ``len()``, iteration, indexing, ``==`` and pickling behave as the list
+    of ``(time, kind, {field: value})`` triples did; exporters that want
+    speed read ``rows`` / ``columns`` / ``odd`` directly.
+    """
+
+    def __init__(self):
+        self.rows = []      # [(time, kind, *values), ...]
+        self.columns = {}   # kind -> (field name, ...), in emit order
+        self.odd = {}       # row index -> names, where they differ
+
+    def new_shape(self, kind, names):
+        """Called before appending a row whose ``names`` are not (yet)
+        ``columns[kind]``."""
+        for name in names:
+            if name in RESERVED_FIELDS:
+                raise ValueError(
+                    f"event {kind!r}: field {name!r} would collide with "
+                    f"the exported row's own {RESERVED_FIELDS} keys")
+        if self.columns.setdefault(kind, names) != names:
+            self.odd[len(self.rows)] = names
+
+    def _triple(self, index):
+        time, kind, *values = self.rows[index]
+        names = self.odd[index] if index in self.odd else self.columns[kind]
+        return time, kind, dict(zip(names, values))
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(self._triple, range(len(self.rows)))
+
+    def __getitem__(self, index):
+        picked = range(len(self.rows))[index]
+        if isinstance(index, slice):
+            return [self._triple(i) for i in picked]
+        return self._triple(picked)
+
+    def __eq__(self, other):
+        if not isinstance(other, (EventLog, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+
 @dataclass
 class TraceData:
     """Everything one traced run captured (plain data, picklable)."""
 
-    events: list    # [(time, kind, {field: value}), ...]
-    txns: list      # [per-transaction record dict, ...]
-    probes: list    # [(time, series_name, value), ...]
+    events: EventLog  # reads as [(time, kind, {field: value}), ...]
+    txns: list        # [per-transaction record dict, ...]
+    probes: list      # [(time, series_name, value), ...]
     summary: TraceSummary
 
 
@@ -85,6 +156,16 @@ class _TxnAcc:
         self.overhead = 0.0
 
 
+#: columns of the rows :class:`Tracer` appends without going through
+#: :meth:`Tracer.emit` (``msg`` is the message type; it was once a second
+#: ``kind``, which the exported row's own ``kind`` key silently replaced)
+_DIRECT_COLUMNS = {
+    "engine.dispatch": ("depth",),
+    "msg.send": ("id", "src", "dst", "msg", "size", "deliver"),
+    "msg.deliver": ("id", "src", "dst"),
+}
+
+
 class Tracer:
     """Collects structured events and per-transaction accounting."""
 
@@ -92,8 +173,12 @@ class Tracer:
         self.sim = sim
         self.engine_events = engine_events
         self.network = None
-        self.events = []
-        self.probes = []
+        self.events = EventLog()
+        self._rows = self.events.rows
+        self._columns = self.events.columns
+        # the per-message and per-dispatch rows are appended directly
+        self._columns.update(_DIRECT_COLUMNS)
+        self.probes = []    # [(time, series, value)]; ProbeSampler appends
         self._live = {}   # txn_id -> _TxnAcc
         self._done = {}   # txn_id -> (acc, meta dict), insertion-ordered
         self._unfinished = []  # records finalised by close(), never begun
@@ -101,9 +186,7 @@ class Tracer:
         # reset per run), so traces keyed on it would differ between worker
         # processes; the tracer numbers messages itself.
         self._msg_ids = {}
-        self._next_msg_id = 0
         # network gauges / counters
-        self.in_flight = {}         # (src, dst) -> currently-flying copies
         self.in_flight_total = 0
         self.messages_sent = 0
         self.msgs_by_kind = {}
@@ -119,43 +202,44 @@ class Tracer:
     # -- generic events ------------------------------------------------------
 
     def emit(self, kind, /, **fields):
-        self.events.append((self.sim.now, kind, fields))
+        if self._columns.get(kind) != tuple(fields):
+            self.events.new_shape(kind, tuple(fields))
+        self._rows.append((self.sim.now, kind, *fields.values()))
 
     # -- engine --------------------------------------------------------------
 
     def engine_dispatch(self, when, depth):
         """Per-heap-entry event; only wired up when ``engine_events``."""
-        self.events.append((when, "engine.dispatch", {"depth": depth}))
+        self._rows.append((when, "engine.dispatch", depth))
 
     # -- network -------------------------------------------------------------
 
     def _msg_id(self, envelope):
-        mid = self._msg_ids.get(envelope.envelope_id)
+        ids = self._msg_ids
+        mid = ids.get(envelope.envelope_id)
         if mid is None:
-            self._next_msg_id += 1
-            mid = self._msg_ids[envelope.envelope_id] = self._next_msg_id
+            mid = ids[envelope.envelope_id] = len(ids) + 1
         return mid
 
     def net_send(self, envelope, kind):
         self.messages_sent += 1
         self.msgs_by_kind[kind] = self.msgs_by_kind.get(kind, 0) + 1
-        self.emit("msg.send", id=self._msg_id(envelope), src=envelope.src,
-                  dst=envelope.dst, kind=kind, size=envelope.size,
-                  deliver=envelope.deliver_time)
+        self._rows.append((
+            self.sim.now, "msg.send", self._msg_id(envelope), envelope.src,
+            envelope.dst, kind, envelope.size, envelope.deliver_time))
 
     def net_scheduled(self, envelope):
-        link = (envelope.src, envelope.dst)
-        self.in_flight[link] = self.in_flight.get(link, 0) + 1
         self.in_flight_total += 1
 
     def net_delivered(self, envelope):
-        link = (envelope.src, envelope.dst)
-        flying = self.in_flight.get(link, 0)
-        if flying > 0:
-            self.in_flight[link] = flying - 1
+        # A tracer attached mid-run also sees sends it never counted land;
+        # the guard keeps the gauge non-negative and it still reads 0 once
+        # every counted copy has landed.
+        if self.in_flight_total > 0:
             self.in_flight_total -= 1
-        self.emit("msg.deliver", id=self._msg_id(envelope),
-                  src=envelope.src, dst=envelope.dst)
+        self._rows.append((self.sim.now, "msg.deliver",
+                           self._msg_id(envelope), envelope.src,
+                           envelope.dst))
 
     def net_dropped(self, envelope, cause):
         self.drops_by_cause[cause] = self.drops_by_cause.get(cause, 0) + 1
@@ -334,11 +418,6 @@ class Tracer:
         self._live.clear()
         return self._unfinished
 
-    # -- probes --------------------------------------------------------------
-
-    def probe(self, name, value):
-        self.probes.append((self.sim.now, name, value))
-
     # -- finalisation --------------------------------------------------------
 
     def _txn_record(self, acc, meta):
@@ -414,11 +493,15 @@ class Tracer:
                 summary.overhead_sum += record["overhead"]
             else:
                 summary.aborted += 1
+        series = summary.probe_series
         for _, name, value in self.probes:
-            cell = summary.probe_series.setdefault(
-                name, {"n": 0, "sum": 0.0, "max": float("-inf")})
+            cell = series.get(name)
+            if cell is None:
+                cell = series[name] = {"n": 0, "sum": 0.0,
+                                       "max": float("-inf")}
             cell["n"] += 1
             cell["sum"] += value
-            cell["max"] = max(cell["max"], value)
-        return TraceData(events=list(self.events), txns=txns,
-                         probes=list(self.probes), summary=summary)
+            if value > cell["max"]:
+                cell["max"] = value
+        return TraceData(events=self.events, txns=txns, probes=self.probes,
+                         summary=summary)

@@ -398,7 +398,7 @@ class G2PLServer(ProtocolServer):
             tracer = self.sim.tracer
             if tracer is not None:
                 tracer.emit("fl.repair", item=item_id,
-                            action="store-recovery")
+                            action="store-recovery", crashed=0)
             self._item_home(info)
             return
         crashed = [ref for ref in pending

@@ -1,9 +1,13 @@
 """Shared helpers for protocol-level tests: hand-built micro scenarios."""
 
+import dataclasses
+import json
+
 from repro.core.config import SimulationConfig
 from repro.locking.modes import LockMode
 from repro.network.topology import UniformTopology
 from repro.network.transport import Network
+from repro.perf.goldens import GOLDEN_CELLS
 from repro.protocols.registry import make_protocol
 from repro.protocols.transaction import Transaction
 from repro.sim.engine import Simulator
@@ -14,6 +18,10 @@ from repro.workload.population import PopulationDriver
 from repro.workload.spec import Operation, TransactionSpec
 
 R, W = LockMode.READ, LockMode.WRITE
+
+#: the golden cells that run with tracing on, for tests of the trace itself
+TRACED_GOLDEN_CELLS = sorted(name for name, (kwargs, _) in GOLDEN_CELLS.items()
+                             if kwargs.get("trace"))
 
 
 def spec(*ops, think=1.0):
@@ -115,3 +123,27 @@ class EagerPopulationDriver(PopulationDriver):
         if tracer is not None:
             tracer.txn_finished(outcome, measured=self.collector.measuring)
         self.control.transaction_finished()
+
+
+def write_jsonl_per_row(path, trace, config=None, seed=None):
+    """The JSONL writer as it was before the compiled one: a dict and a
+    ``json.dumps`` per row. Reference implementation — the oracle
+    :func:`repro.obs.export.write_jsonl` must match byte for byte."""
+    with open(path, "w", encoding="utf-8") as out:
+        header = {"type": "header", "seed": seed,
+                  "config": config.describe() if config is not None else None,
+                  "summary": (dataclasses.asdict(trace.summary)
+                              if trace.summary is not None else None)}
+        out.write(json.dumps(header) + "\n")
+        for time, kind, fields in trace.events:
+            row = {"type": "event", "t": time, "kind": kind}
+            row.update(fields)
+            out.write(json.dumps(row) + "\n")
+        for record in trace.txns:
+            row = {"type": "txn"}
+            row.update(record)
+            out.write(json.dumps(row) + "\n")
+        for time, name, value in trace.probes:
+            out.write(json.dumps({"type": "probe", "t": time,
+                                  "name": name, "value": value}) + "\n")
+    return path

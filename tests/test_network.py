@@ -11,8 +11,10 @@ from repro.network import (
     UniformTopology,
     environment_for_latency,
 )
+from repro.network.faults import FaultInjector, FaultSpec
 from repro.obs.tracer import Tracer
 from repro.sim import Simulator
+from repro.sim.rng import RandomStreams
 
 
 class Recorder(Site):
@@ -225,3 +227,33 @@ def test_table2_matches_paper():
 def test_environment_for_latency():
     assert environment_for_latency(500.0) is NetworkEnvironment.S_WAN
     assert environment_for_latency(123.0) is None
+
+
+@pytest.mark.parametrize("duplicates", [False, True],
+                         ids=["plain", "duplicating"])
+def test_late_tracer_in_flight_gauge_stays_sane(duplicates):
+    # A tracer attached mid-run sees deliveries of sends it never
+    # counted (and, under duplication, twice). The gauge must not go
+    # negative on them and must read 0 again once the heap drains.
+    sim, net, sites = make_net(latency=10.0)
+    if duplicates:
+        net.faults = FaultInjector(
+            FaultSpec(duplicate_probability=0.9, extra_jitter=3.0),
+            RandomStreams(7).spawn("faults"))
+    for index in range(4):
+        net.send(0, 1, f"early-{index}")
+        net.send(1, 0, f"early-back-{index}")
+    sim.run(until=5.0)
+    tracer = sim.tracer = Tracer(sim)
+    for index in range(4):
+        net.send(0, 1, f"late-{index}")
+        net.send(2, 1, f"late-other-{index}")
+    assert tracer.in_flight_total >= 8
+    readings = []
+    while sim.step():
+        readings.append(tracer.in_flight_total)
+    assert min(readings) >= 0
+    assert readings[-1] == 0 and tracer.in_flight_total == 0
+    delivered = sum(1 for _, kind, _ in tracer.events
+                    if kind == "msg.deliver")
+    assert delivered == len(readings) >= 16

@@ -1,7 +1,9 @@
 """Tests for the observability stack: round accounting, tracing,
 schema validation, exporters, and probes."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,14 +16,18 @@ from repro.obs.rounds import (
     expected_rounds,
     round_table,
 )
-from repro.obs.schema import validate_events, validate_trace
+from repro.obs.schema import EVENT_SCHEMA, validate_events, validate_trace
 from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
     write_probes_csv,
 )
 from repro.obs.summary import TraceSummary
+from repro.obs.tracer import Tracer
+from repro.perf.goldens import golden_config
 from repro.sim.engine import Simulator
+
+from helpers import TRACED_GOLDEN_CELLS
 
 
 def traced_config(protocol, **overrides):
@@ -86,8 +92,8 @@ class TestTracedRun:
             per_type = {}
             for record in result.trace.events:
                 if record[1] == "msg.send":
-                    kind = record[2]["kind"]
-                    per_type[kind] = per_type.get(kind, 0) + 1
+                    msg = record[2]["msg"]
+                    per_type[msg] = per_type.get(msg, 0) + 1
             assert per_type == summary.msgs_by_kind
 
     def test_response_decomposition_sums_to_response(self):
@@ -172,6 +178,66 @@ class TestSchema:
         result = run_simulation(config)
         assert validate_trace(result.trace) == []
 
+    @pytest.mark.parametrize("name", TRACED_GOLDEN_CELLS)
+    def test_traced_golden_cells_validate(self, name):
+        config, seed = golden_config(name)
+        assert validate_trace(run_simulation(config, seed=seed).trace) == []
+
+    @pytest.mark.parametrize("expected, overrides", [
+        ({"window.hold"}, dict(protocol="g2pl-adaptive")),
+        ({"spec.extend", "spec.accept", "spec.splice", "spec.refuse",
+          "spec.repair"},
+         dict(protocol="g2pl-spec", n_clients=4, n_items=5,
+              network_latency=400.0)),
+        ({"twopc.prepare", "twopc.decision", "lock.deadlock.distributed"},
+         dict(protocol="s2pl", n_shards=4, n_regions=2,
+              cross_shard_probability=0.5, intra_region_latency=1.0)),
+    ], ids=["adaptive", "speculative", "sharded-2pc"])
+    def test_adaptive_speculative_and_sharded_2pc_runs_validate(
+            self, expected, overrides):
+        # the schema used to stop at the single-server static kinds: every
+        # kind named here was "unknown" and these runs reported errors
+        result = run_simulation(traced_config(
+            total_transactions=300, warmup_transactions=30, **overrides))
+        assert expected <= {kind for _, kind, _ in result.trace.events}
+        assert validate_trace(result.trace) == []
+
+    def test_every_kind_emitted_under_src_is_in_the_schema(self):
+        """Static: each literal kind passed to ``.emit(`` is a schema kind,
+        carries the schema's fields, and is emitted with one key tuple."""
+        source_root = Path(__file__).resolve().parent.parent / "src"
+        emitted = {}   # kind -> {(keyword, ...): "file:line"}
+        for path in sorted(source_root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call) and node.args
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "emit"):
+                    continue
+                keywords = tuple(keyword.arg for keyword in node.keywords)
+                for literal in ast.walk(node.args[0]):
+                    if (isinstance(literal, ast.Constant)
+                            and isinstance(literal.value, str)):
+                        emitted.setdefault(literal.value, {})[keywords] = (
+                            f"{path.name}:{node.lineno}")
+        # the rows the tracer appends without going through emit()
+        for kind, names in Tracer(Simulator()).events.columns.items():
+            emitted.setdefault(kind, {})[names] = "tracer.py"
+        assert len(emitted) > 30
+        assert set(emitted) == set(EVENT_SCHEMA)
+        for kind, shapes in emitted.items():
+            assert len(shapes) == 1, (kind, shapes)
+            (names,) = shapes
+            assert EVENT_SCHEMA[kind] <= set(names), (kind, names)
+
+    def test_kind_with_two_key_sets_caught(self):
+        events = [(0.0, "fl.repair", {"item": 1, "action": "x",
+                                      "crashed": 0}),
+                  (1.0, "fl.repair", {"item": 1, "crashed": 0,
+                                      "action": "x"})]
+        errors = validate_events(events)
+        assert len(errors) == 1 and "differ from" in errors[0]
+
     def test_unknown_kind_caught(self):
         errors = validate_events([(0.0, "bogus.kind", {})])
         assert any("unknown kind" in e for e in errors)
@@ -214,6 +280,23 @@ class TestExporters:
         assert by_type["event"] == len(result.trace.events)
         assert by_type["txn"] == len(result.trace.txns)
         assert by_type["probe"] == len(result.trace.probes)
+
+    def test_jsonl_event_rows_keep_their_kind(self, traced, tmp_path):
+        # Regression: msg.send carried a field also called "kind" (the
+        # message type), which replaced the row's own kind in the
+        # flattened JSON object — no exported row said "msg.send".
+        config, result = traced
+        path = write_jsonl(tmp_path / "t.jsonl", result.trace,
+                           config=config, seed=result.seed)
+        exported, recorded = {}, {}
+        for line in open(path, encoding="utf-8"):
+            row = json.loads(line)
+            if row["type"] == "event":
+                exported[row["kind"]] = exported.get(row["kind"], 0) + 1
+        for _, kind, _ in result.trace.events:
+            recorded[kind] = recorded.get(kind, 0) + 1
+        assert exported == recorded
+        assert exported["msg.send"] == result.trace.summary.messages_sent
 
     def test_chrome_trace_loads(self, traced, tmp_path):
         _, result = traced
