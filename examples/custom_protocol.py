@@ -2,7 +2,7 @@
 """Extending the library: plug in your own concurrency-control protocol.
 
 The protocol layer is a pair of sites (server + client) behind the
-``make_protocol`` registry; everything else (kernel, network, workload,
+registry's capability table; everything else (kernel, network, workload,
 metrics, serializability validation) is reusable. This example implements
 "no-wait 2PL" — a textbook variant in which a conflicting lock request is
 never queued: the requester is aborted immediately (abort-and-restart
@@ -42,9 +42,15 @@ class NoWait2PLServer(S2PLServer):
 
 
 def register_no_wait():
-    """Add the protocol to the registry under the name 'nowait2pl'."""
-    registry._REGISTRY["nowait2pl"] = (
-        lambda: (NoWait2PLServer, S2PLClient, {}))
+    """Add the protocol to the registry under the name 'nowait2pl'.
+
+    Registered without capabilities it is single-server with no crash
+    recovery: ``SimulationConfig(protocol="nowait2pl", n_shards=2)`` is
+    refused with the table's reason. The s-2PL chassis it subclasses does
+    shard, so ``register(..., shardable=True)`` would be all it takes —
+    once you have checked your override against cross-shard commit.
+    """
+    registry.register("nowait2pl", NoWait2PLServer, S2PLClient)
 
 
 def main():

@@ -19,7 +19,12 @@ from repro.core.runner import (
     improvement_percentage,
     run_simulation,
 )
-from repro.protocols.registry import available_protocols
+from repro.protocols.registry import (
+    available_protocols,
+    capability_table,
+    lp_eligible,
+    protocols_with,
+)
 
 
 def _add_workload_args(parser):
@@ -39,7 +44,8 @@ def _add_workload_args(parser):
     parser.add_argument(
         "--shards", type=int, default=1, metavar="K",
         help="partition the hot items over K home servers "
-             "(cross-shard transactions commit with 2PC)")
+             "(cross-shard transactions commit with 2PC); protocols: "
+             + ", ".join(protocols_with("shardable")))
     parser.add_argument(
         "--regions", type=int, default=1, metavar="R",
         help="group the shard servers into R geographic regions "
@@ -97,7 +103,8 @@ def _add_workload_args(parser):
         help="run each shard's server and co-located clients as a "
              "logical process on its own core (needs --shards K > 1 and "
              "a shard-local workload, --cross-shard 0); bit-identical "
-             "to the serial run")
+             "to the serial run; protocols: "
+             + ", ".join(filter(lp_eligible, available_protocols())))
     parser.add_argument(
         "--trace", action="store_true",
         help="collect structured trace events and per-transaction "
@@ -545,6 +552,7 @@ def _cmd_live(args):
 
 def _cmd_list(_args):
     print("protocols:", ", ".join(available_protocols()))
+    print(capability_table())
     print("figures: 1 (worked example), 2-4 (response vs latency), "
           "5-7 (response vs read probability), 8-9 (aborts vs latency), "
           "10 (read-only deadlocks), 11 (forward-list length), "
@@ -570,7 +578,9 @@ def build_parser():
 
     run_parser = sub.add_parser("run", help="run one simulation")
     run_parser.add_argument("--protocol", default="g2pl",
-                            choices=available_protocols())
+                            choices=available_protocols(),
+                            help="what each supports (sharding, crash "
+                                 "faults, --lp): repro-experiment list")
     run_parser.add_argument("--verbose", "-v", action="store_true",
                             help="also print engine counters and "
                                  "response-time percentiles")

@@ -5,6 +5,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.protocols import registry
+
 
 class Fidelity(enum.Enum):
     """Run-length bundles (transactions per run, replications).
@@ -23,12 +25,6 @@ class Fidelity(enum.Enum):
         self.transactions = transactions
         self.warmup = warmup
         self.replications = replications
-
-
-#: Protocol names whose client/server pair reads the adapt_* flags
-#: (see repro.protocols.adaptive). Kept here so config validation and
-#: the runner need not import the protocol registry.
-ADAPTIVE_PROTOCOLS = frozenset({"g2pl-adaptive", "hybrid", "g2pl-spec"})
 
 
 @dataclass
@@ -146,9 +142,9 @@ class SimulationConfig:
     # reproduce the serial trajectory exactly.
     termination: str = "global"
 
-    # run shards as conservatively-synchronized logical processes over
-    # a process pool (repro.core.lp); requires n_shards > 1, quota
-    # termination, and a shard-local workload (cross_shard_probability=0)
+    # run each shard as a logical process in its own OS process
+    # (repro.core.lp); requires n_shards > 1, quota termination, and a
+    # shard-local workload (cross_shard_probability=0)
     lp: bool = False
 
     # adaptive concurrency control (repro.adapt): the three controllers
@@ -263,10 +259,6 @@ class SimulationConfig:
             raise ValueError(
                 f"quota termination needs total_transactions >= n_clients "
                 f"({self.total_transactions} < {self.n_clients})")
-        if self.lp and self.n_shards < 2:
-            raise ValueError(
-                "lp=True partitions the run along shard boundaries; "
-                "it needs n_shards > 1")
         if self.window_gain <= 0:
             raise ValueError("window_gain must be positive")
         if self.window_target_depth <= 0:
@@ -285,40 +277,17 @@ class SimulationConfig:
             raise ValueError("adapt_ewma must be in (0, 1]")
         if self.spec_margin <= 0:
             raise ValueError("spec_margin must be positive")
-        adaptive = self.protocol in ADAPTIVE_PROTOCOLS
-        if (self.adapt_window or self.hybrid or self.speculate) \
-                and not adaptive:
-            raise ValueError(
-                "adapt_window/hybrid/speculate need an adaptive protocol "
-                f"({', '.join(sorted(ADAPTIVE_PROTOCOLS))}); "
-                f"got protocol={self.protocol!r}")
-        if adaptive:
-            if self.lp and (self.hybrid or self.protocol == "hybrid"):
-                raise ValueError(
-                    "lp=True is unsupported with hybrid mode switching: "
-                    "the LP partitioner replays shard-local trajectories, "
-                    "but per-item mode epochs are driven by a shared "
-                    "contention stream the partition would have to merge. "
-                    "Run the hybrid protocol with lp=False")
-            if self.n_shards != 1:
-                raise ValueError(
-                    "adaptive protocols are single-server for now "
-                    f"(protocol={self.protocol!r} with "
-                    f"n_shards={self.n_shards})")
-            if self.speculate and self.faults is not None:
-                raise ValueError(
-                    "speculative dispatch is incompatible with fault "
-                    "injection: a crash mid-extension would need the "
-                    "chain-repair watchdog to reason about pre-frozen "
-                    "windows it has never seen. Disable speculate (or "
-                    "drop the fault spec) — crash faults with g2pl use "
-                    "the chain-repair path instead")
         if self.streaming_threshold < 0:
             raise ValueError("streaming_threshold must be >= 0")
         if self.reservoir_capacity < 2:
             raise ValueError("reservoir_capacity must be >= 2")
         if self.throughput_window <= 0:
             raise ValueError("throughput_window must be positive")
+        # Every rule about what runs with what is a row of the registry's
+        # capability tables; a config that constructs, runs.
+        unsupported = registry.rejection(self)
+        if unsupported is not None:
+            raise ValueError(unsupported)
 
     @property
     def streaming_enabled(self):

@@ -13,9 +13,13 @@ from repro.obs.tracer import Tracer
 from repro.network.reliable import ReliableLink
 from repro.network.topology import RegionTopology, UniformTopology
 from repro.network.transport import Network
-from repro.protocols.registry import make_protocol
-from repro.protocols.sharded import make_sharded_protocol
-from repro.protocols.sharding import GlobalDeadlockDetector, ShardMap
+from repro.protocols.registry import PROTOCOLS, make_protocol
+from repro.protocols.s2pl import S2PLServer
+from repro.protocols.sharding import (
+    GlobalDeadlockDetector,
+    ShardMap,
+    home_clients,
+)
 from repro.sim.engine import Simulator, relaxed_gc
 from repro.sim.errors import SimulationError
 from repro.sim.rng import RandomStreams
@@ -37,12 +41,6 @@ from repro.workload.population import (
     parse_txn_mix,
     split_population,
 )
-
-#: protocols whose recovery machinery tolerates client crashes (the others
-#: still work under message loss / duplication / jitter / partitions, which
-#: the reliable channel masks, but have no story for a dead site)
-CRASH_CAPABLE_PROTOCOLS = frozenset(
-    {"s2pl", "g2pl", "g2pl-basic", "g2pl-ro"})
 
 
 @dataclass
@@ -92,36 +90,11 @@ class SimulationResult:
                 f"skips, {rate:,.0f} events/sec wall-clock")
 
 
-def _validate_faults(config, injector):
-    crash_sites = injector.crash_sites()
-    if crash_sites and config.population is not None:
-        raise ValueError(
-            "crash faults are not supported with open-arrival populations: "
-            "the population driver multiplexes users with no per-site crash "
-            "machinery; use the closed-loop model (population=None) for "
-            "crash experiments")
-    if crash_sites and config.protocol not in CRASH_CAPABLE_PROTOCOLS:
-        raise ValueError(
-            f"protocol {config.protocol!r} has no client-crash recovery; "
-            f"crash faults require one of {sorted(CRASH_CAPABLE_PROTOCOLS)}")
-    if (crash_sites and config.n_shards > 1
-            and config.commit_protocol == "2pc-opt"):
-        raise ValueError(
-            "commit_protocol '2pc-opt' cannot recover from client crashes: "
-            "its commit decisions carry the updates, so a surviving "
-            "participant could learn the outcome but not the data; use "
-            "'2pc' when combining sharding with crash faults")
-    unknown = crash_sites - set(range(1, config.n_clients + 1))
-    if unknown:
-        raise ValueError(
-            f"crash faults name unknown client sites {sorted(unknown)}")
-
-
 def _build_topology(config, shard_map):
     """The run's latency model: uniform for single-region layouts, a
     region matrix (intra cheap, inter = ``network_latency``) when the
     sharded deployment spans regions."""
-    if shard_map is None or config.n_regions <= 1:
+    if config.n_regions <= 1:
         return UniformTopology(config.network_latency)
     return RegionTopology(
         shard_map.region_assignments(config.n_clients, config.n_regions),
@@ -161,36 +134,62 @@ def _restart_site(client, driver):
     driver.restart()
 
 
-def run_simulation(config, seed=None, check_serializability=None):
-    """Run one simulation to ``config.total_transactions`` finished
-    transactions and return a :class:`SimulationResult`.
+@dataclass
+class Assembly:
+    """One wired simulation, ready to run: what :func:`assemble` built."""
 
-    ``check_serializability`` defaults to ``config.record_history``; when
-    enabled the run's recorded history is checked and a failure raises —
-    a non-serializable execution is a protocol bug, never a result.
+    sim: object
+    network: object
+    servers: list                 # home servers, shard order
+    clients: dict                 # client_id -> ProtocolClient
+    drivers: dict                 # client_id -> driver
+    control: object               # RunControl / QuotaRunControl
+    collector: object
+    history: object
+    tracer: Optional[object] = None
+    injector: Optional[object] = None
+    detector: Optional[object] = None  # GlobalDeadlockDetector
+
+    def run(self, config):
+        """Drive the heap until the run's control says done."""
+        try:
+            with relaxed_gc():
+                self.sim.run(until=self.control.done_event)
+        except SimulationError as exc:
+            raise RuntimeError(
+                f"simulation stalled after {self.control.finished} of "
+                f"{config.total_transactions} transactions "
+                f"({config.describe()}): {exc}") from exc
+
+    def check(self, config, seed, check_serializability):
+        """Post-run validation: the recorded history (a violation is a
+        protocol bug, never a result) and the servers' own invariants."""
+        report = None
+        if check_serializability:
+            report = check_history(self.history)
+            if not report.ok:
+                raise AssertionError(
+                    f"non-serializable execution under {config.protocol} "
+                    f"(seed {seed}): {report}")
+            strictness = check_strictness(self.history)
+            if not strictness.ok:
+                raise AssertionError(
+                    f"non-strict execution under {config.protocol} "
+                    f"(seed {seed}): {strictness}")
+        for server in self.servers:
+            server.assert_invariants()
+        return report
+
+
+def assemble(config, seed, shards=None, collector=None):
+    """Wire one simulation: the home servers of ``shards`` (default: every
+    shard) and the clients homed on them, on one heap and one network.
+
+    The whole run is the default; an LP worker (:mod:`repro.core.lp`)
+    assembles a single shard with a ``collector`` that ships outcomes to
+    the parent. Both get the sites, streams, control and drivers from
+    here, so a site behaves identically whichever process hosts it.
     """
-    if seed is None:
-        seed = config.seed
-    if check_serializability is None:
-        check_serializability = config.record_history
-    if config.lp:
-        from repro.core import lp
-
-        lp.validate_lp_config(config)
-        if lp.in_worker_process():
-            # --lp inside a --jobs pool worker: spawning LP grandchildren
-            # would oversubscribe the machine. The serial path below
-            # produces the identical result by construction.
-            warnings.warn(
-                "lp=True inside a worker process: nested process pools "
-                "are not supported; running this cell serially instead "
-                "(the result is bit-identical)", RuntimeWarning,
-                stacklevel=2)
-        else:
-            return lp.run_lp_simulation(
-                config, seed=seed,
-                check_serializability=check_serializability)
-
     sim = Simulator()
     tracer = None
     if config.trace or config.probe_interval is not None:
@@ -198,57 +197,64 @@ def run_simulation(config, seed=None, check_serializability=None):
         sim.tracer = tracer
     streams = RandomStreams(seed)
     history = HistoryRecorder(enabled=config.record_history)
-    shard_map = None
-    if config.n_shards > 1:
-        shard_map = ShardMap(config.n_shards, config.n_items)
     injector = None
     if config.faults is not None:
         injector = FaultInjector(config.faults, streams.spawn("faults"))
-        _validate_faults(config, injector)
+    if shards is None:
+        shards = range(config.n_shards)
+        client_ids = list(range(1, config.n_clients + 1))
+    else:
+        client_ids = sorted(
+            client_id for shard in shards
+            for client_id in home_clients(config.n_clients, config.n_shards,
+                                          shard))
+    if config.n_shards > 1:
+        shard_map = ShardMap(config.n_shards, config.n_items)
+        site_ids = [shard_map.server_ids[shard] for shard in shards]
+        servers, clients = make_protocol(
+            config.protocol, sim, config,
+            {site_id: VersionedStore(shard_map.items_of(shard))
+             for shard, site_id in zip(shards, site_ids)},
+            {site_id: WriteAheadLog() for site_id in site_ids},
+            history, client_ids, shard_map=shard_map)
+        servers = [servers[site_id] for site_id in site_ids]
+    else:
+        shard_map = None
+        server, clients = make_protocol(
+            config.protocol, sim, config, VersionedStore(range(config.n_items)),
+            WriteAheadLog(), history, client_ids)
+        servers = [server]
+    # The full topology even when only some shards are hosted: latencies
+    # are a function of (src, dst) placement.
     network = Network(sim, _build_topology(config, shard_map),
                       bandwidth=config.bandwidth, faults=injector)
     if tracer is not None:
         tracer.bind_network(network)
-    client_ids = list(range(1, config.n_clients + 1))
-    if shard_map is not None:
-        stores = {}
-        wals = {}
-        for shard, site_id in enumerate(shard_map.server_ids):
-            stores[site_id] = VersionedStore(shard_map.items_of(shard))
-            wals[site_id] = WriteAheadLog()
-        servers, clients = make_sharded_protocol(
-            config.protocol, sim, config, shard_map, stores, wals,
-            history, client_ids)
-        server_list = [servers[site_id] for site_id in shard_map.server_ids]
-    else:
-        store = VersionedStore(range(config.n_items))
-        wal = WriteAheadLog()
-        server, clients = make_protocol(config.protocol, sim, config, store,
-                                        wal, history, client_ids)
-        server_list = [server]
-    for site in server_list:
+    for site in [*servers, *clients.values()]:
         network.add_site(site)
-        if hasattr(site, "attach_adapt_rng"):
-            # Dedicated stream: only adaptive servers ever draw from it,
-            # so every static protocol's trajectory is untouched.
-            site.attach_adapt_rng(streams.stream("adapt.controller"))
-    for client in clients.values():
-        network.add_site(client)
+    if PROTOCOLS[config.protocol].adaptive:
+        # Dedicated stream: only adaptive servers ever draw from it, so
+        # every static protocol's trajectory is untouched.
+        for server in servers:
+            server.attach_adapt_rng(streams.stream("adapt.controller"))
 
     if config.termination == "quota":
+        # Global total and n_clients, hosted client ids: the quota and id
+        # arithmetic is the same whichever subset of clients runs here.
         control = QuotaRunControl(sim, config.total_transactions,
-                                  config.n_clients)
+                                  config.n_clients, client_ids=client_ids)
     else:
         control = RunControl(sim, config.total_transactions)
     streaming = config.streaming_enabled
-    collector = MetricsCollector(
-        config.warmup_transactions, streaming=streaming,
-        # A dedicated stream: reservoir draws cannot perturb the
-        # trajectory, so streaming on/off yields identical executions.
-        reservoir_rng=(streams.stream("metrics.reservoir")
-                       if streaming else None),
-        reservoir_capacity=config.reservoir_capacity,
-        throughput_window=config.throughput_window)
+    if collector is None:
+        collector = MetricsCollector(
+            config.warmup_transactions, streaming=streaming,
+            # A dedicated stream: reservoir draws cannot perturb the
+            # trajectory, so streaming on/off yields identical executions.
+            reservoir_rng=(streams.stream("metrics.reservoir")
+                           if streaming else None),
+            reservoir_capacity=config.reservoir_capacity,
+            throughput_window=config.throughput_window)
     if streaming:
         # Bound the per-client lock-wait diagnostic too: a 10⁵-txn run
         # would otherwise grow op_waits without limit.
@@ -282,102 +288,123 @@ def run_simulation(config, seed=None, check_serializability=None):
             drivers[client_id] = driver
             driver.start()
     detector = None
-    if shard_map is not None and config.protocol == "s2pl":
+    if len(servers) > 1 and isinstance(servers[0], S2PLServer):
         # Per-shard detection cannot see cycles whose edges span shards;
         # the periodic union sweep catches distributed deadlocks. The
         # interval covers a request round trip at the worst-case latency.
+        # (A lone hosted shard has no cross-server cycle to look for.)
         detector = GlobalDeadlockDetector(
-            sim, server_list,
+            sim, servers,
             interval=2.0 * config.network_latency + 1.0,
             victim_policy=config.victim_policy,
             stop_when=lambda: control.done).start()
     if injector is not None:
-        _install_fault_layer(sim, config, injector, server_list, clients,
-                             drivers)
+        _install_fault_layer(sim, config, injector, servers, clients, drivers)
     if tracer is not None and config.probe_interval is not None:
         ProbeSampler(sim, tracer, config.probe_interval,
-                     default_sources(sim, network, server_list, tracer,
+                     default_sources(sim, network, servers, tracer,
                                      drivers=drivers.values()),
                      stop_when=lambda: control.done).start()
+    return Assembly(sim=sim, network=network, servers=servers,
+                    clients=clients, drivers=drivers, control=control,
+                    collector=collector, history=history, tracer=tracer,
+                    injector=injector, detector=detector)
 
-    wall_start = time.perf_counter()
-    try:
-        with relaxed_gc():
-            sim.run(until=control.done_event)
-    except SimulationError as exc:
-        raise RuntimeError(
-            f"simulation stalled after {control.finished} of "
-            f"{config.total_transactions} transactions "
-            f"({config.describe()}): {exc}") from exc
-    wall_seconds = time.perf_counter() - wall_start
 
-    report = None
-    if check_serializability:
-        report = check_history(history)
-        if not report.ok:
-            raise AssertionError(
-                f"non-serializable execution under {config.protocol} "
-                f"(seed {seed}): {report}")
-        strictness = check_strictness(history)
-        if not strictness.ok:
-            raise AssertionError(
-                f"non-strict execution under {config.protocol} "
-                f"(seed {seed}): {strictness}")
-    for srv in server_list:
-        if hasattr(srv, "assert_invariants"):
-            srv.assert_invariants()
-
-    if streaming:
+def merge_server_stats(config, seed, per_server, op_waits,
+                       distributed_deadlocks=0):
+    """The run's ``server_stats`` from each server's declared
+    :meth:`~repro.protocols.base.ProtocolServer.stats` (shard order) and
+    each client's lock waits (``client_id -> op_waits``): numbers add
+    and sets unite (reported as their size). The serial runner and the LP
+    merge both end here, so the two cannot report different keys."""
+    if config.streaming_enabled:
         # op_waits are RunningStats here (no per-value storage).
-        wait_sum = sum(client.op_waits.sum for client in clients.values())
-        wait_count = sum(client.op_waits.count for client in clients.values())
-        mean_op_wait = wait_sum / wait_count if wait_count else 0.0
+        wait_sum = sum(waits.sum for waits in op_waits.values())
+        wait_count = sum(waits.count for waits in op_waits.values())
     else:
-        all_waits = [w for client in clients.values()
-                     for w in client.op_waits]
+        # one flat sum in client-id order: float addition is not
+        # associative, and the fingerprint pins the exact value
+        all_waits = [wait for client_id in sorted(op_waits)
+                     for wait in op_waits[client_id]]
+        wait_sum = sum(all_waits)
         wait_count = len(all_waits)
-        mean_op_wait = (sum(all_waits) / wait_count if wait_count else 0.0)
-    server_stats = {"aborts_initiated": sum(s.aborts_initiated
-                                            for s in server_list),
-                    "mean_op_wait": mean_op_wait,
-                    "n_ops_granted": wait_count}
-    for attr in ("deadlocks_found", "windows_dispatched", "avoidance_aborts",
-                 "grafted_reads", "callbacks_sent", "cache_hits"):
-        if any(hasattr(s, attr) for s in server_list):
-            server_stats[attr] = sum(getattr(s, attr) for s in server_list
-                                     if hasattr(s, attr))
-    if any(hasattr(s, "mean_fl_length") for s in server_list):
-        fl_lengths = [length for s in server_list
-                      for length in getattr(s, "fl_lengths", ())]
-        server_stats["mean_fl_length"] = (
-            sum(fl_lengths) / len(fl_lengths) if fl_lengths else 0.0)
-    if any(hasattr(s, "adapt_stats") for s in server_list):
-        merged = {}
-        for s in server_list:
-            if hasattr(s, "adapt_stats"):
-                for key, value in s.adapt_stats().items():
-                    merged[key] = merged.get(key, 0) + value
-        server_stats.update(merged)
-    if shard_map is not None:
-        twopc_commits = set()
-        twopc_aborts = set()
-        for s in server_list:
-            twopc_commits |= getattr(s, "twopc_commits", set())
-            twopc_aborts |= getattr(s, "twopc_aborts", set())
-        conflicted = twopc_commits & twopc_aborts
+    merged = {}
+    for stats in per_server:
+        for key, value in stats.items():
+            if key not in merged:
+                merged[key] = set(value) if isinstance(value, set) else value
+            elif isinstance(value, set):
+                merged[key] |= value
+            else:
+                merged[key] += value
+    if "fl_txns" in merged:
+        # every dispatched window froze one forward list
+        windows = merged["windows_dispatched"]
+        merged["mean_fl_length"] = (merged.pop("fl_txns") / windows
+                                    if windows else 0.0)
+    if config.n_shards > 1:
+        conflicted = merged["twopc_commits"] & merged["twopc_aborts"]
         if conflicted:
             raise AssertionError(
                 f"2PC atomicity violated under {config.protocol} "
                 f"(seed {seed}): txns {sorted(conflicted)[:5]} committed "
                 f"at one shard and aborted at another")
-        server_stats["n_shards"] = config.n_shards
-        server_stats["twopc_commits"] = len(twopc_commits)
-        server_stats["twopc_aborts"] = len(twopc_aborts)
-        server_stats["presumed_aborts"] = sum(
-            getattr(s, "presumed_aborts", 0) for s in server_list)
-        server_stats["distributed_deadlocks"] = (
-            detector.distributed_deadlocks if detector is not None else 0)
+        merged["n_shards"] = config.n_shards
+        merged["distributed_deadlocks"] = distributed_deadlocks
+    server_stats = {"mean_op_wait": (wait_sum / wait_count
+                                     if wait_count else 0.0),
+                    "n_ops_granted": wait_count}
+    server_stats.update(
+        (key, len(value) if isinstance(value, set) else value)
+        for key, value in merged.items())
+    return server_stats
+
+
+def run_simulation(config, seed=None, check_serializability=None):
+    """Run one simulation to ``config.total_transactions`` finished
+    transactions and return a :class:`SimulationResult`.
+
+    ``check_serializability`` defaults to ``config.record_history``; when
+    enabled the run's recorded history is checked and a failure raises —
+    a non-serializable execution is a protocol bug, never a result.
+    """
+    if seed is None:
+        seed = config.seed
+    if check_serializability is None:
+        check_serializability = config.record_history
+    if config.lp:
+        from repro.core import lp
+
+        if lp.in_worker_process():
+            # --lp inside a --jobs pool worker: spawning LP grandchildren
+            # would oversubscribe the machine. The serial path below
+            # produces the identical result by construction.
+            warnings.warn(
+                "lp=True inside a worker process: nested process pools "
+                "are not supported; running this cell serially instead "
+                "(the result is bit-identical)", RuntimeWarning,
+                stacklevel=2)
+        else:
+            return lp.run_lp_simulation(
+                config, seed=seed,
+                check_serializability=check_serializability)
+
+    built = assemble(config, seed)
+    sim = built.sim
+    wall_start = time.perf_counter()
+    built.run(config)
+    wall_seconds = time.perf_counter() - wall_start
+    report = built.check(config, seed, check_serializability)
+
+    clients = built.clients
+    server_stats = merge_server_stats(
+        config, seed, [server.stats() for server in built.servers],
+        {client_id: client.op_waits for client_id, client in clients.items()},
+        distributed_deadlocks=(built.detector.distributed_deadlocks
+                               if built.detector is not None else 0))
     if config.population is not None:
+        drivers = built.drivers
         states = [driver.state for driver in drivers.values()]
         by_class = {}
         for driver in drivers.values():
@@ -393,20 +420,14 @@ def run_simulation(config, seed=None, check_serializability=None):
                                                  for s in states)
         server_stats["popn_by_class"] = {
             name: by_class[name] for name in sorted(by_class)}
-    if injector is not None:
-        server_stats.update(injector.stats.as_dict())
-        links = ([s.reliable for s in server_list]
+    if built.injector is not None:
+        server_stats.update(built.injector.stats.as_dict())
+        links = ([s.reliable for s in built.servers]
                  + [c.reliable for c in clients.values()])
         server_stats["retransmissions"] = sum(
             link.retransmissions for link in links)
         server_stats["duplicates_suppressed"] = sum(
             link.duplicates_suppressed for link in links)
-        for attr in ("crash_reclaims", "chain_repairs", "watchdog_fires",
-                     "crash_aborts", "terminations_started"):
-            if any(hasattr(s, attr) for s in server_list):
-                server_stats[attr] = sum(getattr(s, attr)
-                                         for s in server_list
-                                         if hasattr(s, attr))
 
     engine_stats = {
         "processed_events": sim.processed_events,
@@ -417,6 +438,7 @@ def run_simulation(config, seed=None, check_serializability=None):
                            if wall_seconds > 0 else 0.0),
     }
     trace = None
+    tracer = built.tracer
     if tracer is not None:
         # Flush transactions the closing run left in flight (flagged
         # unfinished) so exporters see them instead of leaking them.
@@ -427,10 +449,10 @@ def run_simulation(config, seed=None, check_serializability=None):
     return SimulationResult(
         config=config,
         seed=seed,
-        metrics=collector.metrics,
+        metrics=built.collector.metrics,
         duration=sim.now,
-        messages_sent=network.stats.messages_sent,
-        data_units_sent=network.stats.data_units_sent,
+        messages_sent=built.network.stats.messages_sent,
+        data_units_sent=built.network.stats.data_units_sent,
         serializability=report,
         server_stats=server_stats,
         engine_stats=engine_stats,

@@ -37,21 +37,22 @@ class ProbeSampler:
         self.sim.call_later(self.interval, self._tick)
 
 
-def _total(servers, gauge):
-    """A reader of ``gauge()`` summed over ``servers``; one server's own
-    bound method when there is only one (every tick calls it)."""
-    readers = [getattr(server, gauge) for server in servers]
+def _total(readers):
+    """A reader of the sum of ``readers``; the one reader itself when
+    there is only one (every tick calls it)."""
     if len(readers) == 1:
         return readers[0]
     return lambda: sum(read() for read in readers)
 
 
 def default_sources(sim, network, server, tracer, drivers=None):
-    """The standard gauge set: heap pending, in-flight messages, and —
-    when the protocol server(s) expose them — lock-queue depth and
-    forward-list occupancy.
+    """The standard gauge set: heap pending, in-flight messages, and the
+    series the protocol server(s) declare (``gauges`` on the server
+    class: lock-queue depth, forward-list occupancy, the adaptive
+    controllers' state). Static-protocol probe traces carry no adaptive
+    series because the static servers declare none.
 
-    ``server`` may be a single protocol server or a list of them (sharded
+    ``server`` may be a single site or a list of servers (sharded
     deployments); multi-server gauges report the sum over all shards, and
     a one-element list produces exactly the single-server series.
 
@@ -67,25 +68,12 @@ def default_sources(sim, network, server, tracer, drivers=None):
         ("heap_pending", lambda: sim.pending),
         ("in_flight_msgs", lambda: tracer.in_flight_total),
     ]
-    with_queue = [s for s in servers if hasattr(s, "queue_depth")]
-    if with_queue:
-        sources.append(("lock_queue_depth", _total(with_queue, "queue_depth")))
-    with_fl = [s for s in servers if hasattr(s, "fl_occupancy")]
-    if with_fl:
-        sources.append(("fl_occupancy", _total(with_fl, "fl_occupancy")))
-    adaptive = [s for s in servers if hasattr(s, "window_depth")]
-    if adaptive:
-        # Adaptive controllers (repro.adapt): the window-occupancy signal
-        # the window controller feeds on, plus live controller state.
-        # Gated on the adaptive server type so static-protocol probe
-        # traces (and their goldens) are unchanged.
-        sources.append(("window_occupancy", _total(adaptive, "window_depth")))
-        sources.append(("adapt_hold_pending",
-                        _total(adaptive, "hold_pending")))
-        sources.append(("hybrid_single_items",
-                        _total(adaptive, "single_mode_items")))
-        sources.append(("spec_outstanding",
-                        _total(adaptive, "spec_outstanding")))
+    readers = {}   # series -> one bound gauge method per server
+    for site in servers:
+        for series, method in site.gauges:
+            readers.setdefault(series, []).append(getattr(site, method))
+    sources.extend((series, _total(reads))
+                   for series, reads in readers.items())
     popn = [d for d in (drivers or []) if hasattr(d, "state")]
     if popn:
         sources.append(("popn_inflight",

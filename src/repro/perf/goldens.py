@@ -103,6 +103,29 @@ GOLDEN_CELLS = {
         read_probability=0.6, network_latency=400.0,
         total_transactions=100, warmup_transactions=15, trace=True,
         record_history=False), 7),
+    # The adaptive protocols on the sharded chassis (recorded when the
+    # Sharded* subclasses were folded into the two families): a traced
+    # sharded hybrid cell, a sharded speculative cell, and a shard-closed
+    # hybrid quota cell recorded serially that tests/test_lp.py replays
+    # through the LP runner, adapt counters included.
+    "hybrid_sharded_traced": (dict(
+        protocol="hybrid", n_clients=6, n_items=8, read_probability=0.6,
+        n_shards=4, n_regions=2, cross_shard_probability=0.5,
+        network_latency=100.0, intra_region_latency=1.0,
+        total_transactions=120, warmup_transactions=20, trace=True,
+        probe_interval=150.0, record_history=False), 11),
+    "g2pl_spec_sharded": (dict(
+        protocol="g2pl-spec", n_clients=6, n_items=8, read_probability=0.6,
+        n_shards=2, n_regions=2, cross_shard_probability=0.5,
+        network_latency=200.0, intra_region_latency=1.0,
+        total_transactions=120, warmup_transactions=20,
+        record_history=False), 7),
+    "hybrid_lp_quota": (dict(
+        protocol="hybrid", n_clients=8, n_items=16, read_probability=0.6,
+        n_shards=4, n_regions=2, cross_shard_probability=0.0,
+        network_latency=100.0, intra_region_latency=1.0,
+        total_transactions=160, warmup_transactions=20,
+        termination="quota", record_history=False), 11),
     # Saturated open-arrival cells: six sites pinned at an admission cap
     # of 2, ~92% of arrivals shed. Recorded on the driver that paid one
     # heap entry per arrival; the skip-ahead driver must reproduce them.

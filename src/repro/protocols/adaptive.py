@@ -63,6 +63,14 @@ class _Speculation:
 class AdaptiveG2PLServer(G2PLServer):
     """g-2PL server with the repro.adapt controllers wired in."""
 
+    # The window-occupancy signal the window controller feeds on (the same
+    # reading as the lock-queue gauge), plus live controller state.
+    gauges = G2PLServer.gauges + (
+        ("window_occupancy", "queue_depth"),
+        ("adapt_hold_pending", "hold_pending"),
+        ("hybrid_single_items", "single_mode_items"),
+        ("spec_outstanding", "spec_outstanding"))
+
     def __init__(self, sim, config, store, wal, history, **kwargs):
         super().__init__(sim, config, store, wal, history, **kwargs)
         self._adapt_window = config.adapt_window
@@ -77,7 +85,7 @@ class AdaptiveG2PLServer(G2PLServer):
         self._spec_timers = {}            # item_id -> Timer (quiescence)
         self._spec = {}                   # item_id -> _Speculation
         self._tail = {}                   # item_id -> (TxnRef, LockMode)
-        # statistics (exported via adapt_stats for adaptive runs only)
+        # statistics
         self.window_holds = 0
         self.mode_switches = 0
         self.windows_single = 0
@@ -356,11 +364,6 @@ class AdaptiveG2PLServer(G2PLServer):
 
     # -- diagnostics ---------------------------------------------------------
 
-    def window_depth(self):
-        """Requests waiting in collection windows (the adaptive window-
-        occupancy gauge; identical signal to ``queue_depth``)."""
-        return self.queue_depth()
-
     def hold_pending(self):
         """Home items currently collecting under a window hold."""
         return len(self._hold_timers)
@@ -374,14 +377,14 @@ class AdaptiveG2PLServer(G2PLServer):
         """Speculative extensions awaiting acceptance or repair."""
         return len(self._spec)
 
-    def adapt_stats(self):
-        """Controller counters, merged into server_stats for adaptive
-        runs only (plain runs must keep their fingerprints)."""
-        stats = {
-            "window_enqueued": self.window_enqueued,
-            "window_frozen": self.window_frozen,
-            "window_purged": self.window_purged,
-        }
+    def stats(self):
+        """The g-2PL counters plus the window ledger and the live
+        controllers' counters (plain runs must keep their fingerprints, so
+        only this class reports them)."""
+        stats = super().stats()
+        stats["window_enqueued"] = self.window_enqueued
+        stats["window_frozen"] = self.window_frozen
+        stats["window_purged"] = self.window_purged
         if self._adapt_window:
             stats["window_holds"] = self.window_holds
         if self._hybrid:
@@ -398,8 +401,8 @@ class AdaptiveG2PLServer(G2PLServer):
 class AdaptiveG2PLClient(G2PLClient):
     """g-2PL client that can accept speculative chain extensions."""
 
-    def __init__(self, sim, client_id, config, history):
-        super().__init__(sim, client_id, config, history)
+    def __init__(self, sim, client_id, config, history, **kwargs):
+        super().__init__(sim, client_id, config, history, **kwargs)
         # (txn_id, item_id) -> ForwardList accepted before the data copy
         # arrived; spliced onto the incoming FL tail at delivery.
         self._pending_ext = {}

@@ -22,8 +22,18 @@ class _Dispatcher(Site):
     #: this, never on ``site_id == SERVER_SITE_ID`` — sharded deployments
     #: run home servers at other site ids.
     is_server = False
+    #: The deployment's item -> home-server routing table; None means the
+    #: single-server layout where every item lives at SERVER_SITE_ID. Like
+    #: everything sharding adds, it is set on the instance only when
+    #: sharded: a single server's instance stays what it was — g-2PL's
+    #: sits one attribute under CPython's limit (30) for the inline-values
+    #: fast path of attribute loads and method calls.
+    shard_map = None
     #: Shard identity for per-shard round accounting (None = unsharded).
     shard_tag = None
+    #: Probe series this site feeds, as ``(series name, name of a
+    #: zero-argument method)`` pairs; multi-server runs report the sum.
+    gauges = ()
 
     def __init__(self, site_id):
         super().__init__(site_id)
@@ -78,13 +88,16 @@ class ProtocolServer(_Dispatcher):
     is_server = True
 
     def __init__(self, sim, config, store, wal, history,
-                 site_id=SERVER_SITE_ID):
+                 site_id=SERVER_SITE_ID, shard_map=None):
         super().__init__(site_id)
         self.sim = sim
         self.config = config
         self.store = store
         self.wal = wal
         self.history = history
+        if shard_map is not None:
+            self.shard_map = shard_map
+            self.shard_tag = site_id
         self.aborts_initiated = 0
         self._cpu_free_at = 0.0
         self.recovery = None
@@ -157,6 +170,24 @@ class ProtocolServer(_Dispatcher):
         The base server has no recovery machinery; protocol servers that
         support crashed clients override this."""
 
+    @classmethod
+    def cross_shard_state(cls):
+        """Constructor keywords every home server of one sharded
+        deployment must be handed the same instance of; none by default."""
+        return {}
+
+    def stats(self):
+        """This server's counters, the only source of the run's
+        ``server_stats``: the runner (and the LP merge) add numbers and
+        unite sets across servers. A key appears exactly when the thing
+        it counts can happen in this deployment, so fingerprints only
+        change when behaviour does."""
+        return {"aborts_initiated": self.aborts_initiated}
+
+    def assert_invariants(self):
+        """Cheap structural self-checks, run after every simulation;
+        raise ``AssertionError`` on a violation."""
+
 
 class ProtocolClient(_Dispatcher):
     """Base class for a client site.
@@ -166,16 +197,14 @@ class ProtocolClient(_Dispatcher):
     :class:`~repro.protocols.transaction.TxnOutcome`.
     """
 
-    #: Item -> home-server routing; None means the single-server layout
-    #: where every item lives at SERVER_SITE_ID.
-    shard_map = None
-
-    def __init__(self, sim, client_id, config, history):
+    def __init__(self, sim, client_id, config, history, shard_map=None):
         super().__init__(client_id)
         self.sim = sim
         self.client_id = client_id
         self.config = config
         self.history = history
+        if shard_map is not None:
+            self.shard_map = shard_map
         #: time from each lock request to its grant (diagnostics)
         self.op_waits = []
         self.crashed = False

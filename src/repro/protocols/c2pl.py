@@ -42,6 +42,12 @@ class C2PLServer(S2PLServer):
         self.callbacks_sent = 0
         self.cache_hits = 0         # server-visible proxy: grants avoided
 
+    def stats(self):
+        stats = super().stats()
+        stats["callbacks_sent"] = self.callbacks_sent
+        stats["cache_hits"] = self.cache_hits
+        return stats
+
     # -- request handling ------------------------------------------------------
 
     def on_LockRequest(self, msg):

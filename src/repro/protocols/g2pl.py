@@ -38,6 +38,13 @@ Mechanics implemented here:
 * **Forward-list ordering disciplines** (§6 future work) — FIFO (default),
   readers-first, writers-first, applied as the tiebreak key of the linear
   extension, so precedence constraints always win.
+
+One server is the degenerate case of N: handed a ``shard_map`` (and the
+deployment's shared precedence DAG) the same two classes run one shard of
+a partitioned item space. The commit point stays client-local, so a
+cross-shard transaction needs no commit messages — TxnDone simply fans
+out to every touched server — except under fault injection, where the
+registration round becomes the 2PC of :mod:`repro.protocols.sharded`.
 """
 
 from dataclasses import dataclass
@@ -63,6 +70,8 @@ from repro.protocols.messages import (
     TxnDone,
 )
 from repro.protocols.precedence import PrecedenceGraph
+from repro.protocols.sharded import TwoPhaseCoordinator, TwoPhaseParticipant
+from repro.protocols.sharding import SharedPrecedence
 from repro.sim.errors import Interrupt
 from repro.sim.timers import Timer
 from repro.storage.wal import LogRecordType
@@ -194,15 +203,27 @@ class _TxnEntry:
         self.window_items = set()  # items whose window holds a request of txn
 
 
-class G2PLServer(ProtocolServer):
-    """The data server running group 2PL."""
+class G2PLServer(TwoPhaseParticipant, ProtocolServer):
+    """The data server running group 2PL (one shard's home server when
+    handed a ``shard_map`` and the deployment's shared precedence DAG)."""
+
+    gauges = (("lock_queue_depth", "queue_depth"),
+              ("fl_occupancy", "fl_occupancy"))
 
     def __init__(self, sim, config, store, wal, history,
-                 site_id=SERVER_SITE_ID):
-        super().__init__(sim, config, store, wal, history, site_id=site_id)
+                 site_id=SERVER_SITE_ID, shard_map=None, precedence=None):
+        super().__init__(sim, config, store, wal, history, site_id=site_id,
+                         shard_map=shard_map)
+        self._init_participant()
         self._items = {item_id: _ItemState(item_id)
                        for item_id in store.item_ids()}
-        self.precedence = PrecedenceGraph()
+        # A private DAG, or the reference-counted one every shard of the
+        # deployment shares: chain orders at any shard constrain dispatch
+        # at every other.
+        if precedence is None:
+            precedence = (PrecedenceGraph() if shard_map is None
+                          else SharedPrecedence())
+        self.precedence = precedence
         self._txns = {}
         self._dead = set()
         # statistics
@@ -240,6 +261,10 @@ class G2PLServer(ProtocolServer):
         entry = self._txns.get(txn_id)
         if entry is None:
             entry = self._txns[txn_id] = _TxnEntry(msg.client_id, self.sim.now)
+            if self.shard_map is not None:
+                # First registration at this shard pins the shared node
+                # once; _retire releases exactly one pin per shard.
+                self.precedence.acquire(txn_id)
         info = self._items[msg.item_id]
         ref = TxnRef(txn_id=txn_id, client_id=entry.client_id)
         tracer = self.sim.tracer
@@ -319,18 +344,28 @@ class G2PLServer(ProtocolServer):
         self._injector = injector
         self._chain_timeout = chain_timeout
 
+    @classmethod
+    def cross_shard_state(cls):
+        return {"precedence": SharedPrecedence()}
+
+    def _apply_commit(self, txn_id, writes, commit_time):
+        """Register the commit and install this server's share of the
+        writes map (item -> (version, value))."""
+        if txn_id in self._committed:
+            return
+        self._committed.add(txn_id)
+        self.history.record_commit(txn_id, time=commit_time)
+        # Install immediately so a repair re-dispatch can never ship a
+        # version that predates this commit (lost committed write). The
+        # version guard makes the eventual chain return a no-op.
+        for item_id, (version, value) in sorted(writes.items()):
+            if item_id in self._items and version > self.store.version(item_id):
+                self._install_returned(item_id, version, value)
+
     def on_ChainCommit(self, msg):
         if msg.txn_id in self._dead:
             return  # repaired away before the registration arrived
-        if msg.txn_id not in self._committed:
-            self._committed.add(msg.txn_id)
-            self.history.record_commit(msg.txn_id, time=msg.commit_time)
-            # Install immediately so a repair re-dispatch can never ship a
-            # version that predates this commit (lost committed write). The
-            # version guard makes the eventual chain return a no-op.
-            for item_id, (version, value) in sorted(msg.writes.items()):
-                if version > self.store.version(item_id):
-                    self._install_returned(item_id, version, value)
+        self._apply_commit(msg.txn_id, msg.writes, msg.commit_time)
         env = self.send(msg.client_id, ChainCommitAck(txn_id=msg.txn_id),
                         size=CONTROL_SIZE)
         tracer = self.sim.tracer
@@ -345,6 +380,53 @@ class G2PLServer(ProtocolServer):
             return
         if msg.from_txn in {r.txn_id for r in info.chain_all}:
             info.released.add(msg.from_txn)
+
+    # -- cross-shard commit, fault mode (TwoPhaseParticipant host) ------------
+
+    def _can_prepare(self, txn_id):
+        return txn_id not in self._dead
+
+    def on_CommitDecision(self, msg):
+        txn_id = msg.txn_id
+        staged = self._prepared.pop(txn_id, None)
+        self._end_termination(txn_id)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit("twopc.decision", txn=txn_id, shard=self.site_id,
+                        commit=msg.commit)
+        if msg.commit:
+            if staged is not None:
+                self.twopc_commits.add(txn_id)
+                self._apply_commit(txn_id, staged.updates,
+                                   commit_time=msg.commit_time)
+        else:
+            self.twopc_aborts.add(txn_id)
+            if txn_id in self._txns and txn_id not in self._dead:
+                # Client-initiated abort after a refused vote: retire
+                # silently (the client already knows; its holds forward
+                # unchanged and TxnDone follows).
+                self._dead.add(txn_id)
+                self._retire(txn_id)
+        if msg.ack and staged is not None:
+            self._send_decision_ack(msg, staged.client_id)
+
+    def _outcome_status(self, txn_id):
+        if txn_id in self._committed or txn_id in self.twopc_commits:
+            return "committed"
+        if txn_id in self._prepared:
+            return "prepared"
+        if txn_id in self._dead or txn_id in self.twopc_aborts:
+            return "aborted"
+        return "unknown"
+
+    def _settle(self, txn_id, staged, commit):
+        if commit:
+            # The committed peer holds the stamped decision time. The dead
+            # client forwards nothing; chain repair (no longer deferred now
+            # that the doubt is resolved) redistributes its holds.
+            self._apply_commit(txn_id, staged.updates, commit_time=None)
+        elif txn_id in self._txns:
+            self._abort(txn_id, reason="client-crash")
 
     def _arm_watchdog(self, info):
         if info.watchdog is not None:
@@ -387,6 +469,13 @@ class G2PLServer(ProtocolServer):
         now = self.sim.now
         item_id = info.item_id
         pending = self._chain_refs_pending(info)
+        if self._prepared and [ref for ref in pending
+                               if self._in_doubt(ref.txn_id, now)]:
+            # A PREPARED member whose coordinator crashed may be committed
+            # at another shard: termination must settle it before repair
+            # may route around (or abort) it. Look again later.
+            self._arm_watchdog(info)
+            return
         if not pending:
             # Every member either returned, handed off, or died, so no live
             # member will ever return the data (a genuinely in-flight
@@ -524,10 +613,13 @@ class G2PLServer(ProtocolServer):
     def _retire(self, txn_id):
         """A transaction terminated: drop it from the avoidance structures."""
         entry = self._txns.pop(txn_id, None)
+        if entry is None:
+            # Never registered here (or already retired): a TxnDone fan-out
+            # duplicate must not steal another shard's pin on the node.
+            return
         self.precedence.remove_node(txn_id)
-        if entry is not None:
-            for item_id in entry.chain_items:
-                self._items[item_id].chain_live.discard(txn_id)
+        for item_id in entry.chain_items:
+            self._items[item_id].chain_live.discard(txn_id)
 
     def _abort(self, txn_id, reason):
         entry = self._txns[txn_id]
@@ -710,10 +802,18 @@ class G2PLServer(ProtocolServer):
 
     # -- diagnostics ----------------------------------------------------------
 
-    def mean_fl_length(self):
-        if not self.fl_lengths:
-            return 0.0
-        return sum(self.fl_lengths) / len(self.fl_lengths)
+    def stats(self):
+        stats = super().stats()
+        stats["windows_dispatched"] = self.windows_dispatched
+        stats["avoidance_aborts"] = self.avoidance_aborts
+        stats["grafted_reads"] = self.grafted_reads
+        # with windows_dispatched, the run's mean_fl_length
+        stats["fl_txns"] = sum(self.fl_lengths)
+        if self.fault_mode:
+            stats["chain_repairs"] = self.chain_repairs
+            stats["watchdog_fires"] = self.watchdog_fires
+            stats["crash_aborts"] = self.crash_aborts
+        return stats
 
     def queue_depth(self):
         """Requests waiting in collection windows (contention gauge)."""
@@ -785,7 +885,7 @@ class _Hold:
         return self.data_received and not (self.gate_releases and self.awaiting)
 
 
-class G2PLClient(ProtocolClient):
+class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
     """A client site running group-2PL transactions.
 
     Beyond executing its own transactions, the client participates in data
@@ -795,8 +895,9 @@ class G2PLClient(ProtocolClient):
     unchanged).
     """
 
-    def __init__(self, sim, client_id, config, history):
-        super().__init__(sim, client_id, config, history)
+    def __init__(self, sim, client_id, config, history, shard_map=None):
+        super().__init__(sim, client_id, config, history, shard_map=shard_map)
+        self._init_coordinator()
         self._active = {}
         self._grant_events = {}   # txn_id -> (item_id, Event)
         self._abort_flags = {}
@@ -820,6 +921,8 @@ class G2PLClient(ProtocolClient):
         self._txn_state.clear()
         self._commit_events.clear()
         self._txn_servers.clear()
+        self._vote_state.clear()
+        self._ack_state.clear()
 
     # -- message handlers ----------------------------------------------------
 
@@ -1193,29 +1296,48 @@ class G2PLClient(ProtocolClient):
             txn.abort("client-crash")
 
     def _register_commit(self, txn):
-        """Fault mode: the commit only counts once the server registers it
-        (see :class:`~repro.protocols.messages.ChainCommit`) — send the
-        writes and wait for the ack before forwarding any hold."""
+        """Fault mode: the commit only counts once the server side has
+        durably registered it — before any hold is forwarded.
+
+        One touched server: send the writes as a
+        :class:`~repro.protocols.messages.ChainCommit` and wait for the
+        ack. Several: a 2PC in which every participant stages the
+        transaction's *full* writes map, so any single survivor can answer
+        termination queries (and install the writes) authoritatively.
+        """
+        txn_id = txn.txn_id
         writes = {}
-        for item_id in self._txn_holds.get(txn.txn_id, ()):
-            hold = self._holds[(txn.txn_id, item_id)]
+        for item_id in self._txn_holds.get(txn_id, ()):
+            hold = self._holds[(txn_id, item_id)]
             if hold.committed_write:
                 writes[item_id] = (hold.version + 1, hold.new_value)
+        targets = sorted(self._txn_servers.get(txn_id, ())
+                         or (self.server_id,))
+        if len(targets) > 1:
+            # Interrupted before deciding, the participants are prepared
+            # (or not); termination settles them and the server-side
+            # record is authoritative.
+            yield from self._two_phase_commit(
+                txn, targets, dict.fromkeys(targets, writes),
+                in_doubt="commit-limbo")
+            return
         event = self.sim.event()
-        self._commit_events[txn.txn_id] = event
-        self.send_control(self.server_id,
-                          ChainCommit(txn_id=txn.txn_id,
+        self._commit_events[txn_id] = event
+        self.send_control(targets[0],
+                          ChainCommit(txn_id=txn_id,
                                       client_id=self.client_id,
                                       writes=writes,
                                       commit_time=self.sim.now))
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.round_charge(txn.txn_id, "commit")
+            tracer.round_charge(
+                txn_id, "commit",
+                shard=targets[0] if self.shard_map is not None else None)
         try:
             yield event
         except Interrupt:
             txn.abort("commit-limbo")
             return
         finally:
-            self._commit_events.pop(txn.txn_id, None)
+            self._commit_events.pop(txn_id, None)
         txn.commit()

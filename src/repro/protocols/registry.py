@@ -1,95 +1,322 @@
-"""Protocol registry: map names to (server, client) implementations."""
+"""Protocol registry: the one declared capability table.
+
+Every protocol name maps to a :class:`Protocol` row — its server and
+client classes, the config fields the name pins, and what the pair
+supports: sharding, client-crash recovery, the adaptive
+controllers. :data:`REJECTIONS` lists, one row each with its reason, the
+combinations nothing implements. Everything that needs to know what runs
+with what reads these two tables: :func:`make_protocol` (the one factory,
+single-server and sharded), ``SimulationConfig`` validation (through
+:func:`rejection`, at construction time), ``--protocol`` help and
+``repro-experiment list`` (:func:`capability_table`), and the tier-1
+capability battery.
+
+A family class supports whatever its chassis supports without naming it:
+``hybrid`` shards because :class:`~repro.protocols.g2pl.G2PLServer` does.
+:func:`register` adds a row for a protocol of your own; one registered
+without capabilities is single-server with no crash recovery.
+"""
+
+from dataclasses import dataclass, field
+
+from repro.protocols.adaptive import AdaptiveG2PLClient, AdaptiveG2PLServer
+from repro.protocols.c2pl import C2PLClient, C2PLServer
+from repro.protocols.g2pl import G2PLClient, G2PLServer
+from repro.protocols.s2pl import S2PLClient, S2PLServer
+from repro.protocols.twoversion import TwoVersionClient, TwoVersionServer
 
 
-def _s2pl():
-    from repro.protocols.s2pl import S2PLClient, S2PLServer
+@dataclass(frozen=True)
+class Protocol:
+    """One row of the capability table."""
 
-    return S2PLServer, S2PLClient, {}
-
-
-def _g2pl():
-    from repro.protocols.g2pl import G2PLClient, G2PLServer
-
-    return G2PLServer, G2PLClient, {}
-
-
-def _g2pl_basic():
-    from repro.protocols.g2pl import G2PLClient, G2PLServer
-
-    return G2PLServer, G2PLClient, {"mr1w": False}
-
-
-def _g2pl_ro():
-    from repro.protocols.g2pl import G2PLClient, G2PLServer
-
-    return G2PLServer, G2PLClient, {"expand_read_groups": True}
+    server: type
+    client: type
+    #: config fields the name forces (``g2pl-basic`` -> ``mr1w=False``); a
+    #: config that sets an adaptive flag itself composes with the pin
+    pins: dict = field(default_factory=dict)
+    #: runs as N home servers with cross-shard atomic commit
+    shardable: bool = False
+    #: survives client crashes (s-2PL's sweep, g-2PL's chain repair)
+    crash_recovery: bool = False
+    #: the pair reads the adapt_window / hybrid / speculate flags
+    adaptive: bool = False
+    summary: str = ""
 
 
-def _g2pl_adaptive():
-    from repro.protocols.adaptive import AdaptiveG2PLClient, AdaptiveG2PLServer
+_STATIC = dict(shardable=True, crash_recovery=True)
+_ADAPTIVE = dict(shardable=True, adaptive=True)
 
-    return AdaptiveG2PLServer, AdaptiveG2PLClient, {"adapt_window": True}
-
-
-def _hybrid():
-    from repro.protocols.adaptive import AdaptiveG2PLClient, AdaptiveG2PLServer
-
-    return AdaptiveG2PLServer, AdaptiveG2PLClient, {"hybrid": True}
-
-
-def _g2pl_spec():
-    from repro.protocols.adaptive import AdaptiveG2PLClient, AdaptiveG2PLServer
-
-    return AdaptiveG2PLServer, AdaptiveG2PLClient, {"speculate": True}
-
-
-def _c2pl():
-    from repro.protocols.c2pl import C2PLClient, C2PLServer
-
-    return C2PLServer, C2PLClient, {}
-
-
-def _2v2pl():
-    from repro.protocols.twoversion import TwoVersionClient, TwoVersionServer
-
-    return TwoVersionServer, TwoVersionClient, {}
-
-
-_REGISTRY = {
-    "s2pl": _s2pl,
-    "g2pl": _g2pl,           # lock grouping + avoidance + MR1W (the paper's g-2PL)
-    "g2pl-basic": _g2pl_basic,  # lock grouping + avoidance, no MR1W
-    "g2pl-ro": _g2pl_ro,     # g-2PL + read-only FL expansion (future work)
-    "g2pl-adaptive": _g2pl_adaptive,  # adaptive window sizing (repro.adapt)
-    "hybrid": _hybrid,       # per-item single/grouped mode switching
-    "g2pl-spec": _g2pl_spec,  # clock-assisted speculative dispatch
-    "c2pl": _c2pl,           # caching 2PL with callbacks (ablation A5)
-    "2v2pl": _2v2pl,         # two-version 2PL, the §3.4 comparator (A7)
+PROTOCOLS = {
+    "s2pl": Protocol(
+        S2PLServer, S2PLClient, **_STATIC,
+        summary="server-based strict 2PL, the paper's baseline"),
+    "g2pl": Protocol(
+        G2PLServer, G2PLClient, **_STATIC,
+        summary="lock grouping + avoidance + MR1W (the paper's g-2PL)"),
+    "g2pl-basic": Protocol(
+        G2PLServer, G2PLClient, {"mr1w": False}, **_STATIC,
+        summary="lock grouping + avoidance, no MR1W"),
+    "g2pl-ro": Protocol(
+        G2PLServer, G2PLClient, {"expand_read_groups": True}, **_STATIC,
+        summary="g-2PL + read-only forward-list expansion (future work)"),
+    "g2pl-adaptive": Protocol(
+        AdaptiveG2PLServer, AdaptiveG2PLClient, {"adapt_window": True},
+        **_ADAPTIVE, summary="online collection-window sizing (repro.adapt)"),
+    "hybrid": Protocol(
+        AdaptiveG2PLServer, AdaptiveG2PLClient, {"hybrid": True},
+        **_ADAPTIVE, summary="per-item single/grouped mode switching"),
+    "g2pl-spec": Protocol(
+        AdaptiveG2PLServer, AdaptiveG2PLClient, {"speculate": True},
+        **_ADAPTIVE, summary="clock-assisted speculative dispatch"),
+    "c2pl": Protocol(
+        C2PLServer, C2PLClient,
+        summary="caching 2PL with callbacks (ablation A5)"),
+    "2v2pl": Protocol(
+        TwoVersionServer, TwoVersionClient,
+        summary="two-version 2PL, the §3.4 comparator (A7)"),
 }
+
+ADAPT_FLAGS = ("adapt_window", "hybrid", "speculate")
+
+
+def register(name, server_cls, client_cls, **capabilities):
+    """Add a protocol of your own under ``name``. ``capabilities`` are
+    :class:`Protocol` fields; without any the protocol is single-server
+    with no crash recovery."""
+    PROTOCOLS[name] = Protocol(server_cls, client_cls, **capabilities)
 
 
 def available_protocols():
     """Names accepted by :func:`make_protocol` / ``SimulationConfig.protocol``."""
-    return sorted(_REGISTRY)
+    return sorted(PROTOCOLS)
 
 
-def make_protocol(name, sim, config, store, wal, history, client_ids):
-    """Instantiate the protocol's server and one client per id.
+def protocols_with(capability):
+    """Sorted names whose row declares ``capability`` (a boolean field)."""
+    return sorted(name for name, row in PROTOCOLS.items()
+                  if getattr(row, capability))
 
-    Protocol variants may pin config fields (e.g. ``g2pl-basic`` forces
-    ``mr1w=False``); a config that explicitly contradicts a pin is rejected
-    to avoid silently running something other than what was asked for.
-    """
+
+def _lookup(name):
     try:
-        factory = _REGISTRY[name]
+        return PROTOCOLS[name]
     except KeyError:
         raise ValueError(
             f"unknown protocol {name!r}; available: {available_protocols()}"
         ) from None
-    server_cls, client_cls, overrides = factory()
-    if overrides:
-        config = config.replace(**overrides)
-    server = server_cls(sim, config, store, wal, history)
-    clients = {client_id: client_cls(sim, client_id, config, history)
+
+
+def lp_eligible(name):
+    """Can ``name`` run LP-partitioned? Any sharded protocol whose servers
+    draw no run-wide random stream — window sizing does (hold dither)."""
+    row = PROTOCOLS[name]
+    return row.shardable and not row.pins.get("adapt_window", False)
+
+
+# ---------------------------------------------------------------------------
+# Combinations nothing implements
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Rejection:
+    """One unsupported combination: when it applies and why it cannot run."""
+
+    name: str
+    #: ``(config, row) -> bool``
+    applies: object
+    #: the error message, a format string over ``config`` and ``row``
+    #: plus the capability lists ``shardable`` / ``crash_capable`` /
+    #: ``adaptive``
+    reason: str
+
+
+def _crashes(config):
+    return config.faults.crashes if config.faults is not None else ()
+
+
+def _adapts(config, row, flag):
+    """Is the adaptive controller ``flag`` live in this run? The config's
+    own flags compose with the protocol's pins (``--protocol hybrid
+    --speculate`` runs both)."""
+    return getattr(config, flag) or row.pins.get(flag, False)
+
+
+REJECTIONS = (
+    Rejection(
+        "regions-need-shards",
+        lambda c, row: c.n_regions > 1 and c.n_shards == 1,
+        "n_regions={config.n_regions} needs n_shards > 1: regions place "
+        "shard servers and their co-located clients, and a single server "
+        "has one placement, so the run would silently use a uniform "
+        "topology; raise n_shards or drop n_regions"),
+    Rejection(
+        "single-server-protocol",
+        lambda c, row: c.n_shards > 1 and not row.shardable,
+        "protocol {config.protocol!r} is single-server: its row does not "
+        "declare that its server can run as one shard of several (c-2PL's "
+        "cached-copy registry and 2V-2PL's certification assume they own "
+        "every item, and no cross-shard commit is defined for them); "
+        "n_shards={config.n_shards} needs a sharded protocol "
+        "({shardable})"),
+    Rejection(
+        "adapt-flags-need-adaptive-protocol",
+        lambda c, row: not row.adaptive and any(
+            getattr(c, flag) for flag in ADAPT_FLAGS),
+        "adapt_window/hybrid/speculate need an adaptive protocol "
+        "({adaptive}); got protocol={config.protocol!r}"),
+    Rejection(
+        "faults-with-speculation",
+        lambda c, row: (c.faults is not None
+                        and _adapts(c, row, "speculate")),
+        "speculative dispatch is incompatible with fault injection: a "
+        "crash mid-extension would need the chain-repair watchdog to "
+        "reason about pre-frozen windows it has never seen. Disable "
+        "speculate (or drop the fault spec) — crash faults with g2pl use "
+        "the chain-repair path instead"),
+    Rejection(
+        "crash-with-population",
+        lambda c, row: _crashes(c) and c.population is not None,
+        "crash faults are not supported with open-arrival populations: "
+        "the population driver multiplexes users with no per-site crash "
+        "machinery; use the closed-loop model (population=None) for "
+        "crash experiments"),
+    Rejection(
+        "crash-without-recovery",
+        lambda c, row: _crashes(c) and not row.crash_recovery,
+        "protocol {config.protocol!r} has no client-crash recovery (it "
+        "still runs under message loss, duplication, jitter and "
+        "partitions, which the reliable channel masks, but has no story "
+        "for a dead site); crash faults require one of {crash_capable}"),
+    Rejection(
+        "crash-with-2pc-opt",
+        lambda c, row: (_crashes(c) and c.n_shards > 1
+                        and c.commit_protocol == "2pc-opt"),
+        "commit_protocol '2pc-opt' cannot recover from client crashes: "
+        "its commit decisions carry the updates, so a surviving "
+        "participant could learn the outcome but not the data; use "
+        "'2pc' when combining sharding with crash faults"),
+    Rejection(
+        "crash-of-unknown-client",
+        lambda c, row: any(not 1 <= crash.client_id <= c.n_clients
+                           for crash in _crashes(c)),
+        "crash faults name unknown client sites (this run has clients "
+        "1..{config.n_clients})"),
+    Rejection(
+        "lp-needs-shards",
+        lambda c, row: c.lp and c.n_shards < 2,
+        "lp=True partitions the run along shard boundaries; "
+        "it needs n_shards > 1"),
+    Rejection(
+        "lp-with-window-sizing",
+        lambda c, row: c.lp and _adapts(c, row, "adapt_window"),
+        "lp=True is unsupported with adaptive window sizing: hold dither "
+        "draws from one run-wide 'adapt.controller' stream in global "
+        "event order, and per-shard workers would each replay that "
+        "stream from its start. (hybrid and g2pl-spec draw nothing and "
+        "partition exactly.) Run window sizing with lp=False"),
+    Rejection(
+        "lp-with-global-termination",
+        lambda c, row: c.lp and c.termination != "quota",
+        "lp=True requires termination='quota': global termination "
+        "('the Nth finished transaction anywhere') couples every "
+        "client and cannot be decomposed per shard (which also rules out "
+        "open-arrival populations: they terminate globally)"),
+    Rejection(
+        "lp-with-cross-shard-workload",
+        lambda c, row: c.lp and c.cross_shard_probability != 0.0,
+        "lp=True requires a shard-local workload "
+        "(cross_shard_probability=0.0): cross-shard transactions "
+        "couple the logical processes"),
+    Rejection(
+        "lp-with-faults",
+        lambda c, row: c.lp and c.faults is not None,
+        "lp=True does not support fault injection (the fault streams "
+        "are drawn in global message order)"),
+    Rejection(
+        "lp-with-tracing",
+        lambda c, row: c.lp and (c.trace or c.probe_interval is not None),
+        "lp=True does not support tracing or probes (the tracer is "
+        "a single-process observer); run serially to trace"),
+    Rejection(
+        "lp-with-mpl",
+        lambda c, row: c.lp and c.mpl != 1,
+        "lp=True requires mpl=1"),
+    Rejection(
+        "lp-with-streaming-metrics",
+        lambda c, row: c.lp and c.streaming_enabled,
+        "lp=True requires exact metrics (streaming off): the "
+        "reservoir stream is a single-process consumer"),
+    Rejection(
+        "lp-with-fewer-clients-than-shards",
+        lambda c, row: c.lp and c.n_clients < c.n_shards,
+        "lp=True needs at least one client per shard "
+        "({config.n_clients} clients < {config.n_shards} shards)"),
+)
+
+
+def rejection(config):
+    """Why ``config`` asks for a combination nothing implements, or
+    ``None``. Raises ``ValueError`` itself for an unknown protocol."""
+    row = _lookup(config.protocol)
+    for rule in REJECTIONS:
+        if rule.applies(config, row):
+            return rule.reason.format(
+                config=config, row=row,
+                shardable=", ".join(protocols_with("shardable")),
+                crash_capable=protocols_with("crash_recovery"),
+                adaptive=", ".join(protocols_with("adaptive")))
+    return None
+
+
+def capability_table():
+    """The supported-combination table as text (``repro-experiment
+    list``; README "Sharding and geo-topology" carries a copy)."""
+    mark = {True: "yes", False: "-"}
+    lines = [f"{'protocol':<14} {'shards':<7} {'crash':<6} {'lp':<4} "
+             f"{'adaptive':<9} summary",
+             f"{'-' * 14} {'-' * 7} {'-' * 6} {'-' * 4} {'-' * 9} "
+             f"{'-' * 7}"]
+    for name in available_protocols():
+        row = PROTOCOLS[name]
+        lines.append(
+            f"{name:<14} {mark[row.shardable]:<7} "
+            f"{mark[row.crash_recovery]:<6} {mark[lp_eligible(name)]:<4} "
+            f"{mark[row.adaptive]:<9} {row.summary}".rstrip())
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# The factory
+# ---------------------------------------------------------------------------
+
+def make_protocol(name, sim, config, store, wal, history, client_ids,
+                  shard_map=None):
+    """Instantiate the protocol's server(s) and one client per id.
+
+    Single-server callers pass one ``store`` and one ``wal`` and get
+    ``(server, clients)``. A sharded deployment passes its ``shard_map``
+    and ``store`` / ``wal`` as dicts keyed by the site ids of the home
+    servers to build (all of them, or the one an LP worker hosts), and
+    gets ``(servers, clients)`` with ``servers`` keyed the same way.
+
+    The row's pins are applied to ``config`` first (``g2pl-basic`` runs
+    with ``mr1w=False`` whatever the config says).
+    """
+    row = _lookup(name)
+    if row.pins:
+        config = config.replace(**row.pins)
+    if shard_map is None:
+        server = row.server(sim, config, store, wal, history)
+        clients = {client_id: row.client(sim, client_id, config, history)
+                   for client_id in client_ids}
+        return server, clients
+    shared = row.server.cross_shard_state()
+    servers = {site_id: row.server(sim, config, store[site_id], wal[site_id],
+                                   history, site_id=site_id,
+                                   shard_map=shard_map, **shared)
+               for site_id in store}
+    clients = {client_id: row.client(sim, client_id, config, history,
+                                     shard_map=shard_map)
                for client_id in client_ids}
-    return server, clients
+    return servers, clients

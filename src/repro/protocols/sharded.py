@@ -1,11 +1,24 @@
-"""Sharded protocol variants: multi-server s-2PL / g-2PL with cross-shard
-atomic commit.
+"""Cross-shard atomic commit: the 2PC machinery both protocol families host.
 
 The item space is partitioned across N home servers (see
 :mod:`repro.protocols.sharding`); clients route every item-scoped message
-to the owning server. A transaction touching a single home server commits
-exactly as in the single-server protocol. A transaction spanning several
-home servers needs an atomic commit protocol:
+to the owning server. Sharding is not a second deployment of the
+protocols: :class:`~repro.protocols.s2pl.S2PLServer` /
+:class:`~repro.protocols.g2pl.G2PLServer` and their clients take a
+``shard_map`` and run one shard exactly as they run a whole database
+(``shard_map=None``, the single-server degenerate case). This module
+holds what is *only* about several servers — the atomic commit protocol a
+transaction needs once it spans more than one of them — as two mixins the
+family classes inherit:
+
+* :class:`TwoPhaseParticipant` (servers): stage on PrepareRequest, vote,
+  and — when the coordinator dies between prepare and decision — settle
+  the in-doubt transaction by cooperative termination.
+* :class:`TwoPhaseCoordinator` (clients): the one prepare -> vote ->
+  decide -> ack sequence, :meth:`TwoPhaseCoordinator._two_phase_commit`,
+  which each family calls with its own payloads.
+
+How the families use it:
 
 * **s-2PL + classic 2PC** (``commit_protocol="2pc"``) — the client (the
   coordinator; it already holds every lock at commit time) sends each
@@ -21,52 +34,43 @@ home servers needs an atomic commit protocol:
   phase: ``2m + 1`` rounds again, the round-optimized variant the paper's
   latency argument suggests.
 
-* **g-2PL** — the commit point is client-local (once every item is
-  granted, nothing can abort the transaction), so the non-fault sharded
-  path needs *no* commit messages at all: the existing TxnDone
-  notification simply fans out to every touched server. Only under fault
-  injection — where the commit point must be made durable before the
-  client may die — does g-2PL run a 2PC over the touched servers, each
-  staging the transaction's **full** writes map so that any single
-  surviving participant can answer a termination query authoritatively.
+* **g-2PL** (and the adaptive protocols on its chassis) — the commit
+  point is client-local (once every item is granted, nothing can abort
+  the transaction), so the non-fault sharded path needs *no* commit
+  messages at all: the existing TxnDone notification simply fans out to
+  every touched server. Only under fault injection — where the commit
+  point must be made durable before the client may die — does g-2PL run a
+  2PC over the touched servers, each staging the transaction's **full**
+  writes map so that any single surviving participant can answer a
+  termination query authoritatively.
 
 **Coordinator crash** (fault mode, classic 2PC): a participant stuck with
 a PREPARED transaction must not reclaim its locks (the transaction may be
-committed elsewhere) nor hold them forever. The crash sweep skips
-prepared transactions and instead runs *cooperative termination*: query
-every other participant; any "committed" answer commits, and once every
-peer has answered without one, the transaction is presumed aborted —
-sound because the coordinator decides commit only after every vote, and a
-decision it sent before dying was either delivered pre-crash (the peer
-answers "committed") or lost with it. ``2pc-opt`` is rejected in
-combination with crash faults: its decisions carry the updates, so a
-participant could learn the outcome but not the data.
+committed elsewhere) nor hold them forever. The host's crash recovery
+(s-2PL's sweep, g-2PL's chain repair) asks :meth:`TwoPhaseParticipant.
+_in_doubt` before touching a transaction and leaves the prepared ones to
+*cooperative termination*: query every other participant; any "committed"
+answer commits, and once every peer has answered without one, the
+transaction is presumed aborted — sound because the coordinator decides
+commit only after every vote, and a decision it sent before dying was
+either delivered pre-crash (the peer answers "committed") or lost with
+it. ``2pc-opt`` is rejected in combination with crash faults: its
+decisions carry the updates, so a participant could learn the outcome but
+not the data.
 """
 
-from repro.locking.modes import LockMode
-from repro.protocols.g2pl import G2PLClient, G2PLServer
+from types import MappingProxyType
+
 from repro.protocols.messages import (
-    AbortNotice,
-    AbortRelease,
-    ChainCommit,
     CommitDecision,
-    CommitRelease,
     CONTROL_SIZE,
-    DataShip,
     DecisionAck,
-    LockRequest,
     OutcomeQuery,
     OutcomeReply,
     PrepareRequest,
     PrepareVote,
 )
-from repro.protocols.s2pl import S2PLClient, S2PLServer
-from repro.protocols.sharding import SharedPrecedence, shard_site_id
 from repro.sim.errors import Interrupt
-from repro.sim.timers import Timer
-
-#: protocol names that have a sharded deployment
-SHARDED_PROTOCOLS = ("s2pl", "g2pl", "g2pl-basic", "g2pl-ro")
 
 
 class _PreparedTxn:
@@ -82,14 +86,25 @@ class _PreparedTxn:
 
 
 class TwoPhaseParticipant:
-    """Participant-side 2PC machinery shared by the sharded servers.
+    """Participant-side 2PC machinery, mixed into the family servers.
 
-    Subclasses provide ``_outcome_status`` (this shard's view of a
-    transaction) and ``_terminate_commit`` / ``_terminate_abort`` (the
-    protocol-specific ways to settle an in-doubt transaction).
+    The host provides three hooks: ``_can_prepare(txn_id)`` (is the
+    transaction alive here, so this shard may promise to commit it),
+    ``_outcome_status(txn_id)`` (this shard's view of a transaction, for a
+    peer's termination query) and ``_settle(txn_id, staged, commit)`` (the
+    protocol-specific way to apply a termination verdict). It also handles
+    CommitDecision itself — what a decision installs and releases is the
+    family's business.
     """
 
+    #: A single server never stages anything and carries none of the
+    #: participant's state; its recovery paths, which ask "is anything
+    #: prepared here?" before touching a transaction, read this.
+    _prepared = MappingProxyType({})
+
     def _init_participant(self):
+        if self.shard_map is None:
+            return
         self._prepared = {}       # txn_id -> _PreparedTxn
         self._terminating = set()
         self._term_replies = {}   # txn_id -> {peer site id: status}
@@ -100,21 +115,41 @@ class TwoPhaseParticipant:
         self.terminations_started = 0
         self.presumed_aborts = 0
 
-    def _send_vote(self, msg, vote):
+    def stats(self):
+        """Adds the participant's counters in a sharded deployment; the
+        outcome sets unite across shards, so a transaction counts once."""
+        stats = super().stats()
+        if self.shard_map is not None:
+            stats["twopc_commits"] = self.twopc_commits
+            stats["twopc_aborts"] = self.twopc_aborts
+            stats["presumed_aborts"] = self.presumed_aborts
+            if self.fault_mode:
+                stats["terminations_started"] = self.terminations_started
+        return stats
+
+    def on_PrepareRequest(self, msg):
+        txn_id = msg.txn_id
+        vote = self._can_prepare(txn_id)
+        if vote:
+            self._prepared[txn_id] = _PreparedTxn(
+                client_id=msg.client_id,
+                participants=tuple(msg.participants),
+                updates=dict(msg.updates),
+                prepared_at=self.sim.now)
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("twopc.prepare", txn=msg.txn_id,
+            tracer.emit("twopc.prepare", txn=txn_id,
                         shard=self.site_id, vote=vote)
         env = self.send(msg.client_id,
-                        PrepareVote(txn_id=msg.txn_id, shard=self.site_id,
+                        PrepareVote(txn_id=txn_id, shard=self.site_id,
                                     vote=vote, charge=msg.charge),
                         size=CONTROL_SIZE)
         if tracer is not None:
             tracer.round_charge(
-                msg.txn_id, "vote" if msg.charge else "vote_concurrent",
+                txn_id, "vote" if msg.charge else "vote_concurrent",
                 shard=self.shard_tag)
             if msg.charge:
-                tracer.wire_charge(msg.txn_id, env, phase="commit")
+                tracer.wire_charge(txn_id, env, phase="commit")
 
     def _send_decision_ack(self, msg, client_id):
         tracer = self.sim.tracer
@@ -132,6 +167,18 @@ class TwoPhaseParticipant:
 
     # -- cooperative termination ----------------------------------------------
 
+    def _in_doubt(self, txn_id, now):
+        """Is ``txn_id`` PREPARED here with its coordinator crashed since?
+        Such a transaction is in doubt, not dead: crash recovery must leave
+        it alone, and the first caller to ask starts its termination."""
+        staged = self._prepared.get(txn_id)
+        if staged is None or not self._injector.crashed_during(
+                staged.client_id, staged.prepared_at, now):
+            return False
+        if txn_id not in self._terminating:
+            self._start_termination(txn_id)
+        return True
+
     def _start_termination(self, txn_id):
         staged = self._prepared.get(txn_id)
         if staged is None:
@@ -140,7 +187,7 @@ class TwoPhaseParticipant:
         if not peers:
             # Degenerate single-participant prepare: presume abort.
             self.presumed_aborts += 1
-            self._terminate_abort(txn_id)
+            self._terminate(txn_id, commit=False)
             return
         self.terminations_started += 1
         self._terminating.add(txn_id)
@@ -168,7 +215,7 @@ class TwoPhaseParticipant:
         replies[msg.shard] = msg.status
         if msg.status == "committed":
             self._end_termination(txn_id)
-            self._terminate_commit(txn_id)
+            self._terminate(txn_id, commit=True)
             return
         staged = self._prepared.get(txn_id)
         if staged is None:
@@ -183,15 +230,29 @@ class TwoPhaseParticipant:
             # presuming abort can never contradict a recorded commit.
             self._end_termination(txn_id)
             self.presumed_aborts += 1
-            self._terminate_abort(txn_id)
+            self._terminate(txn_id, commit=False)
 
     def _end_termination(self, txn_id):
         self._terminating.discard(txn_id)
         self._term_replies.pop(txn_id, None)
 
+    def _terminate(self, txn_id, commit):
+        """Termination reached a verdict: record it, let the host apply it."""
+        staged = self._prepared.pop(txn_id, None)
+        if staged is None:
+            return
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit("twopc.terminate.commit" if commit
+                        else "twopc.terminate.abort",
+                        txn=txn_id, shard=self.site_id)
+        (self.twopc_commits if commit else self.twopc_aborts).add(txn_id)
+        self._settle(txn_id, staged, commit)
+
 
 class TwoPhaseCoordinator:
-    """Coordinator-side (client) vote/ack collection."""
+    """Coordinator-side (client) 2PC: the message sequence and the
+    vote/ack collection behind it."""
 
     def _init_coordinator(self):
         self._vote_state = {}  # txn_id -> {"need", "got", "refused", "event"}
@@ -215,346 +276,28 @@ class TwoPhaseCoordinator:
         if state["got"] >= state["need"] and not state["event"].triggered:
             state["event"].succeed(state)
 
+    def _two_phase_commit(self, txn, targets, updates, reads=None,
+                          voted=None, in_doubt="client-crash"):
+        """Prepare -> vote -> decide -> ack over ``targets``; leaves
+        ``txn`` committed or aborted.
 
-# ---------------------------------------------------------------------------
-# s-2PL
-# ---------------------------------------------------------------------------
-
-class ShardedS2PLServer(TwoPhaseParticipant, S2PLServer):
-    """One shard's home server: strict 2PL plus 2PC participation."""
-
-    def __init__(self, sim, config, store, wal, history, site_id, shard_map):
-        super().__init__(sim, config, store, wal, history, site_id=site_id)
-        self.shard_map = shard_map
-        self.shard_tag = site_id
-        self._init_participant()
-        # (txn_id, item_id) -> the grant must carry a prepare vote
-        self._vote_wanted = {}
-
-    # -- 2pc-opt: votes piggybacked on the last grant -------------------------
-
-    def on_LockRequest(self, msg):
-        if (msg.vote_request and msg.txn_id not in self._dead
-                and msg.txn_id not in self._swept):
-            self._vote_wanted[(msg.txn_id, msg.item_id)] = True
-        super().on_LockRequest(msg)
-
-    def _ship(self, txn_id, item_id, mode):
-        vote = self._vote_wanted.pop((txn_id, item_id), False)
-        if not vote:
-            super()._ship(txn_id, item_id, mode)
-            return
-        client_id, _ = self._txns[txn_id]
-        item = self.store.read(item_id)
-        env = self.send(client_id,
-                        DataShip(txn_id=txn_id, item_id=item_id,
-                                 version=item.version, value=item.value,
-                                 mode=mode, vote=True),
-                        size=self.data_ship_size())
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit("lock.grant", txn=txn_id, item=item_id,
-                        mode=mode.name)
-            tracer.emit("twopc.vote.piggyback", txn=txn_id,
-                        shard=self.site_id)
-            tracer.round_charge(txn_id, "grant", shard=self.shard_tag)
-            tracer.wire_charge(txn_id, env)
-
-    def _purge_vote_marks(self, txn_id):
-        if not self._vote_wanted:
-            return
-        for key in [key for key in self._vote_wanted if key[0] == txn_id]:
-            del self._vote_wanted[key]
-
-    def _finish(self, txn_id):
-        self._purge_vote_marks(txn_id)
-        super()._finish(txn_id)
-
-    # -- classic 2PC -----------------------------------------------------------
-
-    def on_PrepareRequest(self, msg):
-        txn_id = msg.txn_id
-        vote = (txn_id in self._txns and txn_id not in self._dead
-                and txn_id not in self._swept)
-        if vote:
-            self._prepared[txn_id] = _PreparedTxn(
-                client_id=msg.client_id,
-                participants=tuple(msg.participants),
-                updates=dict(msg.updates),
-                prepared_at=self.sim.now)
-        self._send_vote(msg, vote)
-
-    def on_CommitDecision(self, msg):
-        txn_id = msg.txn_id
-        staged = self._prepared.pop(txn_id, None)
-        self._end_termination(txn_id)
-        if txn_id in self._swept:
-            # The locks were reclaimed by the crash sweep — only reachable
-            # for an abort decision (prepared transactions are sweep-exempt).
-            self.twopc_aborts.add(txn_id)
-            return
-        client_id = (staged.client_id if staged is not None
-                     else self._txns.get(txn_id, (None, None))[0])
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit("twopc.decision", txn=txn_id, shard=self.site_id,
-                        commit=msg.commit)
-        if msg.commit:
-            if txn_id in self._txns:
-                updates = (msg.updates if msg.updates is not None
-                           else (staged.updates if staged is not None
-                                 else {}))
-                self.install_updates(txn_id, updates or {})
-                if msg.commit_time is not None:
-                    # Fault mode: the participant is this shard's commit
-                    # point of record, stamped with the decision time.
-                    self.history.record_commit(txn_id,
-                                               time=msg.commit_time)
-                self.twopc_commits.add(txn_id)
-        elif staged is not None or txn_id in self._txns:
-            self.twopc_aborts.add(txn_id)
-        self._dead.discard(txn_id)
-        self._finish(txn_id)
-        if msg.ack and client_id is not None:
-            self._send_decision_ack(msg, client_id)
-
-    def on_AbortRelease(self, msg):
-        staged = self._prepared.pop(msg.txn_id, None)
-        if staged is not None:
-            self.twopc_aborts.add(msg.txn_id)
-        self._end_termination(msg.txn_id)
-        super().on_AbortRelease(msg)
-
-    # -- coordinator-crash recovery -------------------------------------------
-
-    def _crash_sweep(self):
-        now = self.sim.now
-        crashed = [txn_id for txn_id, (client_id, _) in self._txns.items()
-                   if self._injector.is_crashed(client_id, now)
-                   and txn_id not in self._prepared]
-        if crashed:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.emit("crash.sweep", reclaimed=len(crashed))
-        for txn_id in crashed:
-            self._swept.add(txn_id)
-            self._dead.discard(txn_id)
-            self.crash_reclaims += 1
-            for grantee, item_id, mode in self.lock_table.drop_queued(txn_id):
-                self._grant(grantee, item_id, mode)
-        for txn_id in crashed:
-            self._finish(txn_id)
-        # PREPARED transactions are in doubt, not dead: their locks must
-        # survive the sweep; cooperative termination settles them.
-        for txn_id, staged in list(self._prepared.items()):
-            if (txn_id not in self._terminating
-                    and self._injector.crashed_during(
-                        staged.client_id, staged.prepared_at, now)):
-                self._start_termination(txn_id)
-        Timer(self.sim, self._sweep_interval, self._crash_sweep)
-
-    def _outcome_status(self, txn_id):
-        if txn_id in self.twopc_commits:
-            return "committed"
-        if txn_id in self._prepared:
-            return "prepared"
-        if (txn_id in self.twopc_aborts or txn_id in self._swept
-                or txn_id in self._dead):
-            return "aborted"
-        return "unknown"
-
-    def _terminate_commit(self, txn_id):
-        staged = self._prepared.pop(txn_id, None)
-        if staged is None:
-            return
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit("twopc.terminate.commit", txn=txn_id,
-                        shard=self.site_id)
-        if txn_id in self._txns:
-            self.install_updates(txn_id, staged.updates or {})
-        self.twopc_commits.add(txn_id)
-        # Idempotent set-add; the peer that saw the decision holds the
-        # stamped commit time.
-        self.history.record_commit(txn_id)
-        self._finish(txn_id)
-
-    def _terminate_abort(self, txn_id):
-        staged = self._prepared.pop(txn_id, None)
-        if staged is None:
-            return
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit("twopc.terminate.abort", txn=txn_id,
-                        shard=self.site_id)
-        self.twopc_aborts.add(txn_id)
-        # Same shape as a sweep reclaim: the coordinator is dead, so no
-        # decision can ever arrive for this transaction.
-        self._swept.add(txn_id)
-        self._dead.discard(txn_id)
-        self.crash_reclaims += 1
-        for grantee, item_id, mode in self.lock_table.drop_queued(txn_id):
-            self._grant(grantee, item_id, mode)
-        self._finish(txn_id)
-
-
-class ShardedS2PLClient(TwoPhaseCoordinator, S2PLClient):
-    """An s-2PL client that routes per item and coordinates 2PC."""
-
-    def __init__(self, sim, client_id, config, history, shard_map):
-        super().__init__(sim, client_id, config, history)
-        self.shard_map = shard_map
-        self._init_coordinator()
-        self._txn_targets = {}  # txn_id -> home servers touched
-        self._votes = {}        # txn_id -> shards whose grant carried a vote
-
-    def reset_protocol_state(self):
-        super().reset_protocol_state()
-        self._vote_state.clear()
-        self._ack_state.clear()
-        self._txn_targets.clear()
-        self._votes.clear()
-
-    def on_DataShip(self, msg):
-        if msg.vote and msg.txn_id in self._active:
-            self._votes.setdefault(msg.txn_id, set()).add(
-                self.home_of(msg.item_id))
-        super().on_DataShip(msg)
-
-    # -- transaction execution ----------------------------------------------
-
-    def execute(self, txn):
-        start_time = self.sim.now
-        self._active[txn.txn_id] = txn
-        updates = {}
-        read_items = []
-        try:
-            yield from self._run_ops(txn, updates, read_items)
-            if txn.running:
-                # Every lock is held; run the commit protocol.
-                yield from self._commit_2pc(txn, updates, read_items)
-        finally:
-            self._active.pop(txn.txn_id, None)
-            self._grant_events.pop(txn.txn_id, None)
-            self._abort_flags.pop(txn.txn_id, None)
-            self._vote_state.pop(txn.txn_id, None)
-            self._ack_state.pop(txn.txn_id, None)
-            self._votes.pop(txn.txn_id, None)
-        end_time = self.sim.now
-        targets = sorted(self._txn_targets.pop(txn.txn_id, ())
-                         or (self.server_id,))
-        if txn.running:  # pragma: no cover - commit path settles status
-            raise AssertionError("transaction left running")
-        tracer = self.sim.tracer
-        if txn.status.value == "committed":
-            pass  # releases/decisions already sent by _commit_2pc
-        elif txn.abort_reason == "commit-limbo":
-            # Crashed while awaiting decision acks: the participants'
-            # decision state is authoritative; record nothing.
-            pass
-        elif txn.abort_reason == "client-crash":
-            self.history.record_abort(txn.txn_id)
-        elif txn.abort_reason == "2pc-refused":
-            # Abort decisions already released every participant's locks.
-            self.history.record_abort(txn.txn_id)
-        else:
-            self.history.record_abort(txn.txn_id)
-            for target in targets:
-                self.send(target, AbortRelease(txn_id=txn.txn_id),
-                          size=CONTROL_SIZE)
-            if tracer is not None:
-                tracer.round_charge(txn.txn_id, "release")
-        return self.make_outcome(txn, start_time, end_time)
-
-    def _run_ops(self, txn, updates, read_items):
-        tracer = self.sim.tracer
-        targets = self._txn_targets.setdefault(txn.txn_id, set())
-        vote_index = frozenset()
-        if self.config.commit_protocol == "2pc-opt":
-            last_at_home = {}
-            for index, op in enumerate(txn.spec.operations):
-                last_at_home[self.home_of(op.item_id)] = index
-            if len(last_at_home) > 1:
-                # Mark each home server's final request: its grant doubles
-                # as the shard's prepare vote. Single-home transactions
-                # commit with a plain release and need no votes.
-                vote_index = frozenset(last_at_home.values())
-        try:
-            for index, op in enumerate(txn.spec.operations):
-                home = self.home_of(op.item_id)
-                targets.add(home)
-                env = self.send(home,
-                                LockRequest(txn_id=txn.txn_id,
-                                            item_id=op.item_id,
-                                            mode=op.mode,
-                                            client_id=self.client_id,
-                                            vote_request=index in vote_index),
-                                size=CONTROL_SIZE)
-                if tracer is not None:
-                    tracer.round_charge(txn.txn_id, "request", shard=home)
-                    tracer.wire_charge(txn.txn_id, env)
-                requested_at = self.sim.now
-                event = self.sim.event()
-                self._grant_events[txn.txn_id] = event
-                msg = yield event
-                if isinstance(msg, AbortNotice):
-                    txn.abort(msg.reason)
-                    break
-                self.op_waits.append(self.sim.now - requested_at)
-                yield from self.think(txn.txn_id, op.think_time)
-                notice = self._abort_flags.pop(txn.txn_id, None)
-                if notice is not None:
-                    txn.abort(notice.reason)
-                    break
-                txn.ops_done += 1
-                if op.mode is LockMode.WRITE:
-                    new_version = msg.version + 1
-                    updates[op.item_id] = f"t{txn.txn_id}v{new_version}"
-                    self.history.record_access(
-                        txn.txn_id, op.item_id, op.mode, new_version,
-                        self.sim.now)
-                else:
-                    read_items.append(op.item_id)
-                    self.history.record_access(
-                        txn.txn_id, op.item_id, op.mode, msg.version,
-                        self.sim.now)
-            # No for-else commit here: execute() runs the commit protocol
-            # once the loop finishes with the transaction still running.
-        except Interrupt:
-            txn.abort("client-crash")
-
-    def _commit_2pc(self, txn, updates, read_items):
+        ``targets`` are the participant home servers in send order;
+        ``updates[target]`` is what that participant installs on commit
+        and ``reads[target]`` (optional) what the transaction read there.
+        ``voted`` is ``None`` for the classic protocol. Under "2pc-opt"
+        it is the set of targets whose PREPARED vote already rode a lock
+        grant: all grants have arrived, so the vote set is complete, the
+        prepare round is skipped, and the decision carries the updates
+        nothing staged. ``in_doubt`` is the abort reason when the
+        coordinator crashes between prepare and decision (the
+        participants then resolve via cooperative termination).
+        """
         tracer = self.sim.tracer
         txn_id = txn.txn_id
-        targets = sorted(self._txn_targets.get(txn_id, ())
-                         or (self.server_id,))
-        if len(targets) == 1:
-            # Single home server: the ordinary strict-2PL commit round.
-            txn.commit()
-            if not self.fault_mode:
-                self.history.record_commit(txn_id, time=self.sim.now)
-            self.send(targets[0],
-                      CommitRelease(
-                          txn_id=txn_id, updates=updates,
-                          read_items=tuple(read_items),
-                          commit_time=(self.sim.now if self.fault_mode
-                                       else None)),
-                      size=CONTROL_SIZE
-                      + len(updates) * self.config.data_item_size)
-            if tracer is not None:
-                tracer.round_charge(txn_id, "release", shard=targets[0])
-            return
-        by_server = {target: {} for target in targets}
-        for item_id, value in updates.items():
-            by_server[self.home_of(item_id)][item_id] = value
-        reads_by_server = {target: [] for target in targets}
-        for item_id in read_items:
-            reads_by_server[self.home_of(item_id)].append(item_id)
-        opt = self.config.commit_protocol == "2pc-opt"
-        if opt:
-            # The votes rode the last grant from each shard; all grants
-            # have arrived, so the vote set is complete.
-            ok = set(targets) <= self._votes.get(txn_id, set())
+        fault_mode = self.fault_mode
+        item_size = self.config.data_item_size
+        if voted is not None:
+            ok = voted.issuperset(targets)
         else:
             state = {"need": len(targets), "got": 0, "refused": False,
                      "event": self.sim.event()}
@@ -563,12 +306,12 @@ class ShardedS2PLClient(TwoPhaseCoordinator, S2PLClient):
                 env = self.send(
                     target,
                     PrepareRequest(txn_id=txn_id, client_id=self.client_id,
-                                   updates=by_server[target],
-                                   read_items=tuple(reads_by_server[target]),
+                                   updates=updates[target],
+                                   read_items=(tuple(reads[target])
+                                               if reads else ()),
                                    participants=tuple(targets),
                                    charge=index == 0),
-                    size=CONTROL_SIZE
-                    + len(by_server[target]) * self.config.data_item_size)
+                    size=CONTROL_SIZE + len(updates[target]) * item_size)
                 if tracer is not None and index == 0:
                     tracer.wire_charge(txn_id, env, phase="commit")
             if tracer is not None:
@@ -576,15 +319,13 @@ class ShardedS2PLClient(TwoPhaseCoordinator, S2PLClient):
             try:
                 yield state["event"]
             except Interrupt:
-                # Coordinator crash between prepare and decision: the
-                # participants resolve via cooperative termination.
-                txn.abort("client-crash")
+                txn.abort(in_doubt)
                 return
             finally:
                 self._vote_state.pop(txn_id, None)
             ok = not state["refused"]
         decision_time = self.sim.now
-        want_acks = self.fault_mode and ok
+        want_acks = fault_mode and ok
         if not ok:
             txn.abort("2pc-refused")
         if want_acks:
@@ -592,17 +333,15 @@ class ShardedS2PLClient(TwoPhaseCoordinator, S2PLClient):
                          "event": self.sim.event()}
             self._ack_state[txn_id] = ack_state
         for index, target in enumerate(targets):
-            payload = by_server[target] if (ok and opt) else None
+            payload = updates[target] if (ok and voted is not None) else None
             env = self.send(
                 target,
                 CommitDecision(txn_id=txn_id, commit=ok, updates=payload,
                                commit_time=(decision_time
-                                            if ok and self.fault_mode
-                                            else None),
+                                            if ok and fault_mode else None),
                                ack=want_acks, charge=index == 0),
                 size=CONTROL_SIZE
-                + (len(payload) * self.config.data_item_size
-                   if payload else 0))
+                + (len(payload) * item_size if payload else 0))
             # The decision flight is only *awaited* (and thus chargeable
             # wire time) when acks are requested; in non-fault mode the
             # coordinator commits fire-and-forget, so charging it would
@@ -626,334 +365,7 @@ class ShardedS2PLClient(TwoPhaseCoordinator, S2PLClient):
             finally:
                 self._ack_state.pop(txn_id, None)
         txn.commit()
-        if not self.fault_mode:
+        if not fault_mode:
+            # Fault mode: each participant recorded the commit when the
+            # decision (stamped with ``decision_time``) arrived.
             self.history.record_commit(txn_id, time=decision_time)
-
-
-# ---------------------------------------------------------------------------
-# g-2PL
-# ---------------------------------------------------------------------------
-
-class ShardedG2PLServer(TwoPhaseParticipant, G2PLServer):
-    """One shard's g-2PL home server sharing the global precedence DAG."""
-
-    def __init__(self, sim, config, store, wal, history, site_id,
-                 shard_map, precedence):
-        super().__init__(sim, config, store, wal, history, site_id=site_id)
-        self.shard_map = shard_map
-        self.shard_tag = site_id
-        # Replace the private DAG with the shared, reference-counted one:
-        # chain orders at any shard constrain dispatch at every other.
-        self.precedence = precedence
-        self._init_participant()
-
-    def on_LockRequest(self, msg):
-        if msg.txn_id not in self._dead and msg.txn_id not in self._txns:
-            # First registration at this shard pins the shared node once;
-            # _retire releases exactly one pin per registered shard.
-            self.precedence.acquire(msg.txn_id)
-        super().on_LockRequest(msg)
-
-    def _retire(self, txn_id):
-        entry = self._txns.pop(txn_id, None)
-        if entry is None:
-            # Never registered here (or already retired): a TxnDone fan-out
-            # duplicate must not steal another shard's refcount.
-            return
-        self.precedence.remove_node(txn_id)
-        for item_id in entry.chain_items:
-            self._items[item_id].chain_live.discard(txn_id)
-
-    # -- fault-mode cross-shard commit ----------------------------------------
-
-    def _apply_commit(self, txn_id, writes, commit_time):
-        """Register the commit and install this shard's share of the full
-        writes map (item -> (version, value)), mirroring on_ChainCommit."""
-        if txn_id in self._committed:
-            return
-        self._committed.add(txn_id)
-        self.history.record_commit(txn_id, time=commit_time)
-        for item_id, (version, value) in sorted(writes.items()):
-            if item_id in self._items and version > self.store.version(item_id):
-                self._install_returned(item_id, version, value)
-
-    def on_PrepareRequest(self, msg):
-        txn_id = msg.txn_id
-        vote = txn_id not in self._dead
-        if vote:
-            self._prepared[txn_id] = _PreparedTxn(
-                client_id=msg.client_id,
-                participants=tuple(msg.participants),
-                updates=dict(msg.updates),
-                prepared_at=self.sim.now)
-        self._send_vote(msg, vote)
-
-    def on_CommitDecision(self, msg):
-        txn_id = msg.txn_id
-        staged = self._prepared.pop(txn_id, None)
-        self._end_termination(txn_id)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit("twopc.decision", txn=txn_id, shard=self.site_id,
-                        commit=msg.commit)
-        if msg.commit:
-            if staged is not None:
-                self.twopc_commits.add(txn_id)
-                self._apply_commit(txn_id, staged.updates,
-                                   commit_time=msg.commit_time)
-        else:
-            self.twopc_aborts.add(txn_id)
-            if txn_id in self._txns and txn_id not in self._dead:
-                # Client-initiated abort after a refused vote: retire
-                # silently (the client already knows; its holds forward
-                # unchanged and TxnDone follows).
-                self._dead.add(txn_id)
-                self._retire(txn_id)
-        if msg.ack and staged is not None:
-            self._send_decision_ack(msg, staged.client_id)
-
-    def _repair_chain(self, info):
-        """Defer crash-abort for PREPARED chain members: the transaction
-        may be committed at another shard, so termination must settle it
-        before repair may route around (or abort) it."""
-        now = self.sim.now
-        deferred = False
-        for ref in self._chain_refs_pending(info):
-            staged = self._prepared.get(ref.txn_id)
-            if staged is not None and self._injector.crashed_during(
-                    staged.client_id, staged.prepared_at, now):
-                if ref.txn_id not in self._terminating:
-                    self._start_termination(ref.txn_id)
-                deferred = True
-        if deferred:
-            self._arm_watchdog(info)
-            return
-        super()._repair_chain(info)
-
-    def _outcome_status(self, txn_id):
-        if txn_id in self._committed or txn_id in self.twopc_commits:
-            return "committed"
-        if txn_id in self._prepared:
-            return "prepared"
-        if txn_id in self._dead or txn_id in self.twopc_aborts:
-            return "aborted"
-        return "unknown"
-
-    def _terminate_commit(self, txn_id):
-        staged = self._prepared.pop(txn_id, None)
-        if staged is None:
-            return
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit("twopc.terminate.commit", txn=txn_id,
-                        shard=self.site_id)
-        self.twopc_commits.add(txn_id)
-        # The committed peer holds the stamped decision time.
-        self._apply_commit(txn_id, staged.updates, commit_time=None)
-        # The dead client forwards nothing; chain repair (no longer
-        # deferred now that the doubt is resolved) redistributes its holds.
-
-    def _terminate_abort(self, txn_id):
-        staged = self._prepared.pop(txn_id, None)
-        if staged is None:
-            return
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit("twopc.terminate.abort", txn=txn_id,
-                        shard=self.site_id)
-        self.twopc_aborts.add(txn_id)
-        if txn_id in self._txns:
-            self._abort(txn_id, reason="client-crash")
-
-
-class ShardedG2PLClient(TwoPhaseCoordinator, G2PLClient):
-    """A g-2PL client that coordinates the fault-mode cross-shard commit.
-
-    Outside fault mode nothing changes: the commit point is client-local
-    and the base class already routes requests, returns, and the TxnDone
-    fan-out per touched home server.
-    """
-
-    def __init__(self, sim, client_id, config, history, shard_map):
-        super().__init__(sim, client_id, config, history)
-        self.shard_map = shard_map
-        self._init_coordinator()
-
-    def reset_protocol_state(self):
-        super().reset_protocol_state()
-        self._vote_state.clear()
-        self._ack_state.clear()
-
-    def _register_commit(self, txn):
-        """Fault mode: durably register the commit before forwarding.
-
-        One touched server — the plain ChainCommit round. Several — a 2PC
-        in which every participant stages the transaction's full writes
-        map, so any single survivor can answer termination queries (and
-        install the writes) authoritatively.
-        """
-        txn_id = txn.txn_id
-        writes = {}
-        for item_id in self._txn_holds.get(txn_id, ()):
-            hold = self._holds[(txn_id, item_id)]
-            if hold.committed_write:
-                writes[item_id] = (hold.version + 1, hold.new_value)
-        targets = sorted(self._txn_servers.get(txn_id, set())
-                         or {self.server_id})
-        tracer = self.sim.tracer
-        if len(targets) == 1:
-            event = self.sim.event()
-            self._commit_events[txn_id] = event
-            self.send_control(targets[0],
-                              ChainCommit(txn_id=txn_id,
-                                          client_id=self.client_id,
-                                          writes=writes,
-                                          commit_time=self.sim.now))
-            if tracer is not None:
-                tracer.round_charge(txn_id, "commit", shard=targets[0])
-            try:
-                yield event
-            except Interrupt:
-                txn.abort("commit-limbo")
-                return
-            finally:
-                self._commit_events.pop(txn_id, None)
-            txn.commit()
-            return
-        state = {"need": len(targets), "got": 0, "refused": False,
-                 "event": self.sim.event()}
-        self._vote_state[txn_id] = state
-        for index, target in enumerate(targets):
-            env = self.send(target,
-                            PrepareRequest(txn_id=txn_id,
-                                           client_id=self.client_id,
-                                           updates=writes,
-                                           participants=tuple(targets),
-                                           charge=index == 0),
-                            size=CONTROL_SIZE
-                            + len(writes) * self.config.data_item_size)
-            if tracer is not None and index == 0:
-                tracer.wire_charge(txn_id, env, phase="commit")
-        if tracer is not None:
-            tracer.round_charge(txn_id, "prepare")
-        try:
-            yield state["event"]
-        except Interrupt:
-            # Participants are prepared (or not); termination settles them
-            # and the server-side record is authoritative.
-            txn.abort("commit-limbo")
-            return
-        finally:
-            self._vote_state.pop(txn_id, None)
-        if state["refused"]:
-            txn.abort("2pc-refused")
-            for index, target in enumerate(targets):
-                self.send(target,
-                          CommitDecision(txn_id=txn_id, commit=False,
-                                         charge=index == 0),
-                          size=CONTROL_SIZE)
-            if tracer is not None:
-                tracer.round_charge(txn_id, "decide")
-            return
-        decision_time = self.sim.now
-        ack_state = {"need": len(targets), "got": 0,
-                     "event": self.sim.event()}
-        self._ack_state[txn_id] = ack_state
-        for index, target in enumerate(targets):
-            env = self.send(target,
-                            CommitDecision(txn_id=txn_id, commit=True,
-                                           commit_time=decision_time,
-                                           ack=True, charge=index == 0),
-                            size=CONTROL_SIZE)
-            if tracer is not None and index == 0:
-                tracer.wire_charge(txn_id, env, phase="commit")
-        if tracer is not None:
-            tracer.round_charge(txn_id, "decide")
-        try:
-            yield ack_state["event"]
-        except Interrupt:
-            txn.abort("commit-limbo")
-            return
-        finally:
-            self._ack_state.pop(txn_id, None)
-        txn.commit()
-
-
-# ---------------------------------------------------------------------------
-# Factory
-# ---------------------------------------------------------------------------
-
-def _variant_config(name, config):
-    """Apply the registry's variant pins (``g2pl-basic`` -> no MR1W,
-    ``g2pl-ro`` -> read-group expansion) to a sharded deployment."""
-    if name not in SHARDED_PROTOCOLS:
-        raise ValueError(
-            f"protocol {name!r} does not support sharding; "
-            f"choose from {sorted(SHARDED_PROTOCOLS)}")
-    overrides = {}
-    if name == "g2pl-basic":
-        overrides["mr1w"] = False
-    elif name == "g2pl-ro":
-        overrides["expand_read_groups"] = True
-    return config.replace(**overrides) if overrides else config
-
-
-def make_sharded_protocol(name, sim, config, shard_map, stores, wals,
-                          history, client_ids):
-    """Instantiate one home server per shard plus the sharded clients.
-
-    ``stores`` and ``wals`` map home-server site id -> per-shard instance
-    (each store holds only that shard's items). Returns ``(servers,
-    clients)`` with servers keyed by site id in shard order. Mirrors the
-    registry's variant pins (``g2pl-basic`` -> no MR1W, ``g2pl-ro`` ->
-    read-group expansion).
-    """
-    config = _variant_config(name, config)
-    servers = {}
-    if name == "s2pl":
-        for site_id in shard_map.server_ids:
-            servers[site_id] = ShardedS2PLServer(
-                sim, config, stores[site_id], wals[site_id], history,
-                site_id, shard_map)
-        clients = {client_id: ShardedS2PLClient(sim, client_id, config,
-                                                history, shard_map)
-                   for client_id in client_ids}
-    else:
-        precedence = SharedPrecedence()
-        for site_id in shard_map.server_ids:
-            servers[site_id] = ShardedG2PLServer(
-                sim, config, stores[site_id], wals[site_id], history,
-                site_id, shard_map, precedence)
-        clients = {client_id: ShardedG2PLClient(sim, client_id, config,
-                                                history, shard_map)
-                   for client_id in client_ids}
-    return servers, clients
-
-
-def make_lp_shard(name, sim, config, shard_map, shard, store, wal, history,
-                  client_ids):
-    """One shard's home server plus its co-located clients.
-
-    The LP-partitioned runner (:mod:`repro.core.lp`) builds each logical
-    process with exactly the sites the full factory would have given that
-    shard. A g-2PL shard gets a *private* :class:`SharedPrecedence`: with
-    a shard-local workload (``cross_shard_probability=0``) no transaction
-    ever registers at two shards, so the serial run's shared DAG is the
-    disjoint union of per-shard components and this private graph sees
-    precisely its own component — same nodes, same edges, same refcounts.
-    """
-    config = _variant_config(name, config)
-    site_id = shard_site_id(shard)
-    if name == "s2pl":
-        server = ShardedS2PLServer(sim, config, store, wal, history,
-                                   site_id, shard_map)
-        clients = {client_id: ShardedS2PLClient(sim, client_id, config,
-                                                history, shard_map)
-                   for client_id in client_ids}
-    else:
-        server = ShardedG2PLServer(sim, config, store, wal, history,
-                                   site_id, shard_map, SharedPrecedence())
-        clients = {client_id: ShardedG2PLClient(sim, client_id, config,
-                                                history, shard_map)
-                   for client_id in client_ids}
-    return server, clients

@@ -58,6 +58,14 @@ def shard_site_id(shard):
     return SERVER_SITE_ID if shard == 0 else -shard
 
 
+def home_clients(n_clients, n_shards, shard):
+    """The clients homed on ``shard``: client ``c`` lives with shard
+    ``(c - 1) % n_shards`` — the formula the workload generator and the
+    geo-placement share, and the unit an LP worker hosts."""
+    return [c for c in range(1, n_clients + 1)
+            if (c - 1) % n_shards == shard]
+
+
 class ShardMap:
     """Item -> shard -> home-server routing table.
 
@@ -90,13 +98,16 @@ class ShardMap:
             self._items_of[self._shard_of[item_id]].append(item_id)
         self._items_of = {shard: tuple(items)
                           for shard, items in self._items_of.items()}
+        # every client consults this once per operation
+        self._server_of = {item_id: shard_site_id(shard)
+                           for item_id, shard in self._shard_of.items()}
 
     def shard_of(self, item_id):
         return self._shard_of[item_id]
 
     def server_of(self, item_id):
         """Site id of the home server owning ``item_id``."""
-        return shard_site_id(self._shard_of[item_id])
+        return self._server_of[item_id]
 
     def items_of(self, shard):
         return self._items_of[shard]

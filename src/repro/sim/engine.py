@@ -5,8 +5,8 @@ delivery, timeout, and process resumption passes through it — so it
 binds the heap and counters to locals for the duration of a run (written
 back on exit, including on error), resolves the tracer hook once per run
 instead of per dispatch, and dispatches heap entries straight from the
-popped tuple without re-packing.  ``run`` and ``run_window`` share that
-one loop (:meth:`Simulator._drain`); :meth:`Simulator.step` is the only
+popped tuple without re-packing.  Every ``run`` flavour shares that one
+loop (:meth:`Simulator._drain`); :meth:`Simulator.step` is the only
 other place an entry is popped.
 
 Heap entries are ``(when, seq, callback, args)`` tuples; cancellable
@@ -188,13 +188,13 @@ class Simulator:
 
     # -- run loop -----------------------------------------------------------
 
-    def _drain(self, horizon, inclusive, done=()):
-        """The pop-dispatch loop behind :meth:`run` and :meth:`run_window`.
+    def _drain(self, horizon, done=()):
+        """The pop-dispatch loop behind :meth:`run`.
 
         Processes entries in heap order until the heap drains, ``done``
         turns truthy, or the next entry lies beyond ``horizon`` (entries
-        *at* the horizon are processed only when ``inclusive``).  The
-        clock is left at the last processed entry's timestamp.
+        *at* the horizon are processed).  The clock is left at the last
+        processed entry's timestamp.
         """
         heap = self._heap
         hook = self._engine_hook()
@@ -205,7 +205,7 @@ class Simulator:
         try:
             while heap and not done:
                 when = heap[0][0]
-                if when >= horizon and (when > horizon or not inclusive):
+                if when > horizon:
                     break
                 depth = len(heap)
                 if depth > peak:
@@ -246,30 +246,15 @@ class Simulator:
         if horizon < self._now:
             raise SimulationError(
                 f"cannot run until {horizon} which is before now={self._now}")
-        self._drain(horizon, inclusive=True)
+        self._drain(horizon)
         if horizon != float("inf"):
             self._now = horizon
         return None
 
-    def run_window(self, horizon):
-        """Process every entry strictly before ``horizon``; leave the rest.
-
-        The conservative-synchronization primitive for LP-partitioned runs
-        (``repro.core.lp``): a logical process is granted a window
-        ``[now, horizon)`` during which no other partition can inject an
-        event, drains exactly that window, and reports back.  Unlike
-        :meth:`run`, entries *at* the horizon are not processed and the
-        clock is not advanced to the horizon — the next window's grant
-        depends on the true next-event time, which this method returns
-        (``inf`` when the heap drained).
-        """
-        self._drain(horizon, inclusive=False)
-        return self.peek()
-
     def _run_until_event(self, event):
         done = []
         event.add_callback(done.append)
-        self._drain(float("inf"), inclusive=True, done=done)
+        self._drain(float("inf"), done=done)
         if not done:
             raise SimulationError(
                 "simulation ran out of events before the awaited event fired")

@@ -35,7 +35,7 @@ class Harness:
     """A protocol instance wired to a network, with manual txn launching."""
 
     def __init__(self, protocol, n_clients=3, n_items=4, latency=10.0,
-                 topology=None, **config_overrides):
+                 topology=None, shard_map=None, **config_overrides):
         defaults = dict(
             protocol=protocol, n_clients=n_clients, n_items=n_items,
             network_latency=latency, total_transactions=100,
@@ -49,9 +49,17 @@ class Harness:
         self.network = Network(self.sim,
                                topology or UniformTopology(latency))
         client_ids = list(range(1, n_clients + 1))
-        self.server, self.clients = make_protocol(
-            protocol, self.sim, self.config, self.store, self.wal,
-            self.history, client_ids)
+        if shard_map is None:
+            self.server, self.clients = make_protocol(
+                protocol, self.sim, self.config, self.store, self.wal,
+                self.history, client_ids)
+        else:
+            # the sharded factory form, for a map that has one shard
+            servers, self.clients = make_protocol(
+                protocol, self.sim, self.config, {0: self.store},
+                {0: self.wal}, self.history, client_ids,
+                shard_map=shard_map)
+            self.server = servers[0]
         self.network.add_site(self.server)
         for client in self.clients.values():
             self.network.add_site(client)

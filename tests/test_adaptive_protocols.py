@@ -10,18 +10,24 @@ Three claims are pinned here:
    reproduces the plain g-2PL trajectory exactly (fingerprints compared
    modulo the protocol name and the adapt counters themselves).  This is
    the golden-safety property the RNG-stream isolation exists for.
-3. **Unsupported combinations fail loudly** — lp+hybrid, faults with
-   speculation, adapt flags on static protocols, and sharded adaptive
-   runs are configuration errors, not silent misbehaviour.
+3. **Unsupported combinations fail loudly** — lp with window sizing,
+   faults with speculation and adapt flags on static protocols are
+   configuration errors at construction time, not silent misbehaviour.
+   (Sharded adaptive runs and lp+hybrid / lp+g2pl-spec are supported;
+   ``tests/test_capabilities.py`` and ``tests/test_sharded_correctness.py``
+   cover them.)
 """
 
 import pytest
 
-from repro.core.config import ADAPTIVE_PROTOCOLS, SimulationConfig
+from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
 from repro.perf.fingerprint import result_fingerprint
+from repro.protocols.registry import protocols_with
 
-#: Counters added by AdaptiveG2PLServer.adapt_stats (and the window
+ADAPTIVE_PROTOCOLS = protocols_with("adaptive")
+
+#: Counters added by AdaptiveG2PLServer.stats (and the window
 #: ledger it exposes); stripped before identity comparisons because the
 #: static baseline, by design, does not report them.
 ADAPT_STAT_KEYS = (
@@ -99,7 +105,7 @@ class TestControllersEngage:
         """enqueued == frozen + purged + still-pending; the runner's
         assert_invariants enforces this at close, so a finished run with
         the counters present is the proof."""
-        for protocol in sorted(ADAPTIVE_PROTOCOLS):
+        for protocol in ADAPTIVE_PROTOCOLS:
             config, seed = _config(protocol=protocol)
             result = run_simulation(config, seed=seed)
             stats = result.server_stats
@@ -149,7 +155,7 @@ class TestStaticIdentity:
         "g2pl-spec": dict(spec_margin=1e9),
     }
 
-    @pytest.mark.parametrize("protocol", sorted(ADAPTIVE_PROTOCOLS))
+    @pytest.mark.parametrize("protocol", ADAPTIVE_PROTOCOLS)
     def test_neutralised_variant_matches_g2pl_exactly(self, protocol):
         base_config, seed = _config()
         baseline = _neutral_fingerprint(run_simulation(base_config,
@@ -175,10 +181,13 @@ class TestStaticIdentity:
 # ---------------------------------------------------------------------------
 
 class TestRejectedCombinations:
-    def test_lp_with_hybrid_is_rejected(self):
-        with pytest.raises(ValueError, match="hybrid mode switching"):
-            SimulationConfig(protocol="hybrid", lp=True,
-                             n_shards=2, termination="quota")
+    def test_lp_with_window_sizing_is_rejected(self):
+        # pinned by the protocol name, or switched on beside another pin
+        for overrides in (dict(protocol="g2pl-adaptive"),
+                          dict(protocol="hybrid", adapt_window=True)):
+            with pytest.raises(ValueError, match="adaptive window sizing"):
+                SimulationConfig(lp=True, n_shards=2, termination="quota",
+                                 cross_shard_probability=0.0, **overrides)
 
     def test_faults_with_speculation_rejected_at_config(self):
         with pytest.raises(ValueError, match="speculat"):
@@ -186,31 +195,25 @@ class TestRejectedCombinations:
                              faults="loss=0.05")
 
     def test_faults_with_speculation_rejected_at_run(self):
-        # without the explicit flag the registry applies speculate=True
-        # when it instantiates the protocol; the error must still fire
-        config = SimulationConfig(protocol="g2pl-spec", n_clients=3,
-                                  n_items=4, total_transactions=10,
-                                  warmup_transactions=0,
-                                  faults="loss=0.05")
+        # without the explicit flag it is the registry's pin that turns
+        # speculation on; validation composes pins with flags, so the
+        # error fires before there is anything to run
         with pytest.raises(ValueError, match="speculat"):
-            run_simulation(config, seed=1)
+            SimulationConfig(protocol="g2pl-spec", n_clients=3,
+                             n_items=4, total_transactions=10,
+                             warmup_transactions=0, faults="loss=0.05")
 
     def test_crash_faults_with_speculation_rejected(self):
-        config = SimulationConfig(protocol="g2pl-spec", n_clients=3,
-                                  n_items=4, total_transactions=10,
-                                  warmup_transactions=0,
-                                  faults="crash=2@100:200")
         with pytest.raises(ValueError):
-            run_simulation(config, seed=1)
+            SimulationConfig(protocol="g2pl-spec", n_clients=3,
+                             n_items=4, total_transactions=10,
+                             warmup_transactions=0,
+                             faults="crash=2@100:200")
 
     def test_adapt_flags_require_adaptive_protocol(self):
         for flag in ("adapt_window", "hybrid", "speculate"):
             with pytest.raises(ValueError, match="adaptive protocol"):
                 SimulationConfig(protocol="g2pl", **{flag: True})
-
-    def test_adaptive_protocols_are_single_server(self):
-        with pytest.raises(ValueError, match="single-server"):
-            SimulationConfig(protocol="hybrid", n_shards=2)
 
     def test_describe_mentions_knobs_only_when_adaptive(self):
         static, _ = _config()

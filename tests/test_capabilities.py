@@ -1,0 +1,233 @@
+"""The capability table is the contract: what it accepts runs correctly,
+what it rejects fails when the ``SimulationConfig`` is constructed.
+
+Three batteries, all generated from :mod:`repro.protocols.registry`:
+
+1. **Rejections** — one case per :data:`REJECTIONS` row (plus the unknown
+   protocol), each raising ``ValueError`` with the row's reason from
+   ``SimulationConfig(...)`` itself, never from inside a run (where, in a
+   ``--jobs`` sweep, it would be a worker-side failure after the pool
+   started).
+2. **Capabilities** — protocol x {1, 3 shards} x {no faults, loss+dup,
+   crash} x {2pc, 2pc-opt} x {lp off, on}: every accepted cell runs ~50
+   transactions through serializability, strictness, ``assert_invariants``
+   (window ledger included) and the 2PC-atomicity check — all of which
+   ``run_simulation`` raises on — and every rejected cell raises at
+   construction with a reason from the table.
+3. **Reporting** — for every golden cell the ``server_stats`` key set is
+   exactly the recorded one: a counter a base class starts carrying must
+   not leak into deployments where the thing it counts cannot happen.
+"""
+
+import itertools
+import os
+
+import pytest
+
+from repro.core.config import SimulationConfig
+from repro.core.runner import run_simulation
+from repro.perf.goldens import GOLDEN_CELLS, golden_config, load_golden
+from repro.protocols import registry
+
+# ---------------------------------------------------------------------------
+# 1. every rejection, at construction, with its reason
+# ---------------------------------------------------------------------------
+
+_LP = dict(protocol="g2pl", n_clients=8, n_items=16, n_shards=4,
+           cross_shard_probability=0.0, total_transactions=160,
+           warmup_transactions=20, termination="quota", lp=True)
+
+#: rejection row -> (config keywords that trigger it, fragment of its reason)
+REJECTED = {
+    "regions-need-shards": (dict(n_regions=3), "needs n_shards > 1"),
+    "single-server-protocol": (
+        dict(protocol="c2pl", n_shards=2), "'c2pl' is single-server"),
+    "adapt-flags-need-adaptive-protocol": (
+        dict(protocol="g2pl", hybrid=True), "need an adaptive protocol"),
+    "faults-with-speculation": (
+        dict(protocol="hybrid", speculate=True, faults="loss=0.05"),
+        "incompatible with fault injection"),
+    "crash-with-population": (
+        dict(population=100, faults="crash=2@100:200"),
+        "open-arrival populations"),
+    "crash-without-recovery": (
+        dict(protocol="2v2pl", faults="crash=2@100:200"),
+        "'2v2pl' has no client-crash recovery"),
+    "crash-with-2pc-opt": (
+        dict(protocol="s2pl", n_shards=2, commit_protocol="2pc-opt",
+             faults="crash=2@100:200"), "carry the updates"),
+    "crash-of-unknown-client": (
+        dict(n_clients=50, faults="crash=99@100"),
+        r"unknown client sites \(this run has clients 1..50\)"),
+    "lp-needs-shards": (dict(lp=True, termination="quota"),
+                        "needs n_shards > 1"),
+    "lp-with-window-sizing": (
+        dict(_LP, protocol="g2pl-adaptive"), "run-wide 'adapt.controller'"),
+    "lp-with-global-termination": (
+        dict(_LP, termination="global"), "termination='quota'"),
+    "lp-with-cross-shard-workload": (
+        dict(_LP, cross_shard_probability=0.2), "shard-local workload"),
+    "lp-with-faults": (dict(_LP, faults="loss=0.05"), "fault injection"),
+    "lp-with-tracing": (dict(_LP, probe_interval=100.0),
+                        "tracing or probes"),
+    "lp-with-mpl": (dict(_LP, mpl=2), "mpl=1"),
+    "lp-with-streaming-metrics": (dict(_LP, streaming=True),
+                                  "exact metrics"),
+    "lp-with-fewer-clients-than-shards": (
+        dict(_LP, n_clients=3), "3 clients < 4 shards"),
+}
+
+
+def test_every_rejection_row_has_a_case():
+    assert sorted(REJECTED) == sorted(rule.name
+                                      for rule in registry.REJECTIONS)
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_at_construction_with_the_rows_reason(name):
+    keywords, fragment = REJECTED[name]
+    with pytest.raises(ValueError, match=fragment) as excinfo:
+        SimulationConfig(**keywords)
+    # the first row that applies is the one named: the message is the
+    # row's own reason, not an earlier rule's
+    rule = next(rule for rule in registry.REJECTIONS if rule.name == name)
+    assert str(excinfo.value).startswith(rule.reason.split("{")[0])
+
+
+def test_unknown_protocol_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="unknown protocol 'zpl'"):
+        SimulationConfig(protocol="zpl")
+
+
+def test_replace_revalidates():
+    config = SimulationConfig(protocol="s2pl", n_shards=2)
+    with pytest.raises(ValueError, match="single-server"):
+        config.replace(protocol="c2pl")
+
+
+def test_lifted_rejections_construct():
+    for protocol in registry.protocols_with("adaptive"):
+        assert SimulationConfig(protocol=protocol, n_shards=3).n_shards == 3
+        assert registry.PROTOCOLS[protocol].shardable
+    for protocol in ("hybrid", "g2pl-spec"):
+        assert SimulationConfig(**dict(_LP, protocol=protocol)).lp
+        assert registry.lp_eligible(protocol)
+    assert not registry.lp_eligible("g2pl-adaptive")
+
+
+def test_registered_protocol_without_capabilities_is_single_server():
+    from repro.protocols.s2pl import S2PLClient, S2PLServer
+
+    registry.register("plain2pl", S2PLServer, S2PLClient)
+    try:
+        assert SimulationConfig(protocol="plain2pl").protocol == "plain2pl"
+        with pytest.raises(ValueError, match="single-server"):
+            SimulationConfig(protocol="plain2pl", n_shards=2)
+        with pytest.raises(ValueError, match="no client-crash recovery"):
+            SimulationConfig(protocol="plain2pl", faults="crash=2@100")
+        assert not registry.lp_eligible("plain2pl")
+    finally:
+        del registry.PROTOCOLS["plain2pl"]
+
+
+def test_readme_carries_the_registrys_table():
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        assert registry.capability_table() in handle.read()
+
+
+# ---------------------------------------------------------------------------
+# 2. the capability battery
+# ---------------------------------------------------------------------------
+
+FAULTS = {"clean": None, "lossy": "loss=0.05,dup=0.02",
+          "crash": "loss=0.02,crash=2@300:900"}
+
+BATTERY = [
+    pytest.param(protocol, n_shards, faults, commit, lp,
+                 id=f"{protocol}-{n_shards}sh-{faults}-{commit}"
+                    f"{'-lp' if lp else ''}")
+    for protocol, n_shards, faults, commit, lp in itertools.product(
+        registry.available_protocols(), (1, 3), FAULTS, ("2pc", "2pc-opt"),
+        (False, True))]
+
+
+def _expected_rejection(protocol, n_shards, faults, commit, lp):
+    """The battery's own reading of the table: the name of a rule that
+    must reject the cell, or None when it must run."""
+    row = registry.PROTOCOLS[protocol]
+    if n_shards > 1 and not row.shardable:
+        return "single-server-protocol"
+    if faults != "clean" and row.pins.get("speculate"):
+        return "faults-with-speculation"
+    if faults == "crash" and not row.crash_recovery:
+        return "crash-without-recovery"
+    if faults == "crash" and n_shards > 1 and commit == "2pc-opt":
+        return "crash-with-2pc-opt"
+    if lp and n_shards == 1:
+        return "lp-needs-shards"
+    if lp and row.pins.get("adapt_window"):
+        return "lp-with-window-sizing"
+    if lp and faults != "clean":
+        return "lp-with-faults"
+    return None
+
+
+@pytest.mark.parametrize("protocol,n_shards,faults,commit,lp", BATTERY)
+def test_capability_battery(protocol, n_shards, faults, commit, lp):
+    keywords = dict(
+        protocol=protocol, n_clients=6, n_items=12, n_shards=n_shards,
+        n_regions=n_shards, commit_protocol=commit, faults=FAULTS[faults],
+        network_latency=40.0, intra_region_latency=1.0,
+        read_probability=0.5, total_transactions=48,
+        warmup_transactions=0, record_history=True, lp=lp,
+        # an LP run is shard-closed and per-client; everything else mixes
+        # local and cross-shard transactions under the paper's rule
+        cross_shard_probability=(0.0 if lp else
+                                 0.5 if n_shards > 1 else None),
+        termination="quota" if lp else "global")
+    expected = _expected_rejection(protocol, n_shards, faults, commit, lp)
+    if expected is not None:
+        rule = next(rule for rule in registry.REJECTIONS
+                    if rule.name == expected)
+        with pytest.raises(ValueError) as excinfo:
+            SimulationConfig(**keywords)
+        assert str(excinfo.value).startswith(rule.reason.split("{")[0])
+        return
+    config = SimulationConfig(**keywords)
+    # raises on a non-serializable or non-strict history, a failed server
+    # invariant (precedence cycle, window-ledger leak) or a transaction
+    # committed at one shard and aborted at another
+    result = run_simulation(config, seed=5)
+    assert result.metrics.finished == 48
+    assert result.metrics.committed > 0
+    if lp:
+        assert result.engine_stats["lp_workers"] == n_shards
+    else:
+        assert result.serializability.ok
+    assert ("twopc_commits" in result.server_stats) == (n_shards > 1)
+    if "window_enqueued" in result.server_stats:
+        stats = result.server_stats
+        assert stats["window_enqueued"] >= (stats["window_frozen"]
+                                            + stats["window_purged"])
+
+
+# ---------------------------------------------------------------------------
+# 3. declared stats: the reported key set is the recorded one
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CELLS))
+def test_server_stats_keys_match_the_golden(name):
+    config, seed = golden_config(name)
+    # the key set depends on the deployment, not on how long it runs
+    small = config.replace(total_transactions=30, warmup_transactions=5)
+    result = run_simulation(small, seed=seed)
+    recorded = load_golden(name)["fingerprint"]["server_stats"]
+    assert sorted(result.server_stats) == sorted(recorded)
+    if config.n_shards == 1:
+        leaked = {"n_shards", "terminations_started", "presumed_aborts",
+                  "distributed_deadlocks"} | {
+                      key for key in result.server_stats
+                      if key.startswith("twopc_")}
+        assert not leaked & set(result.server_stats)

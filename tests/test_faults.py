@@ -322,13 +322,11 @@ class TestFaultedRuns:
 
     def test_crash_requires_capable_protocol(self):
         with pytest.raises(ValueError, match="crash"):
-            run_simulation(faulted_config("c2pl", faults="crash=1@100"),
-                           seed=1)
+            faulted_config("c2pl", faults="crash=1@100")
 
     def test_crash_on_unknown_client_rejected(self):
         with pytest.raises(ValueError, match="unknown client"):
-            run_simulation(faulted_config("s2pl", faults="crash=9@100"),
-                           seed=1)
+            faulted_config("s2pl", faults="crash=9@100")
 
     def test_same_seed_reruns_are_bit_identical(self):
         first = run_simulation(faulted_config("g2pl"), seed=5)

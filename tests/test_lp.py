@@ -1,14 +1,13 @@
 """LP-partitioned runs must reproduce the serial trajectory bit for bit.
 
 ``lp=True`` splits a shard-closed run (cross_shard_probability=0.0,
-quota termination) into one logical process per shard, each with its own
-heap, synchronized by conservative lookahead.  The committed
-``*_lp_quota`` goldens were recorded *serially*; every test here replays
-them through the multi-process LP runner (and its windowed
-finite-lookahead variant) and requires the canonical fingerprint to
+quota termination) into one logical process per shard, each free-running
+on its own heap in its own OS process.  The committed ``*_lp_quota``
+goldens were recorded *serially*; every test here replays them through
+the multi-process LP runner and requires the canonical fingerprint to
 match byte for byte.  Also covered: the nested-pool fallback (``lp=True``
 inside a worker process degrades to the serial path with a warning, not
-a crash) and the eligibility validation.
+a crash) and the eligibility rules, which reject at construction time.
 """
 
 import dataclasses
@@ -22,7 +21,7 @@ from repro.core.runner import run_simulation
 from repro.perf.fingerprint import fingerprint_digest, result_fingerprint
 from repro.perf.goldens import golden_config, load_golden
 
-LP_CELLS = ("g2pl_lp_quota", "s2pl_lp_quota")
+LP_CELLS = ("g2pl_lp_quota", "s2pl_lp_quota", "hybrid_lp_quota")
 
 
 def _lp_config(name):
@@ -46,14 +45,23 @@ class TestLpReplay:
         _assert_matches_golden(name, result)
         assert result.engine_stats["lp_workers"] == config.n_shards
 
-    def test_windowed_lookahead_matches_serial_golden(self):
-        # A finite lookahead forces the real window-synchronization
-        # protocol (ready/window/at round trips) instead of the single
-        # unbounded window that p=0 permits.  Trajectories must not move.
-        name = "g2pl_lp_quota"
-        config, seed = _lp_config(name)
-        result = lp.run_lp_simulation(config, seed=seed, lookahead=50.0)
-        _assert_matches_golden(name, result)
+    @pytest.mark.parametrize("overrides,engaged", [
+        (dict(protocol="hybrid"), "mode_switches"),
+        # one region: at intra-region latency 1 an item is home again long
+        # before the quiescence bound (1.5 x 100) can prove a window final
+        (dict(protocol="g2pl-spec", n_regions=1), "spec_extensions"),
+        (dict(protocol="hybrid", speculate=True, n_regions=1), "spec_hits"),
+    ], ids=["hybrid", "g2pl-spec", "hybrid+speculate"])
+    def test_adaptive_lp_run_equals_serial_including_adapt_stats(
+            self, overrides, engaged):
+        # The whole fingerprint, controller counters included: the serial
+        # runner and the LP merge share one stats merge.
+        config, seed = golden_config("hybrid_lp_quota")
+        config = config.replace(**overrides)
+        serial = run_simulation(config, seed=seed)
+        parallel = run_simulation(config.replace(lp=True), seed=seed)
+        assert result_fingerprint(parallel) == result_fingerprint(serial)
+        assert parallel.server_stats[engaged] > 0
 
 
 class TestNestedPoolFallback:
@@ -103,14 +111,9 @@ class TestValidation:
         (dict(n_clients=3), "at least one client per shard"),
     ])
     def test_ineligible_configs_are_rejected(self, overrides, fragment):
+        # at construction: a --jobs sweep must fail before its pool starts
         with pytest.raises(ValueError, match=fragment):
-            lp.validate_lp_config(self._base(**overrides))
+            self._base(**overrides)
 
-    def test_lookahead_is_min_cross_shard_latency(self):
-        config = self._base(cross_shard_probability=0.0)
-        assert lp.derive_lookahead(config) == float("inf")
-
-    def test_lookahead_must_be_positive(self):
-        config = self._base()
-        with pytest.raises(ValueError, match="lookahead"):
-            lp.run_lp_simulation(config, seed=11, lookahead=0.0)
+    def test_eligible_config_constructs(self):
+        assert self._base().lp

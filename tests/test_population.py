@@ -610,9 +610,8 @@ class TestPopulationConfig:
         assert "population" not in SimulationConfig().describe()
 
     def test_crash_faults_rejected_with_population(self):
-        config = popn_config(faults="crash=2@1000:2000")
         with pytest.raises(ValueError, match="crash faults"):
-            run_simulation(config)
+            popn_config(faults="crash=2@1000:2000")
 
     def test_loss_faults_still_allowed(self):
         result = run_simulation(popn_config(

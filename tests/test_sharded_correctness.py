@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
 from repro.network.topology import RegionTopology
+from repro.protocols.registry import protocols_with
 from repro.protocols.sharding import ShardMap, shard_site_id
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,7 @@ def test_random_region_matrices_have_two_tiers(data):
 # ---------------------------------------------------------------------------
 
 SHARDED_CONFIGS = st.fixed_dictionaries({
-    "protocol": st.sampled_from(["s2pl", "g2pl", "g2pl-basic", "g2pl-ro"]),
+    "protocol": st.sampled_from(protocols_with("shardable")),
     "n_clients": st.integers(min_value=2, max_value=6),
     "n_items": st.integers(min_value=4, max_value=10),
     "n_shards": st.integers(min_value=2, max_value=4),
@@ -113,12 +114,33 @@ def test_random_sharded_configurations_stay_correct(params):
     assert stats["twopc_commits"] <= result.metrics.committed
 
 
+# Directed cells: on the sharded chassis each adaptive controller does
+# more than construct — it engages (the validators above run here too).
+@pytest.mark.parametrize("protocol,faults,engaged", [
+    ("g2pl-adaptive", None, ("window_holds",)),
+    ("hybrid", None, ("mode_switches", "windows_single")),
+    ("g2pl-spec", None, ("spec_extensions", "spec_hits", "spec_misses")),
+    ("g2pl-adaptive", "loss=0.05,dup=0.02", ("window_holds",)),
+    ("hybrid", "loss=0.05,dup=0.02", ("mode_switches", "twopc_commits")),
+])
+def test_adaptive_controllers_engage_when_sharded(protocol, faults, engaged):
+    config = SimulationConfig(
+        protocol=protocol, n_clients=6, n_items=12, n_shards=3, n_regions=3,
+        cross_shard_probability=0.5, network_latency=100.0,
+        intra_region_latency=1.0, faults=faults, total_transactions=150,
+        warmup_transactions=10, record_history=True)
+    result = run_simulation(config, seed=3)
+    assert result.serializability.ok
+    for counter in engaged:
+        assert result.server_stats[counter] > 0, counter
+
+
 # ---------------------------------------------------------------------------
 # Random fault specs: loss, jitter, crashes
 # ---------------------------------------------------------------------------
 
 FAULTED_CONFIGS = st.fixed_dictionaries({
-    "protocol": st.sampled_from(["s2pl", "g2pl"]),
+    "protocol": st.sampled_from(["s2pl", "g2pl", "g2pl-adaptive", "hybrid"]),
     "n_shards": st.integers(min_value=2, max_value=4),
     "loss": st.sampled_from([0.0, 0.02, 0.05]),
     "jitter": st.sampled_from([0.0, 5.0]),
@@ -131,7 +153,8 @@ FAULTED_CONFIGS = st.fixed_dictionaries({
 @settings(max_examples=10, deadline=None)
 def test_random_fault_specs_keep_sharded_runs_correct(params):
     clauses = [f"loss={params['loss']}", f"jitter={params['jitter']}"]
-    if params["crash"] is not None:
+    if (params["crash"] is not None
+            and params["protocol"] in protocols_with("crash_recovery")):
         client, at, restart = params["crash"]
         clause = f"crash={client}@{at:g}"
         if restart is not None:
@@ -164,14 +187,14 @@ def test_prepared_state_is_settled_after_permanent_coordinator_crash(
     import repro.core.runner as runner_mod
 
     captured = {}
-    real = runner_mod.make_sharded_protocol
+    real = runner_mod.make_protocol
 
     def capture(*args, **kwargs):
         servers, clients = real(*args, **kwargs)
         captured["servers"] = servers
         return servers, clients
 
-    monkeypatch.setattr(runner_mod, "make_sharded_protocol", capture)
+    monkeypatch.setattr(runner_mod, "make_protocol", capture)
     config = SimulationConfig(
         protocol=protocol, n_clients=5, n_items=10, n_shards=4,
         n_regions=2, cross_shard_probability=0.7, read_probability=0.3,

@@ -10,11 +10,8 @@ from repro.network.topology import RegionTopology
 from repro.network.transport import Network
 from repro.obs.probes import default_sources
 from repro.obs.rounds import expected_txn_rounds
-from repro.protocols.sharded import (
-    ShardedS2PLServer,
-    _PreparedTxn,
-    make_sharded_protocol,
-)
+from repro.protocols.s2pl import S2PLServer
+from repro.protocols.sharded import _PreparedTxn
 from repro.protocols.sharding import (
     ShardMap,
     SharedPrecedence,
@@ -149,22 +146,18 @@ def test_config_rejects_unknown_commit_protocol():
 def test_opt_commit_with_crash_faults_is_rejected():
     # 2pc-opt decisions carry the updates, so a participant could learn
     # an outcome through termination but never the data: forbidden.
-    config = SimulationConfig(
-        protocol="s2pl", n_clients=4, n_items=8, n_shards=2,
-        commit_protocol="2pc-opt", faults="crash=2@100:200",
-        total_transactions=20, warmup_transactions=0)
-    with pytest.raises(ValueError):
-        run_simulation(config)
+    with pytest.raises(ValueError, match="2pc-opt"):
+        SimulationConfig(
+            protocol="s2pl", n_clients=4, n_items=8, n_shards=2,
+            commit_protocol="2pc-opt", faults="crash=2@100:200",
+            total_transactions=20, warmup_transactions=0)
 
 
 def test_unsharded_protocols_cannot_be_sharded():
-    shard_map = ShardMap(2, 4)
-    config = SimulationConfig(protocol="c2pl", n_items=4, n_shards=2)
-    stores = {0: VersionedStore((0, 1)), -1: VersionedStore((2, 3))}
-    wals = {0: WriteAheadLog(), -1: WriteAheadLog()}
-    with pytest.raises(ValueError):
-        make_sharded_protocol("c2pl", Simulator(), config, shard_map,
-                              stores, wals, HistoryRecorder(), [1, 2])
+    # a row of the capability table, rejected before any site is built
+    for protocol in ("c2pl", "2v2pl"):
+        with pytest.raises(ValueError, match="single-server"):
+            SimulationConfig(protocol=protocol, n_items=4, n_shards=2)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +176,8 @@ def _sharded_config(protocol, **overrides):
 
 
 @pytest.mark.parametrize("protocol", ["s2pl", "g2pl", "g2pl-basic",
-                                      "g2pl-ro"])
+                                      "g2pl-ro", "g2pl-adaptive", "hybrid",
+                                      "g2pl-spec"])
 def test_sharded_run_commits_and_validates(protocol):
     # record_history=True: run_simulation itself raises on any
     # serializability / strictness / 2PC-atomicity violation.
@@ -218,19 +212,29 @@ def test_opt_commit_saves_rounds_and_beats_classic():
 
 
 def test_single_shard_sharded_config_matches_plain_run():
-    # n_shards=1 never enters the sharded assembly at all; the result is
-    # the plain single-server run, field for field.
-    from repro.perf.fingerprint import result_fingerprint
+    # There is one path: the classes that run a shard run the whole
+    # database. Built on a one-shard map they must replay the
+    # shard_map=None run event for event (deadlock and abort included);
+    # what the map adds is reporting — per-shard round attribution and
+    # the 2PC counters — not behaviour.
+    from tests.helpers import Harness, R, W, spec
 
-    plain = run_simulation(SimulationConfig(
-        protocol="s2pl", n_clients=5, n_items=8, read_probability=0.5,
-        network_latency=25.0, total_transactions=50,
-        warmup_transactions=0, seed=9))
-    again = run_simulation(SimulationConfig(
-        protocol="s2pl", n_clients=5, n_items=8, read_probability=0.5,
-        network_latency=25.0, total_transactions=50,
-        warmup_transactions=0, seed=9, n_shards=1, n_regions=1))
-    assert result_fingerprint(plain) == result_fingerprint(again)
+    for protocol in ("s2pl", "g2pl"):
+        runs = []
+        for shard_map in (None, ShardMap(1, 4)):
+            h = Harness(protocol, n_clients=3, n_items=4,
+                        shard_map=shard_map, commit_protocol="2pc-opt")
+            h.launch(1, spec((0, W), (1, R)), txn_id=1)
+            h.launch(2, spec((1, W), (0, W)), delay=0.5, txn_id=2)
+            h.launch(3, spec((0, R), (2, W), (3, R)), delay=1.0, txn_id=3)
+            outcomes = h.run()
+            assert len(outcomes) == 3
+            runs.append((h.sim.now, h.sim.processed_events,
+                         h.network.stats.messages_sent, outcomes))
+            reported = h.server.stats()
+            assert ("twopc_commits" in reported) == (shard_map is not None)
+            assert not reported.get("twopc_commits")
+        assert runs[0] == runs[1], protocol
 
 
 def test_sharded_runs_are_deterministic_across_jobs():
@@ -276,7 +280,7 @@ def _two_shard_servers():
     network = Network(sim, UniformTopology(5.0))
     servers = []
     for shard, site_id in enumerate(shard_map.server_ids):
-        server = ShardedS2PLServer(
+        server = S2PLServer(
             sim, config, VersionedStore(shard_map.items_of(shard)),
             WriteAheadLog(), history, site_id=site_id, shard_map=shard_map)
         network.add_site(server)
@@ -350,6 +354,9 @@ def test_mid_2pc_coordinator_crash_is_terminated_end_to_end():
 # ---------------------------------------------------------------------------
 
 class _FakeServer:
+    gauges = (("lock_queue_depth", "queue_depth"),
+              ("fl_occupancy", "fl_occupancy"))
+
     def __init__(self, depth, fl):
         self._depth = depth
         self._fl = fl

@@ -192,11 +192,11 @@ def test_step_feeds_the_engine_trace_hook():
     assert _dispatch_samples(stepped) == _dispatch_samples(ran)
 
 
-# -- one loop, five drivers ---------------------------------------------------
+# -- one loop, four drivers ---------------------------------------------------
 #
-# run(), run(until=t), run_window(t), run(until=event) and step() share
-# one pop-dispatch body; whichever way a schedule is driven it must
-# replay the same callbacks, counters and per-entry hook samples.
+# run(), run(until=t), run(until=event) and step() share one
+# pop-dispatch body; whichever way a schedule is driven it must replay
+# the same callbacks, counters and per-entry hook samples.
 
 _END = 50.0  # sentinel timeout, later than any generated entry (<= 4 + 3)
 
@@ -240,11 +240,6 @@ def _observed(sim, order):
             sim.cancelled_events, _dispatch_samples(sim))
 
 
-def _last_dispatch_time(sim):
-    samples = _dispatch_samples(sim)
-    return samples[-1][0] if samples else 0.0
-
-
 @given(SCHEDULES, CUTS)
 @settings(max_examples=150, deadline=None)
 def test_every_driver_replays_the_same_trajectory(schedule, cuts):
@@ -263,18 +258,6 @@ def test_every_driver_replays_the_same_trajectory(schedule, cuts):
         assert sim.now == t
         assert sim.peek() > t
     sim.run()
-    assert _observed(sim, order) == reference
-
-    # run_window(t) leaves entries at t, keeps the clock on the last
-    # entry it processed, and returns the next timestamp
-    sim, order, _ = _build(schedule)
-    for t in cuts:
-        upcoming = sim.run_window(t)
-        assert upcoming == sim.peek() >= t
-        if t == boundary:
-            assert upcoming == t
-        assert sim.now == _last_dispatch_time(sim)  # some entry before t
-    assert sim.run_window(float("inf")) == float("inf")
     assert _observed(sim, order) == reference
 
     sim, order, end = _build(schedule)
