@@ -1,0 +1,102 @@
+#!/usr/bin/env python
+"""Count the bytecodes one closed-loop run executes, by function.
+
+A deterministic instrument for sizing and locating interpreter work: the
+same seed gives the same counts on the same interpreter version, however
+noisy the host.  It runs 1,500 Table-1 transactions (50 clients, 25
+items, read probability 0.6, latency 500 — the ledger's ``closed_*``
+configuration) of the named protocol under ``sys.settrace`` with opcode
+events on, and prints the total, the share spent inside ``repro``, the
+share spent in dataclass-generated ``__init__`` bodies, and the top
+functions.
+
+    python scripts/bytecodes.py g2pl --seed 37
+    python scripts/bytecodes.py s2pl --top 30 --faults loss=0.03,dup=0.01
+
+Counts are specific to the interpreter version (3.11 and 3.12 compile
+the same source to different instruction streams), so compare two trees
+under one interpreter and never gate on an absolute number.  What the
+count cannot see — inline-cache misses, attribute-layout cliffs — is in
+EXPERIMENTS.md appendix M.
+"""
+
+import argparse
+import os
+import sys
+from collections import Counter
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from repro.core.config import SimulationConfig  # noqa: E402
+from repro.core.runner import run_simulation  # noqa: E402
+
+TRANSACTIONS = 1500
+TABLE_1 = dict(n_clients=50, n_items=25, read_probability=0.6,
+               network_latency=500.0)
+
+
+def count_bytecodes(protocol, seed, faults=None):
+    """``(Counter keyed by (file, line, function), result)`` for one run."""
+    config = SimulationConfig(
+        protocol=protocol, total_transactions=TRANSACTIONS,
+        warmup_transactions=TRANSACTIONS // 10, faults=faults,
+        record_history=False, **TABLE_1)
+    counts = Counter()
+
+    def local_trace(frame, event, _arg):
+        if event == "opcode":
+            code = frame.f_code
+            counts[code.co_filename, code.co_firstlineno, code.co_name] += 1
+        return local_trace
+
+    def global_trace(frame, _event, _arg):
+        frame.f_trace_opcodes = True
+        return local_trace
+
+    sys.settrace(global_trace)
+    try:
+        result = run_simulation(config, seed=seed)
+    finally:
+        sys.settrace(None)
+    return counts, result
+
+
+def describe(counts, result, top):
+    total = sum(counts.values())
+    src = os.path.join("src", "repro") + os.sep
+    in_repro = sum(n for (path, _, _), n in counts.items() if src in path)
+    # dataclass-generated methods are compiled from a "<string>" source
+    generated = sum(n for (path, _, name), n in counts.items()
+                    if path == "<string>" and name == "__init__")
+    lines = [
+        f"{result.config.protocol}: {total:,} bytecodes for "
+        f"{result.metrics.finished + result.metrics.warmup_discarded:,} "
+        f"transactions ({result.metrics.committed:,} measured commits, "
+        f"{result.engine_stats['processed_events']:,} heap entries)",
+        f"  inside src/repro: {in_repro:,} ({in_repro / total:.1%})",
+        f"  dataclass __init__: {generated:,} ({generated / total:.1%})",
+        f"  top {top} functions:",
+    ]
+    for (path, line, name), n in counts.most_common(top):
+        where = path.split(src)[-1] if src in path else os.path.basename(path)
+        lines.append(f"    {n:>12,}  {n / total:6.1%}  {where}:{line} {name}")
+    return "\n".join(lines)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("protocol", help="protocol name, e.g. s2pl or g2pl")
+    parser.add_argument("--seed", type=int, default=37)
+    parser.add_argument("--top", type=int, default=20)
+    parser.add_argument("--faults", default=None,
+                        help="fault spec, e.g. loss=0.03,dup=0.01")
+    args = parser.parse_args(argv)
+    counts, result = count_bytecodes(args.protocol, args.seed,
+                                     faults=args.faults)
+    print(describe(counts, result, args.top))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,7 +6,11 @@ a small **kernel contract** — the subset of
 
 * ``now`` — the current time, in *simulation time units*;
 * ``event()`` / ``timeout(delay)`` / ``all_of`` / ``any_of`` — event
-  construction (:mod:`repro.sim.events`);
+  construction (:mod:`repro.sim.events`); an event's ``succeed`` /
+  ``succeed_after(delay, value)`` / ``fail`` reach the kernel through its
+  ``_enqueue_triggered`` and ``_schedule`` hooks, which both kernels
+  implement, so a grant armed to fire one think time later behaves the
+  same here as under the simulator;
 * ``spawn(generator)`` — run a generator as a process
   (:mod:`repro.sim.process`);
 * ``call_soon`` / ``call_later`` / ``call_later_cancellable`` —

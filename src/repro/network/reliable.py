@@ -21,7 +21,7 @@ from repro.sim.timers import Timer
 ACK_SIZE = 0.25
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Reliable:
     """Wrapper for a payload sent over the reliable channel."""
 
@@ -30,7 +30,7 @@ class Reliable:
     incarnation: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReliableAck:
     """Receiver → sender: copy ``(incarnation, seq)`` arrived."""
 

@@ -248,20 +248,6 @@ class ProtocolClient(_Dispatcher):
     def execute(self, txn):
         raise NotImplementedError
 
-    def think(self, txn_id, duration):
-        """Client-side processing pause, charged to the transaction's
-        think-time account. Touches only the kernel contract, so it runs
-        identically under the simulator and the live kernel.
-
-        Hot op loops may inline the untraced equivalent
-        (``yield self.sim.timeout(duration)``) to skip the delegated
-        generator frame; this method is the traced path and the contract.
-        """
-        yield self.sim.timeout(duration)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.think_charge(txn_id, duration)
-
     def send_control(self, dst, payload):
         self.send(dst, payload, size=CONTROL_SIZE)
 

@@ -284,15 +284,13 @@ class C2PLClient(S2PLClient):
                           LockRequest(txn_id=txn.txn_id, item_id=op.item_id,
                                       mode=op.mode, client_id=self.client_id),
                           size=CONTROL_SIZE)
-                requested_at = self.sim.now
                 event = self.sim.event()
-                self._grant_events[txn.txn_id] = event
-                msg = yield event
+                self._grant_events[txn.txn_id] = (event, self.sim.now,
+                                                  op.think_time)
+                msg = yield event  # fires think_time after the grant
                 if isinstance(msg, AbortNotice):
                     txn.abort(msg.reason)
                     break
-                self.op_waits.append(self.sim.now - requested_at)
-                yield self.sim.timeout(op.think_time)
                 notice = self._abort_flags.pop(txn.txn_id, None)
                 if notice is not None:
                     txn.abort(notice.reason)

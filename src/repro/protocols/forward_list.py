@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from repro.locking.modes import LockMode
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TxnRef:
-    """Enough identity to route messages to a transaction."""
+    """Enough identity to route messages to a transaction (hashed inside
+    :meth:`FLEntry.__hash__`, hence ``unsafe_hash``)."""
 
     txn_id: int
     client_id: int

@@ -147,7 +147,7 @@ def dispatch_chain(sender, item_id, version, value, fl, mr1w, epoch=0):
 # Server
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _WindowRequest:
     ref: TxnRef
     mode: object
@@ -899,7 +899,7 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
         super().__init__(sim, client_id, config, history, shard_map=shard_map)
         self._init_coordinator()
         self._active = {}
-        self._grant_events = {}   # txn_id -> (item_id, Event)
+        self._grant_events = {}   # txn_id -> (item, Event, requested, think)
         self._abort_flags = {}
         self._holds = {}          # (txn_id, item_id) -> _Hold
         self._txn_holds = {}      # txn_id -> set(item_id)
@@ -1024,9 +1024,9 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
     def on_AbortNotice(self, msg):
         txn = self._active.get(msg.txn_id)
         if txn is not None:
-            pending = self._grant_events.get(msg.txn_id)
-            if pending is not None and not pending[1].triggered:
-                del self._grant_events[msg.txn_id]
+            pending = self._grant_events.pop(msg.txn_id, None)
+            if pending is not None:
+                # same-timestamp hop kept: the continuation sends, records
                 pending[1].succeed(msg)
             else:
                 self._abort_flags[msg.txn_id] = msg
@@ -1045,10 +1045,12 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
     def _progress(self, hold):
         if hold.ready_for_txn:
             pending = self._grant_events.get(hold.txn_id)
-            if (pending is not None and pending[0] == hold.item_id
-                    and not pending[1].triggered):
+            if pending is not None and pending[0] == hold.item_id:
+                # one heap entry for grant + think: the coroutine wakes once
                 del self._grant_events[hold.txn_id]
-                pending[1].succeed(hold)
+                _, event, requested_at, think_time = pending
+                self.op_waits.append(self.sim.now - requested_at)
+                event.succeed_after(think_time, hold)
         self._try_release(hold.txn_id)
 
     def _try_release(self, txn_id):
@@ -1235,56 +1237,51 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
         return self.make_outcome(txn, start_time, end_time)
 
     def _run_ops(self, txn):
-        tracer = self.sim.tracer
+        sim = self.sim
+        tracer = sim.tracer
+        txn_id = txn.txn_id
+        routed = self.shard_map is not None
+        home = self.server_id
         try:
             for op in txn.spec.operations:
-                home = self.home_of(op.item_id)
-                self._txn_servers.setdefault(txn.txn_id, set()).add(home)
+                item_id = op.item_id
+                if routed:
+                    # (unrouted, TxnDone and commit default to the server)
+                    home = self.home_of(item_id)
+                    self._txn_servers.setdefault(txn_id, set()).add(home)
                 env = self.send(home,
-                                LockRequest(txn_id=txn.txn_id,
-                                            item_id=op.item_id,
+                                LockRequest(txn_id=txn_id, item_id=item_id,
                                             mode=op.mode,
                                             client_id=self.client_id),
                                 size=CONTROL_SIZE)
                 if tracer is not None:
-                    tracer.round_charge(txn.txn_id, "request")
-                    tracer.wire_charge(txn.txn_id, env)
-                requested_at = self.sim.now
-                event = self.sim.event()
-                self._grant_events[txn.txn_id] = (op.item_id, event)
-                # The hold may already be ready (e.g. data raced ahead);
-                # re-check before suspending.
-                hold = self._holds.get((txn.txn_id, op.item_id))
-                if hold is not None and hold.ready_for_txn \
-                        and not event.triggered:
-                    del self._grant_events[txn.txn_id]
-                    event.succeed(hold)
-                msg = yield event
+                    tracer.round_charge(txn_id, "request")
+                    tracer.wire_charge(txn_id, env)
+                event = sim.event()
+                self._grant_events[txn_id] = (item_id, event, sim.now,
+                                              op.think_time)
+                hold = self._holds.get((txn_id, item_id))
+                if hold is not None:
+                    self._progress(hold)  # the data may have raced ahead
+                msg = yield event  # fires think_time after the grant
                 if isinstance(msg, AbortNotice):
                     txn.abort(msg.reason)
                     break
-                self.op_waits.append(self.sim.now - requested_at)
                 hold = msg
-                if tracer is None:
-                    yield self.sim.timeout(op.think_time)
-                else:
-                    yield from self.think(txn.txn_id, op.think_time)
-                notice = self._abort_flags.pop(txn.txn_id, None)
+                if tracer is not None:
+                    tracer.think_charge(txn_id, op.think_time)
+                notice = self._abort_flags.pop(txn_id, None)
                 if notice is not None:
                     txn.abort(notice.reason)
                     break
                 txn.ops_done += 1
+                version = hold.version
                 if op.mode is LockMode.WRITE:
-                    new_version = hold.version + 1
+                    version += 1
                     hold.committed_write = True  # finalised below on abort
-                    hold.new_value = f"t{txn.txn_id}v{new_version}"
-                    self.history.record_access(
-                        txn.txn_id, op.item_id, op.mode, new_version,
-                        self.sim.now)
-                else:
-                    self.history.record_access(
-                        txn.txn_id, op.item_id, op.mode, hold.version,
-                        self.sim.now)
+                    hold.new_value = f"t{txn_id}v{version}"
+                self.history.record_access(txn_id, item_id, op.mode, version,
+                                           sim.now)
             else:
                 if self.fault_mode:
                     yield from self._register_commit(txn)

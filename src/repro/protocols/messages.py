@@ -14,7 +14,7 @@ CONTROL_SIZE = 1.0
 FL_ENTRY_SIZE = 0.25
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LockRequest:
     """Client → server: request ``item_id`` in ``mode`` for ``txn_id``."""
 
@@ -27,7 +27,7 @@ class LockRequest:
     vote_request: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DataShip:
     """Server → client (s-2PL/c-2PL): lock granted, data attached.
 
@@ -45,7 +45,7 @@ class DataShip:
     vote: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommitRelease:
     """Client → server (s-2PL): transaction commit; carries all updates.
 
@@ -61,14 +61,14 @@ class CommitRelease:
     commit_time: float = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AbortRelease:
     """Client → server (s-2PL): client-initiated abort; locks to release."""
 
     txn_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AbortNotice:
     """Server → client: ``txn_id`` was aborted.
 
@@ -82,7 +82,7 @@ class AbortNotice:
     expect_items: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GShip:
     """g-2PL data dispatch (server → client or client → client).
 
@@ -114,7 +114,7 @@ class GShip:
     epoch: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReaderRelease:
     """g-2PL reader → next writer: read lock released.
 
@@ -134,7 +134,7 @@ class ReaderRelease:
     epoch: int = 0                 # chain-repair epoch (fault injection)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReturnToServer:
     """g-2PL last-entry client → server: item comes home.
 
@@ -150,7 +150,7 @@ class ReturnToServer:
     epoch: int = 0  # chain-repair epoch (fault injection)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TxnDone:
     """g-2PL client → server: transaction outcome notification.
 
@@ -163,7 +163,7 @@ class TxnDone:
     committed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChainCommit:
     """g-2PL client → server, fault mode only: commit registration.
 
@@ -184,14 +184,14 @@ class ChainCommit:
     commit_time: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChainCommitAck:
     """Server → client, fault mode: the commit is registered; forward away."""
 
     txn_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HandoffNote:
     """g-2PL client → server, fault mode: progress beacon.
 
@@ -206,7 +206,7 @@ class HandoffNote:
     epoch: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReleaseWaiver:
     """g-2PL server → MR1W writer, fault mode: stop waiting for a reader.
 
@@ -219,21 +219,21 @@ class ReleaseWaiver:
     to_txn: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommitAck:
     """Server → client (2V-2PL): the commit certified and installed."""
 
     txn_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CacheRecall:
     """c-2PL server → caching client: give back your cached read lock."""
 
     item_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CacheRecallAck:
     """c-2PL client → server.
 
@@ -251,7 +251,7 @@ class CacheRecallAck:
 
 # -- cross-shard atomic commit (sharded deployments) -------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PrepareRequest:
     """Coordinator (client) → participant home server: 2PC phase one.
 
@@ -274,7 +274,7 @@ class PrepareRequest:
     charge: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PrepareVote:
     """Participant home server → coordinator: PREPARED (or refused)."""
 
@@ -284,7 +284,7 @@ class PrepareVote:
     charge: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommitDecision:
     """Coordinator → participant: 2PC phase two.
 
@@ -305,7 +305,7 @@ class CommitDecision:
     charge: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DecisionAck:
     """Participant → coordinator, fault mode: decision applied."""
 
@@ -314,7 +314,7 @@ class DecisionAck:
     charge: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OutcomeQuery:
     """Participant → participant, cooperative termination.
 
@@ -326,7 +326,7 @@ class OutcomeQuery:
     from_shard: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OutcomeReply:
     """Termination answer: this shard's view of the transaction.
 
@@ -340,7 +340,7 @@ class OutcomeReply:
     status: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SpecExtend:
     """Server → client: speculative chain extension (clock-assisted).
 
@@ -358,7 +358,7 @@ class SpecExtend:
     epoch: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SpecAck:
     """Client → server: outcome of a speculative extension.
 

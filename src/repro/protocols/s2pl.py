@@ -373,7 +373,7 @@ class S2PLClient(TwoPhaseCoordinator, ProtocolClient):
         super().__init__(sim, client_id, config, history, shard_map=shard_map)
         self._init_coordinator()
         self._active = {}        # txn_id -> Transaction
-        self._grant_events = {}  # txn_id -> Event while waiting
+        self._grant_events = {}  # txn_id -> (Event, requested_at, think)
         self._abort_flags = {}   # txn_id -> AbortNotice arriving off-wait
         # "2pc-opt": ask each shard to vote with its last lock grant
         self._votes_ride_grants = (shard_map is not None
@@ -391,16 +391,20 @@ class S2PLClient(TwoPhaseCoordinator, ProtocolClient):
     def on_DataShip(self, msg):
         if msg.txn_id not in self._active:
             return  # stale ship for an already-aborted transaction
-        event = self._grant_events.pop(msg.txn_id, None)
-        if event is not None and not event.triggered:
-            event.succeed(msg)
+        pending = self._grant_events.pop(msg.txn_id, None)
+        if pending is not None:
+            # one heap entry for grant + think: the coroutine wakes once
+            event, requested_at, think_time = pending
+            self.op_waits.append(self.sim.now - requested_at)
+            event.succeed_after(think_time, msg)
 
     def on_AbortNotice(self, msg):
         if msg.txn_id not in self._active:
             return
-        event = self._grant_events.pop(msg.txn_id, None)
-        if event is not None and not event.triggered:
-            event.succeed(msg)
+        pending = self._grant_events.pop(msg.txn_id, None)
+        if pending is not None:
+            # same-timestamp hop kept: the continuation sends and records
+            pending[0].succeed(msg)
         else:
             self._abort_flags[msg.txn_id] = msg
 
@@ -453,7 +457,8 @@ class S2PLClient(TwoPhaseCoordinator, ProtocolClient):
     def _run_ops(self, txn, updates, read_items, homes):
         """The growing phase; returns True once every operation ran and
         the transaction is ready to commit (it is aborted otherwise)."""
-        tracer = self.sim.tracer
+        sim = self.sim
+        tracer = sim.tracer
         txn_id = txn.txn_id
         operations = txn.spec.operations
         vote_ops = ()
@@ -490,20 +495,16 @@ class S2PLClient(TwoPhaseCoordinator, ProtocolClient):
                         txn_id, "request",
                         shard=home if server_of is not None else None)
                     tracer.wire_charge(txn_id, env)
-                requested_at = self.sim.now
-                event = self.sim.event()
-                self._grant_events[txn_id] = event
-                msg = yield event
+                event = sim.event()
+                self._grant_events[txn_id] = (event, sim.now, op.think_time)
+                msg = yield event  # fires think_time after the grant
                 if isinstance(msg, AbortNotice):
                     txn.abort(msg.reason)
                     break
                 if msg.vote:
                     homes[home] = True
-                self.op_waits.append(self.sim.now - requested_at)
-                if tracer is None:
-                    yield self.sim.timeout(op.think_time)
-                else:
-                    yield from self.think(txn_id, op.think_time)
+                if tracer is not None:
+                    tracer.think_charge(txn_id, op.think_time)
                 notice = self._abort_flags.pop(txn_id, None)
                 if notice is not None:
                     txn.abort(notice.reason)

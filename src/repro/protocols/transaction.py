@@ -50,7 +50,7 @@ class Transaction:
                 f"{self.ops_done}/{len(self.spec.operations)} ops>")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TxnOutcome:
     """What the client driver reports to the metrics collector."""
 

@@ -320,9 +320,9 @@ class TwoVersionClient(S2PLClient):
     def on_CommitAck(self, msg):
         if msg.txn_id not in self._active:
             return
-        event = self._grant_events.pop(msg.txn_id, None)
-        if event is not None and not event.triggered:
-            event.succeed(msg)
+        pending = self._grant_events.pop(msg.txn_id, None)
+        if pending is not None:
+            pending[0].succeed(msg)
 
     def execute(self, txn):
         start_time = self.sim.now
@@ -335,15 +335,13 @@ class TwoVersionClient(S2PLClient):
                           LockRequest(txn_id=txn.txn_id, item_id=op.item_id,
                                       mode=op.mode, client_id=self.client_id),
                           size=CONTROL_SIZE)
-                requested_at = self.sim.now
                 event = self.sim.event()
-                self._grant_events[txn.txn_id] = event
-                msg = yield event
+                self._grant_events[txn.txn_id] = (event, self.sim.now,
+                                                  op.think_time)
+                msg = yield event  # fires think_time after the grant
                 if isinstance(msg, AbortNotice):
                     txn.abort(msg.reason)
                     break
-                self.op_waits.append(self.sim.now - requested_at)
-                yield self.sim.timeout(op.think_time)
                 notice = self._abort_flags.pop(txn.txn_id, None)
                 if notice is not None:
                     txn.abort(notice.reason)
@@ -367,7 +365,8 @@ class TwoVersionClient(S2PLClient):
                           size=CONTROL_SIZE
                           + len(updates) * self.config.data_item_size)
                 event = self.sim.event()
-                self._grant_events[txn.txn_id] = event
+                # (a grant wait's shape; only the event is ever used)
+                self._grant_events[txn.txn_id] = (event, self.sim.now, 0.0)
                 msg = yield event
                 decided_by_server = True
                 if isinstance(msg, AbortNotice):

@@ -62,6 +62,23 @@ class Event:
         self.sim._enqueue_triggered(self)
         return self
 
+    def succeed_after(self, delay, value=None):
+        """Trigger the event now, to be processed ``delay`` units later.
+
+        One heap entry where ``succeed`` followed by a waiter's own
+        ``timeout(delay)`` costs two: the waiter wakes once, already past
+        the delay.  The event counts as triggered from this call on (a
+        second trigger raises), and an interrupted waiter leaves the entry
+        to fire with no callbacks, like an abandoned ``Timeout``.
+        """
+        if self._value is not _PENDING:
+            raise SimulationError(f"{self!r} has already been triggered")
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        self._value = value
+        self.sim._schedule(self, delay)
+        return self
+
     def fail(self, exception):
         """Trigger the event with ``exception``; returns self."""
         if self.triggered:

@@ -10,7 +10,7 @@ class LogRecordType(enum.Enum):
     ABORT = "abort"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LogRecord:
     """One WAL entry."""
 

@@ -120,14 +120,16 @@ class ClientDriver:
         self.control = control
         self.collector = collector
         self.mpl = mpl
-        self._live_execs = set()
+        self._loops = []       # one Process per stream
+        self._in_txn = set()   # streams currently inside execute()
         self._crashed = False
         self._restart_event = None
 
     def start(self):
         """Spawn the client loop(s); returns the list of processes."""
-        return [self.sim.spawn(self._loop(stream))
-                for stream in range(self.mpl)]
+        self._loops = [self.sim.spawn(self._loop(stream))
+                       for stream in range(self.mpl)]
+        return self._loops
 
     # -- crash lifecycle (fault injection) -----------------------------------
 
@@ -143,8 +145,8 @@ class ClientDriver:
         self._crashed = True
         if self._restart_event is None or self._restart_event.triggered:
             self._restart_event = self.sim.event()
-        for proc in list(self._live_execs):
-            proc.interrupt("client-crash")
+        for stream in sorted(self._in_txn):
+            self._loops[stream].interrupt("client-crash")
 
     def restart(self):
         """The site comes back up and resumes submitting transactions."""
@@ -169,12 +171,12 @@ class ClientDriver:
                               spec, birth=self.sim.now)
             if tracer is not None:
                 tracer.txn_begin(txn)
-            proc = self.sim.spawn(self.protocol_client.execute(txn))
-            self._live_execs.add(proc)
+            # delegated, not spawned: a crash interrupt lands in execute()
+            self._in_txn.add(stream)
             try:
-                outcome = yield proc
+                outcome = yield from self.protocol_client.execute(txn)
             finally:
-                self._live_execs.discard(proc)
+                self._in_txn.discard(stream)
             if control.done_for(client_id):
                 break  # the run closed while this transaction was in flight
             self.collector.record_outcome(outcome)

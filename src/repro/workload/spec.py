@@ -6,7 +6,7 @@ from typing import Tuple
 from repro.locking.modes import LockMode
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Operation:
     """One sequential data access: which item, which mode, how long the
     client computes after the data arrives."""
@@ -20,7 +20,7 @@ class Operation:
         return self.mode is LockMode.READ
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TransactionSpec:
     """The full access list of one transaction, fixed at generation time."""
 

@@ -1,0 +1,251 @@
+"""The closed loop's heap budget, and what a crash does to it.
+
+One operation of a closed-loop client costs the messages it sends plus
+*one* timer: the handler that satisfies a grant arms the waiting event to
+fire ``think_time`` later (``Event.succeed_after``), and the driver runs
+``execute`` inside its own loop coroutine. The first test derives the
+heap-entry count of two golden cells from protocol counters, term by
+term, so a re-introduced hop fails under its own name. The rest pin what
+must *not* have moved: the traced goldens outside the two heap counters,
+and the outcome of a site that fail-stops in each state the loop can be
+in (values recorded at the commit before the hops were removed).
+"""
+
+import copy
+
+import pytest
+
+from helpers import TRACED_GOLDEN_CELLS
+from repro.core.config import SimulationConfig
+from repro.core.runner import assemble, run_simulation
+from repro.perf.fingerprint import fingerprint_digest
+from repro.perf.goldens import golden_config, load_golden
+
+
+# -- hops pinned ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["g2pl_plain", "s2pl_plain"])
+def test_heap_entries_derive_from_counters(name):
+    config, seed = golden_config(name)
+    built = assemble(config, seed)
+    sim = built.sim
+    wakeups = []  # abort notices that found their transaction waiting
+    for client in built.clients.values():
+        def counted(msg, client=client, handler=client.on_AbortNotice):
+            if msg.txn_id in client._grant_events:
+                wakeups.append(msg.txn_id)
+            handler(msg)
+        client.on_AbortNotice = counted
+    built.run(config)
+
+    streams = config.n_clients * config.mpl
+    pushed = {
+        "loop starts": streams,
+        "stagger timers": streams,
+        "deliveries": built.network.stats.messages_sent,
+        "grant+think timers": sum(len(client.op_waits)
+                                  for client in built.clients.values()),
+        "abort wake-ups": len(wakeups),
+        "idle timers": built.control.finished,
+        "done event": 1,
+    }
+    # every entry ever pushed was processed or is still pending
+    assert sim.processed_events + sim.pending == sum(pushed.values()), pushed
+    result = run_simulation(config, seed=seed)
+    assert result.engine_stats["processed_events"] == sim.processed_events
+    assert pushed["abort wake-ups"] > 0  # the kept hop is exercised
+
+
+# -- what must not have moved --------------------------------------------------
+
+#: sha-256 of each traced golden's fingerprint without the two heap
+#: counters, taken at the commit before the hops were removed
+TRACED_DIGESTS_BEFORE = {
+    "g2pl_sharded_traced":
+        "407e5331e271cf8710d5daf1273c451767006fb65fedcda6e74a54e31405fdb2",
+    "g2pl_spec_traced":
+        "ea985b3470e701a4be35651ddb41701488d0e79e239fe93046e82baed2b72ac1",
+    "g2pl_traced":
+        "e407d4fdef82acb08e09c4858390e93038f75b46aa7323a1d48411fc91a0a0bc",
+    "hybrid_sharded_traced":
+        "b45ff2410addf1166cec0e05b69c81facb77be98ac9619900aa5619047f5b453",
+    "hybrid_traced":
+        "4c7c2183588fc17bac43e544a88735ea8742b4ce0a664c49aa3bf3cb16c84f7b",
+    "s2pl_faulted_traced":
+        "7b72dbe296a62ee1ac80d3ff74eec6cfba3ccfc6ea62740b87be8e32652d1f16",
+    "s2pl_sharded_traced":
+        "95d53ce079d0178e742ec253ed30df5e430be4faa3314872ab89b0272303d61a",
+}
+
+
+def test_every_traced_golden_is_pinned():
+    assert sorted(TRACED_DIGESTS_BEFORE) == TRACED_GOLDEN_CELLS
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_DIGESTS_BEFORE))
+def test_traced_golden_moved_only_in_heap_counters(name):
+    # test_fastpath_replay holds the run to the golden; this holds the
+    # golden to what it was, the two heap counters aside.
+    fingerprint = copy.deepcopy(load_golden(name)["fingerprint"])
+    for counter in ("processed_events", "peak_heap_depth"):
+        del fingerprint["trace_summary"][counter]
+    assert fingerprint_digest(fingerprint) == TRACED_DIGESTS_BEFORE[name]
+
+
+# -- crashes unchanged ---------------------------------------------------------
+
+#: (protocol, mpl, state of site 2 when it fail-stops, fault spec) ->
+#: (committed, aborted, abort_reasons, repr(end time), outcomes site 2
+#: recorded, its failed transactions), as the spawning driver left them
+CRASH_CASES = {
+    ("g2pl", 1, "commit-wait", "crash=2@410:3000"):
+        (44, 11, {"precedence-cycle": 11}, "29140.93390840351", 16,
+         [(2, "commit-limbo"), (23, "precedence-cycle")]),
+    ("g2pl", 1, "grant-wait", "crash=2@1000:3000"):
+        (44, 11, {"precedence-cycle": 11}, "28334.09677902134", 16,
+         [(4, "client-crash"), (23, "precedence-cycle")]),
+    ("g2pl", 1, "idle", "crash=2@610:3000"):
+        (44, 11, {"precedence-cycle": 11}, "29140.93390840351", 16,
+         [(23, "precedence-cycle")]),
+    ("g2pl", 1, "parked", "crash=2@1000:3000,crash=2@1500:3000"):
+        (44, 11, {"precedence-cycle": 11}, "28334.09677902134", 16,
+         [(4, "client-crash"), (23, "precedence-cycle")]),
+    ("g2pl", 1, "think", "crash=2@2222.5:4000"):
+        (44, 11, {"precedence-cycle": 11}, "28334.09677902134", 16,
+         [(4, "client-crash"), (23, "precedence-cycle")]),
+    ("g2pl", 3, "grant-wait", "crash=2@1000:3000"):
+        (28, 27, {"precedence-cycle": 27}, "17017.80163198297", 18,
+         [(4, "client-crash"), (8, "client-crash"), (11, "client-crash"),
+          (17, "precedence-cycle"), (18, "precedence-cycle"),
+          (19, "precedence-cycle"), (24, "precedence-cycle"),
+          (29, "precedence-cycle"), (30, "precedence-cycle"),
+          (34, "precedence-cycle"), (48, "precedence-cycle"),
+          (49, "precedence-cycle")]),
+    ("g2pl", 3, "idle", "crash=2@609:3000"):
+        (22, 33, {"precedence-cycle": 33}, "30265.846526172063", 18,
+         [(4, "client-crash"), (8, "client-crash"),
+          (12, "precedence-cycle"), (13, "precedence-cycle"),
+          (14, "precedence-cycle"), (21, "precedence-cycle"),
+          (24, "precedence-cycle"), (25, "precedence-cycle"),
+          (36, "precedence-cycle"), (40, "precedence-cycle"),
+          (47, "precedence-cycle"), (48, "precedence-cycle"),
+          (51, "precedence-cycle")]),
+    ("g2pl", 3, "parked", "crash=2@1000:3000,crash=2@1500:3000"):
+        (28, 27, {"precedence-cycle": 27}, "17017.80163198297", 18,
+         [(4, "client-crash"), (8, "client-crash"), (11, "client-crash"),
+          (17, "precedence-cycle"), (18, "precedence-cycle"),
+          (19, "precedence-cycle"), (24, "precedence-cycle"),
+          (29, "precedence-cycle"), (30, "precedence-cycle"),
+          (34, "precedence-cycle"), (48, "precedence-cycle"),
+          (49, "precedence-cycle")]),
+    ("g2pl", 3, "think", "crash=2@1816.6:4000"):
+        (29, 26, {"client-crash": 3, "precedence-cycle": 23},
+         "17888.63442996212", 16,
+         [(4, "client-crash"), (8, "client-crash"), (11, "client-crash"),
+          (19, "precedence-cycle"), (20, "precedence-cycle"),
+          (26, "precedence-cycle"), (30, "precedence-cycle"),
+          (32, "precedence-cycle"), (38, "precedence-cycle"),
+          (47, "precedence-cycle")]),
+    ("s2pl", 1, "grant-wait", "crash=2@1000:3000"):
+        (46, 9, {"deadlock": 9}, "21435.71366843262", 15,
+         [(4, "client-crash"), (23, "deadlock"), (29, "deadlock"),
+          (34, "deadlock"), (36, "deadlock")]),
+    ("s2pl", 1, "idle", "crash=2@411:3000"):
+        (44, 11, {"deadlock": 11}, "22445.248193102063", 15,
+         [(22, "deadlock"), (28, "deadlock"), (34, "deadlock"),
+          (36, "deadlock")]),
+    ("s2pl", 1, "parked", "crash=2@1000:3000,crash=2@1500:3000"):
+        (46, 9, {"deadlock": 9}, "21435.71366843262", 15,
+         [(4, "client-crash"), (23, "deadlock"), (29, "deadlock"),
+          (34, "deadlock"), (36, "deadlock")]),
+    ("s2pl", 1, "think", "crash=2@618.7:3000"):
+        (46, 9, {"deadlock": 9}, "21435.71366843262", 15,
+         [(4, "client-crash"), (23, "deadlock"), (29, "deadlock"),
+          (34, "deadlock"), (36, "deadlock")]),
+    ("s2pl", 3, "grant-wait", "crash=2@1000:3000"):
+        (30, 25, {"deadlock": 25}, "17039.067106085167", 20,
+         [(4, "client-crash"), (8, "client-crash"), (10, "client-crash"),
+          (20, "deadlock"), (25, "deadlock"), (33, "deadlock"),
+          (34, "deadlock"), (37, "deadlock"), (40, "deadlock"),
+          (64, "deadlock")]),
+    ("s2pl", 3, "idle", "crash=2@409.5:3000"):
+        (22, 33, {"deadlock": 33}, "17138.76312289649", 18,
+         [(4, "client-crash"), (8, "client-crash"), (18, "deadlock"),
+          (19, "deadlock"), (20, "deadlock"), (25, "deadlock"),
+          (28, "deadlock"), (33, "deadlock"), (35, "deadlock"),
+          (38, "deadlock"), (42, "deadlock"), (48, "deadlock")]),
+    ("s2pl", 3, "parked", "crash=2@1000:3000,crash=2@1500:3000"):
+        (30, 25, {"deadlock": 25}, "17039.067106085167", 20,
+         [(4, "client-crash"), (8, "client-crash"), (10, "client-crash"),
+          (20, "deadlock"), (25, "deadlock"), (33, "deadlock"),
+          (34, "deadlock"), (37, "deadlock"), (40, "deadlock"),
+          (64, "deadlock")]),
+    ("s2pl", 3, "think", "crash=2@4631.8:7000"):
+        (27, 28, {"client-crash": 3, "deadlock": 25}, "16814.388818146545",
+         17,
+         [(4, "client-crash"), (10, "client-crash"), (14, "deadlock"),
+          (19, "client-crash"), (27, "deadlock"), (28, "deadlock"),
+          (39, "deadlock"), (41, "deadlock"), (46, "deadlock")]),
+}
+
+
+def _site_states(built, client_id):
+    """What each stream of the site is doing right now, sorted."""
+    client = built.clients[client_id]
+    driver = built.drivers[client_id]
+    if driver._crashed:
+        assert not driver._in_txn
+        assert all(loop._waiting_on is driver._restart_event
+                   for loop in driver._loops)
+        return ["parked"] * driver.mpl
+    states = []
+    for txn_id in client._active:
+        if txn_id in client._grant_events:
+            states.append("grant-wait")
+        elif txn_id in getattr(client, "_commit_events", ()):
+            states.append("commit-wait")
+        else:
+            states.append("think")  # granted; the armed event is pending
+    assert len(states) == len(driver._in_txn)
+    states += ["idle"] * (driver.mpl - len(states))
+    return sorted(states)
+
+
+@pytest.mark.parametrize(
+    "protocol,mpl,state,faults", sorted(CRASH_CASES),
+    ids=[f"{p}-mpl{m}-{s}" for p, m, s, _ in sorted(CRASH_CASES)])
+def test_fail_stop_in_each_loop_state(protocol, mpl, state, faults):
+    config = SimulationConfig(
+        protocol=protocol, n_clients=3, n_items=6, read_probability=0.5,
+        network_latency=100.0, total_transactions=60, warmup_transactions=5,
+        mpl=mpl, faults=faults, record_history=True)
+    built = assemble(config, 5)
+    seen = []
+    record = built.collector.record_outcome
+
+    def recording(outcome):
+        if outcome.client_id == 2:
+            seen.append(outcome)
+        record(outcome)
+
+    built.collector.record_outcome = recording
+    found = []
+    # just before the (last) crash: the state the case is named after
+    built.sim.call_later(config.faults.crashes[-1].at - 1e-6,
+                         lambda: found.extend(_site_states(built, 2)))
+    built.run(config)
+    built.check(config, 5, True)
+
+    assert state in found, found
+    metrics = built.collector.metrics
+    committed, aborted, reasons, end, recorded, failed = \
+        CRASH_CASES[protocol, mpl, state, faults]
+    assert (metrics.committed, metrics.aborted) == (committed, aborted)
+    assert dict(metrics.abort_reasons) == reasons
+    assert repr(built.sim.now) == end
+    assert len(seen) == recorded
+    # Sorted: same-instant interrupts of an MPL > 1 site used to land in
+    # set order of their Process objects, i.e. in no particular order.
+    assert sorted((outcome.txn_id, outcome.abort_reason)
+                  for outcome in seen if not outcome.committed) == failed

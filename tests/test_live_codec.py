@@ -9,6 +9,7 @@ wrong value, and never a non-CodecError crash.
 
 import dataclasses
 import math
+import pickle
 import struct
 
 import pytest
@@ -151,6 +152,44 @@ def test_message_round_trip(cls, data):
     decoded = decode(encode(message))
     assert type(decoded) is cls
     assert decoded == message
+
+
+@pytest.mark.parametrize("cls", MESSAGE_TYPES,
+                         ids=[cls.__name__ for cls in MESSAGE_TYPES])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_message_pickles(cls, data):
+    # Slotted, unfrozen dataclasses have no __dict__ and no generated
+    # __getstate__; pickle (pool workers, LP pipes) must still carry them.
+    message = data.draw(message_strategy(cls))
+    for protocol in (2, pickle.HIGHEST_PROTOCOL):
+        copy = pickle.loads(pickle.dumps(message, protocol=protocol))
+        assert type(copy) is cls
+        assert copy == message
+
+
+def test_other_value_objects_pickle():
+    from repro.network.reliable import Reliable, ReliableAck
+    from repro.protocols.transaction import TxnOutcome
+    from repro.storage.wal import LogRecord, LogRecordType
+    from repro.workload.spec import Operation, TransactionSpec
+
+    spec = TransactionSpec(operations=(
+        Operation(item_id=1, mode=LockMode.READ, think_time=0.5),
+        Operation(item_id=2, mode=LockMode.WRITE, think_time=1.5)))
+    for value in (
+            spec, TxnRef(txn_id=7, client_id=3),
+            TxnOutcome(txn_id=7, client_id=3, committed=False,
+                       start_time=1.0, end_time=4.0, n_ops=2, n_writes=1,
+                       abort_reason="deadlock"),
+            LogRecord(lsn=1, record_type=LogRecordType.UPDATE, txn=7,
+                      item_id=2, version=3, timestamp=9.0),
+            Reliable(inner=TxnDone(txn_id=7, committed=True), seq=4,
+                     incarnation=1),
+            ReliableAck(seq=4, incarnation=1)):
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is type(value) and copy == value
+    assert pickle.loads(pickle.dumps(spec)).n_writes == 1
 
 
 @settings(max_examples=150, deadline=None)

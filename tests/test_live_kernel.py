@@ -14,7 +14,7 @@ from repro.live.clock import KERNEL_CONTRACT, LiveKernel, kernel_contract_holds
 from repro.live.transport import LiveTransport
 from repro.network.topology import UniformTopology
 from repro.sim.engine import Simulator
-from repro.sim.errors import SimulationError
+from repro.sim.errors import Interrupt, SimulationError
 
 
 def run_async(coroutine):
@@ -64,6 +64,46 @@ def test_now_tracks_wall_clock():
     elapsed = time.monotonic() - start
     assert elapsed >= 0.018  # 20 units at 1ms each, minus clock granularity
     assert kernel.now >= 20.0
+
+
+def test_succeed_after_behaves_as_under_the_simulator():
+    # Event.succeed_after rides the kernel's _schedule hook, so the live
+    # kernel gets it from the shared Event class: fires once, no earlier
+    # than now + delay, and outlives an interrupted waiter.
+    kernel = LiveKernel(time_scale=0.0005)
+    event = kernel.event()
+    abandoned = kernel.event()
+    seen = []
+
+    def waiter():
+        value = yield event
+        seen.append((kernel.now, value))
+
+    def quitter():
+        try:
+            yield abandoned
+        except Interrupt as interrupt:
+            seen.append(("interrupted", interrupt.cause))
+
+    kernel.spawn(waiter())
+    leaver = kernel.spawn(quitter())
+    armed_at = []
+
+    def arm():
+        armed_at.append(kernel.now)
+        event.succeed_after(4.0, "data")
+        abandoned.succeed_after(2.0, "nobody home")
+        with pytest.raises(SimulationError):
+            event.succeed("again")
+
+    kernel.call_later(1.0, arm)
+    kernel.call_later(2.0, leaver.interrupt, "crash")
+    # (not a fixed horizon: a stalled host arms late and fires late)
+    run_async(kernel.run(until=kernel.all_of([event, abandoned])))
+    assert seen[0] == ("interrupted", "crash")
+    (woke_at, value), = seen[1:]
+    assert value == "data" and woke_at >= armed_at[0] + 4.0
+    assert abandoned.processed and abandoned.value == "nobody home"
 
 
 def test_fifo_at_equal_timestamps():

@@ -152,3 +152,76 @@ def test_any_of_later_failures_are_defused(sim):
     sim.call_later(2.0, failing.fail, RuntimeError("late failure"))
     assert sim.run(until=condition) is fast
     sim.run()  # must not raise: the late failure was defused
+
+
+# -- succeed_after: trigger now, process later -------------------------------
+
+
+def test_succeed_after_fires_once_at_now_plus_delay(sim):
+    sim.run(until=5.0)
+    event = sim.event()
+    seen = []
+    event.add_callback(lambda ev: seen.append((sim.now, ev.value)))
+    before = sim.pending
+    assert event.succeed_after(3.0, "granted") is event
+    assert sim.pending == before + 1  # one heap entry, not two
+    assert event.triggered and not event.processed
+    with pytest.raises(SimulationError):
+        event.succeed("again")
+    with pytest.raises(SimulationError):
+        event.succeed_after(1.0)
+    sim.run()
+    assert seen == [(8.0, "granted")]
+    assert event.processed
+
+
+def test_succeed_after_rejects_negative_delay(sim):
+    event = sim.event()
+    with pytest.raises(ValueError):
+        event.succeed_after(-1.0)
+    assert not event.triggered  # still usable
+    event.succeed_after(0.0, "ok")
+    sim.run()
+    assert event.value == "ok"
+
+
+def test_succeed_after_wakes_a_waiting_process_once(sim):
+    event = sim.event()
+    woken = []
+
+    def waiter():
+        value = yield event
+        woken.append((sim.now, value))
+
+    sim.spawn(waiter())
+    sim.call_later(2.0, event.succeed_after, 4.0, "data")
+    sim.run()
+    assert woken == [(6.0, "data")]
+
+
+def test_succeed_after_survives_an_interrupted_waiter(sim):
+    # The armed entry outlives its waiter as an ordinary counted heap
+    # entry, like the abandoned Timeout of an interrupted think.
+    from repro.sim.errors import Interrupt
+
+    event = sim.event()
+    log = []
+
+    def waiter():
+        try:
+            yield event
+        except Interrupt as interrupt:
+            log.append(("interrupted", sim.now, interrupt.cause))
+
+    process = sim.spawn(waiter())
+    sim.call_later(1.0, event.succeed_after, 5.0, "late")
+    sim.call_later(2.0, process.interrupt, "crash")
+    sim.run(until=3.0)
+    assert log == [("interrupted", 2.0, "crash")]
+    assert not event.processed
+    processed = sim.processed_events
+    sim.run()
+    assert event.processed and event.value == "late"
+    assert sim.processed_events == processed + 1
+    assert sim.now == 6.0
+

@@ -140,3 +140,100 @@ def test_a_single_server_stays_on_the_inline_attribute_fast_path():
         assert len(vars(server)) < 30, protocol
         assert "shard_map" not in vars(server)
         assert "_prepared" not in vars(server)
+
+
+# -- value objects: immutable by gate, not by a per-field runtime tax ----------
+
+#: names a payload or value-object instance goes by in ``src/repro``:
+#: handler parameters, ``envelope.payload``, a spec's operations, forward
+#: list references, the outcome handed to the collector
+_VALUE_NAMES = {"msg", "payload", "op", "spec", "ref", "outcome"}
+
+
+def _is_value_object(node):
+    """``msg`` / ``envelope.payload`` / ``txn.spec`` — an expression that
+    names a value object (by its last component)."""
+    if isinstance(node, ast.Name):
+        return node.id in _VALUE_NAMES
+    return isinstance(node, ast.Attribute) and node.attr in _VALUE_NAMES
+
+
+def _mutations(tree):
+    """Source of every statement that assigns, aug-assigns, deletes or
+    ``setattr``s an attribute of a value object."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = list(node.targets)
+        elif (isinstance(node, ast.Call) and node.args
+              and ast.unparse(node.func) in ("setattr", "delattr",
+                                             "object.__setattr__",
+                                             "object.__delattr__")):
+            if _is_value_object(node.args[0]):
+                yield ast.unparse(node)
+            continue
+        else:
+            continue
+        flat = []
+        for target in targets:
+            flat.extend(target.elts if isinstance(target, (ast.Tuple, ast.List))
+                        else [target])
+        for target in flat:
+            if (isinstance(target, ast.Attribute)
+                    and _is_value_object(target.value)):
+                yield ast.unparse(node)
+
+
+def test_no_module_mutates_a_value_object():
+    """The payloads, ``TxnRef``, ``Operation``/``TransactionSpec`` and
+    ``TxnOutcome`` are plain slotted dataclasses: ``frozen=True`` charged
+    one ``object.__setattr__`` call per field of every message built, to
+    stop a write nobody makes. This gate is what stops it now — a handler
+    that assigns to a payload field fails here, not mid-run."""
+    found = [f"{os.path.relpath(path, SRC)}: {source}"
+             for path, tree in _trees("") for source in _mutations(tree)]
+    assert found == []
+
+
+def test_the_mutation_gate_sees_each_form():
+    sources = ("msg.txn_id = 9", "msg.epoch += 1", "del op.mode",
+               "envelope.payload.vote = True", "txn.spec.operations = ()",
+               "a, ref.client_id = (1, 2)", "setattr(outcome, 'committed', 1)",
+               "object.__setattr__(payload, 'seq', 3)", "msg.n: int = 1")
+    for source in sources:
+        assert list(_mutations(ast.parse(source))) == [source], source
+    for source in ("self.payload = payload", "hold.version = msg.version",
+                   "msg = other", "envelope.deliver_time = 2.0"):
+        assert list(_mutations(ast.parse(source))) == [], source
+
+
+def test_every_payload_is_a_slotted_dataclass():
+    import dataclasses
+
+    from repro.live.codec import MESSAGE_TYPES
+    from repro.network.reliable import Reliable, ReliableAck
+    from repro.protocols import messages
+    from repro.protocols.forward_list import TxnRef
+    from repro.protocols.transaction import TxnOutcome
+    from repro.storage.wal import LogRecord
+    from repro.workload.spec import Operation, TransactionSpec
+
+    payloads = [obj for obj in vars(messages).values()
+                if isinstance(obj, type) and obj.__module__ == messages.__name__]
+    assert len(payloads) == 24 == len(MESSAGE_TYPES)
+    for cls in [*payloads, Reliable, ReliableAck, TxnRef, TxnOutcome,
+                LogRecord, Operation, TransactionSpec]:
+        assert dataclasses.is_dataclass(cls), cls
+        assert not cls.__dataclass_params__.frozen, cls
+        assert cls.__dataclass_params__.eq, cls  # still values
+        names = tuple(field.name for field in dataclasses.fields(cls))
+        assert cls.__slots__ == names, cls
+        # no instance __dict__: nothing but the declared fields can be set
+        assert cls.__bases__ == (object,) and "__dict__" not in vars(cls), cls
+    # hashed only where an instance really is: FLEntry.__hash__ -> TxnRef
+    assert hash(TxnRef(1, 2)) == hash(TxnRef(1, 2))
+    assert messages.LockRequest.__hash__ is None
+
