@@ -12,6 +12,11 @@ functions.
 
     python scripts/bytecodes.py g2pl --seed 37
     python scripts/bytecodes.py s2pl --top 30 --faults loss=0.03,dup=0.01
+    python scripts/bytecodes.py s2pl --sharded
+
+``--sharded`` swaps Table 1 for the ledger's ``sharded_2pc`` shape (40
+clients, 32 items, 4 shards x 4 regions, cross-shard 0.3, classic 2PC,
+latency 100 / 1), where the union deadlock sweeps run.
 
 Counts are specific to the interpreter version (3.11 and 3.12 compile
 the same source to different instruction streams), so compare two trees
@@ -34,14 +39,17 @@ from repro.core.runner import run_simulation  # noqa: E402
 TRANSACTIONS = 1500
 TABLE_1 = dict(n_clients=50, n_items=25, read_probability=0.6,
                network_latency=500.0)
+SHARDED_2PC = dict(n_clients=40, n_items=32, n_shards=4, n_regions=4,
+                   cross_shard_probability=0.3, commit_protocol="2pc",
+                   network_latency=100.0, intra_region_latency=1.0)
 
 
-def count_bytecodes(protocol, seed, faults=None):
+def count_bytecodes(protocol, seed, faults=None, sharded=False):
     """``(Counter keyed by (file, line, function), result)`` for one run."""
     config = SimulationConfig(
         protocol=protocol, total_transactions=TRANSACTIONS,
         warmup_transactions=TRANSACTIONS // 10, faults=faults,
-        record_history=False, **TABLE_1)
+        record_history=False, **(SHARDED_2PC if sharded else TABLE_1))
     counts = Counter()
 
     def local_trace(frame, event, _arg):
@@ -91,9 +99,11 @@ def main(argv=None):
     parser.add_argument("--top", type=int, default=20)
     parser.add_argument("--faults", default=None,
                         help="fault spec, e.g. loss=0.03,dup=0.01")
+    parser.add_argument("--sharded", action="store_true",
+                        help="the ledger's sharded_2pc shape, not Table 1")
     args = parser.parse_args(argv)
     counts, result = count_bytecodes(args.protocol, args.seed,
-                                     faults=args.faults)
+                                     faults=args.faults, sharded=args.sharded)
     print(describe(counts, result, args.top))
     return 0
 

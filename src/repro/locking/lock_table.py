@@ -16,13 +16,41 @@ class LockRequestState(enum.Enum):
 class _ItemLock:
     """Lock state of a single data item."""
 
-    __slots__ = ("holders", "queue")
+    __slots__ = ("holders", "queue", "edges")
 
     def __init__(self):
         # txn -> mode for current holders (all READ, or one WRITE)
         self.holders = OrderedDict()
         # FIFO of (txn, mode) waiting
         self.queue = deque()
+        # cached wait_edges(); None whenever holders or queue changed
+        self.edges = None
+
+    def wait_edges(self):
+        """``waiter -> frozenset(blockers)`` for every queued request: the
+        holders and *earlier-queued* requests it conflicts with (those are
+        granted first under FIFO), never itself (an upgrader does not wait
+        for its own read lock). The one place a queue is scanned for wait
+        edges; the map is cached until the lock changes and shared with
+        every reader, so it and its sets are never mutated.
+        """
+        edges = self.edges
+        if edges is None:
+            holders = self.holders
+            ahead = list(holders)  # a WRITE conflicts with all ahead,
+            writers = [txn for txn, held in holders.items()
+                       if held is LockMode.WRITE]  # a READ with the writers
+            edges = self.edges = {}
+            for txn, mode in self.queue:
+                if mode is LockMode.WRITE:
+                    blockers = frozenset(ahead)
+                    edges[txn] = (blockers - {txn} if txn in holders
+                                  else blockers)
+                    writers.append(txn)
+                else:
+                    edges[txn] = frozenset(writers)
+                ahead.append(txn)
+        return edges
 
     def compatible(self, mode, requester):
         if not self.holders:
@@ -45,7 +73,9 @@ class LockTable:
 
     A wait index (txn -> items it is queued on) is kept current at every
     queue change, so release, drop and deadlock detection touch only the
-    queues a transaction sits in.
+    queues a transaction sits in; each item caches its wait edges
+    (:meth:`_ItemLock.wait_edges`), reset by the four methods below that
+    change a queue or a holder set, so detection rescans only what changed.
     """
 
     def __init__(self):
@@ -88,42 +118,29 @@ class LockTable:
         return mode is None or held[item] is mode
 
     def blockers_of(self, txn, item):
-        """Transactions that ``txn``'s queued request on ``item`` waits for.
-
-        These are the current holders plus any *earlier-queued* conflicting
-        requests (which will be granted first under FIFO).
-        """
+        """Transactions that ``txn``'s queued request on ``item`` waits for
+        (see :meth:`_ItemLock.wait_edges`); empty when it has none."""
         lock = self._items.get(item)
-        if lock is None:
-            return []
-        ahead = []    # earlier-queued requests: a WRITE conflicts with all,
-        writers = []  # a READ only with the writers among them
-        for queued_txn, mode in lock.queue:
-            if queued_txn == txn:
-                break
-            ahead.append(queued_txn)
-            if mode is LockMode.WRITE:
-                writers.append(queued_txn)
-        else:
-            return []
-        if mode is LockMode.WRITE:
-            return list(lock.holders) + ahead
-        return [holder for holder, held in lock.holders.items()
-                if held is LockMode.WRITE] + writers
+        return lock.wait_edges().get(txn, frozenset()) if lock else frozenset()
 
     def waits_for(self, txn):
         """Every transaction a queued request of ``txn`` waits for (its
         wait-for successors), ``txn`` itself excluded."""
-        blockers = set()
-        for item in self._queued_on.get(txn, ()):
-            blockers.update(self.blockers_of(txn, item))
-        blockers.discard(txn)  # an upgrade "waits" for its own read lock
-        return blockers
+        items = self._queued_on.get(txn, ())
+        if len(items) == 1:
+            return self._items[items[0]].wait_edges()[txn]
+        return frozenset().union(
+            *[self._items[item].wait_edges()[txn] for item in items])
 
     def wait_edges(self):
-        """Yield ``(txn, waits_for(txn))`` for every waiting transaction."""
-        for txn in self._queued_on:
-            yield txn, self.waits_for(txn)
+        """The cached wait-edge map of every item with a queue, in table
+        order — their union is this table's wait-for graph."""
+        return [lock.wait_edges()
+                for lock in self._items.values() if lock.queue]
+
+    def waiting(self):
+        """The transactions with a queued request (a live view)."""
+        return self._queued_on.keys()
 
     def can_be_waited_on(self, txn):
         """Could any queued request be waiting for ``txn``? That needs a
@@ -148,6 +165,7 @@ class LockTable:
         since the upgrade logically precedes every queued request).
         """
         lock = self._item(item)
+        lock.edges = None
         held = self._held_by_txn.setdefault(txn, {})
         if item in held:
             if held[item] is LockMode.WRITE or mode is LockMode.READ:
@@ -184,6 +202,7 @@ class LockTable:
             items = [item for item in self._items if item in queued]
         for item in items:
             lock = self._items[item]
+            lock.edges = None
             before = len(lock.queue)
             lock.queue = deque(
                 entry for entry in lock.queue if entry[0] != txn)
@@ -200,6 +219,7 @@ class LockTable:
         granted = []
         for item in self._held_by_txn.pop(txn, ()):
             lock = self._items[item]
+            lock.edges = None
             lock.holders.pop(txn, None)
             granted.extend(self._grant_from_queue(item, lock))
         granted.extend(self.drop_queued(txn))
@@ -207,6 +227,7 @@ class LockTable:
 
     def _grant_from_queue(self, item, lock):
         granted = []
+        lock.edges = None
         queue, holders = lock.queue, lock.holders
         # Holders are all READ or one WRITE, and the loop below only adds
         # readers to readers, so one look at them serves every iteration.

@@ -54,34 +54,48 @@ class WaitForGraph:
                                   lambda txn: self._out.get(txn, ()))
 
     def find_any_cycle(self):
-        """Return any cycle in the graph, or None (for validation sweeps).
-
-        Deleting sinks until none is left keeps exactly the nodes that can
-        still reach a cycle, in O(V+E): nothing left means acyclic, and
-        only what is left is worth a search (a node on a cycle is never
-        deleted, so the first cycle found in sorted order is unchanged).
-        """
-        out_degree = {node: len(holders)
-                      for node, holders in self._out.items()}
-        waiters_of = {}
-        for waiter, holders in self._out.items():
-            for holder in holders:
-                waiters_of.setdefault(holder, []).append(waiter)
-        sinks = [node for node in waiters_of if node not in out_degree]
-        while sinks:
-            for waiter in waiters_of.get(sinks.pop(), ()):
-                out_degree[waiter] -= 1
-                if not out_degree[waiter]:
-                    sinks.append(waiter)
-        for node in sorted(out_degree, key=repr):
-            if out_degree[node]:
-                cycle = self.find_cycle_from(node)
-                if cycle:
-                    return cycle
-        return None
+        """Return any cycle in the graph, or None (for validation sweeps)."""
+        return find_any_cycle(self._out, set(self._out))
 
     def __repr__(self):
         return f"<WaitForGraph {len(self._out)} waiters, {self.edge_count} edges>"
+
+
+def find_any_cycle(out, alive):
+    """Return the first cycle among the nodes ``alive`` of the digraph
+    ``out`` (waiter -> blockers; every alive node is a key), or None.
+
+    ``alive`` is trimmed in place to the nodes that can still reach a
+    cycle — those with a successor in ``alive``, to a fixpoint: nothing
+    left means acyclic, and only what is left is worth a search. Nodes are
+    tried in ``out``'s order and discarded on the spot, so where that is
+    lock-queue order (each waiter behind the ones it waits for) a whole
+    queue unwinds in one pass. A trimmed node reaches trimmed nodes only,
+    so skipping it cannot change the path a search finds, and a node on a
+    cycle is never trimmed, so the first cycle in sorted order is the one
+    a search of the whole graph returns. A caller that breaks the cycle
+    by discarding a node from ``alive`` calls again, and the trim resumes
+    where it stopped.
+    """
+    pending = list(filter(alive.__contains__, out))
+    while pending:
+        kept = []
+        for node in pending:
+            if out[node].isdisjoint(alive):
+                alive.discard(node)
+            else:
+                kept.append(node)
+        if len(kept) == len(pending):
+            break
+        pending = kept
+    def successors(node):
+        return out[node] & alive
+
+    for node in sorted(alive, key=repr):
+        cycle = find_cycle_through(node, successors)
+        if cycle:
+            return cycle
+    return None
 
 
 def find_cycle_through(start, successors):

@@ -317,6 +317,8 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
         if not table.can_be_waited_on(requester) and not any(
                 requester in blockers for blockers in extra.values()):
             return None
+        if not extra:
+            return find_cycle_through(requester, table.waits_for)
         return find_cycle_through(
             requester,
             lambda node: table.waits_for(node).union(extra.get(node, ())))

@@ -23,11 +23,10 @@ Cross-shard coordination state shared between shard servers:
   shards, so a periodic sweep unions the local graphs and aborts victims.
 """
 
-from repro.locking.waitfor import WaitForGraph
+from repro.locking.waitfor import find_any_cycle
 from repro.protocols.base import SERVER_SITE_ID
 from repro.protocols.precedence import PrecedenceGraph
 from repro.protocols.s2pl import choose_victim
-from repro.sim.timers import Timer
 
 
 def partition_items(n_items, n_shards):
@@ -184,6 +183,13 @@ class GlobalDeadlockDetector:
 
     Deterministic: driven by a simulation timer, iterating servers in
     shard order and cycles in detection order.
+
+    A sweep costs what changed since the last one: the union is built from
+    each queued item's cached wait-edge map
+    (:meth:`~repro.locking.lock_table.LockTable.wait_edges`), most
+    sweeps end when the trim finds nothing that can reach a cycle, and
+    where a victim is waiting and how old it is are looked up only once a
+    cycle exists. ``sweeps`` / ``cyclic_sweeps`` count both kinds.
     """
 
     def __init__(self, sim, servers, interval, victim_policy="requester",
@@ -194,46 +200,68 @@ class GlobalDeadlockDetector:
         self.victim_policy = victim_policy
         self.stop_when = stop_when
         self.distributed_deadlocks = 0
-        self._timer = None
+        self.sweeps = 0
+        self.cyclic_sweeps = 0
 
     def start(self):
-        self._timer = Timer(self.sim, self.interval, self._tick)
+        self.sim.call_later(self.interval, self._tick)
         return self
 
     def _tick(self):
         self._sweep()
         if self.stop_when is None or not self.stop_when():
-            self._timer = Timer(self.sim, self.interval, self._tick)
+            self.sim.call_later(self.interval, self._tick)
 
     def _collect(self):
-        """Union wait-for graph + bookkeeping for victim selection."""
-        union = WaitForGraph()
-        waiting_at = {}   # txn -> first server it was seen waiting at
-        first_seen = {}   # txn -> min first_seen across shards
+        """The union wait-for graph, ``waiter -> frozenset(blockers)``. The
+        sets are the lock tables' cached ones, shared and never mutated
+        (a transaction queued at two places gets a new union), so the
+        result is a snapshot no later abort can reach into."""
+        out = {}
         for server in self.servers:
-            for txn_id, blockers in server.lock_table.wait_edges():
-                union.add_edges(txn_id, blockers)
-                waiting_at.setdefault(txn_id, server)
-            for txn_id, (_client, seen) in server._txns.items():
-                if txn_id not in first_seen or seen < first_seen[txn_id]:
-                    first_seen[txn_id] = seen
-        return union, waiting_at, first_seen
+            for edges in server.lock_table.wait_edges():
+                if out.keys().isdisjoint(edges):
+                    out.update(edges)
+                else:
+                    for txn, blockers in edges.items():
+                        out[txn] = out.get(txn, blockers) | blockers
+        return out
+
+    def _first_seen(self, txn):
+        """``txn``'s earliest registration at any shard (0.0 if none)."""
+        return min((server._txns[txn][1] for server in self.servers
+                    if txn in server._txns), default=0.0)
 
     def _sweep(self):
-        union, waiting_at, first_seen = self._collect()
+        """Abort one victim per cycle of the union graph as it stands now.
+
+        Everything is decided on the snapshot taken here: aborting a
+        victim regrants locks and so changes the live queues, but later
+        victims of the same sweep come from the same ``out`` and
+        ``waiting_at``. A victim is a waiter of the snapshot, hence queued
+        at ``waiting_at[victim]``, hence registered there and not yet
+        aborted there (``_abort`` and ``_finish`` drop a transaction's
+        queued requests, and a dead one is never queued again), and the
+        sweep's own aborts kill nobody but victims already out of
+        ``alive`` — no cycle found here is stale.
+        """
+        self.sweeps += 1
+        out = self._collect()
+        alive = set(out)
+        waiting_at = None
         while True:
-            cycle = union.find_any_cycle()
+            cycle = find_any_cycle(out, alive)
             if cycle is None:
                 return
+            if waiting_at is None:
+                self.cyclic_sweeps += 1
+                # txn -> first server in shard order it is queued at
+                waiting_at = {txn: server
+                              for server in reversed(self.servers)
+                              for txn in server.lock_table.waiting()}
             victim = choose_victim(cycle, self.victim_policy,
-                                   lambda txn: first_seen.get(txn, 0.0))
-            server = waiting_at.get(victim)
-            if (server is None or victim not in server._txns
-                    or victim in server._dead):
-                # The cycle resolved between collection and now (a local
-                # detector beat us to it); drop the node and move on.
-                union.remove_node(victim)
-                continue
+                                   self._first_seen)
+            server = waiting_at[victim]
             self.distributed_deadlocks += 1
             tracer = self.sim.tracer
             if tracer is not None:
@@ -241,4 +269,4 @@ class GlobalDeadlockDetector:
                             cycle=len(set(cycle)),
                             shard=server.site_id)
             server._abort(victim, reason="distributed-deadlock")
-            union.remove_node(victim)
+            alive.discard(victim)

@@ -24,6 +24,30 @@ TRACED_GOLDEN_CELLS = sorted(name for name, (kwargs, _) in GOLDEN_CELLS.items()
                              if kwargs.get("trace"))
 
 
+def brute_force_blockers(table, item):
+    """``waiter -> set(blockers)`` on ``item``, from the table's public
+    queue view only: the holders and earlier-queued requests its mode
+    conflicts with, never itself. The reference the lock table's cached
+    wait edges are tested against."""
+    holders = table.holders(item)
+    ahead, edges = [], {}
+    for txn, mode in table.waiters(item):
+        edges[txn] = {other for other, other_mode
+                      in list(holders.items()) + ahead
+                      if not mode.compatible_with(other_mode)} - {txn}
+        ahead.append((txn, mode))
+    return edges
+
+
+def brute_force_wait_edges(table):
+    """The table's whole wait-for graph, ``waiter -> set(blockers)``."""
+    union = {}
+    for item in list(table._items):
+        for txn, blockers in brute_force_blockers(table, item).items():
+            union.setdefault(txn, set()).update(blockers)
+    return union
+
+
 def spec(*ops, think=1.0):
     """Build a TransactionSpec from (item, mode) pairs."""
     return TransactionSpec(operations=tuple(

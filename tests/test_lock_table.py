@@ -137,15 +137,16 @@ def test_blockers_of_reports_holders_and_queue_ahead(table):
     table.acquire("h2", "x", R)
     table.acquire("w1", "x", W)
     table.acquire("r1", "x", R)
-    assert sorted(table.blockers_of("w1", "x")) == ["h1", "h2"]
+    assert table.blockers_of("w1", "x") == {"h1", "h2"}
     # r1 waits for the queued writer ahead of it, not for the readers
-    assert table.blockers_of("r1", "x") == ["w1"]
+    assert table.blockers_of("r1", "x") == {"w1"}
 
 
 def test_blockers_of_unqueued_txn_is_empty(table):
     table.acquire("t1", "x", W)
-    assert table.blockers_of("t1", "x") == []
-    assert table.blockers_of("nobody", "x") == []
+    assert table.blockers_of("t1", "x") == frozenset()
+    assert table.blockers_of("nobody", "x") == frozenset()
+    assert table.waits_for("nobody") == frozenset()
 
 
 def test_lock_state_cleared_when_idle(table):

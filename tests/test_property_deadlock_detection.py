@@ -1,10 +1,18 @@
 """Differential tests: s-2PL's pruned, index-driven cycle search against
-``WaitForGraph.find_cycle_from`` on the fully materialised graph."""
+``WaitForGraph.find_cycle_from`` on the fully materialised graph, and the
+lock table's cached wait edges against a brute-force reading of its
+queues."""
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import Harness, R, W
-from repro.locking import WaitForGraph
+from helpers import (
+    Harness,
+    R,
+    W,
+    brute_force_blockers,
+    brute_force_wait_edges,
+)
+from repro.locking import LockTable, WaitForGraph
 
 TXNS = range(7)
 
@@ -24,7 +32,7 @@ BUSY_EDGES = st.sets(
     st.tuples(st.sampled_from(TXNS), st.sampled_from(TXNS)), max_size=6)
 
 
-def drive(table, actions):
+def drive(table, actions, after_each=None):
     for txn, op, item in actions:
         if op == "release":
             table.release_all(txn)
@@ -32,21 +40,16 @@ def drive(table, actions):
             table.drop_queued(txn)
         elif not any(t == txn for t, _ in table.waiters(item)):
             table.acquire(txn, item, R if op == "read" else W)
+        if after_each is not None:
+            after_each()
 
 
 def materialise(table, busy_edges=()):
     """The whole wait-for graph, from the table's public queue view only
-    (not from ``blockers_of``, which the search under test also uses)."""
+    (not from its cached wait edges, which the search under test reads)."""
     wfg = WaitForGraph()
-    for item in list(table._items):
-        holders = table.holders(item)
-        ahead = []
-        for txn, mode in table.waiters(item):
-            wfg.add_edges(txn, [holder for holder, held in holders.items()
-                                if not mode.compatible_with(held)])
-            wfg.add_edges(txn, [earlier for earlier, earlier_mode in ahead
-                                if not mode.compatible_with(earlier_mode)])
-            ahead.append((txn, mode))
+    for txn, blockers in brute_force_wait_edges(table).items():
+        wfg.add_edges(txn, blockers)
     for writer, busy in busy_edges:
         wfg.add_edge(writer, busy)
     return wfg
@@ -98,3 +101,32 @@ def test_search_with_an_upgrade_at_a_queue_head(actions, first, second):
     if second != first and table.holds(second, "hot", R):
         table.acquire(second, "hot", W)
     assert_same_cycles(server, materialise(table))
+
+
+def assert_cache_coherent(table):
+    """Every cached wait edge equals the brute-force one, right now."""
+    union = brute_force_wait_edges(table)
+    per_item = {item: brute_force_blockers(table, item)
+                for item in list(table._items) + ["absent"]}
+    for txn in list(TXNS) + ["tail"]:
+        assert table.waits_for(txn) == union.get(txn, set())
+        for item, edges in per_item.items():
+            assert table.blockers_of(txn, item) == edges.get(txn, set())
+    assert set(table.waiting()) == set(union)
+    assert [dict(edges) for edges in table.wait_edges()] == [
+        edges for edges in per_item.values() if edges]
+
+
+@given(ACTIONS, st.sampled_from(TXNS), st.sampled_from(TXNS))
+@settings(max_examples=300, deadline=None)
+def test_cached_wait_edges_match_brute_force_after_every_step(
+        actions, first, second):
+    """A stale cache is a wrong victim: after *every* acquire, upgrade,
+    drop and release of a random history — transactions queued on several
+    items and upgrades queued at a head included — the cached edges are
+    the ones a fresh scan of holders and queues gives."""
+    table = LockTable()
+    for prefix in ([(first, "read", 0), (second, "read", 0),
+                    ("tail", "write", 0), (first, "write", 0)], actions,
+                   [(second, "write", 0)]):
+        drive(table, prefix, after_each=lambda: assert_cache_coherent(table))

@@ -237,3 +237,90 @@ def test_every_payload_is_a_slotted_dataclass():
     assert hash(TxnRef(1, 2)) == hash(TxnRef(1, 2))
     assert messages.LockRequest.__hash__ is None
 
+
+
+# -- the lock table's wait-edge cache ---------------------------------------
+
+_LOCK_STATE = {"queue", "holders"}
+_MUTATORS = {"append", "appendleft", "extend", "extendleft", "insert", "pop",
+             "popleft", "popitem", "remove", "clear", "update", "setdefault",
+             "move_to_end", "rotate"}
+
+
+def _is_lock_state(node):
+    """``lock.queue`` / ``lock.holders``, or a local alias of one."""
+    return ((isinstance(node, ast.Attribute) and node.attr in _LOCK_STATE)
+            or (isinstance(node, ast.Name) and node.id in _LOCK_STATE))
+
+
+def _lock_state_mutations(function):
+    """Source of every statement in ``function`` that rebinds an item
+    lock's ``queue`` / ``holders`` or changes one in place."""
+    for node in ast.walk(function):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = list(node.targets)
+        elif isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _MUTATORS
+              and _is_lock_state(node.func.value)):
+            yield ast.unparse(node)
+            continue
+        else:
+            continue
+        for target in targets:
+            for leaf in (target.elts if isinstance(target, ast.Tuple)
+                         else [target]):
+                if (isinstance(leaf, ast.Attribute) and _is_lock_state(leaf)
+                        or isinstance(leaf, ast.Subscript)
+                        and _is_lock_state(leaf.value)):
+                    yield ast.unparse(node)
+
+
+def _resets_edge_cache(function):
+    return any(isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Constant)
+               and node.value.value is None
+               and any(isinstance(target, ast.Attribute)
+                       and target.attr == "edges" for target in node.targets)
+               for node in ast.walk(function))
+
+
+def test_whatever_changes_an_item_lock_resets_its_edge_cache():
+    """A stale wait-edge cache is a wrong deadlock victim, and no golden
+    names the line that forgot: every function of the lock table that
+    changes a queue or a holder set must also set ``edges = None``."""
+    (_, tree), = _trees(os.path.join("locking", "lock_table.py"))
+    mutating = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and list(_lock_state_mutations(node))]
+    assert [node.name for node in mutating] == [
+        "__init__", "acquire", "drop_queued", "release_all",
+        "_grant_from_queue"]
+    assert [node.name for node in mutating
+            if not _resets_edge_cache(node)] == []
+
+
+def test_the_edge_cache_gate_sees_each_form():
+    for source in ("lock.queue = deque()", "lock.holders[txn] = mode",
+                   "holders[txn] = mode", "queue.popleft()",
+                   "lock.queue.appendleft((txn, mode))",
+                   "lock.holders.pop(txn, None)", "del lock.holders[txn]",
+                   "a, lock.queue = (1, deque())"):
+        function = ast.parse(f"def f():\n    {source}")
+        assert list(_lock_state_mutations(function)) == [source], source
+        assert not _resets_edge_cache(function)
+    for source in ("queue, holders = lock.queue, lock.holders",
+                   "mode = lock.holders[txn]", "n = len(lock.queue)",
+                   "lock.edges = None", "granted.append(lock.queue[0])"):
+        function = ast.parse(f"def f():\n    {source}")
+        assert list(_lock_state_mutations(function)) == [], source
+    assert _resets_edge_cache(ast.parse("def f():\n    lock.edges = None"))
+
+
+def test_item_locks_stay_slotted():
+    from repro.locking.lock_table import _ItemLock
+
+    assert _ItemLock.__slots__ == ("holders", "queue", "edges")
+    assert not hasattr(_ItemLock(), "__dict__")
