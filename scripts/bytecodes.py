@@ -13,10 +13,14 @@ functions.
     python scripts/bytecodes.py g2pl --seed 37
     python scripts/bytecodes.py s2pl --top 30 --faults loss=0.03,dup=0.01
     python scripts/bytecodes.py s2pl --sharded
+    python scripts/bytecodes.py g2pl --faulted
 
 ``--sharded`` swaps Table 1 for the ledger's ``sharded_2pc`` shape (40
 clients, 32 items, 4 shards x 4 regions, cross-shard 0.3, classic 2PC,
-latency 100 / 1), where the union deadlock sweeps run.
+latency 100 / 1), where the union deadlock sweeps run.  ``--faulted``
+swaps it for the ledger's ``faulted_g2pl`` shape (12 clients, 10 items,
+latency 100, loss 3%, duplication 1%, jitter 25 and client 2 down over
+[4000, 8000)), where the reliable channel and the faulted send loop run.
 
 Counts are specific to the interpreter version (3.11 and 3.12 compile
 the same source to different instruction streams), so compare two trees
@@ -42,14 +46,19 @@ TABLE_1 = dict(n_clients=50, n_items=25, read_probability=0.6,
 SHARDED_2PC = dict(n_clients=40, n_items=32, n_shards=4, n_regions=4,
                    cross_shard_probability=0.3, commit_protocol="2pc",
                    network_latency=100.0, intra_region_latency=1.0)
+FAULTED = dict(n_clients=12, n_items=10, read_probability=0.6,
+               network_latency=100.0,
+               faults="loss=0.03,dup=0.01,jitter=25,crash=2@4000:8000")
 
 
-def count_bytecodes(protocol, seed, faults=None, sharded=False):
+def count_bytecodes(protocol, seed, faults=None, shape=TABLE_1):
     """``(Counter keyed by (file, line, function), result)`` for one run."""
-    config = SimulationConfig(
-        protocol=protocol, total_transactions=TRANSACTIONS,
-        warmup_transactions=TRANSACTIONS // 10, faults=faults,
-        record_history=False, **(SHARDED_2PC if sharded else TABLE_1))
+    keywords = dict(shape, protocol=protocol, record_history=False,
+                    total_transactions=TRANSACTIONS,
+                    warmup_transactions=TRANSACTIONS // 10)
+    if faults is not None:
+        keywords["faults"] = faults
+    config = SimulationConfig(**keywords)
     counts = Counter()
 
     def local_trace(frame, event, _arg):
@@ -99,11 +108,17 @@ def main(argv=None):
     parser.add_argument("--top", type=int, default=20)
     parser.add_argument("--faults", default=None,
                         help="fault spec, e.g. loss=0.03,dup=0.01")
-    parser.add_argument("--sharded", action="store_true",
-                        help="the ledger's sharded_2pc shape, not Table 1")
+    shape = parser.add_mutually_exclusive_group()
+    shape.add_argument("--sharded", action="store_const", dest="shape",
+                       const=SHARDED_2PC, default=TABLE_1,
+                       help="the ledger's sharded_2pc shape, not Table 1")
+    shape.add_argument("--faulted", action="store_const", dest="shape",
+                       const=FAULTED,
+                       help="the ledger's faulted_g2pl shape (its own "
+                            "fault spec unless --faults is given)")
     args = parser.parse_args(argv)
     counts, result = count_bytecodes(args.protocol, args.seed,
-                                     faults=args.faults, sharded=args.sharded)
+                                     faults=args.faults, shape=args.shape)
     print(describe(counts, result, args.top))
     return 0
 

@@ -250,34 +250,43 @@ class FaultInjector:
     # -- send-time decisions -------------------------------------------------
 
     def plan_delays(self, src, dst, now):
-        """Decide the fate of one send: a list of extra delays, one per copy
-        to schedule (empty = the message vanishes). Loss and jitter are drawn
-        independently per copy, so a duplicate may survive its original's
-        loss and vice versa."""
+        """Decide the fate of one send: a tuple of extra delays, one per
+        copy to schedule (empty = the message vanishes). Loss and jitter are
+        drawn independently per copy, so a duplicate may survive its
+        original's loss and vice versa."""
         spec = self.spec
         stats = self.stats
         for window in spec.partitions:
             if window.severs(src, dst, now):
                 stats.dropped_partition += 1
-                return []
-        copies = 1
-        dup_probability = spec.duplicate_probability
-        if dup_probability and self._dup_random() < dup_probability:
-            copies = 2
-            stats.duplicated += 1
-        delays = []
+                return ()
         loss = spec.message_loss
         jitter = spec.extra_jitter
-        loss_random = self._loss_random
-        for _ in range(copies):
-            if loss and loss_random() < loss:
+        dup_probability = spec.duplicate_probability
+        if not (dup_probability and self._dup_random() < dup_probability):
+            # The usual fate, one copy: same draws in the same order as
+            # the loop below makes for its first copy.
+            if loss and self._loss_random() < loss:
                 stats.dropped_loss += 1
-                continue
+                return ()
             # jitter * random() is bit-identical to uniform(0, jitter):
             # Random.uniform computes 0.0 + (jitter - 0.0) * random(), and
             # both additions/subtractions with 0.0 are exact for jitter > 0.
+            return (jitter * self._jitter_random() if jitter else 0.0,)
+        stats.duplicated += 1
+        delays = []
+        for _ in range(2):
+            if loss and self._loss_random() < loss:
+                stats.dropped_loss += 1
+                continue
             delays.append(jitter * self._jitter_random() if jitter else 0.0)
-        return delays
+        return tuple(delays)
+
+    def has_crash_window(self, src, dst):
+        """True when either endpoint ever crashes — the only sends
+        :meth:`severed_by_crash` can say yes to (windows are static)."""
+        windows = self._crash_windows
+        return src in windows or dst in windows
 
     def severed_by_crash(self, src, dst, send_time, deliver_time):
         """True if the flight interval overlaps a crash window of either

@@ -12,6 +12,14 @@ takes effect on the next message.  Two things keep the path cheap:
 * payload traffic classes are cached per payload *type* instead of
   re-deriving ``type(...).__name__`` (plus wrapper unwrapping) per send.
 
+Under a fault injector the same method runs one loop over the copies
+``FaultInjector.plan_delays`` decided on (a 0- or 1-tuple unless the
+message was duplicated), traced or not.  What only a tracer reads is only
+done for a tracer: the three fault-counter snapshots and the loops that
+replay this send's drops and duplicates as events.  Crash windows are
+static, so the injector is asked once per send whether either endpoint
+has one at all, and ``severed_by_crash`` runs only for those links.
+
 Every delivery is one ``Simulator.schedule_at`` entry.  Its timestamp is
 ``now + (deliver - now)``, the float the original relative
 ``call_later`` produced: scheduling at ``deliver`` directly could move
@@ -167,11 +175,13 @@ class Network(SiteRegistry):
                 tracer.net_send(envelope, kind)
             return envelope
         fstats = faults.stats
-        # plan_delays counts its drops and duplicates eagerly; snapshot
-        # first so the tracer can report this send's share afterwards.
-        pre_loss = fstats.dropped_loss
-        pre_partition = fstats.dropped_partition
-        pre_dup = fstats.duplicated
+        if tracer is not None:
+            # plan_delays counts its drops and duplicates eagerly; snapshot
+            # first so the tracer can report this send's share afterwards.
+            pre_loss = fstats.dropped_loss
+            pre_partition = fstats.dropped_partition
+            pre_dup = fstats.duplicated
+        crash_prone = faults.has_crash_window(src, dst)
         first = None
         for extra in faults.plan_delays(src, dst, now):
             # Clamping against last[key] also orders our own copies: a
@@ -180,7 +190,8 @@ class Network(SiteRegistry):
             prev = last.get(key)
             if prev is not None and prev > deliver:
                 deliver = prev
-            if faults.severed_by_crash(src, dst, now, deliver):
+            if crash_prone and faults.severed_by_crash(src, dst, now,
+                                                       deliver):
                 fstats.dropped_crash += 1
                 if tracer is not None:
                     tracer.net_dropped(envelope, "crash")

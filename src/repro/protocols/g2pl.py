@@ -73,7 +73,6 @@ from repro.protocols.precedence import PrecedenceGraph
 from repro.protocols.sharded import TwoPhaseCoordinator, TwoPhaseParticipant
 from repro.protocols.sharding import SharedPrecedence
 from repro.sim.errors import Interrupt
-from repro.sim.timers import Timer
 from repro.storage.wal import LogRecordType
 
 FL_ORDERINGS = ("fifo", "reads_first", "writes_first")
@@ -189,7 +188,7 @@ class _ItemState:
         self.grafted_refs = []    # TxnRefs grafted onto the chain
         self.expected_refs = set()  # txn ids whose returns are still owed
         self.dispatched_at = 0.0
-        self.watchdog = None      # Timer guarding against stalled chains
+        self.watchdog = None      # cancel token of the stalled-chain timer
         self.watchdog_attempt = 0
 
 
@@ -430,10 +429,10 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
 
     def _arm_watchdog(self, info):
         if info.watchdog is not None:
-            info.watchdog.cancel()
+            info.watchdog[0] = True
         delay = self._chain_timeout * (2.0 ** min(info.watchdog_attempt, 6))
-        info.watchdog = Timer(self.sim, delay, self._watchdog_fire,
-                              info.item_id)
+        info.watchdog = self.sim.call_later_cancellable(
+            delay, self._watchdog_fire, info.item_id)
 
     def _watchdog_fire(self, item_id):
         info = self._items[item_id]
@@ -587,7 +586,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
             info.expected_refs = set()
             info.fl = None
             if info.watchdog is not None:
-                info.watchdog.cancel()
+                info.watchdog[0] = True
                 info.watchdog = None
         if info.returned_version > self.store.version(item_id):
             self._install_returned(item_id, info.returned_version,

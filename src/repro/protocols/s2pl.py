@@ -39,7 +39,6 @@ from repro.protocols.messages import (
 from repro.protocols.sharded import TwoPhaseCoordinator, TwoPhaseParticipant
 from repro.protocols.transaction import TxnStatus
 from repro.sim.errors import Interrupt
-from repro.sim.timers import Timer
 
 VICTIM_POLICIES = ("requester", "youngest", "oldest")
 
@@ -93,7 +92,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
         detector reads the spec's static crash windows."""
         self._injector = injector
         self._sweep_interval = sweep_interval
-        Timer(self.sim, sweep_interval, self._crash_sweep)
+        self.sim.call_later(sweep_interval, self._crash_sweep)
 
     def _crash_sweep(self):
         now = self.sim.now
@@ -109,7 +108,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
         # survive the sweep; cooperative termination settles them.
         for txn_id in list(self._prepared):
             self._in_doubt(txn_id, now)
-        Timer(self.sim, self._sweep_interval, self._crash_sweep)
+        self.sim.call_later(self._sweep_interval, self._crash_sweep)
 
     def _reclaim(self, txn_ids):
         """Take back everything transactions of dead clients hold or await

@@ -1,13 +1,19 @@
 """Cancellable one-shot timers on top of the event heap.
 
-The kernel's :meth:`Simulator.call_later` cannot be revoked once scheduled;
-retransmission and watchdog logic needs timers that are armed and disarmed
-constantly. A :class:`Timer` schedules its callback through
+The kernel's :meth:`Simulator.call_later` cannot be revoked once scheduled.
+A :class:`Timer` schedules its callback through
 :meth:`Simulator.call_later_cancellable`; cancelling flips the entry's
 cancel token and the engine's pop loop *skips* the dead entry at fire time
 (counted in ``sim.cancelled_events``) — the heap entry itself stays until
 then (removing from a heap is O(n)), which is the standard lazy-deletion
 discipline.
+
+Who holds one: the adaptive servers' hold and quiescence timers
+(:mod:`repro.protocols.adaptive`) and the ledger's
+``sim.ns_per_timer_cancel`` cell. The per-message users — the reliable
+channel's retransmissions, the g-2PL chain watchdog — hold the kernel's
+token itself, one object per armed entry instead of two; nothing under
+``repro.network`` imports this module.
 """
 
 

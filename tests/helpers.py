@@ -5,12 +5,14 @@ import json
 
 from repro.core.config import SimulationConfig
 from repro.locking.modes import LockMode
+from repro.network.reliable import ACK_SIZE, Reliable, ReliableAck
 from repro.network.topology import UniformTopology
 from repro.network.transport import Network
 from repro.perf.goldens import GOLDEN_CELLS
 from repro.protocols.registry import make_protocol
 from repro.protocols.transaction import Transaction
 from repro.sim.engine import Simulator
+from repro.sim.timers import Timer
 from repro.storage.store import VersionedStore
 from repro.storage.wal import WriteAheadLog
 from repro.validate.history import HistoryRecorder
@@ -155,6 +157,91 @@ class EagerPopulationDriver(PopulationDriver):
         if tracer is not None:
             tracer.txn_finished(outcome, measured=self.collector.measuring)
         self.control.transaction_finished()
+
+
+class TimerReliableLink:
+    """The reliable channel as it was before tokens: a ``Timer`` object
+    per armed message, one ``_transmit`` for first transmissions and
+    retransmissions alike, ``isinstance`` dispatch on receive. Reference
+    implementation — the oracle :class:`repro.network.reliable.ReliableLink`
+    is differentially tested against (its uncapped ``backoff ** attempt``
+    included: it overflows at the 1,024th retransmission, which no
+    differential scenario reaches)."""
+
+    def __init__(self, sim, site, rto, backoff=2.0, max_interval=None):
+        if rto <= 0:
+            raise ValueError(f"rto must be positive, got {rto}")
+        self.sim = sim
+        self.site = site
+        self.rto = rto
+        self.backoff = backoff
+        self.max_interval = max_interval if max_interval is not None \
+            else 16.0 * rto
+        self.incarnation = 0
+        self._next_seq = 0
+        self._pending = {}   # (dst, incarnation, seq) -> Timer
+        self._seen = {}      # src -> set of (incarnation, seq)
+        self.retransmissions = 0
+        self.duplicates_suppressed = 0
+
+    def send(self, dst, payload, size=1.0):
+        seq = self._next_seq
+        self._next_seq += 1
+        wrapped = Reliable(inner=payload, seq=seq,
+                           incarnation=self.incarnation)
+        self._transmit((dst, self.incarnation, seq), dst, wrapped, size, 0)
+
+    def _raw_send(self, dst, payload, size):
+        self.site.network.send(self.site.site_id, dst, payload, size=size)
+
+    def _transmit(self, key, dst, wrapped, size, attempt):
+        if attempt > 0:
+            if key not in self._pending:
+                return
+            self.retransmissions += 1
+            tracer = self.sim.tracer
+            if tracer is not None:
+                tracer.net_retransmit(self.site.site_id, dst)
+        self._raw_send(dst, wrapped, size)
+        delay = min(self.rto * self.backoff ** attempt, self.max_interval)
+        self._pending[key] = Timer(self.sim, delay, self._transmit,
+                                   key, dst, wrapped, size, attempt + 1)
+
+    def on_receive(self, envelope):
+        payload = envelope.payload
+        if isinstance(payload, ReliableAck):
+            timer = self._pending.pop(
+                (envelope.src, payload.incarnation, payload.seq), None)
+            if timer is not None:
+                timer.cancel()
+            return None
+        if isinstance(payload, Reliable):
+            self._raw_send(envelope.src,
+                           ReliableAck(seq=payload.seq,
+                                       incarnation=payload.incarnation),
+                           ACK_SIZE)
+            seen = self._seen.setdefault(envelope.src, set())
+            tag = (payload.incarnation, payload.seq)
+            if tag in seen:
+                self.duplicates_suppressed += 1
+                tracer = self.sim.tracer
+                if tracer is not None:
+                    tracer.net_dup_suppressed(self.site.site_id,
+                                              envelope.src)
+                return None
+            seen.add(tag)
+            return payload.inner
+        return payload
+
+    def crash(self):
+        for timer in self._pending.values():
+            timer.cancel()
+        self._pending.clear()
+        self._seen.clear()
+
+    def restart(self):
+        self.incarnation += 1
+        self._next_seq = 0
 
 
 def write_jsonl_per_row(path, trace, config=None, seed=None):

@@ -16,6 +16,7 @@ from repro.network.faults import (
 from repro.network.reliable import Reliable, ReliableAck, ReliableLink
 from repro.network.topology import Site, UniformTopology
 from repro.network.transport import Network
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Simulator
 from repro.sim.errors import SimulationError
 from repro.sim.rng import RandomStreams
@@ -181,6 +182,54 @@ class TestFaultyTransport:
         assert [p for (_, _, p) in sites[1].received] == ["after-restart"]
         assert [p for (_, _, p) in sites[2].received] == ["bystander"]
 
+    def test_crash_check_runs_only_where_a_crash_window_is(self):
+        sim, net, sites, injector = make_faulty_net(
+            "dup=0.5,crash=1@500:600", n_sites=4)
+        asked = []
+        severed_by_crash = injector.severed_by_crash
+
+        def recording(src, dst, send_time, deliver_time):
+            asked.append((src, dst))
+            return severed_by_crash(src, dst, send_time, deliver_time)
+
+        injector.severed_by_crash = recording
+        for _ in range(20):
+            net.send(0, 2, "bystanders")
+            net.send(3, 0, "bystanders")
+        assert asked == []
+        assert not injector.has_crash_window(0, 2)
+        # ... and every copy to or from the site that will crash is
+        # checked, long before its window opens
+        assert injector.has_crash_window(1, 0)
+        assert injector.has_crash_window(0, 1)
+        before = injector.stats.delivered
+        for _ in range(20):
+            net.send(1, 0, "from")
+            net.send(0, 1, "to")
+        assert len(asked) == injector.stats.delivered - before >= 40
+        assert set(asked) == {(1, 0), (0, 1)}
+        assert injector.stats.dropped_crash == 0
+
+    @pytest.mark.parametrize("src, dst", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("sent_at, severed", [
+        (489.9, False),   # lands at 499.9, before the crash
+        (490.0, True),    # lands exactly at `at`: the site is already down
+        (495.0, True),    # in flight across `at`
+        (550.0, True),    # sent and landing inside the window
+        (599.9, True),    # in flight across `restart_at`
+        (600.0, False),   # sent at `restart_at`: the site is back
+    ])
+    def test_flights_straddling_a_crash_window_edge(self, src, dst, sent_at,
+                                                    severed):
+        sim, net, sites, injector = make_faulty_net("crash=1@500:600",
+                                                    latency=10.0)
+        sim.call_later(sent_at, net.send, src, dst, "m")
+        sim.run()
+        assert injector.stats.dropped_crash == int(severed)
+        assert len(sites[dst].received) == int(not severed)
+        assert injector.severed_by_crash(src, dst, sent_at,
+                                         sent_at + 10.0) is severed
+
     def test_failure_detector_windows(self):
         injector = make_faulty_net("crash=1@5:100")[3]
         assert not injector.is_crashed(1, 4.9)
@@ -232,6 +281,11 @@ def make_reliable_pair(spec, seed=1, rto=30.0):
     return sim, a, b
 
 
+def retransmit_times(tracer):
+    return [time for time, kind, _ in tracer.events
+            if kind == "msg.retransmit"]
+
+
 class TestReliableLink:
     def test_exactly_once_under_loss_and_duplication(self):
         sim, a, b = make_reliable_pair("loss=0.3,dup=0.2")
@@ -281,9 +335,46 @@ class TestReliableLink:
         with pytest.raises(ValueError):
             ReliableLink(sim, None, rto=0.0)
 
-    def test_wrappers_are_frozen_values(self):
-        assert Reliable(inner="m", seq=3) == Reliable(inner="m", seq=3)
-        assert ReliableAck(seq=3) == ReliableAck(seq=3)
+    def test_wrappers_are_slotted_values(self):
+        assert Reliable(inner="m", seq=3) == Reliable("m", 3, 0)
+        assert ReliableAck(seq=3) == ReliableAck(3, 0)
+        assert Reliable.__slots__ == ("inner", "seq", "incarnation")
+        assert ReliableAck.__slots__ == ("seq", "incarnation")
+        assert not hasattr(Reliable("m", 3), "__dict__")
+
+    def test_a_site_down_for_good_is_retried_forever_at_the_cap(self):
+        # 2.0 ** 1024 raises OverflowError: the exponent must stop growing
+        # at the cap or the 1,025th retransmission never happens.
+        sim, a, b = make_reliable_pair("crash=1@5", rto=30.0)
+        tracer = sim.tracer = Tracer(sim)
+        a.link.send(1, "x")
+        sim.run(until=30.0 * 16 * 1100)
+        times = retransmit_times(tracer)
+        assert b.delivered == []
+        assert a.link.retransmissions == len(times) > 1100
+        # 30, 60, ... doubling to the cap, then exactly the cap apart
+        assert times[:6] == [30.0, 90.0, 210.0, 450.0, 930.0, 1410.0]
+        gaps = {later - earlier
+                for earlier, later in zip(times[4:], times[5:])}
+        assert gaps == {a.link.max_interval} == {480.0}
+
+    @pytest.mark.parametrize("backoff, expected", [
+        (1.0, [30.0] * 6),                              # never reaches it
+        (1.5, [30.0, 45.0, 67.5, 101.25, 120.0, 120.0]),
+        (3.0, [30.0, 90.0, 120.0, 120.0, 120.0, 120.0]),
+    ])
+    def test_backoff_delays_below_the_cap_are_the_uncapped_formula(
+            self, backoff, expected):
+        sim, a, b = make_reliable_pair("crash=1@5", rto=30.0)
+        a.link = ReliableLink(sim, a, rto=30.0, backoff=backoff,
+                              max_interval=120.0)
+        tracer = sim.tracer = Tracer(sim)
+        a.link.send(1, "x")
+        sim.run(until=sum(expected))
+        times = [0.0, *retransmit_times(tracer)]
+        gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+        assert gaps == expected
+        assert gaps == [min(30.0 * backoff ** n, 120.0) for n in range(6)]
 
 
 # -- end-to-end: protocols under faults --------------------------------------

@@ -324,3 +324,27 @@ def test_item_locks_stay_slotted():
 
     assert _ItemLock.__slots__ == ("holders", "queue", "edges")
     assert not hasattr(_ItemLock(), "__dict__")
+
+
+def _imports(tree):
+    """Every module name an ``import`` / ``from ... import`` names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""   # ``from . import x``
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_the_fault_path_arms_kernel_tokens_not_timer_objects():
+    """The reliable channel, the g-2PL watchdog and the s-2PL sweep hold
+    ``call_later_cancellable`` tokens (or nothing): a ``Timer`` would be a
+    second object per message on top of the token it wraps."""
+    importers = [os.path.relpath(path, SRC)
+                 for path, tree in _trees("network", "protocols/s2pl.py",
+                                          "protocols/g2pl.py")
+                 if any(name == "repro.sim.Timer"
+                        or name.startswith("repro.sim.timers")
+                        for name in _imports(tree))]
+    assert importers == []
