@@ -14,6 +14,7 @@ functions.
     python scripts/bytecodes.py s2pl --top 30 --faults loss=0.03,dup=0.01
     python scripts/bytecodes.py s2pl --sharded
     python scripts/bytecodes.py g2pl --faulted
+    python scripts/bytecodes.py g2pl --traced
 
 ``--sharded`` swaps Table 1 for the ledger's ``sharded_2pc`` shape (40
 clients, 32 items, 4 shards x 4 regions, cross-shard 0.3, classic 2PC,
@@ -21,6 +22,11 @@ latency 100 / 1), where the union deadlock sweeps run.  ``--faulted``
 swaps it for the ledger's ``faulted_g2pl`` shape (12 clients, 10 items,
 latency 100, loss 3%, duplication 1%, jitter 25 and client 2 down over
 [4000, 8000)), where the reliable channel and the faulted send loop run.
+``--traced`` is the ledger's ``traced_g2pl`` shape: Table 1 with tracing
+and 200-unit probes armed, then ``write_jsonl`` to a temporary file
+inside the counted region; it prints the traced run, then the untraced
+total of the same seed and the ratio of the two (what tracing and the
+export cost in interpreter work).
 
 Counts are specific to the interpreter version (3.11 and 3.12 compile
 the same source to different instruction streams), so compare two trees
@@ -32,6 +38,7 @@ EXPERIMENTS.md appendix M.
 import argparse
 import os
 import sys
+import tempfile
 from collections import Counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -39,6 +46,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 from repro.core.config import SimulationConfig  # noqa: E402
 from repro.core.runner import run_simulation  # noqa: E402
+from repro.obs.export import write_jsonl  # noqa: E402
 
 TRANSACTIONS = 1500
 TABLE_1 = dict(n_clients=50, n_items=25, read_probability=0.6,
@@ -51,13 +59,18 @@ FAULTED = dict(n_clients=12, n_items=10, read_probability=0.6,
                faults="loss=0.03,dup=0.01,jitter=25,crash=2@4000:8000")
 
 
-def count_bytecodes(protocol, seed, faults=None, shape=TABLE_1):
-    """``(Counter keyed by (file, line, function), result)`` for one run."""
+def count_bytecodes(protocol, seed, faults=None, shape=TABLE_1,
+                    traced=False):
+    """``(Counter keyed by (file, line, function), result)`` for one run;
+    ``traced`` arms the tracer and 200-unit probes and counts the JSONL
+    export with the run."""
     keywords = dict(shape, protocol=protocol, record_history=False,
                     total_transactions=TRANSACTIONS,
                     warmup_transactions=TRANSACTIONS // 10)
     if faults is not None:
         keywords["faults"] = faults
+    if traced:
+        keywords.update(trace=True, probe_interval=200.0)
     config = SimulationConfig(**keywords)
     counts = Counter()
 
@@ -71,11 +84,15 @@ def count_bytecodes(protocol, seed, faults=None, shape=TABLE_1):
         frame.f_trace_opcodes = True
         return local_trace
 
-    sys.settrace(global_trace)
-    try:
-        result = run_simulation(config, seed=seed)
-    finally:
-        sys.settrace(None)
+    with tempfile.TemporaryDirectory() as scratch:
+        sys.settrace(global_trace)
+        try:
+            result = run_simulation(config, seed=seed)
+            if traced:
+                write_jsonl(os.path.join(scratch, "trace.jsonl"),
+                            result.trace, config, seed)
+        finally:
+            sys.settrace(None)
     return counts, result
 
 
@@ -116,10 +133,21 @@ def main(argv=None):
                        const=FAULTED,
                        help="the ledger's faulted_g2pl shape (its own "
                             "fault spec unless --faults is given)")
+    parser.add_argument("--traced", action="store_true",
+                        help="the ledger's traced_g2pl shape: tracing, "
+                             "200-unit probes and the JSONL export counted, "
+                             "then the untraced total and the ratio")
     args = parser.parse_args(argv)
     counts, result = count_bytecodes(args.protocol, args.seed,
-                                     faults=args.faults, shape=args.shape)
+                                     faults=args.faults, shape=args.shape,
+                                     traced=args.traced)
     print(describe(counts, result, args.top))
+    if args.traced:
+        plain, _ = count_bytecodes(args.protocol, args.seed,
+                                   faults=args.faults, shape=args.shape)
+        traced, untraced = sum(counts.values()), sum(plain.values())
+        print(f"  untraced, same seed: {untraced:,} bytecodes; traced + "
+              f"export is {traced / untraced:.3f}x")
     return 0
 
 

@@ -65,6 +65,8 @@ class LiveTransport(SiteRegistry):
         self.bandwidth = None
         self.faults = None
         self.stats = NetworkStats()
+        #: (src, dst) -> topology latency, for every link sent on so far
+        self.link_latency = {}
         self.site_id = site_id
         self.host = host
         #: site_id -> TCP port, for every endpoint in the run (incl. us)
@@ -92,6 +94,7 @@ class LiveTransport(SiteRegistry):
         now = kernel.now
         envelope = Envelope(src, dst, payload, size, now)
         latency = self.topology.latency(src, dst)
+        self.link_latency[src, dst] = latency
         envelope.deliver_time = now + latency
         self.stats.record(envelope)
         tracer = kernel.tracer

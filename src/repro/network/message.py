@@ -1,13 +1,5 @@
 """The message envelope carried by the transport."""
 
-from itertools import count
-
-_envelope_ids = count(1)
-
-
-def _next_envelope_id():
-    return next(_envelope_ids)
-
 
 class Envelope:
     """A payload in flight between two sites.
@@ -19,7 +11,9 @@ class Envelope:
 
     Slotted, hand-rolled class rather than a dataclass: one envelope is
     allocated per send, which makes construction cost and per-instance
-    memory part of the kernel's hot path.
+    memory part of the kernel's hot path. ``envelope_id`` is ``None``
+    until a tracer numbers the message (the order it first saw it in, so
+    a trace does not depend on what else ran in the process).
     """
 
     __slots__ = ("src", "dst", "payload", "size", "send_time",
@@ -33,8 +27,7 @@ class Envelope:
         self.size = size
         self.send_time = send_time
         self.deliver_time = deliver_time
-        self.envelope_id = (next(_envelope_ids) if envelope_id is None
-                            else envelope_id)
+        self.envelope_id = envelope_id
 
     @property
     def in_flight_time(self):

@@ -15,7 +15,7 @@ takes effect on the next message.  Two things keep the path cheap:
 Under a fault injector the same method runs one loop over the copies
 ``FaultInjector.plan_delays`` decided on (a 0- or 1-tuple unless the
 message was duplicated), traced or not.  What only a tracer reads is only
-done for a tracer: the three fault-counter snapshots and the loops that
+done for a tracer: the four fault-counter snapshots and the loops that
 replay this send's drops and duplicates as events.  Crash windows are
 static, so the injector is asked once per send whether either endpoint
 has one at all, and ``severed_by_crash`` runs only for those links.
@@ -122,7 +122,8 @@ class Network(SiteRegistry):
         self.faults = faults
         self.stats = NetworkStats()
         self._last_deliver = {}  # (src, dst) -> last scheduled delivery time
-        self._latency_cache = {}  # (src, dst) -> topology latency
+        #: (src, dst) -> topology latency, for every link sent on so far
+        self.link_latency = {}
 
     def send(self, src, dst, payload, size=1.0):
         """Ship ``payload`` from ``src`` to ``dst``; returns the envelope.
@@ -149,7 +150,7 @@ class Network(SiteRegistry):
         kind = payload_kind(payload)
         per_type = stats.per_type
         per_type[kind] = per_type.get(kind, 0) + 1
-        latency_cache = self._latency_cache
+        latency_cache = self.link_latency
         key = (src, dst)
         base_delay = latency_cache.get(key)
         if base_delay is None:
@@ -171,8 +172,7 @@ class Network(SiteRegistry):
             sim.schedule_at(now + (deliver - now), self._deliver, envelope)
             envelope.deliver_time = deliver
             if tracer is not None:
-                tracer.net_scheduled(envelope)
-                tracer.net_send(envelope, kind)
+                tracer.net_send(envelope, kind, 1)
             return envelope
         fstats = faults.stats
         if tracer is not None:
@@ -181,6 +181,7 @@ class Network(SiteRegistry):
             pre_loss = fstats.dropped_loss
             pre_partition = fstats.dropped_partition
             pre_dup = fstats.duplicated
+            pre_delivered = fstats.delivered
         crash_prone = faults.has_crash_window(src, dst)
         first = None
         for extra in faults.plan_delays(src, dst, now):
@@ -199,8 +200,6 @@ class Network(SiteRegistry):
             fstats.delivered += 1
             last[key] = deliver
             sim.schedule_at(now + (deliver - now), self._deliver, envelope)
-            if tracer is not None:
-                tracer.net_scheduled(envelope)
             if first is None:
                 first = deliver
         # A dropped message still reports when it *would* have arrived.
@@ -213,7 +212,7 @@ class Network(SiteRegistry):
                 tracer.net_dropped(envelope, "partition")
             for _ in range(fstats.duplicated - pre_dup):
                 tracer.net_duplicated(envelope)
-            tracer.net_send(envelope, kind)
+            tracer.net_send(envelope, kind, fstats.delivered - pre_delivered)
         return envelope
 
     def _deliver(self, envelope):

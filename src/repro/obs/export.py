@@ -5,17 +5,24 @@ run with latency 500 shows 500 µs wire flights — open the file at
 https://ui.perfetto.dev (or chrome://tracing) to scrub the timeline.
 
 JSONL is the full-fidelity export and the one that has to be cheap: a
-traced run writes one line per event and per probe sample (174,155 lines
+traced run writes one line per event and per probe sample (173,541 lines
 for 3,600 measured transactions on the ledger's ``traced_g2pl``).
-:func:`write_jsonl` therefore formats the tracer's flat rows directly —
-``(time, kind, *values)`` events, ``(time, series, value)`` probes —
-through one ``%``-template per *shape* (the kind or series plus the type
-of every slot), compiled the first time the shape is seen. Numbers print
-through ``%r``, which is what ``json`` itself uses for an ``int`` and a
-finite ``float``; everything else (strings, ``None``, bools, lists, a
-non-finite float) is encoded first, value by value, exactly as
-``json.dumps`` would — the per-row ``json.dumps`` writer this replaced
-lives on as the byte-for-byte oracle in ``tests/helpers.py``.
+:func:`write_jsonl` therefore formats the tracer's flat rows directly
+and prints only what varies from one line to the next. A clock reading
+is formatted once per run of rows that share it (seven event rows in ten
+repeat the one before, and ``repr`` of a float is the dearest thing on a
+line; a ``%.0s`` slot would not skip it — of a float it still calls
+``str()`` and throws the digits away). The rest of an event goes through
+one ``%``-template per *shape* (the kind plus the type of every value),
+compiled the first time the shape is seen: numbers print through ``%r``,
+which is what ``json`` itself uses for an ``int`` and a finite
+``float``; a ``str``, ``bool`` or ``None`` value (``msg``, ``mode``,
+``reason``, ``committed``: a handful per slot) is encoded once and baked
+into a variant of the template kept under the value; anything else — a
+list, a non-finite float, a slot with more than :data:`_BAKED` distinct
+strings — goes to ``json.dumps``. A probe tick's n lines come from one
+template, its time formatted once. The per-row ``json.dumps`` writer all
+this replaced is the byte-for-byte oracle in ``tests/helpers.py``.
 
 Lines leave in blocks of :data:`_BLOCK`. The blocks are small on
 purpose: the trace is already resident, and whatever the writer holds on
@@ -29,11 +36,17 @@ import dataclasses
 import json
 from json.encoder import encode_basestring_ascii
 from math import isfinite
+from operator import itemgetter
 
 from repro.obs.spans import PHASE_COLORS, PHASES, phase_view
 
 #: lines formatted per ``write``; see the module docstring
 _BLOCK = 256
+#: template variants kept per shape (a slot with more distinct values is
+#: not low-cardinality: its further rows are spelled)
+_BAKED = 64
+#: stands for the time in a tick template (JSON text holds no raw NUL)
+_TIME = "\0"
 
 
 def _summary_dict(summary):
@@ -58,73 +71,112 @@ def _literal(text):
     return text.replace("%", "%%")
 
 
-def _compile(record_type, label, names, row, trust_floats):
-    """``(template, convert, floats)`` for rows shaped like ``row``.
+def _spell(label, names, row):
+    """The part of ``row``'s line after its time, by ``json.dumps``."""
+    fields = {label: row[1], **dict(zip(names, row[2:]))}
+    return ", " + json.dumps(fields)[1:] + "\n"
 
-    ``template % row`` prints ``{"type": record_type, "t": row[0],
-    label: row[1], names[0]: row[2], ...}``. ``row[1]`` — the event kind,
-    the probe series — is part of the shape, so its text is in the
-    template and its slot prints nothing. ``int`` slots, and ``float``
-    slots when ``trust_floats``, are ``%r``: what ``json`` itself uses
-    for an int and for a finite float. Every other slot is ``%s`` and
-    listed in ``convert``: the caller replaces those values with
-    :func:`_json_value` text first. ``floats`` lists the trusted float
-    slots; a row holding ``inf`` or ``nan`` in one needs the template
-    compiled without trust.
+
+def _compile(label, names, row):
+    """``(template, floats, baked)`` for rows shaped like ``row``.
+
+    ``template % row[2:]`` prints what :func:`_spell` prints for ``row``:
+    ``%r`` for ``int`` and ``float`` slots (``floats`` lists the float
+    ones: a row holding ``inf`` or ``nan`` in one must be spelled) and,
+    for ``str``/``bool``/``None`` slots (listed in ``baked``), this row's
+    value — the template serves the rows that share those. ``template``
+    is ``None`` when a slot holds anything else, or the row is not one
+    value per name.
     """
-    parts = [_literal(f'{{"type": {json.dumps(record_type)}')]
-    convert, floats = [], []
-    for slot, key in enumerate(("t", label) + names):
-        parts.append(_literal(f", {json.dumps(key)}: "))
-        if slot == 1:
-            parts.append(_literal(json.dumps(row[1])) + "%.0s")
-            continue
-        kind = type(row[slot])
+    values = row[2:]
+    if len(values) != len(names):
+        return None, (), ()
+    parts = [_literal(f", {json.dumps(label)}: {_json_value(row[1])}")]
+    floats, baked = [], []
+    for slot, (name, value) in enumerate(zip(names, values)):
+        parts.append(_literal(f", {json.dumps(name)}: "))
+        kind = type(value)
         if kind is int:
             parts.append("%r")
-        elif kind is float and trust_floats:
+        elif kind is float:
             floats.append(slot)
             parts.append("%r")
+        elif kind is str or kind is bool or value is None:
+            baked.append(slot)
+            parts.append(_literal(_json_value(value)) + "%.0s")
         else:
-            convert.append(slot)
-            parts.append("%s")
+            return None, (), ()
     parts.append("}\n")
-    return "".join(parts), tuple(convert), tuple(floats)
+    return "".join(parts), tuple(floats), tuple(baked)
 
 
 def _write_rows(out, rows, record_type, label, names_of):
-    """Write flat ``(time, label value, *values)`` rows as JSON lines.
-
-    One template per shape — the label value plus the type of every slot
-    — compiled on first sight by :func:`_compile` (``names_of(row)``
-    gives the keys of ``row[2:]``), so a row costs a type scan, a dict
-    lookup and one ``%``; lines leave in blocks of :data:`_BLOCK`.
-    """
+    """Write flat ``(time, label value, *values)`` rows as JSON lines:
+    the text up to the time, kept while the time repeats, plus the
+    shape's template applied to the values (see the module docstring).
+    ``names_of(row)`` gives the keys of ``row[2:]``."""
+    head = f'{{"type": {json.dumps(record_type)}, "t": '
+    # (label value, *slot types) -> (template, floats, pick, variants)
     shapes = {}
+    stamp = last_time = None
     for start in range(0, len(rows), _BLOCK):
         lines = []
         for row in rows[start:start + _BLOCK]:
+            time = row[0]
+            if time != last_time or type(time) is not float:
+                if type(time) is float and time - time == 0.0:
+                    stamp = head + repr(time)
+                    # 0.0 == -0.0 and they print differently: never reused
+                    last_time = time or None
+                else:
+                    stamp = head + _json_value(time)
+                    last_time = None
+            values = row[2:]
             key = (row[1], *map(type, row))
             shape = shapes.get(key)
             if shape is None:
-                names = names_of(row)
-                wary = _compile(record_type, label, names, row, False)
+                template, floats, baked = _compile(label, names_of(row), row)
                 shape = shapes[key] = (
-                    *_compile(record_type, label, names, row, True),
-                    wary[:2])
-            template, convert, floats, wary = shape
+                    template, floats, itemgetter(*baked) if baked else None,
+                    {})
+            template, floats, pick, variants = shape
             for slot in floats:
-                value = row[slot]
-                if value - value != 0.0:  # inf or nan
-                    template, convert = wary
+                value = values[slot]
+                if value - value != 0.0:  # inf or nan: not what %r prints
+                    template = None
                     break
-            if convert:
-                row = list(row)
-                for slot in convert:
-                    row[slot] = _json_value(row[slot])
-                row = tuple(row)
-            lines.append(template % row)
+            if pick is not None and template is not None:
+                chosen = pick(values)
+                template = variants.get(chosen)
+                if template is None and len(variants) < _BAKED:
+                    template = variants[chosen] = _compile(
+                        label, names_of(row), row)[0]
+            if template is None:
+                lines.append(stamp + _spell(label, names_of(row), row))
+            else:
+                lines.append(stamp + template % values)
         out.write("".join(lines))
+
+
+def _write_ticks(out, log):
+    """Write a :class:`~repro.obs.probes.ProbeLog` as JSON lines, a tick
+    at a time: one template holds the tick's n lines, its time formatted
+    once and dropped in at :data:`_TIME`. A log with loose samples, or an
+    ``inf`` or ``nan`` anywhere in it, is written triple by triple."""
+    names, ticks = log.names, log.ticks
+    total = sum(map(sum, ticks))
+    if log.loose or not names or total - total != 0.0:
+        _write_rows(out, list(log), "probe", "name", lambda row: ("value",))
+        return
+    template = "".join(
+        '{"type": "probe", "t": ' + _TIME
+        + _literal(f', "name": {_json_value(name)}') + ', "value": %r}\n'
+        for name in names)
+    step = max(1, _BLOCK // len(names))
+    for start in range(0, len(ticks), step):
+        out.write("".join([
+            (template % row[1:]).replace(_TIME, repr(row[0]))
+            for row in ticks[start:start + step]]))
 
 
 def write_jsonl(path, trace, config=None, seed=None):
@@ -152,8 +204,7 @@ def write_jsonl(path, trace, config=None, seed=None):
                     of_its_kind)
         for record in trace.txns:
             out.write(json.dumps({"type": "txn", **record}) + "\n")
-        _write_rows(out, trace.probes, "probe", "name",
-                    lambda row: ("value",))
+        _write_ticks(out, trace.probes)
     return path
 
 

@@ -4,8 +4,80 @@ The sampler schedules itself on the simulation heap like any other timer;
 its callbacks are strictly read-only (no protocol state is touched and no
 random numbers are drawn), so enabling probes shifts heap sequence numbers
 without perturbing the relative order — or the results — of the simulated
-system.
+system. The series set is fixed when the sampler is built, so a tick is
+kept as what varies: one ``(time, v0, ..., vn)`` row in a
+:class:`ProbeLog` (16,479 rows for the 65,916 samples of the ledger's
+``traced_g2pl``), which still reads as the list of triples it replaced.
 """
+
+from functools import reduce
+from itertools import chain
+from operator import add
+
+
+class ProbeLog:
+    """The captured gauge samples: a ``(time, v0, ..., vn)`` row per tick
+    in the order of ``names``, read as the list of ``(time, series,
+    value)`` triples (``len``, iteration, indexing, ``==``, ``append`` /
+    ``extend`` and pickling behave as the list did). A sample appended on
+    its own (tests, hand-made traces) goes to ``loose`` with the number of
+    ticks taken before it, which is its place in the sequence."""
+
+    def __init__(self):
+        self.names = ()   # series of every tick row, in source order
+        self.ticks = []   # [(time, v0, ..., vn)]
+        self.loose = []   # [(ticks before it, sample)]
+
+    def declare(self, names):
+        """Name the tick rows' columns (the sampler, before any tick)."""
+        names = tuple(names)
+        if self.ticks or len(set(names)) != len(names):
+            raise ValueError(f"cannot declare probe series {names}: "
+                             f"ticks already taken, or a name twice")
+        self.names = names
+
+    def append(self, sample):
+        self.loose.append((len(self.ticks), sample))
+
+    def extend(self, samples):
+        self.loose.extend((len(self.ticks), sample) for sample in samples)
+
+    def __len__(self):
+        return len(self.ticks) * len(self.names) + len(self.loose)
+
+    def __iter__(self):
+        loose, at = self.loose, 0
+        for index, row in enumerate(self.ticks):
+            while at < len(loose) and loose[at][0] <= index:
+                yield loose[at][1]
+                at += 1
+            for name, value in zip(self.names, row[1:]):
+                yield row[0], name, value
+        for _, sample in loose[at:]:
+            yield sample
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other):
+        if not isinstance(other, (ProbeLog, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def series(self):
+        """``{series: {"n", "sum", "max"}}`` as one loop over the triples
+        would add them up: left to right from 0.0 (``sum()`` compensates
+        since 3.12) and ``>`` from ``-inf`` (plain ``max()`` keeps a NaN)."""
+        columns = {}
+        if self.loose:
+            for _, name, value in self:
+                columns.setdefault(name, []).append(value)
+        elif self.ticks:
+            columns = {name: [row[series] for row in self.ticks]
+                       for series, name in enumerate(self.names, 1)}
+        return {name: {"n": len(column), "sum": reduce(add, column, 0.0),
+                       "max": max(chain((float("-inf"),), column))}
+                for name, column in columns.items()}
 
 
 class ProbeSampler:
@@ -20,7 +92,7 @@ class ProbeSampler:
         self.interval = interval
         self.sources = list(sources)   # [(name, zero-arg callable), ...]
         self.stop_when = stop_when
-        self.samples_taken = 0
+        tracer.probes.declare(name for name, _ in self.sources)
 
     def start(self):
         self.sim.call_later(self.interval, self._tick)
@@ -29,11 +101,10 @@ class ProbeSampler:
     def _tick(self):
         if self.stop_when is not None and self.stop_when():
             return  # run is over; stop rescheduling, drain quietly
-        now = self.sim.now
-        sample = self.tracer.probes.append
-        for name, read in self.sources:
-            sample((now, name, float(read())))
-        self.samples_taken += 1
+        row = [self.sim.now]
+        for _, read in self.sources:
+            row.append(float(read()))
+        self.tracer.probes.ticks.append(tuple(row))
         self.sim.call_later(self.interval, self._tick)
 
 

@@ -1,59 +1,62 @@
 """The trace event schema and its validator (used by CI's chaos smoke)."""
 
-#: event kind -> required field names (extra fields are allowed, but
-#: every event of one kind must carry the same names in the same order:
-#: the tracer keeps them once per kind and exporters compile per kind)
+#: event kind -> its columns, in row order: the one place that names a
+#: kind's fields. ``Tracer.row`` call sites pass the values in this order
+#: and the validator requires the names of every event (extra fields are
+#: allowed, but all events of one kind must carry the same names in the
+#: same order). None may be ``type``, ``t`` or ``kind``, the exported
+#: row's own keys: ``msg`` was once a second ``kind`` and lost to it.
 EVENT_SCHEMA = {
     # sim engine (only with engine-event tracing enabled)
-    "engine.dispatch": frozenset({"depth"}),
+    "engine.dispatch": ("depth",),
     # network
-    "msg.send": frozenset({"id", "src", "dst", "msg", "size", "deliver"}),
-    "msg.deliver": frozenset({"id", "src", "dst"}),
-    "msg.drop": frozenset({"id", "src", "dst", "cause"}),
-    "msg.dup": frozenset({"id", "src", "dst"}),
-    "msg.retransmit": frozenset({"src", "dst"}),
-    "msg.dup_suppressed": frozenset({"site", "src"}),
+    "msg.send": ("id", "src", "dst", "msg", "size", "deliver"),
+    "msg.deliver": ("id", "src", "dst"),
+    "msg.drop": ("id", "src", "dst", "cause"),
+    "msg.dup": ("id", "src", "dst"),
+    "msg.retransmit": ("src", "dst"),
+    "msg.dup_suppressed": ("site", "src"),
     # locking (s-2PL family)
-    "lock.request": frozenset({"txn", "item", "mode", "client"}),
-    "lock.queued": frozenset({"txn", "item"}),
-    "lock.grant": frozenset({"txn", "item", "mode"}),
-    "lock.release": frozenset({"txn", "granted"}),
-    "lock.deadlock": frozenset({"requester", "victim", "cycle"}),
-    "lock.deadlock.distributed": frozenset({"victim", "cycle", "shard"}),
+    "lock.request": ("txn", "item", "mode", "client"),
+    "lock.queued": ("txn", "item"),
+    "lock.grant": ("txn", "item", "mode"),
+    "lock.release": ("txn", "granted"),
+    "lock.deadlock": ("requester", "victim", "cycle"),
+    "lock.deadlock.distributed": ("victim", "cycle", "shard"),
     # transaction lifecycle
-    "txn.begin": frozenset({"txn", "client"}),
-    "txn.end": frozenset({"txn", "client", "committed", "response"}),
-    "txn.abort": frozenset({"txn", "reason"}),
+    "txn.begin": ("txn", "client"),
+    "txn.end": ("txn", "client", "committed", "response"),
+    "txn.abort": ("txn", "reason"),
     # fault recovery
-    "crash.sweep": frozenset({"reclaimed"}),
+    "crash.sweep": ("reclaimed",),
     # g-2PL forward lists and chains
-    "fl.collect": frozenset({"txn", "item", "window"}),
-    "fl.window_open": frozenset({"item", "carried"}),
-    "fl.window_close": frozenset({"item", "size"}),
-    "fl.dispatch": frozenset({"item", "n_txns", "epoch"}),
-    "fl.home": frozenset({"item"}),
-    "fl.graft": frozenset({"txn", "item"}),
-    "fl.handoff": frozenset({"txn", "item", "to"}),
-    "fl.return": frozenset({"txn", "item"}),
-    "fl.watchdog": frozenset({"item", "attempt"}),
-    "fl.repair": frozenset({"item", "action", "crashed"}),
-    "chain.commit": frozenset({"txn"}),
+    "fl.collect": ("txn", "item", "window"),
+    "fl.window_open": ("item", "carried"),
+    "fl.window_close": ("item", "size"),
+    "fl.dispatch": ("item", "n_txns", "epoch"),
+    "fl.home": ("item",),
+    "fl.graft": ("txn", "item"),
+    "fl.handoff": ("txn", "item", "to"),
+    "fl.return": ("txn", "item"),
+    "fl.watchdog": ("item", "attempt"),
+    "fl.repair": ("item", "action", "crashed"),
+    "chain.commit": ("txn",),
     # cross-shard two-phase commit (sharded runs)
-    "twopc.prepare": frozenset({"txn", "shard", "vote"}),
-    "twopc.vote.piggyback": frozenset({"txn", "shard"}),
-    "twopc.decision": frozenset({"txn", "shard", "commit"}),
-    "twopc.terminate": frozenset({"txn", "shard", "peers"}),
-    "twopc.terminate.commit": frozenset({"txn", "shard"}),
-    "twopc.terminate.abort": frozenset({"txn", "shard"}),
+    "twopc.prepare": ("txn", "shard", "vote"),
+    "twopc.vote.piggyback": ("txn", "shard"),
+    "twopc.decision": ("txn", "shard", "commit"),
+    "twopc.terminate": ("txn", "shard", "peers"),
+    "twopc.terminate.commit": ("txn", "shard"),
+    "twopc.terminate.abort": ("txn", "shard"),
     # adaptive controllers (repro.adapt)
-    "hybrid.switch": frozenset({"item", "mode", "epoch", "score"}),
-    "window.hold": frozenset({"item", "hold", "depth"}),
-    "spec.extend": frozenset({"item", "tail", "n_txns"}),
-    "spec.accept": frozenset({"item", "tail", "n_txns"}),
-    "spec.decline": frozenset({"item", "tail"}),
-    "spec.repair": frozenset({"item", "epoch", "n_txns"}),
-    "spec.splice": frozenset({"txn", "item"}),
-    "spec.refuse": frozenset({"txn", "item"}),
+    "hybrid.switch": ("item", "mode", "epoch", "score"),
+    "window.hold": ("item", "hold", "depth"),
+    "spec.extend": ("item", "tail", "n_txns"),
+    "spec.accept": ("item", "tail", "n_txns"),
+    "spec.decline": ("item", "tail"),
+    "spec.repair": ("item", "epoch", "n_txns"),
+    "spec.splice": ("txn", "item"),
+    "spec.refuse": ("txn", "item"),
 }
 
 #: keys every per-transaction accounting record must carry
@@ -88,7 +91,7 @@ def validate_events(events, max_errors=20):
         if required is None:
             errors.append(f"event {index}: unknown kind {kind!r}")
             continue
-        missing = required - fields.keys()
+        missing = set(required) - fields.keys()
         if missing:
             errors.append(
                 f"event {index} ({kind}): missing fields {sorted(missing)}")

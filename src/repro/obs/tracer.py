@@ -20,16 +20,20 @@ Three kinds of records are captured:
   time into propagation, transmission, server-queueing, client-processing
   (think), delivery slack (jitter / FIFO clamping), and residual lock
   wait.
-* **probes** — periodic gauge samples, ``(sim_time, series, value)``,
-  appended by :class:`~repro.obs.probes.ProbeSampler`.
+* **probes** — periodic gauge samples, one ``(sim_time, v0, ..., vn)``
+  row per tick appended by :class:`~repro.obs.probes.ProbeSampler`;
+  :class:`~repro.obs.probes.ProbeLog` reads them back as ``(sim_time,
+  series, value)`` triples.
 
 Row layout is the capture cost. An event is one tuple of the clock
-reading, the kind and the field values in emit order (86 B of container
-on the ledger's ``traced_g2pl``, against 271 B for a tuple holding a
-keyword dict); :meth:`Tracer.emit` checks the keyword names against the
-kind's column tuple and flattens the values, and the two per-message
-rows (``msg.send``, ``msg.deliver`` — over half of all events) are
-appended by the network hooks without building a dict at all.
+reading, the kind and the field values (86 B of container on the
+ledger's ``traced_g2pl``, against 271 B for a tuple holding a keyword
+dict). A kind's field names are written once, in
+:data:`~repro.obs.schema.EVENT_SCHEMA`; every call site in the package
+passes the values in that order to :meth:`Tracer.row` — no keyword dict
+is built, no name compared — and the two per-message rows (over half of
+all events) are appended by the network hooks themselves. Keyword
+:meth:`Tracer.emit` remains for kinds the schema does not declare.
 :meth:`Tracer.finish` hands the same row lists to :class:`TraceData`;
 nothing is copied.
 
@@ -56,6 +60,8 @@ worked-example scenario):
 
 from dataclasses import dataclass
 
+from repro.obs.probes import ProbeLog
+from repro.obs.schema import EVENT_SCHEMA
 from repro.obs.summary import NON_SEQUENTIAL_ROUND_KINDS, TraceSummary
 
 
@@ -69,9 +75,10 @@ class EventLog:
     A row is ``(time, kind, *values)`` — one tuple per event instead of a
     tuple holding a keyword dict, which is what makes a resident trace
     cost about a third of what it did. The field names live once per kind
-    in ``columns``; a row whose names differ from its kind's (no shipped
-    kind does this, :func:`~repro.obs.schema.validate_events` reports it)
-    keeps its own under its index in ``odd``.
+    in ``columns`` (the schema's, then any other kind's first ``emit``);
+    a row whose names differ from its kind's (no shipped kind does this,
+    :func:`~repro.obs.schema.validate_events` reports it) keeps its own
+    under its index in ``odd``.
 
     ``len()``, iteration, indexing, ``==`` and pickling behave as the list
     of ``(time, kind, {field: value})`` triples did; exporters that want
@@ -80,7 +87,7 @@ class EventLog:
 
     def __init__(self):
         self.rows = []      # [(time, kind, *values), ...]
-        self.columns = {}   # kind -> (field name, ...), in emit order
+        self.columns = dict(EVENT_SCHEMA)  # kind -> (field name, ...)
         self.odd = {}       # row index -> names, where they differ
 
     def new_shape(self, kind, names):
@@ -124,7 +131,7 @@ class TraceData:
 
     events: EventLog  # reads as [(time, kind, {field: value}), ...]
     txns: list        # [per-transaction record dict, ...]
-    probes: list      # [(time, series_name, value), ...]
+    probes: ProbeLog  # reads as [(time, series_name, value), ...]
     summary: TraceSummary
 
 
@@ -156,16 +163,6 @@ class _TxnAcc:
         self.overhead = 0.0
 
 
-#: columns of the rows :class:`Tracer` appends without going through
-#: :meth:`Tracer.emit` (``msg`` is the message type; it was once a second
-#: ``kind``, which the exported row's own ``kind`` key silently replaced)
-_DIRECT_COLUMNS = {
-    "engine.dispatch": ("depth",),
-    "msg.send": ("id", "src", "dst", "msg", "size", "deliver"),
-    "msg.deliver": ("id", "src", "dst"),
-}
-
-
 class Tracer:
     """Collects structured events and per-transaction accounting."""
 
@@ -176,16 +173,11 @@ class Tracer:
         self.events = EventLog()
         self._rows = self.events.rows
         self._columns = self.events.columns
-        # the per-message and per-dispatch rows are appended directly
-        self._columns.update(_DIRECT_COLUMNS)
-        self.probes = []    # [(time, series, value)]; ProbeSampler appends
+        self.probes = ProbeLog()   # ProbeSampler appends a row per tick
         self._live = {}   # txn_id -> _TxnAcc
         self._done = {}   # txn_id -> (acc, meta dict), insertion-ordered
         self._unfinished = []  # records finalised by close(), never begun
-        # run-local message ids: the Envelope counter is module-global (not
-        # reset per run), so traces keyed on it would differ between worker
-        # processes; the tracer numbers messages itself.
-        self._msg_ids = {}
+        self._msgs_seen = 0  # each stamped with its number at first sight
         # network gauges / counters
         self.in_flight_total = 0
         self.messages_sent = 0
@@ -201,6 +193,11 @@ class Tracer:
 
     # -- generic events ------------------------------------------------------
 
+    def row(self, kind, *values):
+        """One event of a declared kind, its ``values`` in the order of
+        ``EVENT_SCHEMA[kind]`` (held to it by ``tests/test_structure.py``)."""
+        self._rows.append((self.sim.now, kind, *values))
+
     def emit(self, kind, /, **fields):
         if self._columns.get(kind) != tuple(fields):
             self.events.new_shape(kind, tuple(fields))
@@ -215,21 +212,27 @@ class Tracer:
     # -- network -------------------------------------------------------------
 
     def _msg_id(self, envelope):
-        ids = self._msg_ids
-        mid = ids.get(envelope.envelope_id)
+        """The envelope's run-local number, stamped on it at first sight
+        (its send; for a tracer attached mid-run, a delivery or a drop).
+        The two per-message hooks below do this inline, a call cheaper."""
+        mid = envelope.envelope_id
         if mid is None:
-            mid = ids[envelope.envelope_id] = len(ids) + 1
+            mid = envelope.envelope_id = self._msgs_seen = self._msgs_seen + 1
         return mid
 
-    def net_send(self, envelope, kind):
+    def net_send(self, envelope, kind, copies=0):
+        """One send; ``copies`` is how many deliveries of it the transport
+        put on the heap (what :meth:`net_delivered` will count down)."""
         self.messages_sent += 1
-        self.msgs_by_kind[kind] = self.msgs_by_kind.get(kind, 0) + 1
+        by_kind = self.msgs_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        self.in_flight_total += copies
+        mid = envelope.envelope_id
+        if mid is None:
+            mid = envelope.envelope_id = self._msgs_seen = self._msgs_seen + 1
         self._rows.append((
-            self.sim.now, "msg.send", self._msg_id(envelope), envelope.src,
+            envelope.send_time, "msg.send", mid, envelope.src,
             envelope.dst, kind, envelope.size, envelope.deliver_time))
-
-    def net_scheduled(self, envelope):
-        self.in_flight_total += 1
 
     def net_delivered(self, envelope):
         # A tracer attached mid-run also sees sends it never counted land;
@@ -237,27 +240,28 @@ class Tracer:
         # every counted copy has landed.
         if self.in_flight_total > 0:
             self.in_flight_total -= 1
-        self._rows.append((self.sim.now, "msg.deliver",
-                           self._msg_id(envelope), envelope.src,
+        mid = envelope.envelope_id
+        if mid is None:
+            mid = envelope.envelope_id = self._msgs_seen = self._msgs_seen + 1
+        self._rows.append((self.sim.now, "msg.deliver", mid, envelope.src,
                            envelope.dst))
 
     def net_dropped(self, envelope, cause):
         self.drops_by_cause[cause] = self.drops_by_cause.get(cause, 0) + 1
-        self.emit("msg.drop", id=self._msg_id(envelope), src=envelope.src,
-                  dst=envelope.dst, cause=cause)
+        self.row("msg.drop", self._msg_id(envelope), envelope.src,
+                 envelope.dst, cause)
 
     def net_duplicated(self, envelope):
         self.duplicates_injected += 1
-        self.emit("msg.dup", id=self._msg_id(envelope), src=envelope.src,
-                  dst=envelope.dst)
+        self.row("msg.dup", self._msg_id(envelope), envelope.src, envelope.dst)
 
     def net_retransmit(self, site_id, dst):
         self.retransmissions += 1
-        self.emit("msg.retransmit", src=site_id, dst=dst)
+        self.row("msg.retransmit", site_id, dst)
 
     def net_dup_suppressed(self, site_id, src):
         self.duplicates_suppressed += 1
-        self.emit("msg.dup_suppressed", site=site_id, src=src)
+        self.row("msg.dup_suppressed", site_id, src)
 
     # -- per-transaction accounting ------------------------------------------
 
@@ -305,11 +309,13 @@ class Tracer:
             return
         acc = self._acc(txn_id)
         network = self.network
-        propagation = (network.topology.latency(envelope.src, envelope.dst)
-                       if network is not None else 0.0)
-        transmission = (envelope.size / network.bandwidth
-                        if network is not None and network.bandwidth
-                        else 0.0)
+        if network is None:
+            propagation = transmission = 0.0
+        else:
+            # what the transport priced this link at when it sent
+            propagation = network.link_latency[envelope.src, envelope.dst]
+            bandwidth = network.bandwidth
+            transmission = envelope.size / bandwidth if bandwidth else 0.0
         slack = (envelope.deliver_time - envelope.send_time
                  - propagation - transmission)
         acc.propagation += propagation
@@ -341,7 +347,7 @@ class Tracer:
         acc = self._acc(txn.txn_id)
         acc.client_id = txn.client_id
         acc.begin = self.sim.now
-        self.emit("txn.begin", txn=txn.txn_id, client=txn.client_id)
+        self.row("txn.begin", txn.txn_id, txn.client_id)
 
     def txn_finished(self, outcome, measured=True):
         """Finalise a transaction from its driver-visible outcome."""
@@ -359,9 +365,8 @@ class Tracer:
             "abort_reason": outcome.abort_reason,
         }
         self._done[outcome.txn_id] = (acc, meta)
-        self.emit("txn.end", txn=outcome.txn_id, client=outcome.client_id,
-                  committed=outcome.committed,
-                  response=outcome.response_time)
+        self.row("txn.end", outcome.txn_id, outcome.client_id,
+                 outcome.committed, outcome.response_time)
 
     def partial_records(self):
         """Accumulators of transactions this tracer never saw finish.
@@ -466,6 +471,7 @@ class Tracer:
             trace_events=len(self.events),
             processed_events=processed_events,
             peak_heap_depth=peak_heap_depth,
+            probe_series=self.probes.series(),
         )
         for record in txns:
             if not record["measured"]:
@@ -493,15 +499,5 @@ class Tracer:
                 summary.overhead_sum += record["overhead"]
             else:
                 summary.aborted += 1
-        series = summary.probe_series
-        for _, name, value in self.probes:
-            cell = series.get(name)
-            if cell is None:
-                cell = series[name] = {"n": 0, "sum": 0.0,
-                                       "max": float("-inf")}
-            cell["n"] += 1
-            cell["sum"] += value
-            if value > cell["max"]:
-                cell["max"] = value
         return TraceData(events=self.events, txns=txns, probes=self.probes,
                          summary=summary)

@@ -205,9 +205,8 @@ class AdaptiveG2PLServer(G2PLServer):
                 self.mode_switches += 1
                 tracer = self.sim.tracer
                 if tracer is not None:
-                    tracer.emit("hybrid.switch", item=item_id,
-                                mode=switched, epoch=ctl.epoch,
-                                score=round(ctl.score(), 4))
+                    tracer.row("hybrid.switch", item_id, switched, ctl.epoch,
+                               round(ctl.score(), 4))
         if self._adapt_window:
             self._window(item_id).observe_freeze(depth)
         super()._maybe_dispatch(info)
@@ -222,8 +221,8 @@ class AdaptiveG2PLServer(G2PLServer):
             self.sim, duration, self._hold_fire, item_id)
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("window.hold", item=item_id,
-                        hold=round(duration, 3), depth=len(info.window))
+            tracer.row("window.hold", item_id, round(duration, 3),
+                       len(info.window))
 
     def _hold_fire(self, item_id):
         self._hold_timers.pop(item_id, None)
@@ -269,8 +268,7 @@ class AdaptiveG2PLServer(G2PLServer):
                   size=CONTROL_SIZE + fl.transfer_size())
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("spec.extend", item=item_id, tail=tail_ref.txn_id,
-                        n_txns=fl.txn_count())
+            tracer.row("spec.extend", item_id, tail_ref.txn_id, fl.txn_count())
 
     def _begin_speculation(self, info):
         """Freeze the away item's window into an FL without dispatching:
@@ -290,10 +288,8 @@ class AdaptiveG2PLServer(G2PLServer):
         self.fl_lengths.append(fl.txn_count())
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("fl.window_close", item=info.item_id,
-                        size=len(selected))
-            tracer.emit("fl.window_open", item=info.item_id,
-                        carried=len(info.window))
+            tracer.row("fl.window_close", info.item_id, len(selected))
+            tracer.row("fl.window_open", info.item_id, len(info.window))
         return fl
 
     def on_SpecAck(self, msg):
@@ -308,8 +304,7 @@ class AdaptiveG2PLServer(G2PLServer):
             # the spec is still registered the item is still in flight.
             # Leave it: the landing runs the mis-spec repair.
             if tracer is not None:
-                tracer.emit("spec.decline", item=msg.item_id,
-                            tail=msg.from_txn)
+                tracer.row("spec.decline", msg.item_id, msg.from_txn)
             return
         del self._spec[msg.item_id]
         last = spec.fl.entries[-1]
@@ -322,8 +317,8 @@ class AdaptiveG2PLServer(G2PLServer):
         self.spec_hits += 1
         self._spec_ctl.hits += 1
         if tracer is not None:
-            tracer.emit("spec.accept", item=msg.item_id, tail=msg.from_txn,
-                        n_txns=spec.fl.txn_count())
+            tracer.row("spec.accept", msg.item_id, msg.from_txn,
+                       spec.fl.txn_count())
 
     def _dispatch_prefrozen(self, info, spec):
         """Mis-speculation repair: the item came home with its pre-frozen
@@ -356,8 +351,7 @@ class AdaptiveG2PLServer(G2PLServer):
         self._spec_ctl.misses += 1
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("spec.repair", item=item_id, epoch=info.epoch,
-                        n_txns=fl.txn_count())
+            tracer.row("spec.repair", item_id, info.epoch, fl.txn_count())
         item = self.store.read(item_id)
         dispatch_chain(self, item_id, item.version, item.value, fl,
                        mr1w=self.config.mr1w, epoch=info.epoch)
@@ -451,8 +445,8 @@ class AdaptiveG2PLClient(G2PLClient):
         else:
             accepted = False
         if tracer is not None:
-            tracer.emit("spec.splice" if accepted else "spec.refuse",
-                        txn=msg.txn_id, item=msg.item_id)
+            tracer.row("spec.splice" if accepted else "spec.refuse",
+                       msg.txn_id, msg.item_id)
         self.send_control(self.home_of(msg.item_id),
                           SpecAck(item_id=msg.item_id, from_txn=msg.txn_id,
                                   accepted=accepted, epoch=msg.epoch))

@@ -268,8 +268,8 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         ref = TxnRef(txn_id=txn_id, client_id=entry.client_id)
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("lock.request", txn=txn_id, item=msg.item_id,
-                        mode=msg.mode.name, client=msg.client_id)
+            tracer.row("lock.request", txn_id, msg.item_id, msg.mode.name,
+                       msg.client_id)
 
         # Fixed constraint: every live dispatched-chain member precedes the
         # new request. If any such edge closes a cycle, the conflicting
@@ -299,8 +299,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         entry.window_items.add(msg.item_id)
         self.window_enqueued += 1
         if tracer is not None:
-            tracer.emit("fl.collect", txn=txn_id, item=msg.item_id,
-                        window=len(info.window))
+            tracer.row("fl.collect", txn_id, msg.item_id, len(info.window))
         if info.at_server:
             self._maybe_dispatch(info)
 
@@ -369,7 +368,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
                         size=CONTROL_SIZE)
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("chain.commit", txn=msg.txn_id)
+            tracer.row("chain.commit", msg.txn_id)
             tracer.round_charge(msg.txn_id, "commit_ack")
             tracer.wire_charge(msg.txn_id, env, phase="commit")
 
@@ -391,8 +390,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         self._end_termination(txn_id)
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("twopc.decision", txn=txn_id, shard=self.site_id,
-                        commit=msg.commit)
+            tracer.row("twopc.decision", txn_id, self.site_id, msg.commit)
         if msg.commit:
             if staged is not None:
                 self.twopc_commits.add(txn_id)
@@ -442,8 +440,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         info.watchdog_attempt += 1
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("fl.watchdog", item=item_id,
-                        attempt=info.watchdog_attempt)
+            tracer.row("fl.watchdog", item_id, info.watchdog_attempt)
         self._repair_chain(info)
 
     def _chain_refs_pending(self, info):
@@ -485,8 +482,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
             self.chain_repairs += 1
             tracer = self.sim.tracer
             if tracer is not None:
-                tracer.emit("fl.repair", item=item_id,
-                            action="store-recovery", crashed=0)
+                tracer.row("fl.repair", item_id, "store-recovery", 0)
             self._item_home(info)
             return
         crashed = [ref for ref in pending
@@ -503,8 +499,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         self.chain_repairs += 1
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("fl.repair", item=item_id, action="route-around",
-                        crashed=len(crashed))
+            tracer.row("fl.repair", item_id, "route-around", len(crashed))
         crashed_ids = {ref.txn_id for ref in crashed}
         for ref in crashed:
             info.expected_refs.discard(ref.txn_id)
@@ -569,7 +564,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         item_id = info.item_id
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("fl.home", item=item_id)
+            tracer.row("fl.home", item_id)
         for ref in info.chain_all:
             entry = self._txns.get(ref.txn_id)
             if entry is not None:
@@ -630,7 +625,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         self.aborts_initiated += 1
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("txn.abort", txn=txn_id, reason=reason)
+            tracer.row("txn.abort", txn_id, reason)
         expect = tuple(sorted(entry.chain_items))
         # Purge the victim's window entries. A sequential client has none
         # (its one outstanding request is the one being refused); only a
@@ -683,7 +678,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
                         size=self.data_ship_size(fl=solo))
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("fl.graft", txn=ref.txn_id, item=info.item_id)
+            tracer.row("fl.graft", ref.txn_id, info.item_id)
             tracer.round_charge(ref.txn_id, "grant")
             tracer.wire_charge(ref.txn_id, env)
         return True
@@ -789,12 +784,9 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
             # The window that collected while the item was away freezes
             # into this FL; a new one opens (carrying any capped leftover)
             # and collects until the item next comes home.
-            tracer.emit("fl.window_close", item=info.item_id,
-                        size=len(selected))
-            tracer.emit("fl.dispatch", item=info.item_id,
-                        n_txns=fl.txn_count(), epoch=info.epoch)
-            tracer.emit("fl.window_open", item=info.item_id,
-                        carried=len(info.window))
+            tracer.row("fl.window_close", info.item_id, len(selected))
+            tracer.row("fl.dispatch", info.item_id, fl.txn_count(), info.epoch)
+            tracer.row("fl.window_open", info.item_id, len(info.window))
         item = self.store.read(info.item_id)
         dispatch_chain(self, info.item_id, item.version, item.value, fl,
                        mr1w=self.config.mr1w, epoch=info.epoch)
@@ -820,7 +812,10 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
 
     def fl_occupancy(self):
         """Live transactions on currently-dispatched forward lists."""
-        return sum(len(info.chain_live) for info in self._items.values())
+        live = 0  # every probe tick: a generator costs a third more
+        for info in self._items.values():
+            live += len(info.chain_live)
+        return live
 
     def assert_invariants(self):
         """Cheap structural invariants, used by tests after every run."""
@@ -1173,12 +1168,10 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
             # the transaction whose termination triggers it.
             if forwarded_to_client:
                 tracer.round_charge(hold.txn_id, "handoff")
-                tracer.emit("fl.handoff", txn=hold.txn_id,
-                            item=hold.item_id, to=successor)
+                tracer.row("fl.handoff", hold.txn_id, hold.item_id, successor)
             else:
                 tracer.round_charge(hold.txn_id, "release")
-                tracer.emit("fl.return", txn=hold.txn_id,
-                            item=hold.item_id)
+                tracer.row("fl.return", hold.txn_id, hold.item_id)
         if forwarded_to_client and self.fault_mode:
             # Progress beacon for the stalled-chain watchdog: this member
             # has passed the item on (returns speak for themselves).

@@ -102,7 +102,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
         if crashed:
             tracer = self.sim.tracer
             if tracer is not None:
-                tracer.emit("crash.sweep", reclaimed=len(crashed))
+                tracer.row("crash.sweep", len(crashed))
         self._reclaim(crashed)
         # PREPARED transactions are in doubt, not dead: their locks must
         # survive the sweep; cooperative termination settles them.
@@ -134,8 +134,8 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
             self._txns[msg.txn_id] = (msg.client_id, self.sim.now)
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("lock.request", txn=msg.txn_id, item=msg.item_id,
-                        mode=msg.mode.name, client=msg.client_id)
+            tracer.row("lock.request", msg.txn_id, msg.item_id, msg.mode.name,
+                       msg.client_id)
         state = self.lock_table.acquire(msg.txn_id, msg.item_id, msg.mode)
         if state is LockRequestState.GRANTED:
             self._ship(msg.txn_id, msg.item_id, msg.mode, msg.vote_request)
@@ -143,7 +143,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
         if msg.vote_request:
             self._vote_wanted.add((msg.txn_id, msg.item_id))
         if tracer is not None:
-            tracer.emit("lock.queued", txn=msg.txn_id, item=msg.item_id)
+            tracer.row("lock.queued", msg.txn_id, msg.item_id)
         self._detect_and_resolve(msg.txn_id)
 
     def on_CommitRelease(self, msg):
@@ -197,8 +197,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
                      else self._txns.get(txn_id, (None, None))[0])
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("twopc.decision", txn=txn_id, shard=self.site_id,
-                        commit=msg.commit)
+            tracer.row("twopc.decision", txn_id, self.site_id, msg.commit)
         if msg.commit:
             if txn_id in self._txns:
                 updates = (msg.updates if msg.updates is not None
@@ -250,7 +249,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
         granted = self.lock_table.release_all(txn_id)
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("lock.release", txn=txn_id, granted=len(granted))
+            tracer.row("lock.release", txn_id, len(granted))
         for grantee, item_id, mode in granted:
             self._grant(grantee, item_id, mode)
 
@@ -277,11 +276,9 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
                         size=self.data_ship_size())
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("lock.grant", txn=txn_id, item=item_id,
-                        mode=mode.name)
+            tracer.row("lock.grant", txn_id, item_id, mode.name)
             if vote:
-                tracer.emit("twopc.vote.piggyback", txn=txn_id,
-                            shard=self.site_id)
+                tracer.row("twopc.vote.piggyback", txn_id, self.site_id)
             tracer.round_charge(txn_id, "grant", shard=self.shard_tag)
             tracer.wire_charge(txn_id, env)
 
@@ -333,8 +330,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
                                    lambda txn: self._txns[txn][1])
             tracer = self.sim.tracer
             if tracer is not None:
-                tracer.emit("lock.deadlock", requester=requester,
-                            victim=victim, cycle=len(set(cycle)))
+                tracer.row("lock.deadlock", requester, victim, len(set(cycle)))
             self._abort(victim, reason="deadlock")
             if victim == requester:
                 return
@@ -353,7 +349,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
         self.aborts_initiated += 1
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("txn.abort", txn=txn_id, reason=reason)
+            tracer.row("txn.abort", txn_id, reason)
         for grantee, item_id, mode in self.lock_table.drop_queued(txn_id):
             self._grant(grantee, item_id, mode)
         env = self.send(client_id, AbortNotice(txn_id=txn_id, reason=reason),

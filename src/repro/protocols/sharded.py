@@ -138,8 +138,7 @@ class TwoPhaseParticipant:
                 prepared_at=self.sim.now)
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("twopc.prepare", txn=txn_id,
-                        shard=self.site_id, vote=vote)
+            tracer.row("twopc.prepare", txn_id, self.site_id, vote)
         env = self.send(msg.client_id,
                         PrepareVote(txn_id=txn_id, shard=self.site_id,
                                     vote=vote, charge=msg.charge),
@@ -194,8 +193,7 @@ class TwoPhaseParticipant:
         self._term_replies[txn_id] = {}
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("twopc.terminate", txn=txn_id, shard=self.site_id,
-                        peers=len(peers))
+            tracer.row("twopc.terminate", txn_id, self.site_id, len(peers))
         for peer in peers:
             self.send(peer,
                       OutcomeQuery(txn_id=txn_id, from_shard=self.site_id),
@@ -243,9 +241,8 @@ class TwoPhaseParticipant:
             return
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit("twopc.terminate.commit" if commit
-                        else "twopc.terminate.abort",
-                        txn=txn_id, shard=self.site_id)
+            tracer.row("twopc.terminate.commit" if commit
+                       else "twopc.terminate.abort", txn_id, self.site_id)
         (self.twopc_commits if commit else self.twopc_aborts).add(txn_id)
         self._settle(txn_id, staged, commit)
 

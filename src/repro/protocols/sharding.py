@@ -265,8 +265,7 @@ class GlobalDeadlockDetector:
             self.distributed_deadlocks += 1
             tracer = self.sim.tracer
             if tracer is not None:
-                tracer.emit("lock.deadlock.distributed", victim=victim,
-                            cycle=len(set(cycle)),
-                            shard=server.site_id)
+                tracer.row("lock.deadlock.distributed", victim,
+                           len(set(cycle)), server.site_id)
             server._abort(victim, reason="distributed-deadlock")
             alive.discard(victim)

@@ -1,15 +1,16 @@
 """Tests for the observability stack: round accounting, tracing,
 schema validation, exporters, and probes."""
 
-import ast
+import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.analysis.tables import render_rounds_table
 from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
+from repro.network import Network, Site, UniformTopology
+from repro.network.faults import FaultInjector, FaultSpec
 from repro.obs.probes import ProbeSampler
 from repro.obs.rounds import (
     contended_round_profile,
@@ -26,6 +27,7 @@ from repro.obs.summary import TraceSummary
 from repro.obs.tracer import Tracer
 from repro.perf.goldens import golden_config
 from repro.sim.engine import Simulator
+from repro.sim.rng import RandomStreams
 
 from helpers import TRACED_GOLDEN_CELLS
 
@@ -203,32 +205,20 @@ class TestSchema:
         assert validate_trace(result.trace) == []
 
     def test_every_kind_emitted_under_src_is_in_the_schema(self):
-        """Static: each literal kind passed to ``.emit(`` is a schema kind,
-        carries the schema's fields, and is emitted with one key tuple."""
-        source_root = Path(__file__).resolve().parent.parent / "src"
-        emitted = {}   # kind -> {(keyword, ...): "file:line"}
-        for path in sorted(source_root.rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for node in ast.walk(tree):
-                if not (isinstance(node, ast.Call) and node.args
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "emit"):
-                    continue
-                keywords = tuple(keyword.arg for keyword in node.keywords)
-                for literal in ast.walk(node.args[0]):
-                    if (isinstance(literal, ast.Constant)
-                            and isinstance(literal.value, str)):
-                        emitted.setdefault(literal.value, {})[keywords] = (
-                            f"{path.name}:{node.lineno}")
-        # the rows the tracer appends without going through emit()
-        for kind, names in Tracer(Simulator()).events.columns.items():
-            emitted.setdefault(kind, {})[names] = "tracer.py"
-        assert len(emitted) > 30
-        assert set(emitted) == set(EVENT_SCHEMA)
-        for kind, shapes in emitted.items():
-            assert len(shapes) == 1, (kind, shapes)
-            (names,) = shapes
-            assert EVENT_SCHEMA[kind] <= set(names), (kind, names)
+        """The traced golden cells and the three runs above record only
+        declared kinds, each under exactly its declared columns (the
+        static half — every ``row(`` call site against the schema — is in
+        ``tests/test_structure.py``)."""
+        seen = {}
+        for name in TRACED_GOLDEN_CELLS:
+            config, seed = golden_config(name)
+            log = run_simulation(config, seed=seed).trace.events
+            assert not log.odd
+            for row in log.rows:
+                seen.setdefault(row[1], set()).add(len(row) - 2)
+        assert len(seen) > 15
+        for kind, widths in seen.items():
+            assert widths == {len(EVENT_SCHEMA[kind])}, kind
 
     def test_kind_with_two_key_sets_caught(self):
         events = [(0.0, "fl.repair", {"item": 1, "action": "x",
@@ -352,6 +342,63 @@ class TestProbes:
             ProbeSampler(sim, None, 0.0, [])
         with pytest.raises(ValueError):
             SimulationConfig(probe_interval=-1.0)
+
+
+class TestMessageNumbering:
+    """A message's ``id`` is the order the run's tracer first saw it in,
+    stamped on the envelope; it used to be looked up in a dict keyed on a
+    process-global envelope counter. The expected values below were
+    recorded with that dict."""
+
+    @staticmethod
+    def numbering(events):
+        return [(kind, fields["id"]) for _, kind, fields in events
+                if kind.startswith("msg.") and "id" in fields]
+
+    def test_two_traced_runs_in_one_process_number_alike(self):
+        config = traced_config(
+            "g2pl", total_transactions=150, probe_interval=None,
+            faults="loss=0.05,dup=0.03,jitter=25,crash=2@6000:12000")
+        first = self.numbering(run_simulation(config, seed=29).trace.events)
+        second = self.numbering(run_simulation(config, seed=29).trace.events)
+        assert first == second
+        assert first[:3] == [("msg.send", 1), ("msg.send", 2),
+                             ("msg.send", 3)]
+        # drops, duplicates and crash-severed copies included: every id
+        # from 1 up is used, each by every row about that message
+        assert {mid for _, mid in first} == set(range(1, 3500))
+        assert len(first) == 7207
+        assert hashlib.sha256(repr(first).encode()).hexdigest().startswith(
+            "2044fd79ebdfc0f8")
+
+    def test_late_tracer_numbers_at_first_sight_and_a_duplicate_once(self):
+        class Sink(Site):
+            def receive(self, envelope):
+                pass
+
+        sim = Simulator()
+        net = Network(sim, UniformTopology(10.0))
+        for site_id in range(3):
+            net.add_site(Sink(site_id))
+        net.faults = FaultInjector(
+            FaultSpec(duplicate_probability=0.9, extra_jitter=3.0),
+            RandomStreams(7).spawn("faults"))
+        early = [net.send(0, 1, "early-a"), net.send(1, 0, "early-b"),
+                 net.send(0, 2, "early-c")]
+        assert [envelope.envelope_id for envelope in early] == [None] * 3
+        sim.run(until=5.0)
+        tracer = sim.tracer = Tracer(sim)
+        late = [net.send(0, 1, "late-a"), net.send(2, 1, "late-b")]
+        sim.run()
+        # the early three are first seen landing (3, 4, 5); both copies
+        # of a duplicated envelope carry the one number
+        assert self.numbering(tracer.events) == [
+            ("msg.dup", 1), ("msg.send", 1), ("msg.dup", 2), ("msg.send", 2),
+            ("msg.deliver", 3), ("msg.deliver", 4), ("msg.deliver", 4),
+            ("msg.deliver", 5), ("msg.deliver", 5), ("msg.deliver", 2),
+            ("msg.deliver", 2), ("msg.deliver", 1), ("msg.deliver", 1)]
+        assert [envelope.envelope_id for envelope in late] == [1, 2]
+        assert sorted(envelope.envelope_id for envelope in early) == [3, 4, 5]
 
 
 class TestSummaryMerge:

@@ -1,7 +1,9 @@
-"""The flat-row event log and the compiled JSONL writer, each against
-the thing it replaced: the list of ``(time, kind, fields)`` triples, and
-the per-row ``json.dumps`` writer kept in :mod:`tests.helpers`."""
+"""The flat-row event log, the columnar probe log and the compiled JSONL
+writer, each against the thing it replaced: the list of ``(time, kind,
+fields)`` triples, the list of ``(time, series, value)`` triples, and the
+per-row ``json.dumps`` writer kept in :mod:`tests.helpers`."""
 
+import dataclasses
 import json
 import math
 import pickle
@@ -14,10 +16,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
 from repro.obs.export import (
+    _BAKED,
     write_jsonl,
     write_phases_csv,
     write_probes_csv,
 )
+from repro.obs.probes import ProbeLog
+from repro.obs.schema import EVENT_SCHEMA
 from repro.obs.spans import PHASES, phase_view, sum_violation
 from repro.obs.tracer import RESERVED_FIELDS, Tracer
 from repro.perf.goldens import golden_config
@@ -159,6 +164,211 @@ def test_synthetic_hostile_trace_matches_oracle_and_the_triples(events,
     assert repr([log[i] for i in range(len(events))]) == repr(events)
     assert repr(list(pickle.loads(pickle.dumps(log)))) == repr(events)
     assert log == events  # same value objects, so NaN is NaN by identity
+
+
+# -- positional rows: shared clock readings, baked slots ----------------------
+
+class TestPositionalRowsMatchOracle:
+    """``Tracer.row`` rows through the writer's three economies — a clock
+    reading printed once per run of rows, ``str``/``bool``/``None`` values
+    baked into template variants, everything else spelled — against the
+    per-row oracle."""
+
+    @staticmethod
+    def rows(*rows):
+        clock = _Clock()
+        tracer = Tracer(clock)
+        for time, kind, *values in rows:
+            clock.now = time
+            tracer.row(kind, *values)
+        return tracer.finish()
+
+    def test_hostile_text_in_a_baked_slot(self, tmp_path):
+        texts = ["100%", "%s %d %(x)r %%", 'say "hi"', "back\\slash", "é☃",
+                 "\x00\n\t", "\U0001f600", "", "plain"]
+        trace = self.rows(*[(float(index // 2), "txn.abort", index, text)
+                            for index, text in enumerate(texts * 2)])
+        new, old = both_writers(tmp_path, trace)
+        assert new == old
+
+    def test_true_and_one_in_the_same_slot_are_two_shapes(self, tmp_path):
+        trace = self.rows((1.0, "txn.end", 1, 2, True, 1.5),
+                          (1.0, "txn.end", 1, 2, 1, 1.5),
+                          (1.0, "txn.end", 1, 2, False, 1.5),
+                          (1.0, "txn.end", 1, 2, 0, 1.5),
+                          (1.0, "txn.end", 1, 2, None, 1.5),
+                          (1.0, "txn.end", 1, 2, 1.0, 1.5),
+                          (1.0, "txn.end", True, 2, True, 1.5))
+        new, old = both_writers(tmp_path, trace)
+        assert new == old
+        committed = [json.loads(line)["committed"]
+                     for line in new.splitlines()[1:]]
+        assert [repr(value) for value in committed] == [
+            "True", "1", "False", "0", "None", "1.0", "True"]
+
+    def test_an_unhashable_value_is_spelled(self, tmp_path):
+        trace = self.rows((1.0, "fl.repair", 3, "route-around", [2, [5]]),
+                          (1.0, "fl.repair", 3, "route-around", {"a": None}),
+                          (2.0, "fl.repair", 3, "route-around", 2),
+                          (2.0, "fl.repair", 3, ("a", 1), 2))
+        new, old = both_writers(tmp_path, trace)
+        assert new == old
+
+    def test_a_slot_with_too_many_strings_stops_baking(self, tmp_path):
+        trace = self.rows(*[(1.0, "txn.abort", index, f"reason-{index % 90}")
+                            for index in range(4 * _BAKED)])
+        new, old = both_writers(tmp_path, trace)
+        assert new == old
+
+    def test_equal_clock_readings_that_print_differently(self, tmp_path):
+        times = [0.0, -0.0, 0.0, 0, 5.0, 5, 5.0, 5.0, True, 1.0, 1, 1.0,
+                 math.inf, math.inf, math.nan, math.nan, 2 ** 53, 2.0 ** 53]
+        trace = self.rows(*[(time, "fl.home", index)
+                            for index, time in enumerate(times)])
+        new, old = both_writers(tmp_path, trace)
+        assert new == old
+
+    def test_non_finite_float_beside_a_baked_slot(self, tmp_path):
+        trace = self.rows((1.0, "txn.end", 1, 2, True, math.inf),
+                          (1.0, "txn.end", 1, 2, True, 2.5),
+                          (1.0, "txn.end", 1, 2, True, math.nan),
+                          (1.0, "msg.send", 1, 0, 1, "GShip", -0.0, -math.inf))
+        new, old = both_writers(tmp_path, trace)
+        assert new == old
+
+    def test_a_row_of_the_wrong_width_reads_as_the_triple_does(self, tmp_path):
+        # the structure gate keeps these out of the package; the export
+        # still prints what the (time, kind, fields) view holds
+        trace = self.rows((1.0, "txn.begin", 1), (1.0, "txn.begin", 1, 2, 3),
+                          (1.0, "txn.begin", 1, 2))
+        new, old = both_writers(tmp_path, trace)
+        assert new == old
+
+
+row_times = st.sampled_from([0.0, -0.0, 1.5, 1.5, 2, 2.0, 1e22, math.inf])
+declared_rows = st.sampled_from(sorted(EVENT_SCHEMA)).flatmap(
+    lambda kind: st.tuples(
+        row_times, st.just(kind),
+        *[values] * len(EVENT_SCHEMA[kind])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=st.lists(declared_rows, max_size=12))
+def test_synthetic_positional_rows_match_oracle_and_the_triples(rows):
+    trace = TestPositionalRowsMatchOracle.rows(*rows)
+    with tempfile.TemporaryDirectory() as directory:
+        new, old = both_writers(directory, trace)
+    assert new == old
+    triples = [(time, kind, dict(zip(EVENT_SCHEMA[kind], fields)))
+               for time, kind, *fields in rows]
+    assert repr(list(trace.events)) == repr(triples)
+    assert not trace.events.odd
+
+
+# -- the columnar probe log ---------------------------------------------------
+
+gauge_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 40).map(float),
+    st.sampled_from([-0.0, 0.0, 0.1, 1e22, math.inf, -math.inf, math.nan]))
+series_names = st.lists(
+    st.one_of(st.sampled_from(["heap", "50%", 'q"', "{0}"]), hostile_text),
+    max_size=4, unique=True)
+loose_samples = st.tuples(
+    times, st.one_of(st.sampled_from(["heap", "50%", "other"]), hostile_text),
+    st.one_of(gauge_values, st.integers(-5, 2 ** 60)))
+
+
+@st.composite
+def probe_scripts(draw):
+    """``(names, steps)``: a step is a tick row, one loose sample, or a
+    list of loose samples to ``extend`` with."""
+    names = tuple(draw(series_names))
+    tick = st.tuples(st.floats(allow_nan=True, allow_infinity=True),
+                     *[gauge_values] * len(names))
+    steps = draw(st.lists(
+        st.one_of(tick.map(lambda row: ("tick", row)),
+                  loose_samples.map(lambda sample: ("append", sample)),
+                  st.lists(loose_samples, max_size=3).map(
+                      lambda samples: ("extend", samples))),
+        max_size=10))
+    return names, steps
+
+
+def series_by_one_loop(triples):
+    """``TraceSummary.probe_series`` as ``Tracer.finish`` computed it
+    when the probes were a list of triples."""
+    series = {}
+    for _, name, value in triples:
+        cell = series.get(name)
+        if cell is None:
+            cell = series[name] = {"n": 0, "sum": 0.0,
+                                   "max": float("-inf")}
+        cell["n"] += 1
+        cell["sum"] += value
+        if value > cell["max"]:
+            cell["max"] = value
+    return series
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(script=probe_scripts())
+def test_probe_log_reads_exports_and_sums_as_the_list_of_triples(script):
+    names, steps = script
+    tracer = Tracer(_Clock())
+    log, plain = tracer.probes, []
+    log.declare(names)
+    for step, payload in steps:
+        if step == "tick":
+            log.ticks.append(payload)
+            plain.extend((payload[0], name, value)
+                         for name, value in zip(names, payload[1:]))
+        elif step == "append":
+            log.append(payload)
+            plain.append(payload)
+        else:
+            log.extend(payload)
+            plain.extend(payload)
+    # repr compares NaNs by spelling and tells -0.0 from 0.0
+    assert type(log) is ProbeLog and len(log) == len(plain)
+    assert repr(list(log)) == repr(plain)
+    assert repr([log[i] for i in range(len(plain))]) == repr(plain)
+    assert repr([log[-i] for i in range(1, len(plain) + 1)]) == repr(
+        plain[::-1])
+    for index in (len(plain), -len(plain) - 1):
+        with pytest.raises(IndexError):
+            log[index]
+    for cut in (slice(None), slice(1, None, 2), slice(-3, None),
+                slice(None, None, -1), slice(2, 1)):
+        assert repr(log[cut]) == repr(plain[cut])
+    assert log == plain and plain == log   # the same value objects
+    assert log != plain + [(0.0, "extra", 0.0)]
+    copy = pickle.loads(pickle.dumps(log))
+    assert repr(list(copy)) == repr(plain) and copy.names == names
+
+    trace = tracer.finish()
+    assert trace.probes is log
+    assert repr(trace.summary.probe_series) == repr(series_by_one_loop(plain))
+    with tempfile.TemporaryDirectory() as directory:
+        listed = dataclasses.replace(trace, probes=plain)
+        new = write_jsonl(Path(directory) / "new.jsonl", trace)
+        old = write_jsonl_per_row(Path(directory) / "old.jsonl", listed)
+        assert new.read_bytes() == old.read_bytes()
+        csv = write_probes_csv(Path(directory) / "probes.csv", trace)
+        assert csv.read_text(encoding="utf-8") == "time,series,value\n" + (
+            "".join(f"{time!r},{name},{value!r}\n"
+                    for time, name, value in plain))
+
+
+def test_probe_log_refuses_a_repeated_name_and_a_late_declaration():
+    log = ProbeLog()
+    with pytest.raises(ValueError, match="twice"):
+        log.declare(["a", "b", "a"])
+    log.declare(["a"])
+    log.declare(["a", "b"])   # no tick taken yet
+    log.ticks.append((1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match="already taken"):
+        log.declare(["a", "b"])
 
 
 # -- the view -----------------------------------------------------------------

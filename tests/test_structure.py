@@ -348,3 +348,91 @@ def test_the_fault_path_arms_kernel_tokens_not_timer_objects():
                         or name.startswith("repro.sim.timers")
                         for name in _imports(tree))]
     assert importers == []
+
+
+# -- tracing: one declared schema, positional rows ------------------------------
+
+def _recorded_rows():
+    """``(where, kind expression, value count)`` of every event the package
+    records positionally: ``x.row(kind, *values)`` calls, and the tuples
+    ``(time, "kind", *values)`` the tracer's own hooks append."""
+    for path, tree in _trees(""):
+        where = os.path.relpath(path, SRC)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "row":
+                assert node.args and not node.keywords, (where, node.lineno)
+                assert not any(isinstance(arg, ast.Starred)
+                               for arg in node.args), (where, node.lineno)
+                yield (f"{where}:{node.lineno}", node.args[0],
+                       len(node.args) - 1)
+            elif (node.func.attr == "append" and where == "obs/tracer.py"
+                  and ast.unparse(node.func.value) == "self._rows"
+                  and isinstance(node.args[0], ast.Tuple)
+                  and isinstance(node.args[0].elts[1], ast.Constant)):
+                yield (f"{where}:{node.lineno}", node.args[0].elts[1],
+                       len(node.args[0].elts) - 2)
+
+
+def _literal_kinds(expression):
+    """The kinds a ``row`` call can name: a string literal, or a
+    conditional expression choosing between string literals."""
+    if isinstance(expression, ast.IfExp):
+        return _literal_kinds(expression.body) + _literal_kinds(
+            expression.orelse)
+    assert (isinstance(expression, ast.Constant)
+            and isinstance(expression.value, str)), ast.unparse(expression)
+    return [expression.value]
+
+
+def test_no_keyword_emit_is_left_in_the_package():
+    """In-tree events are positional rows of a declared kind; keyword
+    ``emit`` is for kinds the schema does not know (tests, the ledger's
+    ``obs.ns_per_emit`` cell)."""
+    calls = [f"{os.path.relpath(path, SRC)}:{node.lineno}"
+             for path, tree in _trees("")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "emit"]
+    assert calls == []
+
+
+def test_every_row_names_a_declared_kind_and_fills_its_columns():
+    from repro.obs.schema import EVENT_SCHEMA
+
+    recorded = set()
+    for where, expression, n_values in _recorded_rows():
+        for kind in _literal_kinds(expression):
+            assert kind in EVENT_SCHEMA, (where, kind)
+            assert n_values == len(EVENT_SCHEMA[kind]), (where, kind)
+            recorded.add(kind)
+    assert recorded == set(EVENT_SCHEMA)   # and nothing declared is dead
+
+
+def test_no_declared_column_is_a_reserved_key():
+    from repro.obs.schema import EVENT_SCHEMA
+    from repro.obs.tracer import RESERVED_FIELDS
+
+    assert set(RESERVED_FIELDS) == {"type", "t", "kind"}
+    for kind, columns in EVENT_SCHEMA.items():
+        assert type(columns) is tuple and len(set(columns)) == len(columns)
+        assert not set(columns) & set(RESERVED_FIELDS), kind
+
+
+def test_the_message_number_rides_in_the_slot_the_global_id_had():
+    """The tracer's stamp took over ``Envelope.envelope_id``: no eighth
+    slot on the one object allocated per send, no process-global counter
+    behind it, and no attribute added to the g-2PL server (29, one under
+    the inline-attribute limit) for the occupancy gauge."""
+    from helpers import Harness
+    from repro.network import message
+    from repro.network.message import Envelope
+
+    assert len(Envelope.__slots__) == 7
+    assert Envelope(0, 1, "payload").envelope_id is None
+    assert not [name for name, value in vars(message).items()
+                if type(value).__module__ == "itertools"]
+    assert len(vars(Harness("g2pl").server)) <= 29
