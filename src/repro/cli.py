@@ -11,6 +11,7 @@ Installed as ``repro-experiment``. Examples::
 """
 
 import argparse
+import dataclasses
 import sys
 
 from repro.core.config import Fidelity, SimulationConfig
@@ -19,138 +20,37 @@ from repro.core.runner import (
     improvement_percentage,
     run_simulation,
 )
-from repro.protocols.registry import (
-    available_protocols,
-    capability_table,
-    lp_eligible,
-    protocols_with,
-)
+from repro.protocols.registry import available_protocols, capability_table
+
+#: Where a command-line run departs from the config defaults: a shorter
+#: run, and no per-operation history (so no serializability check).
+CLI_DEFAULTS = {"total_transactions": 1000, "warmup_transactions": 100,
+                "record_history": False}
+
+#: The config fields that declare a run flag, in field order.
+FLAGGED = tuple(spec for spec in dataclasses.fields(SimulationConfig)
+                if "flag" in spec.metadata)
 
 
 def _add_workload_args(parser):
-    parser.add_argument("--clients", type=int, default=50)
-    parser.add_argument("--items", type=int, default=25)
-    parser.add_argument("--pr", type=float, default=0.6,
-                        help="read probability (Table 1)")
-    parser.add_argument("--latency", type=float, default=500.0)
-    parser.add_argument("--transactions", type=int, default=1000)
-    parser.add_argument("--warmup", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--faults", default=None, metavar="SPEC",
-        help="fault-injection spec, e.g. "
-             "'loss=0.05,dup=0.01,jitter=50,crash=3@10000:20000' "
-             "(see repro.network.faults.FaultSpec.parse)")
-    parser.add_argument(
-        "--shards", type=int, default=1, metavar="K",
-        help="partition the hot items over K home servers "
-             "(cross-shard transactions commit with 2PC); protocols: "
-             + ", ".join(protocols_with("shardable")))
-    parser.add_argument(
-        "--regions", type=int, default=1, metavar="R",
-        help="group the shard servers into R geographic regions "
-             "(clients sit with their home shard; inter-region hops "
-             "cost --latency, intra-region hops --intra-latency)")
-    parser.add_argument(
-        "--intra-latency", type=float, default=1.0, metavar="L",
-        help="one-way latency inside a region (default 1.0)")
-    parser.add_argument(
-        "--commit", default="2pc", choices=("2pc", "2pc-opt"),
-        help="cross-shard atomic commit: classic 2PC (2m+3 rounds) or "
-             "the piggybacked variant (2m+1 rounds)")
-    parser.add_argument(
-        "--cross-shard", type=float, default=None, metavar="P",
-        help="probability a transaction draws from the full item pool "
-             "instead of its home shard (default: every draw is global)")
-    parser.add_argument(
-        "--population", type=int, default=None, metavar="N",
-        help="multiplex N logical users over the client sites with "
-             "open-arrival traffic (default: the paper's closed-loop "
-             "terminals)")
-    parser.add_argument(
-        "--arrival", default="poisson",
-        choices=("poisson", "burst", "diurnal"),
-        help="open-arrival process shape (with --population)")
-    parser.add_argument(
-        "--arrival-rate", type=float, default=0.001, metavar="R",
-        help="transactions per user per time unit (with --population)")
-    parser.add_argument(
-        "--zipf", type=float, default=None, metavar="S",
-        help="Zipf-like access skew (item at rank r has weight "
-             "1/(r+1)^S; default 0 = uniform)")
-    parser.add_argument(
-        "--txn-mix", default=None, metavar="MIX",
-        help="transaction classes 'name:weight:min-max:read_prob,...' "
-             "e.g. 'browse:6:1-3:0.9,update:3:2-5:0.3' "
-             "(with --population)")
-    parser.add_argument(
-        "--max-inflight", type=int, default=256, metavar="K",
-        help="admission control: shed arrivals beyond K in-flight "
-             "transactions per site (with --population)")
-    parser.add_argument(
-        "--streaming", default=None, choices=("on", "off", "auto"),
-        help="bounded-memory metrics (reservoir percentiles, running "
-             "moments); auto switches on above the streaming "
-             "threshold (default: auto)")
-    parser.add_argument(
-        "--termination", default=None, choices=("global", "quota"),
-        help="run-length rule: 'global' stops at the Nth finished "
-             "transaction anywhere (the paper's rule); 'quota' gives "
-             "each client transactions/clients of the total (required "
-             "by --lp; default: global, or quota when --lp is given)")
-    parser.add_argument(
-        "--lp", action="store_true",
-        help="run each shard's server and co-located clients as a "
-             "logical process on its own core (needs --shards K > 1 and "
-             "a shard-local workload, --cross-shard 0); bit-identical "
-             "to the serial run; protocols: "
-             + ", ".join(filter(lp_eligible, available_protocols())))
-    parser.add_argument(
-        "--trace", action="store_true",
-        help="collect structured trace events and per-transaction "
-             "round/latency accounting (metrics stay bit-identical)")
-    parser.add_argument(
-        "--probe-interval", type=float, default=None, metavar="T",
-        help="sample time-series gauges (queue depths, in-flight "
-             "messages, heap depth) every T sim-time units")
-    adapt = parser.add_argument_group(
-        "adaptive concurrency control (repro.adapt; protocols "
-        "g2pl-adaptive / hybrid / g2pl-spec)")
-    adapt.add_argument(
-        "--adapt-window", action="store_true",
-        help="tune the g-2PL collection window online (feedback loop on "
-             "freeze depth; implied by --protocol g2pl-adaptive)")
-    adapt.add_argument(
-        "--hybrid", action="store_true",
-        help="switch each item between s-2PL-equivalent and grouped "
-             "service on a streaming contention score (implied by "
-             "--protocol hybrid)")
-    adapt.add_argument(
-        "--speculate", action="store_true",
-        help="clock-assisted speculative dispatch: pre-freeze and ship "
-             "the next window once the quiescence bound proves it final "
-             "(implied by --protocol g2pl-spec)")
-    adapt.add_argument("--window-gain", type=float, default=0.5,
-                       help="window controller integral gain")
-    adapt.add_argument("--window-target", type=float, default=3.0,
-                       metavar="DEPTH", help="window depth setpoint")
-    adapt.add_argument("--window-min", type=float, default=0.0,
-                       metavar="XLAT",
-                       help="min hold, in multiples of --latency")
-    adapt.add_argument("--window-max", type=float, default=2.0,
-                       metavar="XLAT",
-                       help="max hold, in multiples of --latency")
-    adapt.add_argument("--hybrid-low", type=float, default=0.3,
-                       help="switch to single mode below this score")
-    adapt.add_argument("--hybrid-high", type=float, default=0.5,
-                       help="switch to grouped mode above this score")
-    adapt.add_argument("--hybrid-scale", type=float, default=3.0,
-                       help="freeze depth at which the score reads 0.5")
-    adapt.add_argument("--adapt-ewma", type=float, default=0.3,
-                       help="EWMA weight for the adapt estimators")
-    adapt.add_argument("--spec-margin", type=float, default=1.5,
-                       metavar="XLAT",
-                       help="quiescence bound, in multiples of --latency")
+    """One option per flagged config field, under the field's own name."""
+    groups = {None: parser}
+    for spec in FLAGGED:
+        options = dict(spec.metadata)
+        flag, group = options.pop("flag"), options.pop("group", None)
+        if group not in groups:
+            groups[group] = parser.add_argument_group(group)
+        default = CLI_DEFAULTS.get(spec.name, spec.default)
+        if isinstance(default, bool):
+            options["action"] = "store_true"
+        else:
+            options.setdefault("type", type(default))
+            # what argparse would print for the flag's own dest
+            options.setdefault("metavar", None if "choices" in options
+                               else flag[2:].replace("-", "_").upper())
+        groups[group].add_argument(flag, dest=spec.name, default=default,
+                                   **options)
+    parser.set_defaults(config=None)  # built from these by main()
 
 
 def _jobs_type(value):
@@ -169,53 +69,9 @@ def _add_jobs_arg(parser):
 
 
 def _config_from(args, protocol):
-    streaming = {"on": True, "off": False,
-                 "auto": None, None: None}[getattr(args, "streaming", None)]
-    lp = getattr(args, "lp", False)
-    termination = getattr(args, "termination", None)
-    if termination is None:
-        # --lp requires per-client quotas; picking it implicitly keeps
-        # "repro-experiment run --shards 4 --cross-shard 0 --lp" working
-        # without a second flag. An explicit --termination always wins.
-        termination = "quota" if lp else "global"
-    cross_shard = getattr(args, "cross_shard", None)
-    if lp and cross_shard is None:
-        cross_shard = 0.0
-    return SimulationConfig(
-        protocol=protocol, n_clients=args.clients, n_items=args.items,
-        read_probability=args.pr, network_latency=args.latency,
-        total_transactions=args.transactions,
-        warmup_transactions=args.warmup, seed=args.seed,
-        faults=getattr(args, "faults", None),
-        n_shards=getattr(args, "shards", 1),
-        n_regions=getattr(args, "regions", 1),
-        intra_region_latency=getattr(args, "intra_latency", 1.0),
-        commit_protocol=getattr(args, "commit", "2pc"),
-        cross_shard_probability=cross_shard,
-        population=getattr(args, "population", None),
-        arrival=getattr(args, "arrival", "poisson"),
-        arrival_rate=getattr(args, "arrival_rate", 0.001),
-        access_skew=getattr(args, "zipf", None) or 0.0,
-        txn_mix=getattr(args, "txn_mix", None),
-        max_inflight_per_site=getattr(args, "max_inflight", 256),
-        streaming=streaming,
-        termination=termination,
-        lp=lp,
-        trace=getattr(args, "trace", False),
-        probe_interval=getattr(args, "probe_interval", None),
-        adapt_window=getattr(args, "adapt_window", False),
-        hybrid=getattr(args, "hybrid", False),
-        speculate=getattr(args, "speculate", False),
-        window_gain=getattr(args, "window_gain", 0.5),
-        window_target_depth=getattr(args, "window_target", 3.0),
-        window_min=getattr(args, "window_min", 0.0),
-        window_max=getattr(args, "window_max", 2.0),
-        hybrid_low=getattr(args, "hybrid_low", 0.3),
-        hybrid_high=getattr(args, "hybrid_high", 0.5),
-        hybrid_scale=getattr(args, "hybrid_scale", 3.0),
-        adapt_ewma=getattr(args, "adapt_ewma", 0.3),
-        spec_margin=getattr(args, "spec_margin", 1.5),
-        record_history=False)
+    return SimulationConfig(**{**CLI_DEFAULTS, "protocol": protocol,
+                               **{spec.name: getattr(args, spec.name)
+                                  for spec in FLAGGED}})
 
 
 def _profiled(args, label, work):
@@ -242,8 +98,7 @@ def _cmd_run(args):
         print("note: a single simulation always runs serially; "
               "--jobs applies to compare/figure sweeps", file=sys.stderr)
     result = _profiled(args, args.protocol,
-                       lambda: run_simulation(_config_from(args,
-                                                           args.protocol)))
+                       lambda: run_simulation(args.config))
     print(result.summary())
     print(f"  duration: {result.duration:,.0f} time units, "
           f"throughput: {result.throughput:.5f} txn/unit")
@@ -261,11 +116,10 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args):
-    config = _config_from(args, "g2pl")
     label = "-".join(args.protocols)
     results = _profiled(
         args, label,
-        lambda: compare_protocols(config, tuple(args.protocols),
+        lambda: compare_protocols(args.config, tuple(args.protocols),
                                   replications=args.replications,
                                   jobs=args.jobs))
     for name, result in results.items():
@@ -288,12 +142,12 @@ def _cmd_trace(args):
         write_probes_csv,
     )
 
-    args.trace = True
-    if args.probe_interval is None:
+    config = args.config
+    if config.probe_interval is None:
         # Without an explicit interval, sample roughly once per round trip
         # so the probe CSV is never empty.
-        args.probe_interval = max(2.0 * args.latency, 1.0)
-    config = _config_from(args, args.protocol)
+        config = config.replace(
+            probe_interval=max(2.0 * config.network_latency, 1.0))
     result = run_simulation(config)
     trace = result.trace
     prefix = args.out
@@ -323,8 +177,8 @@ def _cmd_decompose(args):
             protocol=args.protocol, mode=args.mode,
             n_clients=args.live_clients, latency=args.live_latency,
             seed=args.seed, think=args.think, repeats=args.repeats,
-            duration=args.duration, n_items=args.items,
-            read_probability=args.pr)
+            duration=args.duration, n_items=args.n_items,
+            read_probability=args.read_probability)
         report, live, _reference = sim_vs_live(
             spec, time_scale=args.time_scale)
         print(report.sim.describe())
@@ -341,8 +195,7 @@ def _cmd_decompose(args):
                   f"{bad[0]}", file=sys.stderr)
             return 1
         return 0
-    args.trace = True
-    config = _config_from(args, args.protocol)
+    config = args.config
     result = run_simulation(config)
     records = [record for record in result.trace.txns
                if record["measured"]]
@@ -580,7 +433,7 @@ def build_parser():
     run_parser.add_argument("--protocol", default="g2pl",
                             choices=available_protocols(),
                             help="what each supports (sharding, crash "
-                                 "faults, --lp): repro-experiment list")
+                                 "faults): repro-experiment list")
     run_parser.add_argument("--verbose", "-v", action="store_true",
                             help="also print engine counters and "
                                  "response-time percentiles")
@@ -651,7 +504,7 @@ def build_parser():
     trace_parser.add_argument("--out", default="trace", metavar="PREFIX",
                               help="output path prefix (default: trace)")
     _add_workload_args(trace_parser)
-    trace_parser.set_defaults(func=_cmd_trace)
+    trace_parser.set_defaults(func=_cmd_trace, trace=True)
 
     decompose_parser = sub.add_parser(
         "decompose", help="per-phase response-time decomposition of one "
@@ -688,7 +541,7 @@ def build_parser():
     decompose_parser.add_argument("--duration", type=float, default=120.0,
                                   help="workload-mode horizon (--live)")
     _add_workload_args(decompose_parser)
-    decompose_parser.set_defaults(func=_cmd_decompose)
+    decompose_parser.set_defaults(func=_cmd_decompose, trace=True)
 
     report_parser = sub.add_parser(
         "report", help="regenerate the full reproduction report "
@@ -758,7 +611,18 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "config" in args:
+        # A combination nothing implements is a usage error, reported the
+        # way argparse reports a bad flag; a failure inside the run is not.
+        protocols = getattr(args, "protocols", None) or [args.protocol]
+        try:
+            args.config = _config_from(args, protocols[0])
+            for protocol in protocols[1:]:
+                args.config.replace(protocol=protocol)
+        except ValueError as exc:
+            parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
     return args.func(args)
 
 

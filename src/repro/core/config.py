@@ -1,11 +1,36 @@
-"""Simulation configuration: every knob of the paper's system model."""
+"""Simulation configuration: every knob of the paper's system model and,
+where it has one, the knob's command-line flag (read by ``repro.cli``)."""
 
 import dataclasses
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.protocols import registry
+
+#: ``--help`` heading of the adaptive-control flags
+_ADAPT = ("adaptive concurrency control (repro.adapt; protocols "
+          "g2pl-adaptive / hybrid / g2pl-spec)")
+
+
+def _flag(default, flag, help=None, **argparse_kwargs):
+    """A field with a command-line ``flag``: its metadata holds the flag,
+    its ``help``, and a ``group``, ``type``, ``metavar`` or ``choices``
+    only where the default cannot tell them."""
+    return field(default=default,
+                 metadata={"flag": flag, "help": help, **argparse_kwargs})
+
+
+def _adapt(default, flag, help, **argparse_kwargs):
+    """A flag under the adaptive-control ``--help`` heading."""
+    return _flag(default, flag, help, group=_ADAPT, **argparse_kwargs)
+
+
+def streaming_mode(value):
+    """``--streaming on|off|auto`` -> ``True`` / ``False`` / ``None``."""
+    if value not in ("on", "off", "auto"):
+        raise ValueError(value)
+    return {"on": True, "off": False}.get(value)
 
 
 class Fidelity(enum.Enum):
@@ -41,12 +66,12 @@ class SimulationConfig:
     """
 
     protocol: str = "g2pl"
-    n_clients: int = 50
-    n_items: int = 25
+    n_clients: int = _flag(50, "--clients")
+    n_items: int = _flag(25, "--items")
     min_ops: int = 1
     max_ops: int = 5
-    read_probability: float = 0.6
-    network_latency: float = 500.0
+    read_probability: float = _flag(0.6, "--pr", "read probability (Table 1)")
+    network_latency: float = _flag(500.0, "--latency")
     bandwidth: Optional[float] = None
     think_min: float = 1.0
     think_max: float = 3.0
@@ -54,7 +79,9 @@ class SimulationConfig:
     idle_max: float = 10.0
     data_item_size: float = 8.0
     server_processing_time: float = 0.0
-    access_skew: float = 0.0  # 0 = paper's uniform access; >0 = Zipf-like
+    access_skew: float = _flag(
+        0.0, "--zipf", "Zipf-like access skew (item at rank r has weight "
+        "1/(r+1)^S; default 0 = uniform)", metavar="S")
     mpl: int = 1              # multiprogramming level per client (Table 1: 1)
     # installed updates between server checkpoints; None = aggressive log
     # truncation with no crash-recovery coverage (the paper's assumption)
@@ -72,32 +99,39 @@ class SimulationConfig:
     # c-2PL options
     cache_capacity: Optional[int] = None  # None = unbounded client cache
 
-    # sharding / geo-topology. With n_shards > 1 the item space is
-    # partitioned across that many home servers; n_regions > 1 groups
-    # shards and clients into regions (intra-region hops cost
-    # intra_region_latency, inter-region hops cost network_latency).
-    n_shards: int = 1
-    n_regions: int = 1
-    intra_region_latency: float = 1.0
-    # cross-shard commit: "2pc" (classic prepare/vote/decide) or
-    # "2pc-opt" (votes piggyback on the last lock grant per shard)
-    commit_protocol: str = "2pc"
-    # None keeps the single-server workload untouched; a probability p
-    # makes each transaction cross-shard-eligible with probability p
-    # (items drawn from the full pool) and home-shard-local otherwise
-    cross_shard_probability: Optional[float] = None
+    # sharding / geo-topology
+    n_shards: int = _flag(
+        1, "--shards", "partition the hot items over K home servers "
+        "(cross-shard transactions commit with 2PC); protocols: "
+        + ", ".join(registry.protocols_with("shardable")), metavar="K")
+    n_regions: int = _flag(
+        1, "--regions", "group the shard servers into R geographic regions "
+        "(clients sit with their home shard; inter-region hops cost "
+        "--latency, intra-region hops --intra-latency)", metavar="R")
+    intra_region_latency: float = _flag(
+        1.0, "--intra-latency", "one-way latency inside a region "
+        "(default 1.0)", metavar="L")
+    commit_protocol: str = _flag(
+        "2pc", "--commit", "cross-shard atomic commit: classic 2PC (2m+3 "
+        "rounds) or the piggybacked variant (2m+1 rounds)",
+        choices=("2pc", "2pc-opt"))
+    cross_shard_probability: Optional[float] = _flag(
+        None, "--cross-shard", "probability a transaction draws from the "
+        "full item pool instead of its home shard (default: every draw is "
+        "global)", type=float, metavar="P")
 
-    # open-arrival client populations. With population = N, each client
-    # site stops being one closed-loop MPL-1 terminal and instead
-    # multiplexes its share of N logical users as a state machine: traffic
-    # arrives via an open arrival process ("poisson", "burst", or
-    # "diurnal") at arrival_rate transactions per user per time unit,
-    # with Zipf hot-key skew (access_skew) and a mixed transaction-class
-    # profile (txn_mix). None keeps the paper's closed-loop driver and a
-    # byte-identical trajectory for every existing experiment and golden.
-    population: Optional[int] = None
-    arrival: str = "poisson"
-    arrival_rate: float = 0.001
+    # open-arrival client populations; None keeps the paper's closed-loop
+    # driver and a byte-identical trajectory for every experiment and golden
+    population: Optional[int] = _flag(
+        None, "--population", "multiplex N logical users over the client "
+        "sites with open-arrival traffic (default: the paper's closed-loop "
+        "terminals)", type=int, metavar="N")
+    arrival: str = _flag(
+        "poisson", "--arrival", "open-arrival process shape (with "
+        "--population)", choices=("poisson", "burst", "diurnal"))
+    arrival_rate: float = _flag(
+        0.001, "--arrival-rate", "transactions per user per time unit "
+        "(with --population)", metavar="R")
     # burst arrivals: the first burst_fraction of every burst_period runs
     # at burst_factor x the base rate, the rest at a reduced rate chosen
     # so the long-run mean stays arrival_rate
@@ -107,77 +141,93 @@ class SimulationConfig:
     # diurnal arrivals: rate(t) = base * (1 + amplitude*sin(2*pi*t/period))
     diurnal_period: float = 20000.0
     diurnal_amplitude: float = 0.8
-    # transaction-class mix, e.g. "browse:6:1-3:0.9,update:3:2-5:0.3";
-    # each class is name:weight:min-max:read_probability. None = one
-    # class with the workload's min_ops/max_ops/read_probability.
-    txn_mix: Optional[str] = None
-    # admission control: arrivals beyond this many in-flight transactions
-    # per site are shed (counted, not queued) — bounds memory and models
-    # a saturated front door rather than an infinite backlog
-    max_inflight_per_site: int = 256
+    # None = one class with the workload's min_ops/max_ops/read_probability
+    txn_mix: Optional[str] = _flag(
+        None, "--txn-mix", "transaction classes 'name:weight:min-max:"
+        "read_prob,...' e.g. 'browse:6:1-3:0.9,update:3:2-5:0.3' (with "
+        "--population)", type=str, metavar="MIX")
+    max_inflight_per_site: int = _flag(
+        256, "--max-inflight", "admission control: shed arrivals beyond K "
+        "in-flight transactions per site (with --population)", metavar="K")
 
-    # streaming metrics: None auto-selects bounded-memory reservoir/
-    # Welford collection when total_transactions exceeds
-    # streaming_threshold; True/False force the choice. Small runs keep
-    # exact per-transaction lists so goldens stay byte-identical.
-    streaming: Optional[bool] = None
+    # streaming metrics: small runs keep exact per-transaction lists so
+    # goldens stay byte-identical
+    streaming: Optional[bool] = _flag(
+        None, "--streaming", "bounded-memory metrics (reservoir percentiles, "
+        "running moments); auto switches on above the streaming threshold "
+        "(default: auto)", type=streaming_mode, metavar="{on,off,auto}")
     streaming_threshold: int = 20_000
     reservoir_capacity: int = 8192
     throughput_window: float = 1000.0
 
-    # fault injection: a FaultSpec, a spec string for FaultSpec.parse
-    # ("loss=0.05,crash=3@10000:20000"), or None for a perfect network
-    faults: Optional[object] = None
+    # a FaultSpec or its spec string; None is a perfect network
+    faults: Optional[object] = _flag(
+        None, "--faults", "fault-injection spec, e.g. "
+        "'loss=0.05,dup=0.01,jitter=50,crash=3@10000:20000' "
+        "(see repro.network.faults.FaultSpec.parse)", type=str,
+        metavar="SPEC")
 
     # run control
-    total_transactions: int = 1500
-    warmup_transactions: int = 150
-    seed: int = 1
+    total_transactions: int = _flag(1500, "--transactions")
+    warmup_transactions: int = _flag(150, "--warmup")
+    seed: int = _flag(1, "--seed")
     record_history: bool = True
-    # run-length accounting: "global" stops at the Nth finished
-    # transaction anywhere (the paper's rule); "quota" gives each client
-    # total/n_clients transactions (remainder to the lowest client ids)
-    # and stops when every client has met its quota. Quota termination is
-    # decomposable per client, which is what lets LP-partitioned runs
-    # reproduce the serial trajectory exactly.
-    termination: str = "global"
 
-    # run each shard as a logical process in its own OS process
-    # (repro.core.lp); requires n_shards > 1, quota termination, and a
-    # shard-local workload (cross_shard_probability=0)
-    lp: bool = False
+    # adaptive control: off by default, so every static protocol's
+    # trajectory is untouched
+    adapt_window: bool = _adapt(
+        False, "--adapt-window", "tune the g-2PL collection window online "
+        "(feedback loop on freeze depth; implied by --protocol g2pl-adaptive)")
+    hybrid: bool = _adapt(
+        False, "--hybrid", "switch each item between s-2PL-equivalent and "
+        "grouped service on a streaming contention score (implied by "
+        "--protocol hybrid)")
+    speculate: bool = _adapt(
+        False, "--speculate", "clock-assisted speculative dispatch: "
+        "pre-freeze and ship the next window once the quiescence bound "
+        "proves it final (implied by --protocol g2pl-spec)")
+    window_gain: float = _adapt(
+        0.5, "--window-gain", "window controller integral gain")
+    window_target_depth: float = _adapt(
+        3.0, "--window-target", "window depth setpoint", metavar="DEPTH")
+    window_min: float = _adapt(
+        0.0, "--window-min", "min hold, in multiples of --latency",
+        metavar="XLAT")
+    window_max: float = _adapt(
+        2.0, "--window-max", "max hold, in multiples of --latency",
+        metavar="XLAT")
+    # A freeze depth of 1 scores 0.25 at the default scale, so low=0.3 ~=
+    # "windows are mostly singletons", high=0.5 ~= "three-deep backlogs".
+    hybrid_low: float = _adapt(
+        0.3, "--hybrid-low", "switch to single mode below this score")
+    hybrid_high: float = _adapt(
+        0.5, "--hybrid-high", "switch to grouped mode above this score")
+    hybrid_scale: float = _adapt(
+        3.0, "--hybrid-scale", "freeze depth at which the score reads 0.5")
+    adapt_ewma: float = _adapt(
+        0.3, "--adapt-ewma", "EWMA weight for the adapt estimators")
+    spec_margin: float = _adapt(
+        1.5, "--spec-margin", "quiescence bound, in multiples of --latency",
+        metavar="XLAT")
 
-    # adaptive concurrency control (repro.adapt): the three controllers
-    # behind the g2pl-adaptive / hybrid / g2pl-spec registry entries.
-    # Off by default so every static protocol's trajectory is untouched.
-    adapt_window: bool = False   # online collection-window sizing
-    hybrid: bool = False         # per-item single/grouped mode switching
-    speculate: bool = False      # clock-assisted speculative dispatch
-    # window controller: integral gain, depth setpoint, and hold bounds
-    # (bounds in multiples of network_latency)
-    window_gain: float = 0.5
-    window_target_depth: float = 3.0
-    window_min: float = 0.0
-    window_max: float = 2.0
-    # contention controller: hysteresis thresholds on the [0, 1) score,
-    # and the EWMA depth at which the score reads 0.5. A freeze depth of
-    # 1 scores 0.25 at the default scale, so low=0.3 ~= "windows are
-    # mostly singletons", high=0.5 ~= "three-deep backlogs".
-    hybrid_low: float = 0.3
-    hybrid_high: float = 0.5
-    hybrid_scale: float = 3.0
-    # smoothing weight shared by the adapt estimators
-    adapt_ewma: float = 0.3
-    # speculation: quiescence bound in multiples of network_latency
-    spec_margin: float = 1.5
-
-    # observability (repro.obs): structured tracing and time-series probes.
-    # Tracing never perturbs results — metrics are bit-identical either way.
-    trace: bool = False
-    probe_interval: Optional[float] = None  # sim-time between gauge samples
+    # observability (repro.obs)
+    trace: bool = _flag(
+        False, "--trace", "collect structured trace events and "
+        "per-transaction round/latency accounting (metrics stay "
+        "bit-identical)")
+    probe_interval: Optional[float] = _flag(
+        None, "--probe-interval", "sample time-series gauges (queue "
+        "depths, in-flight messages, heap depth) every T sim-time units",
+        type=float, metavar="T")
     trace_engine: bool = False  # per-heap-entry engine events (very hot)
 
     def __post_init__(self):
+        for spec in dataclasses.fields(self):
+            choices = spec.metadata.get("choices")
+            if choices and getattr(self, spec.name) not in choices:
+                raise ValueError(
+                    f"unknown {spec.name} {getattr(self, spec.name)!r} "
+                    f"(expected one of {', '.join(choices)})")
         if self.faults is not None:
             from repro.network.faults import FaultSpec
 
@@ -207,10 +257,6 @@ class SimulationConfig:
             raise ValueError("n_regions must be >= 1")
         if self.intra_region_latency < 0:
             raise ValueError("negative intra-region latency")
-        if self.commit_protocol not in ("2pc", "2pc-opt"):
-            raise ValueError(
-                f"unknown commit_protocol {self.commit_protocol!r} "
-                f"(expected '2pc' or '2pc-opt')")
         if self.cross_shard_probability is not None and not (
                 0.0 <= self.cross_shard_probability <= 1.0):
             raise ValueError("cross_shard_probability outside [0, 1]")
@@ -221,10 +267,6 @@ class SimulationConfig:
                     f"{self.n_clients}: every site needs >= 1 logical user")
             if self.arrival_rate <= 0:
                 raise ValueError("arrival_rate must be positive")
-        if self.arrival not in ("poisson", "burst", "diurnal"):
-            raise ValueError(
-                f"unknown arrival process {self.arrival!r} "
-                f"(expected 'poisson', 'burst', or 'diurnal')")
         if not 0.0 < self.burst_fraction < 1.0:
             raise ValueError("burst_fraction must be in (0, 1)")
         if self.burst_factor < 1.0:
@@ -246,19 +288,6 @@ class SimulationConfig:
             # Validate eagerly (raises on malformed specs); the parsed
             # classes are rebuilt where needed, the config keeps the string.
             parse_txn_mix(self.txn_mix, n_items=self.n_items)
-        if self.termination not in ("global", "quota"):
-            raise ValueError(
-                f"unknown termination {self.termination!r} "
-                f"(expected 'global' or 'quota')")
-        if self.termination == "quota" and self.population is not None:
-            raise ValueError(
-                "quota termination is defined for the closed-loop client "
-                "model; open-arrival populations use 'global'")
-        if (self.termination == "quota"
-                and self.total_transactions < self.n_clients):
-            raise ValueError(
-                f"quota termination needs total_transactions >= n_clients "
-                f"({self.total_transactions} < {self.n_clients})")
         if self.window_gain <= 0:
             raise ValueError("window_gain must be positive")
         if self.window_target_depth <= 0:

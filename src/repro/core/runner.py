@@ -1,7 +1,6 @@
 """Assemble and run simulations; replicate; compare protocols."""
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -15,11 +14,7 @@ from repro.network.topology import RegionTopology, UniformTopology
 from repro.network.transport import Network
 from repro.protocols.registry import PROTOCOLS, make_protocol
 from repro.protocols.s2pl import S2PLServer
-from repro.protocols.sharding import (
-    GlobalDeadlockDetector,
-    ShardMap,
-    home_clients,
-)
+from repro.protocols.sharding import GlobalDeadlockDetector, ShardMap
 from repro.sim.engine import Simulator, relaxed_gc
 from repro.sim.errors import SimulationError
 from repro.sim.rng import RandomStreams
@@ -32,7 +27,7 @@ from repro.validate.history import HistoryRecorder
 from repro.validate.serializability import check_history
 from repro.validate.strictness import check_strictness
 from repro.workload.arrivals import make_arrivals
-from repro.workload.driver import ClientDriver, QuotaRunControl, RunControl
+from repro.workload.driver import ClientDriver, RunControl
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.population import (
     OpenArrivalGenerator,
@@ -143,7 +138,7 @@ class Assembly:
     servers: list                 # home servers, shard order
     clients: dict                 # client_id -> ProtocolClient
     drivers: dict                 # client_id -> driver
-    control: object               # RunControl / QuotaRunControl
+    control: object               # RunControl
     collector: object
     history: object
     tracer: Optional[object] = None
@@ -181,15 +176,9 @@ class Assembly:
         return report
 
 
-def assemble(config, seed, shards=None, collector=None):
-    """Wire one simulation: the home servers of ``shards`` (default: every
-    shard) and the clients homed on them, on one heap and one network.
-
-    The whole run is the default; an LP worker (:mod:`repro.core.lp`)
-    assembles a single shard with a ``collector`` that ships outcomes to
-    the parent. Both get the sites, streams, control and drivers from
-    here, so a site behaves identically whichever process hosts it.
-    """
+def assemble(config, seed):
+    """Wire one simulation: every home server and every client, on one
+    heap and one network."""
     sim = Simulator()
     tracer = None
     if config.trace or config.probe_interval is not None:
@@ -200,21 +189,14 @@ def assemble(config, seed, shards=None, collector=None):
     injector = None
     if config.faults is not None:
         injector = FaultInjector(config.faults, streams.spawn("faults"))
-    if shards is None:
-        shards = range(config.n_shards)
-        client_ids = list(range(1, config.n_clients + 1))
-    else:
-        client_ids = sorted(
-            client_id for shard in shards
-            for client_id in home_clients(config.n_clients, config.n_shards,
-                                          shard))
+    client_ids = list(range(1, config.n_clients + 1))
     if config.n_shards > 1:
         shard_map = ShardMap(config.n_shards, config.n_items)
-        site_ids = [shard_map.server_ids[shard] for shard in shards]
+        site_ids = shard_map.server_ids
         servers, clients = make_protocol(
             config.protocol, sim, config,
             {site_id: VersionedStore(shard_map.items_of(shard))
-             for shard, site_id in zip(shards, site_ids)},
+             for shard, site_id in enumerate(site_ids)},
             {site_id: WriteAheadLog() for site_id in site_ids},
             history, client_ids, shard_map=shard_map)
         servers = [servers[site_id] for site_id in site_ids]
@@ -224,8 +206,6 @@ def assemble(config, seed, shards=None, collector=None):
             config.protocol, sim, config, VersionedStore(range(config.n_items)),
             WriteAheadLog(), history, client_ids)
         servers = [server]
-    # The full topology even when only some shards are hosted: latencies
-    # are a function of (src, dst) placement.
     network = Network(sim, _build_topology(config, shard_map),
                       bandwidth=config.bandwidth, faults=injector)
     if tracer is not None:
@@ -238,23 +218,16 @@ def assemble(config, seed, shards=None, collector=None):
         for server in servers:
             server.attach_adapt_rng(streams.stream("adapt.controller"))
 
-    if config.termination == "quota":
-        # Global total and n_clients, hosted client ids: the quota and id
-        # arithmetic is the same whichever subset of clients runs here.
-        control = QuotaRunControl(sim, config.total_transactions,
-                                  config.n_clients, client_ids=client_ids)
-    else:
-        control = RunControl(sim, config.total_transactions)
+    control = RunControl(sim, config.total_transactions)
     streaming = config.streaming_enabled
-    if collector is None:
-        collector = MetricsCollector(
-            config.warmup_transactions, streaming=streaming,
-            # A dedicated stream: reservoir draws cannot perturb the
-            # trajectory, so streaming on/off yields identical executions.
-            reservoir_rng=(streams.stream("metrics.reservoir")
-                           if streaming else None),
-            reservoir_capacity=config.reservoir_capacity,
-            throughput_window=config.throughput_window)
+    collector = MetricsCollector(
+        config.warmup_transactions, streaming=streaming,
+        # A dedicated stream: reservoir draws cannot perturb the
+        # trajectory, so streaming on/off yields identical executions.
+        reservoir_rng=(streams.stream("metrics.reservoir")
+                       if streaming else None),
+        reservoir_capacity=config.reservoir_capacity,
+        throughput_window=config.throughput_window)
     if streaming:
         # Bound the per-client lock-wait diagnostic too: a 10⁵-txn run
         # would otherwise grow op_waits without limit.
@@ -292,7 +265,6 @@ def assemble(config, seed, shards=None, collector=None):
         # Per-shard detection cannot see cycles whose edges span shards;
         # the periodic union sweep catches distributed deadlocks. The
         # interval covers a request round trip at the worst-case latency.
-        # (A lone hosted shard has no cross-server cycle to look for.)
         detector = GlobalDeadlockDetector(
             sim, servers,
             interval=2.0 * config.network_latency + 1.0,
@@ -316,8 +288,7 @@ def merge_server_stats(config, seed, per_server, op_waits,
     """The run's ``server_stats`` from each server's declared
     :meth:`~repro.protocols.base.ProtocolServer.stats` (shard order) and
     each client's lock waits (``client_id -> op_waits``): numbers add
-    and sets unite (reported as their size). The serial runner and the LP
-    merge both end here, so the two cannot report different keys."""
+    and sets unite (reported as their size)."""
     if config.streaming_enabled:
         # op_waits are RunningStats here (no per-value storage).
         wait_sum = sum(waits.sum for waits in op_waits.values())
@@ -373,23 +344,6 @@ def run_simulation(config, seed=None, check_serializability=None):
         seed = config.seed
     if check_serializability is None:
         check_serializability = config.record_history
-    if config.lp:
-        from repro.core import lp
-
-        if lp.in_worker_process():
-            # --lp inside a --jobs pool worker: spawning LP grandchildren
-            # would oversubscribe the machine. The serial path below
-            # produces the identical result by construction.
-            warnings.warn(
-                "lp=True inside a worker process: nested process pools "
-                "are not supported; running this cell serially instead "
-                "(the result is bit-identical)", RuntimeWarning,
-                stacklevel=2)
-        else:
-            return lp.run_lp_simulation(
-                config, seed=seed,
-                check_serializability=check_serializability)
-
     built = assemble(config, seed)
     sim = built.sim
     wall_start = time.perf_counter()

@@ -26,13 +26,6 @@ Runs a fixed set of cells spanning the layers the fast path touches:
   workload (controller overhead shows up against ``g2pl_contention``)
   and speculative dispatch on a sparse-arrival cell where the
   quiescence timers actually fire.
-* ``sharded_serial`` / ``sharded_lp`` — the same shard-closed g-2PL
-  cell run serially and partitioned into one logical process per shard
-  (``lp=True``, :mod:`repro.core.lp`).  Identical config and seed, so
-  the two digests must agree — a live LP bit-identity probe.  The LP
-  cell also records per-shard worker CPU time: on a single-core host
-  the wall-clock numbers cannot show the parallel speedup, but
-  ``lp_max_worker_cpu_seconds`` (the multicore critical path) can.
 
 Every macro cell embeds the deterministic fingerprint digest of its
 result, so a bench run doubles as a determinism probe: if a kernel
@@ -174,7 +167,7 @@ def _run_macro(config):
 
     result = run_simulation(config)
     stats = result.engine_stats
-    measured = {
+    return {
         "wall_seconds": stats["wall_seconds"],
         "events": stats["processed_events"],
         "events_per_sec": stats["events_per_sec"],
@@ -186,11 +179,6 @@ def _run_macro(config):
                               if stats["wall_seconds"] > 0 else 0.0),
         "digest": fingerprint_digest(result_fingerprint(result)),
     }
-    for key in ("lp_workers", "lp_max_worker_cpu_seconds",
-                "lp_total_worker_cpu_seconds"):
-        if key in stats:
-            measured[key] = stats[key]
-    return measured
 
 
 def _s2pl_contention(quick):
@@ -252,34 +240,6 @@ def _g2pl_speculative(quick):
         network_latency=500.0))
 
 
-def _sharded_config(quick, lp):
-    """The LP scaling pair: one shard-closed run, serial vs partitioned.
-
-    40 clients over 4 shards (10 per shard on 8 local items each),
-    cross_shard_probability=0.0, quota termination — exactly the
-    eligibility class of :mod:`repro.core.lp`.  Both cells run the same
-    config and seed, so their digests must be identical: the pair is a
-    live LP-vs-serial bit-identity probe as well as a scaling benchmark.
-    """
-    transactions = 400 if quick else 24_000
-    warmup = 50 if quick else 400
-    return SimulationConfig(
-        protocol="g2pl", n_clients=40, n_items=32, read_probability=0.6,
-        n_shards=4, n_regions=4, cross_shard_probability=0.0,
-        network_latency=100.0, intra_region_latency=1.0,
-        total_transactions=transactions, warmup_transactions=warmup,
-        termination="quota", streaming=False, seed=73,
-        record_history=False, lp=lp)
-
-
-def _sharded_serial(quick):
-    return _run_macro(_sharded_config(quick, lp=False))
-
-
-def _sharded_lp(quick):
-    return _run_macro(_sharded_config(quick, lp=True))
-
-
 def bench_cells():
     """The fixed cell set, in run order."""
     return [
@@ -313,13 +273,6 @@ def bench_cells():
                   "g-2PL with clock-assisted speculative dispatch, "
                   "8 clients on 6 items, latency 500",
                   _g2pl_speculative),
-        BenchCell("sharded_serial", "macro",
-                  "shard-closed g-2PL, 40 clients on 4 shards, serial",
-                  _sharded_serial),
-        BenchCell("sharded_lp", "macro",
-                  "same cell partitioned into 4 logical processes "
-                  "(lp=True); digest must equal sharded_serial",
-                  _sharded_lp),
     ]
 
 

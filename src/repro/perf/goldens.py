@@ -69,22 +69,20 @@ GOLDEN_CELLS = {
         network_latency=100.0, intra_region_latency=1.0,
         total_transactions=120, warmup_transactions=20, trace=True,
         record_history=False), 11),
-    # Shard-closed quota cells: the LP partitioner's eligibility class
-    # (cross_shard_probability=0.0, quota termination, no faults/trace).
-    # Recorded *serially*; tests/test_lp.py replays them through the
-    # multi-process LP runner and requires byte identity.
-    "g2pl_lp_quota": (dict(
+    # Shard-local cells (cross_shard_probability=0.0): every transaction
+    # stays on its client's home shard, so no 2PC round ever runs.
+    "g2pl_shard_local": (dict(
         protocol="g2pl", n_clients=8, n_items=16, read_probability=0.6,
         n_shards=4, n_regions=2, cross_shard_probability=0.0,
         network_latency=100.0, intra_region_latency=1.0,
         total_transactions=160, warmup_transactions=20,
-        termination="quota", record_history=False), 11),
-    "s2pl_lp_quota": (dict(
+        record_history=False), 11),
+    "s2pl_shard_local": (dict(
         protocol="s2pl", n_clients=8, n_items=16, read_probability=0.6,
         n_shards=4, n_regions=2, cross_shard_probability=0.0,
         network_latency=100.0, intra_region_latency=1.0,
         total_transactions=160, warmup_transactions=20,
-        termination="quota", record_history=False), 11),
+        record_history=False), 11),
     # Adaptive cells (repro.adapt): the window controller's hold jitter
     # draws from the dedicated "adapt.controller" stream, so these pin
     # that stream's isolation as well as the controllers' decisions.
@@ -105,9 +103,8 @@ GOLDEN_CELLS = {
         record_history=False), 7),
     # The adaptive protocols on the sharded chassis (recorded when the
     # Sharded* subclasses were folded into the two families): a traced
-    # sharded hybrid cell, a sharded speculative cell, and a shard-closed
-    # hybrid quota cell recorded serially that tests/test_lp.py replays
-    # through the LP runner, adapt counters included.
+    # sharded hybrid cell, a sharded speculative cell, and a shard-local
+    # hybrid cell.
     "hybrid_sharded_traced": (dict(
         protocol="hybrid", n_clients=6, n_items=8, read_probability=0.6,
         n_shards=4, n_regions=2, cross_shard_probability=0.5,
@@ -120,12 +117,12 @@ GOLDEN_CELLS = {
         network_latency=200.0, intra_region_latency=1.0,
         total_transactions=120, warmup_transactions=20,
         record_history=False), 7),
-    "hybrid_lp_quota": (dict(
+    "hybrid_shard_local": (dict(
         protocol="hybrid", n_clients=8, n_items=16, read_probability=0.6,
         n_shards=4, n_regions=2, cross_shard_probability=0.0,
         network_latency=100.0, intra_region_latency=1.0,
         total_transactions=160, warmup_transactions=20,
-        termination="quota", record_history=False), 11),
+        record_history=False), 11),
     # Saturated open-arrival cells: six sites pinned at an admission cap
     # of 2, ~92% of arrivals shed. Recorded on the driver that paid one
     # heap entry per arrival; the skip-ahead driver must reproduce them.

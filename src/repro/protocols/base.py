@@ -178,8 +178,8 @@ class ProtocolServer(_Dispatcher):
 
     def stats(self):
         """This server's counters, the only source of the run's
-        ``server_stats``: the runner (and the LP merge) add numbers and
-        unite sets across servers. A key appears exactly when the thing
+        ``server_stats``: the runner adds numbers and unites sets across
+        servers. A key appears exactly when the thing
         it counts can happen in this deployment, so fingerprints only
         change when behaviour does."""
         return {"aborts_initiated": self.aborts_initiated}

@@ -107,13 +107,6 @@ def _lookup(name):
         ) from None
 
 
-def lp_eligible(name):
-    """Can ``name`` run LP-partitioned? Any sharded protocol whose servers
-    draw no run-wide random stream — window sizing does (hold dither)."""
-    row = PROTOCOLS[name]
-    return row.shardable and not row.pins.get("adapt_window", False)
-
-
 # ---------------------------------------------------------------------------
 # Combinations nothing implements
 # ---------------------------------------------------------------------------
@@ -202,56 +195,6 @@ REJECTIONS = (
                            for crash in _crashes(c)),
         "crash faults name unknown client sites (this run has clients "
         "1..{config.n_clients})"),
-    Rejection(
-        "lp-needs-shards",
-        lambda c, row: c.lp and c.n_shards < 2,
-        "lp=True partitions the run along shard boundaries; "
-        "it needs n_shards > 1"),
-    Rejection(
-        "lp-with-window-sizing",
-        lambda c, row: c.lp and _adapts(c, row, "adapt_window"),
-        "lp=True is unsupported with adaptive window sizing: hold dither "
-        "draws from one run-wide 'adapt.controller' stream in global "
-        "event order, and per-shard workers would each replay that "
-        "stream from its start. (hybrid and g2pl-spec draw nothing and "
-        "partition exactly.) Run window sizing with lp=False"),
-    Rejection(
-        "lp-with-global-termination",
-        lambda c, row: c.lp and c.termination != "quota",
-        "lp=True requires termination='quota': global termination "
-        "('the Nth finished transaction anywhere') couples every "
-        "client and cannot be decomposed per shard (which also rules out "
-        "open-arrival populations: they terminate globally)"),
-    Rejection(
-        "lp-with-cross-shard-workload",
-        lambda c, row: c.lp and c.cross_shard_probability != 0.0,
-        "lp=True requires a shard-local workload "
-        "(cross_shard_probability=0.0): cross-shard transactions "
-        "couple the logical processes"),
-    Rejection(
-        "lp-with-faults",
-        lambda c, row: c.lp and c.faults is not None,
-        "lp=True does not support fault injection (the fault streams "
-        "are drawn in global message order)"),
-    Rejection(
-        "lp-with-tracing",
-        lambda c, row: c.lp and (c.trace or c.probe_interval is not None),
-        "lp=True does not support tracing or probes (the tracer is "
-        "a single-process observer); run serially to trace"),
-    Rejection(
-        "lp-with-mpl",
-        lambda c, row: c.lp and c.mpl != 1,
-        "lp=True requires mpl=1"),
-    Rejection(
-        "lp-with-streaming-metrics",
-        lambda c, row: c.lp and c.streaming_enabled,
-        "lp=True requires exact metrics (streaming off): the "
-        "reservoir stream is a single-process consumer"),
-    Rejection(
-        "lp-with-fewer-clients-than-shards",
-        lambda c, row: c.lp and c.n_clients < c.n_shards,
-        "lp=True needs at least one client per shard "
-        "({config.n_clients} clients < {config.n_shards} shards)"),
 )
 
 
@@ -273,16 +216,15 @@ def capability_table():
     """The supported-combination table as text (``repro-experiment
     list``; README "Sharding and geo-topology" carries a copy)."""
     mark = {True: "yes", False: "-"}
-    lines = [f"{'protocol':<14} {'shards':<7} {'crash':<6} {'lp':<4} "
+    lines = [f"{'protocol':<14} {'shards':<7} {'crash':<6} "
              f"{'adaptive':<9} summary",
-             f"{'-' * 14} {'-' * 7} {'-' * 6} {'-' * 4} {'-' * 9} "
-             f"{'-' * 7}"]
+             f"{'-' * 14} {'-' * 7} {'-' * 6} {'-' * 9} {'-' * 7}"]
     for name in available_protocols():
         row = PROTOCOLS[name]
         lines.append(
             f"{name:<14} {mark[row.shardable]:<7} "
-            f"{mark[row.crash_recovery]:<6} {mark[lp_eligible(name)]:<4} "
-            f"{mark[row.adaptive]:<9} {row.summary}".rstrip())
+            f"{mark[row.crash_recovery]:<6} {mark[row.adaptive]:<9} "
+            f"{row.summary}".rstrip())
     return "\n".join(lines)
 
 
@@ -297,8 +239,8 @@ def make_protocol(name, sim, config, store, wal, history, client_ids,
     Single-server callers pass one ``store`` and one ``wal`` and get
     ``(server, clients)``. A sharded deployment passes its ``shard_map``
     and ``store`` / ``wal`` as dicts keyed by the site ids of the home
-    servers to build (all of them, or the one an LP worker hosts), and
-    gets ``(servers, clients)`` with ``servers`` keyed the same way.
+    servers, and gets ``(servers, clients)`` with ``servers`` keyed the
+    same way.
 
     The row's pins are applied to ``config`` first (``g2pl-basic`` runs
     with ``mr1w=False`` whatever the config says).

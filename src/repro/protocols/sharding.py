@@ -57,14 +57,6 @@ def shard_site_id(shard):
     return SERVER_SITE_ID if shard == 0 else -shard
 
 
-def home_clients(n_clients, n_shards, shard):
-    """The clients homed on ``shard``: client ``c`` lives with shard
-    ``(c - 1) % n_shards`` — the formula the workload generator and the
-    geo-placement share, and the unit an LP worker hosts."""
-    return [c for c in range(1, n_clients + 1)
-            if (c - 1) % n_shards == shard]
-
-
 class ShardMap:
     """Item -> shard -> home-server routing table.
 

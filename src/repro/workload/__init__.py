@@ -17,7 +17,7 @@ from repro.workload.arrivals import (
     PoissonArrivals,
     make_arrivals,
 )
-from repro.workload.driver import ClientDriver, QuotaRunControl, RunControl
+from repro.workload.driver import ClientDriver, RunControl
 from repro.workload.generator import WorkloadGenerator, WorkloadParams
 from repro.workload.population import (
     OpenArrivalGenerator,
@@ -40,7 +40,6 @@ __all__ = [
     "PoissonArrivals",
     "PopulationDriver",
     "PopulationState",
-    "QuotaRunControl",
     "RunControl",
     "TransactionClass",
     "TransactionSpec",

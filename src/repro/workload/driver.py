@@ -11,10 +11,8 @@ from repro.protocols.transaction import Transaction
 
 class RunControl:
     """Shared run-length control: counts finished transactions and fires
-    ``done_event`` when the target is reached (``termination="global"``).
-
-    The ``client_id`` parameters are accepted and ignored so the driver
-    loop can call either control flavour through one code path."""
+    ``done_event`` when the target is reached (the paper's rule: the Nth
+    finished transaction anywhere ends the run)."""
 
     def __init__(self, sim, target_transactions):
         if target_transactions < 1:
@@ -25,76 +23,14 @@ class RunControl:
         self.done_event = sim.event()
         self._next_txn_id = 0
 
-    def next_txn_id(self, client_id=None):
+    def next_txn_id(self):
         self._next_txn_id += 1
         return self._next_txn_id
 
-    def transaction_finished(self, client_id=None):
+    def transaction_finished(self):
         self.finished += 1
         if self.finished == self.target and not self.done_event.triggered:
             self.done_event.succeed(self.finished)
-
-    def done_for(self, client_id):
-        return self.done_event.triggered
-
-    @property
-    def done(self):
-        return self.done_event.triggered
-
-
-class QuotaRunControl:
-    """Per-client run-length control (``termination="quota"``).
-
-    Client ``c`` (1-based) owes ``total // N`` transactions plus one of
-    the remainder when ``c <= total % N``; its k-th transaction gets id
-    ``c + N*(k-1)``.  Every quota and id is a pure function of
-    ``(client_id, position)``, with no shared counter — which is what
-    lets an LP-partitioned run (``repro.core.lp``) mint exactly the ids a
-    serial run would, without cross-partition coordination.  The run ends
-    when every *managed* client has met its quota; an LP worker manages
-    only its own shard's clients while ``n_clients`` stays global so the
-    id arithmetic is identical.
-    """
-
-    def __init__(self, sim, target_transactions, n_clients, client_ids=None):
-        if target_transactions < 1:
-            raise ValueError("target_transactions must be >= 1")
-        if n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
-        if target_transactions < n_clients:
-            raise ValueError(
-                f"quota termination needs total_transactions >= n_clients "
-                f"({target_transactions} < {n_clients}): every client must "
-                f"owe at least one transaction")
-        self.sim = sim
-        self.target = target_transactions
-        self.n_clients = n_clients
-        if client_ids is None:
-            client_ids = range(1, n_clients + 1)
-        base, rem = divmod(target_transactions, n_clients)
-        self.quotas = {c: base + (1 if c <= rem else 0) for c in client_ids}
-        self._minted = dict.fromkeys(self.quotas, 0)
-        self._finished_by = dict.fromkeys(self.quotas, 0)
-        self._open = len(self.quotas)
-        self.finished = 0
-        self.done_event = sim.event()
-
-    def next_txn_id(self, client_id=None):
-        k = self._minted[client_id] + 1
-        self._minted[client_id] = k
-        return client_id + self.n_clients * (k - 1)
-
-    def transaction_finished(self, client_id=None):
-        self.finished += 1
-        done = self._finished_by[client_id] + 1
-        self._finished_by[client_id] = done
-        if done == self.quotas[client_id]:
-            self._open -= 1
-            if self._open == 0 and not self.done_event.triggered:
-                self.done_event.succeed(self.finished)
-
-    def done_for(self, client_id):
-        return self._finished_by[client_id] >= self.quotas[client_id]
 
     @property
     def done(self):
@@ -162,12 +98,12 @@ class ClientDriver:
         tracer = self.sim.tracer
         control = self.control
         client_id = self.client_id
-        while not control.done_for(client_id):
+        while not control.done:
             if self._crashed:
                 yield self._restart_event  # parks forever without a restart
                 continue
             spec = self.generator.next_spec(client_id)
-            txn = Transaction(control.next_txn_id(client_id), client_id,
+            txn = Transaction(control.next_txn_id(), client_id,
                               spec, birth=self.sim.now)
             if tracer is not None:
                 tracer.txn_begin(txn)
@@ -177,7 +113,7 @@ class ClientDriver:
                 outcome = yield from self.protocol_client.execute(txn)
             finally:
                 self._in_txn.discard(stream)
-            if control.done_for(client_id):
+            if control.done:
                 break  # the run closed while this transaction was in flight
             self.collector.record_outcome(outcome)
             if tracer is not None:
@@ -185,5 +121,5 @@ class ClientDriver:
                 # aggregates, mirroring the metrics' transient elimination.
                 tracer.txn_finished(outcome,
                                     measured=self.collector.measuring)
-            control.transaction_finished(client_id)
+            control.transaction_finished()
             yield self.sim.timeout(self.generator.idle_time(client_id))

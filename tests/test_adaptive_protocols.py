@@ -10,12 +10,11 @@ Three claims are pinned here:
    reproduces the plain g-2PL trajectory exactly (fingerprints compared
    modulo the protocol name and the adapt counters themselves).  This is
    the golden-safety property the RNG-stream isolation exists for.
-3. **Unsupported combinations fail loudly** — lp with window sizing,
-   faults with speculation and adapt flags on static protocols are
-   configuration errors at construction time, not silent misbehaviour.
-   (Sharded adaptive runs and lp+hybrid / lp+g2pl-spec are supported;
-   ``tests/test_capabilities.py`` and ``tests/test_sharded_correctness.py``
-   cover them.)
+3. **Unsupported combinations fail loudly** — faults with speculation
+   and adapt flags on static protocols are configuration errors at
+   construction time, not silent misbehaviour. (Sharded adaptive runs are
+   supported; ``tests/test_capabilities.py`` and
+   ``tests/test_sharded_correctness.py`` cover them.)
 """
 
 import pytest
@@ -181,14 +180,6 @@ class TestStaticIdentity:
 # ---------------------------------------------------------------------------
 
 class TestRejectedCombinations:
-    def test_lp_with_window_sizing_is_rejected(self):
-        # pinned by the protocol name, or switched on beside another pin
-        for overrides in (dict(protocol="g2pl-adaptive"),
-                          dict(protocol="hybrid", adapt_window=True)):
-            with pytest.raises(ValueError, match="adaptive window sizing"):
-                SimulationConfig(lp=True, n_shards=2, termination="quota",
-                                 cross_shard_probability=0.0, **overrides)
-
     def test_faults_with_speculation_rejected_at_config(self):
         with pytest.raises(ValueError, match="speculat"):
             SimulationConfig(protocol="g2pl-spec", speculate=True,

@@ -50,6 +50,129 @@ def test_run_with_jobs_notes_serial(capsys):
     assert "runs serially" in captured.err
 
 
+def test_compare_builds_its_base_from_the_protocols_it_names(capsys):
+    code = main(["compare", "--protocols", "hybrid", "g2pl-spec",
+                 "--speculate", "--clients", "4", "--items", "6",
+                 "--transactions", "40", "--warmup", "5", "--latency", "20",
+                 "--replications", "1"])
+    assert code == 0
+    assert "g2pl-spec" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--protocol", "c2pl", "--shards", "2"],
+    ["compare", "--protocols", "g2pl", "c2pl", "--shards", "2"]])
+def test_a_rejected_combination_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "single-server" in err and "Traceback" not in err
+
+
+# -- every run flag parses to the config the flag-by-flag parser built --------
+
+BASE = dict(total_transactions=1000, warmup_transactions=100,
+            record_history=False)
+HYBRID = ["--protocol", "hybrid"]
+
+#: argv -> the fields it moves off BASE
+PARITY = [
+    ([], {}),
+    (["--clients", "7", "--items", "9"], dict(n_clients=7, n_items=9)),
+    (["--pr", "0.3", "--latency", "40"],
+     dict(read_probability=0.3, network_latency=40.0)),
+    (["--transactions", "500", "--warmup", "50"],
+     dict(total_transactions=500, warmup_transactions=50)),
+    (["--seed", "9", "--faults", "loss=0"], dict(seed=9, faults="loss=0")),
+    (["--shards", "2", "--regions", "2"], dict(n_shards=2, n_regions=2)),
+    (["--intra-latency", "3", "--commit", "2pc-opt", "--cross-shard", "0.5"],
+     dict(intra_region_latency=3.0, commit_protocol="2pc-opt",
+          cross_shard_probability=0.5)),
+    (["--population", "100", "--arrival", "burst", "--arrival-rate", "0.002"],
+     dict(population=100, arrival="burst", arrival_rate=0.002)),
+    (["--zipf", "0.5", "--max-inflight", "8", "--txn-mix", "a:1:1-2:0.5"],
+     dict(access_skew=0.5, max_inflight_per_site=8, txn_mix="a:1:1-2:0.5")),
+    (["--streaming", "on"], dict(streaming=True)),
+    (["--streaming", "off"], dict(streaming=False)),
+    (["--streaming", "auto"], {}),
+    (["--trace"], dict(trace=True)),
+    (["--probe-interval", "50"], dict(probe_interval=50.0)),
+    (HYBRID + ["--adapt-window", "--hybrid", "--speculate"],
+     dict(protocol="hybrid", adapt_window=True, hybrid=True, speculate=True)),
+    (HYBRID + ["--window-gain", "0.7", "--window-target", "4",
+               "--window-min", "0.5", "--window-max", "3"],
+     dict(protocol="hybrid", window_gain=0.7, window_target_depth=4.0,
+          window_min=0.5, window_max=3.0)),
+    (HYBRID + ["--hybrid-low", "0.1", "--hybrid-high", "0.9",
+               "--hybrid-scale", "2", "--adapt-ewma", "0.5",
+               "--spec-margin", "2.5"],
+     dict(protocol="hybrid", hybrid_low=0.1, hybrid_high=0.9,
+          hybrid_scale=2.0, adapt_ewma=0.5, spec_margin=2.5)),
+]
+
+
+class _Ran(Exception):
+    pass
+
+
+def _configs_run_by(monkeypatch, argv):
+    import repro.cli as cli
+
+    def run(config):
+        raise _Ran({config.protocol: config})
+
+    def compare(config, protocols, **_kwargs):
+        raise _Ran({p: config.replace(protocol=p) for p in protocols})
+
+    monkeypatch.setattr(cli, "run_simulation", run)
+    monkeypatch.setattr(cli, "compare_protocols", compare)
+    with pytest.raises(_Ran) as ran:
+        main(argv)
+    return ran.value.args[0]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "trace", "decompose"])
+@pytest.mark.parametrize("argv,fields", PARITY,
+                         ids=[" ".join(argv) or "[]" for argv, _ in PARITY])
+def test_each_flag_parses_to_the_config_it_always_did(monkeypatch, command,
+                                                      argv, fields):
+    from repro.core.config import SimulationConfig
+
+    kwargs = {**BASE, **fields}
+    if command == "compare":
+        if "protocol" in kwargs:
+            return  # compare names its protocols with --protocols
+        expected = {p: SimulationConfig(**kwargs, protocol=p)
+                    for p in ("s2pl", "g2pl")}
+    else:
+        if command != "run":
+            kwargs["trace"] = True
+        if command == "trace" and "probe_interval" not in fields:
+            kwargs["probe_interval"] = 2.0 * kwargs.get("network_latency",
+                                                        500.0)
+        config = SimulationConfig(**kwargs)
+        expected = {config.protocol: config}
+    assert _configs_run_by(monkeypatch, [command, *argv]) == expected
+
+
+def test_every_run_option_is_still_offered():
+    run = build_parser()._subparsers._group_actions[0].choices["run"]
+    offered = {option for action in run._actions
+               for option in action.option_strings}
+    assert offered == {
+        "--adapt-ewma", "--adapt-window", "--arrival", "--arrival-rate",
+        "--clients", "--commit", "--cross-shard", "--faults", "--help",
+        "--hybrid", "--hybrid-high", "--hybrid-low", "--hybrid-scale",
+        "--intra-latency", "--items", "--jobs", "--latency",
+        "--max-inflight", "--population", "--pr", "--probe-interval",
+        "--profile", "--protocol", "--regions", "--seed", "--shards",
+        "--spec-margin", "--speculate", "--streaming", "--trace",
+        "--transactions", "--txn-mix", "--verbose", "--warmup",
+        "--window-gain", "--window-max", "--window-min", "--window-target",
+        "--zipf", "-h", "-v"}
+
+
 def test_figure_with_jobs(capsys):
     code = main(["figure", "11", "--fidelity", "smoke", "--jobs", "2"])
     assert code == 0

@@ -149,7 +149,7 @@ class TestHarness:
         assert names == ["engine_churn", "net_ping", "s2pl_contention",
                          "g2pl_contention", "g2pl_faulted", "g2pl_traced",
                          "population_100k", "hybrid_contention",
-                         "g2pl_speculative", "sharded_serial", "sharded_lp"]
+                         "g2pl_speculative"]
         assert len(set(names)) == len(names)
 
     def test_quick_micro_cell_measures_and_digests(self):

@@ -8,12 +8,14 @@ re-introduced copy cannot hide behind one:
   (family, role) runs one shard or the whole database;
 * each 2PC handler exists once — the participant and coordinator mixins
   the families inherit, not a copy per family;
-* the runner, the LP runner and the probe sampler discover nothing on a
-  server with ``hasattr`` — servers declare ``stats()``,
-  ``assert_invariants()`` and ``gauges``;
-* the second factory, the second assembly and the scattered capability
-  lists are gone, and so is the attribute tuple the two stats merges
-  copied from each other.
+* the runner and the probe sampler discover nothing on a server with
+  ``hasattr`` — servers declare ``stats()``, ``assert_invariants()`` and
+  ``gauges``;
+* the second factory, the second assembly, the second way to run (LP
+  partitioning) and the scattered capability lists are gone, and so is
+  the attribute tuple the two stats merges copied from each other;
+* only the ``--jobs`` pool starts processes, and every run flag is
+  declared once, on its config field.
 """
 
 import ast
@@ -46,6 +48,13 @@ def _calls_to(tree, name):
             and node.func.id == name]
 
 
+def _calls_to_method(tree, name):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func,
+                                                         ast.Attribute)
+            and node.func.attr == name]
+
+
 def test_no_sharded_subclasses():
     sharded = [f"{os.path.basename(path)}:{node.name}"
                for path, tree in _trees("protocols")
@@ -74,9 +83,9 @@ def test_one_coordinator_sequence():
     assert senders == ["sharded.py"]
 
 
-def test_runner_and_lp_discover_nothing_with_hasattr():
-    for path, tree in _trees("core/runner.py", "core/lp.py"):
-        assert _calls_to(tree, "hasattr") == [], path
+def test_runner_discovers_nothing_with_hasattr():
+    [(_path, tree)] = _trees("core/runner.py")
+    assert _calls_to(tree, "hasattr") == []
 
 
 def test_probes_use_hasattr_on_no_server():
@@ -98,7 +107,9 @@ def test_retired_names_resolve_nowhere():
     retired = {"make_sharded_protocol", "make_lp_shard", "_variant_config",
                "_build_lp", "_validate_faults", "validate_lp_config",
                "SHARDED_PROTOCOLS", "CRASH_CAPABLE_PROTOCOLS",
-               "ADAPTIVE_PROTOCOLS", "run_window", "derive_lookahead"}
+               "ADAPTIVE_PROTOCOLS", "run_window", "derive_lookahead",
+               "run_lp_simulation", "QuotaRunControl", "home_clients",
+               "lp_eligible", "in_worker_process"}
     found = []
     for path, tree in _trees(""):
         for node in ast.walk(tree):
@@ -114,6 +125,43 @@ def test_retired_names_resolve_nowhere():
             found.extend(f"{os.path.relpath(path, SRC)}:{name}"
                          for name in names if name in retired)
     assert found == []
+
+
+def test_only_the_jobs_pool_starts_processes():
+    importers = sorted(os.path.relpath(path, SRC)
+                       for path, tree in _trees("") for name in _imports(tree)
+                       if name.split(".")[0] in ("multiprocessing",
+                                                 "concurrent"))
+    assert set(importers) == {os.path.join("core", "parallel.py")}
+
+
+def test_no_run_flag_is_declared_outside_its_config_field():
+    """Every option whose dest is a flagged config field comes from
+    ``_add_workload_args``' one loop (``report`` and ``live`` build no
+    ``SimulationConfig``: their ``--seed`` / ``--trace`` are their own)."""
+    import dataclasses
+
+    from repro.core.config import SimulationConfig
+
+    fields = {spec.name for spec in dataclasses.fields(SimulationConfig)
+              if "flag" in spec.metadata}
+    [(_path, tree)] = _trees("cli.py")
+    derived, stray = [], []
+    for function in [n for n in tree.body if isinstance(n, ast.FunctionDef)]:
+        for node in _calls_to_method(function, "add_argument"):
+            dest = {k.arg: k.value for k in node.keywords}.get("dest")
+            if dest is not None and not isinstance(dest, ast.Constant):
+                derived.append(function.name)
+                continue
+            # argparse's rule: an explicit dest, else the first long option
+            options = [arg.value for arg in node.args]
+            longs = [o for o in options if o.startswith("--")] or options
+            name = (dest.value if dest is not None
+                    else longs[0].lstrip("-").replace("-", "_"))
+            if name in fields and ast.unparse(node.func.value) not in (
+                    "report_parser", "live_parser"):
+                stray.append(f"{function.name}: {ast.unparse(node)[:60]}")
+    assert (derived, stray) == (["_add_workload_args"], [])
 
 
 def test_the_copied_attribute_tuple_is_gone():
@@ -393,10 +441,7 @@ def test_no_keyword_emit_is_left_in_the_package():
     ``obs.ns_per_emit`` cell)."""
     calls = [f"{os.path.relpath(path, SRC)}:{node.lineno}"
              for path, tree in _trees("")
-             for node in ast.walk(tree)
-             if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "emit"]
+             for node in _calls_to_method(tree, "emit")]
     assert calls == []
 
 
