@@ -7,10 +7,11 @@ report.
 
 At `bench` fidelity the full suite takes a few minutes on one core; at
 `paper` fidelity it matches the published run lengths (50,000 transactions
-x 5 replications per point) and takes correspondingly long.  `--jobs N`
-fans the simulation cells of each sweep out over N worker processes
-(`--jobs 0` uses every CPU); the report is bit-identical to a serial run
-for the same seed.
+x 5 replications per point) and takes correspondingly long.  Every
+figure's simulation cells are planned first and each distinct (config,
+seed) cell runs once, however many figures share it; `--jobs N` fans them
+all out over one pool of N worker processes (`--jobs 0` uses every CPU).
+The report is bit-identical to a serial run for the same seed.
 """
 
 import argparse
@@ -26,7 +27,8 @@ def main():
                         help="write markdown here (default: stdout)")
     parser.add_argument("--seed", type=int, default=101)
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes per sweep (0 = all CPUs)")
+                        help="worker processes for the report's cells "
+                        "(0 = all CPUs)")
     parser.add_argument("--no-plots", action="store_true")
     args = parser.parse_args()
 

@@ -71,14 +71,14 @@ def adaptive_crossover_sweep(fidelity="bench",
     route items to single mode on the left of the axis and grouped mode
     on the right to match (and, between the regimes, beat) the statics.
     """
-    from repro.core.experiments import _base_config, sweep_both
+    from repro.core.experiments import Sweep, _base_config
 
     base, replications = _base_config(
         fidelity,
         read_probability=read_probability,
         n_items=n_items,
         network_latency=latency)
-    results = sweep_both(
+    results = Sweep(
         experiment_ids={"response": "adaptive-response",
                         "aborts": "adaptive-aborts"},
         titles={
@@ -92,7 +92,7 @@ def adaptive_crossover_sweep(fidelity="bench",
         base_config=base, replications=replications, xs=client_counts,
         configure=lambda cfg, x: cfg.replace(n_clients=int(x)),
         protocols=("s2pl", "g2pl", "hybrid"),
-        seed=seed, jobs=jobs)
+        seed=seed).run(jobs)
     return AdaptiveRegime(response=results["response"],
                           aborts=results["aborts"], tolerance=tolerance)
 

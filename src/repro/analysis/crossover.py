@@ -91,7 +91,7 @@ def shard_crossover_grid(shard_counts=(1, 2, 4), latencies=SHARD_LATENCY_SWEEP,
     picks the classic 2m+3-round protocol or the piggybacked ``2pc-opt``).
     Returns one :class:`ShardRegime` per shard count.
     """
-    from repro.core.experiments import _base_config, sweep_both
+    from repro.core.experiments import Sweep, _base_config
 
     regimes = []
     for n_shards in shard_counts:
@@ -105,7 +105,7 @@ def shard_crossover_grid(shard_counts=(1, 2, 4), latencies=SHARD_LATENCY_SWEEP,
             commit_protocol=commit_protocol,
             cross_shard_probability=(cross_shard_probability
                                      if sharded else None))
-        results = sweep_both(
+        results = Sweep(
             experiment_ids={
                 "response": f"shard{n_shards}-response",
                 "aborts": f"shard{n_shards}-aborts"},
@@ -120,7 +120,7 @@ def shard_crossover_grid(shard_counts=(1, 2, 4), latencies=SHARD_LATENCY_SWEEP,
             x_label="inter-region latency",
             base_config=base, replications=replications, xs=latencies,
             configure=lambda cfg, x: cfg.replace(network_latency=float(x)),
-            seed=seed, jobs=jobs)
+            seed=seed).run(jobs)
         regimes.append(ShardRegime(
             n_shards=n_shards, commit_protocol=commit_protocol,
             response=results["response"], aborts=results["aborts"],

@@ -26,17 +26,18 @@ def generate_report(fidelity="bench", seed=101, include_plots=True,
     """Run the full figure suite; returns a markdown string.
 
     ``quick`` shrinks every sweep to its endpoints (for tests and smoke
-    checks of the reporting pipeline itself).  ``jobs>1`` fans each
-    sweep's simulation cells out over a process pool; the report is
-    bit-identical to a serial run for the same seed.
+    checks of the reporting pipeline itself).  Every figure's cells are
+    planned first and run once together (:func:`repro.core.experiments.
+    run_sweeps`): a cell several figures share runs once, and ``jobs>1``
+    fans all of them out over one process pool.  The report is
+    bit-identical to a serial run, and to running each figure on its own,
+    for the same seed.
     """
-    latencies = (1.0, 750.0) if quick else None
-    read_probabilities = (0.0, 1.0) if quick else None
-    clients = (10, 50) if quick else None
     sections = []
 
-    def kw(**kwargs):
-        return {k: v for k, v in kwargs.items() if v is not None}
+    def args(**endpoints):  # quick: the sweep's x-axis is its endpoints
+        return dict(fidelity=fidelity, seed=seed,
+                    **(endpoints if quick else {}))
 
     def render(result, improvement=True):
         parts = [render_experiment(
@@ -47,6 +48,23 @@ def generate_report(fidelity="bench", seed=101, include_plots=True,
         if include_plots:
             parts.append(ascii_plot(result))
         return "\n\n".join(parts)
+
+    environments = {5: NetworkEnvironment.SS_LAN, 6: NetworkEnvironment.MAN,
+                    7: NetworkEnvironment.L_WAN}
+    latency_prs = {2: 0.0, 3: 0.6, 4: 1.0, 9: 0.8}
+    clients_prs = {12: 0.25, 14: 0.75}
+    # keyed by the figure whose response view (or only view) each sweep is
+    plans = {figure: exp.latency_sweep_plan(pr, **args(latencies=(1.0, 750.0)))
+             for figure, pr in latency_prs.items()}
+    plans.update({figure: exp.read_probability_plan(
+                      env, **args(read_probabilities=(0.0, 1.0)))
+                  for figure, env in environments.items()})
+    plans[10] = exp.readonly_aborts_plan(**args(latencies=(1, 100)))
+    plans[11] = exp.fl_length_plan(**args(lengths=(1, 8)))
+    plans.update({figure: exp.clients_sweep_plan(
+                      pr, **args(client_counts=(10, 50)))
+                  for figure, pr in clients_prs.items()})
+    results = exp.run_sweeps(plans, jobs=jobs)
 
     sections.append(_block(
         "Table 1 — Simulation parameters",
@@ -60,25 +78,18 @@ def generate_report(fidelity="bench", seed=101, include_plots=True,
         "Round accounting — 3m vs 2m+1 (traced)",
         render_rounds_table(round_table(ms=(2, 4, 8)))))
 
-    for pr in (0.0, 0.6, 1.0):
-        results = exp.latency_sweep_experiment(
-            pr, fidelity=fidelity, seed=seed, jobs=jobs,
-            **kw(latencies=latencies))
-        figure = {0.0: 2, 0.6: 3, 1.0: 4}[pr]
+    for figure in (2, 3, 4):
         sections.append(_block(
-            f"Figure {figure} — response vs latency (pr={pr:g})",
-            render(results["response"])))
-        if pr == 0.6:
+            f"Figure {figure} — response vs latency "
+            f"(pr={latency_prs[figure]:g})",
+            render(results[figure]["response"])))
+        if figure == 3:
             sections.append(_block(
                 "Figure 8 — aborts vs latency (pr=0.6)",
-                render(results["aborts"], improvement=False)))
+                render(results[figure]["aborts"], improvement=False)))
 
-    for figure, env in ((5, NetworkEnvironment.SS_LAN),
-                        (6, NetworkEnvironment.MAN),
-                        (7, NetworkEnvironment.L_WAN)):
-        result = exp.figure_response_vs_read_probability(
-            env, fidelity=fidelity, seed=seed, jobs=jobs,
-            **kw(read_probabilities=read_probabilities))
+    for figure, env in environments.items():
+        result = results[figure]["response"]
         crossover = find_crossover(result)
         body = render(result)
         body += (f"\n\nmeasured crossover: "
@@ -87,34 +98,22 @@ def generate_report(fidelity="bench", seed=101, include_plots=True,
             f"Figure {figure} — response vs read probability "
             f"({env.name})", body))
 
-    result = exp.figure_aborts_vs_latency(0.8, fidelity=fidelity, seed=seed,
-                                          jobs=jobs,
-                                          **kw(latencies=latencies))
     sections.append(_block("Figure 9 — aborts vs latency (pr=0.8)",
-                           render(result, improvement=False)))
-
+                           render(results[9]["aborts"], improvement=False)))
     sections.append(_block(
         "Figure 10 — read-only deadlocks vs latency",
-        render(exp.figure_readonly_aborts_vs_latency(fidelity=fidelity,
-                                                     seed=seed, jobs=jobs),
-               improvement=False)))
+        render(results[10]["aborts"], improvement=False)))
     sections.append(_block(
         "Figure 11 — aborts vs forward-list length",
-        render(exp.figure_aborts_vs_fl_length(
-                   fidelity=fidelity, seed=seed, jobs=jobs,
-                   **kw(lengths=(1, 8) if quick else None)),
-               improvement=False)))
+        render(results[11]["aborts"], improvement=False)))
 
-    for pr, (fig_resp, fig_ab) in ((0.25, (12, 13)), (0.75, (14, 15))):
-        results = exp.clients_sweep_experiment(
-            pr, fidelity=fidelity, seed=seed, jobs=jobs,
-            **kw(client_counts=clients))
+    for figure, pr in clients_prs.items():
         sections.append(_block(
-            f"Figure {fig_resp} — response vs clients (pr={pr:g})",
-            render(results["response"])))
+            f"Figure {figure} — response vs clients (pr={pr:g})",
+            render(results[figure]["response"])))
         sections.append(_block(
-            f"Figure {fig_ab} — aborts vs clients (pr={pr:g})",
-            render(results["aborts"], improvement=False)))
+            f"Figure {figure + 1} — aborts vs clients (pr={pr:g})",
+            render(results[figure]["aborts"], improvement=False)))
 
     header = (f"# Reproduction report (fidelity: {fidelity}, seed {seed})\n")
     return header + "\n" + "\n".join(sections)

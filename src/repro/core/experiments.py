@@ -3,8 +3,9 @@
 Every figure in §5 is a sweep: run both protocols over an x-axis
 (network latency, read probability, forward-list length, or client count)
 with replications, and collect mean response time and abort percentage.
-:class:`ExperimentResult` holds the series; :mod:`repro.analysis` renders
-them; ``benchmarks/`` regenerates each one as a pytest-benchmark target.
+A ``*_plan`` returns one as a :class:`Sweep` (cells and fold) that
+:func:`run_sweeps` runs with others, sharing cells; a figure function
+runs one. :class:`ExperimentResult` holds the series.
 
 Scale: the paper ran 50,000 transactions x 5 replications per point on a
 1997 workstation (34 hours per run). The default scale here is chosen so
@@ -12,12 +13,14 @@ the full figure suite finishes in minutes; pass ``fidelity="paper"`` for
 the published run lengths.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import islice
+from operator import attrgetter
 from typing import Dict
 
 from repro.core.config import Fidelity, SimulationConfig
 from repro.core.parallel import run_cells
-from repro.core.runner import aggregate_runs, replication_cells
+from repro.core.runner import replication_cells
 from repro.network.presets import LATENCY_SWEEP, TABLE2_ENVIRONMENTS
 from repro.stats.ci import mean_confidence_interval
 
@@ -87,71 +90,88 @@ def _base_config(fidelity, **overrides):
     return SimulationConfig(**defaults), fid.replications
 
 
-def sweep_both(experiment_ids, titles, x_label, base_config, replications,
-               xs, configure, protocols=("s2pl", "g2pl"), seed=1, jobs=1,
-               progress=None):
-    """Generic experiment driver, collecting both paper metrics per run.
-
-    ``configure(config, x)`` returns the config for one x-axis point.
-    Returns ``{"response": ExperimentResult, "aborts": ExperimentResult}``
-    built from the *same* simulation runs (mean transaction response time
-    and percentage of transactions aborted are two views of one sweep).
-    Identical seeds per replication index across protocols (common random
-    numbers).
-
-    ``jobs>1`` fans out the full protocols x points x replications
-    cross-product over a process pool; the series are bit-identical to
-    the serial sweep for the same ``seed``.  ``progress(done, total)``
-    reports completed simulation cells.
+@dataclass
+class Sweep:
+    """One figure's plan: run ``protocols`` x ``xs`` x ``replications``
+    (``configure(config, x)`` makes a point's config; replication ``i``
+    has one seed under every protocol), then fold each run's mean
+    response and abort percentage into ``{"response": ExperimentResult,
+    "aborts": ExperimentResult}``, two views of the same runs.
     """
-    results = {
-        "response": ExperimentResult(
-            experiment_id=experiment_ids.get("response", "?"),
-            title=titles.get("response", ""), x_label=x_label,
-            y_label="mean response time"),
-        "aborts": ExperimentResult(
-            experiment_id=experiment_ids.get("aborts", "?"),
-            title=titles.get("aborts", ""), x_label=x_label,
-            y_label="% transactions aborted"),
-    }
-    points = []
-    cells = []
-    for protocol in protocols:
-        for x in xs:
-            config = configure(base_config.replace(protocol=protocol), x)
-            points.append((protocol, x, config))
-            cells.extend(replication_cells(config, replications,
-                                           base_seed=seed))
-    runs = run_cells(cells, jobs=jobs, progress=progress)
-    for index, (protocol, x, config) in enumerate(points):
-        chunk = runs[index * replications:(index + 1) * replications]
-        replicated = aggregate_runs(config, chunk)
-        results["response"].series_for(protocol).add(
-            x, replicated.response_time)
-        results["aborts"].series_for(protocol).add(
-            x, replicated.abort_percentage)
-    return results
+
+    experiment_ids: dict
+    titles: dict
+    x_label: str
+    base_config: SimulationConfig
+    replications: int
+    xs: tuple
+    configure: object
+    protocols: tuple = ("s2pl", "g2pl")
+    seed: int = 1
+
+    def cells(self):
+        """The sweep's simulation cells, in the order :meth:`fold` reads."""
+        return [cell for protocol in self.protocols for x in self.xs
+                for cell in replication_cells(self.configure(
+                    self.base_config.replace(protocol=protocol), x),
+                    self.replications, base_seed=self.seed)]
+
+    def fold(self, numbers):
+        """The results from ``(response mean, abort %)`` per cell."""
+        results = {metric: ExperimentResult(
+                       self.experiment_ids.get(metric, "?"),
+                       self.titles.get(metric, ""), self.x_label, y_label)
+                   for metric, y_label in (
+                       ("response", "mean response time"),
+                       ("aborts", "% transactions aborted"))}
+        numbers = iter(numbers)
+        for protocol in self.protocols:
+            for x in self.xs:
+                responses, aborts = zip(*islice(numbers, self.replications))
+                results["response"].series_for(protocol).add(
+                    x, mean_confidence_interval(responses))
+                results["aborts"].series_for(protocol).add(
+                    x, mean_confidence_interval(aborts))
+        return results
+
+    def run(self, jobs=1):
+        """Run the cells and fold them (see :func:`run_sweeps`)."""
+        return run_sweeps({None: self}, jobs=jobs)[None]
 
 
-def sweep(experiment_id, title, x_label, y_label, base_config, replications,
-          xs, configure, protocols=("s2pl", "g2pl"), metric="response",
-          seed=1, jobs=1, progress=None):
-    """Single-metric convenience wrapper over :func:`sweep_both`."""
-    results = sweep_both({metric: experiment_id}, {metric: title}, x_label,
-                         base_config, replications, xs, configure,
-                         protocols=protocols, seed=seed, jobs=jobs,
-                         progress=progress)
-    result = results[metric]
-    result.y_label = y_label
-    return result
+def run_sweeps(sweeps, jobs=1):
+    """Fold every :class:`Sweep` of ``{name: sweep}`` from one run of
+    their distinct cells; returns ``{name: result}``.
+
+    A cell two sweeps share (every config field and the seed equal) runs
+    once. ``jobs>1`` fans all the cells out over one process pool; the
+    results are bit-identical to the serial run, and each equals its
+    sweep run on its own.
+    """
+    # Key on every config field, not describe(): that omits
+    # max_forward_list_length, so Figure 11's cells would merge.
+    planned = {name: [((*(getattr(cell.config, f.name)
+                          for f in fields(cell.config)), cell.seed), cell)
+                      for cell in sweep.cells()]
+               for name, sweep in sweeps.items()}
+    distinct = {}
+    for cells in planned.values():
+        for key, cell in cells:
+            distinct.setdefault(key, cell)
+    # Only the two numbers a fold reads leave the worker or stay alive.
+    numbers = dict(zip(distinct, run_cells(
+        distinct.values(), jobs=jobs,
+        keep=attrgetter("mean_response_time", "abort_percentage"))))
+    return {name: sweeps[name].fold([numbers[key] for key, _ in cells])
+            for name, cells in planned.items()}
 
 
 # ---------------------------------------------------------------------------
 # Figures 2-4: mean response time vs network latency (pr = 0.0 / 0.6 / 1.0)
 # ---------------------------------------------------------------------------
 
-def latency_sweep_experiment(read_probability, fidelity=Fidelity.BENCH,
-                             seed=1, latencies=LATENCY_SWEEP, jobs=1):
+def latency_sweep_plan(read_probability, fidelity=Fidelity.BENCH, seed=1,
+                       latencies=LATENCY_SWEEP):
     """One latency sweep, yielding both metrics.
 
     The response view is Figure 2/3/4 (pr = 0.0/0.6/1.0); the abort view
@@ -162,7 +182,7 @@ def latency_sweep_experiment(read_probability, fidelity=Fidelity.BENCH,
     abort_fig = {0.6: "8", 0.8: "9"}.get(read_probability, "8-9")
     base, replications = _base_config(fidelity,
                                       read_probability=read_probability)
-    return sweep_both(
+    return Sweep(
         experiment_ids={"response": f"figure{response_fig}",
                         "aborts": f"figure{abort_fig}"},
         titles={"response": (
@@ -175,7 +195,13 @@ def latency_sweep_experiment(read_probability, fidelity=Fidelity.BENCH,
         x_label="network latency",
         base_config=base, replications=replications, xs=latencies,
         configure=lambda cfg, x: cfg.replace(network_latency=x),
-        seed=seed, jobs=jobs)
+        seed=seed)
+
+
+def latency_sweep_experiment(read_probability, fidelity=Fidelity.BENCH,
+                             seed=1, latencies=LATENCY_SWEEP, jobs=1):
+    return latency_sweep_plan(read_probability, fidelity, seed,
+                              latencies).run(jobs)
 
 
 def figure_response_vs_latency(read_probability, fidelity=Fidelity.BENCH,
@@ -188,23 +214,30 @@ def figure_response_vs_latency(read_probability, fidelity=Fidelity.BENCH,
 # Figures 5-7: mean response time vs read probability (ss-LAN / MAN / l-WAN)
 # ---------------------------------------------------------------------------
 
-def figure_response_vs_read_probability(environment, fidelity=Fidelity.BENCH,
-                                        seed=1,
-                                        read_probabilities=READ_PROBABILITY_SWEEP,
-                                        jobs=1):
+def read_probability_plan(environment, fidelity=Fidelity.BENCH, seed=1,
+                          read_probabilities=READ_PROBABILITY_SWEEP):
     figure = {"SS_LAN": "5", "MAN": "6", "L_WAN": "7"}.get(
         environment.name, "5-7")
     base, replications = _base_config(
         fidelity, network_latency=environment.latency)
-    return sweep(
-        experiment_id=f"figure{figure}",
-        title=(f"Mean response time vs read probability in "
-               f"{environment.name} (latency {environment.latency:g})"),
-        x_label="read probability", y_label="mean response time",
+    return Sweep(
+        experiment_ids={"response": f"figure{figure}"},
+        titles={"response": (
+            f"Mean response time vs read probability in "
+            f"{environment.name} (latency {environment.latency:g})")},
+        x_label="read probability",
         base_config=base, replications=replications,
         xs=read_probabilities,
         configure=lambda cfg, x: cfg.replace(read_probability=x),
-        seed=seed, jobs=jobs)
+        seed=seed)
+
+
+def figure_response_vs_read_probability(environment, fidelity=Fidelity.BENCH,
+                                        seed=1,
+                                        read_probabilities=READ_PROBABILITY_SWEEP,
+                                        jobs=1):
+    return read_probability_plan(environment, fidelity, seed,
+                                 read_probabilities).run(jobs)["response"]
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +254,9 @@ def figure_aborts_vs_latency(read_probability, fidelity=Fidelity.BENCH,
 # Figure 10: read-only deadlock aborts vs latency
 # ---------------------------------------------------------------------------
 
-def figure_readonly_aborts_vs_latency(fidelity=Fidelity.BENCH, seed=1,
-                                      latencies=(1, 2, 3, 5, 7, 10, 25, 100),
-                                      n_clients=5, jobs=1):
+def readonly_aborts_plan(fidelity=Fidelity.BENCH, seed=1,
+                         latencies=(1, 2, 3, 5, 7, 10, 25, 100),
+                         n_clients=5):
     """Read-only system: aborts are exactly the read-deadlocks of §3.3.
 
     The paper's caption does not pin the client count for this figure; the
@@ -233,43 +266,57 @@ def figure_readonly_aborts_vs_latency(fidelity=Fidelity.BENCH, seed=1,
     """
     base, replications = _base_config(fidelity, read_probability=1.0,
                                       n_clients=n_clients)
-    return sweep(
-        experiment_id="figure10",
-        title=(f"Read-only system: % transactions aborted vs latency "
-               f"({n_clients} clients, 25 hot items)"),
-        x_label="network latency", y_label="% transactions aborted",
+    return Sweep(
+        experiment_ids={"aborts": "figure10"},
+        titles={"aborts": (
+            f"Read-only system: % transactions aborted vs latency "
+            f"({n_clients} clients, 25 hot items)")},
+        x_label="network latency",
         base_config=base, replications=replications, xs=latencies,
         configure=lambda cfg, x: cfg.replace(network_latency=float(x)),
-        protocols=("g2pl", "g2pl-ro"), metric="aborts", seed=seed,
-        jobs=jobs)
+        protocols=("g2pl", "g2pl-ro"), seed=seed)
+
+
+def figure_readonly_aborts_vs_latency(fidelity=Fidelity.BENCH, seed=1,
+                                      latencies=(1, 2, 3, 5, 7, 10, 25, 100),
+                                      n_clients=5, jobs=1):
+    return readonly_aborts_plan(fidelity, seed, latencies,
+                                n_clients).run(jobs)["aborts"]
 
 
 # ---------------------------------------------------------------------------
 # Figure 11: aborts vs forward-list length (read-only, ss-LAN)
 # ---------------------------------------------------------------------------
 
-def figure_aborts_vs_fl_length(fidelity=Fidelity.BENCH, seed=1,
-                               lengths=(1, 2, 3, 4, 5, 6, 8, 10),
-                               n_clients=50, jobs=1):
+def fl_length_plan(fidelity=Fidelity.BENCH, seed=1,
+                   lengths=(1, 2, 3, 4, 5, 6, 8, 10), n_clients=50):
     base, replications = _base_config(fidelity, read_probability=1.0,
                                       n_clients=n_clients,
                                       network_latency=1.0)
-    return sweep(
-        experiment_id="figure11",
-        title=("Read-only ss-LAN: % transactions aborted vs forward-list "
-               f"length cap ({n_clients} clients)"),
-        x_label="forward list length", y_label="% transactions aborted",
+    return Sweep(
+        experiment_ids={"aborts": "figure11"},
+        titles={"aborts": (
+            "Read-only ss-LAN: % transactions aborted vs forward-list "
+            f"length cap ({n_clients} clients)")},
+        x_label="forward list length",
         base_config=base, replications=replications, xs=lengths,
         configure=lambda cfg, x: cfg.replace(max_forward_list_length=x),
-        protocols=("g2pl",), metric="aborts", seed=seed, jobs=jobs)
+        protocols=("g2pl",), seed=seed)
+
+
+def figure_aborts_vs_fl_length(fidelity=Fidelity.BENCH, seed=1,
+                               lengths=(1, 2, 3, 4, 5, 6, 8, 10),
+                               n_clients=50, jobs=1):
+    return fl_length_plan(fidelity, seed, lengths,
+                          n_clients).run(jobs)["aborts"]
 
 
 # ---------------------------------------------------------------------------
 # Figures 12-15: response time / aborts vs number of clients (s-WAN)
 # ---------------------------------------------------------------------------
 
-def clients_sweep_experiment(read_probability, fidelity=Fidelity.BENCH,
-                             seed=1, client_counts=CLIENT_SWEEP, jobs=1):
+def clients_sweep_plan(read_probability, fidelity=Fidelity.BENCH, seed=1,
+                       client_counts=CLIENT_SWEEP):
     """One client-count sweep, yielding both metrics.
 
     pr=0.25 gives Figures 12 (response) and 13 (aborts); pr=0.75 gives
@@ -281,7 +328,7 @@ def clients_sweep_experiment(read_probability, fidelity=Fidelity.BENCH,
         fidelity, read_probability=read_probability, network_latency=500.0)
     suffix = (f"vs number of clients, pr={read_probability:g}, s-WAN "
               f"(latency 500), 25 hot items")
-    return sweep_both(
+    return Sweep(
         experiment_ids={"response": f"figure{response_fig}",
                         "aborts": f"figure{abort_fig}"},
         titles={"response": f"Mean response time {suffix}",
@@ -289,7 +336,13 @@ def clients_sweep_experiment(read_probability, fidelity=Fidelity.BENCH,
         x_label="number of clients",
         base_config=base, replications=replications, xs=client_counts,
         configure=lambda cfg, x: cfg.replace(n_clients=x),
-        seed=seed, jobs=jobs)
+        seed=seed)
+
+
+def clients_sweep_experiment(read_probability, fidelity=Fidelity.BENCH,
+                             seed=1, client_counts=CLIENT_SWEEP, jobs=1):
+    return clients_sweep_plan(read_probability, fidelity, seed,
+                              client_counts).run(jobs)
 
 
 def figure_vs_clients(read_probability, metric, fidelity=Fidelity.BENCH,
@@ -317,7 +370,7 @@ def loss_sweep_experiment(fidelity=Fidelity.BENCH, seed=1,
                                       read_probability=read_probability)
     suffix = (f"vs message-loss probability, pr={read_probability:g}, "
               f"s-WAN (latency 500), 25 hot items")
-    return sweep_both(
+    return Sweep(
         experiment_ids={"response": "loss-response", "aborts": "loss-aborts"},
         titles={"response": f"Mean response time {suffix}",
                 "aborts": f"Percentage of transactions aborted {suffix}"},
@@ -325,7 +378,7 @@ def loss_sweep_experiment(fidelity=Fidelity.BENCH, seed=1,
         base_config=base, replications=replications, xs=losses,
         configure=lambda cfg, x: cfg.replace(
             faults=FaultSpec(message_loss=x) if x else None),
-        seed=seed, jobs=jobs)
+        seed=seed).run(jobs)
 
 
 def figure_loss_sweep(metric="response", fidelity=Fidelity.BENCH, seed=1,

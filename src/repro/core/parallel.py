@@ -64,20 +64,21 @@ def resolve_jobs(jobs):
     return jobs
 
 
-def _execute_cell(cell):
+def _execute_cell(cell, keep=None):
     # Top-level so the spawn pickler can find it; the import is deferred
     # to avoid a circular import with repro.core.runner.
     from repro.core.runner import run_simulation
 
-    return run_simulation(cell.config, seed=cell.seed,
-                          check_serializability=cell.check_serializability)
+    result = run_simulation(cell.config, seed=cell.seed,
+                            check_serializability=cell.check_serializability)
+    return result if keep is None else keep(result)
 
 
-def _run_serial(cells, progress):
+def _run_serial(cells, progress, keep):
     results = []
     for index, cell in enumerate(cells):
         try:
-            results.append(_execute_cell(cell))
+            results.append(_execute_cell(cell, keep))
         except Exception as exc:
             raise CellError(
                 f"simulation cell {index} failed "
@@ -87,13 +88,15 @@ def _run_serial(cells, progress):
     return results
 
 
-def run_cells(cells, jobs=1, progress=None):
+def run_cells(cells, jobs=1, progress=None, keep=None):
     """Run simulation cells and return their results in input order.
 
     ``jobs=1`` runs serially in-process (no pool, no pickling);
     ``jobs>1`` fans out over a spawn-context process pool.  ``0``,
     ``None`` or ``"auto"`` use every CPU.  ``progress(done, total)``,
     when given, is called after each cell completes (from this process).
+    ``keep``, a picklable callable, maps each result where its cell ran
+    (in the worker at ``jobs>1``); only what it returns is kept.
 
     A failing cell cancels the outstanding work and raises
     :class:`CellError` naming the cell's configuration and seed.
@@ -103,12 +106,12 @@ def run_cells(cells, jobs=1, progress=None):
     if not cells:
         return []
     if jobs == 1 or len(cells) == 1:
-        return _run_serial(cells, progress)
+        return _run_serial(cells, progress, keep)
 
     workers = min(jobs, len(cells))
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=get_context("spawn")) as pool:
-        futures = [pool.submit(_execute_cell, cell) for cell in cells]
+        futures = [pool.submit(_execute_cell, cell, keep) for cell in cells]
         index_of = {future: index for index, future in enumerate(futures)}
         done_count = 0
         for future in as_completed(futures):

@@ -8,6 +8,40 @@ comparing protocols under common random numbers (Jain, ch. 25).
 
 import hashlib
 import random
+from math import ceil, log
+
+
+def below(getrandbits, n):
+    """``Random._randbelow(n)`` from a stream's ``getrandbits``: the same
+    integer from the same bits (``n == 1`` still draws one bit)."""
+    bits = n.bit_length()
+    value = getrandbits(bits)
+    while value >= n:
+        value = getrandbits(bits)
+    return value
+
+
+def sample_indices(getrandbits, n, k):
+    """``Random.sample(range(n), k)`` from a stream's ``getrandbits``: the
+    same indices in the same order from the same bits, through CPython's
+    n-long pool or, past its ``setsize`` rule, its rejection of repeats."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    chosen = []
+    if n <= setsize:
+        pool = list(range(n))
+        for left in range(n, n - k, -1):
+            index = below(getrandbits, left)
+            chosen.append(pool[index])
+            pool[index] = pool[left - 1]
+        return chosen
+    bits = n.bit_length()
+    while len(chosen) < k:
+        index = getrandbits(bits)
+        if index < n and index not in chosen:
+            chosen.append(index)
+    return chosen
 
 
 def _derive_seed(root_seed, name):

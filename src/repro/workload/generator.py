@@ -4,7 +4,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.locking.modes import LockMode
+from repro.sim.rng import below, sample_indices
 from repro.workload.spec import Operation, TransactionSpec
+
+READ, WRITE = LockMode.READ, LockMode.WRITE
 
 
 @dataclass(frozen=True)
@@ -108,14 +111,12 @@ class WorkloadGenerator:
 
     def _sample_items(self, rng, n_ops, pool=None):
         params = self.params
-        if pool is None:
-            if params.access_skew == 0.0:
-                return rng.sample(range(params.n_items), n_ops)
-            available = list(range(params.n_items))
-        else:
-            available = list(pool)
-            if params.access_skew == 0.0:
-                return rng.sample(available, n_ops)
+        if params.access_skew == 0.0:
+            if pool is None:
+                return sample_indices(rng.getrandbits, params.n_items, n_ops)
+            return [pool[index] for index
+                    in sample_indices(rng.getrandbits, len(pool), n_ops)]
+        available = list(range(params.n_items) if pool is None else pool)
         # Weighted sampling without replacement (successive draws).
         all_weights = params.item_weights()
         weights = [all_weights[item] for item in available]
@@ -151,7 +152,8 @@ class WorkloadGenerator:
         """Generate the next transaction for ``client_id``."""
         params = self.params
         rng = self._txn_stream(client_id)
-        n_ops = rng.randint(params.min_ops, params.max_ops)
+        n_ops = params.min_ops + below(
+            rng.getrandbits, params.max_ops - params.min_ops + 1)
         if params.cross_shard_probability is None:
             items = self._sample_items(rng, n_ops)
         elif rng.random() < params.cross_shard_probability:
@@ -164,19 +166,13 @@ class WorkloadGenerator:
             items = self._sample_items(rng, min(n_ops, len(pool)), pool)
         read_probability = params.read_probability
         think_min = params.think_min
-        think_max = params.think_max
+        span = params.think_max - think_min
         random = rng.random
-        uniform = rng.uniform
-        operations = tuple(
-            Operation(
-                item_id=item,
-                mode=(LockMode.READ
-                      if random() < read_probability
-                      else LockMode.WRITE),
-                think_time=uniform(think_min, think_max),
-            )
-            for item in items
-        )
+        # think_min + span * random() is Random.uniform's own formula
+        operations = tuple([
+            Operation(item, READ if random() < read_probability else WRITE,
+                      think_min + span * random())
+            for item in items])
         self.generated += 1
         return TransactionSpec(operations=operations)
 

@@ -66,8 +66,9 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 
-from repro.locking.modes import LockMode
 from repro.protocols.transaction import Transaction
+from repro.sim.rng import below
+from repro.workload.generator import READ, WRITE
 from repro.workload.spec import Operation, TransactionSpec
 
 
@@ -229,23 +230,17 @@ class OpenArrivalGenerator:
     def next_spec(self):
         rng = self._rng
         cls = self._pick_class(rng)
-        n_ops = rng.randint(cls.min_ops, cls.max_ops)
+        n_ops = cls.min_ops + below(rng.getrandbits,
+                                    cls.max_ops - cls.min_ops + 1)
         items = self.sampler.sample(rng, n_ops)
         read_probability = cls.read_probability
         think_min = self.params.think_min
-        think_max = self.params.think_max
+        span = self.params.think_max - think_min
         random = rng.random
-        uniform = rng.uniform
-        operations = tuple(
-            Operation(
-                item_id=item,
-                mode=(LockMode.READ
-                      if random() < read_probability
-                      else LockMode.WRITE),
-                think_time=uniform(think_min, think_max),
-            )
-            for item in items
-        )
+        operations = tuple([
+            Operation(item, READ if random() < read_probability else WRITE,
+                      think_min + span * random())
+            for item in items])
         self.generated += 1
         self.by_class[cls.name] += 1
         return TransactionSpec(operations=operations)

@@ -3,11 +3,23 @@
 import dataclasses
 import json
 
+from repro.analysis.ascii_plot import ascii_plot
+from repro.analysis.crossover import find_crossover
+from repro.analysis.report import _block
+from repro.analysis.tables import (
+    render_experiment,
+    render_pairs,
+    render_rounds_table,
+)
+from repro.core import experiments as exp
 from repro.core.config import SimulationConfig
+from repro.core.worked_example import run_worked_example
 from repro.locking.modes import LockMode
+from repro.network.presets import NetworkEnvironment
 from repro.network.reliable import ACK_SIZE, Reliable, ReliableAck
 from repro.network.topology import UniformTopology
 from repro.network.transport import Network
+from repro.obs.rounds import round_table
 from repro.perf.goldens import GOLDEN_CELLS
 from repro.protocols.registry import make_protocol
 from repro.protocols.transaction import Transaction
@@ -266,3 +278,156 @@ def write_jsonl_per_row(path, trace, config=None, seed=None):
             out.write(json.dumps({"type": "probe", "t": time,
                                   "name": name, "value": value}) + "\n")
     return path
+
+
+def _sample_items_by_sample(generator, rng, n_ops, pool=None):
+    params = generator.params
+    if params.access_skew != 0.0:
+        return generator._sample_items(rng, n_ops, pool)
+    if pool is None:
+        return rng.sample(range(params.n_items), n_ops)
+    return rng.sample(list(pool), n_ops)
+
+
+def next_spec_by_methods(generator, client_id):
+    """``WorkloadGenerator.next_spec`` as it was before its draws went
+    through ``repro.sim.rng.below`` / ``sample_indices``: ``randint``,
+    ``Random.sample``, ``uniform`` and keyword ``Operation``s. Reference
+    implementation — the oracle the shipped draws must match spec for spec
+    (the skewed path was never changed and is shared)."""
+    params = generator.params
+    rng = generator._txn_stream(client_id)
+    n_ops = rng.randint(params.min_ops, params.max_ops)
+    if params.cross_shard_probability is None:
+        items = _sample_items_by_sample(generator, rng, n_ops)
+    elif rng.random() < params.cross_shard_probability:
+        items = _sample_items_by_sample(generator, rng, n_ops)
+    else:
+        pool = generator._home_pool(client_id)
+        items = _sample_items_by_sample(generator, rng,
+                                        min(n_ops, len(pool)), pool)
+    operations = tuple(
+        Operation(item_id=item,
+                  mode=(LockMode.READ if rng.random() < params.read_probability
+                        else LockMode.WRITE),
+                  think_time=rng.uniform(params.think_min, params.think_max))
+        for item in items)
+    generator.generated += 1
+    return TransactionSpec(operations=operations)
+
+
+def open_next_spec_by_methods(generator):
+    """``OpenArrivalGenerator.next_spec`` as it was before the same change:
+    the reference its shipped twin must match spec for spec."""
+    rng = generator._rng
+    cls = generator._pick_class(rng)
+    n_ops = rng.randint(cls.min_ops, cls.max_ops)
+    items = generator.sampler.sample(rng, n_ops)
+    params = generator.params
+    operations = tuple(
+        Operation(item_id=item,
+                  mode=(LockMode.READ if rng.random() < cls.read_probability
+                        else LockMode.WRITE),
+                  think_time=rng.uniform(params.think_min, params.think_max))
+        for item in items)
+    generator.generated += 1
+    generator.by_class[cls.name] += 1
+    return TransactionSpec(operations=operations)
+
+
+def report_figure_by_figure(fidelity="bench", seed=101, include_plots=True,
+                            quick=False, jobs=1):
+    """``generate_report`` as it was before one plan ran every figure: each
+    figure function runs its own cells (shared cells run again), one pool
+    per sweep at ``jobs>1``. Reference implementation — the oracle the
+    planned report must equal byte for byte. Quick mode's Figure 10 runs
+    its endpoints here too (it once ran all eight latencies)."""
+    latencies = (1.0, 750.0) if quick else None
+    read_probabilities = (0.0, 1.0) if quick else None
+    clients = (10, 50) if quick else None
+    sections = []
+
+    def kw(**kwargs):
+        return {k: v for k, v in kwargs.items() if v is not None}
+
+    def render(result, improvement=True):
+        parts = [render_experiment(
+            result,
+            improvement_between=("s2pl", "g2pl") if improvement
+            and "s2pl" in result.series and "g2pl" in result.series
+            else None)]
+        if include_plots:
+            parts.append(ascii_plot(result))
+        return "\n\n".join(parts)
+
+    sections.append(_block(
+        "Table 1 — Simulation parameters",
+        render_pairs("", exp.table1_parameters())))
+    sections.append(_block(
+        "Table 2 — Networking environments",
+        render_pairs("", exp.table2_environments())))
+    sections.append(_block(
+        "Figure 1 — Worked example", str(run_worked_example())))
+    sections.append(_block(
+        "Round accounting — 3m vs 2m+1 (traced)",
+        render_rounds_table(round_table(ms=(2, 4, 8)))))
+
+    for pr in (0.0, 0.6, 1.0):
+        results = exp.latency_sweep_experiment(
+            pr, fidelity=fidelity, seed=seed, jobs=jobs,
+            **kw(latencies=latencies))
+        figure = {0.0: 2, 0.6: 3, 1.0: 4}[pr]
+        sections.append(_block(
+            f"Figure {figure} — response vs latency (pr={pr:g})",
+            render(results["response"])))
+        if pr == 0.6:
+            sections.append(_block(
+                "Figure 8 — aborts vs latency (pr=0.6)",
+                render(results["aborts"], improvement=False)))
+
+    for figure, env in ((5, NetworkEnvironment.SS_LAN),
+                        (6, NetworkEnvironment.MAN),
+                        (7, NetworkEnvironment.L_WAN)):
+        result = exp.figure_response_vs_read_probability(
+            env, fidelity=fidelity, seed=seed, jobs=jobs,
+            **kw(read_probabilities=read_probabilities))
+        crossover = find_crossover(result)
+        body = render(result)
+        body += (f"\n\nmeasured crossover: "
+                 f"{crossover if crossover is None else round(crossover, 3)}")
+        sections.append(_block(
+            f"Figure {figure} — response vs read probability "
+            f"({env.name})", body))
+
+    result = exp.figure_aborts_vs_latency(0.8, fidelity=fidelity, seed=seed,
+                                          jobs=jobs,
+                                          **kw(latencies=latencies))
+    sections.append(_block("Figure 9 — aborts vs latency (pr=0.8)",
+                           render(result, improvement=False)))
+
+    sections.append(_block(
+        "Figure 10 — read-only deadlocks vs latency",
+        render(exp.figure_readonly_aborts_vs_latency(
+                   fidelity=fidelity, seed=seed, jobs=jobs,
+                   **kw(latencies=(1, 100) if quick else None)),
+               improvement=False)))
+    sections.append(_block(
+        "Figure 11 — aborts vs forward-list length",
+        render(exp.figure_aborts_vs_fl_length(
+                   fidelity=fidelity, seed=seed, jobs=jobs,
+                   **kw(lengths=(1, 8) if quick else None)),
+               improvement=False)))
+
+    for pr, (fig_resp, fig_ab) in ((0.25, (12, 13)), (0.75, (14, 15))):
+        results = exp.clients_sweep_experiment(
+            pr, fidelity=fidelity, seed=seed, jobs=jobs,
+            **kw(client_counts=clients))
+        sections.append(_block(
+            f"Figure {fig_resp} — response vs clients (pr={pr:g})",
+            render(results["response"])))
+        sections.append(_block(
+            f"Figure {fig_ab} — aborts vs clients (pr={pr:g})",
+            render(results["aborts"], improvement=False)))
+
+    header = (f"# Reproduction report (fidelity: {fidelity}, seed {seed})\n")
+    return header + "\n" + "\n".join(sections)

@@ -1,6 +1,9 @@
 """Unit tests for named random streams."""
 
+import random
+
 from repro.sim import RandomStreams
+from repro.sim.rng import below, sample_indices
 
 
 def test_same_seed_same_sequence():
@@ -56,3 +59,28 @@ def test_spawn_derives_independent_namespace():
     again = RandomStreams(11).spawn("replication-1")
     assert again.stream("w").random() == RandomStreams(11).spawn(
         "replication-1").stream("w").random()
+
+
+def test_below_and_sample_indices_are_cpythons_draws():
+    """Derandomised differential battery: every (n, k) with n in 1..64 and
+    k in 1..min(n, 9) — the pool branch, the set branch and the k > 5
+    ``setsize`` rule — over many seeds, each draw followed by the next
+    ``random()`` so a helper that takes one bit too many or too few fails
+    on the spot."""
+    for seed in range(24):
+        for n in range(1, 65):
+            reference = random.Random(seed * 100 + n)
+            twin = random.Random(seed * 100 + n)
+            for k in range(1, min(n, 9) + 1):
+                assert (sample_indices(twin.getrandbits, n, k)
+                        == reference.sample(range(n), k)), (seed, n, k)
+                assert below(twin.getrandbits, n) == reference._randbelow(n)
+                assert twin.random() == reference.random(), (seed, n, k)
+
+
+def test_below_one_still_draws_a_bit():
+    # randint(a, a) is a + _randbelow(1): one getrandbits(1), value 0
+    reference, twin = random.Random(5), random.Random(5)
+    for _ in range(50):
+        assert below(twin.getrandbits, 1) == reference.randint(3, 3) - 3 == 0
+    assert twin.getstate() == reference.getstate()

@@ -1,10 +1,18 @@
 """Unit tests for workload generation (Table 1 semantics)."""
 
+import random
+
 import pytest
+from helpers import next_spec_by_methods, open_next_spec_by_methods
 
 from repro.locking.modes import LockMode
 from repro.sim import RandomStreams
 from repro.workload.generator import WorkloadGenerator, WorkloadParams
+from repro.workload.population import (
+    OpenArrivalGenerator,
+    default_classes,
+    parse_txn_mix,
+)
 from repro.workload.spec import Operation, TransactionSpec
 
 
@@ -152,3 +160,46 @@ class TestHomePoolCache:
                 want = reference.next_spec(client)
                 got = cached.next_spec(client)
                 assert got.operations == want.operations
+
+
+class TestDrawsMatchTheMethodOracle:
+    """The shipped draws (``below`` / ``sample_indices``, ``uniform``'s
+    formula, positional ``Operation``s) against the ``Random`` method
+    calls they replaced, kept in ``tests/helpers.py``: the same specs,
+    spec for spec, and the same stream state after them."""
+
+    @pytest.mark.parametrize("overrides", [
+        {},                                                  # Table 1
+        dict(min_ops=3, max_ops=3),      # width 1: still one getrandbits(1)
+        dict(min_ops=4, max_ops=9),              # k > 5: the setsize rule
+        dict(n_items=8, max_ops=8, read_probability=0.3),  # pool branch
+        dict(n_items=32, n_shards=4, cross_shard_probability=0.3),
+        dict(n_items=24, n_shards=3, cross_shard_probability=0.0),
+        dict(access_skew=0.8),                     # unchanged skewed path
+    ], ids=["table1", "width1", "setsize", "small-pool", "sharded",
+            "home-pool-only", "skewed"])
+    def test_closed_loop_specs(self, overrides):
+        for seed in (1, 7, 41):
+            shipped = make_generator(seed=seed, **overrides)
+            oracle = make_generator(seed=seed, **overrides)
+            for _ in range(150):
+                for client in (1, 2, 3, 4, 5):
+                    assert (shipped.next_spec(client).operations
+                            == next_spec_by_methods(oracle, client).operations)
+            for client in (1, 2, 3, 4, 5):
+                assert (shipped._txn_stream(client).getstate()
+                        == oracle._txn_stream(client).getstate())
+
+    @pytest.mark.parametrize("txn_mix", [None, "browse:6:1-3:0.9,"
+                                         "update:3:2-5:0.3,audit:1:4-4:1.0"])
+    def test_population_specs(self, txn_mix):
+        params = WorkloadParams(n_items=1000, access_skew=0.5)
+        classes = (parse_txn_mix(txn_mix, n_items=1000) if txn_mix
+                   else default_classes(params))
+        shipped = OpenArrivalGenerator(params, classes, random.Random(11))
+        oracle = OpenArrivalGenerator(params, classes, random.Random(11))
+        for _ in range(600):
+            assert (shipped.next_spec().operations
+                    == open_next_spec_by_methods(oracle).operations)
+        assert shipped.by_class == oracle.by_class
+        assert shipped._rng.getstate() == oracle._rng.getstate()
