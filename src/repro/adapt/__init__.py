@@ -1,28 +1,16 @@
-"""repro.adapt — online controllers that turn the static protocol family
-into a self-tuning one.
+"""repro.adapt — the online controller that turns g-2PL into the
+``hybrid`` protocol.
 
-Three cooperating controllers, all consumed by
-:mod:`repro.protocols.adaptive`:
-
-- :class:`~repro.adapt.controller.WindowController` — adaptive
-  collection-window sizing (bounded feedback loop on window depth).
-- :class:`~repro.adapt.controller.ContentionController` — streaming
-  contention score with hysteresis, driving per-item switching between
-  s-2PL-like immediate service and g-2PL grouped service.
-- :class:`~repro.adapt.controller.SpeculationController` — the
-  synchronized-clock quiescence bound behind speculative dispatch.
+:class:`~repro.adapt.controller.ContentionController` keeps a streaming
+contention score with hysteresis and drives per-item switching between
+s-2PL-like single service and g-2PL grouped service
+(:mod:`repro.protocols.adaptive`);
+:class:`~repro.adapt.controller.EwmaEstimator` is its smoother.
 """
 
-from repro.adapt.controller import (
-    ContentionController,
-    EwmaEstimator,
-    SpeculationController,
-    WindowController,
-)
+from repro.adapt.controller import ContentionController, EwmaEstimator
 
 __all__ = [
     "ContentionController",
     "EwmaEstimator",
-    "SpeculationController",
-    "WindowController",
 ]

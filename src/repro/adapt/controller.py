@@ -1,12 +1,9 @@
-"""The adaptive-concurrency-control controllers.
+"""The hybrid protocol's contention controller and its estimator.
 
 Everything here is pure arithmetic over streamed observations — no
-simulator handles, no message types — so the controllers are unit-testable
-in isolation and reusable by both the simulated and live protocol stacks.
-The only nondeterminism is an optional injected RNG (the dedicated
-``adapt.controller`` stream) used to dither window holds; protocols that
-never hold never draw from it, which is what keeps the static goldens
-byte-identical.
+simulator handles, no message types, no randomness — so the controller
+is unit-testable in isolation and reusable by both the simulated and
+live protocol stacks.
 """
 
 
@@ -33,80 +30,6 @@ class EwmaEstimator:
             self.value += self.alpha * (float(sample) - self.value)
         self.samples += 1
         return self.value
-
-
-class WindowController:
-    """Adaptive collection-window sizing for one item.
-
-    Plain g-2PL only batches while the item is away: the instant it comes
-    home, whatever collected is frozen and dispatched, so an idle item
-    serves singleton chains forever even under steady load. This
-    controller can *hold* a home item's window open for ``h`` time units
-    before freezing, trading a bounded first-request delay for longer
-    forward lists (fewer grant/return rounds per transaction).
-
-    ``h`` follows a bounded integral feedback law on observed freeze
-    depth::
-
-        h <- clamp(h + gain * (target_depth - depth) * unit,
-                   min_hold, max_hold)
-
-    where ``unit`` is one-eighth of the network latency (the natural
-    quantum: a hold is only useful if it spans a nontrivial fraction of a
-    round trip). Depth below target lengthens the hold, depth above
-    target shortens it; the clamp keeps the loop stable under any gain.
-
-    Holding is gated on the inter-arrival EWMA: if requests for the item
-    arrive slower than ``max_hold`` apart, holding cannot collect a
-    second request and only adds latency, so the controller declines.
-    """
-
-    __slots__ = ("gain", "target_depth", "min_hold", "max_hold",
-                 "unit", "hold", "interarrival", "last_arrival", "holds")
-
-    #: Hold dither fraction: each armed hold is stretched/shrunk by up to
-    #: this much, drawn from the dedicated RNG stream, so synchronized
-    #: client populations do not phase-lock onto the hold timer.
-    JITTER = 0.05
-
-    def __init__(self, gain, target_depth, min_hold, max_hold, latency,
-                 ewma_alpha=0.3):
-        self.gain = gain
-        self.target_depth = target_depth
-        self.min_hold = min_hold
-        self.max_hold = max_hold
-        self.unit = latency / 8.0
-        self.hold = min(max(latency / 2.0, min_hold), max_hold)
-        self.interarrival = EwmaEstimator(ewma_alpha)
-        self.last_arrival = None
-        self.holds = 0
-
-    def observe_arrival(self, now):
-        """A request for this item arrived at simulated time ``now``."""
-        if self.last_arrival is not None:
-            self.interarrival.observe(now - self.last_arrival)
-        self.last_arrival = now
-
-    def observe_freeze(self, depth):
-        """A window froze at ``depth`` requests: run the feedback law."""
-        delta = self.gain * (self.target_depth - depth) * self.unit
-        self.hold = min(max(self.hold + delta, self.min_hold), self.max_hold)
-
-    def hold_time(self, rng=None):
-        """Hold duration for the window about to open, or 0.0 to dispatch
-        immediately (hold would not pay for itself)."""
-        if self.hold <= 0.0:
-            return 0.0
-        tau = self.interarrival.value
-        if tau is None or tau > self.max_hold:
-            # Unknown or sparse arrivals: a hold cannot collect a second
-            # request before it expires, so it is pure added latency.
-            return 0.0
-        hold = self.hold
-        if rng is not None:
-            hold *= 1.0 + self.JITTER * (2.0 * rng.random() - 1.0)
-        self.holds += 1
-        return hold
 
 
 class ContentionController:
@@ -170,24 +93,3 @@ class ContentionController:
         self.switches += 1
         return self.mode
 
-
-class SpeculationController:
-    """The synchronized-clock quiescence bound for speculative dispatch.
-
-    With synchronized clocks and a known one-way latency bound ``L``, a
-    server that has seen no new request for an away item for
-    ``margin * L`` knows every request sent before its newest window
-    entry has already arrived (Tiga-style): the window's contents are
-    final *as of the chain tail's release point*, so the window can be
-    pre-frozen and shipped to the tail as a chain extension before the
-    item formally returns. ``margin >= 1`` is exact under the bound;
-    larger margins trade speculation rate for tolerance of bound slack.
-    """
-
-    __slots__ = ("bound", "extensions", "hits", "misses")
-
-    def __init__(self, margin, latency):
-        self.bound = margin * latency
-        self.extensions = 0
-        self.hits = 0
-        self.misses = 0

@@ -7,10 +7,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.protocols import registry
+from repro.protocols.g2pl import FL_ORDERINGS
+from repro.protocols.s2pl import VICTIM_POLICIES
 
-#: ``--help`` heading of the adaptive-control flags
-_ADAPT = ("adaptive concurrency control (repro.adapt; protocols "
-          "g2pl-adaptive / hybrid / g2pl-spec)")
+#: ``--help`` heading of the hybrid protocol's flags
+_ADAPT = "adaptive concurrency control (repro.adapt; protocol hybrid)"
 
 
 def _flag(default, flag, help=None, **argparse_kwargs):
@@ -22,7 +23,7 @@ def _flag(default, flag, help=None, **argparse_kwargs):
 
 
 def _adapt(default, flag, help, **argparse_kwargs):
-    """A flag under the adaptive-control ``--help`` heading."""
+    """A flag under the hybrid protocol's ``--help`` heading."""
     return _flag(default, flag, help, group=_ADAPT, **argparse_kwargs)
 
 
@@ -88,13 +89,15 @@ class SimulationConfig:
     checkpoint_interval: Optional[int] = None
 
     # s-2PL options
-    victim_policy: str = "requester"  # or "youngest" / "oldest"
+    victim_policy: str = field(
+        default="requester", metadata={"choices": VICTIM_POLICIES})
 
     # g-2PL options
     mr1w: bool = True
     expand_read_groups: bool = False
     max_forward_list_length: Optional[int] = None
-    fl_ordering: str = "fifo"  # or "reads_first" / "writes_first"
+    fl_ordering: str = field(
+        default="fifo", metadata={"choices": FL_ORDERINGS})
 
     # c-2PL options
     cache_capacity: Optional[int] = None  # None = unbounded client cache
@@ -173,29 +176,7 @@ class SimulationConfig:
     seed: int = _flag(1, "--seed")
     record_history: bool = True
 
-    # adaptive control: off by default, so every static protocol's
-    # trajectory is untouched
-    adapt_window: bool = _adapt(
-        False, "--adapt-window", "tune the g-2PL collection window online "
-        "(feedback loop on freeze depth; implied by --protocol g2pl-adaptive)")
-    hybrid: bool = _adapt(
-        False, "--hybrid", "switch each item between s-2PL-equivalent and "
-        "grouped service on a streaming contention score (implied by "
-        "--protocol hybrid)")
-    speculate: bool = _adapt(
-        False, "--speculate", "clock-assisted speculative dispatch: "
-        "pre-freeze and ship the next window once the quiescence bound "
-        "proves it final (implied by --protocol g2pl-spec)")
-    window_gain: float = _adapt(
-        0.5, "--window-gain", "window controller integral gain")
-    window_target_depth: float = _adapt(
-        3.0, "--window-target", "window depth setpoint", metavar="DEPTH")
-    window_min: float = _adapt(
-        0.0, "--window-min", "min hold, in multiples of --latency",
-        metavar="XLAT")
-    window_max: float = _adapt(
-        2.0, "--window-max", "max hold, in multiples of --latency",
-        metavar="XLAT")
+    # hybrid options (read only by --protocol hybrid's server).
     # A freeze depth of 1 scores 0.25 at the default scale, so low=0.3 ~=
     # "windows are mostly singletons", high=0.5 ~= "three-deep backlogs".
     hybrid_low: float = _adapt(
@@ -205,10 +186,7 @@ class SimulationConfig:
     hybrid_scale: float = _adapt(
         3.0, "--hybrid-scale", "freeze depth at which the score reads 0.5")
     adapt_ewma: float = _adapt(
-        0.3, "--adapt-ewma", "EWMA weight for the adapt estimators")
-    spec_margin: float = _adapt(
-        1.5, "--spec-margin", "quiescence bound, in multiples of --latency",
-        metavar="XLAT")
+        0.3, "--adapt-ewma", "EWMA weight for the contention score")
 
     # observability (repro.obs)
     trace: bool = _flag(
@@ -245,6 +223,11 @@ class SimulationConfig:
                 "warmup_transactions must be below total_transactions")
         if self.mpl < 1:
             raise ValueError("mpl must be >= 1")
+        if (self.max_forward_list_length is not None
+                and self.max_forward_list_length < 1):
+            raise ValueError(
+                f"max_forward_list_length must be >= 1, got "
+                f"{self.max_forward_list_length}")
         if self.probe_interval is not None and self.probe_interval <= 0:
             raise ValueError("probe_interval must be positive")
         if self.n_shards < 1:
@@ -288,14 +271,6 @@ class SimulationConfig:
             # Validate eagerly (raises on malformed specs); the parsed
             # classes are rebuilt where needed, the config keeps the string.
             parse_txn_mix(self.txn_mix, n_items=self.n_items)
-        if self.window_gain <= 0:
-            raise ValueError("window_gain must be positive")
-        if self.window_target_depth <= 0:
-            raise ValueError("window_target_depth must be positive")
-        if not 0.0 <= self.window_min <= self.window_max:
-            raise ValueError(
-                f"window bounds must satisfy 0 <= window_min <= window_max "
-                f"(got {self.window_min:g}..{self.window_max:g})")
         if not 0.0 <= self.hybrid_low <= self.hybrid_high <= 1.0:
             raise ValueError(
                 f"hybrid thresholds must satisfy 0 <= low <= high <= 1 "
@@ -304,8 +279,6 @@ class SimulationConfig:
             raise ValueError("hybrid_scale must be positive")
         if not 0.0 < self.adapt_ewma <= 1.0:
             raise ValueError("adapt_ewma must be in (0, 1]")
-        if self.spec_margin <= 0:
-            raise ValueError("spec_margin must be positive")
         if self.streaming_threshold < 0:
             raise ValueError("streaming_threshold must be >= 0")
         if self.reservoir_capacity < 2:
@@ -363,20 +336,7 @@ class SimulationConfig:
         if self.population is not None:
             popn = (f" population={self.population} arrival={self.arrival}"
                     f"@{self.arrival_rate:g}/user zipf={self.access_skew:g}")
-        adapt = ""
-        if self.adapt_window or self.hybrid or self.speculate:
-            knobs = []
-            if self.adapt_window:
-                knobs.append(f"window(gain={self.window_gain:g} "
-                             f"target={self.window_target_depth:g} "
-                             f"hold={self.window_min:g}..{self.window_max:g})")
-            if self.hybrid:
-                knobs.append(f"hybrid({self.hybrid_low:g}"
-                             f"..{self.hybrid_high:g})")
-            if self.speculate:
-                knobs.append(f"spec(margin={self.spec_margin:g})")
-            adapt = " adapt=" + "+".join(knobs)
         return (f"{self.protocol} clients={self.n_clients} "
                 f"items={self.n_items} pr={self.read_probability:g} "
                 f"latency={self.network_latency:g} "
-                f"txns={self.total_transactions}{sharding}{popn}{adapt}")
+                f"txns={self.total_transactions}{sharding}{popn}")

@@ -18,6 +18,7 @@ platform) while preserving the headline guarantee of the serial runner:
   and seed, instead of hanging or silently dropping the point.
 """
 
+import gc
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -71,6 +72,11 @@ def _execute_cell(cell, keep=None):
 
     result = run_simulation(cell.config, seed=cell.seed,
                             check_serializability=cell.check_serializability)
+    # The finished assembly is cyclic garbage (sites, processes and events
+    # refer to each other) in the young generations. Collect it now: the
+    # next cell's run relaxes the collector's thresholds, so left alone it
+    # survives that run, and a sweep's garbage piles up across cells.
+    gc.collect(1)
     return result if keep is None else keep(result)
 
 

@@ -12,7 +12,7 @@ from repro.obs.tracer import Tracer
 from repro.network.reliable import ReliableLink
 from repro.network.topology import RegionTopology, UniformTopology
 from repro.network.transport import Network
-from repro.protocols.registry import PROTOCOLS, make_protocol
+from repro.protocols.registry import make_protocol
 from repro.protocols.s2pl import S2PLServer
 from repro.protocols.sharding import GlobalDeadlockDetector, ShardMap
 from repro.sim.engine import Simulator, relaxed_gc
@@ -212,11 +212,6 @@ def assemble(config, seed):
         tracer.bind_network(network)
     for site in [*servers, *clients.values()]:
         network.add_site(site)
-    if PROTOCOLS[config.protocol].adaptive:
-        # Dedicated stream: only adaptive servers ever draw from it, so
-        # every static protocol's trajectory is untouched.
-        for server in servers:
-            server.attach_adapt_rng(streams.stream("adapt.controller"))
 
     control = RunControl(sim, config.total_transactions)
     streaming = config.streaming_enabled

@@ -14,7 +14,8 @@ a small **kernel contract** — the subset of
 * ``spawn(generator)`` — run a generator as a process
   (:mod:`repro.sim.process`);
 * ``call_soon`` / ``call_later`` / ``call_later_cancellable`` —
-  callback scheduling (the latter powers :class:`repro.sim.timers.Timer`);
+  callback scheduling (the latter arms the reliable channel's
+  retransmissions and the g-2PL chain watchdog);
 * ``tracer`` — the optional :class:`~repro.obs.tracer.Tracer`.
 
 :class:`LiveKernel` implements that contract over asyncio: the same

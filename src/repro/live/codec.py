@@ -47,8 +47,6 @@ from repro.protocols.messages import (
     ReaderRelease,
     ReleaseWaiver,
     ReturnToServer,
-    SpecAck,
-    SpecExtend,
     TxnDone,
 )
 
@@ -88,8 +86,6 @@ MESSAGE_TYPES = (
     DecisionAck,
     OutcomeQuery,
     OutcomeReply,
-    SpecExtend,
-    SpecAck,
 )
 
 _MSG_INDEX = {cls: index for index, cls in enumerate(MESSAGE_TYPES)}

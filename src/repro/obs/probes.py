@@ -119,8 +119,8 @@ def _total(readers):
 def default_sources(sim, network, server, tracer, drivers=None):
     """The standard gauge set: heap pending, in-flight messages, and the
     series the protocol server(s) declare (``gauges`` on the server
-    class: lock-queue depth, forward-list occupancy, the adaptive
-    controllers' state). Static-protocol probe traces carry no adaptive
+    class: lock-queue depth, forward-list occupancy, hybrid's
+    single-mode item count). Static-protocol probe traces carry no hybrid
     series because the static servers declare none.
 
     ``server`` may be a single site or a list of servers (sharded

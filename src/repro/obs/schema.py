@@ -48,15 +48,8 @@ EVENT_SCHEMA = {
     "twopc.terminate": ("txn", "shard", "peers"),
     "twopc.terminate.commit": ("txn", "shard"),
     "twopc.terminate.abort": ("txn", "shard"),
-    # adaptive controllers (repro.adapt)
+    # the hybrid protocol's contention controller (repro.adapt)
     "hybrid.switch": ("item", "mode", "epoch", "score"),
-    "window.hold": ("item", "hold", "depth"),
-    "spec.extend": ("item", "tail", "n_txns"),
-    "spec.accept": ("item", "tail", "n_txns"),
-    "spec.decline": ("item", "tail"),
-    "spec.repair": ("item", "epoch", "n_txns"),
-    "spec.splice": ("txn", "item"),
-    "spec.refuse": ("txn", "item"),
 }
 
 #: keys every per-transaction accounting record must carry

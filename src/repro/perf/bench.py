@@ -2,10 +2,11 @@
 
 Runs a fixed set of cells spanning the layers the fast path touches:
 
-* ``engine_churn`` — pure kernel micro-benchmark: timer arm/cancel churn
-  and timeout-driven processes, no network, no protocol.  Its events/sec
-  is a proxy for raw machine speed, which makes it the natural
-  normaliser when comparing numbers recorded on different hosts.
+* ``engine_churn`` — pure kernel micro-benchmark: cancellable-entry
+  arm/cancel churn and timeout-driven processes, no network, no
+  protocol.  Its events/sec is a proxy for raw machine speed, which
+  makes it the natural normaliser when comparing numbers recorded on
+  different hosts.
 * ``net_ping`` — transport micro-benchmark: two sites exchanging
   messages through :class:`~repro.network.transport.Network`, measuring
   the per-send fast path (envelope construction, delay memoisation,
@@ -21,11 +22,9 @@ Runs a fixed set of cells spanning the layers the fast path touches:
   10⁵ logical users (10⁴ in quick mode) with Zipf skew and streaming
   metrics: exercises arrival sampling, user multiplexing, admission
   control, and the bounded-memory metrics path.
-* ``hybrid_contention`` / ``g2pl_speculative`` — the repro.adapt
-  protocol family: the contention-adaptive hybrid on the static pair's
-  workload (controller overhead shows up against ``g2pl_contention``)
-  and speculative dispatch on a sparse-arrival cell where the
-  quiescence timers actually fire.
+* ``hybrid_contention`` — the contention-adaptive hybrid (repro.adapt)
+  on the static pair's workload, so controller overhead shows up
+  against ``g2pl_contention``.
 
 Every macro cell embeds the deterministic fingerprint digest of its
 result, so a bench run doubles as a determinism probe: if a kernel
@@ -71,20 +70,24 @@ class BenchCell:
 # -- micro cells -------------------------------------------------------------
 
 def _engine_churn(quick):
-    """Timer arm/cancel churn plus timeout processes on a bare kernel."""
+    """Cancellable-entry arm/cancel churn plus timeout processes on a bare
+    kernel."""
     from repro.sim.engine import Simulator, relaxed_gc
-    from repro.sim.timers import Timer
 
     rounds = 4_000 if quick else 20_000
     sim = Simulator()
+    arm = sim.call_later_cancellable
+
+    def noop():
+        pass
 
     def churner(offset):
         step = 0
         while step < rounds:
-            keep = Timer(sim, 3.0, lambda: None)
-            Timer(sim, 5.0, lambda: None).cancel()
+            keep = arm(3.0, noop)
+            arm(5.0, noop)[0] = True
             yield sim.timeout(1.0 + (offset + step) % 3)
-            keep.cancel()
+            keep[0] = True
             step += 1
 
     for offset in range(4):
@@ -227,19 +230,6 @@ def _hybrid_contention(quick):
     return _run_macro(_macro_config("hybrid", quick))
 
 
-def _g2pl_speculative(quick):
-    """Clock-assisted speculative dispatch on a sparse-arrival workload.
-
-    Low client count and long latency leave quiescence gaps, so the
-    speculation timer actually fires: the cell exercises the quiescence
-    timers, pre-freeze window extension, SpecExtend/SpecAck traffic, and
-    the mis-speculation repair path.
-    """
-    return _run_macro(_macro_config(
-        "g2pl-spec", quick, n_clients=8, n_items=6,
-        network_latency=500.0))
-
-
 def bench_cells():
     """The fixed cell set, in run order."""
     return [
@@ -269,10 +259,6 @@ def bench_cells():
                   "contention-adaptive hybrid on the g2pl_contention "
                   "workload (controller overhead probe)",
                   _hybrid_contention),
-        BenchCell("g2pl_speculative", "macro",
-                  "g-2PL with clock-assisted speculative dispatch, "
-                  "8 clients on 6 items, latency 500",
-                  _g2pl_speculative),
     ]
 
 

@@ -83,40 +83,19 @@ GOLDEN_CELLS = {
         network_latency=100.0, intra_region_latency=1.0,
         total_transactions=160, warmup_transactions=20,
         record_history=False), 11),
-    # Adaptive cells (repro.adapt): the window controller's hold jitter
-    # draws from the dedicated "adapt.controller" stream, so these pin
-    # that stream's isolation as well as the controllers' decisions.
-    "g2pl_adaptive_plain": (dict(
-        protocol="g2pl-adaptive", n_clients=6, n_items=8,
-        read_probability=0.6, network_latency=100.0,
-        total_transactions=120, warmup_transactions=20,
-        record_history=False), 11),
+    # The hybrid protocol (repro.adapt): the contention controller's mode
+    # decisions, single-server traced, sharded traced and shard-local.
     "hybrid_traced": (dict(
         protocol="hybrid", n_clients=6, n_items=8, read_probability=0.6,
         network_latency=100.0, total_transactions=120,
         warmup_transactions=20, trace=True, probe_interval=150.0,
         record_history=False), 11),
-    "g2pl_spec_traced": (dict(
-        protocol="g2pl-spec", n_clients=4, n_items=5,
-        read_probability=0.6, network_latency=400.0,
-        total_transactions=100, warmup_transactions=15, trace=True,
-        record_history=False), 7),
-    # The adaptive protocols on the sharded chassis (recorded when the
-    # Sharded* subclasses were folded into the two families): a traced
-    # sharded hybrid cell, a sharded speculative cell, and a shard-local
-    # hybrid cell.
     "hybrid_sharded_traced": (dict(
         protocol="hybrid", n_clients=6, n_items=8, read_probability=0.6,
         n_shards=4, n_regions=2, cross_shard_probability=0.5,
         network_latency=100.0, intra_region_latency=1.0,
         total_transactions=120, warmup_transactions=20, trace=True,
         probe_interval=150.0, record_history=False), 11),
-    "g2pl_spec_sharded": (dict(
-        protocol="g2pl-spec", n_clients=6, n_items=8, read_probability=0.6,
-        n_shards=2, n_regions=2, cross_shard_probability=0.5,
-        network_latency=200.0, intra_region_latency=1.0,
-        total_transactions=120, warmup_transactions=20,
-        record_history=False), 7),
     "hybrid_shard_local": (dict(
         protocol="hybrid", n_clients=8, n_items=16, read_probability=0.6,
         n_shards=4, n_regions=2, cross_shard_probability=0.0,

@@ -243,13 +243,6 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         self.chain_repairs = 0
         self.watchdog_fires = 0
         self.crash_aborts = 0
-        if config.fl_ordering not in FL_ORDERINGS:
-            raise ValueError(
-                f"unknown fl_ordering {config.fl_ordering!r}; "
-                f"choose from {FL_ORDERINGS}")
-        cap = config.max_forward_list_length
-        if cap is not None and cap < 1:
-            raise ValueError(f"max_forward_list_length must be >= 1, got {cap}")
 
     # -- message handlers ----------------------------------------------------
 
@@ -649,8 +642,8 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
 
     def _graft_allowed(self, info):
         """May readers graft onto this item's in-flight chain?  Base g-2PL
-        answers from configuration alone; adaptive subclasses answer
-        per item (hybrid single mode grafts, pending speculation never)."""
+        answers from configuration alone; the hybrid subclass answers
+        per item (single mode grafts)."""
         return self.config.expand_read_groups
 
     def _try_graft_reader(self, info, ref):
@@ -699,18 +692,19 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
     def _select_window(self, info, order):
         """Split the linear extension into the txns frozen into this FL and
         the leftovers carried to the next window. Base g-2PL cuts at the
-        configured forward-list cap; adaptive subclasses cut per item."""
+        configured forward-list cap; the hybrid subclass cuts per item."""
         cap = self.config.max_forward_list_length
         if cap is None:
             return order, []
         return order[:cap], order[cap:]
 
-    def _freeze_window(self, info):
-        """Freeze the window into a forward list without dispatching it:
-        order by a linear extension of the DAG, cut (:meth:`_select_window`),
-        carry the leftovers into the next window, fix the chain order in
-        the DAG. Returns ``(selected, fl)``, the frozen requests in chain
-        order and their :class:`ForwardList`."""
+    def _maybe_dispatch(self, info):
+        """Freeze the window into a forward list and dispatch it: order by
+        a linear extension of the DAG, cut (:meth:`_select_window`), carry
+        the leftovers into the next window, fix the chain order in the DAG,
+        ship the chain."""
+        if not info.at_server or not info.window:
+            return
         window = info.window
         if len(window) == 1:
             # A one-request window needs no ordering key and no extension.
@@ -751,13 +745,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         for w in info.window:
             for s in selected:
                 add_edge(s.ref.txn_id, w.ref.txn_id)
-        return selected, fl
 
-    def _maybe_dispatch(self, info):
-        if not info.at_server or not info.window:
-            return
-        selected, fl = self._freeze_window(info)
-        entries = fl.entries
         info.at_server = False
         info.chain_all = [w.ref for w in selected]
         info.chain_live = {w.ref.txn_id for w in selected

@@ -339,36 +339,3 @@ class OutcomeReply:
     shard: int
     status: str
 
-
-@dataclass(slots=True)
-class SpecExtend:
-    """Server → client: speculative chain extension (clock-assisted).
-
-    The quiescence bound proved the away item's collection window is
-    final, so the server pre-freezes it into ``fl`` and ships it to the
-    chain's tail writer ``txn_id``: on acceptance the tail splices ``fl``
-    onto its own forward-list tail and hands the item off directly
-    (1 hop), skipping the return/grant round the window would otherwise
-    cost. ``epoch`` stamps the chain generation the extension targets.
-    """
-
-    txn_id: int
-    item_id: int
-    fl: object  # ForwardList
-    epoch: int = 0
-
-
-@dataclass(slots=True)
-class SpecAck:
-    """Client → server: outcome of a speculative extension.
-
-    ``accepted`` is False when the tail had already released (the item —
-    and a stale extension would dispatch behind it — is on its way home);
-    the server then repairs by dispatching the pre-frozen list itself
-    under a bumped epoch, exactly like a chain repair.
-    """
-
-    item_id: int
-    from_txn: int
-    accepted: bool = True
-    epoch: int = 0

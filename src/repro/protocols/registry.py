@@ -2,8 +2,8 @@
 
 Every protocol name maps to a :class:`Protocol` row — its server and
 client classes, the config fields the name pins, and what the pair
-supports: sharding, client-crash recovery, the adaptive
-controllers. :data:`REJECTIONS` lists, one row each with its reason, the
+supports: sharding and client-crash recovery.
+:data:`REJECTIONS` lists, one row each with its reason, the
 combinations nothing implements. Everything that needs to know what runs
 with what reads these two tables: :func:`make_protocol` (the one factory,
 single-server and sharded), ``SimulationConfig`` validation (through
@@ -19,7 +19,7 @@ without capabilities is single-server with no crash recovery.
 
 from dataclasses import dataclass, field
 
-from repro.protocols.adaptive import AdaptiveG2PLClient, AdaptiveG2PLServer
+from repro.protocols.adaptive import AdaptiveG2PLServer
 from repro.protocols.c2pl import C2PLClient, C2PLServer
 from repro.protocols.g2pl import G2PLClient, G2PLServer
 from repro.protocols.s2pl import S2PLClient, S2PLServer
@@ -32,20 +32,16 @@ class Protocol:
 
     server: type
     client: type
-    #: config fields the name forces (``g2pl-basic`` -> ``mr1w=False``); a
-    #: config that sets an adaptive flag itself composes with the pin
+    #: config fields the name forces (``g2pl-basic`` -> ``mr1w=False``)
     pins: dict = field(default_factory=dict)
     #: runs as N home servers with cross-shard atomic commit
     shardable: bool = False
     #: survives client crashes (s-2PL's sweep, g-2PL's chain repair)
     crash_recovery: bool = False
-    #: the pair reads the adapt_window / hybrid / speculate flags
-    adaptive: bool = False
     summary: str = ""
 
 
 _STATIC = dict(shardable=True, crash_recovery=True)
-_ADAPTIVE = dict(shardable=True, adaptive=True)
 
 PROTOCOLS = {
     "s2pl": Protocol(
@@ -60,15 +56,9 @@ PROTOCOLS = {
     "g2pl-ro": Protocol(
         G2PLServer, G2PLClient, {"expand_read_groups": True}, **_STATIC,
         summary="g-2PL + read-only forward-list expansion (future work)"),
-    "g2pl-adaptive": Protocol(
-        AdaptiveG2PLServer, AdaptiveG2PLClient, {"adapt_window": True},
-        **_ADAPTIVE, summary="online collection-window sizing (repro.adapt)"),
     "hybrid": Protocol(
-        AdaptiveG2PLServer, AdaptiveG2PLClient, {"hybrid": True},
-        **_ADAPTIVE, summary="per-item single/grouped mode switching"),
-    "g2pl-spec": Protocol(
-        AdaptiveG2PLServer, AdaptiveG2PLClient, {"speculate": True},
-        **_ADAPTIVE, summary="clock-assisted speculative dispatch"),
+        AdaptiveG2PLServer, G2PLClient, shardable=True,
+        summary="per-item single/grouped mode switching"),
     "c2pl": Protocol(
         C2PLServer, C2PLClient,
         summary="caching 2PL with callbacks (ablation A5)"),
@@ -76,9 +66,6 @@ PROTOCOLS = {
         TwoVersionServer, TwoVersionClient,
         summary="two-version 2PL, the §3.4 comparator (A7)"),
 }
-
-ADAPT_FLAGS = ("adapt_window", "hybrid", "speculate")
-
 
 def register(name, server_cls, client_cls, **capabilities):
     """Add a protocol of your own under ``name``. ``capabilities`` are
@@ -119,20 +106,12 @@ class Rejection:
     #: ``(config, row) -> bool``
     applies: object
     #: the error message, a format string over ``config`` and ``row``
-    #: plus the capability lists ``shardable`` / ``crash_capable`` /
-    #: ``adaptive``
+    #: plus the capability lists ``shardable`` / ``crash_capable``
     reason: str
 
 
 def _crashes(config):
     return config.faults.crashes if config.faults is not None else ()
-
-
-def _adapts(config, row, flag):
-    """Is the adaptive controller ``flag`` live in this run? The config's
-    own flags compose with the protocol's pins (``--protocol hybrid
-    --speculate`` runs both)."""
-    return getattr(config, flag) or row.pins.get(flag, False)
 
 
 REJECTIONS = (
@@ -152,21 +131,6 @@ REJECTIONS = (
         "every item, and no cross-shard commit is defined for them); "
         "n_shards={config.n_shards} needs a sharded protocol "
         "({shardable})"),
-    Rejection(
-        "adapt-flags-need-adaptive-protocol",
-        lambda c, row: not row.adaptive and any(
-            getattr(c, flag) for flag in ADAPT_FLAGS),
-        "adapt_window/hybrid/speculate need an adaptive protocol "
-        "({adaptive}); got protocol={config.protocol!r}"),
-    Rejection(
-        "faults-with-speculation",
-        lambda c, row: (c.faults is not None
-                        and _adapts(c, row, "speculate")),
-        "speculative dispatch is incompatible with fault injection: a "
-        "crash mid-extension would need the chain-repair watchdog to "
-        "reason about pre-frozen windows it has never seen. Disable "
-        "speculate (or drop the fault spec) — crash faults with g2pl use "
-        "the chain-repair path instead"),
     Rejection(
         "crash-with-population",
         lambda c, row: _crashes(c) and c.population is not None,
@@ -207,8 +171,7 @@ def rejection(config):
             return rule.reason.format(
                 config=config, row=row,
                 shardable=", ".join(protocols_with("shardable")),
-                crash_capable=protocols_with("crash_recovery"),
-                adaptive=", ".join(protocols_with("adaptive")))
+                crash_capable=protocols_with("crash_recovery"))
     return None
 
 
@@ -216,15 +179,13 @@ def capability_table():
     """The supported-combination table as text (``repro-experiment
     list``; README "Sharding and geo-topology" carries a copy)."""
     mark = {True: "yes", False: "-"}
-    lines = [f"{'protocol':<14} {'shards':<7} {'crash':<6} "
-             f"{'adaptive':<9} summary",
-             f"{'-' * 14} {'-' * 7} {'-' * 6} {'-' * 9} {'-' * 7}"]
+    lines = [f"{'protocol':<14} {'shards':<7} {'crash':<6} summary",
+             f"{'-' * 14} {'-' * 7} {'-' * 6} {'-' * 7}"]
     for name in available_protocols():
         row = PROTOCOLS[name]
         lines.append(
             f"{name:<14} {mark[row.shardable]:<7} "
-            f"{mark[row.crash_recovery]:<6} {mark[row.adaptive]:<9} "
-            f"{row.summary}".rstrip())
+            f"{mark[row.crash_recovery]:<6} {row.summary}".rstrip())
     return "\n".join(lines)
 
 

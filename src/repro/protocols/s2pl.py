@@ -77,10 +77,6 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
         self._injector = None
         self._sweep_interval = None
         self.crash_reclaims = 0
-        if config.victim_policy not in VICTIM_POLICIES:
-            raise ValueError(
-                f"unknown victim policy {config.victim_policy!r}; "
-                f"choose from {VICTIM_POLICIES}")
 
     # -- fault recovery --------------------------------------------------------
 

@@ -34,7 +34,7 @@ How the families use it:
   phase: ``2m + 1`` rounds again, the round-optimized variant the paper's
   latency argument suggests.
 
-* **g-2PL** (and the adaptive protocols on its chassis) — the commit
+* **g-2PL** (and ``hybrid`` on its chassis) — the commit
   point is client-local (once every item is granted, nothing can abort
   the transaction), so the non-fault sharded path needs *no* commit
   messages at all: the existing TxnDone notification simply fans out to

@@ -18,7 +18,6 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.mailbox import Mailbox
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
-from repro.sim.timers import Timer
 
 __all__ = [
     "AllOf",
@@ -31,5 +30,4 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timeout",
-    "Timer",
 ]

@@ -11,7 +11,7 @@ other place an entry is popped.
 
 Heap entries are ``(when, seq, callback, args)`` tuples; cancellable
 entries (armed by :meth:`Simulator.call_later_cancellable`, used by
-:class:`~repro.sim.timers.Timer`) carry a fifth element, a one-slot
+retransmissions and chain watchdogs) carry a fifth element, a one-slot
 mutable token.  Cancelling flips the token and the pop loop *skips* the
 entry instead of invoking a dead callback — lazy deletion, since removing
 from the middle of a heap is O(n).  Skipped entries still advance the

@@ -1,21 +1,13 @@
-"""Unit tests for the repro.adapt controllers (pure arithmetic layer).
+"""Unit tests for the repro.adapt controller (pure arithmetic layer).
 
-The controllers are deliberately simulator-free: every law asserted here
-(EWMA convergence, the bounded integral feedback on hold length, the
-hysteresis loop, the quiescence bound) is checked on plain numbers, so a
-failure localises to the control law rather than to protocol plumbing.
+The controller is deliberately simulator-free: every law asserted here
+(EWMA convergence, the hysteresis loop) is checked on plain numbers, so
+a failure localises to the control law rather than to protocol plumbing.
 """
-
-import random
 
 import pytest
 
-from repro.adapt import (
-    ContentionController,
-    EwmaEstimator,
-    SpeculationController,
-    WindowController,
-)
+from repro.adapt import ContentionController, EwmaEstimator
 
 
 class TestEwma:
@@ -49,77 +41,6 @@ class TestEwma:
         for alpha in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 EwmaEstimator(alpha)
-
-
-def _window(latency=100.0, **overrides):
-    kwargs = dict(gain=0.5, target_depth=3.0, min_hold=0.0,
-                  max_hold=200.0, latency=latency)
-    kwargs.update(overrides)
-    return WindowController(**kwargs)
-
-
-class TestWindowController:
-    def test_initial_hold_is_half_latency_clamped(self):
-        assert _window().hold == 50.0
-        assert _window(max_hold=30.0).hold == 30.0
-        assert _window(min_hold=80.0).hold == 80.0
-
-    def test_feedback_lengthens_hold_below_target(self):
-        ctl = _window()
-        before = ctl.hold
-        ctl.observe_freeze(1)  # depth 1 < target 3
-        # h += gain * (target - depth) * latency/8 = 0.5 * 2 * 12.5
-        assert ctl.hold == pytest.approx(before + 12.5)
-
-    def test_feedback_shortens_hold_above_target(self):
-        ctl = _window()
-        before = ctl.hold
-        ctl.observe_freeze(7)  # depth 7 > target 3
-        assert ctl.hold == pytest.approx(before - 25.0)
-
-    def test_hold_clamps_to_bounds_under_any_gain(self):
-        ctl = _window(gain=50.0)
-        for _ in range(10):
-            ctl.observe_freeze(1)
-        assert ctl.hold == 200.0  # pinned at max_hold
-        for _ in range(10):
-            ctl.observe_freeze(100)
-        assert ctl.hold == 0.0    # pinned at min_hold
-
-    def test_declines_hold_until_interarrival_known(self):
-        ctl = _window()
-        assert ctl.hold_time() == 0.0
-        assert ctl.holds == 0
-        ctl.observe_arrival(0.0)       # first arrival: still no interval
-        assert ctl.hold_time() == 0.0
-        ctl.observe_arrival(40.0)      # EWMA tau = 40 <= max_hold
-        assert ctl.hold_time() == pytest.approx(ctl.hold)
-        assert ctl.holds == 1
-
-    def test_declines_hold_for_sparse_arrivals(self):
-        ctl = _window(max_hold=50.0)
-        ctl.observe_arrival(0.0)
-        ctl.observe_arrival(500.0)     # tau = 500 > max_hold: pointless
-        assert ctl.hold_time() == 0.0
-        assert ctl.holds == 0
-
-    def test_zero_hold_never_arms(self):
-        ctl = _window(max_hold=0.0)
-        ctl.observe_arrival(0.0)
-        ctl.observe_arrival(10.0)
-        assert ctl.hold == 0.0
-        assert ctl.hold_time() == 0.0
-
-    def test_jitter_stays_within_five_percent(self):
-        ctl = _window()
-        ctl.observe_arrival(0.0)
-        ctl.observe_arrival(10.0)
-        rng = random.Random(7)
-        draws = [ctl.hold_time(rng) for _ in range(200)]
-        low = ctl.hold * (1.0 - WindowController.JITTER)
-        high = ctl.hold * (1.0 + WindowController.JITTER)
-        assert all(low <= draw <= high for draw in draws)
-        assert len(set(draws)) > 1  # actually dithered
 
 
 class TestContentionController:
@@ -173,9 +94,3 @@ class TestContentionController:
         ctl.observe(3.0)                    # score exactly 0.5
         assert ctl.decide() is None         # > is strict
 
-
-class TestSpeculationController:
-    def test_bound_is_margin_times_latency(self):
-        ctl = SpeculationController(1.5, 200.0)
-        assert ctl.bound == 300.0
-        assert (ctl.extensions, ctl.hits, ctl.misses) == (0, 0, 0)

@@ -1,12 +1,11 @@
-"""The adaptive-correctness battery: random contention profiles, random
+"""The hybrid-correctness battery: random contention profiles, random
 controller tunings, and random mode-switch schedules — the history must
-stay serializable and strict no matter where the controllers move the
-thresholds, and no window entry may be lost across a mode switch or a
-speculative extension.
+stay serializable and strict no matter where the controller moves the
+thresholds, and no window entry may be lost across a mode switch.
 
 ``run_simulation(record_history=True)`` *raises* on any serializability
 or strictness violation, and the runner calls every server's
-``assert_invariants`` at close — which, for adaptive servers, includes
+``assert_invariants`` at close — which, for the hybrid server, includes
 the window ledger (``enqueued == frozen + purged + pending``), i.e. the
 no-lost-window-entry invariant.  So every property here doubles as an
 end-to-end crash test of those validators.
@@ -18,11 +17,10 @@ from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
 
 # ---------------------------------------------------------------------------
-# Random contention profiles across the whole adaptive family
+# Random contention profiles
 # ---------------------------------------------------------------------------
 
 ADAPTIVE_CONFIGS = st.fixed_dictionaries({
-    "protocol": st.sampled_from(["g2pl-adaptive", "hybrid", "g2pl-spec"]),
     "n_clients": st.integers(min_value=2, max_value=8),
     "n_items": st.integers(min_value=3, max_value=10),
     "read_probability": st.sampled_from([0.0, 0.5, 0.8, 1.0]),
@@ -34,13 +32,14 @@ ADAPTIVE_CONFIGS = st.fixed_dictionaries({
 @given(ADAPTIVE_CONFIGS)
 @settings(max_examples=20, deadline=None)
 def test_random_adaptive_runs_stay_serializable_and_strict(params):
-    config = SimulationConfig(total_transactions=40, warmup_transactions=0,
+    config = SimulationConfig(protocol="hybrid", total_transactions=40,
+                              warmup_transactions=0,
                               max_ops=min(4, params["n_items"]),
                               record_history=True, **params)
     result = run_simulation(config)
     assert result.serializability.ok
     assert result.metrics.finished == 40
-    # the adaptive window ledger survived assert_invariants at close;
+    # the hybrid window ledger survived assert_invariants at close;
     # its terms must cover every enqueued request
     stats = result.server_stats
     assert (stats["window_frozen"] + stats["window_purged"]
@@ -82,37 +81,3 @@ def test_random_hybrid_tunings_stay_correct(params):
     assert result.serializability.ok
     assert result.metrics.finished == 40
 
-
-# ---------------------------------------------------------------------------
-# Random window/speculation tunings: holds and extensions at any cadence
-# ---------------------------------------------------------------------------
-
-TIMING_TUNINGS = st.fixed_dictionaries({
-    "protocol": st.sampled_from(["g2pl-adaptive", "g2pl-spec"]),
-    "gain": st.sampled_from([0.1, 0.5, 2.0, 10.0]),
-    "target": st.sampled_from([1.0, 2.0, 5.0]),
-    "window_max": st.sampled_from([0.0, 0.5, 2.0, 5.0]),
-    "margin": st.sampled_from([0.25, 1.0, 1.5, 4.0]),
-    "latency": st.sampled_from([20.0, 200.0, 600.0]),
-    "seed": st.integers(min_value=1, max_value=10_000),
-})
-
-
-@given(TIMING_TUNINGS)
-@settings(max_examples=15, deadline=None)
-def test_random_timing_tunings_stay_correct(params):
-    """Aggressive gains, zero-or-huge hold caps, and sub-latency
-    speculation margins stress the timer paths: early-cut holds,
-    speculative extensions racing returns, and mis-speculation repair.
-    None of it may cost a transaction or an invariant."""
-    config = SimulationConfig(
-        protocol=params["protocol"], n_clients=5, n_items=6, max_ops=4,
-        read_probability=0.6, network_latency=params["latency"],
-        window_gain=params["gain"],
-        window_target_depth=params["target"],
-        window_max=params["window_max"], spec_margin=params["margin"],
-        total_transactions=40, warmup_transactions=0,
-        record_history=True, seed=params["seed"])
-    result = run_simulation(config)
-    assert result.serializability.ok
-    assert result.metrics.finished == 40

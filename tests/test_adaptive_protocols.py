@@ -1,20 +1,16 @@
-"""End-to-end tests for the repro.adapt protocol family.
+"""End-to-end tests for the ``hybrid`` protocol (repro.adapt).
 
-Three claims are pinned here:
+Two claims are pinned here:
 
-1. **The controllers actually engage** — hybrid runs switch modes, the
-   window controller holds, speculation extends chains, and each leaves
-   its decision trail in the trace.
+1. **The controller actually engages** — hybrid runs switch modes and
+   leave their decision trail in the trace.
 2. **Neutralised adaptation is byte-identical to static g-2PL** — with
-   thresholds set so no controller ever acts, every adaptive variant
-   reproduces the plain g-2PL trajectory exactly (fingerprints compared
-   modulo the protocol name and the adapt counters themselves).  This is
-   the golden-safety property the RNG-stream isolation exists for.
-3. **Unsupported combinations fail loudly** — faults with speculation
-   and adapt flags on static protocols are configuration errors at
-   construction time, not silent misbehaviour. (Sharded adaptive runs are
-   supported; ``tests/test_capabilities.py`` and
-   ``tests/test_sharded_correctness.py`` cover them.)
+   thresholds set so the controller never acts, hybrid reproduces the
+   plain g-2PL trajectory exactly (fingerprints compared modulo the
+   protocol name and the hybrid counters themselves).
+
+Sharded hybrid runs are covered by ``tests/test_capabilities.py`` and
+``tests/test_sharded_correctness.py``.
 """
 
 import pytest
@@ -22,17 +18,13 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
 from repro.perf.fingerprint import result_fingerprint
-from repro.protocols.registry import protocols_with
-
-ADAPTIVE_PROTOCOLS = protocols_with("adaptive")
 
 #: Counters added by AdaptiveG2PLServer.stats (and the window
 #: ledger it exposes); stripped before identity comparisons because the
 #: static baseline, by design, does not report them.
 ADAPT_STAT_KEYS = (
-    "window_enqueued", "window_frozen", "window_purged", "window_holds",
+    "window_enqueued", "window_frozen", "window_purged",
     "mode_switches", "windows_single", "windows_grouped",
-    "spec_extensions", "spec_hits", "spec_misses",
 )
 
 
@@ -55,7 +47,7 @@ def _neutral_fingerprint(result):
 
 
 # ---------------------------------------------------------------------------
-# The controllers engage and trace their decisions
+# The controller engages and traces its decisions
 # ---------------------------------------------------------------------------
 
 class TestControllersEngage:
@@ -73,55 +65,26 @@ class TestControllersEngage:
             assert fields["epoch"] >= 1
             assert 0.0 <= fields["score"] < 1.0
 
-    def test_window_controller_holds_under_steady_load(self):
-        config, seed = _config(protocol="g2pl-adaptive", n_clients=10,
-                               n_items=5, max_ops=3, trace=True)
-        result = run_simulation(config, seed=seed)
-        stats = result.server_stats
-        assert stats["window_holds"] > 0
-        holds = [fields for _, kind, fields in result.trace.events
-                 if kind == "window.hold"]
-        assert len(holds) == stats["window_holds"]
-
-    def test_speculation_extends_and_accounts_exactly(self):
-        config, seed = _config(protocol="g2pl-spec", n_clients=4,
-                               n_items=5, network_latency=400.0,
-                               total_transactions=100,
-                               warmup_transactions=15, trace=True, seed=7)
-        result = run_simulation(config, seed=seed)
-        stats = result.server_stats
-        assert stats["spec_extensions"] > 0
-        # every extension resolves as a hit or a home-landing repair
-        # (any still pending when the run closes are neither)
-        assert stats["spec_hits"] + stats["spec_misses"] \
-            <= stats["spec_extensions"]
-        assert stats["spec_hits"] > 0
-        extends = [fields for _, kind, fields in result.trace.events
-                   if kind == "spec.extend"]
-        assert len(extends) == stats["spec_extensions"]
-
     def test_window_ledger_balances_in_all_variants(self):
         """enqueued == frozen + purged + still-pending; the runner's
         assert_invariants enforces this at close, so a finished run with
         the counters present is the proof."""
-        for protocol in ADAPTIVE_PROTOCOLS:
-            config, seed = _config(protocol=protocol)
-            result = run_simulation(config, seed=seed)
-            stats = result.server_stats
-            assert stats["window_enqueued"] >= stats["window_frozen"]
-            metrics = result.metrics
-            assert metrics.finished + metrics.warmup_discarded == 120
+        config, seed = _config(protocol="hybrid")
+        result = run_simulation(config, seed=seed)
+        stats = result.server_stats
+        assert stats["window_enqueued"] >= stats["window_frozen"]
+        metrics = result.metrics
+        assert metrics.finished + metrics.warmup_discarded == 120
 
 
 # ---------------------------------------------------------------------------
-# Satellite: adaptive probe gauges appear exactly when adaptive
+# Satellite: the hybrid probe gauge appears exactly when hybrid
 # ---------------------------------------------------------------------------
 
 class TestProbeGauges:
-    ADAPT_GAUGES = {"window_occupancy", "adapt_hold_pending",
-                    "hybrid_single_items", "spec_outstanding"}
+    ADAPT_GAUGES = {"hybrid_single_items"}
 
-    def test_adaptive_traced_run_exposes_window_occupancy(self):
+    def test_hybrid_traced_run_exposes_its_gauge(self):
         config, seed = _config(protocol="hybrid", trace=True,
                                probe_interval=150.0)
         result = run_simulation(config, seed=seed)
@@ -129,9 +92,9 @@ class TestProbeGauges:
         assert self.ADAPT_GAUGES <= names
 
     def test_static_traced_run_does_not(self):
-        """Regression guard: the gauges are gated on the adaptive server
+        """Regression guard: the gauge is gated on the hybrid server
         type, so static-protocol probe traces (and their goldens) carry
-        no adaptive series."""
+        no hybrid series."""
         config, seed = _config(protocol="g2pl", trace=True,
                                probe_interval=150.0)
         result = run_simulation(config, seed=seed)
@@ -147,14 +110,9 @@ class TestStaticIdentity:
     NEUTRAL = {
         # never crosses low threshold: stays grouped forever
         "hybrid": dict(hybrid_low=0.0),
-        # max_hold=0 clamps the hold law to zero: never holds, never
-        # draws from the adapt RNG stream
-        "g2pl-adaptive": dict(window_max=0.0),
-        # quiescence bound far beyond the run horizon: never speculates
-        "g2pl-spec": dict(spec_margin=1e9),
     }
 
-    @pytest.mark.parametrize("protocol", ADAPTIVE_PROTOCOLS)
+    @pytest.mark.parametrize("protocol", sorted(NEUTRAL))
     def test_neutralised_variant_matches_g2pl_exactly(self, protocol):
         base_config, seed = _config()
         baseline = _neutral_fingerprint(run_simulation(base_config,
@@ -174,40 +132,3 @@ class TestStaticIdentity:
         engaged = _neutral_fingerprint(run_simulation(config, seed=seed))
         assert engaged != baseline
 
-
-# ---------------------------------------------------------------------------
-# Satellite: unsupported combinations are loud configuration errors
-# ---------------------------------------------------------------------------
-
-class TestRejectedCombinations:
-    def test_faults_with_speculation_rejected_at_config(self):
-        with pytest.raises(ValueError, match="speculat"):
-            SimulationConfig(protocol="g2pl-spec", speculate=True,
-                             faults="loss=0.05")
-
-    def test_faults_with_speculation_rejected_at_run(self):
-        # without the explicit flag it is the registry's pin that turns
-        # speculation on; validation composes pins with flags, so the
-        # error fires before there is anything to run
-        with pytest.raises(ValueError, match="speculat"):
-            SimulationConfig(protocol="g2pl-spec", n_clients=3,
-                             n_items=4, total_transactions=10,
-                             warmup_transactions=0, faults="loss=0.05")
-
-    def test_crash_faults_with_speculation_rejected(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(protocol="g2pl-spec", n_clients=3,
-                             n_items=4, total_transactions=10,
-                             warmup_transactions=0,
-                             faults="crash=2@100:200")
-
-    def test_adapt_flags_require_adaptive_protocol(self):
-        for flag in ("adapt_window", "hybrid", "speculate"):
-            with pytest.raises(ValueError, match="adaptive protocol"):
-                SimulationConfig(protocol="g2pl", **{flag: True})
-
-    def test_describe_mentions_knobs_only_when_adaptive(self):
-        static, _ = _config()
-        assert "adapt=" not in static.describe()
-        hybrid, _ = _config(protocol="hybrid", hybrid=True)
-        assert "adapt=hybrid(0.3..0.5)" in hybrid.describe()

@@ -39,11 +39,6 @@ REJECTED = {
     "regions-need-shards": (dict(n_regions=3), "needs n_shards > 1"),
     "single-server-protocol": (
         dict(protocol="c2pl", n_shards=2), "'c2pl' is single-server"),
-    "adapt-flags-need-adaptive-protocol": (
-        dict(protocol="g2pl", hybrid=True), "need an adaptive protocol"),
-    "faults-with-speculation": (
-        dict(protocol="hybrid", speculate=True, faults="loss=0.05"),
-        "incompatible with fault injection"),
     "crash-with-population": (
         dict(population=100, faults="crash=2@100:200"),
         "open-arrival populations"),
@@ -87,9 +82,8 @@ def test_replace_revalidates():
 
 
 def test_lifted_rejections_construct():
-    for protocol in registry.protocols_with("adaptive"):
-        assert SimulationConfig(protocol=protocol, n_shards=3).n_shards == 3
-        assert registry.PROTOCOLS[protocol].shardable
+    assert SimulationConfig(protocol="hybrid", n_shards=3).n_shards == 3
+    assert registry.PROTOCOLS["hybrid"].shardable
 
 
 def test_registered_protocol_without_capabilities_is_single_server():
@@ -140,8 +134,6 @@ def _expected_rejection(protocol, n_shards, faults, commit):
     row = registry.PROTOCOLS[protocol]
     if n_shards > 1 and not row.shardable:
         return "single-server-protocol"
-    if faults != "clean" and row.pins.get("speculate"):
-        return "faults-with-speculation"
     if faults == "crash" and not row.crash_recovery:
         return "crash-without-recovery"
     if faults == "crash" and n_shards > 1 and commit == "2pc-opt":

@@ -51,12 +51,13 @@ def test_run_with_jobs_notes_serial(capsys):
 
 
 def test_compare_builds_its_base_from_the_protocols_it_names(capsys):
-    code = main(["compare", "--protocols", "hybrid", "g2pl-spec",
-                 "--speculate", "--clients", "4", "--items", "6",
+    code = main(["compare", "--protocols", "hybrid", "g2pl-ro",
+                 "--clients", "4", "--items", "6",
                  "--transactions", "40", "--warmup", "5", "--latency", "20",
                  "--replications", "1"])
     assert code == 0
-    assert "g2pl-spec" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "hybrid" in out and "g2pl-ro" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -98,17 +99,10 @@ PARITY = [
     (["--streaming", "auto"], {}),
     (["--trace"], dict(trace=True)),
     (["--probe-interval", "50"], dict(probe_interval=50.0)),
-    (HYBRID + ["--adapt-window", "--hybrid", "--speculate"],
-     dict(protocol="hybrid", adapt_window=True, hybrid=True, speculate=True)),
-    (HYBRID + ["--window-gain", "0.7", "--window-target", "4",
-               "--window-min", "0.5", "--window-max", "3"],
-     dict(protocol="hybrid", window_gain=0.7, window_target_depth=4.0,
-          window_min=0.5, window_max=3.0)),
     (HYBRID + ["--hybrid-low", "0.1", "--hybrid-high", "0.9",
-               "--hybrid-scale", "2", "--adapt-ewma", "0.5",
-               "--spec-margin", "2.5"],
+               "--hybrid-scale", "2", "--adapt-ewma", "0.5"],
      dict(protocol="hybrid", hybrid_low=0.1, hybrid_high=0.9,
-          hybrid_scale=2.0, adapt_ewma=0.5, spec_margin=2.5)),
+          hybrid_scale=2.0, adapt_ewma=0.5)),
 ]
 
 
@@ -161,15 +155,14 @@ def test_every_run_option_is_still_offered():
     offered = {option for action in run._actions
                for option in action.option_strings}
     assert offered == {
-        "--adapt-ewma", "--adapt-window", "--arrival", "--arrival-rate",
+        "--adapt-ewma", "--arrival", "--arrival-rate",
         "--clients", "--commit", "--cross-shard", "--faults", "--help",
-        "--hybrid", "--hybrid-high", "--hybrid-low", "--hybrid-scale",
+        "--hybrid-high", "--hybrid-low", "--hybrid-scale",
         "--intra-latency", "--items", "--jobs", "--latency",
         "--max-inflight", "--population", "--pr", "--probe-interval",
         "--profile", "--protocol", "--regions", "--seed", "--shards",
-        "--spec-margin", "--speculate", "--streaming", "--trace",
+        "--streaming", "--trace",
         "--transactions", "--txn-mix", "--verbose", "--warmup",
-        "--window-gain", "--window-max", "--window-min", "--window-target",
         "--zipf", "-h", "-v"}
 
 

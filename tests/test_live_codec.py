@@ -71,7 +71,6 @@ def _field_strategy(cls, field):
     """A value strategy matching one message field's real domain."""
     specials = {
         ("GShip", "fl_tail"): forward_lists,
-        ("SpecExtend", "fl"): forward_lists,
         ("ReaderRelease", "fl_from_writer"):
             st.one_of(st.none(), forward_lists),
         ("GShip", "release_to"):

@@ -186,16 +186,12 @@ class TestSchema:
         assert validate_trace(run_simulation(config, seed=seed).trace) == []
 
     @pytest.mark.parametrize("expected, overrides", [
-        ({"window.hold"}, dict(protocol="g2pl-adaptive")),
-        ({"spec.extend", "spec.accept", "spec.splice", "spec.refuse",
-          "spec.repair"},
-         dict(protocol="g2pl-spec", n_clients=4, n_items=5,
-              network_latency=400.0)),
+        ({"hybrid.switch"}, dict(protocol="hybrid")),
         ({"twopc.prepare", "twopc.decision", "lock.deadlock.distributed"},
          dict(protocol="s2pl", n_shards=4, n_regions=2,
               cross_shard_probability=0.5, intra_region_latency=1.0)),
-    ], ids=["adaptive", "speculative", "sharded-2pc"])
-    def test_adaptive_speculative_and_sharded_2pc_runs_validate(
+    ], ids=["adaptive", "sharded-2pc"])
+    def test_adaptive_and_sharded_2pc_runs_validate(
             self, expected, overrides):
         # the schema used to stop at the single-server static kinds: every
         # kind named here was "unknown" and these runs reported errors
@@ -205,7 +201,7 @@ class TestSchema:
         assert validate_trace(result.trace) == []
 
     def test_every_kind_emitted_under_src_is_in_the_schema(self):
-        """The traced golden cells and the three runs above record only
+        """The traced golden cells and the two runs above record only
         declared kinds, each under exactly its declared columns (the
         static half — every ``row(`` call site against the schema — is in
         ``tests/test_structure.py``)."""

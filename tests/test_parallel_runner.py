@@ -118,21 +118,22 @@ class TestSerialBypass:
 
 class TestErrorPropagation:
     # A cell that constructs and fails only once a worker runs it: the
-    # server rejects its victim policy when it is built. (An unknown
-    # protocol or an unsupported combination no longer gets this far —
-    # SimulationConfig refuses it before any pool starts.)
+    # workload refuses five operations over a three-item pool when it is
+    # drawn. (An unknown protocol, option or unsupported combination
+    # never gets this far — SimulationConfig refuses it before any pool
+    # starts.)
     def test_serial_failure_carries_cell_context(self):
         cells = [SimulationCell(tiny_config(), seed=1),
-                 SimulationCell(tiny_config(protocol="s2pl", victim_policy="mystery"), seed=42)]
-        with pytest.raises(CellError, match="mystery") as excinfo:
+                 SimulationCell(tiny_config(n_items=3), seed=42)]
+        with pytest.raises(CellError, match="3-item pool") as excinfo:
             run_cells(cells, jobs=1)
         assert "seed=42" in str(excinfo.value)
         assert excinfo.value.cell is cells[1]
 
     def test_parallel_failure_carries_cell_context(self):
         cells = [SimulationCell(tiny_config(), seed=1),
-                 SimulationCell(tiny_config(protocol="s2pl", victim_policy="mystery"), seed=42)]
-        with pytest.raises(CellError, match="mystery") as excinfo:
+                 SimulationCell(tiny_config(n_items=3), seed=42)]
+        with pytest.raises(CellError, match="3-item pool") as excinfo:
             run_cells(cells, jobs=2)
         assert "seed=42" in str(excinfo.value)
         assert excinfo.value.cell == cells[1]

@@ -148,8 +148,7 @@ class TestHarness:
         names = [cell.name for cell in bench_cells()]
         assert names == ["engine_churn", "net_ping", "s2pl_contention",
                          "g2pl_contention", "g2pl_faulted", "g2pl_traced",
-                         "population_100k", "hybrid_contention",
-                         "g2pl_speculative"]
+                         "population_100k", "hybrid_contention"]
         assert len(set(names)) == len(names)
 
     def test_quick_micro_cell_measures_and_digests(self):

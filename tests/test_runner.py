@@ -39,6 +39,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(total_transactions=10, warmup_transactions=10)
 
+    # Protocol options are checked when the config is built, not when a
+    # sweep worker first builds the server.
+    def test_unknown_fl_ordering_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown fl_ordering 'bogus'"):
+            SimulationConfig(fl_ordering="bogus")
+
+    def test_unknown_victim_policy_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown victim_policy 'bogus'"):
+            SimulationConfig(protocol="s2pl", victim_policy="bogus")
+
+    def test_zero_forward_list_cap_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="max_forward_list_length"):
+            SimulationConfig(max_forward_list_length=0)
+
     def test_replace_revalidates(self):
         cfg = SimulationConfig()
         with pytest.raises(ValueError):

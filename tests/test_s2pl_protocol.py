@@ -142,7 +142,7 @@ def test_victim_policies_accepted():
 
 
 def test_unknown_victim_policy_rejected():
-    with pytest.raises(ValueError, match="victim policy"):
+    with pytest.raises(ValueError, match="victim_policy"):
         Harness("s2pl", victim_policy="coin-flip")
 
 

@@ -114,13 +114,10 @@ def test_random_sharded_configurations_stay_correct(params):
     assert stats["twopc_commits"] <= result.metrics.committed
 
 
-# Directed cells: on the sharded chassis each adaptive controller does
-# more than construct — it engages (the validators above run here too).
+# Directed cells: on the sharded chassis the hybrid controller does more
+# than construct — it engages (the validators above run here too).
 @pytest.mark.parametrize("protocol,faults,engaged", [
-    ("g2pl-adaptive", None, ("window_holds",)),
     ("hybrid", None, ("mode_switches", "windows_single")),
-    ("g2pl-spec", None, ("spec_extensions", "spec_hits", "spec_misses")),
-    ("g2pl-adaptive", "loss=0.05,dup=0.02", ("window_holds",)),
     ("hybrid", "loss=0.05,dup=0.02", ("mode_switches", "twopc_commits")),
 ])
 def test_adaptive_controllers_engage_when_sharded(protocol, faults, engaged):
@@ -140,7 +137,7 @@ def test_adaptive_controllers_engage_when_sharded(protocol, faults, engaged):
 # ---------------------------------------------------------------------------
 
 FAULTED_CONFIGS = st.fixed_dictionaries({
-    "protocol": st.sampled_from(["s2pl", "g2pl", "g2pl-adaptive", "hybrid"]),
+    "protocol": st.sampled_from(["s2pl", "g2pl", "hybrid"]),
     "n_shards": st.integers(min_value=2, max_value=4),
     "loss": st.sampled_from([0.0, 0.02, 0.05]),
     "jitter": st.sampled_from([0.0, 5.0]),

@@ -176,8 +176,7 @@ def _sharded_config(protocol, **overrides):
 
 
 @pytest.mark.parametrize("protocol", ["s2pl", "g2pl", "g2pl-basic",
-                                      "g2pl-ro", "g2pl-adaptive", "hybrid",
-                                      "g2pl-spec"])
+                                      "g2pl-ro", "hybrid"])
 def test_sharded_run_commits_and_validates(protocol):
     # record_history=True: run_simulation itself raises on any
     # serializability / strictness / 2PC-atomicity violation.

@@ -271,7 +271,7 @@ def test_every_payload_is_a_slotted_dataclass():
 
     payloads = [obj for obj in vars(messages).values()
                 if isinstance(obj, type) and obj.__module__ == messages.__name__]
-    assert len(payloads) == 24 == len(MESSAGE_TYPES)
+    assert len(payloads) == 22 == len(MESSAGE_TYPES)
     for cls in [*payloads, Reliable, ReliableAck, TxnRef, TxnOutcome,
                 LogRecord, Operation, TransactionSpec]:
         assert dataclasses.is_dataclass(cls), cls
@@ -383,19 +383,6 @@ def _imports(tree):
             module = node.module or ""   # ``from . import x``
             yield module
             yield from (f"{module}.{alias.name}" for alias in node.names)
-
-
-def test_the_fault_path_arms_kernel_tokens_not_timer_objects():
-    """The reliable channel, the g-2PL watchdog and the s-2PL sweep hold
-    ``call_later_cancellable`` tokens (or nothing): a ``Timer`` would be a
-    second object per message on top of the token it wraps."""
-    importers = [os.path.relpath(path, SRC)
-                 for path, tree in _trees("network", "protocols/s2pl.py",
-                                          "protocols/g2pl.py")
-                 if any(name == "repro.sim.Timer"
-                        or name.startswith("repro.sim.timers")
-                        for name in _imports(tree))]
-    assert importers == []
 
 
 # -- tracing: one declared schema, positional rows ------------------------------
