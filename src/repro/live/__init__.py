@@ -1,17 +1,19 @@
 """Live mode: the s-2PL / g-2PL state machines over real asyncio TCP.
 
 The simulator answers *what the protocols do*; live mode answers whether
-they do the same thing on an actual network. The same protocol code —
-:mod:`repro.protocols` is written against the kernel contract documented
-in :mod:`repro.live.clock` — runs unchanged over:
+they do the same thing on an actual network. The same protocol code runs
+unchanged, on the simulator's own kernel and send path, over:
 
 * :mod:`repro.live.codec` — a length-prefixed binary wire codec for every
   payload in :mod:`repro.protocols.messages`;
-* :mod:`repro.live.clock` — :class:`~repro.live.clock.LiveKernel`, an
-  asyncio-paced drop-in for :class:`~repro.sim.engine.Simulator` (same
-  events, same processes, wall-clock time);
-* :mod:`repro.live.transport` — a full-mesh TCP transport with per-link
-  userspace latency shaping (Table 2 environments on loopback);
+* :mod:`repro.live.clock` — :class:`~repro.live.clock.LiveKernel`, the
+  :class:`~repro.sim.engine.Simulator` with an asyncio run loop paced by
+  the wall clock (same heap, same events, same processes);
+* :mod:`repro.live.transport` — :class:`~repro.live.transport
+  .LiveTransport`, the :class:`~repro.network.transport.Network` whose
+  remote sites are peer proxies writing frames to a full TCP mesh
+  (per-link latency shaped at the sender: Table 2 environments on
+  loopback);
 * :mod:`repro.live.server` / :mod:`repro.live.client` — endpoint
   processes, one OS process per site;
 * :mod:`repro.live.harness` — launches 1 server + N clients, merges the

@@ -13,12 +13,16 @@ Invoked by the harness as ``python -m repro.live.client CONFIG_JSON``.
 import asyncio
 import sys
 
-from repro.live.endpoint import DONE, HELLO, SHUTDOWN, START, endpoint_main
+from repro.live.endpoint import (
+    DONE,
+    HANDSHAKE_TIMEOUT,
+    HELLO,
+    SHUTDOWN,
+    START,
+    endpoint_main,
+)
 from repro.live.scenario import client_loop
 from repro.protocols.base import SERVER_SITE_ID
-
-#: wall seconds allowed for the mesh to come up and start to arrive
-HANDSHAKE_TIMEOUT = 60.0
 
 
 async def client(config, stack):

@@ -1,32 +1,15 @@
-"""The live kernel: wall-clock pacing behind the simulator's interface.
+"""The live kernel: the simulator, paced by the wall clock.
 
-The protocol state machines in :mod:`repro.protocols` are written against
-a small **kernel contract** — the subset of
-:class:`~repro.sim.engine.Simulator` they actually touch:
-
-* ``now`` — the current time, in *simulation time units*;
-* ``event()`` / ``timeout(delay)`` / ``all_of`` / ``any_of`` — event
-  construction (:mod:`repro.sim.events`); an event's ``succeed`` /
-  ``succeed_after(delay, value)`` / ``fail`` reach the kernel through its
-  ``_enqueue_triggered`` and ``_schedule`` hooks, which both kernels
-  implement, so a grant armed to fire one think time later behaves the
-  same here as under the simulator;
-* ``spawn(generator)`` — run a generator as a process
-  (:mod:`repro.sim.process`);
-* ``call_soon`` / ``call_later`` / ``call_later_cancellable`` —
-  callback scheduling (the latter arms the reliable channel's
-  retransmissions and the g-2PL chain watchdog);
-* ``tracer`` — the optional :class:`~repro.obs.tracer.Tracer`.
-
-:class:`LiveKernel` implements that contract over asyncio: the same
-event-heap machinery as the simulator, but the run loop *waits for wall
-time to catch up* with each entry's timestamp instead of warping the
-clock forward, and external stimuli (decoded network frames) can be
-injected between entries. Because the kernel reuses the simulator's own
-:class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`, and
-:class:`~repro.sim.process.Process` classes, a protocol client or server
-cannot tell which kernel is underneath — which is the whole point: the
-exact code the simulator validated is what talks TCP.
+:class:`LiveKernel` *is* a :class:`~repro.sim.engine.Simulator`: the same
+heap of ``(when, seq, callback, args)`` entries, the same scheduling
+methods, the same :class:`~repro.sim.events.Event` and
+:class:`~repro.sim.process.Process` hooks, inherited rather than copied.
+A protocol client or server cannot tell which kernel is underneath —
+which is the whole point: the exact code the simulator validated is what
+talks TCP. What is live is only the run loop: it *waits for wall time to
+catch up* with each entry's timestamp instead of warping the clock
+forward, and external stimuli (decoded network frames) can be injected
+between entries.
 
 Time units: one simulation time unit maps to ``time_scale`` wall-clock
 seconds. ``now`` reports elapsed wall time divided by ``time_scale``, so
@@ -44,28 +27,16 @@ monotonic origin to every endpoint, so all kernels in a run agree on
 import asyncio
 import heapq
 import time
-from itertools import count
 
 from repro.sim.engine import Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process
-
-#: The kernel methods/attributes protocol code may rely on — the contract
-#: shared by Simulator and LiveKernel (checked by the kernel tests so the
-#: two cannot drift apart silently).
-KERNEL_CONTRACT = (
-    "now", "tracer", "event", "timeout", "all_of", "any_of", "spawn",
-    "call_soon", "call_later", "call_later_cancellable",
-)
+from repro.sim.events import Event
 
 
-class LiveKernel:
+class LiveKernel(Simulator):
     """Wall-clock execution of simulator events and processes.
 
-    Entries are kept on the same ``(when, seq, callback, args)`` heap as
-    the simulator (cancellable entries carry the simulator's fifth-slot
-    token), so ordering semantics — FIFO at equal timestamps, lazy
-    deletion of cancelled timers — are identical. The only difference is
+    Ordering semantics — FIFO at equal timestamps, lazy deletion of
+    cancelled timers — are the simulator's own. The only difference is
     *when* an entry runs: at its timestamp's wall-clock moment, not
     immediately.
     """
@@ -73,16 +44,10 @@ class LiveKernel:
     def __init__(self, time_scale=0.01, origin=None):
         if time_scale <= 0:
             raise ValueError(f"time_scale must be positive, got {time_scale!r}")
+        super().__init__()
         #: wall seconds per simulation time unit
         self.time_scale = time_scale
         self._origin = origin
-        self._heap = []
-        self._seq = count()
-        self._now = 0.0
-        self._event_count = 0
-        self._peak_heap = 0
-        self._cancelled_count = 0
-        self.tracer = None
         self._wake = None  # asyncio.Event, created inside the loop
         self._stopped = False
 
@@ -102,87 +67,9 @@ class LiveKernel:
         machine-wide on Linux). Must happen before the first entry runs."""
         self._origin = origin
 
-    @property
-    def now(self):
-        """Current time in simulation units (monotone; see run loop)."""
-        return self._now
-
     def wall_now(self):
         """Elapsed wall time since the origin, in simulation units."""
         return (time.monotonic() - self.origin) / self.time_scale
-
-    def to_wall_seconds(self, sim_duration):
-        return sim_duration * self.time_scale
-
-    # -- diagnostics (mirrors Simulator) -------------------------------------
-
-    @property
-    def processed_events(self):
-        return self._event_count
-
-    @property
-    def peak_heap_depth(self):
-        return self._peak_heap
-
-    @property
-    def cancelled_events(self):
-        return self._cancelled_count
-
-    @property
-    def pending(self):
-        return len(self._heap)
-
-    # -- event construction (identical classes to the simulator) -------------
-
-    def event(self):
-        return Event(self)
-
-    def timeout(self, delay, value=None):
-        return Timeout(self, delay, value)
-
-    def all_of(self, events):
-        return AllOf(self, events)
-
-    def any_of(self, events):
-        return AnyOf(self, events)
-
-    def spawn(self, generator):
-        return Process(self, generator)
-
-    # -- scheduling -----------------------------------------------------------
-
-    def _push(self, entry):
-        heapq.heappush(self._heap, entry)
-        if self._wake is not None:
-            self._wake.set()
-
-    def call_soon(self, callback, *args):
-        self._push((self._now, next(self._seq), callback, args))
-
-    def call_later(self, delay, callback, *args):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        self._push((self._now + delay, next(self._seq), callback, args))
-
-    def call_later_cancellable(self, delay, callback, *args):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        token = [False]
-        self._push((self._now + delay, next(self._seq), callback, args, token))
-        return token
-
-    def schedule_at(self, when, callback, *args):
-        if when < self._now:
-            raise ValueError(
-                f"cannot schedule at {when!r} before now={self._now!r}")
-        self._push((when, next(self._seq), callback, args))
-
-    # hooks used by Event / Timeout internals
-    def _schedule(self, event, delay):
-        self._push((self._now + delay, next(self._seq), event._process, ()))
-
-    def _enqueue_triggered(self, event):
-        self._push((self._now, next(self._seq), event._process, ()))
 
     # -- external stimuli -----------------------------------------------------
 
@@ -191,11 +78,14 @@ class LiveKernel:
         asyncio reader task) and wake the loop. The entry is stamped with
         the current wall time, not ``now``: the stimulus happened when it
         happened, even if the loop was asleep waiting on a far-off timer.
+
+        This and :meth:`stop` are the only pushes made from outside the
+        loop, so they are the only ones that wake it: an entry pushed by a
+        callback lands before the loop re-reads the heap top to sleep.
         """
-        when = self.wall_now()
-        if when < self._now:
-            when = self._now
-        self._push((when, next(self._seq), callback, args))
+        self.schedule_at(max(self.wall_now(), self._now), callback, *args)
+        if self._wake is not None:
+            self._wake.set()
 
     def stop(self):
         """Make :meth:`run` return after the current entry."""
@@ -280,14 +170,3 @@ class LiveKernel:
                 raise until._exception
             return until._value
         return None
-
-
-def kernel_contract_holds(kernel):
-    """True when ``kernel`` exposes every name protocol code relies on."""
-    return all(hasattr(kernel, name) for name in KERNEL_CONTRACT)
-
-
-# Both kernels must satisfy the contract; checked at import so a drift
-# fails the first test that touches live mode, not a 3-process run.
-assert kernel_contract_holds(Simulator()), "Simulator broke the contract"
-assert kernel_contract_holds(LiveKernel()), "LiveKernel broke the contract"

@@ -18,21 +18,20 @@ import asyncio
 import json
 
 from repro.live.clock import LiveKernel
-from repro.live.scenario import OutcomeSink, ScenarioSpec
+from repro.live.scenario import OutcomeSink, ScenarioSpec, build_stack
 from repro.live.transport import LiveTransport
 from repro.network.topology import UniformTopology
-from repro.obs.tracer import Tracer
 from repro.protocols.base import SERVER_SITE_ID
-from repro.protocols.registry import make_protocol
-from repro.storage.store import VersionedStore
-from repro.storage.wal import WriteAheadLog
-from repro.validate.history import HistoryRecorder
 
 #: control-frame names of the run handshake
 HELLO = "hello"
 START = "start"
 DONE = "done"
 SHUTDOWN = "shutdown"
+
+#: wall seconds budgeted for each handshake phase (mesh dial, hello/start,
+#: done) by the endpoints and by the harness's run deadline
+HANDSHAKE_TIMEOUT = 60.0
 
 
 class EndpointConfig:
@@ -64,29 +63,20 @@ class EndpointStack:
     def __init__(self, config):
         self.config = config
         spec = config.spec
-        sim_config = spec.sim_config()
         self.kernel = LiveKernel(time_scale=config.time_scale)
-        self.tracer = Tracer(self.kernel)
-        self.kernel.tracer = self.tracer
-        self.history = HistoryRecorder()
         self.transport = LiveTransport(
             self.kernel, UniformTopology(spec.latency), config.site_id,
             config.port_map)
-        self.tracer.bind_network(self.transport)
+        self.tracer, self.history, server, clients = build_stack(
+            spec, self.kernel, self.transport)
         self.sink = OutcomeSink()
-        # make_protocol builds the server and every client; only the site
-        # living in this process is registered — the rest of the mesh is
-        # reached over TCP by site id, exactly like the simulator reaches
-        # it over the in-memory network.
-        store = VersionedStore(range(sim_config.n_items))
-        wal = WriteAheadLog()
-        server, clients = make_protocol(
-            spec.protocol, self.kernel, sim_config, store, wal,
-            self.history, spec.client_ids)
-        if config.site_id == SERVER_SITE_ID:
-            self.site = self.transport.add_site(server)
-        else:
-            self.site = self.transport.add_site(clients[config.site_id])
+        # Only the site living in this process is registered; the rest of
+        # the mesh are the transport's peer proxies, reached by site id
+        # exactly like the simulator reaches them over the in-memory
+        # network.
+        self.site = self.transport.add_site(
+            server if config.site_id == SERVER_SITE_ID
+            else clients[config.site_id])
         self.probes = None
         if spec.probe_interval is not None:
             from repro.obs.probes import ProbeSampler, default_sources

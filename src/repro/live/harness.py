@@ -2,8 +2,9 @@
 
 :func:`run_live` launches one OS process per site (``python -m
 repro.live.server`` / ``...client``), each talking real asyncio TCP on
-loopback with userspace latency shaping, waits for them all, and merges
-their result payloads into a :class:`~repro.live.results.MergedRun`.
+loopback with userspace latency shaping, polls them all (the first
+endpoint to die fails the run at once, named first), and merges their
+result payloads into a :class:`~repro.live.results.MergedRun`.
 
 :func:`calibrate` additionally runs the *same scenario* under the
 simulator (:func:`repro.live.scenario.run_reference`) and compares:
@@ -25,8 +26,10 @@ import socket
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, field
 
+from repro.live.endpoint import HANDSHAKE_TIMEOUT
 from repro.live.results import MergedRun, load_payload
 from repro.live.scenario import run_reference
 from repro.protocols.base import SERVER_SITE_ID
@@ -37,8 +40,8 @@ from repro.validate.strictness import check_strictness
 #: 40 ms one-way, calibrate-mode stagger margins >= 10 ms
 DEFAULT_TIME_SCALE = 0.02
 
-#: wall seconds budgeted for each handshake phase (mesh dial, hello, done)
-HANDSHAKE_BUDGET = 60.0
+#: wall seconds between polls of the endpoint processes
+POLL_INTERVAL = 0.05
 
 
 def free_ports(count, host="127.0.0.1"):
@@ -83,13 +86,49 @@ class LiveRunResult:
         return self.merged.committed
 
 
+def _stderr_of(workdir, site_id):
+    with open(os.path.join(workdir, f"site-{site_id}.err"),
+              encoding="utf-8", errors="replace") as handle:
+        return handle.read().strip()
+
+
+def _wait_all(procs, deadline, workdir):
+    """Poll every endpoint until all exit 0. The first non-zero exit, or
+    the deadline, raises; the caller kills whatever is still running."""
+    running = dict(procs)
+    while running:
+        for site_id, proc in list(running.items()):
+            code = proc.poll()
+            if code is None:
+                continue
+            del running[site_id]
+            if code != 0:
+                raise RuntimeError(
+                    f"live run failed: site {site_id} (exit {code}) failed "
+                    f"first; killing sites {sorted(running)}\n"
+                    f"-- site {site_id} stderr --\n"
+                    f"{_stderr_of(workdir, site_id)}")
+        if running and time.monotonic() >= deadline:
+            detail = "\n".join(
+                f"-- site {site_id} stderr --\n{_stderr_of(workdir, site_id)}"
+                for site_id in sorted(running))
+            raise RuntimeError(
+                f"live run failed: sites {sorted(running)} still running "
+                f"at the deadline (timeout)\n{detail}")
+        time.sleep(POLL_INTERVAL)
+
+
 def run_live(spec, time_scale=DEFAULT_TIME_SCALE, workdir=None,
              lead=1.0, grace=None, timeout=None):
     """Execute ``spec`` across real processes; returns a
-    :class:`LiveRunResult`. Raises with the offender's stderr if any
-    endpoint exits non-zero or wedges past the deadline."""
-    import time as _time
+    :class:`LiveRunResult`.
 
+    Every endpoint is polled, so a dead one fails the run at once: the
+    first to exit non-zero is named first, with its stderr, and the rest
+    are killed. A run still going ``timeout`` wall seconds after launch
+    fails naming the endpoints that had not finished. Each endpoint's
+    stdout and stderr go to ``site-<id>.out`` / ``site-<id>.err`` in the
+    workdir, so no pipe can fill and stall it."""
     if grace is None:
         # Long enough for a full round trip plus scheduling noise.
         grace = max(1.0, 4.0 * spec.latency * time_scale)
@@ -97,13 +136,12 @@ def run_live(spec, time_scale=DEFAULT_TIME_SCALE, workdir=None,
     ports = free_ports(len(site_ids))
     port_map = dict(zip(site_ids, ports))
     if timeout is None:
-        timeout = 3 * HANDSHAKE_BUDGET + lead \
+        timeout = 3 * HANDSHAKE_TIMEOUT + lead \
             + spec.horizon() * time_scale + grace
-    own_dir = workdir is None
-    if own_dir:
+    if workdir is None:
         workdir = tempfile.mkdtemp(prefix="repro-live-")
     procs = []
-    wall_start = _time.monotonic()
+    wall_start = time.monotonic()
     try:
         for site_id in site_ids:
             role = "server" if site_id == SERVER_SITE_ID else "client"
@@ -121,27 +159,14 @@ def run_live(spec, time_scale=DEFAULT_TIME_SCALE, workdir=None,
             config_path = os.path.join(workdir, f"config-{site_id}.json")
             with open(config_path, "w", encoding="utf-8") as handle:
                 json.dump(config, handle)
-            procs.append((site_id, subprocess.Popen(
-                [sys.executable, "-m", f"repro.live.{role}", config_path],
-                env=_python_env(), stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE, text=True)))
-        failures = []
-        for site_id, proc in procs:
-            try:
-                _, stderr = proc.communicate(timeout=timeout)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                _, stderr = proc.communicate()
-                failures.append((site_id, "timeout", stderr))
-                continue
-            if proc.returncode != 0:
-                failures.append((site_id, f"exit {proc.returncode}", stderr))
-        if failures:
-            detail = "\n".join(
-                f"-- site {site_id} ({why}) --\n{stderr.strip()}"
-                for site_id, why, stderr in failures)
-            raise RuntimeError(
-                f"live run failed on {len(failures)} endpoint(s):\n{detail}")
+            base = os.path.join(workdir, f"site-{site_id}")
+            with open(f"{base}.out", "w") as out, \
+                    open(f"{base}.err", "w") as err:
+                procs.append((site_id, subprocess.Popen(
+                    [sys.executable, "-m", f"repro.live.{role}",
+                     config_path],
+                    env=_python_env(), stdout=out, stderr=err)))
+        _wait_all(procs, wall_start + timeout, workdir)
         payloads = [load_payload(os.path.join(workdir,
                                               f"result-{site_id}.json"))
                     for site_id in site_ids]
@@ -149,9 +174,10 @@ def run_live(spec, time_scale=DEFAULT_TIME_SCALE, workdir=None,
         for _, proc in procs:
             if proc.poll() is None:
                 proc.kill()
+                proc.wait()
     return LiveRunResult(spec=spec, merged=MergedRun(payloads),
                          time_scale=time_scale,
-                         wall_seconds=_time.monotonic() - wall_start)
+                         wall_seconds=time.monotonic() - wall_start)
 
 
 # -- calibration --------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Portable live/sim scenarios: one driver, two kernels.
 
 A scenario is a set of per-client generator loops written against the
-kernel contract (:data:`repro.live.clock.KERNEL_CONTRACT`), so the exact
-same loop runs under the :class:`~repro.sim.engine.Simulator` (one
-process, virtual time) and under :class:`~repro.live.clock.LiveKernel`
-(one process per site, wall-clock time over TCP). That is what makes the
-sim-vs-live calibration meaningful: any divergence is the transport and
-the clock, never the workload.
+:class:`~repro.sim.engine.Simulator`, so the exact same loop runs under
+the simulator (one process, virtual time) and under its wall-clock
+subclass :class:`~repro.live.clock.LiveKernel` (one process per site,
+over TCP), on a protocol stack both worlds assemble with one function
+(:func:`build_stack`). That is what makes the sim-vs-live calibration
+meaningful: any divergence is the transport and the clock, never the
+workload.
 
 Two modes:
 
@@ -261,28 +262,38 @@ class SimReference:
         return {record["txn"]: record for record in self.trace.txns}
 
 
-def run_reference(spec):
-    """Run ``spec`` under the simulator; the calibration baseline."""
-    from repro.network.topology import UniformTopology
-    from repro.network.transport import Network
+def build_stack(spec, kernel, network):
+    """What both worlds assemble ``spec`` from on ``kernel`` and
+    ``network``: a tracer, a history, a store, a WAL, and
+    ``make_protocol``'s server and clients. No site is registered — the
+    reference run adds every one to its network, an endpoint only its
+    own — so this returns ``(tracer, history, server, clients)``."""
     from repro.obs.tracer import Tracer
     from repro.protocols.registry import make_protocol
-    from repro.sim.engine import Simulator
     from repro.storage.store import VersionedStore
     from repro.storage.wal import WriteAheadLog
     from repro.validate.history import HistoryRecorder
 
     config = spec.sim_config()
-    sim = Simulator()
-    tracer = Tracer(sim)
-    sim.tracer = tracer
-    history = HistoryRecorder()
-    store = VersionedStore(range(config.n_items))
-    wal = WriteAheadLog()
-    network = Network(sim, UniformTopology(config.network_latency))
+    tracer = Tracer(kernel)
+    kernel.tracer = tracer
     tracer.bind_network(network)
-    server, clients = make_protocol(config.protocol, sim, config, store,
-                                    wal, history, spec.client_ids)
+    history = HistoryRecorder()
+    server, clients = make_protocol(
+        spec.protocol, kernel, config, VersionedStore(range(config.n_items)),
+        WriteAheadLog(), history, spec.client_ids)
+    return tracer, history, server, clients
+
+
+def run_reference(spec):
+    """Run ``spec`` under the simulator; the calibration baseline."""
+    from repro.network.topology import UniformTopology
+    from repro.network.transport import Network
+    from repro.sim.engine import Simulator
+
+    sim = Simulator()
+    network = Network(sim, UniformTopology(spec.latency))
+    tracer, history, server, clients = build_stack(spec, sim, network)
     network.add_site(server)
     for client in clients.values():
         network.add_site(client)

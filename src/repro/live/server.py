@@ -13,10 +13,14 @@ import asyncio
 import sys
 import time
 
-from repro.live.endpoint import DONE, HELLO, SHUTDOWN, START, endpoint_main
-
-#: wall seconds allowed for all clients to connect and say hello
-HANDSHAKE_TIMEOUT = 60.0
+from repro.live.endpoint import (
+    DONE,
+    HANDSHAKE_TIMEOUT,
+    HELLO,
+    SHUTDOWN,
+    START,
+    endpoint_main,
+)
 
 
 def _run_deadline(config):

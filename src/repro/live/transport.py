@@ -1,18 +1,17 @@
 """Full-mesh asyncio TCP transport with userspace latency shaping.
 
-One :class:`LiveTransport` serves one endpoint process. It plays the role
-:class:`~repro.network.transport.Network` plays in a simulation — the
-``send``/``add_site`` surface protocol sites are attached to — but ships
-payloads over real sockets:
+One :class:`LiveTransport` serves one endpoint process. It *is* the
+simulator's :class:`~repro.network.transport.Network` — same ``send``,
+same stats, same tracer calls, same delivery callback — with the sites
+of the other processes standing in the site table as peer proxies:
 
 * every endpoint listens on its own loopback port and dials a connection
   to every peer (g-2PL forwards data *client → client*, so the mesh is
   full, not a star around the server);
-* outgoing payloads are **shaped at the sender**: a send is held in the
-  kernel's timer heap for the topology's one-way latency (scaled to wall
-  time) before the frame is written to the socket. Constant per-link
-  latency preserves per-link FIFO ordering by construction, matching the
-  simulator's delivery-clamp semantics. Loopback TCP adds its real
+* outgoing payloads are **shaped at the sender**: ``Network.send`` holds
+  the envelope in the kernel's heap for the topology's one-way latency
+  (scaled to wall time, FIFO-clamped per link), and its delivery to a
+  peer proxy encodes and writes the frame. Loopback TCP adds its real
   (micro-second scale) cost on top — that residue is exactly what the
   sim-vs-live calibration measures;
 * incoming frames are decoded off the reader task and injected into the
@@ -29,7 +28,8 @@ import struct
 
 from repro.live.codec import MAX_FRAME_SIZE, CodecError, decode, encode_frame
 from repro.network.message import Envelope
-from repro.network.transport import NetworkStats, SiteRegistry, payload_kind
+from repro.network.topology import Site
+from repro.network.transport import Network
 
 _HEADER = struct.Struct(">I")
 
@@ -54,19 +54,28 @@ class TransportError(RuntimeError):
     """A live-transport invariant was violated (unknown peer, bad frame)."""
 
 
-class LiveTransport(SiteRegistry):
-    """TCP transport for the sites living in this endpoint process."""
+class _Peer(Site):
+    """A site living in another endpoint process: delivering an envelope
+    to it writes the envelope's frame to that endpoint's socket."""
+
+    def receive(self, envelope):
+        self.network._write_frame(envelope.dst, encode_frame((
+            WIRE_DATA, envelope.src, envelope.dst, envelope.size,
+            envelope.send_time, envelope.payload)))
+
+
+class LiveTransport(Network):
+    """TCP transport for the sites living in this endpoint process.
+
+    Every other endpoint in ``port_map`` is a :class:`_Peer` in the site
+    table, so a data frame takes :meth:`Network.send`'s own path —
+    shaped onto the kernel's heap, delivered by ``Network._deliver`` at
+    the shaped time — and only then becomes bytes on a socket.
+    """
 
     def __init__(self, kernel, topology, site_id, port_map,
                  host="127.0.0.1"):
-        super().__init__()
-        self.kernel = kernel
-        self.topology = topology
-        self.bandwidth = None
-        self.faults = None
-        self.stats = NetworkStats()
-        #: (src, dst) -> topology latency, for every link sent on so far
-        self.link_latency = {}
+        super().__init__(kernel, topology)
         self.site_id = site_id
         self.host = host
         #: site_id -> TCP port, for every endpoint in the run (incl. us)
@@ -79,38 +88,9 @@ class LiveTransport(SiteRegistry):
         self._server = None
         self._reader_tasks = set()
         self._closed = False
-
-    # -- Network-compatible surface ------------------------------------------
-
-    def send(self, src, dst, payload, size=1.0):
-        """Ship ``payload`` to ``dst``, shaped to the topology's latency.
-
-        Returns the envelope with the *predicted* delivery time — the same
-        contract as the simulator's transport, so sender-side wire
-        accounting (``Tracer.wire_charge``) prices the message
-        identically in both worlds.
-        """
-        kernel = self.kernel
-        now = kernel.now
-        envelope = Envelope(src, dst, payload, size, now)
-        latency = self.topology.latency(src, dst)
-        self.link_latency[src, dst] = latency
-        envelope.deliver_time = now + latency
-        self.stats.record(envelope)
-        tracer = kernel.tracer
-        if tracer is not None:
-            tracer.net_send(envelope, payload_kind(payload))
-        if dst in self._sites:
-            # Both endpoints of the link live in this process (used by the
-            # in-process transport tests); shape and deliver in-kernel.
-            kernel.call_later(latency, self._deliver_local, envelope)
-        else:
-            frame = encode_frame((WIRE_DATA, src, dst, size, now, payload))
-            kernel.call_later(latency, self._write_frame, dst, frame)
-        return envelope
-
-    def _deliver_local(self, envelope):
-        self._sites[envelope.dst].receive(envelope)
+        for peer in self.port_map:
+            if peer != site_id:
+                self.add_site(_Peer(peer))
 
     # -- wire ----------------------------------------------------------------
 
@@ -196,14 +176,15 @@ class LiveTransport(SiteRegistry):
         kind = frame[0]
         if kind == WIRE_DATA:
             _, src, dst, size, send_time, payload = frame
-            if dst not in self._sites:
+            site = self._sites.get(dst)
+            if site is None or isinstance(site, _Peer):
                 raise TransportError(
                     f"frame for site {dst} arrived at endpoint "
                     f"{self.site_id}")
             envelope = Envelope(src, dst, payload, size, send_time)
-            now = self.kernel.wall_now()
+            now = self.sim.wall_now()
             envelope.deliver_time = now
-            tracer = self.kernel.tracer
+            tracer = self.sim.tracer
             if tracer is not None:
                 # Live process overhead: the sender shaped this frame to
                 # land at send_time + latency (the simulator's prediction);
@@ -218,7 +199,7 @@ class LiveTransport(SiteRegistry):
                               - self.topology.latency(src, dst))
                     if excess > 0.0:
                         tracer.overhead_charge(txn_id, excess)
-            self.kernel.inject(self._deliver_local, envelope)
+            self.sim.inject(site.receive, envelope)
         elif kind == WIRE_CONTROL:
             _, name, sender, data = frame
             handler = self.control_handler

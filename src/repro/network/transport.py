@@ -1,9 +1,10 @@
 """Message transport: delivery scheduling and traffic accounting.
 
 ``Network.send`` is on the kernel's hot path (one call per protocol
-message).  There is one send path and one delivery path; the tracer and
-the fault injector are read per call, so attaching either at any point
-takes effect on the next message.  Two things keep the path cheap:
+message).  There is one send path and one delivery path, live mode's
+too (:class:`repro.live.transport.LiveTransport` subclasses this class);
+the tracer and the fault injector are read per call, so attaching either
+at any point takes effect on the next message.  Two things keep the path cheap:
 
 * per-(src, dst) link latency is **memoised** in a flat dict — the
   topology object is consulted once per pair, not once per message —
@@ -61,24 +62,33 @@ class NetworkStats:
     data_units_sent: float = 0.0
     per_type: dict = field(default_factory=dict)
 
-    def record(self, envelope):
-        self.messages_sent += 1
-        self.data_units_sent += envelope.size
-        kind = payload_kind(envelope.payload)
-        self.per_type[kind] = self.per_type.get(kind, 0) + 1
 
+class Network:
+    """Delivers payloads between attached sites.
 
-class SiteRegistry:
-    """The site directory shared by every transport implementation.
+    Delivery delay = topology latency (propagation + switching) plus, when a
+    finite ``bandwidth`` is configured, ``size / bandwidth`` of transmission
+    time. The paper assumes infinite bandwidth (transmission negligible at
+    gigabit rates); the finite setting exists for the A2 ablation.
 
-    Both the simulator's :class:`Network` and the live TCP transport
-    (:class:`repro.live.transport.LiveTransport`) register protocol sites
-    the same way; protocol assembly code (``make_protocol`` callers) can
-    therefore wire a run identically against either.
+    An optional :class:`~repro.network.faults.FaultInjector` makes the link
+    lossy: it may drop, duplicate, or extra-delay each send, and severs
+    messages whose flight interval overlaps a crash window of either
+    endpoint.
     """
 
-    def __init__(self):
+    def __init__(self, sim, topology, bandwidth=None, faults=None):
+        if bandwidth is not None and bandwidth <= 0:
+            raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
         self._sites = {}
+        self.sim = sim
+        self.topology = topology
+        self.bandwidth = bandwidth
+        self.faults = faults
+        self.stats = NetworkStats()
+        self._last_deliver = {}  # (src, dst) -> last scheduled delivery time
+        #: (src, dst) -> topology latency, for every link sent on so far
+        self.link_latency = {}
 
     def add_site(self, site):
         """Register a site; its ``site_id`` must be unique."""
@@ -96,34 +106,6 @@ class SiteRegistry:
     def sites(self):
         """All registered sites (read-only view)."""
         return dict(self._sites)
-
-
-class Network(SiteRegistry):
-    """Delivers payloads between attached sites.
-
-    Delivery delay = topology latency (propagation + switching) plus, when a
-    finite ``bandwidth`` is configured, ``size / bandwidth`` of transmission
-    time. The paper assumes infinite bandwidth (transmission negligible at
-    gigabit rates); the finite setting exists for the A2 ablation.
-
-    An optional :class:`~repro.network.faults.FaultInjector` makes the link
-    lossy: it may drop, duplicate, or extra-delay each send, and severs
-    messages whose flight interval overlaps a crash window of either
-    endpoint.
-    """
-
-    def __init__(self, sim, topology, bandwidth=None, faults=None):
-        if bandwidth is not None and bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
-        super().__init__()
-        self.sim = sim
-        self.topology = topology
-        self.bandwidth = bandwidth
-        self.faults = faults
-        self.stats = NetworkStats()
-        self._last_deliver = {}  # (src, dst) -> last scheduled delivery time
-        #: (src, dst) -> topology latency, for every link sent on so far
-        self.link_latency = {}
 
     def send(self, src, dst, payload, size=1.0):
         """Ship ``payload`` from ``src`` to ``dst``; returns the envelope.

@@ -220,7 +220,7 @@ class Tracer:
             mid = envelope.envelope_id = self._msgs_seen = self._msgs_seen + 1
         return mid
 
-    def net_send(self, envelope, kind, copies=0):
+    def net_send(self, envelope, kind, copies):
         """One send; ``copies`` is how many deliveries of it the transport
         put on the heap (what :meth:`net_delivered` will count down)."""
         self.messages_sent += 1

@@ -1,4 +1,4 @@
-"""LiveKernel semantics: the simulator contract, paced by the wall clock.
+"""LiveKernel semantics: the simulator, paced by the wall clock.
 
 All tests run with a tiny ``time_scale`` so wall-clock waits stay in the
 milliseconds; assertions are on *ordering* and *values*, with generous
@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.live.clock import KERNEL_CONTRACT, LiveKernel, kernel_contract_holds
+from repro.live.clock import LiveKernel
 from repro.live.transport import LiveTransport
 from repro.network.topology import UniformTopology
 from repro.sim.engine import Simulator
@@ -21,12 +21,8 @@ def run_async(coroutine):
     return asyncio.run(coroutine)
 
 
-def test_contract_is_shared_with_the_simulator():
-    assert kernel_contract_holds(Simulator())
-    assert kernel_contract_holds(LiveKernel())
-    # the contract names must actually exist on both
-    for name in KERNEL_CONTRACT:
-        assert hasattr(Simulator(), name)
+def test_live_kernel_is_a_simulator():
+    assert isinstance(LiveKernel(), Simulator)
 
 
 def test_rejects_nonpositive_time_scale():
@@ -155,6 +151,19 @@ def test_event_injection_from_reader_task():
     start = time.monotonic()
     assert run_async(scenario()) == "stimulus"
     assert time.monotonic() - start < 5.0  # did not wait out the timer
+
+
+def test_pushes_from_callbacks_need_no_wake():
+    """Only inject() and stop() wake the loop: an entry a callback pushes
+    lands before the loop re-reads the heap top to sleep, so it is not
+    missed behind a far-off timer."""
+    kernel = LiveKernel(time_scale=0.001)
+    done = kernel.event()
+    kernel.call_later(10_000.0, lambda: None)  # 10 wall seconds out
+    kernel.call_later(1.0, kernel.call_later, 1.0, done.succeed, "woke")
+    start = time.monotonic()
+    assert run_async(kernel.run(until=done)) == "woke"
+    assert time.monotonic() - start < 5.0
 
 
 def test_process_exception_propagates():

@@ -12,12 +12,19 @@ simulator running the *same scenario code*:
 * live response times track the simulator within the documented
   tolerance (see EXPERIMENTS.md appendix C).
 
-These are the assertions CI's ``live-smoke`` job runs.
+A dead endpoint must fail the run within seconds, named first.
+
+CI's ``live-smoke`` job runs every ``live``-marked test.
 """
+
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
-from repro.live.harness import calibrate
+from repro.live.harness import calibrate, run_live
 from repro.live.scenario import ScenarioSpec
 from repro.obs.rounds import expected_rounds
 
@@ -60,3 +67,42 @@ def test_live_workload_history_is_serializable_and_rounds_match():
     assert report.rounds_exact, (
         f"round mismatches: {report.round_mismatches}")
     assert report.mean_relative_delta < RESPONSE_TOLERANCE
+
+
+@pytest.mark.parametrize("fault", ["killed", "exit-3"])
+def test_a_dead_endpoint_fails_the_run_fast_and_is_named_first(
+        fault, monkeypatch, tmp_path):
+    """Client site 2 is SIGKILLed 2.5 s after launch, or exits 3 at
+    startup (writing to stderr); either way the run raises within 10 s,
+    naming site 2 first. A hung peer is not covered."""
+    real_popen = subprocess.Popen
+    timers = []
+
+    def popen(args, **kwargs):
+        if not args[-1].endswith("config-2.json"):
+            return real_popen(args, **kwargs)
+        if fault == "exit-3":
+            args = [sys.executable, "-c",
+                    "import sys; sys.stderr.write('site two gave up');"
+                    " sys.exit(3)"]
+        proc = real_popen(args, **kwargs)
+        if fault == "killed":
+            timers.append(threading.Timer(2.5, proc.kill))
+            timers[-1].start()
+        return proc
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    spec = ScenarioSpec(protocol="s2pl", mode="calibrate", n_clients=3,
+                        latency=2.0, think=1.0, repeats=6)
+    start = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError) as failure:
+            run_live(spec, time_scale=0.02, workdir=str(tmp_path))
+    finally:
+        for timer in timers:
+            timer.cancel()
+    assert time.monotonic() - start < 10.0
+    code = -9 if fault == "killed" else 3
+    assert f"site 2 (exit {code}) failed first" in str(failure.value)
+    if fault == "exit-3":
+        assert "site two gave up" in str(failure.value)

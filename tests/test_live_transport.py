@@ -9,8 +9,9 @@ import asyncio
 import pytest
 
 from repro.live.clock import LiveKernel
-from repro.live.transport import LiveTransport, TransportError
+from repro.live.transport import WIRE_DATA, LiveTransport, TransportError
 from repro.network.topology import Site, UniformTopology
+from repro.obs.tracer import Tracer
 from repro.protocols.messages import LockRequest, TxnDone
 from repro.locking.modes import LockMode
 
@@ -148,3 +149,38 @@ def test_send_to_unknown_peer_raises_at_ship_time():
         await t1.close()
 
     asyncio.run(asyncio.wait_for(scenario(), timeout=10.0))
+
+
+def test_a_shaped_send_is_in_flight_until_its_delivery():
+    port_map = free_port_map([0, 1])
+    k0, t0, s0 = make_endpoint(0, port_map)
+    k1, t1, s1 = make_endpoint(1, port_map)
+    tracer = k1.tracer = Tracer(k1)
+
+    def delivered():
+        return [row for row in tracer.events.rows if row[1] == "msg.deliver"]
+
+    async def scenario():
+        await t0.start()
+        await t1.start()
+        await asyncio.gather(t0.connect_to_peers(), t1.connect_to_peers())
+        t1.send(1, 0, TxnDone(txn_id=1, committed=True))
+        # sent, not yet at its shaped delivery time (2.0 units out)
+        assert tracer.in_flight_total == 1
+        assert delivered() == []
+        await k1.run(until=3.0)
+        assert tracer.in_flight_total == 0
+        (row,) = delivered()
+        assert row[0] >= 2.0
+        await t0.close()
+        await t1.close()
+
+    asyncio.run(asyncio.wait_for(scenario(), timeout=20.0))
+
+
+def test_data_frame_for_a_site_not_local_is_rejected():
+    k1, t1, s1 = make_endpoint(1, {0: 0, 1: 0})
+    payload = TxnDone(txn_id=1, committed=True)
+    for dst in (0, 5):  # a peer's site, and a site nobody has
+        with pytest.raises(TransportError, match="arrived at endpoint 1"):
+            t1._on_frame((WIRE_DATA, 1, dst, 1.0, 0.0, payload))
