@@ -23,25 +23,7 @@ Quickstart::
         print(name, result.summary())
 """
 
-from repro.core.config import Fidelity, SimulationConfig
-from repro.core.parallel import (
-    CellError,
-    SimulationCell,
-    replication_seed,
-    resolve_jobs,
-    run_cells,
-)
-from repro.core.runner import (
-    ReplicatedResult,
-    SimulationResult,
-    compare_protocols,
-    improvement_percentage,
-    run_replications,
-    run_simulation,
-)
-from repro.core.worked_example import run_worked_example
-from repro.network.presets import NetworkEnvironment, TABLE2_ENVIRONMENTS
-from repro.protocols.registry import available_protocols
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -64,3 +46,15 @@ __all__ = [
     "run_simulation",
     "run_worked_example",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.config": ("Fidelity", "SimulationConfig"),
+    "repro.core.parallel": ("CellError", "SimulationCell", "replication_seed",
+                            "resolve_jobs", "run_cells"),
+    "repro.core.runner": ("ReplicatedResult", "SimulationResult",
+                          "compare_protocols", "improvement_percentage",
+                          "run_replications", "run_simulation"),
+    "repro.core.worked_example": ("run_worked_example",),
+    "repro.network.presets": ("NetworkEnvironment", "TABLE2_ENVIRONMENTS"),
+    "repro.protocols.registry": ("available_protocols",),
+})

@@ -8,9 +8,13 @@ s-2PL-like single service and g-2PL grouped service
 :class:`~repro.adapt.controller.EwmaEstimator` is its smoother.
 """
 
-from repro.adapt.controller import ContentionController, EwmaEstimator
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ContentionController",
     "EwmaEstimator",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.adapt.controller": ("ContentionController", "EwmaEstimator"),
+})

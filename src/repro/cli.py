@@ -15,11 +15,6 @@ import dataclasses
 import sys
 
 from repro.core.config import Fidelity, SimulationConfig
-from repro.core.runner import (
-    compare_protocols,
-    improvement_percentage,
-    run_simulation,
-)
 from repro.protocols.registry import available_protocols, capability_table
 
 #: Where a command-line run departs from the config defaults: a shorter
@@ -30,6 +25,23 @@ CLI_DEFAULTS = {"total_transactions": 1000, "warmup_transactions": 100,
 #: The config fields that declare a run flag, in field order.
 FLAGGED = tuple(spec for spec in dataclasses.fields(SimulationConfig)
                 if "flag" in spec.metadata)
+
+
+# The verbs reach the runner through these two names (tests replace
+# them). Each verb imports what it runs — the runner, the experiments,
+# analysis, live mode — so ``list`` and ``--help`` load none of it.
+def run_simulation(config):
+    """:func:`repro.core.runner.run_simulation`, imported on use."""
+    from repro.core.runner import run_simulation
+
+    return run_simulation(config)
+
+
+def compare_protocols(config, protocols, **kwargs):
+    """:func:`repro.core.runner.compare_protocols`, imported on use."""
+    from repro.core.runner import compare_protocols
+
+    return compare_protocols(config, protocols, **kwargs)
 
 
 def _add_workload_args(parser):
@@ -128,6 +140,8 @@ def _cmd_compare(args):
             print(f"    mean sequential rounds per commit: "
                   f"{result.trace_summary.mean_rounds_per_commit:.2f}")
     if "s2pl" in results and "g2pl" in results:
+        from repro.core.runner import improvement_percentage
+
         improvement = improvement_percentage(results["s2pl"],
                                              results["g2pl"])
         print(f"g-2PL improvement over s-2PL: {improvement:+.1f}% "

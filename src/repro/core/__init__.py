@@ -1,14 +1,6 @@
 """The public high-level API: configure, run, replicate, compare."""
 
-from repro.core.config import Fidelity, SimulationConfig
-from repro.core.runner import (
-    ReplicatedResult,
-    SimulationResult,
-    compare_protocols,
-    run_replications,
-    run_simulation,
-)
-from repro.core.worked_example import WorkedExampleResult, run_worked_example
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Fidelity",
@@ -21,3 +13,12 @@ __all__ = [
     "run_simulation",
     "run_worked_example",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.config": ("Fidelity", "SimulationConfig"),
+    "repro.core.runner": ("ReplicatedResult", "SimulationResult",
+                          "compare_protocols", "run_replications",
+                          "run_simulation"),
+    "repro.core.worked_example": ("WorkedExampleResult",
+                                  "run_worked_example"),
+})

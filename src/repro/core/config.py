@@ -7,8 +7,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.protocols import registry
-from repro.protocols.g2pl import FL_ORDERINGS
-from repro.protocols.s2pl import VICTIM_POLICIES
+
+#: whom s-2PL's deadlock detector aborts (``victim_policy``)
+VICTIM_POLICIES = ("requester", "youngest", "oldest")
+#: how g-2PL orders a forward list (``fl_ordering``)
+FL_ORDERINGS = ("fifo", "reads_first", "writes_first")
 
 #: ``--help`` heading of the hybrid protocol's flags
 _ADAPT = "adaptive concurrency control (repro.adapt; protocol hybrid)"

@@ -475,13 +475,6 @@ def population_scale_experiment(fidelity=Fidelity.BENCH, seed=1,
     return results
 
 
-def figure_population_scale(metric="throughput", fidelity=Fidelity.BENCH,
-                            seed=1, populations=POPULATION_SWEEP, jobs=1):
-    return population_scale_experiment(fidelity=fidelity, seed=seed,
-                                       populations=populations,
-                                       jobs=jobs)[metric]
-
-
 # ---------------------------------------------------------------------------
 # Tables
 # ---------------------------------------------------------------------------

@@ -20,9 +20,11 @@ platform) while preserving the headline guarantee of the serial runner:
 
 import gc
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from multiprocessing import get_context
+
+#: the pool class; ``concurrent.futures`` and ``multiprocessing`` are
+#: imported by the first run with ``jobs > 1``, never by a serial one
+ProcessPoolExecutor = None
 
 #: Multiplier spacing replication seeds apart (prime, matching the
 #: original serial scheme in ``run_replications``).
@@ -113,6 +115,16 @@ def run_cells(cells, jobs=1, progress=None, keep=None):
         return []
     if jobs == 1 or len(cells) == 1:
         return _run_serial(cells, progress, keep)
+    return _run_pooled(cells, jobs, progress, keep)
+
+
+def _run_pooled(cells, jobs, progress, keep):
+    """``jobs > 1``: the cells over a spawn-context process pool."""
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import as_completed
+    from multiprocessing import get_context
 
     workers = min(jobs, len(cells))
     with ProcessPoolExecutor(max_workers=workers,

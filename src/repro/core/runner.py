@@ -1,41 +1,29 @@
-"""Assemble and run simulations; replicate; compare protocols."""
+"""Assemble and run simulations; replicate; compare protocols.
+
+Only the layers every run uses are imported here. Each optional layer —
+tracing and probes, faults and the reliable channel, populations and
+arrivals, shards and regions, the history checkers, the replication
+helpers — is imported in the branch that builds it, so a run pays the
+start-up cost of what its config turns on and nothing else.
+"""
 
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.parallel import SimulationCell, replication_seed, run_cells
-from repro.network.faults import FaultInjector, derive_recovery_times
-from repro.obs.probes import ProbeSampler, default_sources
-from repro.obs.summary import TraceSummary
-from repro.obs.tracer import Tracer
-from repro.network.reliable import ReliableLink
 from repro.network.topology import RegionTopology, UniformTopology
 from repro.network.transport import Network
 from repro.protocols.registry import make_protocol
-from repro.protocols.s2pl import S2PLServer
-from repro.protocols.sharding import GlobalDeadlockDetector, ShardMap
 from repro.sim.engine import Simulator, relaxed_gc
 from repro.sim.errors import SimulationError
 from repro.sim.rng import RandomStreams
-from repro.stats.ci import mean_confidence_interval
 from repro.stats.collector import MetricsCollector
 from repro.stats.streaming import RunningStat
 from repro.storage.store import VersionedStore
 from repro.storage.wal import WriteAheadLog
 from repro.validate.history import HistoryRecorder
-from repro.validate.serializability import check_history
-from repro.validate.strictness import check_strictness
-from repro.workload.arrivals import make_arrivals
 from repro.workload.driver import ClientDriver, RunControl
 from repro.workload.generator import WorkloadGenerator
-from repro.workload.population import (
-    OpenArrivalGenerator,
-    PopulationDriver,
-    default_classes,
-    parse_txn_mix,
-    split_population,
-)
 
 
 @dataclass
@@ -101,6 +89,9 @@ def _install_fault_layer(sim, config, injector, servers, clients, drivers):
     """Fault-mode wiring: reliable (ack/retransmit) channels on every site,
     the protocol's recovery timers on every home server, and the
     deterministic crash controller driving the spec's crash windows."""
+    from repro.network.faults import derive_recovery_times
+    from repro.network.reliable import ReliableLink
+
     spec = config.faults
     rto, max_interval, chain_timeout, sweep = derive_recovery_times(
         spec, config.network_latency)
@@ -161,6 +152,9 @@ class Assembly:
         protocol bug, never a result) and the servers' own invariants."""
         report = None
         if check_serializability:
+            from repro.validate.serializability import check_history
+            from repro.validate.strictness import check_strictness
+
             report = check_history(self.history)
             if not report.ok:
                 raise AssertionError(
@@ -182,15 +176,21 @@ def assemble(config, seed):
     sim = Simulator()
     tracer = None
     if config.trace or config.probe_interval is not None:
+        from repro.obs.tracer import Tracer
+
         tracer = Tracer(sim, engine_events=config.trace_engine)
         sim.tracer = tracer
     streams = RandomStreams(seed)
     history = HistoryRecorder(enabled=config.record_history)
     injector = None
     if config.faults is not None:
+        from repro.network.faults import FaultInjector
+
         injector = FaultInjector(config.faults, streams.spawn("faults"))
     client_ids = list(range(1, config.n_clients + 1))
     if config.n_shards > 1:
+        from repro.protocols.sharding import ShardMap
+
         shard_map = ShardMap(config.n_shards, config.n_items)
         site_ids = shard_map.server_ids
         servers, clients = make_protocol(
@@ -238,36 +238,50 @@ def assemble(config, seed):
             drivers[client_id] = driver
             driver.start()
     else:
-        classes = (parse_txn_mix(config.txn_mix, n_items=config.n_items)
+        from repro.workload import population
+        from repro.workload.arrivals import make_arrivals
+
+        classes = (population.parse_txn_mix(config.txn_mix,
+                                            n_items=config.n_items)
                    if config.txn_mix is not None
-                   else default_classes(params))
-        user_counts = split_population(config.population, config.n_clients)
+                   else population.default_classes(params))
+        user_counts = population.split_population(config.population,
+                                                  config.n_clients)
         for index, (client_id, client) in enumerate(clients.items()):
             n_users = user_counts[index]
             popn_rng = streams.stream(f"client{client_id}.popn")
             arrivals = make_arrivals(
                 config, streams.stream(f"client{client_id}.arrival"),
                 rate=n_users * config.arrival_rate)
-            driver = PopulationDriver(
+            # looked up on the module at run time: tests swap the driver
+            driver = population.PopulationDriver(
                 sim, client_id, client,
-                OpenArrivalGenerator(params, classes, popn_rng),
+                population.OpenArrivalGenerator(params, classes, popn_rng),
                 control, collector, arrivals, n_users, user_rng=popn_rng,
                 max_inflight=config.max_inflight_per_site)
             drivers[client_id] = driver
             driver.start()
     detector = None
-    if len(servers) > 1 and isinstance(servers[0], S2PLServer):
-        # Per-shard detection cannot see cycles whose edges span shards;
-        # the periodic union sweep catches distributed deadlocks. The
-        # interval covers a request round trip at the worst-case latency.
-        detector = GlobalDeadlockDetector(
-            sim, servers,
-            interval=2.0 * config.network_latency + 1.0,
-            victim_policy=config.victim_policy,
-            stop_when=lambda: control.done).start()
+    if len(servers) > 1:
+        from repro.protocols import sharding
+        from repro.protocols.s2pl import S2PLServer
+
+        if isinstance(servers[0], S2PLServer):
+            # Per-shard detection cannot see cycles whose edges span
+            # shards; the periodic union sweep catches distributed
+            # deadlocks. The interval covers a request round trip at the
+            # worst-case latency. The class is looked up on its module
+            # at run time: tests swap it.
+            detector = sharding.GlobalDeadlockDetector(
+                sim, servers,
+                interval=2.0 * config.network_latency + 1.0,
+                victim_policy=config.victim_policy,
+                stop_when=lambda: control.done).start()
     if injector is not None:
         _install_fault_layer(sim, config, injector, servers, clients, drivers)
     if tracer is not None and config.probe_interval is not None:
+        from repro.obs.probes import ProbeSampler, default_sources
+
         ProbeSampler(sim, tracer, config.probe_interval,
                      default_sources(sim, network, servers, tracer,
                                      drivers=drivers.values()),
@@ -436,6 +450,9 @@ class ReplicatedResult:
 
 def aggregate_runs(config, runs):
     """Fold per-run results into a :class:`ReplicatedResult`."""
+    from repro.obs.summary import TraceSummary
+    from repro.stats.ci import mean_confidence_interval
+
     return ReplicatedResult(
         config=config,
         runs=runs,
@@ -452,6 +469,8 @@ def aggregate_runs(config, runs):
 def replication_cells(config, replications, base_seed=None,
                       check_serializability=None):
     """The simulation cells of one replicated run (serial seed scheme)."""
+    from repro.core.parallel import SimulationCell, replication_seed
+
     if replications < 1:
         raise ValueError("need at least one replication")
     if base_seed is None:
@@ -470,6 +489,8 @@ def run_replications(config, replications=3, base_seed=None,
     ``jobs>1`` fans the replications out over a process pool; results
     are bit-identical to the serial run for the same ``base_seed``.
     """
+    from repro.core.parallel import run_cells
+
     cells = replication_cells(config, replications, base_seed,
                               check_serializability)
     return aggregate_runs(config, run_cells(cells, jobs=jobs))
@@ -484,6 +505,8 @@ def compare_protocols(config, protocols=("s2pl", "g2pl"), replications=3,
     ``jobs>1`` fans out across the full protocols x replications
     cross-product, not one protocol at a time.
     """
+    from repro.core.parallel import run_cells
+
     configs = {protocol: config.replace(protocol=protocol)
                for protocol in protocols}
     cells = []

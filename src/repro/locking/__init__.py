@@ -6,8 +6,12 @@ server, plus the wait-for-graph deadlock detector that the paper runs
 whenever a lock cannot be granted.
 """
 
-from repro.locking.lock_table import LockRequestState, LockTable
-from repro.locking.modes import LockMode
-from repro.locking.waitfor import WaitForGraph
+from repro._lazy import lazy_exports
 
 __all__ = ["LockMode", "LockRequestState", "LockTable", "WaitForGraph"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.locking.lock_table": ("LockRequestState", "LockTable"),
+    "repro.locking.modes": ("LockMode",),
+    "repro.locking.waitfor": ("WaitForGraph",),
+})

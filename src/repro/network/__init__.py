@@ -9,21 +9,7 @@ an arbitrary per-pair latency matrix and a finite data rate (so the
 "message size does not matter" assumption can be tested rather than assumed).
 """
 
-from repro.network.faults import (
-    ClientCrash,
-    FaultInjector,
-    FaultSpec,
-    PartitionWindow,
-)
-from repro.network.message import Envelope
-from repro.network.presets import (
-    NetworkEnvironment,
-    TABLE2_ENVIRONMENTS,
-    environment_for_latency,
-)
-from repro.network.reliable import Reliable, ReliableAck, ReliableLink
-from repro.network.topology import MatrixTopology, Site, UniformTopology
-from repro.network.transport import Network, NetworkStats
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ClientCrash",
@@ -43,3 +29,14 @@ __all__ = [
     "UniformTopology",
     "environment_for_latency",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.network.faults": ("ClientCrash", "FaultInjector", "FaultSpec",
+                             "PartitionWindow"),
+    "repro.network.message": ("Envelope",),
+    "repro.network.presets": ("NetworkEnvironment", "TABLE2_ENVIRONMENTS",
+                              "environment_for_latency"),
+    "repro.network.reliable": ("Reliable", "ReliableAck", "ReliableLink"),
+    "repro.network.topology": ("MatrixTopology", "Site", "UniformTopology"),
+    "repro.network.transport": ("Network", "NetworkStats"),
+})

@@ -30,7 +30,7 @@ chain repair) lives with the protocols; this module only decides message
 fates and answers ``is_crashed`` queries.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,6 @@
 """Observability: structured tracing, round accounting, probes, exporters."""
 
-from repro.obs.export import write_chrome_trace, write_jsonl, write_probes_csv
-from repro.obs.probes import ProbeSampler, default_sources
-from repro.obs.rounds import (
-    RoundProfile,
-    contended_round_profile,
-    expected_rounds,
-    round_table,
-)
-from repro.obs.schema import EVENT_SCHEMA, validate_events, validate_trace
-from repro.obs.summary import TraceSummary
-from repro.obs.tracer import TraceData, Tracer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "EVENT_SCHEMA",
@@ -29,3 +19,14 @@ __all__ = [
     "write_jsonl",
     "write_probes_csv",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.export": ("write_chrome_trace", "write_jsonl",
+                         "write_probes_csv"),
+    "repro.obs.probes": ("ProbeSampler", "default_sources"),
+    "repro.obs.rounds": ("RoundProfile", "contended_round_profile",
+                         "expected_rounds", "round_table"),
+    "repro.obs.schema": ("EVENT_SCHEMA", "validate_events", "validate_trace"),
+    "repro.obs.summary": ("TraceSummary",),
+    "repro.obs.tracer": ("TraceData", "Tracer"),
+})

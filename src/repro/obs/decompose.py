@@ -22,8 +22,7 @@ worlds, and compare.
 
 from dataclasses import dataclass, field
 
-from repro.obs.spans import (PHASES, PhaseAccumulator, check_record,
-                             phase_view)
+from repro.obs.spans import PHASES, PhaseAccumulator, check_record
 
 
 @dataclass

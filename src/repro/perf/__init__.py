@@ -13,16 +13,7 @@ Two jobs:
   them against committed goldens.
 """
 
-from repro.perf.bench import (
-    BENCH_SCHEMA_VERSION,
-    BenchCell,
-    bench_cells,
-    compare_benchmarks,
-    load_benchmark,
-    run_benchmarks,
-    write_benchmark,
-)
-from repro.perf.fingerprint import result_fingerprint, fingerprint_digest
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -35,3 +26,10 @@ __all__ = [
     "result_fingerprint",
     "fingerprint_digest",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.perf.bench": ("BENCH_SCHEMA_VERSION", "BenchCell", "bench_cells",
+                         "compare_benchmarks", "load_benchmark",
+                         "run_benchmarks", "write_benchmark"),
+    "repro.perf.fingerprint": ("result_fingerprint", "fingerprint_digest"),
+})

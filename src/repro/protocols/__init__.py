@@ -10,11 +10,7 @@
   s-2PL variation sketched in §3.1, used by the A5 ablation).
 """
 
-from repro.protocols.base import ProtocolClient, ProtocolServer, TxnOutcome
-from repro.protocols.forward_list import FLEntry, ForwardList, TxnRef
-from repro.protocols.precedence import CycleError, PrecedenceGraph
-from repro.protocols.registry import available_protocols, make_protocol
-from repro.protocols.transaction import Transaction, TxnStatus
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CycleError",
@@ -30,3 +26,12 @@ __all__ = [
     "available_protocols",
     "make_protocol",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.protocols.base": ("ProtocolClient", "ProtocolServer",
+                             "TxnOutcome"),
+    "repro.protocols.forward_list": ("FLEntry", "ForwardList", "TxnRef"),
+    "repro.protocols.precedence": ("CycleError", "PrecedenceGraph"),
+    "repro.protocols.registry": ("available_protocols", "make_protocol"),
+    "repro.protocols.transaction": ("Transaction", "TxnStatus"),
+})

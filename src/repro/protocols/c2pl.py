@@ -25,7 +25,6 @@ from repro.protocols.messages import (
     CacheRecallAck,
     CommitRelease,
     CONTROL_SIZE,
-    DataShip,
     LockRequest,
 )
 from repro.protocols.s2pl import S2PLClient, S2PLServer

@@ -49,6 +49,7 @@ registration round becomes the 2PC of :mod:`repro.protocols.sharded`.
 
 from dataclasses import dataclass
 
+from repro.core.config import FL_ORDERINGS  # noqa: F401 (its old home)
 from repro.locking.modes import LockMode
 from repro.protocols.base import (
     SERVER_SITE_ID,
@@ -74,8 +75,6 @@ from repro.protocols.sharded import TwoPhaseCoordinator, TwoPhaseParticipant
 from repro.protocols.sharding import SharedPrecedence
 from repro.sim.errors import Interrupt
 from repro.storage.wal import LogRecordType
-
-FL_ORDERINGS = ("fifo", "reads_first", "writes_first")
 
 
 def dispatch_chain(sender, item_id, version, value, fl, mr1w, epoch=0):

@@ -2,7 +2,9 @@
 
 Every protocol name maps to a :class:`Protocol` row — its server and
 client classes, the config fields the name pins, and what the pair
-supports: sharding and client-crash recovery.
+supports: sharding and client-crash recovery. A row names its classes
+as ``"module:Class"``, so everything but :func:`make_protocol` reads the
+table without importing a protocol.
 :data:`REJECTIONS` lists, one row each with its reason, the
 combinations nothing implements. Everything that needs to know what runs
 with what reads these two tables: :func:`make_protocol` (the one factory,
@@ -17,21 +19,27 @@ A family class supports whatever its chassis supports without naming it:
 without capabilities is single-server with no crash recovery.
 """
 
+import importlib
 from dataclasses import dataclass, field
 
-from repro.protocols.adaptive import AdaptiveG2PLServer
-from repro.protocols.c2pl import C2PLClient, C2PLServer
-from repro.protocols.g2pl import G2PLClient, G2PLServer
-from repro.protocols.s2pl import S2PLClient, S2PLServer
-from repro.protocols.twoversion import TwoVersionClient, TwoVersionServer
+
+def _resolve(ref):
+    """A class, or the class a ``"module:Class"`` string names (imported
+    here, on first use)."""
+    if not isinstance(ref, str):
+        return ref
+    module, _, name = ref.partition(":")
+    return getattr(importlib.import_module(module), name)
 
 
 @dataclass(frozen=True)
 class Protocol:
-    """One row of the capability table."""
+    """One row of the capability table. ``server_ref`` / ``client_ref``
+    are classes or ``"module:Class"`` names; :attr:`server` /
+    :attr:`client` return the classes."""
 
-    server: type
-    client: type
+    server_ref: object
+    client_ref: object
     #: config fields the name forces (``g2pl-basic`` -> ``mr1w=False``)
     pins: dict = field(default_factory=dict)
     #: runs as N home servers with cross-shard atomic commit
@@ -40,30 +48,42 @@ class Protocol:
     crash_recovery: bool = False
     summary: str = ""
 
+    @property
+    def server(self):
+        return _resolve(self.server_ref)
 
+    @property
+    def client(self):
+        return _resolve(self.client_ref)
+
+
+_S2PL = "repro.protocols.s2pl:S2PLServer", "repro.protocols.s2pl:S2PLClient"
+_G2PL = "repro.protocols.g2pl:G2PLServer", "repro.protocols.g2pl:G2PLClient"
 _STATIC = dict(shardable=True, crash_recovery=True)
 
 PROTOCOLS = {
     "s2pl": Protocol(
-        S2PLServer, S2PLClient, **_STATIC,
+        *_S2PL, **_STATIC,
         summary="server-based strict 2PL, the paper's baseline"),
     "g2pl": Protocol(
-        G2PLServer, G2PLClient, **_STATIC,
+        *_G2PL, **_STATIC,
         summary="lock grouping + avoidance + MR1W (the paper's g-2PL)"),
     "g2pl-basic": Protocol(
-        G2PLServer, G2PLClient, {"mr1w": False}, **_STATIC,
+        *_G2PL, {"mr1w": False}, **_STATIC,
         summary="lock grouping + avoidance, no MR1W"),
     "g2pl-ro": Protocol(
-        G2PLServer, G2PLClient, {"expand_read_groups": True}, **_STATIC,
+        *_G2PL, {"expand_read_groups": True}, **_STATIC,
         summary="g-2PL + read-only forward-list expansion (future work)"),
     "hybrid": Protocol(
-        AdaptiveG2PLServer, G2PLClient, shardable=True,
+        "repro.protocols.adaptive:AdaptiveG2PLServer", _G2PL[1],
+        shardable=True,
         summary="per-item single/grouped mode switching"),
     "c2pl": Protocol(
-        C2PLServer, C2PLClient,
+        "repro.protocols.c2pl:C2PLServer", "repro.protocols.c2pl:C2PLClient",
         summary="caching 2PL with callbacks (ablation A5)"),
     "2v2pl": Protocol(
-        TwoVersionServer, TwoVersionClient,
+        "repro.protocols.twoversion:TwoVersionServer",
+        "repro.protocols.twoversion:TwoVersionClient",
         summary="two-version 2PL, the §3.4 comparator (A7)"),
 }
 
@@ -209,17 +229,18 @@ def make_protocol(name, sim, config, store, wal, history, client_ids,
     row = _lookup(name)
     if row.pins:
         config = config.replace(**row.pins)
+    server_cls, client_cls = row.server, row.client
     if shard_map is None:
-        server = row.server(sim, config, store, wal, history)
-        clients = {client_id: row.client(sim, client_id, config, history)
+        server = server_cls(sim, config, store, wal, history)
+        clients = {client_id: client_cls(sim, client_id, config, history)
                    for client_id in client_ids}
         return server, clients
-    shared = row.server.cross_shard_state()
-    servers = {site_id: row.server(sim, config, store[site_id], wal[site_id],
+    shared = server_cls.cross_shard_state()
+    servers = {site_id: server_cls(sim, config, store[site_id], wal[site_id],
                                    history, site_id=site_id,
                                    shard_map=shard_map, **shared)
                for site_id in store}
-    clients = {client_id: row.client(sim, client_id, config, history,
+    clients = {client_id: client_cls(sim, client_id, config, history,
                                      shard_map=shard_map)
                for client_id in client_ids}
     return servers, clients

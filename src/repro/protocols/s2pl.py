@@ -20,6 +20,7 @@ runs the atomic commit of :mod:`repro.protocols.sharded` (classic 2PC, or
 "2pc-opt" with the votes riding the last lock grant of each shard).
 """
 
+from repro.core.config import VICTIM_POLICIES  # noqa: F401 (its old home)
 from repro.locking.lock_table import LockRequestState, LockTable
 from repro.locking.modes import LockMode
 from repro.locking.waitfor import find_cycle_through
@@ -39,8 +40,6 @@ from repro.protocols.messages import (
 from repro.protocols.sharded import TwoPhaseCoordinator, TwoPhaseParticipant
 from repro.protocols.transaction import TxnStatus
 from repro.sim.errors import Interrupt
-
-VICTIM_POLICIES = ("requester", "youngest", "oldest")
 
 
 def choose_victim(cycle, policy, first_seen):

@@ -12,12 +12,7 @@ for identical event timestamps the produced trajectories are identical, and
 the event-driven form is dramatically faster in Python.
 """
 
-from repro.sim.engine import Simulator
-from repro.sim.errors import Interrupt, SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.mailbox import Mailbox
-from repro.sim.process import Process
-from repro.sim.rng import RandomStreams
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AllOf",
@@ -31,3 +26,12 @@ __all__ = [
     "Simulator",
     "Timeout",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.engine": ("Simulator",),
+    "repro.sim.errors": ("Interrupt", "SimulationError"),
+    "repro.sim.events": ("AllOf", "AnyOf", "Event", "Timeout"),
+    "repro.sim.mailbox": ("Mailbox",),
+    "repro.sim.process": ("Process",),
+    "repro.sim.rng": ("RandomStreams",),
+})

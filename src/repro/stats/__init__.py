@@ -6,18 +6,7 @@ intervals on the mean response time are computed from independent
 replications (relative precision ≤ 2% in the paper's full-scale runs).
 """
 
-from repro.stats.ci import ConfidenceInterval, mean_confidence_interval
-from repro.stats.collector import (
-    MetricsCollector,
-    RunMetrics,
-    StreamingMetrics,
-)
-from repro.stats.streaming import (
-    ReservoirSampler,
-    RunningStat,
-    Welford,
-    WindowedThroughput,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ConfidenceInterval",
@@ -30,3 +19,11 @@ __all__ = [
     "WindowedThroughput",
     "mean_confidence_interval",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.stats.ci": ("ConfidenceInterval", "mean_confidence_interval"),
+    "repro.stats.collector": ("MetricsCollector", "RunMetrics",
+                              "StreamingMetrics"),
+    "repro.stats.streaming": ("ReservoirSampler", "RunningStat", "Welford",
+                              "WindowedThroughput"),
+})

@@ -8,8 +8,7 @@ both protocols — every commit installs new versions at the server — so it is
 implemented and exercised here.
 """
 
-from repro.storage.store import DataItem, VersionedStore
-from repro.storage.wal import LogRecord, LogRecordType, WriteAheadLog
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DataItem",
@@ -18,3 +17,8 @@ __all__ = [
     "VersionedStore",
     "WriteAheadLog",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.storage.store": ("DataItem", "VersionedStore"),
+    "repro.storage.wal": ("LogRecord", "LogRecordType", "WriteAheadLog"),
+})

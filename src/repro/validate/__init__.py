@@ -6,13 +6,7 @@ observed or produced; the checker reconstructs the conflict graph from those
 versions and asserts acyclicity, independently of any protocol internals.
 """
 
-from repro.validate.history import AccessRecord, HistoryRecorder
-from repro.validate.serializability import (
-    SerializabilityReport,
-    build_conflict_graph,
-    check_history,
-)
-from repro.validate.strictness import StrictnessReport, check_strictness
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AccessRecord",
@@ -23,3 +17,11 @@ __all__ = [
     "check_history",
     "check_strictness",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.validate.history": ("AccessRecord", "HistoryRecorder"),
+    "repro.validate.serializability": ("SerializabilityReport",
+                                       "build_conflict_graph",
+                                       "check_history"),
+    "repro.validate.strictness": ("StrictnessReport", "check_strictness"),
+})

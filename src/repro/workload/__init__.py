@@ -11,25 +11,7 @@ model for an open-arrival population state machine: see
 :mod:`repro.workload.population` and :mod:`repro.workload.arrivals`.
 """
 
-from repro.workload.arrivals import (
-    BurstArrivals,
-    DiurnalArrivals,
-    PoissonArrivals,
-    make_arrivals,
-)
-from repro.workload.driver import ClientDriver, RunControl
-from repro.workload.generator import WorkloadGenerator, WorkloadParams
-from repro.workload.population import (
-    OpenArrivalGenerator,
-    PopulationDriver,
-    PopulationState,
-    TransactionClass,
-    ZipfItemSampler,
-    default_classes,
-    parse_txn_mix,
-    split_population,
-)
-from repro.workload.spec import Operation, TransactionSpec
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BurstArrivals",
@@ -51,3 +33,15 @@ __all__ = [
     "parse_txn_mix",
     "split_population",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workload.arrivals": ("BurstArrivals", "DiurnalArrivals",
+                                "PoissonArrivals", "make_arrivals"),
+    "repro.workload.driver": ("ClientDriver", "RunControl"),
+    "repro.workload.generator": ("WorkloadGenerator", "WorkloadParams"),
+    "repro.workload.population": ("OpenArrivalGenerator", "PopulationDriver",
+                                  "PopulationState", "TransactionClass",
+                                  "ZipfItemSampler", "default_classes",
+                                  "parse_txn_mix", "split_population"),
+    "repro.workload.spec": ("Operation", "TransactionSpec"),
+})

@@ -19,6 +19,7 @@ from repro.network.topology import Site, UniformTopology
 from repro.network.transport import Network
 from repro.perf.fingerprint import fingerprint_digest, result_fingerprint
 from repro.protocols.messages import LockRequest
+from repro.protocols import sharding
 from repro.protocols.s2pl import S2PLServer, choose_victim
 from repro.protocols.sharding import GlobalDeadlockDetector, ShardMap
 from repro.sim.engine import Simulator
@@ -86,7 +87,7 @@ class MaterialisingDetector(GlobalDeadlockDetector):
 def run_and_log(monkeypatch, detector_class, seed, policy):
     """One small 3-shard run under ``detector_class``: (digest, the
     distributed aborts as ``(time, victim, cycle length, shard)``)."""
-    monkeypatch.setattr(runner, "GlobalDeadlockDetector", detector_class)
+    monkeypatch.setattr(sharding, "GlobalDeadlockDetector", detector_class)
     config = SimulationConfig(
         protocol="s2pl", n_clients=9, n_items=9, n_shards=3, n_regions=3,
         intra_region_latency=1.0, network_latency=25.0,

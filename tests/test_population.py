@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.core.runner as runner_mod
+import repro.workload.population as population_mod
 from repro.core.config import SimulationConfig
 from repro.core.parallel import SimulationCell, run_cells
 from repro.core.runner import run_simulation
@@ -551,7 +551,7 @@ class TestFullStackDifferential:
             arrival_rate=arrival_rate, max_inflight_per_site=cap,
             total_transactions=60, warmup_transactions=6, **extras)
         skip = run_simulation(config, seed=seed)
-        with mock.patch.object(runner_mod, "PopulationDriver",
+        with mock.patch.object(population_mod, "PopulationDriver",
                                EagerPopulationDriver):
             eager = run_simulation(config, seed=seed)
         assert (without_heap_counts(result_fingerprint(skip))
@@ -572,7 +572,7 @@ class TestFullStackDifferential:
         config, seed = golden_config("g2pl_population_saturated")
         config = config.replace(trace=True, probe_interval=50.0)
         skip = run_simulation(config, seed=seed)
-        with mock.patch.object(runner_mod, "PopulationDriver",
+        with mock.patch.object(population_mod, "PopulationDriver",
                                EagerPopulationDriver):
             eager = run_simulation(config, seed=seed)
         assert skip.server_stats["popn_shed"] > 2000
