@@ -66,7 +66,7 @@ class AdaptiveG2PLServer(G2PLServer):
         return super()._select_window(info, order)
 
     def _maybe_dispatch(self, info):
-        if not info.at_server or not info.window:
+        if info.chain is not None or not info.window:
             return
         # Observe the depth this freeze sees, then decide: a switch
         # applies to this window onward, never to a chain in flight.

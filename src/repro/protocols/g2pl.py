@@ -152,43 +152,49 @@ class _WindowRequest:
     arrival: float
 
 
+class _Chain:
+    """One dispatched chain, away until every return in ``owed`` is back.
+
+    ``fl`` is the live forward list (a grafted reader joins its one read
+    group), ``members`` every ref ever on it (the ``chain_items`` index, so
+    a repair keeps it), ``live`` the members not yet retired, ``version`` /
+    ``value`` the newest copy returned. ``released`` (members seen to pass
+    the item on) and the rest serve chain repair only."""
+
+    __slots__ = ("fl", "members", "live", "has_writer", "owed", "version",
+                 "value", "released", "dispatched_at", "watchdog", "attempt")
+
+    def __init__(self, fl, members, live, now):
+        self.members = members
+        self.live = live
+        self.version = -1
+        self.value = None
+        self.released = set()
+        self.watchdog = None      # cancel token of the stalled-chain timer
+        self.attempt = 0
+        self.route(fl, now)
+
+    def route(self, fl, now):
+        """Send the chain down ``fl``, owing its last entry's returns."""
+        self.fl = fl
+        self.has_writer = any(e.mode is LockMode.WRITE for e in fl.entries)
+        self.owed = {ref.txn_id for ref in fl.entries[-1].txns}
+        self.dispatched_at = now
+
+
 class _ItemState:
-    """Per-item server bookkeeping.
+    """Per-item server bookkeeping: the collection window, the dispatched
+    chain (``None`` while the item is home) and ``epoch``, a counter bumped
+    on every chain repair so stale copies of older dispatches can be told
+    apart from repaired ones."""
 
-    The fault-injection fields track enough of the dispatched chain to
-    repair it: ``fl`` is the live forward list, ``released`` the members
-    known (via handoff notes / returns) to have passed the item on,
-    ``expected_refs`` the members whose returns are still owed, and
-    ``epoch`` a counter bumped on every repair so stale copies of older
-    dispatches can be told apart from repaired ones.
-    """
-
-    __slots__ = ("item_id", "at_server", "window", "chain_live", "chain_all",
-                 "chain_has_writer", "expected_returns", "returns_received",
-                 "returned_version", "returned_value",
-                 "epoch", "fl", "released", "grafted_refs", "expected_refs",
-                 "dispatched_at", "watchdog", "watchdog_attempt")
+    __slots__ = ("item_id", "window", "chain", "epoch")
 
     def __init__(self, item_id):
         self.item_id = item_id
-        self.at_server = True
         self.window = []          # [_WindowRequest] in arrival order
-        self.chain_live = set()   # txn ids on the dispatched chain, live
-        self.chain_all = []       # TxnRefs on the dispatched chain
-        self.chain_has_writer = False
-        self.expected_returns = 0
-        self.returns_received = 0
-        self.returned_version = -1
-        self.returned_value = None
-        # fault injection only:
-        self.epoch = 0            # bumped on every chain repair
-        self.fl = None            # ForwardList of the current dispatch
-        self.released = set()     # txn ids known to have passed the item on
-        self.grafted_refs = []    # TxnRefs grafted onto the chain
-        self.expected_refs = set()  # txn ids whose returns are still owed
-        self.dispatched_at = 0.0
-        self.watchdog = None      # cancel token of the stalled-chain timer
-        self.watchdog_attempt = 0
+        self.chain = None
+        self.epoch = 0
 
 
 class _TxnEntry:
@@ -266,7 +272,9 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         # Fixed constraint: every live dispatched-chain member precedes the
         # new request. If any such edge closes a cycle, the conflicting
         # order is frozen elsewhere: unavoidable deadlock, abort.
-        live_chain = [t for t in info.chain_live if t != txn_id]
+        chain = info.chain
+        live_chain = ([t for t in chain.live if t != txn_id]
+                      if chain is not None else ())
         # would_cycle(chain_txn, txn_id) for each member is reaches(txn_id,
         # chain_txn); one DFS over the member set answers them all.
         if live_chain and self.precedence.reaches_any(txn_id, live_chain):
@@ -274,11 +282,11 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
             return
 
         if (self._graft_allowed(info)
-                and not info.at_server
+                and chain is not None
                 and msg.mode is LockMode.READ
-                and not info.chain_has_writer
-                and not any(w.mode is LockMode.WRITE for w in info.window)
-                and self._try_graft_reader(info, ref)):
+                and not chain.has_writer
+                and not any(w.mode is LockMode.WRITE for w in info.window)):
+            self._graft_reader(info, ref)
             return
 
         # Safe unchecked: the reaches_any guard above proved txn_id reaches
@@ -292,30 +300,21 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         self.window_enqueued += 1
         if tracer is not None:
             tracer.row("fl.collect", txn_id, msg.item_id, len(info.window))
-        if info.at_server:
+        if chain is None:
             self._maybe_dispatch(info)
 
     def on_ReturnToServer(self, msg):
         info = self._items[msg.item_id]
-        if self.fault_mode:
-            if (info.at_server
-                    or msg.from_txn not in {r.txn_id for r in info.chain_all}):
-                return  # stale return from a chain already repaired home
-            info.released.add(msg.from_txn)
-            info.expected_refs.discard(msg.from_txn)
-            if msg.version > info.returned_version:
-                info.returned_version = msg.version
-                info.returned_value = msg.value
-            if info.expected_refs:
-                return
-        else:
-            info.returns_received += 1
-            if msg.version > info.returned_version:
-                info.returned_version = msg.version
-                info.returned_value = msg.value
-            if info.returns_received < info.expected_returns:
-                return
-        self._item_home(info)
+        chain = info.chain
+        if chain is None or msg.from_txn not in chain.owed:
+            return  # stale: a duplicate, or a chain already repaired home
+        chain.owed.remove(msg.from_txn)
+        chain.released.add(msg.from_txn)
+        if msg.version > chain.version:
+            chain.version = msg.version
+            chain.value = msg.value
+        if not chain.owed:
+            self._item_home(info)
 
     def on_TxnDone(self, msg):
         self._retire(msg.txn_id)
@@ -365,11 +364,11 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
             tracer.wire_charge(msg.txn_id, env, phase="commit")
 
     def on_HandoffNote(self, msg):
-        info = self._items[msg.item_id]
-        if info.at_server:
-            return
-        if msg.from_txn in {r.txn_id for r in info.chain_all}:
-            info.released.add(msg.from_txn)
+        chain = self._items[msg.item_id].chain
+        if chain is not None:
+            # Repair reads ``released`` only against the chain's own
+            # members, so a note from an earlier chain changes nothing.
+            chain.released.add(msg.from_txn)
 
     # -- cross-shard commit, fault mode (TwoPhaseParticipant host) ------------
 
@@ -418,32 +417,29 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
             self._abort(txn_id, reason="client-crash")
 
     def _arm_watchdog(self, info):
-        if info.watchdog is not None:
-            info.watchdog[0] = True
-        delay = self._chain_timeout * (2.0 ** min(info.watchdog_attempt, 6))
-        info.watchdog = self.sim.call_later_cancellable(
+        chain = info.chain
+        if chain.watchdog is not None:
+            chain.watchdog[0] = True
+        delay = self._chain_timeout * (2.0 ** min(chain.attempt, 6))
+        chain.watchdog = self.sim.call_later_cancellable(
             delay, self._watchdog_fire, info.item_id)
 
     def _watchdog_fire(self, item_id):
         info = self._items[item_id]
-        if info.at_server:
+        chain = info.chain
+        if chain is None:
             return
         self.watchdog_fires += 1
-        info.watchdog_attempt += 1
+        chain.attempt += 1
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.row("fl.watchdog", item_id, info.watchdog_attempt)
+            tracer.row("fl.watchdog", item_id, chain.attempt)
         self._repair_chain(info)
-
-    def _chain_refs_pending(self, info):
-        """Chain members the server has not yet seen pass the item on."""
-        refs = info.fl.all_txns() + list(info.grafted_refs)
-        return [ref for ref in refs
-                if ref.txn_id not in info.released
-                and ref.txn_id not in self._dead]
 
     def _repair_chain(self, info):
         """The chain watchdog fired: route the item around dead members.
+        It reads only ``fl``, grafted readers included, so a lock is taken
+        from a failed holder, never from its live sharers.
 
         Re-dispatching to the pending suffix is always safe — in fault mode
         every committed write reaches the server *before* its holder
@@ -456,7 +452,12 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         """
         now = self.sim.now
         item_id = info.item_id
-        pending = self._chain_refs_pending(info)
+        chain = info.chain
+        dead = self._dead
+        # members the server has not yet seen pass the item on
+        pending = [ref for ref in chain.fl.all_txns()
+                   if ref.txn_id not in chain.released
+                   and ref.txn_id not in dead]
         if self._prepared and [ref for ref in pending
                                if self._in_doubt(ref.txn_id, now)]:
             # A PREPARED member whose coordinator crashed may be committed
@@ -479,8 +480,8 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
             return
         crashed = [ref for ref in pending
                    if self._injector.crashed_during(
-                       ref.client_id, info.dispatched_at, now)]
-        if not crashed and info.watchdog_attempt < 3:
+                       ref.client_id, chain.dispatched_at, now)]
+        if not crashed and chain.attempt < 3:
             # No member provably died; the chain is probably just slow (a
             # member holds an item for its whole transaction). Only after
             # three fires (the backoff doubles each time) does the repair
@@ -494,8 +495,8 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
             tracer.row("fl.repair", item_id, "route-around", len(crashed))
         crashed_ids = {ref.txn_id for ref in crashed}
         for ref in crashed:
-            info.expected_refs.discard(ref.txn_id)
-            info.released.add(ref.txn_id)
+            chain.owed.discard(ref.txn_id)
+            chain.released.add(ref.txn_id)
             if ref.txn_id in self._committed:
                 # Durably committed before dying: its effects are already
                 # in the store; it just cannot forward. Skip its position.
@@ -503,83 +504,54 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
                     self._retire(ref.txn_id)
             elif ref.txn_id in self._txns:
                 self._abort(ref.txn_id, reason="client-crash")
-        info.grafted_refs = [r for r in info.grafted_refs
-                             if r.txn_id not in crashed_ids]
         # Waive the releases the next writers were expecting from dead
         # readers, or they would gate forever.
-        entries = info.fl.entries
-        for index, entry in enumerate(entries):
-            if not entry.is_read_group or index + 1 >= len(entries):
+        entries = chain.fl.entries
+        for group, following in zip(entries, entries[1:]):
+            if not group.is_read_group or following.writer.txn_id in dead:
                 continue
-            dead_readers = [r for r in entry.txns if r.txn_id in crashed_ids]
-            writer = entries[index + 1].writer
-            if not dead_readers or writer.txn_id in self._dead:
-                continue
-            for reader in dead_readers:
-                self.send(writer.client_id,
-                          ReleaseWaiver(item_id=item_id,
-                                        from_txn=reader.txn_id,
-                                        to_txn=writer.txn_id),
-                          size=CONTROL_SIZE)
+            writer = following.writer
+            for reader in group.txns:
+                if reader.txn_id in crashed_ids:
+                    self.send(writer.client_id,
+                              ReleaseWaiver(item_id=item_id,
+                                            from_txn=reader.txn_id,
+                                            to_txn=writer.txn_id),
+                              size=CONTROL_SIZE)
         survivors = [
-            (ref, mode) for ref, mode in info.fl.requests()
-            if ref.txn_id not in info.released
-            and ref.txn_id not in self._dead
+            (ref, mode) for ref, mode in chain.fl.requests()
+            if ref.txn_id not in chain.released
+            and ref.txn_id not in dead
             and ref.txn_id in self._txns]
         if not survivors:
             self._item_home(info)
             return
-        self._redispatch(info, survivors)
-
-    def _redispatch(self, info, survivors):
-        """Re-ship the item to the surviving chain suffix (original order
-        preserved) under a bumped epoch."""
-        item_id = info.item_id
-        new_fl = ForwardList.from_requests(survivors)
-        entries = new_fl.entries
-        info.fl = new_fl
+        # Re-ship to the surviving suffix (original order preserved) under
+        # a bumped epoch.
+        fl = ForwardList.from_requests(survivors)
+        chain.route(fl, now)
         info.epoch += 1
-        info.chain_has_writer = any(
-            entry.mode is LockMode.WRITE for entry in entries)
-        last = entries[-1]
-        info.expected_refs = set(last.txn_ids()) | {
-            ref.txn_id for ref in info.grafted_refs
-            if ref.txn_id not in info.released}
-        info.dispatched_at = self.sim.now
         item = self.store.read(item_id)
-        dispatch_chain(self, item_id, item.version, item.value, new_fl,
+        dispatch_chain(self, item_id, item.version, item.value, fl,
                        mr1w=self.config.mr1w, epoch=info.epoch)
         self._arm_watchdog(info)
 
     def _item_home(self, info):
         """The chain is fully accounted for: install and open the window."""
         item_id = info.item_id
+        chain = info.chain
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.row("fl.home", item_id)
-        for ref in info.chain_all:
+        for ref in chain.members:
             entry = self._txns.get(ref.txn_id)
             if entry is not None:
                 entry.chain_items.discard(item_id)
-        info.chain_all = []
-        info.chain_live.clear()
-        info.chain_has_writer = False
-        info.at_server = True
-        info.expected_returns = 0
-        info.returns_received = 0
-        if self.fault_mode:
-            info.released = set()
-            info.grafted_refs = []
-            info.expected_refs = set()
-            info.fl = None
-            if info.watchdog is not None:
-                info.watchdog[0] = True
-                info.watchdog = None
-        if info.returned_version > self.store.version(item_id):
-            self._install_returned(item_id, info.returned_version,
-                                   info.returned_value)
-        info.returned_version = -1
-        info.returned_value = None
+        info.chain = None
+        if chain.watchdog is not None:
+            chain.watchdog[0] = True
+        if chain.version > self.store.version(item_id):
+            self._install_returned(item_id, chain.version, chain.value)
         self._maybe_dispatch(info)
 
     # -- internals -----------------------------------------------------------
@@ -605,7 +577,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
             return
         self.precedence.remove_node(txn_id)
         for item_id in entry.chain_items:
-            self._items[item_id].chain_live.discard(txn_id)
+            self._items[item_id].chain.live.discard(txn_id)
 
     def _abort(self, txn_id, reason):
         entry = self._txns[txn_id]
@@ -645,35 +617,29 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         per item (single mode grafts)."""
         return self.config.expand_read_groups
 
-    def _try_graft_reader(self, info, ref):
+    def _graft_reader(self, info, ref):
         """Read-only optimization: join a writer-free in-flight chain."""
         # The grafted reader must precede everything the chain precedes;
         # since the chain is one read group and the window holds no writers,
         # the only orders to fix are reader -> (future) window writers,
-        # none of which exist. Nothing can cycle; graft unconditionally.
-        info.chain_live.add(ref.txn_id)
-        info.chain_all.append(ref)
-        self._txns[ref.txn_id].chain_items.add(info.item_id)
-        info.expected_returns += 1
-        if self.fault_mode:
-            info.expected_refs.add(ref.txn_id)
-            info.grafted_refs.append(ref)
+        # none of which exist. Nothing can cycle; graft unconditionally
+        # into that read group, owing a return like any co-reader.
+        chain = info.chain
+        item_id = info.item_id
+        chain.fl = ForwardList(
+            (FLEntry(LockMode.READ, chain.fl.head.txns + (ref,)),))
+        chain.members.append(ref)
+        chain.live.add(ref.txn_id)
+        chain.owed.add(ref.txn_id)
+        self._txns[ref.txn_id].chain_items.add(item_id)
         self.grafted_reads += 1
-        item = self.store.read(info.item_id)
-        solo = ForwardList([FLEntry(LockMode.READ, (ref,))])
-        env = self.send(ref.client_id,
-                        GShip(txn_id=ref.txn_id, item_id=info.item_id,
-                              version=item.version, value=item.value,
-                              mode=LockMode.READ, fl_tail=solo,
-                              group=(ref.txn_id,), release_to=None,
-                              epoch=info.epoch),
-                        size=self.data_ship_size(fl=solo))
+        item = self.store.read(item_id)
+        dispatch_chain(self, item_id, item.version, item.value,
+                       ForwardList((FLEntry(LockMode.READ, (ref,)),)),
+                       mr1w=self.config.mr1w, epoch=info.epoch)
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.row("fl.graft", ref.txn_id, info.item_id)
-            tracer.round_charge(ref.txn_id, "grant")
-            tracer.wire_charge(ref.txn_id, env)
-        return True
+            tracer.row("fl.graft", ref.txn_id, item_id)
 
     def _ordering_key(self, window_requests):
         """Tiebreak key for the linear extension: arrival order within the
@@ -702,7 +668,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         a linear extension of the DAG, cut (:meth:`_select_window`), carry
         the leftovers into the next window, fix the chain order in the DAG,
         ship the chain."""
-        if not info.at_server or not info.window:
+        if info.chain is not None or not info.window:
             return
         window = info.window
         if len(window) == 1:
@@ -745,23 +711,11 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
             for s in selected:
                 add_edge(s.ref.txn_id, w.ref.txn_id)
 
-        info.at_server = False
-        info.chain_all = [w.ref for w in selected]
-        info.chain_live = {w.ref.txn_id for w in selected
-                           if w.ref.txn_id not in self._dead}
-        info.chain_has_writer = any(
-            entry.mode is LockMode.WRITE for entry in entries)
-        last = entries[-1]
-        info.expected_returns = len(last.txns) if last.is_read_group else 1
-        info.returns_received = 0
-        info.returned_version = -1
+        info.chain = _Chain(fl, [w.ref for w in selected],
+                            {w.ref.txn_id for w in selected
+                             if w.ref.txn_id not in self._dead},
+                            self.sim.now)
         if self.fault_mode:
-            info.fl = fl
-            info.released = set()
-            info.grafted_refs = []
-            info.expected_refs = set(last.txn_ids())
-            info.dispatched_at = self.sim.now
-            info.watchdog_attempt = 0
             self._arm_watchdog(info)
 
         self.windows_dispatched += 1
@@ -801,7 +755,9 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         """Live transactions on currently-dispatched forward lists."""
         live = 0  # every probe tick: a generator costs a third more
         for info in self._items.values():
-            live += len(info.chain_live)
+            chain = info.chain
+            if chain is not None:
+                live += len(chain.live)
         return live
 
     def assert_invariants(self):
@@ -810,9 +766,9 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         if cycle is not None:
             raise AssertionError(f"precedence graph has a cycle: {cycle}")
         for item_id, info in self._items.items():
-            if info.at_server and info.chain_live:
+            if info.chain is not None and not info.chain.owed:
                 raise AssertionError(
-                    f"item {item_id} is home but has live chain members")
+                    f"item {item_id} is away but its chain owes no return")
         pending = sum(len(info.window) for info in self._items.values())
         if self.window_enqueued != (
                 self.window_frozen + self.window_purged + pending):
@@ -830,6 +786,17 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
                    if entry.window_items}
         if indexed != scanned:
             raise AssertionError(f"window index {indexed} != scan {scanned}")
+        scanned = {}
+        for item_id, info in self._items.items():
+            if info.chain is not None:
+                for ref in info.chain.members:
+                    if ref.txn_id in self._txns:
+                        scanned.setdefault(ref.txn_id, set()).add(item_id)
+        indexed = {txn_id: entry.chain_items
+                   for txn_id, entry in self._txns.items()
+                   if entry.chain_items}
+        if indexed != scanned:
+            raise AssertionError(f"chain index {indexed} != scan {scanned}")
 
 
 # ---------------------------------------------------------------------------
@@ -1070,24 +1037,17 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
         state = self._txn_state.pop(txn_id, None)
         if state is None:
             return
-        targets = self._txn_servers.pop(txn_id, None)
-        if targets is None:
-            targets = (self.server_id,)
-        else:
-            targets = sorted(targets)
-        if state in ("committed", "aborted"):
+        targets = sorted(self._txn_servers.pop(txn_id, None)
+                         or (self.server_id,))
+        # The home server that aborted an "aborted-server" transaction has
+        # retired it, but in a sharded run the *other* touched servers must
+        # hear too, or it would pin the shared precedence graph (and its
+        # chain slots) forever.
+        if state != "aborted-server" or len(targets) > 1:
             for target in targets:
                 self.send_control(target,
                                   TxnDone(txn_id=txn_id,
                                           committed=state == "committed"))
-        elif state == "aborted-server" and len(targets) > 1:
-            # The aborting home server already retired the transaction, but
-            # in a sharded run the *other* touched servers never hear about
-            # the abort — without this fan-out the transaction would pin
-            # the shared precedence graph (and its chain slots) forever.
-            for target in targets:
-                self.send_control(target,
-                                  TxnDone(txn_id=txn_id, committed=False))
 
     def _forward(self, hold):
         """Pass the item to the FL successor (or home to the server)."""
@@ -1100,56 +1060,42 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
             out_value = hold.value
         fl = hold.fl_tail
         tracer = self.sim.tracer
-        forwarded_to_client = False
-        successor = None
-        if hold.mode is LockMode.READ:
-            rest = fl.tail(1) if fl is not None and len(fl) else ForwardList()
-            if rest:
-                writer = rest.head.writer
-                carries = not self.config.mr1w
-                env = self.send(writer.client_id,
-                                ReaderRelease(
-                                    item_id=hold.item_id,
-                                    from_txn=hold.txn_id,
-                                    to_txn=writer.txn_id,
-                                    version=out_version,
-                                    value=out_value if carries else None,
-                                    fl_from_writer=rest if carries else None,
-                                    group=hold.group, carries_data=carries,
-                                    epoch=hold.epoch),
-                                size=(self.data_ship_size(fl=rest)
-                                      if carries else CONTROL_SIZE))
-                forwarded_to_client = True
-                successor = writer.client_id
-                if tracer is not None and carries:
-                    # Basic mode: the writer awaits this release for its
-                    # data, so its wire counts against the writer.
-                    tracer.wire_charge(writer.txn_id, env)
-            else:
-                self.send(self.home_of(hold.item_id),
-                          ReturnToServer(item_id=hold.item_id,
-                                         version=out_version, value=out_value,
-                                         from_txn=hold.txn_id,
-                                         outcomes={hold.txn_id: "done"},
-                                         epoch=hold.epoch),
-                          size=self.data_ship_size())
+        rest = fl.tail(1) if fl is not None and len(fl) else ForwardList()
+        forwarded_to_client = bool(rest)
+        if not forwarded_to_client:
+            self.send(self.home_of(hold.item_id),
+                      ReturnToServer(item_id=hold.item_id,
+                                     version=out_version, value=out_value,
+                                     from_txn=hold.txn_id,
+                                     outcomes={hold.txn_id: "done"},
+                                     epoch=hold.epoch),
+                      size=self.data_ship_size())
+        elif hold.mode is LockMode.READ:
+            writer = rest.head.writer
+            carries = not self.config.mr1w
+            env = self.send(writer.client_id,
+                            ReaderRelease(
+                                item_id=hold.item_id,
+                                from_txn=hold.txn_id,
+                                to_txn=writer.txn_id,
+                                version=out_version,
+                                value=out_value if carries else None,
+                                fl_from_writer=rest if carries else None,
+                                group=hold.group, carries_data=carries,
+                                epoch=hold.epoch),
+                            size=(self.data_ship_size(fl=rest)
+                                  if carries else CONTROL_SIZE))
+            successor = writer.client_id
+            if tracer is not None and carries:
+                # Basic mode: the writer awaits this release for its
+                # data, so its wire counts against the writer.
+                tracer.wire_charge(writer.txn_id, env)
         else:
-            rest = fl.tail(1) if fl is not None and len(fl) else ForwardList()
-            if rest:
-                dispatch_chain(self, hold.item_id, out_version, out_value,
-                               rest, mr1w=self.config.mr1w, epoch=hold.epoch)
-                forwarded_to_client = True
-                head = rest.head
-                successor = (head.txns[0].client_id if head.is_read_group
-                             else head.writer.client_id)
-            else:
-                self.send(self.home_of(hold.item_id),
-                          ReturnToServer(item_id=hold.item_id,
-                                         version=out_version, value=out_value,
-                                         from_txn=hold.txn_id,
-                                         outcomes={hold.txn_id: "done"},
-                                         epoch=hold.epoch),
-                          size=self.data_ship_size())
+            dispatch_chain(self, hold.item_id, out_version, out_value,
+                           rest, mr1w=self.config.mr1w, epoch=hold.epoch)
+            head = rest.head
+            successor = (head.txns[0].client_id if head.is_read_group
+                         else head.writer.client_id)
         if tracer is not None:
             # The merged release+grant is one sequential round, charged to
             # the transaction whose termination triggers it.

@@ -13,8 +13,9 @@ single-server and sharded), ``SimulationConfig`` validation (through
 ``repro-experiment list`` (:func:`capability_table`), and the tier-1
 capability battery.
 
-A family class supports whatever its chassis supports without naming it:
-``hybrid`` shards because :class:`~repro.protocols.g2pl.G2PLServer` does.
+A family class supports whatever its chassis supports: ``hybrid`` shards
+and survives client crashes because
+:class:`~repro.protocols.g2pl.G2PLServer` does, and its row declares both.
 :func:`register` adds a row for a protocol of your own; one registered
 without capabilities is single-server with no crash recovery.
 """
@@ -75,8 +76,7 @@ PROTOCOLS = {
         *_G2PL, {"expand_read_groups": True}, **_STATIC,
         summary="g-2PL + read-only forward-list expansion (future work)"),
     "hybrid": Protocol(
-        "repro.protocols.adaptive:AdaptiveG2PLServer", _G2PL[1],
-        shardable=True,
+        "repro.protocols.adaptive:AdaptiveG2PLServer", _G2PL[1], **_STATIC,
         summary="per-item single/grouped mode switching"),
     "c2pl": Protocol(
         "repro.protocols.c2pl:C2PLServer", "repro.protocols.c2pl:C2PLClient",

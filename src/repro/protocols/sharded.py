@@ -47,8 +47,9 @@ How the families use it:
 **Coordinator crash** (fault mode, classic 2PC): a participant stuck with
 a PREPARED transaction must not reclaim its locks (the transaction may be
 committed elsewhere) nor hold them forever. The host's crash recovery
-(s-2PL's sweep, g-2PL's chain repair) asks :meth:`TwoPhaseParticipant.
-_in_doubt` before touching a transaction and leaves the prepared ones to
+(s-2PL's sweep; the chain repair of g-2PL and of ``hybrid``) asks
+:meth:`TwoPhaseParticipant._in_doubt` before touching a transaction and
+leaves the prepared ones to
 *cooperative termination*: query every other participant; any "committed"
 answer commits, and once every peer has answered without one, the
 transaction is presumed aborted — sound because the coordinator decides

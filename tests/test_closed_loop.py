@@ -62,14 +62,16 @@ def test_heap_entries_derive_from_counters(name):
 #: sha-256 of each traced golden's fingerprint without the two heap
 #: counters, taken at the commit before the hops were removed (the two
 #: hybrid cells re-pinned when the server dropped its window-occupancy,
-#: hold and speculation gauges: only their probe series moved)
+#: hold and speculation gauges: only their probe series moved;
+#: hybrid_sharded_traced again when grafted grants gained their shard:
+#: only its rounds_by_shard grant counts moved)
 TRACED_DIGESTS_BEFORE = {
     "g2pl_sharded_traced":
         "407e5331e271cf8710d5daf1273c451767006fb65fedcda6e74a54e31405fdb2",
     "g2pl_traced":
         "e407d4fdef82acb08e09c4858390e93038f75b46aa7323a1d48411fc91a0a0bc",
     "hybrid_sharded_traced":
-        "adcf1a249077b1ff0afe8e53fe875e86ee420eb2155036ecb3c14ec84573b2b5",
+        "c5b9dddf51a5614fc1d5f7410ab8745f765bdf956ad9dfe4ac35cf07a140ce77",
     "hybrid_traced":
         "89c732b79eb5ace19e23ab2a8beecf9fc0e6bcf6dc0b0f0e3adb507bb1a514d6",
     "s2pl_faulted_traced":

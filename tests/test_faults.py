@@ -481,3 +481,33 @@ class TestFaultedRuns:
         out = capsys.readouterr().out
         assert "faults_dropped_loss" in out
         assert "retransmissions" in out
+
+
+#: the capability battery's crash cell (tests/test_capabilities.py)
+BATTERY_CRASH = dict(n_clients=6, n_items=12, network_latency=40.0,
+                     read_probability=0.5, total_transactions=48,
+                     warmup_transactions=0,
+                     faults="loss=0.02,crash=2@300:900")
+#: the chaos smoke's config (tests/test_chaos.py)
+CHAOS_CRASH = dict(n_clients=4, n_items=6, total_transactions=60,
+                   warmup_transactions=10, faults=SMOKE_FAULTS)
+
+
+@pytest.mark.parametrize("protocol, keywords, seed", [
+    ("g2pl-ro", BATTERY_CRASH, 8),
+    ("g2pl-ro", CHAOS_CRASH, 22),
+    ("hybrid", BATTERY_CRASH, 8),
+], ids=["g2pl-ro-battery-8", "g2pl-ro-chaos-22", "hybrid-battery-8"])
+def test_grafted_readers_survive_a_crashed_chain_head(protocol, keywords,
+                                                      seed):
+    # A reader grafted onto a writer-free chain whose head then crashed
+    # used to be dropped by chain repair: the item went home, a writer
+    # overwrote it and the grafted reader still committed its stale read
+    # (a non-serializable history). A lock is reclaimed from a failed
+    # holder, never from its live sharers.
+    config = SimulationConfig(protocol=protocol, record_history=True,
+                              **keywords)
+    # raises on a non-serializable or non-strict history
+    result = run_simulation(config, seed=seed)
+    assert result.serializability.ok
+    assert result.metrics.committed > 0

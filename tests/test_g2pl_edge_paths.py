@@ -99,8 +99,7 @@ def test_deep_chains_with_interleaved_aborts():
     h.server.assert_invariants()
     # Every item made it home.
     for info in h.server._items.values():
-        assert info.at_server
-        assert not info.chain_live
+        assert info.chain is None
 
 
 def test_txn_retired_only_after_all_forwards():
@@ -126,7 +125,7 @@ def test_windows_drain_when_clients_stop():
     h.launch(2, spec((0, W), think=1.0), delay=1.0, txn_id=2)
     h.run()
     info = h.server._items[0]
-    assert info.at_server
+    assert info.chain is None
     assert not info.window
     assert h.server.precedence.edge_count == 0
     assert len(h.server.precedence) == 0

@@ -76,6 +76,18 @@ class TestRoundAccounting:
         assert "s2pl" in table and "g2pl" in table
         assert "NO" not in table  # every row matches its expectation
 
+    @pytest.mark.parametrize("name", ["g2pl_sharded_traced",
+                                      "hybrid_sharded_traced",
+                                      "s2pl_sharded_traced"])
+    def test_every_sharded_grant_round_names_its_shard(self, name):
+        # A grafted reader's grant used to be charged with no shard, so
+        # rounds_by_shard under-counted hybrid's grants.
+        config, seed = golden_config(name)
+        for record in run_simulation(config, seed=seed).trace.txns:
+            by_shard = record.get("rounds_by_shard", {}).values()
+            assert record["rounds"].get("grant", 0) == sum(
+                kinds.get("grant", 0) for kinds in by_shard), record["txn"]
+
 
 class TestTracedRun:
     def test_trace_summary_agrees_with_metrics(self):
