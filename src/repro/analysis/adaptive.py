@@ -15,8 +15,8 @@ from dataclasses import dataclass
 ADAPTIVE_CLIENT_SWEEP = (4, 8, 12, 20, 32, 48)
 
 #: Acceptance tolerance: hybrid may trail the best static by at most
-#: this fraction at any sweep point (a tighter bar than the repro.perf
-#: wall-clock gate's 20% — response means at fixed seeds are stable).
+#: this fraction at any sweep point (response means at fixed seeds are
+#: stable, so the bar can be tight).
 ADAPTIVE_TOLERANCE = 0.05
 
 

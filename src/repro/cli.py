@@ -344,35 +344,6 @@ def _cmd_figure(args):
     return 0
 
 
-def _cmd_bench(args):
-    from repro.perf.bench import (
-        compare_benchmarks,
-        load_benchmark,
-        run_benchmarks,
-        write_benchmark,
-    )
-
-    def progress(name, done, total):
-        print(f"  {name}: repeat {done}/{total}", file=sys.stderr)
-
-    results = run_benchmarks(quick=args.quick, repeats=args.repeats,
-                             progress=progress if args.verbose else None)
-    for name, cell in results["cells"].items():
-        print(f"  {name:18} {cell['events_per_sec']:>12,.0f} ev/s  "
-              f"({cell['wall_seconds']:.3f}s, {cell['events']:,} events)")
-    if args.out:
-        write_benchmark(args.out, results)
-        print(f"wrote {args.out}")
-    if args.baseline:
-        comparison = compare_benchmarks(
-            results, load_benchmark(args.baseline),
-            tolerance=args.tolerance, normalize=args.normalize)
-        print(comparison.describe())
-        if not comparison.ok:
-            return 1
-    return 0
-
-
 def _cmd_live(args):
     from repro.live.harness import calibrate
     from repro.live.scenario import ScenarioSpec
@@ -470,34 +441,6 @@ def build_parser():
     _add_workload_args(compare_parser)
     _add_jobs_arg(compare_parser)
     compare_parser.set_defaults(func=_cmd_compare)
-
-    bench_parser = sub.add_parser(
-        "bench", help="run the kernel benchmark harness and write "
-                      "schema-versioned BENCH_kernel.json")
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="short cells (CI smoke mode)")
-    bench_parser.add_argument("--repeats", type=int, default=None,
-                              metavar="N",
-                              help="timing repeats per cell; best-of-N "
-                                   "(default: 3, or 2 with --quick)")
-    bench_parser.add_argument("--out", default=None, metavar="PATH",
-                              help="write results JSON here "
-                                   "(e.g. BENCH_kernel.json)")
-    bench_parser.add_argument("--baseline", default=None, metavar="PATH",
-                              help="compare against a previous results "
-                                   "file; exit 1 on regression")
-    bench_parser.add_argument("--tolerance", type=float, default=0.2,
-                              metavar="F",
-                              help="allowed fractional events/sec drop "
-                                   "vs the baseline (default 0.2)")
-    bench_parser.add_argument("--normalize", action="store_true",
-                              help="normalise ratios by the engine_churn "
-                                   "cell (cancels host speed; use when "
-                                   "the baseline came from another "
-                                   "machine)")
-    bench_parser.add_argument("--verbose", "-v", action="store_true",
-                              help="print per-repeat progress")
-    bench_parser.set_defaults(func=_cmd_bench)
 
     figure_parser = sub.add_parser("figure",
                                    help="regenerate a paper figure")

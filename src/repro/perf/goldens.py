@@ -3,8 +3,9 @@ script).
 
 Each golden pins the canonical fingerprint (see
 :mod:`repro.perf.fingerprint`) of one small but representative run:
-plain, traced, and faulted cells for both protocols. They were captured
-on the pre-fast-path kernel; every kernel optimization since must
+plain, traced, faulted, sharded, hybrid and population cells, plus six
+high-contention cells that were the kernel benchmark's macro cells
+(their digests carried over unchanged). Every kernel optimization must
 reproduce them byte for byte, serially and under the process pool,
 which is what :mod:`tests.test_fastpath_replay` asserts.
 
@@ -24,6 +25,12 @@ GOLDEN_DIR = os.path.join(
     "tests", "golden")
 
 FAULTS = "loss=0.05,dup=0.02,jitter=20,crash=2@2000:4000"
+
+# 40 clients on 12 items at seed 73: the contention cells below keep
+# the digests their runs had before they became goldens.
+_CONTENTION = dict(
+    n_clients=40, n_items=12, read_probability=0.6, network_latency=100.0,
+    total_transactions=400, warmup_transactions=50, record_history=False)
 
 #: name -> (config kwargs, seed).  Small cells: the whole set must stay
 #: cheap enough to replay in the tier-1 suite at jobs=1 *and* jobs=4.
@@ -116,6 +123,21 @@ GOLDEN_CELLS = {
         access_skew=0.5, max_inflight_per_site=2, streaming=True,
         total_transactions=150, warmup_transactions=20,
         record_history=False), 11),
+    # Contention cells: hybrid beside the static pair on one workload;
+    # the population cell is open arrival with streaming metrics.
+    "s2pl_contention": (dict(_CONTENTION, protocol="s2pl"), 73),
+    "g2pl_contention": (dict(_CONTENTION, protocol="g2pl"), 73),
+    "hybrid_contention": (dict(_CONTENTION, protocol="hybrid"), 73),
+    "g2pl_contention_faulted": (dict(
+        _CONTENTION, protocol="g2pl", n_clients=12, n_items=10,
+        faults="loss=0.03,dup=0.01,jitter=25,crash=2@4000:8000"), 73),
+    "g2pl_contention_traced": (dict(
+        _CONTENTION, protocol="g2pl", trace=True, probe_interval=200.0), 73),
+    "g2pl_population_10k": (dict(
+        _CONTENTION, protocol="g2pl", n_clients=50, n_items=1000,
+        network_latency=500.0, population=10_000, arrival_rate=5e-6,
+        access_skew=0.5, streaming=True, total_transactions=600,
+        warmup_transactions=60), 73),
 }
 
 

@@ -49,7 +49,6 @@ registration round becomes the 2PC of :mod:`repro.protocols.sharded`.
 
 from dataclasses import dataclass
 
-from repro.core.config import FL_ORDERINGS  # noqa: F401 (its old home)
 from repro.locking.modes import LockMode
 from repro.protocols.base import (
     SERVER_SITE_ID,

@@ -20,7 +20,6 @@ runs the atomic commit of :mod:`repro.protocols.sharded` (classic 2PC, or
 "2pc-opt" with the votes riding the last lock grant of each shard).
 """
 
-from repro.core.config import VICTIM_POLICIES  # noqa: F401 (its old home)
 from repro.locking.lock_table import LockRequestState, LockTable
 from repro.locking.modes import LockMode
 from repro.locking.waitfor import find_cycle_through

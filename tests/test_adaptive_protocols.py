@@ -76,6 +76,19 @@ class TestControllersEngage:
         metrics = result.metrics
         assert metrics.finished + metrics.warmup_discarded == 120
 
+    def test_hybrid_engages_with_history_checked(self):
+        """A read-heavy contended cell with the history recorded: the
+        run raises on a serializability or strictness violation and on
+        a window-ledger leak, and the controller must have switched."""
+        config, seed = _config(protocol="hybrid", n_clients=10, n_items=8,
+                               read_probability=0.75,
+                               network_latency=200.0,
+                               total_transactions=150,
+                               warmup_transactions=20,
+                               record_history=True, seed=3)
+        result = run_simulation(config, seed=seed)
+        assert result.server_stats["mode_switches"] > 0
+
 
 # ---------------------------------------------------------------------------
 # Satellite: the hybrid probe gauge appears exactly when hybrid

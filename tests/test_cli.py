@@ -220,47 +220,3 @@ def test_compare_with_profile_writes_pstats(capsys, tmp_path, monkeypatch):
                  "--replications", "1", "--profile"])
     assert code == 0
     assert (tmp_path / "profile_s2pl-g2pl.pstats").exists()
-
-
-def _fake_bench(eps, digest="d"):
-    from repro.perf.bench import BENCH_SCHEMA_VERSION, CELL_REVISION
-
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "cell_revision": CELL_REVISION,
-        "mode": "quick",
-        "cells": {"engine_churn": {"events_per_sec": eps,
-                                   "wall_seconds": 0.1,
-                                   "events": 100,
-                                   "digest": digest}},
-    }
-
-
-def test_bench_writes_results_and_passes_baseline(capsys, tmp_path,
-                                                  monkeypatch):
-    import repro.perf.bench as bench_mod
-
-    monkeypatch.setattr(bench_mod, "run_benchmarks",
-                        lambda quick, repeats, progress=None:
-                        _fake_bench(1000.0))
-    out = tmp_path / "bench.json"
-    baseline = tmp_path / "baseline.json"
-    bench_mod.write_benchmark(baseline, _fake_bench(1000.0))
-    code = main(["bench", "--quick", "--out", str(out),
-                 "--baseline", str(baseline)])
-    assert code == 0
-    assert out.exists()
-    assert "within tolerance" in capsys.readouterr().out
-
-
-def test_bench_exits_nonzero_on_regression(capsys, tmp_path, monkeypatch):
-    import repro.perf.bench as bench_mod
-
-    monkeypatch.setattr(bench_mod, "run_benchmarks",
-                        lambda quick, repeats, progress=None:
-                        _fake_bench(100.0))
-    baseline = tmp_path / "baseline.json"
-    bench_mod.write_benchmark(baseline, _fake_bench(1000.0))
-    code = main(["bench", "--quick", "--baseline", str(baseline)])
-    assert code == 1
-    assert "regressed" in capsys.readouterr().out

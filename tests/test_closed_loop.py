@@ -64,8 +64,11 @@ def test_heap_entries_derive_from_counters(name):
 #: hybrid cells re-pinned when the server dropped its window-occupancy,
 #: hold and speculation gauges: only their probe series moved;
 #: hybrid_sharded_traced again when grafted grants gained their shard:
-#: only its rounds_by_shard grant counts moved)
+#: only its rounds_by_shard grant counts moved; g2pl_contention_traced
+#: taken at the commit that made the kernel benchmark's cells goldens)
 TRACED_DIGESTS_BEFORE = {
+    "g2pl_contention_traced":
+        "33f4282b7272e18d6b8c84922f9d3741766631003fcd259b52059567ac7cd9c4",
     "g2pl_sharded_traced":
         "407e5331e271cf8710d5daf1273c451767006fb65fedcda6e74a54e31405fdb2",
     "g2pl_traced":

@@ -57,3 +57,25 @@ def test_golden_files_are_internally_consistent():
         golden = load_golden(name)
         assert golden["cell"] == name
         assert fingerprint_digest(golden["fingerprint"]) == golden["digest"]
+
+
+class TestFingerprint:
+    def test_fingerprint_digest_is_stable_and_order_insensitive(self):
+        a = {"x": 1.0, "y": [1, 2, 3], "z": "s"}
+        b = {"z": "s", "y": [1, 2, 3], "x": 1.0}
+        assert fingerprint_digest(a) == fingerprint_digest(b)
+        assert fingerprint_digest(a) != fingerprint_digest({"x": 1.0 + 1e-16})
+
+    def test_result_fingerprint_separates_seeds(self):
+        from repro.core.config import SimulationConfig
+        from repro.core.runner import run_simulation
+
+        config = SimulationConfig(
+            protocol="g2pl", n_clients=3, n_items=5,
+            total_transactions=20, warmup_transactions=2,
+            record_history=False)
+        one = run_simulation(config, seed=1)
+        two = run_simulation(config, seed=2)
+        replay = run_simulation(config, seed=1)
+        assert result_fingerprint(one) == result_fingerprint(replay)
+        assert result_fingerprint(one) != result_fingerprint(two)

@@ -86,7 +86,7 @@ def test_a_closed_loop_s2pl_run_loads_no_optional_layer():
         "repro.network.faults", "repro.network.reliable",
         "repro.obs.tracer", "repro.obs.probes",
         "repro.workload.population", "repro.workload.arrivals",
-        "repro.live", "repro.perf.bench", "multiprocessing",
+        "repro.live", "multiprocessing",
     }
     assert not modules & unused, sorted(modules & unused)
 
