@@ -9,7 +9,7 @@ EXPERIMENTS.md.
 
 import pytest
 
-from repro.core.worked_example import run_worked_example
+from repro.obs.rounds import run_worked_example
 
 from conftest import emit
 

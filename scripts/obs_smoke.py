@@ -10,9 +10,10 @@ Two checks, artifacts under ``obs/``:
    decomposition table and the per-transaction phase CSV.
 
 2. **Loopback live decompose** (both protocols, the PR 5 calibration
-   scenario): runs the scenario in the simulator and as real endpoint
-   processes over TCP, pairs the common committed population, and
-   requires (a) zero invariant violations in either world — the live
+   scenario): the live calibration runs the scenario in the simulator
+   and as real endpoint processes over TCP and decomposes the common
+   committed population in both worlds; this requires (a) zero
+   invariant violations in either world — the live
    merge additionally enforces this with a hard ``AssertionError`` —
    and (b) the shaped ``network`` phase (propagation + transmission +
    slack net of coordination carve-outs) to agree with the simulator
@@ -35,13 +36,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 from repro.core.config import SimulationConfig  # noqa: E402
 from repro.core.runner import run_simulation  # noqa: E402
-from repro.live.harness import run_live  # noqa: E402
-from repro.live.scenario import ScenarioSpec, run_reference  # noqa: E402
-from repro.obs.decompose import (  # noqa: E402
-    common_committed,
-    compare,
-    decompose_records,
-)
+from repro.live.harness import calibrate  # noqa: E402
+from repro.live.scenario import ScenarioSpec  # noqa: E402
+from repro.obs.decompose import decompose_records  # noqa: E402
 from repro.obs.export import (  # noqa: E402
     write_merged_chrome_trace,
     write_phases_csv,
@@ -91,13 +88,8 @@ def live_decompose(out_dir):
             protocol=protocol, mode="calibrate", n_clients=4,
             latency=2.0, think=1.0, repeats=3, trace_export=True,
             probe_interval=50.0)
-        reference = run_reference(spec)
-        live = run_live(spec, time_scale=0.02)
-        sim_records, live_records = common_committed(
-            reference, live.merged)
-        report = compare(
-            decompose_records(sim_records, label=f"sim:{protocol}"),
-            decompose_records(live_records, label=f"live:{protocol}"))
+        calibration = calibrate(spec, time_scale=0.02)
+        live, report = calibration.live, calibration.divergence
         text = "\n".join([report.sim.describe(), report.live.describe(),
                           report.describe()])
         print(text)

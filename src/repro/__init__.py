@@ -54,7 +54,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.runner": ("ReplicatedResult", "SimulationResult",
                           "compare_protocols", "improvement_percentage",
                           "run_replications", "run_simulation"),
-    "repro.core.worked_example": ("run_worked_example",),
     "repro.network.presets": ("NetworkEnvironment", "TABLE2_ENVIRONMENTS"),
+    "repro.obs.rounds": ("run_worked_example",),
     "repro.protocols.registry": ("available_protocols",),
 })

@@ -12,9 +12,8 @@ from repro.analysis.tables import (
     render_rounds_table,
 )
 from repro.core import experiments as exp
-from repro.core.worked_example import run_worked_example
 from repro.network.presets import NetworkEnvironment
-from repro.obs.rounds import round_table
+from repro.obs.rounds import round_table, run_worked_example
 
 
 def _block(title, body):

@@ -180,35 +180,19 @@ def _cmd_trace(args):
     return 0
 
 
+def _violated(violations):
+    """Name the first decomposition invariant violation on stderr; true
+    when there was one (the verb then exits 1)."""
+    if violations:
+        print(f"decomposition invariant violated ({len(violations)}): "
+              f"{violations[0]}", file=sys.stderr)
+    return bool(violations)
+
+
 def _cmd_decompose(args):
-    from repro.obs.decompose import decompose_records, sim_vs_live
+    from repro.obs.decompose import decompose_records
     from repro.obs.export import write_phases_csv
 
-    if args.live:
-        from repro.live.scenario import ScenarioSpec
-
-        spec = ScenarioSpec(
-            protocol=args.protocol, mode=args.mode,
-            n_clients=args.live_clients, latency=args.live_latency,
-            seed=args.seed, think=args.think, repeats=args.repeats,
-            duration=args.duration, n_items=args.n_items,
-            read_probability=args.read_probability)
-        report, live, _reference = sim_vs_live(
-            spec, time_scale=args.time_scale)
-        print(report.sim.describe())
-        print(report.live.describe())
-        print(report.describe())
-        if args.out:
-            csv_path = f"{args.out}.phases.csv"
-            write_phases_csv(csv_path,
-                             live.merged.measured_committed().values())
-            print(f"wrote {csv_path}")
-        bad = report.sim.violations + report.live.violations
-        if bad:
-            print(f"decomposition invariant violated ({len(bad)}): "
-                  f"{bad[0]}", file=sys.stderr)
-            return 1
-        return 0
     config = args.config
     result = run_simulation(config)
     records = [record for record in result.trace.txns
@@ -223,12 +207,7 @@ def _cmd_decompose(args):
         csv_path = f"{args.out}.phases.csv"
         write_phases_csv(csv_path, records)
         print(f"wrote {csv_path}")
-    if decomposition.violations:
-        print(f"decomposition invariant violated "
-              f"({len(decomposition.violations)}): "
-              f"{decomposition.violations[0]}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if _violated(decomposition.violations) else 0
 
 
 def _cmd_report(args):
@@ -248,8 +227,8 @@ def _cmd_report(args):
 def _cmd_figure(args):
     from repro.analysis import ascii_plot, render_experiment
     from repro.core import experiments as exp
-    from repro.core.worked_example import run_worked_example
     from repro.network.presets import NetworkEnvironment
+    from repro.obs.rounds import run_worked_example
 
     fidelity = Fidelity[args.fidelity.upper()]
     number = args.number
@@ -326,14 +305,13 @@ def _cmd_figure(args):
     elif number == "decompose":
         # Sim-vs-live per-phase divergence for both calibration
         # scenarios: the attributed version of PR 5's raw response gap.
+        from repro.live.harness import calibrate
         from repro.live.scenario import ScenarioSpec
-        from repro.obs.decompose import sim_vs_live
 
         for protocol in ("s2pl", "g2pl"):
             spec = ScenarioSpec(protocol=protocol, mode="calibrate",
                                 n_clients=4, latency=2.0, repeats=3)
-            report, _live, _reference = sim_vs_live(spec)
-            print(report.describe())
+            print(calibrate(spec).divergence.describe())
             print()
     else:
         print(f"unknown figure {number!r}; choose 1-15, loss, "
@@ -348,20 +326,23 @@ def _cmd_live(args):
     from repro.live.harness import calibrate
     from repro.live.scenario import ScenarioSpec
 
-    spec = ScenarioSpec(
-        protocol=args.protocol, mode=args.mode, n_clients=args.clients,
-        latency=args.latency, seed=args.seed, think=args.think,
-        repeats=args.repeats, duration=args.duration, n_items=args.items,
-        read_probability=args.pr, trace_export=args.trace,
-        probe_interval=args.probe_interval)
+    try:
+        spec = ScenarioSpec(
+            protocol=args.protocol, mode=args.mode, n_clients=args.clients,
+            latency=args.latency, seed=args.seed, think=args.think,
+            repeats=args.repeats, duration=args.duration,
+            n_items=args.items, read_probability=args.pr,
+            trace_export=args.trace, probe_interval=args.probe_interval)
+    except ValueError as exc:
+        print(f"repro-experiment live: error: {exc}", file=sys.stderr)
+        return 2
     report = calibrate(spec, time_scale=args.time_scale)
+    divergence = report.divergence
     print(report.describe())
+    print(divergence.sim.describe())
+    print(divergence.live.describe())
+    print(divergence.describe())
     if args.trace:
-        from repro.obs.decompose import (
-            common_committed,
-            compare,
-            decompose_records,
-        )
         from repro.obs.export import (
             write_merged_chrome_trace,
             write_phases_csv,
@@ -373,15 +354,11 @@ def _cmd_live(args):
         csv_path = f"{prefix}.phases.csv"
         write_merged_chrome_trace(chrome, merged.payloads)
         write_phases_csv(csv_path, merged.records.values())
-        sim_records, live_records = common_committed(report.reference,
-                                                     merged)
-        divergence = compare(
-            decompose_records(sim_records, label=f"sim:{spec.protocol}"),
-            decompose_records(live_records, label=f"live:{spec.protocol}"))
-        print(divergence.describe())
         print(f"wrote {chrome} (all processes on one timeline; open in "
               f"Perfetto / chrome://tracing)")
         print(f"wrote {csv_path} ({len(merged.records)} txn records)")
+    if _violated(divergence.sim.violations + divergence.live.violations):
+        return 1
     if not report.ok:
         print("calibration FAILED", file=sys.stderr)
         return 1
@@ -465,38 +442,12 @@ def build_parser():
 
     decompose_parser = sub.add_parser(
         "decompose", help="per-phase response-time decomposition of one "
-                          "traced run (add --live for the sim-vs-live "
-                          "divergence report over loopback TCP)")
+                          "traced run (the live verb prints the "
+                          "sim-vs-live divergence)")
     decompose_parser.add_argument("--protocol", default="g2pl",
                                   choices=available_protocols())
     decompose_parser.add_argument("--out", default=None, metavar="PREFIX",
                                   help="also write PREFIX.phases.csv")
-    decompose_parser.add_argument("--live", action="store_true",
-                                  help="run the scenario over real "
-                                       "processes too and attribute the "
-                                       "sim-vs-live gap per phase")
-    decompose_parser.add_argument("--mode", default="calibrate",
-                                  choices=("calibrate", "workload"),
-                                  help="live scenario mode (with --live)")
-    decompose_parser.add_argument("--live-clients", type=int, default=4,
-                                  metavar="N",
-                                  help="client processes for --live "
-                                       "(default 4)")
-    decompose_parser.add_argument("--live-latency", type=float,
-                                  default=2.0, metavar="L",
-                                  help="one-way latency in sim units for "
-                                       "--live (default 2.0)")
-    decompose_parser.add_argument("--time-scale", type=float, default=0.02,
-                                  metavar="S",
-                                  help="wall seconds per sim unit for "
-                                       "--live (default 0.02)")
-    decompose_parser.add_argument("--repeats", type=int, default=3,
-                                  help="calibrate-mode epochs (--live)")
-    decompose_parser.add_argument("--think", type=float, default=1.0,
-                                  help="calibrate-mode think time "
-                                       "(--live)")
-    decompose_parser.add_argument("--duration", type=float, default=120.0,
-                                  help="workload-mode horizon (--live)")
     _add_workload_args(decompose_parser)
     decompose_parser.set_defaults(func=_cmd_decompose, trace=True)
 
@@ -515,8 +466,8 @@ def build_parser():
 
     live_parser = sub.add_parser(
         "live", help="run the protocol over real asyncio TCP processes "
-                     "(loopback, shaped latency) and calibrate against "
-                     "the simulator")
+                     "(loopback, shaped latency), calibrate against the "
+                     "simulator, and attribute the gap per phase")
     live_parser.add_argument("--protocol", default="s2pl",
                              choices=available_protocols())
     live_parser.add_argument("--clients", type=int, default=4,
@@ -548,9 +499,9 @@ def build_parser():
     live_parser.add_argument("--seed", type=int, default=1)
     live_parser.add_argument("--trace", action="store_true",
                              help="export every endpoint's structured "
-                                  "events, merge them onto the shared "
-                                  "clock origin, and print the sim-vs-"
-                                  "live per-phase divergence report")
+                                  "events, merged onto the shared clock "
+                                  "origin, as a Chrome trace and a "
+                                  "per-phase CSV")
     live_parser.add_argument("--probe-interval", type=float, default=None,
                              metavar="T",
                              help="sample per-endpoint gauges every T "

@@ -19,6 +19,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.runner": ("ReplicatedResult", "SimulationResult",
                           "compare_protocols", "run_replications",
                           "run_simulation"),
-    "repro.core.worked_example": ("WorkedExampleResult",
-                                  "run_worked_example"),
+    "repro.obs.rounds": ("WorkedExampleResult", "run_worked_example"),
 })

@@ -17,7 +17,13 @@ simulator (:func:`repro.live.scenario.run_reference`) and compares:
   transaction by transaction;
 * **response** — live wall-clock response times (in simulation units)
   are compared with the simulator's per transaction; shaped latency
-  dominates, loopback TCP and scheduler noise are the residue.
+  dominates, loopback TCP and scheduler noise are the residue;
+* **phases** — both worlds' per-phase latency decompositions over the
+  same transactions, and the response gap attributed phase by phase
+  (:class:`~repro.obs.decompose.DivergenceReport`).
+
+Every comparison runs over one population: the transactions committed
+and measured in both worlds.
 """
 
 import json
@@ -32,6 +38,8 @@ from dataclasses import dataclass, field
 from repro.live.endpoint import HANDSHAKE_TIMEOUT
 from repro.live.results import MergedRun, load_payload
 from repro.live.scenario import run_reference
+from repro.obs.decompose import compare as attribute_gap
+from repro.obs.decompose import decompose_records
 from repro.protocols.base import SERVER_SITE_ID
 from repro.validate.serializability import check_history
 from repro.validate.strictness import check_strictness
@@ -201,6 +209,7 @@ class CalibrationReport:
     mean_abs_delta: float = 0.0          # sim units, mean |live - sim|
     max_abs_delta: float = 0.0
     mean_relative_delta: float = 0.0     # vs sim response, mean |.|/sim
+    divergence: object = None            # DivergenceReport, per phase
 
     @property
     def rounds_exact(self):
@@ -259,12 +268,18 @@ def compare(live, reference):
                    for txn, record in reference.records_by_txn.items()
                    if record["measured"] and record["committed"]}
     common = sorted(set(live_records) & set(sim_records))
+    protocol = live.spec.protocol
     report = CalibrationReport(
         spec=live.spec, live=live, reference=reference,
         serializable=serializability.ok, strict=strictness.ok,
         committed_match=(merged.history.committed
                          == reference.history.committed),
-        n_compared=len(common))
+        n_compared=len(common),
+        divergence=attribute_gap(
+            decompose_records([sim_records[txn] for txn in common],
+                              label=f"sim:{protocol}"),
+            decompose_records([live_records[txn] for txn in common],
+                              label=f"live:{protocol}")))
     deltas = []
     live_sum = sim_sum = 0.0
     for txn in common:

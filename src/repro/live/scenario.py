@@ -85,6 +85,20 @@ class ScenarioSpec:
             raise ValueError("repeats must be >= 1")
         if self.latency <= 0:
             raise ValueError("latency must be positive")
+        if self.spacing < 0:
+            raise ValueError(f"spacing must be >= 0, got {self.spacing!r}")
+        if self.mode == "calibrate":
+            # every contender must request while the primer holds the
+            # item (see _calibrate_loop), or the window splits in two
+            last = 1.0 + (self.n_clients - 2) * self.spacing
+            hold = 2 * self.latency + self.think
+            if last >= hold:
+                raise ValueError(
+                    f"calibrate: the last contender requests at t={last:g},"
+                    f" not before 2*latency + think = {hold:g}, so its "
+                    f"request reaches the server after the primer's "
+                    f"release and the window splits; lower the clients or "
+                    f"the spacing, or raise the latency or the think time")
 
     @property
     def client_ids(self):
@@ -193,8 +207,9 @@ def _calibrate_loop(spec, kernel, client, client_id, sink):
     the primer's lock exists at the server from ``B + L`` and its release
     lands at ``B + 3L + T``; contender arrivals span
     ``(B + 1 + L, B + 1 + L + (m-1)s)`` — inside the hold window as long
-    as ``1 + (m-1)s < 2L + T``, with ``spacing`` separating consecutive
-    arrivals. Both margins are wall-clock-jitter budgets.
+    as ``1 + (m-1)s < 2L + T``, which :class:`ScenarioSpec` enforces,
+    with ``spacing`` separating consecutive arrivals. Both margins are
+    wall-clock-jitter budgets.
     """
     is_primer = client_id == spec.primer_id
     epoch = spec.epoch_length()

@@ -14,10 +14,9 @@ the simulator almost exactly — the sender charges the predicted wire time
 in both worlds — while the residual concentrates in the live-only
 ``overhead`` phase plus scheduling-inflated waits).
 
-:func:`sim_vs_live` is the turnkey pairing: run the reference simulation
-and the live run for one :class:`~repro.live.scenario.ScenarioSpec`,
-restrict both to the transactions committed and measured in *both*
-worlds, and compare.
+Live mode's calibration (:func:`repro.live.harness.calibrate`) builds
+that report for every run, over the transactions committed and measured
+in *both* worlds: ``calibrate(spec).divergence``.
 """
 
 from dataclasses import dataclass, field
@@ -197,41 +196,3 @@ def compare(sim_decomposition, live_decomposition):
     }
     return DivergenceReport(sim=sim_decomposition,
                             live=live_decomposition, deltas=deltas)
-
-
-def common_committed(reference, merged):
-    """The per-txn record pairs committed and measured in both worlds.
-
-    Returns ``(sim_records, live_records)`` dicts over the common txn-id
-    set — the same pairing discipline the PR 5 calibration uses, so the
-    divergence report and the calibration report describe one population.
-    """
-    sim_records = {
-        record["txn"]: record for record in reference.trace.txns
-        if record["committed"] and record["measured"]}
-    live_records = merged.measured_committed()
-    common = sorted(set(sim_records) & set(live_records))
-    return ({txn: sim_records[txn] for txn in common},
-            {txn: live_records[txn] for txn in common})
-
-
-def sim_vs_live(spec, time_scale=None, workdir=None, timeout=None):
-    """Run ``spec`` in both worlds and attribute the response-time gap.
-
-    Returns ``(report, live_result, reference)`` — the divergence report
-    over the common committed population plus both raw results for
-    callers that want rounds/history checks too.
-    """
-    from repro.live.harness import DEFAULT_TIME_SCALE, run_live
-    from repro.live.scenario import run_reference
-
-    if time_scale is None:
-        time_scale = DEFAULT_TIME_SCALE
-    reference = run_reference(spec)
-    live = run_live(spec, time_scale=time_scale, workdir=workdir,
-                    timeout=timeout)
-    sim_records, live_records = common_committed(reference, live.merged)
-    report = compare(
-        decompose_records(sim_records, label=f"sim:{spec.protocol}"),
-        decompose_records(live_records, label=f"live:{spec.protocol}"))
-    return report, live, reference

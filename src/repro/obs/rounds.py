@@ -1,28 +1,25 @@
-"""Round accounting on the paper's contended-item scenario (3m vs 2m+1).
+"""The paper's contended-item scenario: Figure 1 and round accounting.
 
-Re-runs the Figure 1 shape — ``m`` clients each exclusively accessing the
-same data item, with a primer transaction holding the item so all ``m``
-requests land in one s-2PL wait queue / one g-2PL collection window — with
-tracing enabled, and reports the *measured* sequential message rounds the
-contenders' busy period cost. s-2PL pays request + grant + release per
-transaction (3m rounds); g-2PL merges each release with the successor's
-grant, leaving m requests, 1 grant, m-1 handoffs, and 1 return (2m+1).
+One data item, a primer transaction holding it, and ``m`` contenders
+that each want it exclusively, all requesting while the primer holds —
+one s-2PL wait queue / one g-2PL collection window. s-2PL pays request +
+grant + release per transaction (3m sequential rounds); g-2PL merges
+each release with the successor's grant, leaving m requests, 1 grant,
+m-1 handoffs, and 1 return (2m+1). The spans follow: m·(2L+P) for s-2PL
+against (m+1)·L + m·P for g-2PL, measured from the primer's commit to the
+last contender's. The paper's Figure 1 timeline gives 15 units for s-2PL
+versus 12 for g-2PL at m=3, L=2, P=1; the exact round arithmetic gives 11
+(the paper's figure counts one extra unit; see EXPERIMENTS.md).
+
+The scenario is one epoch of live mode's ``calibrate`` mode
+(:mod:`repro.live.scenario`) with every contender requesting at once,
+run under the simulator with the real protocol implementations: the
+spans and rounds below are measured, not computed from the closed forms.
 """
 
 from dataclasses import dataclass
 
-from repro.core.config import SimulationConfig
-from repro.locking.modes import LockMode
-from repro.network.topology import UniformTopology
-from repro.network.transport import Network
-from repro.obs.tracer import Tracer
-from repro.protocols.registry import make_protocol
-from repro.protocols.transaction import Transaction
-from repro.sim.engine import Simulator
-from repro.storage.store import VersionedStore
-from repro.storage.wal import WriteAheadLog
-from repro.validate.history import HistoryRecorder
-from repro.workload.spec import Operation, TransactionSpec
+from repro.live.scenario import ScenarioSpec, run_reference
 
 
 @dataclass(frozen=True)
@@ -42,6 +39,26 @@ class RoundProfile:
     @property
     def matches_expectation(self):
         return self.rounds_total == self.expected_total
+
+
+@dataclass(frozen=True)
+class WorkedExampleResult:
+    """Measured spans (simulation units) and rounds for Figure 1."""
+
+    s2pl_span: float
+    g2pl_span: float
+    s2pl_rounds: int
+    g2pl_rounds: int
+
+    @property
+    def improvement_percentage(self):
+        return 100.0 * (self.s2pl_span - self.g2pl_span) / self.s2pl_span
+
+    def __str__(self):
+        return (f"Figure 1: s-2PL {self.s2pl_span:g} units "
+                f"({self.s2pl_rounds} rounds) vs g-2PL {self.g2pl_span:g} "
+                f"units ({self.g2pl_rounds} rounds): "
+                f"{self.improvement_percentage:.1f}% faster")
 
 
 def expected_rounds(protocol, m):
@@ -83,56 +100,23 @@ def expected_txn_rounds(protocol, n_ops, n_homes=1, commit_protocol="2pc"):
     return 2 * n_ops + 3
 
 
-def contended_round_profile(protocol, m, latency=2.0, think=1.0):
-    """Run the primed contention scenario traced; returns a
-    :class:`RoundProfile` over the ``m`` contenders (the primer is run
-    unmeasured, like a warmup transaction)."""
-    config = SimulationConfig(
-        protocol=protocol, n_clients=m + 1, n_items=1,
-        network_latency=latency, read_probability=0.0,
-        total_transactions=10, warmup_transactions=0, record_history=True)
-    sim = Simulator()
-    tracer = Tracer(sim)
-    sim.tracer = tracer
-    history = HistoryRecorder()
-    store = VersionedStore(range(1))
-    wal = WriteAheadLog()
-    network = Network(sim, UniformTopology(latency))
-    tracer.bind_network(network)
-    client_ids = list(range(1, m + 2))
-    server, clients = make_protocol(protocol, sim, config, store, wal,
-                                    history, client_ids)
-    network.add_site(server)
-    for client in clients.values():
-        network.add_site(client)
-
-    spec = TransactionSpec(operations=(
-        Operation(item_id=0, mode=LockMode.WRITE, think_time=think),))
-    primer_client = client_ids[-1]
-
-    def launch(client_id, txn_id, delay, measured):
-        def body():
-            yield sim.timeout(delay)
-            txn = Transaction(txn_id, client_id, spec, birth=sim.now)
-            tracer.txn_begin(txn)
-            outcome = yield sim.spawn(clients[client_id].execute(txn))
-            tracer.txn_finished(outcome, measured=measured)
-            return outcome
-        return sim.spawn(body())
-
-    # The primer takes the item first; the m contenders' requests all
-    # arrive while it is held — one wait queue / one collection window.
-    launch(primer_client, txn_id=m + 1, delay=0.0, measured=False)
-    for index in range(m):
-        launch(client_ids[index], txn_id=index + 1, delay=1.0, measured=True)
-    sim.run()
-
-    trace = tracer.finish()
-    summary = trace.summary
-    if summary.committed != m:
+def _contended_run(protocol, m, latency=2.0, think=1.0):
+    """Run the scenario once under the simulator; returns its
+    :class:`~repro.live.scenario.SimReference`. The primer runs
+    unmeasured, like a warmup transaction."""
+    reference = run_reference(ScenarioSpec(
+        protocol=protocol, mode="calibrate", n_clients=m + 1,
+        latency=latency, think=think, repeats=1, spacing=0.0))
+    committed = reference.trace.summary.committed
+    if committed != m:
         raise RuntimeError(
-            f"{protocol}: expected {m} measured commits, "
-            f"got {summary.committed}")
+            f"{protocol}: expected {m} measured commits, got {committed}")
+    return reference
+
+
+def contended_round_profile(protocol, m, latency=2.0, think=1.0):
+    """The measured :class:`RoundProfile` over the ``m`` contenders."""
+    summary = _contended_run(protocol, m, latency, think).trace.summary
     return RoundProfile(
         protocol=protocol, m=m,
         rounds_total=summary.rounds_total,
@@ -145,3 +129,26 @@ def round_table(ms=(2, 4, 8), protocols=("s2pl", "g2pl"), latency=2.0):
     """Round profiles for every (protocol, m) pair, for the report."""
     return [contended_round_profile(protocol, m, latency=latency)
             for m in ms for protocol in protocols]
+
+
+def _span(reference):
+    """Primer's commit to the last contender's. In a fault-free run every
+    release reaches the server exactly one latency after its commit, so
+    this is also the span between the server's first and last installs:
+    "lock first available" to "final release arrives"."""
+    primer, = (outcome.end_time for outcome, measured in reference.outcomes
+               if not measured)
+    return max(outcome.end_time for outcome, measured in reference.outcomes
+               if measured) - primer
+
+
+def run_worked_example(n_clients=3, latency=2.0, processing=1.0):
+    """Reproduce Figure 1 with ``n_clients`` contenders; returns a
+    :class:`WorkedExampleResult`."""
+    s2pl, g2pl = (_contended_run(protocol, n_clients, latency, processing)
+                  for protocol in ("s2pl", "g2pl"))
+    return WorkedExampleResult(
+        s2pl_span=_span(s2pl), g2pl_span=_span(g2pl),
+        s2pl_rounds=s2pl.trace.summary.rounds_total,
+        g2pl_rounds=g2pl.trace.summary.rounds_total,
+    )

@@ -29,7 +29,7 @@ switching away from exact per-transaction lists above the same
 
 import random
 
-from repro.stats.streaming import ReservoirSampler, Welford
+from repro.stats.streaming import ReservoirSampler, Welford, linear_percentile
 
 #: phase names in report order; disjoint, summing exactly to response time
 PHASES = ("network", "server_queue", "client_think", "commit_coord",
@@ -206,14 +206,5 @@ class PhaseAccumulator:
         """Linearly-interpolated percentile; exact below the threshold,
         reservoir-estimated above (same interpolation either way)."""
         if self.exact is not None:
-            values = sorted(self.exact[name])
-            if not values:
-                return float("nan")
-            if len(values) == 1:
-                return values[0]
-            rank = (p / 100.0) * (len(values) - 1)
-            low = int(rank)
-            high = min(low + 1, len(values) - 1)
-            fraction = rank - low
-            return values[low] + (values[high] - values[low]) * fraction
+            return linear_percentile(self.exact[name], p)
         return self.reservoirs[name].percentile(p)

@@ -4,7 +4,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.stats.streaming import ReservoirSampler, Welford, WindowedThroughput
+from repro.stats.streaming import (
+    ReservoirSampler,
+    Welford,
+    WindowedThroughput,
+    linear_percentile,
+)
 
 
 @dataclass
@@ -39,18 +44,7 @@ class RunMetrics:
     def percentile(self, p):
         """Linearly-interpolated ``p``-th percentile (0-100) of committed
         response times; NaN when nothing committed."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p!r}")
-        data = sorted(self.response_times)
-        if not data:
-            return float("nan")
-        if len(data) == 1:
-            return data[0]
-        rank = (p / 100.0) * (len(data) - 1)
-        low = int(rank)
-        high = min(low + 1, len(data) - 1)
-        fraction = rank - low
-        return data[low] + (data[high] - data[low]) * fraction
+        return linear_percentile(self.response_times, p)
 
     @property
     def p50_response_time(self):

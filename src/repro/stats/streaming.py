@@ -30,6 +30,24 @@ import math
 from collections import deque
 
 
+def linear_percentile(values, p):
+    """Linearly-interpolated ``p``-th percentile (0-100) of ``values``;
+    NaN when there are none. Every percentile in the package is this
+    one interpolation, over an exact list or a reservoir sample."""
+    if not 0.0 <= p <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {p!r}")
+    data = sorted(values)
+    if not data:
+        return float("nan")
+    if len(data) == 1:
+        return data[0]
+    rank = (p / 100.0) * (len(data) - 1)
+    low = int(rank)
+    high = min(low + 1, len(data) - 1)
+    fraction = rank - low
+    return data[low] + (data[high] - data[low]) * fraction
+
+
 class Welford:
     """Running count/mean/variance (Welford's online moments)."""
 
@@ -94,18 +112,7 @@ class ReservoirSampler:
         Matches :meth:`repro.stats.collector.RunMetrics.percentile` exactly
         when the reservoir holds the whole stream (seen <= capacity).
         """
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p!r}")
-        data = sorted(self.values)
-        if not data:
-            return float("nan")
-        if len(data) == 1:
-            return data[0]
-        rank = (p / 100.0) * (len(data) - 1)
-        low = int(rank)
-        high = min(low + 1, len(data) - 1)
-        fraction = rank - low
-        return data[low] + (data[high] - data[low]) * fraction
+        return linear_percentile(self.values, p)
 
 
 class WindowedThroughput:

@@ -13,13 +13,12 @@ from repro.analysis.tables import (
 )
 from repro.core import experiments as exp
 from repro.core.config import SimulationConfig
-from repro.core.worked_example import run_worked_example
 from repro.locking.modes import LockMode
 from repro.network.presets import NetworkEnvironment
 from repro.network.reliable import ACK_SIZE, Reliable, ReliableAck
 from repro.network.topology import UniformTopology
 from repro.network.transport import Network
-from repro.obs.rounds import round_table
+from repro.obs.rounds import round_table, run_worked_example
 from repro.perf.goldens import GOLDEN_CELLS
 from repro.protocols.registry import make_protocol
 from repro.protocols.transaction import Transaction

@@ -71,6 +71,21 @@ def test_a_rejected_combination_is_a_usage_error(capsys, argv):
     assert "single-server" in err and "Traceback" not in err
 
 
+def test_a_live_spec_that_splits_its_window_is_a_usage_error(
+        capsys, monkeypatch):
+    # 10 clients at the default spacing: the last contender's request
+    # would reach the server after the primer's release
+    import repro.live.harness
+
+    def launch(*_args, **_kwargs):
+        raise AssertionError("a rejected spec must launch no process")
+
+    monkeypatch.setattr(repro.live.harness, "calibrate", launch)
+    assert main(["live", "--clients", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "window splits" in err and "Traceback" not in err
+
+
 # -- every run flag parses to the config the flag-by-flag parser built --------
 
 BASE = dict(total_transactions=1000, warmup_transactions=100,

@@ -27,6 +27,20 @@ def test_spec_rejects_bad_modes_and_sizes():
         ScenarioSpec(repeats=0)
 
 
+@pytest.mark.parametrize("n_clients", [10, 12, 16])
+def test_spec_rejects_a_calibrate_window_that_would_split(n_clients):
+    """At the default spacing 0.5, latency 2 and think 1, a contender
+    requesting at 1 + (m-1)*0.5 >= 5 reaches the server after the
+    primer's release: the epoch would read one round more than 2m+1."""
+    with pytest.raises(ValueError, match="window splits"):
+        ScenarioSpec(protocol="g2pl", mode="calibrate", n_clients=n_clients)
+
+
+def test_spec_rejects_a_negative_spacing():
+    with pytest.raises(ValueError, match="spacing"):
+        ScenarioSpec(spacing=-0.5)
+
+
 def test_txn_ids_are_disjoint_per_client():
     assert txn_id_for(3, 7) == 3 * TXN_ID_STRIDE + 7
     with pytest.raises(ValueError):
@@ -50,6 +64,11 @@ def test_calibrate_reference_matches_paper_arithmetic(protocol):
     # calibrate histories are single-item write chains: always clean
     assert len(ref.history.aborted) == 0
     assert len(ref.history.committed) == (m + 1) * spec.repeats
+    # the widest window the spec accepts at these settings (its last
+    # contender requests at 4.5 < 2*latency + think) still adds up
+    widest = run_reference(spec.with_(n_clients=9))
+    assert widest.trace.summary.rounds_total \
+        == expected_rounds(protocol, 8) * spec.repeats
 
 
 def test_calibrate_reference_is_deterministic():

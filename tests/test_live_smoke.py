@@ -10,7 +10,9 @@ simulator running the *same scenario code*:
 * per-transaction sequential round counts match the simulator exactly
   (s-2PL: 3 per commit; g-2PL: 2m+1 per epoch over the contenders),
 * live response times track the simulator within the documented
-  tolerance (see EXPERIMENTS.md appendix C).
+  tolerance (see EXPERIMENTS.md appendix C),
+* both worlds' per-phase decompositions are clean and the shaped
+  network phase agrees with the simulator's prediction.
 
 A dead endpoint must fail the run within seconds, named first.
 
@@ -56,6 +58,16 @@ def test_live_calibrate_matches_simulator(protocol):
     assert report.mean_relative_delta < RESPONSE_TOLERANCE
     # no round charge may be left without an owning transaction record
     assert report.live.merged.orphans == []
+    divergence = report.divergence
+    assert divergence.sim.violations == []
+    assert divergence.live.violations == []
+    assert divergence.sim.n_txns == divergence.live.n_txns \
+        == report.n_compared > 0
+    # live wire time tracks the simulator's prediction: both worlds
+    # charge the same shaped flights
+    assert divergence.network_agreement <= 0.05
+    # the live-only overhead phase is real (scheduling + codec time)
+    assert divergence.live.phases["overhead"]["total"] >= 0.0
 
 
 def test_live_workload_history_is_serializable_and_rounds_match():

@@ -11,14 +11,17 @@ grant of the next.
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.core.worked_example import _RecordingStore, _write_spec
+from repro.locking.modes import LockMode
 from repro.network.topology import UniformTopology
 from repro.network.transport import Network
+from repro.obs.rounds import run_worked_example
 from repro.protocols.registry import make_protocol
 from repro.protocols.transaction import Transaction
 from repro.sim.engine import Simulator
+from repro.storage.store import VersionedStore
 from repro.storage.wal import WriteAheadLog
 from repro.validate.history import HistoryRecorder
+from repro.workload.spec import Operation, TransactionSpec
 
 
 def run_contended_chain(protocol, m=3, latency=2.0):
@@ -29,8 +32,10 @@ def run_contended_chain(protocol, m=3, latency=2.0):
         read_probability=0.0, total_transactions=10,
         warmup_transactions=0)
     sim = Simulator()
-    store = _RecordingStore(range(1))
+    store = VersionedStore(range(1))
     network = Network(sim, UniformTopology(latency))
+    spec = TransactionSpec(operations=(
+        Operation(item_id=0, mode=LockMode.WRITE, think_time=1.0),))
     server, clients = make_protocol(
         protocol, sim, config, store, WriteAheadLog(), HistoryRecorder(),
         list(range(1, m + 1)))
@@ -40,8 +45,7 @@ def run_contended_chain(protocol, m=3, latency=2.0):
 
     def launch(client_id, txn_id):
         def body():
-            txn = Transaction(txn_id, client_id, _write_spec(1.0),
-                              birth=sim.now)
+            txn = Transaction(txn_id, client_id, spec, birth=sim.now)
             outcome = yield sim.spawn(clients[client_id].execute(txn))
             return outcome
         sim.spawn(body())
@@ -156,10 +160,8 @@ def test_sharded_g2pl_commits_without_commit_messages():
 def test_completion_time_gap_matches_round_arithmetic():
     """End-to-end: the last transaction completes (m-1) x latency earlier
     under g-2PL — one saved round per handoff."""
-    import repro.core.worked_example as we
-
     for m in (3, 5):
-        result = we.run_worked_example(n_clients=m, latency=2.0,
-                                       processing=1.0)
+        result = run_worked_example(n_clients=m, latency=2.0,
+                                    processing=1.0)
         saved = result.s2pl_span - result.g2pl_span
         assert saved == pytest.approx((m - 1) * 2.0)

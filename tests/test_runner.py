@@ -176,6 +176,8 @@ class TestWorkedExample:
         # m clients: s-2PL m*(2L+P)=25, g-2PL (m+1)L + mP = 17.
         assert result.s2pl_span == pytest.approx(25.0)
         assert result.g2pl_span == pytest.approx(17.0)
+        # measured rounds: 3m and 2m+1
+        assert (result.s2pl_rounds, result.g2pl_rounds) == (15, 11)
 
     def test_str(self):
         assert "Figure 1" in str(run_worked_example())

@@ -114,8 +114,37 @@ def test_random_sharded_configurations_stay_correct(params):
     assert stats["twopc_commits"] <= result.metrics.committed
 
 
-# Directed cells: on the sharded chassis the hybrid controller does more
-# than construct — it engages (the validators above run here too).
+# ---------------------------------------------------------------------------
+# Directed cells (``pytest -m shard``): both single-grant and forward-list
+# protocols over 4 shards x 2 regions under every commit protocol, then
+# hybrid on 3 shards
+# ---------------------------------------------------------------------------
+
+SHARD_FAULTS = "loss=0.02,jitter=5,crash=2@4000:9000,crash=5@12000"
+
+
+@pytest.mark.shard
+@pytest.mark.parametrize("commit,faults", [
+    ("2pc", None), ("2pc-opt", None), ("2pc", SHARD_FAULTS)],
+    ids=["2pc", "2pc-opt", "2pc-faulted"])
+@pytest.mark.parametrize("protocol", ["s2pl", "g2pl"])
+def test_four_shards_commit_under_every_commit_protocol(protocol, commit,
+                                                        faults):
+    config = SimulationConfig(
+        protocol=protocol, n_clients=6, n_items=12, n_shards=4, n_regions=2,
+        intra_region_latency=1.0, network_latency=100.0,
+        cross_shard_probability=0.5, commit_protocol=commit, faults=faults,
+        total_transactions=100, warmup_transactions=10, record_history=True)
+    # run_simulation raises on any serializability, strictness, or
+    # 2PC-atomicity violation
+    result = run_simulation(config, seed=5)
+    assert result.metrics.committed > 0
+    assert result.server_stats["n_shards"] == 4
+
+
+# On the sharded chassis the hybrid controller does more than construct:
+# it engages (the validators above run here too).
+@pytest.mark.shard
 @pytest.mark.parametrize("protocol,faults,engaged", [
     ("hybrid", None, ("mode_switches", "windows_single")),
     ("hybrid", "loss=0.05,dup=0.02", ("mode_switches", "twopc_commits")),
@@ -128,6 +157,7 @@ def test_adaptive_controllers_engage_when_sharded(protocol, faults, engaged):
         warmup_transactions=10, record_history=True)
     result = run_simulation(config, seed=3)
     assert result.serializability.ok
+    assert result.server_stats["n_shards"] == 3
     for counter in engaged:
         assert result.server_stats[counter] > 0, counter
 
