@@ -13,6 +13,10 @@ class LockRequestState(enum.Enum):
     WAITING = "waiting"
 
 
+READ, WRITE = LockMode.READ, LockMode.WRITE
+GRANTED, WAITING = LockRequestState.GRANTED, LockRequestState.WAITING
+
+
 class _ItemLock:
     """Lock state of a single data item."""
 
@@ -39,10 +43,10 @@ class _ItemLock:
             holders = self.holders
             ahead = list(holders)  # a WRITE conflicts with all ahead,
             writers = [txn for txn, held in holders.items()
-                       if held is LockMode.WRITE]  # a READ with the writers
+                       if held is WRITE]  # a READ with the writers
             edges = self.edges = {}
             for txn, mode in self.queue:
-                if mode is LockMode.WRITE:
+                if mode is WRITE:
                     blockers = frozenset(ahead)
                     edges[txn] = (blockers - {txn} if txn in holders
                                   else blockers)
@@ -58,8 +62,8 @@ class _ItemLock:
         if requester in self.holders:
             # Upgrade/re-request handled by the caller.
             raise AssertionError("requester already holds this lock")
-        return mode is LockMode.READ and all(
-            held is LockMode.READ for held in self.holders.values())
+        return mode is READ and all(
+            held is READ for held in self.holders.values())
 
 
 class LockTable:
@@ -168,22 +172,22 @@ class LockTable:
         lock.edges = None
         held = self._held_by_txn.setdefault(txn, {})
         if item in held:
-            if held[item] is LockMode.WRITE or mode is LockMode.READ:
-                return LockRequestState.GRANTED
+            if held[item] is WRITE or mode is READ:
+                return GRANTED
             if len(lock.holders) == 1:  # sole reader upgrading
-                lock.holders[txn] = LockMode.WRITE
-                held[item] = LockMode.WRITE
-                return LockRequestState.GRANTED
-            lock.queue.appendleft((txn, LockMode.WRITE))
+                lock.holders[txn] = WRITE
+                held[item] = WRITE
+                return GRANTED
+            lock.queue.appendleft((txn, WRITE))
         elif not lock.queue and lock.compatible(mode, txn):
             lock.holders[txn] = mode
             held[item] = mode
-            return LockRequestState.GRANTED
+            return GRANTED
         else:
             lock.queue.append((txn, mode))
         self._queued_on.setdefault(txn, []).append(item)
         self._n_queued += 1
-        return LockRequestState.WAITING
+        return WAITING
 
     def drop_queued(self, txn):
         """Remove ``txn``'s queued (not yet granted) requests everywhere.
@@ -231,7 +235,7 @@ class LockTable:
         queue, holders = lock.queue, lock.holders
         # Holders are all READ or one WRITE, and the loop below only adds
         # readers to readers, so one look at them serves every iteration.
-        shared = all(held is LockMode.READ for held in holders.values())
+        shared = all(held is READ for held in holders.values())
         while queue:
             txn, mode = queue[0]
             upgrade = txn in holders
@@ -240,7 +244,7 @@ class LockTable:
                 if len(holders) != 1:
                     break
                 shared = False
-            elif holders and not (shared and mode is LockMode.READ):
+            elif holders and not (shared and mode is READ):
                 break
             queue.popleft()
             waiting = self._queued_on[txn]
@@ -252,7 +256,7 @@ class LockTable:
             holders[txn] = mode
             self._held_by_txn.setdefault(txn, {})[item] = mode
             granted.append((txn, item, mode))
-            if mode is LockMode.WRITE and not upgrade:
+            if mode is WRITE and not upgrade:
                 break
         if not holders and not queue:
             self._items.pop(item, None)

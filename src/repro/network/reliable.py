@@ -13,6 +13,14 @@ dead); a crashing *sender* disarms its own retransmissions, and its
 restart bumps the ``incarnation`` so recycled sequence numbers are never
 confused with pre-crash traffic.
 
+Dedup runs in bounded memory. ``seq`` counts a sender's messages to every
+destination, so the seqs one receiver sees have gaps it could never
+close; each message therefore also carries ``lane``, its number among
+the messages its sender sent to that destination in that incarnation.
+The receiver keeps, per ``(sender, incarnation)``, a :class:`_Window`:
+the run of lanes it has received without a gap, plus the few that
+arrived ahead of a message still in flight.
+
 A reliable message costs what it sends: :meth:`ReliableLink.send` makes
 the first transmission itself and arms one cancellable heap entry
 (:meth:`Simulator.call_later_cancellable`) for the retransmission;
@@ -35,6 +43,7 @@ class Reliable:
     inner: object
     seq: int
     incarnation: int = 0
+    lane: int = 0   # its number among its sender's messages to its dst
 
 
 @dataclass(slots=True)
@@ -43,6 +52,23 @@ class ReliableAck:
 
     seq: int
     incarnation: int = 0
+
+
+class _Window:
+    """The lanes received from one ``(sender, incarnation)`` since this
+    site last started: the run from ``start`` up to (not including)
+    ``low``, and ``others``, which arrived apart from it. The run begins
+    at the first lane to arrive and grows both ways as the lanes next to
+    it land, so ``others`` holds only what arrived ahead of a message
+    still in flight. A receiver that crashed while the sender kept going
+    starts its run past 0, and takes the lanes it lost as new, as it
+    would with no window at all."""
+
+    __slots__ = ("start", "low", "others")
+
+    def __init__(self, lane):
+        self.start = self.low = lane
+        self.others = set()
 
 
 class ReliableLink:
@@ -62,8 +88,9 @@ class ReliableLink:
         self._first_delay = min(rto, self.max_interval)
         self.incarnation = 0
         self._next_seq = 0
+        self._lanes = {}     # dst -> next lane
         self._pending = {}   # (dst, incarnation, seq) -> cancel token
-        self._seen = {}      # src -> set of (incarnation, seq)
+        self._windows = {}   # (src, incarnation) -> _Window
         self.retransmissions = 0
         self.duplicates_suppressed = 0
 
@@ -73,8 +100,11 @@ class ReliableLink:
         """Send ``payload`` with retransmission until acked."""
         seq = self._next_seq
         self._next_seq = seq + 1
+        lanes = self._lanes
+        lane = lanes.get(dst, 0)
+        lanes[dst] = lane + 1
         incarnation = self.incarnation
-        wrapped = Reliable(payload, seq, incarnation)
+        wrapped = Reliable(payload, seq, incarnation, lane)
         key = (dst, incarnation, seq)
         self._wire_send(self.site.site_id, dst, wrapped, size)
         self._pending[key] = self.sim.call_later_cancellable(
@@ -117,17 +147,32 @@ class ReliableLink:
             self._wire_send(self.site.site_id, src,
                             ReliableAck(payload.seq, payload.incarnation),
                             ACK_SIZE)
-            seen = self._seen.get(src)
-            if seen is None:
-                seen = self._seen[src] = set()
-            tag = (payload.incarnation, payload.seq)
-            if tag in seen:
+            key, lane = (src, payload.incarnation), payload.lane
+            window = self._windows.get(key)
+            if window is None:
+                window = self._windows[key] = _Window(lane)
+            low, others = window.low, window.others
+            if lane == low:
+                low += 1
+                while low in others:
+                    others.remove(low)
+                    low += 1
+                window.low = low
+                return payload.inner
+            start = window.start
+            if start <= lane < low or lane in others:
                 self.duplicates_suppressed += 1
                 tracer = self.sim.tracer
                 if tracer is not None:
                     tracer.net_dup_suppressed(self.site.site_id, src)
                 return None
-            seen.add(tag)
+            if lane == start - 1:
+                while lane - 1 in others:
+                    lane -= 1
+                    others.remove(lane)
+                window.start = lane
+            else:
+                others.add(lane)
             return payload.inner
         return payload  # raw traffic passes through untouched
 
@@ -138,10 +183,11 @@ class ReliableLink:
         for token in self._pending.values():
             token[0] = True
         self._pending.clear()
-        self._seen.clear()
+        self._windows.clear()
 
     def restart(self):
         """Come back with a fresh incarnation so recycled sequence numbers
         are distinguishable from pre-crash ones."""
         self.incarnation += 1
         self._next_seq = 0
+        self._lanes.clear()

@@ -7,8 +7,10 @@ https://ui.perfetto.dev (or chrome://tracing) to scrub the timeline.
 JSONL is the full-fidelity export and the one that has to be cheap: a
 traced run writes one line per event and per probe sample (173,541 lines
 for 3,600 measured transactions on the ledger's ``traced_g2pl``).
-:func:`write_jsonl` therefore formats the tracer's flat rows directly
-and prints only what varies from one line to the next. A clock reading
+:func:`write_jsonl` therefore formats the tracer's rows straight from
+their columns — per kind, ``zip(*columns)`` builds the value tuples in
+C (:meth:`~repro.obs.tracer.EventLog.flat`) — and prints only what
+varies from one line to the next. A clock reading
 is formatted once per run of rows that share it (seven event rows in ten
 repeat the one before, and ``repr`` of a float is the dearest thing on a
 line; a ``%.0s`` slot would not skip it — of a float it still calls
@@ -20,7 +22,9 @@ which is what ``json`` itself uses for an ``int`` and a finite
 ``reason``, ``committed``: a handful per slot) is encoded once and baked
 into a variant of the template kept under the value; anything else — a
 list, a non-finite float, a slot with more than :data:`_BAKED` distinct
-strings — goes to ``json.dumps``. A probe tick's n lines come from one
+strings — goes to ``json.dumps``. A kind whose every column is an array
+with no ``inf`` in it has one shape, so its rows skip the type scan and
+take the kind's one template. A probe tick's n lines come from one
 template, its time formatted once. The per-row ``json.dumps`` writer all
 this replaced is the byte-for-byte oracle in ``tests/helpers.py``.
 
@@ -34,6 +38,8 @@ anything measurable.
 
 import dataclasses
 import json
+from array import array
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from operator import itemgetter
@@ -71,16 +77,16 @@ def _literal(text):
     return text.replace("%", "%%")
 
 
-def _spell(label, names, row):
-    """The part of ``row``'s line after its time, by ``json.dumps``."""
-    fields = {label: row[1], **dict(zip(names, row[2:]))}
+def _spell(label, names, label_value, values):
+    """The part of a row's line after its time, by ``json.dumps``."""
+    fields = {label: label_value, **dict(zip(names, values))}
     return ", " + json.dumps(fields)[1:] + "\n"
 
 
-def _compile(label, names, row):
-    """``(template, floats, baked)`` for rows shaped like ``row``.
+def _compile(label, names, label_value, values):
+    """``(template, floats, baked)`` for rows shaped like this one.
 
-    ``template % row[2:]`` prints what :func:`_spell` prints for ``row``:
+    ``template % values`` prints what :func:`_spell` prints for the row:
     ``%r`` for ``int`` and ``float`` slots (``floats`` lists the float
     ones: a row holding ``inf`` or ``nan`` in one must be spelled) and,
     for ``str``/``bool``/``None`` slots (listed in ``baked``), this row's
@@ -88,10 +94,9 @@ def _compile(label, names, row):
     is ``None`` when a slot holds anything else, or the row is not one
     value per name.
     """
-    values = row[2:]
     if len(values) != len(names):
         return None, (), ()
-    parts = [_literal(f", {json.dumps(label)}: {_json_value(row[1])}")]
+    parts = [_literal(f", {json.dumps(label)}: {_json_value(label_value)}")]
     floats, baked = [], []
     for slot, (name, value) in enumerate(zip(names, values)):
         parts.append(_literal(f", {json.dumps(name)}: "))
@@ -110,19 +115,38 @@ def _compile(label, names, row):
     return "".join(parts), tuple(floats), tuple(baked)
 
 
-def _write_rows(out, rows, record_type, label, names_of):
-    """Write flat ``(time, label value, *values)`` rows as JSON lines:
-    the text up to the time, kept while the time repeats, plus the
-    shape's template applied to the values (see the module docstring).
-    ``names_of(row)`` gives the keys of ``row[2:]``."""
+def _typed_templates(log):
+    """``{kind: template}`` for each kind of an
+    :class:`~repro.obs.tracer.EventLog` whose every column is an array
+    and holds no ``inf``: all its rows have one shape, and no value
+    needs a look."""
+    templates = {}
+    for kind, (_, *columns) in log.fields.items():
+        if all(type(column) is array for column in columns):
+            # a sum of floats is finite when no value in it is inf
+            total = sum(sum(column) for column in columns
+                        if column.typecode == "d")
+            if total - total == 0.0:
+                sample = tuple(column[0] for column in columns)
+                templates[kind] = _compile("kind", log.columns[kind], kind,
+                                           sample)[0]
+    return templates
+
+
+def _write_rows(out, rows, record_type, label, names_of, typed):
+    """Write ``(time, label value, values)`` rows as JSON lines: the text
+    up to the time, kept while the time repeats, plus the shape's
+    template applied to the values (see the module docstring).
+    ``names_of(label value)`` gives the keys of ``values``; a label value
+    in ``typed`` has its template there."""
     head = f'{{"type": {json.dumps(record_type)}, "t": '
     # (label value, *slot types) -> (template, floats, pick, variants)
     shapes = {}
     stamp = last_time = None
-    for start in range(0, len(rows), _BLOCK):
+    rows = iter(rows)
+    while True:
         lines = []
-        for row in rows[start:start + _BLOCK]:
-            time = row[0]
+        for time, value_of_label, values in islice(rows, _BLOCK):
             if time != last_time or type(time) is not float:
                 if type(time) is float and time - time == 0.0:
                     stamp = head + repr(time)
@@ -131,11 +155,15 @@ def _write_rows(out, rows, record_type, label, names_of):
                 else:
                     stamp = head + _json_value(time)
                     last_time = None
-            values = row[2:]
-            key = (row[1], *map(type, row))
+            template = typed.get(value_of_label)
+            if template is not None:
+                lines.append(stamp + template % values)
+                continue
+            key = (value_of_label, *map(type, values))
             shape = shapes.get(key)
             if shape is None:
-                template, floats, baked = _compile(label, names_of(row), row)
+                template, floats, baked = _compile(
+                    label, names_of(value_of_label), value_of_label, values)
                 shape = shapes[key] = (
                     template, floats, itemgetter(*baked) if baked else None,
                     {})
@@ -150,11 +178,15 @@ def _write_rows(out, rows, record_type, label, names_of):
                 template = variants.get(chosen)
                 if template is None and len(variants) < _BAKED:
                     template = variants[chosen] = _compile(
-                        label, names_of(row), row)[0]
+                        label, names_of(value_of_label), value_of_label,
+                        values)[0]
             if template is None:
-                lines.append(stamp + _spell(label, names_of(row), row))
+                lines.append(stamp + _spell(label, names_of(value_of_label),
+                                            value_of_label, values))
             else:
                 lines.append(stamp + template % values)
+        if not lines:
+            return
         out.write("".join(lines))
 
 
@@ -163,45 +195,47 @@ def _write_ticks(out, log):
     at a time: one template holds the tick's n lines, its time formatted
     once and dropped in at :data:`_TIME`. A log with loose samples, or an
     ``inf`` or ``nan`` anywhere in it, is written triple by triple."""
-    names, ticks = log.names, log.ticks
-    total = sum(map(sum, ticks))
+    log.settle()
+    names, times = log.names, log.times
+    total = sum(map(sum, (times, *log.values)))
     if log.loose or not names or total - total != 0.0:
-        _write_rows(out, list(log), "probe", "name", lambda row: ("value",))
+        _write_rows(out, ((time, name, (value,)) for time, name, value in log),
+                    "probe", "name", lambda name: ("value",), {})
         return
     template = "".join(
         '{"type": "probe", "t": ' + _TIME
         + _literal(f', "name": {_json_value(name)}') + ', "value": %r}\n'
         for name in names)
+    ticks = zip(times, zip(*log.values))
     step = max(1, _BLOCK // len(names))
-    for start in range(0, len(ticks), step):
-        out.write("".join([
-            (template % row[1:]).replace(_TIME, repr(row[0]))
-            for row in ticks[start:start + step]]))
+    while True:
+        lines = [(template % values).replace(_TIME, repr(time))
+                 for time, values in islice(ticks, step)]
+        if not lines:
+            return
+        out.write("".join(lines))
 
 
 def write_jsonl(path, trace, config=None, seed=None):
     """One JSON object per line: a header, then events, transactions, and
     probe samples in that order."""
     events = trace.events
-    rows, columns = events.rows, events.columns
-
-    def of_its_kind(row):
-        return columns[row[1]]
-
+    rows, of_its_kind = events.flat(), events.columns.__getitem__
+    typed = _typed_templates(events)
     with open(path, "w", encoding="utf-8") as out:
         header = {"type": "header", "seed": seed,
                   "config": config.describe() if config is not None else None,
                   "summary": _summary_dict(trace.summary)}
         out.write(json.dumps(header) + "\n")
         start = 0
-        for index, names in sorted(events.odd.items()):
+        for index, (_, fields) in sorted(events.odd.items()):
             # a row with field names of its own: a shape of one
-            _write_rows(out, rows[start:index], "event", "kind", of_its_kind)
-            _write_rows(out, rows[index:index + 1], "event", "kind",
-                        lambda row: names)
+            _write_rows(out, islice(rows, index - start), "event", "kind",
+                        of_its_kind, typed)
+            _write_rows(out, islice(rows, 1), "event", "kind",
+                        lambda kind: tuple(fields), {})
             start = index + 1
-        _write_rows(out, rows[start:] if start else rows, "event", "kind",
-                    of_its_kind)
+        _write_rows(out, rows, "event", "kind", of_its_kind, typed)
         for record in trace.txns:
             out.write(json.dumps({"type": "txn", **record}) + "\n")
         _write_ticks(out, trace.probes)

@@ -5,54 +5,89 @@ its callbacks are strictly read-only (no protocol state is touched and no
 random numbers are drawn), so enabling probes shifts heap sequence numbers
 without perturbing the relative order — or the results — of the simulated
 system. The series set is fixed when the sampler is built, so a tick is
-kept as what varies: one ``(time, v0, ..., vn)`` row in a
-:class:`ProbeLog` (16,479 rows for the 65,916 samples of the ledger's
-``traced_g2pl``), which still reads as the list of triples it replaced.
+kept as what varies: its time and one value per series, each in a typed
+column of a :class:`ProbeLog` (16,479 ticks for the 65,916 samples of the
+ledger's ``traced_g2pl``), which still reads as the list of triples it
+replaced.
 """
 
 from functools import reduce
 from itertools import chain
 from operator import add
 
+from repro.obs.columns import STAGE, extend
+
 
 class ProbeLog:
-    """The captured gauge samples: a ``(time, v0, ..., vn)`` row per tick
-    in the order of ``names``, read as the list of ``(time, series,
+    """The captured gauge samples, read as the list of ``(time, series,
     value)`` triples (``len``, iteration, indexing, ``==``, ``append`` /
-    ``extend`` and pickling behave as the list did). A sample appended on
-    its own (tests, hand-made traces) goes to ``loose`` with the number of
-    ticks taken before it, which is its place in the sequence."""
+    ``extend`` and pickling behave as the list did).
+
+    A tick, ``(time, v0, ..., vn)`` in the order of ``names``, is staged
+    by :meth:`tick` and settled into ``times`` and one typed column per
+    series in ``values`` (see :mod:`repro.obs.columns`). A sample appended
+    on its own (tests, hand-made traces) goes to ``loose`` with the number
+    of ticks taken before it, which is its place in the sequence."""
 
     def __init__(self):
-        self.names = ()   # series of every tick row, in source order
-        self.ticks = []   # [(time, v0, ..., vn)]
+        self.names = ()   # series of every tick, in source order
+        self.times = []   # one clock reading per tick: a column
+        self.values = []  # one column per series
+        self.staged = []  # [(time, v0, ..., vn)] not yet settled
         self.loose = []   # [(ticks before it, sample)]
 
     def declare(self, names):
-        """Name the tick rows' columns (the sampler, before any tick)."""
+        """Name the ticks' series (the sampler, before any tick)."""
         names = tuple(names)
-        if self.ticks or len(set(names)) != len(names):
+        if self._ticks() or len(set(names)) != len(names):
             raise ValueError(f"cannot declare probe series {names}: "
                              f"ticks already taken, or a name twice")
         self.names = names
+        self.values = [[] for _ in names]
+
+    def tick(self, row):
+        """One tick's ``(time, v0, ..., vn)``."""
+        if len(row) != len(self.names) + 1:
+            raise ValueError(f"probe tick {row!r} does not hold a time "
+                             f"and one value per series of {self.names}")
+        staged = self.staged
+        staged.append(row)
+        if len(staged) >= STAGE:
+            self.settle()
+
+    def settle(self):
+        """Move the staged ticks into the columns."""
+        staged = self.staged
+        if not staged:
+            return
+        columns = zip(*staged)
+        self.times = extend(self.times, next(columns))
+        self.values = [extend(column, values)
+                       for column, values in zip(self.values, columns)]
+        staged.clear()
+
+    def _ticks(self):
+        return len(self.times) + len(self.staged)
 
     def append(self, sample):
-        self.loose.append((len(self.ticks), sample))
+        self.loose.append((self._ticks(), sample))
 
     def extend(self, samples):
-        self.loose.extend((len(self.ticks), sample) for sample in samples)
+        self.loose.extend((self._ticks(), sample) for sample in samples)
 
     def __len__(self):
-        return len(self.ticks) * len(self.names) + len(self.loose)
+        return self._ticks() * len(self.names) + len(self.loose)
 
     def __iter__(self):
-        loose, at = self.loose, 0
-        for index, row in enumerate(self.ticks):
+        self.settle()
+        names, loose, at = self.names, self.loose, 0
+        for index, (time, *values) in enumerate(zip(self.times,
+                                                    *self.values)):
             while at < len(loose) and loose[at][0] <= index:
                 yield loose[at][1]
                 at += 1
-            for name, value in zip(self.names, row[1:]):
-                yield row[0], name, value
+            for name, value in zip(names, values):
+                yield time, name, value
         for _, sample in loose[at:]:
             yield sample
 
@@ -64,17 +99,21 @@ class ProbeLog:
             return NotImplemented
         return list(self) == list(other)
 
+    def __getstate__(self):
+        self.settle()
+        return self.__dict__
+
     def series(self):
         """``{series: {"n", "sum", "max"}}`` as one loop over the triples
         would add them up: left to right from 0.0 (``sum()`` compensates
         since 3.12) and ``>`` from ``-inf`` (plain ``max()`` keeps a NaN)."""
+        self.settle()
         columns = {}
         if self.loose:
             for _, name, value in self:
                 columns.setdefault(name, []).append(value)
-        elif self.ticks:
-            columns = {name: [row[series] for row in self.ticks]
-                       for series, name in enumerate(self.names, 1)}
+        elif self.times:
+            columns = dict(zip(self.names, self.values))
         return {name: {"n": len(column), "sum": reduce(add, column, 0.0),
                        "max": max(chain((float("-inf"),), column))}
                 for name, column in columns.items()}
@@ -104,7 +143,7 @@ class ProbeSampler:
         row = [self.sim.now]
         for _, read in self.sources:
             row.append(float(read()))
-        self.tracer.probes.ticks.append(tuple(row))
+        self.tracer.probes.tick(tuple(row))
         self.sim.call_later(self.interval, self._tick)
 
 

@@ -9,11 +9,11 @@ with tracing produces bit-identical :class:`RunMetrics`).
 
 Three kinds of records are captured:
 
-* **events** — one flat row ``(sim_time, kind, *values)`` per structured
+* **events** — one row ``(sim_time, kind, *values)`` per structured
   event (message sends/drops, lock grants, FL dispatches, watchdog
-  repairs, transaction lifecycle, ...), the field names kept once per
-  kind; :class:`EventLog` reads them back as ``(sim_time, kind, fields)``
-  triples. See :mod:`repro.obs.schema`.
+  repairs, transaction lifecycle, ...), kept column-wise with the field
+  names once per kind; :class:`EventLog` reads them back as
+  ``(sim_time, kind, fields)`` triples. See :mod:`repro.obs.schema`.
 * **transactions** — per-transaction latency-round accounting: the count
   of *sequential message rounds* a transaction's busy period contributed
   (the paper's 3m vs 2m+1 arithmetic) and a decomposition of its response
@@ -21,21 +21,26 @@ Three kinds of records are captured:
   (think), delivery slack (jitter / FIFO clamping), and residual lock
   wait.
 * **probes** — periodic gauge samples, one ``(sim_time, v0, ..., vn)``
-  row per tick appended by :class:`~repro.obs.probes.ProbeSampler`;
-  :class:`~repro.obs.probes.ProbeLog` reads them back as ``(sim_time,
-  series, value)`` triples.
+  tick per interval taken by :class:`~repro.obs.probes.ProbeSampler` and
+  kept column-wise; :class:`~repro.obs.probes.ProbeLog` reads them back
+  as ``(sim_time, series, value)`` triples.
 
-Row layout is the capture cost. An event is one tuple of the clock
-reading, the kind and the field values (86 B of container on the
-ledger's ``traced_g2pl``, against 271 B for a tuple holding a keyword
-dict). A kind's field names are written once, in
+What a trace keeps resident is its values, not an object per row. A
+kind's field names are written once, in
 :data:`~repro.obs.schema.EVENT_SCHEMA`; every call site in the package
 passes the values in that order to :meth:`Tracer.row` — no keyword dict
 is built, no name compared — and the two per-message rows (over half of
-all events) are appended by the network hooks themselves. Keyword
-:meth:`Tracer.emit` remains for kinds the schema does not declare.
-:meth:`Tracer.finish` hands the same row lists to :class:`TraceData`;
-nothing is copied.
+all events) are staged by the network hooks themselves. A row is staged
+as one ``(time, *values)`` tuple under its kind, and every
+:data:`~repro.obs.columns.STAGE` rows :meth:`EventLog.settle` moves the
+staged tuples into typed columns (:mod:`repro.obs.columns`): 8 bytes a
+number, and a list slot only for a field that holds something else. On
+the ledger's ``traced_g2pl`` an event costs 39 B resident and a probe
+tick 42 B, against 122 B and 208 B as a tuple of boxed values per row
+(whose container alone was 86 B; a tuple holding a keyword dict, 271 B).
+Keyword :meth:`Tracer.emit` remains for kinds the schema does not
+declare. :meth:`Tracer.finish` hands the same logs to
+:class:`TraceData`; nothing is copied.
 
 Round-charging scheme (validates the paper's arithmetic exactly on the
 worked-example scenario):
@@ -58,8 +63,12 @@ worked-example scenario):
   decision acks mirror votes as ``commit_ack`` / ``commit_ack_concurrent``.
 """
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 
+from repro.obs.columns import STAGE, extend
 from repro.obs.probes import ProbeLog
 from repro.obs.schema import EVENT_SCHEMA
 from repro.obs.summary import NON_SEQUENTIAL_ROUND_KINDS, TraceSummary
@@ -70,50 +79,160 @@ RESERVED_FIELDS = ("type", "t", "kind")
 
 
 class EventLog:
-    """The captured events: flat rows, read as a list of triples.
+    """The captured events, kept column-wise, read as a list of triples.
 
-    A row is ``(time, kind, *values)`` — one tuple per event instead of a
-    tuple holding a keyword dict, which is what makes a resident trace
-    cost about a third of what it did. The field names live once per kind
-    in ``columns`` (the schema's, then any other kind's first ``emit``);
-    a row whose names differ from its kind's (no shipped kind does this,
-    :func:`~repro.obs.schema.validate_events` reports it) keeps its own
-    under its index in ``odd``.
+    ``codes`` holds one entry per row, an index into ``kinds`` (an
+    ``array('B')`` while there are at most 256 kinds). Per kind,
+    ``fields[kind]`` holds that kind's rows in order as typed columns
+    (see :mod:`repro.obs.columns`): their clock readings, then one column
+    per name in ``columns[kind]`` (the schema's, then any other kind's
+    first ``emit``). A row whose names differ from its kind's (no shipped
+    kind does this, :func:`~repro.obs.schema.validate_events` reports it),
+    or whose value count does not match them, is kept as ``(time,
+    {field: value})`` under its index in ``odd`` instead.
 
-    ``len()``, iteration, indexing, ``==`` and pickling behave as the list
-    of ``(time, kind, {field: value})`` triples did; exporters that want
-    speed read ``rows`` / ``columns`` / ``odd`` directly.
+    Rows arrive as ``(time, *values)`` tuples staged per kind, their
+    kinds in row order in ``order``; :meth:`settle` moves them into the
+    columns :data:`~repro.obs.columns.STAGE` rows at a time, and every
+    reader settles first. ``len()``, iteration, indexing, ``==`` and
+    pickling behave as the list of ``(time, kind, {field: value})``
+    triples did; exporters that want speed read :meth:`flat`.
     """
 
     def __init__(self):
-        self.rows = []      # [(time, kind, *values), ...]
+        self.kinds = []            # code -> kind
+        self.codes = array("B")    # one kind code per row
         self.columns = dict(EVENT_SCHEMA)  # kind -> (field name, ...)
-        self.odd = {}       # row index -> names, where they differ
+        self.fields = {}           # kind -> [times, one column per name]
+        self.odd = {}              # row index -> (time, {field: value})
+        self.order = []            # the staged rows' kinds, in row order
+        self.staged = defaultdict(list)  # kind -> [(time, *values), ...]
+        self._code_of = {}         # kind -> code
 
-    def new_shape(self, kind, names):
-        """Called before appending a row whose ``names`` are not (yet)
-        ``columns[kind]``."""
+    def add_shape(self, time, kind, fields):
+        """Record a row given as ``{field: value}`` whose names are not
+        (yet) ``columns[kind]``: they become the kind's columns if it has
+        none, and the row is odd otherwise."""
+        names = tuple(fields)
         for name in names:
             if name in RESERVED_FIELDS:
                 raise ValueError(
                     f"event {kind!r}: field {name!r} would collide with "
                     f"the exported row's own {RESERVED_FIELDS} keys")
-        if self.columns.setdefault(kind, names) != names:
-            self.odd[len(self.rows)] = names
+        if self.columns.setdefault(kind, names) == names:
+            self.order.append(kind)
+            self.staged[kind].append((time, *fields.values()))
+            return
+        self.settle()
+        self.odd[len(self.codes)] = (time, dict(fields))
+        self._code_rows([kind])
+
+    def _code_rows(self, kinds):
+        """Append the code of each of ``kinds`` (one per row) to ``codes``."""
+        code_of = self._code_of
+        try:
+            codes = list(map(code_of.__getitem__, kinds))
+        except KeyError:
+            for kind in kinds:
+                if kind not in code_of:
+                    code_of[kind] = len(self.kinds)
+                    self.kinds.append(kind)
+            if len(self.kinds) > 256 and self.codes.typecode == "B":
+                self.codes = array("I", self.codes)
+            codes = list(map(code_of.__getitem__, kinds))
+        self.codes.fromlist(codes)
+
+    def settle(self):
+        """Move the staged rows into the columns, a kind at a time."""
+        order = self.order
+        if not order:
+            return
+        start = len(self.codes)
+        self._code_rows(order)
+        for kind, rows in self.staged.items():
+            if not rows:
+                continue
+            names = self.columns.setdefault(kind, ())
+            width = len(names) + 1
+            try:
+                values = list(zip(*rows, strict=True))
+            except ValueError:
+                values = []
+            if len(values) != width:
+                values = list(zip(*self._set_aside(kind, start, width)))
+            if values:
+                columns = self.fields.get(kind) or [[] for _ in values]
+                self.fields[kind] = [extend(column, batch) for column, batch
+                                     in zip(columns, values)]
+            rows.clear()
+        order.clear()
+
+    def _set_aside(self, kind, start, width):
+        """The staged rows of ``kind`` that are ``width`` wide; the others
+        go to ``odd`` as their ``(time, kind, fields)`` view reads them."""
+        names, fitting = self.columns[kind], []
+        indexes = (index for index, other in enumerate(self.order, start)
+                   if other == kind)
+        for index, row in zip(indexes, self.staged[kind]):
+            if len(row) == width:
+                fitting.append(row)
+            else:
+                self.odd[index] = (row[0], dict(zip(names, row[1:])))
+        return fitting
+
+    def flat(self):
+        """Every row as ``(time, kind, values)``, in order: ``values`` in
+        ``columns[kind]`` order, an odd row's in its own."""
+        self.settle()
+        kinds, codes = self.kinds, self.codes
+        times, tuples = [], []
+        for kind in kinds:
+            columns = self.fields.get(kind) or [()]
+            times.append(iter(columns[0]))
+            tuples.append(zip(*columns[1:]) if len(columns) > 1
+                          else repeat(()))
+        if self.odd:
+            return self._flat_with_odd(times, tuples)
+        return zip(map(next, map(times.__getitem__, codes)),
+                   map(kinds.__getitem__, codes),
+                   map(next, map(tuples.__getitem__, codes)))
+
+    def _flat_with_odd(self, times, tuples):
+        kinds, odd = self.kinds, self.odd
+        for index, code in enumerate(self.codes):
+            if index in odd:
+                time, fields = odd[index]
+                yield time, kinds[code], tuple(fields.values())
+            else:
+                yield next(times[code]), kinds[code], next(tuples[code])
 
     def _triple(self, index):
-        time, kind, *values = self.rows[index]
-        names = self.odd[index] if index in self.odd else self.columns[kind]
-        return time, kind, dict(zip(names, values))
+        codes, odd = self.codes, self.odd
+        code = codes[index]
+        kind = self.kinds[code]
+        if index in odd:
+            time, fields = odd[index]
+            return time, kind, dict(fields)
+        # the row's place in its kind's columns
+        at = codes[:index].count(code) - sum(
+            1 for other in odd if other < index and codes[other] == code)
+        time, *values = (column[at] for column in self.fields[kind])
+        return time, kind, dict(zip(self.columns[kind], values))
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.codes) + len(self.order)
 
     def __iter__(self):
-        return map(self._triple, range(len(self.rows)))
+        columns, odd = self.columns, self.odd
+        for index, (time, kind, values) in enumerate(self.flat()):
+            if index in odd:
+                yield time, kind, dict(odd[index][1])
+            else:
+                yield time, kind, dict(zip(columns[kind], values))
 
     def __getitem__(self, index):
-        picked = range(len(self.rows))[index]
+        picked = range(len(self))[index]
+        self.settle()
         if isinstance(index, slice):
             return [self._triple(i) for i in picked]
         return self._triple(picked)
@@ -123,6 +242,10 @@ class EventLog:
             return NotImplemented
         return len(self) == len(other) and all(
             mine == theirs for mine, theirs in zip(self, other))
+
+    def __getstate__(self):
+        self.settle()
+        return self.__dict__
 
 
 @dataclass
@@ -171,9 +294,10 @@ class Tracer:
         self.engine_events = engine_events
         self.network = None
         self.events = EventLog()
-        self._rows = self.events.rows
+        self._order = self.events.order
+        self._staged = self.events.staged
         self._columns = self.events.columns
-        self.probes = ProbeLog()   # ProbeSampler appends a row per tick
+        self.probes = ProbeLog()   # ProbeSampler adds a row per tick
         self._live = {}   # txn_id -> _TxnAcc
         self._done = {}   # txn_id -> (acc, meta dict), insertion-ordered
         self._unfinished = []  # records finalised by close(), never begun
@@ -196,18 +320,28 @@ class Tracer:
     def row(self, kind, *values):
         """One event of a declared kind, its ``values`` in the order of
         ``EVENT_SCHEMA[kind]`` (held to it by ``tests/test_structure.py``)."""
-        self._rows.append((self.sim.now, kind, *values))
+        self._order.append(kind)
+        self._staged[kind].append((self.sim.now, *values))
+        if len(self._order) >= STAGE:
+            self.events.settle()
 
     def emit(self, kind, /, **fields):
         if self._columns.get(kind) != tuple(fields):
-            self.events.new_shape(kind, tuple(fields))
-        self._rows.append((self.sim.now, kind, *fields.values()))
+            self.events.add_shape(self.sim.now, kind, fields)
+            return
+        self._order.append(kind)
+        self._staged[kind].append((self.sim.now, *fields.values()))
+        if len(self._order) >= STAGE:
+            self.events.settle()
 
     # -- engine --------------------------------------------------------------
 
     def engine_dispatch(self, when, depth):
         """Per-heap-entry event; only wired up when ``engine_events``."""
-        self._rows.append((when, "engine.dispatch", depth))
+        self._order.append("engine.dispatch")
+        self._staged["engine.dispatch"].append((when, depth))
+        if len(self._order) >= STAGE:
+            self.events.settle()
 
     # -- network -------------------------------------------------------------
 
@@ -230,9 +364,12 @@ class Tracer:
         mid = envelope.envelope_id
         if mid is None:
             mid = envelope.envelope_id = self._msgs_seen = self._msgs_seen + 1
-        self._rows.append((
-            envelope.send_time, "msg.send", mid, envelope.src,
-            envelope.dst, kind, envelope.size, envelope.deliver_time))
+        self._order.append("msg.send")
+        self._staged["msg.send"].append((
+            envelope.send_time, mid, envelope.src, envelope.dst, kind,
+            envelope.size, envelope.deliver_time))
+        if len(self._order) >= STAGE:
+            self.events.settle()
 
     def net_delivered(self, envelope):
         # A tracer attached mid-run also sees sends it never counted land;
@@ -243,8 +380,11 @@ class Tracer:
         mid = envelope.envelope_id
         if mid is None:
             mid = envelope.envelope_id = self._msgs_seen = self._msgs_seen + 1
-        self._rows.append((self.sim.now, "msg.deliver", mid, envelope.src,
-                           envelope.dst))
+        self._order.append("msg.deliver")
+        self._staged["msg.deliver"].append((self.sim.now, mid, envelope.src,
+                                            envelope.dst))
+        if len(self._order) >= STAGE:
+            self.events.settle()
 
     def net_dropped(self, envelope, cause):
         self.drops_by_cause[cause] = self.drops_by_cause.get(cause, 0) + 1
@@ -457,10 +597,16 @@ class Tracer:
         return record
 
     def finish(self, processed_events=0, peak_heap_depth=0):
-        """Freeze everything captured into a picklable :class:`TraceData`."""
-        txns = [self._txn_record(acc, meta)
-                for acc, meta in self._done.values()]
+        """Freeze everything captured into a picklable :class:`TraceData`.
+
+        Each finished transaction's accumulator leaves ``_done`` as its
+        record is built, so the two are never resident together."""
+        done, txns = self._done, []
+        for txn_id in list(done):
+            txns.append(self._txn_record(*done.pop(txn_id)))
         txns.extend(self._unfinished)
+        self.events.settle()
+        self.probes.settle()
         summary = TraceSummary(
             messages_sent=self.messages_sent,
             msgs_by_kind=dict(self.msgs_by_kind),

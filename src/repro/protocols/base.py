@@ -6,6 +6,8 @@ from repro.protocols.transaction import TxnOutcome, TxnStatus
 from repro.storage.wal import LogRecordType
 
 SERVER_SITE_ID = 0
+LOG_UPDATE, LOG_COMMIT = LogRecordType.UPDATE, LogRecordType.COMMIT
+COMMITTED = TxnStatus.COMMITTED
 
 
 class _Dispatcher(Site):
@@ -136,11 +138,11 @@ class ProtocolServer(_Dispatcher):
             return
         for item_id, value in updates.items():
             version = self.store.version(item_id) + 1
-            self.wal.append(LogRecordType.UPDATE, txn=txn_id,
+            self.wal.append(LOG_UPDATE, txn=txn_id,
                             item_id=item_id, version=version,
                             now=self.sim.now)
             self.store.install(item_id, value=value, now=self.sim.now)
-        lsn = self.wal.append(LogRecordType.COMMIT, txn=txn_id,
+        lsn = self.wal.append(LOG_COMMIT, txn=txn_id,
                               now=self.sim.now)
         self.wal.force(lsn)
         self.truncate_log(len(updates))
@@ -262,7 +264,7 @@ class ProtocolClient(_Dispatcher):
         return TxnOutcome(
             txn_id=txn.txn_id,
             client_id=txn.client_id,
-            committed=txn.status is TxnStatus.COMMITTED,
+            committed=txn.status is COMMITTED,
             start_time=start_time,
             end_time=end_time,
             n_ops=txn.spec.n_ops,

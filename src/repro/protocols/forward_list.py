@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from repro.locking.modes import LockMode
 
+READ, WRITE = LockMode.READ, LockMode.WRITE
+
 
 @dataclass(slots=True, unsafe_hash=True)
 class TxnRef:
@@ -31,18 +33,18 @@ class FLEntry:
         txns = tuple(txns)
         if not txns:
             raise ValueError("empty forward-list entry")
-        if mode is LockMode.WRITE and len(txns) != 1:
+        if mode is WRITE and len(txns) != 1:
             raise ValueError("a write entry holds exactly one transaction")
         self.mode = mode
         self.txns = txns
 
     @property
     def is_read_group(self):
-        return self.mode is LockMode.READ
+        return self.mode is READ
 
     @property
     def writer(self):
-        if self.mode is not LockMode.WRITE:
+        if self.mode is not WRITE:
             raise ValueError("not a write entry")
         return self.txns[0]
 
@@ -77,15 +79,15 @@ class ForwardList:
         entries = []
         run = []
         for ref, mode in requests:
-            if mode is LockMode.READ:
+            if mode is READ:
                 run.append(ref)
                 continue
             if run:
-                entries.append(FLEntry(LockMode.READ, run))
+                entries.append(FLEntry(READ, run))
                 run = []
-            entries.append(FLEntry(LockMode.WRITE, (ref,)))
+            entries.append(FLEntry(WRITE, (ref,)))
         if run:
-            entries.append(FLEntry(LockMode.READ, run))
+            entries.append(FLEntry(READ, run))
         return cls(entries)
 
     def __len__(self):

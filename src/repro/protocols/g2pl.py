@@ -75,6 +75,9 @@ from repro.protocols.sharding import SharedPrecedence
 from repro.sim.errors import Interrupt
 from repro.storage.wal import LogRecordType
 
+READ, WRITE = LockMode.READ, LockMode.WRITE
+LOG_UPDATE, LOG_COMMIT = LogRecordType.UPDATE, LogRecordType.COMMIT
+
 
 def dispatch_chain(sender, item_id, version, value, fl, mr1w, epoch=0):
     """Ship ``item_id`` to the first entry of ``fl`` (which starts at that
@@ -104,7 +107,7 @@ def dispatch_chain(sender, item_id, version, value, fl, mr1w, epoch=0):
             env = sender.send(ref.client_id,
                               GShip(txn_id=ref.txn_id, item_id=item_id,
                                     version=version, value=value,
-                                    mode=LockMode.READ, fl_tail=fl,
+                                    mode=READ, fl_tail=fl,
                                     group=group, release_to=release_to,
                                     epoch=epoch),
                               size=sender.data_ship_size(fl=fl))
@@ -117,7 +120,7 @@ def dispatch_chain(sender, item_id, version, value, fl, mr1w, epoch=0):
                               GShip(txn_id=next_writer.txn_id,
                                     item_id=item_id,
                                     version=version, value=value,
-                                    mode=LockMode.WRITE, fl_tail=fl.tail(1),
+                                    mode=WRITE, fl_tail=fl.tail(1),
                                     group=group, await_releases_from=group,
                                     epoch=epoch),
                               size=sender.data_ship_size(fl=fl.tail(1)))
@@ -132,7 +135,7 @@ def dispatch_chain(sender, item_id, version, value, fl, mr1w, epoch=0):
         env = sender.send(writer.client_id,
                           GShip(txn_id=writer.txn_id, item_id=item_id,
                                 version=version, value=value,
-                                mode=LockMode.WRITE, fl_tail=fl, epoch=epoch),
+                                mode=WRITE, fl_tail=fl, epoch=epoch),
                           size=sender.data_ship_size(fl=fl))
         if tracer is not None:
             if from_server:
@@ -176,7 +179,7 @@ class _Chain:
     def route(self, fl, now):
         """Send the chain down ``fl``, owing its last entry's returns."""
         self.fl = fl
-        self.has_writer = any(e.mode is LockMode.WRITE for e in fl.entries)
+        self.has_writer = any(e.mode is WRITE for e in fl.entries)
         self.owed = {ref.txn_id for ref in fl.entries[-1].txns}
         self.dispatched_at = now
 
@@ -282,9 +285,9 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
 
         if (self._graft_allowed(info)
                 and chain is not None
-                and msg.mode is LockMode.READ
+                and msg.mode is READ
                 and not chain.has_writer
-                and not any(w.mode is LockMode.WRITE for w in info.window)):
+                and not any(w.mode is WRITE for w in info.window)):
             self._graft_reader(info, ref)
             return
 
@@ -559,10 +562,10 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         # Tag the records with a unique unit-of-installation id so the
         # recovery redo pass can pair UPDATE with its COMMIT.
         unit = ("return", item_id, version)
-        self.wal.append(LogRecordType.UPDATE, txn=unit, item_id=item_id,
+        self.wal.append(LOG_UPDATE, txn=unit, item_id=item_id,
                         version=version, now=self.sim.now)
         self.store.install_as(item_id, version, value=value, now=self.sim.now)
-        lsn = self.wal.append(LogRecordType.COMMIT, txn=unit,
+        lsn = self.wal.append(LOG_COMMIT, txn=unit,
                               now=self.sim.now)
         self.wal.force(lsn)
         self.truncate_log(1)
@@ -626,7 +629,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         chain = info.chain
         item_id = info.item_id
         chain.fl = ForwardList(
-            (FLEntry(LockMode.READ, chain.fl.head.txns + (ref,)),))
+            (FLEntry(READ, chain.fl.head.txns + (ref,)),))
         chain.members.append(ref)
         chain.live.add(ref.txn_id)
         chain.owed.add(ref.txn_id)
@@ -634,7 +637,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         self.grafted_reads += 1
         item = self.store.read(item_id)
         dispatch_chain(self, item_id, item.version, item.value,
-                       ForwardList((FLEntry(LockMode.READ, (ref,)),)),
+                       ForwardList((FLEntry(READ, (ref,)),)),
                        mr1w=self.config.mr1w, epoch=info.epoch)
         tracer = self.sim.tracer
         if tracer is not None:
@@ -650,8 +653,8 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         if discipline == "fifo":
             return lambda txn: arrival[txn]
         if discipline == "reads_first":
-            return lambda txn: (mode[txn] is not LockMode.READ, arrival[txn])
-        return lambda txn: (mode[txn] is not LockMode.WRITE, arrival[txn])
+            return lambda txn: (mode[txn] is not READ, arrival[txn])
+        return lambda txn: (mode[txn] is not WRITE, arrival[txn])
 
     def _select_window(self, info, order):
         """Split the linear extension into the txns frozen into this FL and
@@ -935,7 +938,7 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
             # Basic mode: the data and the remaining FL arrive with the
             # (first) reader release; the writer executes once the whole
             # group has released.
-            hold.mode = LockMode.WRITE
+            hold.mode = WRITE
             hold.version = msg.version
             hold.value = msg.value
             hold.fl_tail = msg.fl_from_writer
@@ -1051,7 +1054,7 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
     def _forward(self, hold):
         """Pass the item to the FL successor (or home to the server)."""
         hold.released = True
-        if hold.mode is LockMode.WRITE and hold.committed_write:
+        if hold.mode is WRITE and hold.committed_write:
             out_version = hold.version + 1
             out_value = hold.new_value
         else:
@@ -1069,7 +1072,7 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
                                      outcomes={hold.txn_id: "done"},
                                      epoch=hold.epoch),
                       size=self.data_ship_size())
-        elif hold.mode is LockMode.READ:
+        elif hold.mode is READ:
             writer = rest.head.writer
             carries = not self.config.mr1w
             env = self.send(writer.client_id,
@@ -1200,7 +1203,7 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
                     break
                 txn.ops_done += 1
                 version = hold.version
-                if op.mode is LockMode.WRITE:
+                if op.mode is WRITE:
                     version += 1
                     hold.committed_write = True  # finalised below on abort
                     hold.new_value = f"t{txn_id}v{version}"

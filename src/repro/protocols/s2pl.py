@@ -40,6 +40,10 @@ from repro.protocols.sharded import TwoPhaseCoordinator, TwoPhaseParticipant
 from repro.protocols.transaction import TxnStatus
 from repro.sim.errors import Interrupt
 
+WRITE = LockMode.WRITE
+GRANTED = LockRequestState.GRANTED
+COMMITTED = TxnStatus.COMMITTED
+
 
 def choose_victim(cycle, policy, first_seen):
     """The member of ``cycle`` (first == last) that ``policy`` aborts;
@@ -131,7 +135,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
             tracer.row("lock.request", msg.txn_id, msg.item_id, msg.mode.name,
                        msg.client_id)
         state = self.lock_table.acquire(msg.txn_id, msg.item_id, msg.mode)
-        if state is LockRequestState.GRANTED:
+        if state is GRANTED:
             self._ship(msg.txn_id, msg.item_id, msg.mode, msg.vote_request)
             return
         if msg.vote_request:
@@ -428,7 +432,7 @@ class S2PLClient(TwoPhaseCoordinator, ProtocolClient):
         # A committed transaction's release or decisions are already sent;
         # one that crashed awaiting decision acks ("commit-limbo") records
         # nothing, the participants' decision state being authoritative.
-        if (txn.status is not TxnStatus.COMMITTED
+        if (txn.status is not COMMITTED
                 and txn.abort_reason != "commit-limbo"):
             self.history.record_abort(txn_id)
             # A fail-stopped site sends nothing (the wire is severed
@@ -501,7 +505,7 @@ class S2PLClient(TwoPhaseCoordinator, ProtocolClient):
                     txn.abort(notice.reason)
                     break
                 txn.ops_done += 1
-                if op.mode is LockMode.WRITE:
+                if op.mode is WRITE:
                     new_version = msg.version + 1
                     updates[op.item_id] = f"t{txn_id}v{new_version}"
                     self.history.record_access(

@@ -10,6 +10,10 @@ class TxnStatus(enum.Enum):
     ABORTED = "aborted"
 
 
+RUNNING, COMMITTED, ABORTED = (
+    TxnStatus.RUNNING, TxnStatus.COMMITTED, TxnStatus.ABORTED)
+
+
 class Transaction:
     """A live transaction executing at a client.
 
@@ -24,24 +28,24 @@ class Transaction:
         self.txn_id = txn_id
         self.client_id = client_id
         self.spec = spec
-        self.status = TxnStatus.RUNNING
+        self.status = RUNNING
         self.birth = birth
         self.ops_done = 0
         self.abort_reason = None
 
     @property
     def running(self):
-        return self.status is TxnStatus.RUNNING
+        return self.status is RUNNING
 
     def commit(self):
-        if self.status is not TxnStatus.RUNNING:
+        if self.status is not RUNNING:
             raise RuntimeError(f"commit on {self.status.value} txn {self.txn_id}")
-        self.status = TxnStatus.COMMITTED
+        self.status = COMMITTED
 
     def abort(self, reason):
-        if self.status is TxnStatus.COMMITTED:
+        if self.status is COMMITTED:
             raise RuntimeError(f"abort after commit of txn {self.txn_id}")
-        self.status = TxnStatus.ABORTED
+        self.status = ABORTED
         if self.abort_reason is None:
             self.abort_reason = reason
 

@@ -5,6 +5,8 @@ from typing import Tuple
 
 from repro.locking.modes import LockMode
 
+READ = LockMode.READ
+
 
 @dataclass(slots=True)
 class Operation:
@@ -17,7 +19,7 @@ class Operation:
 
     @property
     def is_read(self):
-        return self.mode is LockMode.READ
+        return self.mode is READ
 
 
 @dataclass(slots=True)

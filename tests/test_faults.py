@@ -305,6 +305,57 @@ class TestReliableLink:
         assert b.delivered == list(range(40))
         assert b.link.duplicates_suppressed > 0
 
+    def test_dedup_windows_stay_bounded_over_a_long_lossy_run(self):
+        """A receiver's window holds exactly the lanes it was handed: a
+        gapless run, plus the ones that arrived ahead of a message still
+        in flight — never more than the sender has sent since that one.
+        Three sites, so each sender's ``seq`` skips what went elsewhere;
+        once the traffic drains every window is a bare run."""
+        sim = Simulator()
+        injector = FaultInjector(FaultSpec.parse("loss=0.3,dup=0.2,jitter=25"),
+                                 RandomStreams(3).spawn("faults"))
+        net = Network(sim, UniformTopology(10.0), faults=injector)
+        sites = [net.add_site(ReliableSite(i, sim)) for i in range(3)]
+        for site in sites:
+            site.link = ReliableLink(sim, site, rto=30.0)
+        sent = {}   # (src, dst) -> messages sent; a payload is its lane
+
+        def send(src, dst):
+            lane = sent.get((src, dst), 0)
+            sent[src, dst] = lane + 1
+            sites[src].link.send(dst, (src, lane))
+
+        def check():
+            for dst, site in enumerate(sites):
+                for (src, _), window in site.link._windows.items():
+                    handed = {lane for who, lane in site.delivered
+                              if who == src}
+                    run = set(range(window.start, window.low))
+                    assert run | window.others == handed
+                    assert not run & window.others
+                    assert window.low not in handed
+                    if len(handed) < sent[src, dst]:   # one in flight
+                        assert len(window.others) < (sent[src, dst]
+                                                     - window.low)
+                    else:
+                        assert not window.others
+                    peak[0] = max(peak[0], len(window.others))
+
+        n, peak = 3000, [0]
+        for i in range(n):
+            src = i % 3
+            sim.call_later(float(i), send, src, (src + 1 + i // 3 % 2) % 3)
+        for when in range(0, n + 2000, 7):
+            sim.call_later(float(when), check)
+        sim.run()
+        check()
+        assert sum(len(site.delivered) for site in sites) == n
+        assert 0 < peak[0] < n // 4
+        for dst, site in enumerate(sites):
+            for (src, _), window in site.link._windows.items():
+                assert (window.start, window.low, window.others) == (
+                    0, sent[src, dst], set())
+
     def test_no_faults_no_retransmissions(self):
         sim, a, b = make_reliable_pair("jitter=0")
         for i in range(10):
@@ -338,7 +389,7 @@ class TestReliableLink:
     def test_wrappers_are_slotted_values(self):
         assert Reliable(inner="m", seq=3) == Reliable("m", 3, 0)
         assert ReliableAck(seq=3) == ReliableAck(3, 0)
-        assert Reliable.__slots__ == ("inner", "seq", "incarnation")
+        assert Reliable.__slots__ == ("inner", "seq", "incarnation", "lane")
         assert ReliableAck.__slots__ == ("seq", "incarnation")
         assert not hasattr(Reliable("m", 3), "__dict__")
 

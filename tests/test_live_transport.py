@@ -158,7 +158,7 @@ def test_a_shaped_send_is_in_flight_until_its_delivery():
     tracer = k1.tracer = Tracer(k1)
 
     def delivered():
-        return [row for row in tracer.events.rows if row[1] == "msg.deliver"]
+        return [event for event in tracer.events if event[1] == "msg.deliver"]
 
     async def scenario():
         await t0.start()

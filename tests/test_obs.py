@@ -222,8 +222,8 @@ class TestSchema:
             config, seed = golden_config(name)
             log = run_simulation(config, seed=seed).trace.events
             assert not log.odd
-            for row in log.rows:
-                seen.setdefault(row[1], set()).add(len(row) - 2)
+            for _, kind, fields in log:
+                seen.setdefault(kind, set()).add(len(fields))
         assert len(seen) > 15
         for kind, widths in seen.items():
             assert widths == {len(EVENT_SCHEMA[kind])}, kind

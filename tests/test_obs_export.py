@@ -1,13 +1,15 @@
-"""The flat-row event log, the columnar probe log and the compiled JSONL
-writer, each against the thing it replaced: the list of ``(time, kind,
-fields)`` triples, the list of ``(time, series, value)`` triples, and the
-per-row ``json.dumps`` writer kept in :mod:`tests.helpers`."""
+"""The columnar event and probe logs and the compiled JSONL writer, each
+against the thing it replaced: the list of ``(time, kind, fields)``
+triples, the list of ``(time, series, value)`` triples, and the per-row
+``json.dumps`` writer kept in :mod:`tests.helpers`."""
 
 import dataclasses
 import json
 import math
 import pickle
+import sys
 import tempfile
+from array import array
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
+from repro.obs.columns import STAGE
 from repro.obs.export import (
     _BAKED,
     write_jsonl,
@@ -320,7 +323,7 @@ def test_probe_log_reads_exports_and_sums_as_the_list_of_triples(script):
     log.declare(names)
     for step, payload in steps:
         if step == "tick":
-            log.ticks.append(payload)
+            log.tick(payload)
             plain.extend((payload[0], name, value)
                          for name, value in zip(names, payload[1:]))
         elif step == "append":
@@ -366,9 +369,152 @@ def test_probe_log_refuses_a_repeated_name_and_a_late_declaration():
         log.declare(["a", "b", "a"])
     log.declare(["a"])
     log.declare(["a", "b"])   # no tick taken yet
-    log.ticks.append((1.0, 2.0, 3.0))
+    log.tick((1.0, 2.0, 3.0))
     with pytest.raises(ValueError, match="already taken"):
         log.declare(["a", "b"])
+
+
+# -- typed columns: a value that does not fit keeps its type ------------------
+
+#: rows enough that the first batch settles into an array before the
+#: misfit arrives in the next one
+SETTLED = STAGE + STAGE // 2
+
+#: kind -> values its one column ("item") receives, row by row
+MISFITS = {
+    "bool_in_an_int_column": [*range(SETTLED), True, 7, False, 0],
+    "none_after_ints": [*range(SETTLED), None, 3],
+    "int_beyond_64_bits": [*range(SETTLED), 2 ** 63, -2 ** 63 - 1, 5],
+    "signed_zero_inf_and_nan_in_a_float_column": (
+        [-0.0, math.inf, *map(float, range(SETTLED)), -math.inf, 0.0,
+         math.nan, 2.5]),
+    "str_field": [*range(SETTLED), "x", 4],
+    "ints_then_floats": [*range(SETTLED), 1.0, 2],
+}
+
+
+def assert_reads_as(log, triples):
+    """``log`` iterates, indexes, slices, pickles and exports as the list
+    ``triples`` (``repr`` tells ``True`` from ``1``, ``1.0`` from ``1`` and
+    ``-0.0`` from ``0.0``; ``==`` holds a NaN to its own object)."""
+    assert len(log) == len(triples)
+    assert repr(list(log)) == repr(triples)
+    assert log == triples
+    picks = sorted({0, 1, STAGE - 1, STAGE, len(triples) // 2,
+                    len(triples) - 3, len(triples) - 1}
+                   & set(range(len(triples))))
+    assert repr([log[i] for i in picks]) == repr([triples[i] for i in picks])
+    assert repr(log[-1]) == repr(triples[-1])
+    for cut in (slice(STAGE - 2, STAGE + 2), slice(-4, None),
+                slice(None, None, -997)):
+        assert repr(log[cut]) == repr(triples[cut])
+    assert repr(list(pickle.loads(pickle.dumps(log)))) == repr(triples)
+
+
+@pytest.mark.parametrize("case", sorted(MISFITS))
+def test_a_misfit_turns_its_column_into_a_list_and_keeps_every_value(
+        case, tmp_path):
+    values = MISFITS[case]
+    clock, triples = _Clock(), []
+    tracer = Tracer(clock)
+    for index, value in enumerate(values):
+        clock.now = index / 4
+        tracer.row("fl.home", value)
+        triples.append((index / 4, "fl.home", {"item": value}))
+    trace = tracer.finish()
+    (times, column), = [trace.events.fields["fl.home"]]
+    assert type(times) is array and type(column) is list
+    assert all(type(mine) is type(theirs)
+               for mine, theirs in zip(column, values))
+    assert_reads_as(trace.events, triples)
+    new, old = both_writers(tmp_path, trace)
+    assert new == old
+
+
+def test_a_column_stays_an_array_while_every_value_fits():
+    clock = _Clock()
+    tracer = Tracer(clock)
+    for index in range(SETTLED):
+        clock.now = float(index)
+        tracer.row("fl.handoff", index, 2 ** 63 - 1, -2 ** 63)
+        tracer.row("txn.end", index, 1, True, index * 0.5)
+    fields = tracer.finish().events.fields
+    assert [column.typecode for column in fields["fl.handoff"]] == [
+        "d", "q", "q", "q"]
+    times, txn, client, committed, response = fields["txn.end"]
+    assert [times.typecode, txn.typecode, client.typecode,
+            response.typecode] == ["d", "q", "q", "d"]
+    assert committed == [True] * SETTLED
+
+
+def test_odd_rows_between_settled_batches(tmp_path):
+    """Rows not shaped like their kind — other names by ``emit``, a wrong
+    value count by ``row`` — on both sides of a settled batch, among rows
+    of the same kind that are."""
+    clock, triples, odd = _Clock(), [], 0
+    tracer = Tracer(clock)
+    for index in range(2 * STAGE + 7):
+        clock.now = float(index)
+        if index % 999 == 5:
+            tracer.emit("k", b=index, a="odd")
+            triples.append((float(index), "k", {"b": index, "a": "odd"}))
+            odd += 1
+        elif index % 1_001 == 9:
+            tracer.row("fl.graft", index)   # declared (txn, item)
+            triples.append((float(index), "fl.graft", {"txn": index}))
+            odd += 1
+        else:
+            tracer.emit("k", a=index, b=-index)
+            tracer.row("fl.graft", index, index + 1)
+            triples.append((float(index), "k", {"a": index, "b": -index}))
+            triples.append((float(index), "fl.graft",
+                            {"txn": index, "item": index + 1}))
+    trace = tracer.finish()
+    assert len(trace.events.odd) == odd > 10
+    assert_reads_as(trace.events, triples)
+    new, old = both_writers(tmp_path, trace)
+    assert new == old
+
+
+def test_more_kinds_than_a_byte_of_codes_holds(tmp_path):
+    clock, triples = _Clock(), []
+    tracer = Tracer(clock)
+    for index in range(3 * 300):
+        clock.now = float(index)
+        kind = f"kind.{index % 300}"
+        tracer.emit(kind, n=index)
+        triples.append((float(index), kind, {"n": index}))
+    trace = tracer.finish()
+    assert trace.events.codes.itemsize > 1
+    assert_reads_as(trace.events, triples)
+    new, old = both_writers(tmp_path, trace)
+    assert new == old
+
+
+def resident_bytes(log):
+    """What ``log`` keeps: its containers, and each object held in a list
+    column once (the kind names and the strings a column shares count once,
+    as they are one object)."""
+    seen, total = set(), sys.getsizeof(log.codes)
+    for columns in log.fields.values():
+        for column in columns:
+            total += sys.getsizeof(column)
+            if type(column) is list:
+                for value in column:
+                    if id(value) not in seen:
+                        seen.add(id(value))
+                        total += sys.getsizeof(value)
+    return total
+
+
+def test_a_traced_run_keeps_under_48_bytes_an_event():
+    """The layout's price on a real run: a kind code, the clock reading and
+    8 bytes a number, plus a list slot for a string or a bool. Rows as
+    tuples of boxed values cost about 119 bytes each."""
+    config, seed = golden_config("g2pl_traced")
+    events = run_simulation(config, seed=seed).trace.events
+    assert len(events) > 4_000 and not events.odd
+    assert resident_bytes(events) / len(events) < 48
 
 
 # -- the view -----------------------------------------------------------------

@@ -390,7 +390,8 @@ def _imports(tree):
 def _recorded_rows():
     """``(where, kind expression, value count)`` of every event the package
     records positionally: ``x.row(kind, *values)`` calls, and the tuples
-    ``(time, "kind", *values)`` the tracer's own hooks append."""
+    ``(time, *values)`` the tracer's own hooks stage under
+    ``self._staged["kind"]``."""
     for path, tree in _trees(""):
         where = os.path.relpath(path, SRC)
         for node in ast.walk(tree):
@@ -404,11 +405,12 @@ def _recorded_rows():
                 yield (f"{where}:{node.lineno}", node.args[0],
                        len(node.args) - 1)
             elif (node.func.attr == "append" and where == "obs/tracer.py"
-                  and ast.unparse(node.func.value) == "self._rows"
-                  and isinstance(node.args[0], ast.Tuple)
-                  and isinstance(node.args[0].elts[1], ast.Constant)):
-                yield (f"{where}:{node.lineno}", node.args[0].elts[1],
-                       len(node.args[0].elts) - 2)
+                  and isinstance(node.func.value, ast.Subscript)
+                  and ast.unparse(node.func.value.value) == "self._staged"
+                  and isinstance(node.func.value.slice, ast.Constant)):
+                assert isinstance(node.args[0], ast.Tuple), node.lineno
+                yield (f"{where}:{node.lineno}", node.func.value.slice,
+                       len(node.args[0].elts) - 1)
 
 
 def _literal_kinds(expression):
