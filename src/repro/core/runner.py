@@ -247,6 +247,8 @@ def assemble(config, seed):
                    else population.default_classes(params))
         user_counts = population.split_population(config.population,
                                                   config.n_clients)
+        # one cumulative table per run, not one per site
+        sampler = population.ZipfItemSampler(params)
         for index, (client_id, client) in enumerate(clients.items()):
             n_users = user_counts[index]
             popn_rng = streams.stream(f"client{client_id}.popn")
@@ -256,7 +258,8 @@ def assemble(config, seed):
             # looked up on the module at run time: tests swap the driver
             driver = population.PopulationDriver(
                 sim, client_id, client,
-                population.OpenArrivalGenerator(params, classes, popn_rng),
+                population.OpenArrivalGenerator(params, classes, popn_rng,
+                                                sampler=sampler),
                 control, collector, arrivals, n_users, user_rng=popn_rng,
                 max_inflight=config.max_inflight_per_site)
             drivers[client_id] = driver

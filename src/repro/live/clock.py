@@ -83,7 +83,7 @@ class LiveKernel(Simulator):
         loop, so they are the only ones that wake it: an entry pushed by a
         callback lands before the loop re-reads the heap top to sleep.
         """
-        self.schedule_at(max(self.wall_now(), self._now), callback, *args)
+        self.schedule_at(max(self.wall_now(), self.now), callback, *args)
         if self._wake is not None:
             self._wake.set()
 
@@ -129,7 +129,7 @@ class LiveKernel(Simulator):
                     entry = heapq.heappop(heap)
                     # Late entries run at the *real* time they run: the
                     # clock never claims an earlier instant than the wall.
-                    self._now = wall if wall > when else when
+                    self.now = wall if wall > when else when
                     self._event_count += 1
                     if len(entry) == 5 and entry[4][0]:
                         self._cancelled_count += 1
@@ -160,8 +160,8 @@ class LiveKernel(Simulator):
             except asyncio.TimeoutError:
                 pass
         if horizon is not None and not done and not self._stopped:
-            if self._now < horizon:
-                self._now = horizon
+            if self.now < horizon:
+                self.now = horizon
         if isinstance(until, Event):
             if not done:
                 return None  # stopped before the event fired

@@ -50,8 +50,9 @@ class WaitForGraph:
     def find_cycle_from(self, start):
         """Return a cycle (list of txns, first == last) through ``start``,
         or None."""
-        return find_cycle_through(start,
-                                  lambda txn: self._out.get(txn, ()))
+        out = self._out
+        return find_cycle_through(
+            start, lambda txn: expansion_order(out.get(txn, ())))
 
     def find_any_cycle(self):
         """Return any cycle in the graph, or None (for validation sweeps)."""
@@ -89,7 +90,7 @@ def find_any_cycle(out, alive):
             break
         pending = kept
     def successors(node):
-        return out[node] & alive
+        return expansion_order(out[node] & alive)
 
     for node in sorted(alive, key=repr):
         cycle = find_cycle_through(node, successors)
@@ -98,24 +99,37 @@ def find_any_cycle(out, alive):
     return None
 
 
+def expansion_order(nodes):
+    """``nodes`` as a list in the pinned order the cycle search expands
+    successors in: ``repr`` descending. Where several cycles run through
+    the start, which one comes back, hence which victim dies, depends on
+    exactly this order (txn 9 sorts before txn 10: the order is textual,
+    not numeric)."""
+    return sorted(nodes, key=repr, reverse=True)
+
+
 def find_cycle_through(start, successors):
     """Return a cycle (first == last) through ``start`` in the digraph
-    given by ``successors(node) -> iterable``, or None.
+    given by ``successors(node) -> sequence``, or None.
 
     A cycle through ``start`` exists iff ``start`` is reachable from one
     of its successors; a visited-set DFS makes this O(V+E) (a naive
     all-simple-paths search is exponential on dense wait graphs). The
     path is reconstructed from parent pointers. Successors are expanded
-    in ``sorted(..., key=repr, reverse=True)`` order: which cycle comes
-    back, hence which victim dies, hence every golden fingerprint,
-    depends on exactly this order.
+    in the order ``successors`` returns them, and every caller returns
+    them in :func:`expansion_order`: the graph methods here and the c-2PL
+    search sort where they build a node's successors, and s-2PL's search
+    reads them presorted from the lock table, which caches each waiter's
+    blockers in that order beside its wait edges
+    (:meth:`~repro.locking.lock_table.LockTable.waits_for_ordered`), so
+    a search sorts nothing the lock state has not changed since.
     """
     parent = {}
     stack = [start]
     visited = {start}
     while stack:
         node = stack.pop()
-        for nxt in sorted(successors(node), key=repr, reverse=True):
+        for nxt in successors(node):
             if nxt == start:
                 path = [start, node]
                 cursor = node

@@ -4,14 +4,24 @@
 message).  There is one send path and one delivery path, live mode's
 too (:class:`repro.live.transport.LiveTransport` subclasses this class);
 the tracer and the fault injector are read per call, so attaching either
-at any point takes effect on the next message.  Two things keep the path cheap:
+at any point takes effect on the next message.  Three things keep the
+path cheap:
 
 * per-(src, dst) link latency is **memoised** in a flat dict — the
   topology object is consulted once per pair, not once per message —
   with the bandwidth term added per send exactly as the unmemoised
   arithmetic did;
 * payload traffic classes are cached per payload *type* instead of
-  re-deriving ``type(...).__name__`` (plus wrapper unwrapping) per send.
+  re-deriving ``type(...).__name__`` per send; ``send`` reads that cache
+  inline, and only reliable-channel wrappers (unwrapped per message)
+  go through :func:`payload_kind`;
+* with no bandwidth limit and no fault injector, ``send`` pushes the
+  delivery onto the simulator's heap itself instead of calling
+  ``Simulator.schedule_at``.  That method re-checks ``when >= now`` on
+  every call; here the check is made once per link, when its latency is
+  memoised (:meth:`Network._link_latency` rejects a negative or NaN
+  latency), and the FIFO clamp only ever moves a delivery later, so no
+  message can be scheduled in the past.
 
 Under a fault injector the same method runs one loop over the copies
 ``FaultInjector.plan_delays`` decided on (a 0- or 1-tuple unless the
@@ -21,14 +31,17 @@ replay this send's drops and duplicates as events.  Crash windows are
 static, so the injector is asked once per send whether either endpoint
 has one at all, and ``severed_by_crash`` runs only for those links.
 
-Every delivery is one ``Simulator.schedule_at`` entry.  Its timestamp is
-``now + (deliver - now)``, the float the original relative
+Every delivery is one heap entry, the same ``(when, seq, callback,
+args)`` tuple whether ``send`` pushes it or ``schedule_at`` does (the
+bandwidth-limited and faulted branches keep ``schedule_at``).  Its
+timestamp is ``now + (deliver - now)``, the float the original relative
 ``call_later`` produced: scheduling at ``deliver`` directly could move
 the heap timestamp by one ulp and reorder ties, and the golden
 trajectories depend on it.
 """
 
 from dataclasses import dataclass, field
+from heapq import heappush
 
 from repro.network.message import Envelope
 
@@ -124,21 +137,24 @@ class Network:
         if src not in sites:
             raise KeyError(f"unknown source site {src!r}")
         sim = self.sim
-        now = sim._now
+        now = sim.now
         envelope = Envelope(src, dst, payload, size, now)
         stats = self.stats
         stats.messages_sent += 1
         stats.data_units_sent += size
-        kind = payload_kind(payload)
+        kind = _KIND_BY_CLASS.get(payload.__class__)
+        if kind is None or kind is _WRAPPER:
+            kind = payload_kind(payload)
         per_type = stats.per_type
         per_type[kind] = per_type.get(kind, 0) + 1
         latency_cache = self.link_latency
         key = (src, dst)
         base_delay = latency_cache.get(key)
         if base_delay is None:
-            base_delay = latency_cache[key] = self.topology.latency(src, dst)
-        if self.bandwidth is not None:
-            base_delay = base_delay + size / self.bandwidth
+            base_delay = latency_cache[key] = self._link_latency(src, dst)
+        bandwidth = self.bandwidth
+        if bandwidth is not None:
+            base_delay = base_delay + size / bandwidth
         last = self._last_deliver
         tracer = sim.tracer
         faults = self.faults
@@ -151,7 +167,14 @@ class Network:
                 deliver = prev
             last[key] = deliver
             # now + (deliver - now): see the module docstring.
-            sim.schedule_at(now + (deliver - now), self._deliver, envelope)
+            if bandwidth is None:
+                # deliver >= now + latency >= now: the per-link check in
+                # _link_latency stands in for schedule_at's per-call one.
+                heappush(sim._heap, (now + (deliver - now), next(sim._seq),
+                                     self._deliver, (envelope,)))
+            else:
+                sim.schedule_at(now + (deliver - now), self._deliver,
+                                envelope)
             envelope.deliver_time = deliver
             if tracer is not None:
                 tracer.net_send(envelope, kind, 1)
@@ -196,6 +219,16 @@ class Network:
                 tracer.net_duplicated(envelope)
             tracer.net_send(envelope, kind, fstats.delivered - pre_delivered)
         return envelope
+
+    def _link_latency(self, src, dst):
+        """The topology's latency for one link, asked once per link and
+        checked once: no delivery on it can be scheduled in the past."""
+        latency = self.topology.latency(src, dst)
+        if not latency >= 0:
+            raise ValueError(
+                f"link {src!r} -> {dst!r} has latency {latency!r}; "
+                f"a delivery cannot be scheduled before its send")
+        return latency
 
     def _deliver(self, envelope):
         tracer = self.sim.tracer

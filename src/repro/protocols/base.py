@@ -1,5 +1,7 @@
 """Shared plumbing for protocol servers and clients."""
 
+from array import array
+
 from repro.network.topology import Site
 from repro.protocols.messages import CONTROL_SIZE
 from repro.protocols.transaction import TxnOutcome, TxnStatus
@@ -33,6 +35,10 @@ class _Dispatcher(Site):
     shard_map = None
     #: Shard identity for per-shard round accounting (None = unsharded).
     shard_tag = None
+    #: Is fault injection on for this run? Fixed per run, so it is read
+    #: as an attribute on hot paths; like ``shard_map`` it is set on the
+    #: instance (by the constructor) only when ``config.faults`` is set.
+    fault_mode = False
     #: Probe series this site feeds, as ``(series name, name of a
     #: zero-argument method)`` pairs; multi-server runs report the sum.
     gauges = ()
@@ -100,6 +106,8 @@ class ProtocolServer(_Dispatcher):
         if shard_map is not None:
             self.shard_map = shard_map
             self.shard_tag = site_id
+        if getattr(config, "faults", None) is not None:
+            self.fault_mode = True
         self.aborts_initiated = 0
         self._cpu_free_at = 0.0
         self.recovery = None
@@ -162,10 +170,6 @@ class ProtocolServer(_Dispatcher):
             size += fl.transfer_size()
         return size
 
-    @property
-    def fault_mode(self):
-        return getattr(self.config, "faults", None) is not None
-
     def enable_fault_recovery(self, injector, rto, chain_timeout,
                               sweep_interval):
         """Install the fault-mode failure detector and recovery timers.
@@ -207,8 +211,11 @@ class ProtocolClient(_Dispatcher):
         self.history = history
         if shard_map is not None:
             self.shard_map = shard_map
-        #: time from each lock request to its grant (diagnostics)
-        self.op_waits = []
+        if getattr(config, "faults", None) is not None:
+            self.fault_mode = True
+        #: time from each lock request to its grant (diagnostics); typed
+        #: storage, 8 B a wait (a streaming run swaps in a RunningStat)
+        self.op_waits = array("d")
         self.crashed = False
 
     @property
@@ -220,10 +227,6 @@ class ProtocolClient(_Dispatcher):
         if self.shard_map is None:
             return SERVER_SITE_ID
         return self.shard_map.server_of(item_id)
-
-    @property
-    def fault_mode(self):
-        return getattr(self.config, "faults", None) is not None
 
     # -- crash lifecycle (fault injection) -----------------------------------
 

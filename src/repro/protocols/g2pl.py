@@ -234,7 +234,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         self._dead = set()
         # statistics
         self.windows_dispatched = 0
-        self.fl_lengths = []        # txn count per dispatched FL
+        self.fl_txns = 0            # txns over every dispatched FL
         self.avoidance_aborts = 0
         self.grafted_reads = 0
         # Window accounting: every request that enters a collection window
@@ -721,7 +721,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
             self._arm_watchdog(info)
 
         self.windows_dispatched += 1
-        self.fl_lengths.append(fl.txn_count())
+        self.fl_txns += fl.txn_count()
         tracer = self.sim.tracer
         if tracer is not None:
             # The window that collected while the item was away freezes
@@ -742,7 +742,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         stats["avoidance_aborts"] = self.avoidance_aborts
         stats["grafted_reads"] = self.grafted_reads
         # with windows_dispatched, the run's mean_fl_length
-        stats["fl_txns"] = sum(self.fl_lengths)
+        stats["fl_txns"] = self.fl_txns
         if self.fault_mode:
             stats["chain_repairs"] = self.chain_repairs
             stats["watchdog_fires"] = self.watchdog_fires

@@ -22,7 +22,7 @@ runs the atomic commit of :mod:`repro.protocols.sharded` (classic 2PC, or
 
 from repro.locking.lock_table import LockRequestState, LockTable
 from repro.locking.modes import LockMode
-from repro.locking.waitfor import find_cycle_through
+from repro.locking.waitfor import expansion_order, find_cycle_through
 from repro.protocols.base import (
     SERVER_SITE_ID,
     ProtocolClient,
@@ -305,17 +305,23 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
         Detection runs on every request that queues and mostly finds
         nothing, so the search is skipped when no wait edge can point at
         ``requester``. That prune is exact: a cycle needs an edge into it.
+        Without extra edges (every s-2PL server) the successors come
+        presorted from the lock table's per-lock-state cache; with them
+        (c-2PL's callback waits) each union is sorted as it is built.
         """
         table = self.lock_table
         extra = self._extra_wait_edges()
+        if not extra:
+            if not table.can_be_waited_on(requester):
+                return None
+            return find_cycle_through(requester, table.waits_for_ordered)
         if not table.can_be_waited_on(requester) and not any(
                 requester in blockers for blockers in extra.values()):
             return None
-        if not extra:
-            return find_cycle_through(requester, table.waits_for)
         return find_cycle_through(
             requester,
-            lambda node: table.waits_for(node).union(extra.get(node, ())))
+            lambda node: expansion_order(
+                table.waits_for(node).union(extra.get(node, ()))))
 
     def _detect_and_resolve(self, requester):
         """Abort transactions until no wait-for cycle involves ``requester``."""

@@ -9,6 +9,13 @@ popped tuple without re-packing.  Every ``run`` flavour shares that one
 loop (:meth:`Simulator._drain`); :meth:`Simulator.step` is the only
 other place an entry is popped.
 
+The clock, :attr:`Simulator.now`, is a plain instance attribute, not a
+property: the run loop writes it once per popped entry, and every
+protocol handler, transport send and process resumption reads it, so a
+read is one attribute load rather than a Python-level call.  Only the
+kernel writes it (this loop, :meth:`Simulator.step`, the horizon landing
+in :meth:`Simulator.run`, and live mode's wall-paced loop).
+
 Heap entries are ``(when, seq, callback, args)`` tuples; cancellable
 entries (armed by :meth:`Simulator.call_later_cancellable`, used by
 retransmissions and chain watchdogs) carry a fifth element, a one-slot
@@ -77,7 +84,9 @@ class Simulator:
     """
 
     def __init__(self):
-        self._now = 0.0
+        #: Current simulation time: a plain attribute that the run loop
+        #: writes at every pop, read directly by every component.
+        self.now = 0.0
         self._heap = []
         self._seq = count()
         self._event_count = 0
@@ -87,11 +96,6 @@ class Simulator:
         #: component reads it through its ``sim`` reference, so attaching
         #: one here turns tracing on for the whole stack.
         self.tracer = None
-
-    @property
-    def now(self):
-        """Current simulation time."""
-        return self._now
 
     @property
     def processed_events(self):
@@ -150,14 +154,14 @@ class Simulator:
 
     def call_soon(self, callback, *args):
         """Run ``callback(*args)`` at the current time, after pending entries."""
-        heapq.heappush(self._heap, (self._now, next(self._seq), callback, args))
+        heapq.heappush(self._heap, (self.now, next(self._seq), callback, args))
 
     def call_later(self, delay, callback, *args):
         """Run ``callback(*args)`` ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         heapq.heappush(
-            self._heap, (self._now + delay, next(self._seq), callback, args))
+            self._heap, (self.now + delay, next(self._seq), callback, args))
 
     def call_later_cancellable(self, delay, callback, *args):
         """Like :meth:`call_later`, but returns a cancel token.
@@ -172,7 +176,7 @@ class Simulator:
         token = [False]
         heapq.heappush(
             self._heap,
-            (self._now + delay, next(self._seq), callback, args, token))
+            (self.now + delay, next(self._seq), callback, args, token))
         return token
 
     def schedule_at(self, when, callback, *args):
@@ -181,17 +185,17 @@ class Simulator:
         Fast-path variant of :meth:`call_later` for callers that already
         computed an absolute timestamp (the transport's delivery times).
         """
-        if when < self._now:
+        if when < self.now:
             raise ValueError(
-                f"cannot schedule at {when!r} before now={self._now!r}")
+                f"cannot schedule at {when!r} before now={self.now!r}")
         heapq.heappush(self._heap, (when, next(self._seq), callback, args))
 
     def _schedule(self, event, delay):
         heapq.heappush(
-            self._heap, (self._now + delay, next(self._seq), event._process, ()))
+            self._heap, (self.now + delay, next(self._seq), event._process, ()))
 
     def _enqueue_triggered(self, event):
-        heapq.heappush(self._heap, (self._now, next(self._seq), event._process, ()))
+        heapq.heappush(self._heap, (self.now, next(self._seq), event._process, ()))
 
     # -- run loop -----------------------------------------------------------
 
@@ -218,7 +222,7 @@ class Simulator:
                 if depth > peak:
                     peak = depth
                 entry = heappop(heap)
-                self._now = when
+                self.now = when
                 events += 1
                 if hook is not None:
                     hook(when, depth)
@@ -250,12 +254,12 @@ class Simulator:
         if isinstance(until, Event):
             return self._run_until_event(until)
         horizon = float("inf") if until is None else float(until)
-        if horizon < self._now:
+        if horizon < self.now:
             raise SimulationError(
-                f"cannot run until {horizon} which is before now={self._now}")
+                f"cannot run until {horizon} which is before now={self.now}")
         self._drain(horizon)
         if horizon != float("inf"):
-            self._now = horizon
+            self.now = horizon
         return None
 
     def _run_until_event(self, event):
@@ -278,7 +282,7 @@ class Simulator:
         if depth > self._peak_heap:
             self._peak_heap = depth
         entry = heapq.heappop(self._heap)
-        self._now = entry[0]
+        self.now = entry[0]
         self._event_count += 1
         hook = self._engine_hook()
         if hook is not None:

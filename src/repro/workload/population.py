@@ -207,12 +207,15 @@ class OpenArrivalGenerator:
     stream per closed-loop client), all of a site's logical users share
     the site's ``popn`` stream — per-user streams at population 10⁶
     would defeat the bounded-memory design for no statistical gain.
+    The :class:`ZipfItemSampler` keeps no per-site state, so a run builds
+    one and hands it to every site's generator as ``sampler``.
     """
 
-    def __init__(self, params, classes, rng):
+    def __init__(self, params, classes, rng, sampler=None):
         self.params = params
         self.classes = classes
-        self.sampler = ZipfItemSampler(params)
+        self.sampler = (ZipfItemSampler(params) if sampler is None
+                        else sampler)
         self._rng = rng
         self._class_cumulative = list(itertools.accumulate(
             cls.weight for cls in classes))

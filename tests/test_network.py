@@ -197,6 +197,33 @@ def test_negative_latency_rejected():
         MatrixTopology({}, default=-1.0)
 
 
+class _DuckTopology:
+    """A topology the constructors cannot validate: any ``latency``."""
+
+    def __init__(self, latency):
+        self.value = latency
+
+    def latency(self, src, dst):
+        return self.value
+
+
+@pytest.mark.parametrize("latency", [-1.0, float("nan")])
+@pytest.mark.parametrize("bandwidth", [None, 4.0])
+def test_bad_link_latency_raises_on_first_send(latency, bandwidth):
+    """The fault-free send pushes deliveries onto the heap without the
+    per-call ``when >= now`` check of ``schedule_at``; the check is made
+    once per link, when its latency is memoised, so a bad latency still
+    fails on the first send and nothing reaches the heap."""
+    sim = Simulator()
+    net = Network(sim, _DuckTopology(latency), bandwidth=bandwidth)
+    for i in range(2):
+        net.add_site(Recorder(i, sim))
+    with pytest.raises(ValueError, match="latency"):
+        net.send(0, 1, "early")
+    assert sim.pending == 0
+    assert net.link_latency == {}
+
+
 def test_matrix_topology_lookup_and_symmetry():
     topo = MatrixTopology({(0, 1): 5.0, (1, 2): 7.0}, default=100.0)
     assert topo.latency(0, 1) == 5.0

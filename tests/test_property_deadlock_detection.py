@@ -13,8 +13,13 @@ from helpers import (
     brute_force_wait_edges,
 )
 from repro.locking import LockTable, WaitForGraph
+from repro.locking.waitfor import expansion_order
 
-TXNS = range(7)
+# Half the ids on each side of a digit boundary, so ``repr`` order (the
+# search's pinned expansion order: "9" > "12") differs from numeric
+# order often enough that a search expanding successors numerically
+# picks a different cycle in some drawn history.
+TXNS = range(7, 13)
 
 # (txn, op, item): acquire in a mode (a held READ asking for WRITE is an
 # upgrade and queues at the head), release everything, or drop the queued
@@ -104,12 +109,15 @@ def test_search_with_an_upgrade_at_a_queue_head(actions, first, second):
 
 
 def assert_cache_coherent(table):
-    """Every cached wait edge equals the brute-force one, right now."""
+    """Every cached wait edge, and its cached expansion order, equals
+    the brute-force one, right now."""
     union = brute_force_wait_edges(table)
     per_item = {item: brute_force_blockers(table, item)
                 for item in list(table._items) + ["absent"]}
     for txn in list(TXNS) + ["tail"]:
         assert table.waits_for(txn) == union.get(txn, set())
+        assert table.waits_for_ordered(txn) == expansion_order(
+            union.get(txn, ()))
         for item, edges in per_item.items():
             assert table.blockers_of(txn, item) == edges.get(txn, set())
     assert set(table.waiting()) == set(union)

@@ -326,19 +326,25 @@ def _lock_state_mutations(function):
                     yield ast.unparse(node)
 
 
+_CACHES = {"edges", "order"}  # an item lock's wait edges and their order
+
+
 def _resets_edge_cache(function):
-    return any(isinstance(node, ast.Assign)
-               and isinstance(node.value, ast.Constant)
-               and node.value.value is None
-               and any(isinstance(target, ast.Attribute)
-                       and target.attr == "edges" for target in node.targets)
-               for node in ast.walk(function))
+    """Does ``function`` set both of an item lock's caches to None?"""
+    reset = {target.attr for node in ast.walk(function)
+             if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Constant)
+             and node.value.value is None
+             for target in node.targets
+             if isinstance(target, ast.Attribute)}
+    return _CACHES <= reset
 
 
 def test_whatever_changes_an_item_lock_resets_its_edge_cache():
     """A stale wait-edge cache is a wrong deadlock victim, and no golden
     names the line that forgot: every function of the lock table that
-    changes a queue or a holder set must also set ``edges = None``."""
+    changes a queue or a holder set must also set ``edges`` and the
+    blockers' cached search order, ``order``, to None."""
     (_, tree), = _trees(os.path.join("locking", "lock_table.py"))
     mutating = [node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef)
@@ -364,13 +370,15 @@ def test_the_edge_cache_gate_sees_each_form():
                    "lock.edges = None", "granted.append(lock.queue[0])"):
         function = ast.parse(f"def f():\n    {source}")
         assert list(_lock_state_mutations(function)) == [], source
-    assert _resets_edge_cache(ast.parse("def f():\n    lock.edges = None"))
+    assert _resets_edge_cache(
+        ast.parse("def f():\n    lock.edges = lock.order = None"))
+    assert not _resets_edge_cache(ast.parse("def f():\n    lock.edges = None"))
 
 
 def test_item_locks_stay_slotted():
     from repro.locking.lock_table import _ItemLock
 
-    assert _ItemLock.__slots__ == ("holders", "queue", "edges")
+    assert _ItemLock.__slots__ == ("holders", "queue", "edges", "order")
     assert not hasattr(_ItemLock(), "__dict__")
 
 

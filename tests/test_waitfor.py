@@ -4,7 +4,8 @@ import graphlib
 
 from hypothesis import given, settings, strategies as st
 
-from repro.locking import WaitForGraph
+from repro.locking import LockMode, LockTable, WaitForGraph
+from repro.locking.waitfor import expansion_order, find_cycle_through
 
 
 def test_no_cycle_in_chain():
@@ -97,6 +98,33 @@ def test_long_cycle_detected():
     cycle = wfg.find_cycle_from("t0")
     assert cycle is not None
     assert len(cycle) == 51
+
+
+def test_blockers_9_and_10_pick_the_cycle_by_textual_order():
+    """Txn 0 waits for 9 and 10, and each waits for 0: two cycles, and the
+    expansion order picks one. ``repr`` descending puts "9" before "10",
+    so 10 is pushed last and searched first; a numeric order would find
+    the cycle through 9. The lock table's cached order must agree."""
+    wfg = WaitForGraph()
+    wfg.add_edges(0, [9, 10])
+    wfg.add_edges(9, [0])
+    wfg.add_edges(10, [0])
+    assert expansion_order({9, 10}) == [9, 10]
+    assert wfg.find_cycle_from(0) == [0, 10, 0]
+    numeric = find_cycle_through(
+        0, lambda txn: sorted(wfg._out.get(txn, ()), reverse=True))
+    assert numeric == [0, 9, 0]
+
+    table = LockTable()
+    table.acquire(9, "x", LockMode.READ)
+    table.acquire(10, "x", LockMode.READ)
+    table.acquire(0, "x", LockMode.WRITE)  # 0 waits for 9 and 10
+    table.acquire(0, "y", LockMode.WRITE)
+    table.acquire(0, "z", LockMode.WRITE)
+    table.acquire(9, "y", LockMode.WRITE)  # 9 waits for 0
+    table.acquire(10, "z", LockMode.WRITE)  # 10 waits for 0
+    assert table.waits_for_ordered(0) == [9, 10]
+    assert find_cycle_through(0, table.waits_for_ordered) == [0, 10, 0]
 
 
 @given(st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11)),
