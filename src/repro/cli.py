@@ -193,14 +193,11 @@ def _cmd_decompose(args):
     from repro.obs.decompose import decompose_records
     from repro.obs.export import write_phases_csv
 
-    config = args.config
-    result = run_simulation(config)
+    result = run_simulation(args.config)
     records = [record for record in result.trace.txns
                if record["measured"]]
     decomposition = decompose_records(
-        records, label=f"{args.protocol} seed {result.seed}",
-        threshold=config.streaming_threshold,
-        reservoir_capacity=config.reservoir_capacity)
+        records, label=f"{args.protocol} seed {result.seed}")
     print(result.summary())
     print(decomposition.describe())
     if args.out:

@@ -7,9 +7,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.protocols import registry
+from repro.stats import STREAMING_THRESHOLD
 
-#: whom s-2PL's deadlock detector aborts (``victim_policy``)
-VICTIM_POLICIES = ("requester", "youngest", "oldest")
 #: how g-2PL orders a forward list (``fl_ordering``)
 FL_ORDERINGS = ("fifo", "reads_first", "writes_first")
 
@@ -81,7 +80,6 @@ class SimulationConfig:
     think_max: float = 3.0
     idle_min: float = 2.0
     idle_max: float = 10.0
-    data_item_size: float = 8.0
     server_processing_time: float = 0.0
     access_skew: float = _flag(
         0.0, "--zipf", "Zipf-like access skew (item at rank r has weight "
@@ -91,19 +89,12 @@ class SimulationConfig:
     # truncation with no crash-recovery coverage (the paper's assumption)
     checkpoint_interval: Optional[int] = None
 
-    # s-2PL options
-    victim_policy: str = field(
-        default="requester", metadata={"choices": VICTIM_POLICIES})
-
     # g-2PL options
     mr1w: bool = True
     expand_read_groups: bool = False
     max_forward_list_length: Optional[int] = None
     fl_ordering: str = field(
         default="fifo", metadata={"choices": FL_ORDERINGS})
-
-    # c-2PL options
-    cache_capacity: Optional[int] = None  # None = unbounded client cache
 
     # sharding / geo-topology
     n_shards: int = _flag(
@@ -138,15 +129,6 @@ class SimulationConfig:
     arrival_rate: float = _flag(
         0.001, "--arrival-rate", "transactions per user per time unit "
         "(with --population)", metavar="R")
-    # burst arrivals: the first burst_fraction of every burst_period runs
-    # at burst_factor x the base rate, the rest at a reduced rate chosen
-    # so the long-run mean stays arrival_rate
-    burst_factor: float = 6.0
-    burst_fraction: float = 0.1
-    burst_period: float = 2000.0
-    # diurnal arrivals: rate(t) = base * (1 + amplitude*sin(2*pi*t/period))
-    diurnal_period: float = 20000.0
-    diurnal_amplitude: float = 0.8
     # None = one class with the workload's min_ops/max_ops/read_probability
     txn_mix: Optional[str] = _flag(
         None, "--txn-mix", "transaction classes 'name:weight:min-max:"
@@ -162,9 +144,6 @@ class SimulationConfig:
         None, "--streaming", "bounded-memory metrics (reservoir percentiles, "
         "running moments); auto switches on above the streaming threshold "
         "(default: auto)", type=streaming_mode, metavar="{on,off,auto}")
-    streaming_threshold: int = 20_000
-    reservoir_capacity: int = 8192
-    throughput_window: float = 1000.0
 
     # a FaultSpec or its spec string; None is a perfect network
     faults: Optional[object] = _flag(
@@ -200,7 +179,6 @@ class SimulationConfig:
         None, "--probe-interval", "sample time-series gauges (queue "
         "depths, in-flight messages, heap depth) every T sim-time units",
         type=float, metavar="T")
-    trace_engine: bool = False  # per-heap-entry engine events (very hot)
 
     def __post_init__(self):
         for spec in dataclasses.fields(self):
@@ -253,19 +231,6 @@ class SimulationConfig:
                     f"{self.n_clients}: every site needs >= 1 logical user")
             if self.arrival_rate <= 0:
                 raise ValueError("arrival_rate must be positive")
-        if not 0.0 < self.burst_fraction < 1.0:
-            raise ValueError("burst_fraction must be in (0, 1)")
-        if self.burst_factor < 1.0:
-            raise ValueError("burst_factor must be >= 1")
-        if self.burst_factor * self.burst_fraction > 1.0:
-            raise ValueError(
-                f"burst_factor {self.burst_factor:g} x burst_fraction "
-                f"{self.burst_fraction:g} exceeds 1: the off-phase rate "
-                f"would be negative (mean rate is preserved)")
-        if self.burst_period <= 0 or self.diurnal_period <= 0:
-            raise ValueError("arrival modulation periods must be positive")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ValueError("diurnal_amplitude must be in [0, 1)")
         if self.max_inflight_per_site < 1:
             raise ValueError("max_inflight_per_site must be >= 1")
         if self.txn_mix is not None:
@@ -282,12 +247,6 @@ class SimulationConfig:
             raise ValueError("hybrid_scale must be positive")
         if not 0.0 < self.adapt_ewma <= 1.0:
             raise ValueError("adapt_ewma must be in (0, 1]")
-        if self.streaming_threshold < 0:
-            raise ValueError("streaming_threshold must be >= 0")
-        if self.reservoir_capacity < 2:
-            raise ValueError("reservoir_capacity must be >= 2")
-        if self.throughput_window <= 0:
-            raise ValueError("throughput_window must be positive")
         # Every rule about what runs with what is a row of the registry's
         # capability tables; a config that constructs, runs.
         unsupported = registry.rejection(self)
@@ -299,7 +258,7 @@ class SimulationConfig:
         """The run's effective metrics mode (explicit flag or threshold)."""
         if self.streaming is not None:
             return self.streaming
-        return self.total_transactions > self.streaming_threshold
+        return self.total_transactions > STREAMING_THRESHOLD
 
     def replace(self, **changes):
         """A copy with ``changes`` applied (validation re-runs)."""

@@ -178,7 +178,7 @@ def assemble(config, seed):
     if config.trace or config.probe_interval is not None:
         from repro.obs.tracer import Tracer
 
-        tracer = Tracer(sim, engine_events=config.trace_engine)
+        tracer = Tracer(sim)
         sim.tracer = tracer
     streams = RandomStreams(seed)
     history = HistoryRecorder(enabled=config.record_history)
@@ -220,9 +220,7 @@ def assemble(config, seed):
         # A dedicated stream: reservoir draws cannot perturb the
         # trajectory, so streaming on/off yields identical executions.
         reservoir_rng=(streams.stream("metrics.reservoir")
-                       if streaming else None),
-        reservoir_capacity=config.reservoir_capacity,
-        throughput_window=config.throughput_window)
+                       if streaming else None))
     if streaming:
         # Bound the per-client lock-wait diagnostic too: a 10⁵-txn run
         # would otherwise grow op_waits without limit.
@@ -278,7 +276,6 @@ def assemble(config, seed):
             detector = sharding.GlobalDeadlockDetector(
                 sim, servers,
                 interval=2.0 * config.network_latency + 1.0,
-                victim_policy=config.victim_policy,
                 stop_when=lambda: control.done).start()
     if injector is not None:
         _install_fault_layer(sim, config, injector, servers, clients, drivers)

@@ -102,9 +102,11 @@ def find_any_cycle(out, alive):
 def expansion_order(nodes):
     """``nodes`` as a list in the pinned order the cycle search expands
     successors in: ``repr`` descending. Where several cycles run through
-    the start, which one comes back, hence which victim dies, depends on
-    exactly this order (txn 9 sorts before txn 10: the order is textual,
-    not numeric)."""
+    the start, which one comes back depends on exactly this order (txn 9
+    sorts before txn 10: the order is textual, not numeric). The victim
+    is the start whichever cycle it is, in s-2PL's per-request search and
+    in the union sweep alike, so the order shows only in the cycle length
+    a deadlock event traces."""
     return sorted(nodes, key=repr, reverse=True)
 
 

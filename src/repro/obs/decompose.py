@@ -62,8 +62,7 @@ class Decomposition:
         return "\n".join(lines)
 
 
-def decompose_records(records, label="run", threshold=None,
-                      reservoir_capacity=8192, seed=97):
+def decompose_records(records, label="run"):
     """Fold per-transaction records into a :class:`Decomposition`.
 
     ``records`` is an iterable of record dicts (or a mapping txn -> record);
@@ -73,10 +72,7 @@ def decompose_records(records, label="run", threshold=None,
     """
     if hasattr(records, "values"):
         records = records.values()
-    acc_kwargs = {"reservoir_capacity": reservoir_capacity, "seed": seed}
-    if threshold is not None:
-        acc_kwargs["threshold"] = threshold
-    acc = PhaseAccumulator(**acc_kwargs)
+    acc = PhaseAccumulator()
     violations = []
     for record in records:
         if not record.get("measured", True):
@@ -99,11 +95,11 @@ def decompose_records(records, label="run", threshold=None,
         phases=phases, violations=violations)
 
 
-def decompose_trace(trace, label="sim", **kwargs):
+def decompose_trace(trace, label="sim"):
     """Decompose a :class:`~repro.obs.tracer.TraceData` (committed,
     measured transactions — the calibration population)."""
     records = [r for r in trace.txns if r["committed"] and r["measured"]]
-    return decompose_records(records, label=label, **kwargs)
+    return decompose_records(records, label=label)
 
 
 @dataclass

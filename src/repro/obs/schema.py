@@ -7,8 +7,6 @@
 #: same order). None may be ``type``, ``t`` or ``kind``, the exported
 #: row's own keys: ``msg`` was once a second ``kind`` and lost to it.
 EVENT_SCHEMA = {
-    # sim engine (only with engine-event tracing enabled)
-    "engine.dispatch": ("depth",),
     # network
     "msg.send": ("id", "src", "dst", "msg", "size", "deliver"),
     "msg.deliver": ("id", "src", "dst"),

@@ -24,11 +24,12 @@ the lock_wait residual negative).
 Aggregation is streaming-compatible: :class:`PhaseAccumulator` keeps a
 Welford moment pair and a bounded reservoir per phase (the PR 7 machinery),
 switching away from exact per-transaction lists above the same
-``streaming_threshold`` the metrics pipeline uses.
+``STREAMING_THRESHOLD`` the metrics pipeline uses (:mod:`repro.stats`).
 """
 
 import random
 
+from repro.stats import RESERVOIR_CAPACITY, STREAMING_THRESHOLD
 from repro.stats.streaming import ReservoirSampler, Welford, linear_percentile
 
 #: phase names in report order; disjoint, summing exactly to response time
@@ -51,10 +52,6 @@ PHASE_COLORS = {
 #: phase is derived from the same charges the response was measured with)
 ABS_TOL = 1e-6
 REL_TOL = 1e-9
-
-#: txns below this count keep exact per-phase lists; above it the
-#: accumulator drops to reservoir + Welford (matches config default)
-DEFAULT_STREAMING_THRESHOLD = 20_000
 
 
 def tolerance(response):
@@ -147,8 +144,8 @@ class PhaseAccumulator:
     same auto-selection contract as PR 7's streaming metrics.
     """
 
-    def __init__(self, threshold=DEFAULT_STREAMING_THRESHOLD,
-                 reservoir_capacity=8192, seed=97):
+    def __init__(self, threshold=STREAMING_THRESHOLD,
+                 reservoir_capacity=RESERVOIR_CAPACITY, seed=97):
         self.threshold = threshold
         self.reservoir_capacity = reservoir_capacity
         self.seed = seed

@@ -289,9 +289,8 @@ class _TxnAcc:
 class Tracer:
     """Collects structured events and per-transaction accounting."""
 
-    def __init__(self, sim, engine_events=False):
+    def __init__(self, sim):
         self.sim = sim
-        self.engine_events = engine_events
         self.network = None
         self.events = EventLog()
         self._order = self.events.order
@@ -331,15 +330,6 @@ class Tracer:
             return
         self._order.append(kind)
         self._staged[kind].append((self.sim.now, *fields.values()))
-        if len(self._order) >= STAGE:
-            self.events.settle()
-
-    # -- engine --------------------------------------------------------------
-
-    def engine_dispatch(self, when, depth):
-        """Per-heap-entry event; only wired up when ``engine_events``."""
-        self._order.append("engine.dispatch")
-        self._staged["engine.dispatch"].append((when, depth))
         if len(self._order) >= STAGE:
             self.events.settle()
 

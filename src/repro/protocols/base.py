@@ -3,7 +3,7 @@
 from array import array
 
 from repro.network.topology import Site
-from repro.protocols.messages import CONTROL_SIZE
+from repro.protocols.messages import CONTROL_SIZE, DATA_ITEM_SIZE
 from repro.protocols.transaction import TxnOutcome, TxnStatus
 from repro.storage.wal import LogRecordType
 
@@ -165,7 +165,7 @@ class ProtocolServer(_Dispatcher):
         self.wal.garbage_collect(self.recovery.gc_horizon())
 
     def data_ship_size(self, n_items=1, fl=None):
-        size = CONTROL_SIZE + n_items * self.config.data_item_size
+        size = CONTROL_SIZE + n_items * DATA_ITEM_SIZE
         if fl is not None:
             size += fl.transfer_size()
         return size
@@ -257,7 +257,7 @@ class ProtocolClient(_Dispatcher):
         self.send(dst, payload, size=CONTROL_SIZE)
 
     def data_ship_size(self, n_items=1, fl=None):
-        size = CONTROL_SIZE + n_items * self.config.data_item_size
+        size = CONTROL_SIZE + n_items * DATA_ITEM_SIZE
         if fl is not None:
             size += fl.transfer_size()
         return size

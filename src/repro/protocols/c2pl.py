@@ -25,6 +25,7 @@ from repro.protocols.messages import (
     CacheRecallAck,
     CommitRelease,
     CONTROL_SIZE,
+    DATA_ITEM_SIZE,
     LockRequest,
 )
 from repro.protocols.s2pl import S2PLClient, S2PLServer
@@ -53,7 +54,7 @@ class C2PLServer(S2PLServer):
         if msg.txn_id in self._dead:
             return
         if msg.txn_id not in self._txns:
-            self._txns[msg.txn_id] = (msg.client_id, self.sim.now)
+            self._txns[msg.txn_id] = msg.client_id
         state = self.lock_table.acquire(msg.txn_id, msg.item_id, msg.mode)
         if state is LockRequestState.WAITING:
             self._detect_and_resolve(msg.txn_id)
@@ -80,7 +81,7 @@ class C2PLServer(S2PLServer):
         local transaction may be reading the cached copy, and only the
         recall/busy machinery serialises against it.
         """
-        client_id, _ = self._txns[txn_id]
+        client_id = self._txns[txn_id]
         holders = set(self._cached.get(item_id, set()))
         if self.config.mpl == 1:
             holders.discard(client_id)
@@ -153,7 +154,7 @@ class C2PLServer(S2PLServer):
         # Register BEFORE releasing the locks: a writer granted from the
         # queue by this very release must see the fresh registration, or
         # it would skip the recall and leave a stale copy behind.
-        client_id = self._txns.get(msg.txn_id, (None,))[0]
+        client_id = self._txns.get(msg.txn_id)
         if client_id is not None and msg.txn_id not in self._dead:
             for item_id in list(msg.updates) + list(msg.read_items):
                 self._cached.setdefault(item_id, set()).add(client_id)
@@ -173,38 +174,12 @@ class C2PLClient(S2PLClient):
         # only until the sibling ends, which is not long enough for a
         # hitchhiking reader.
         self._cache = {}
-        self._cache_order = []      # LRU order for the capacity limit
         self._deferred_recalls = set()
         self._txn_used = {}         # txn_id -> set(item_id) used from cache
         self.cache_hits = 0
         self.cache_misses = 0
 
     # -- cache plumbing -----------------------------------------------------------
-
-    def _cache_put(self, item_id, version, value, published=False):
-        if item_id not in self._cache:
-            self._cache_order.append(item_id)
-        self._cache[item_id] = [version, value, published]
-        capacity = self.config.cache_capacity
-        if capacity is not None:
-            while len(self._cache) > capacity:
-                evict = self._cache_order.pop(0)
-                if evict == item_id and len(self._cache) == 1:
-                    break
-                if evict in self._deferred_recalls:
-                    self._cache_order.append(evict)  # pinned: try another
-                    continue
-                self._cache.pop(evict, None)
-                self.send(self.server_id,
-                          CacheRecallAck(item_id=evict,
-                                         client_id=self.client_id,
-                                         final=True),
-                          size=CONTROL_SIZE)
-
-    def _cache_drop(self, item_id):
-        self._cache.pop(item_id, None)
-        if item_id in self._cache_order:
-            self._cache_order.remove(item_id)
 
     def on_CacheRecall(self, msg):
         users = [txn_id for txn_id, used in self._txn_used.items()
@@ -222,7 +197,7 @@ class C2PLClient(S2PLClient):
                                          final=False, busy_txn=busy_txn),
                           size=CONTROL_SIZE)
             return
-        self._cache_drop(msg.item_id)
+        self._cache.pop(msg.item_id, None)
         self.send(self.server_id,
                   CacheRecallAck(item_id=msg.item_id,
                                  client_id=self.client_id, final=True),
@@ -238,7 +213,7 @@ class C2PLClient(S2PLClient):
             if any(item_id in other for other in self._txn_used.values()):
                 continue
             self._deferred_recalls.discard(item_id)
-            self._cache_drop(item_id)
+            self._cache.pop(item_id, None)
             self.send(self.server_id,
                       CacheRecallAck(item_id=item_id,
                                      client_id=self.client_id,
@@ -310,7 +285,7 @@ class C2PLClient(S2PLClient):
                 else:
                     read_items.append(op.item_id)
                     fetched.append(op.item_id)
-                    self._cache_put(op.item_id, msg.version, msg.value)
+                    self._cache[op.item_id] = [msg.version, msg.value, False]
                     self.history.record_access(
                         txn.txn_id, op.item_id, op.mode, msg.version,
                         self.sim.now)
@@ -324,7 +299,7 @@ class C2PLClient(S2PLClient):
         if txn.status.value == "committed":
             self.history.record_commit(txn.txn_id, time=self.sim.now)
             for item_id, (version, value) in pending_cache.items():
-                self._cache_put(item_id, version, value, published=True)
+                self._cache[item_id] = [version, value, True]
             for item_id in fetched:
                 entry = self._cache.get(item_id)
                 if entry is not None:
@@ -333,14 +308,14 @@ class C2PLClient(S2PLClient):
                       CommitRelease(txn_id=txn.txn_id, updates=updates,
                                     read_items=tuple(read_items)),
                       size=CONTROL_SIZE
-                      + len(updates) * self.config.data_item_size)
+                      + len(updates) * DATA_ITEM_SIZE)
         else:
             self.history.record_abort(txn.txn_id)
             # Copies fetched during this transaction were never registered
             # at the server (the registration rides the commit release),
             # so they go; uncommitted writes never entered the cache.
             for item_id in fetched:
-                self._cache_drop(item_id)
+                self._cache.pop(item_id, None)
             self.send(self.server_id, AbortRelease(txn_id=txn.txn_id),
                       size=CONTROL_SIZE)
         self._flush_deferred_recalls(txn.txn_id)

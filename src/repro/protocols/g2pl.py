@@ -200,11 +200,10 @@ class _ItemState:
 
 
 class _TxnEntry:
-    __slots__ = ("client_id", "first_seen", "chain_items", "window_items")
+    __slots__ = ("client_id", "chain_items", "window_items")
 
-    def __init__(self, client_id, first_seen):
+    def __init__(self, client_id):
         self.client_id = client_id
-        self.first_seen = first_seen
         self.chain_items = set()  # items whose un-returned chain includes txn
         self.window_items = set()  # items whose window holds a request of txn
 
@@ -259,7 +258,7 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
             return
         entry = self._txns.get(txn_id)
         if entry is None:
-            entry = self._txns[txn_id] = _TxnEntry(msg.client_id, self.sim.now)
+            entry = self._txns[txn_id] = _TxnEntry(msg.client_id)
             if self.shard_map is not None:
                 # First registration at this shard pins the shared node
                 # once; _retire releases exactly one pin per shard.
@@ -1047,9 +1046,7 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
         # chain slots) forever.
         if state != "aborted-server" or len(targets) > 1:
             for target in targets:
-                self.send_control(target,
-                                  TxnDone(txn_id=txn_id,
-                                          committed=state == "committed"))
+                self.send_control(target, TxnDone(txn_id=txn_id))
 
     def _forward(self, hold):
         """Pass the item to the FL successor (or home to the server)."""

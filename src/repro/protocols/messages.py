@@ -1,8 +1,8 @@
 """Protocol message payloads.
 
 Message sizes are in abstract data units: control messages cost
-``CONTROL_SIZE``, every shipped copy of a data item adds the configured item
-size, and a piggybacked forward list adds ``FL_ENTRY_SIZE`` per entry. With
+``CONTROL_SIZE``, every shipped copy of a data item adds ``DATA_ITEM_SIZE``,
+and a piggybacked forward list adds ``FL_ENTRY_SIZE`` per entry. With
 the paper's infinite-bandwidth assumption sizes only feed the traffic
 statistics; the A2 ablation gives them teeth.
 """
@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 CONTROL_SIZE = 1.0
+DATA_ITEM_SIZE = 8.0
 FL_ENTRY_SIZE = 0.25
 
 
@@ -160,7 +161,6 @@ class TxnDone:
     """
 
     txn_id: int
-    committed: bool
 
 
 @dataclass(slots=True)

@@ -33,6 +33,7 @@ from repro.protocols.messages import (
     AbortRelease,
     CommitRelease,
     CONTROL_SIZE,
+    DATA_ITEM_SIZE,
     DataShip,
     LockRequest,
 )
@@ -43,16 +44,6 @@ from repro.sim.errors import Interrupt
 WRITE = LockMode.WRITE
 GRANTED = LockRequestState.GRANTED
 COMMITTED = TxnStatus.COMMITTED
-
-
-def choose_victim(cycle, policy, first_seen):
-    """The member of ``cycle`` (first == last) that ``policy`` aborts;
-    ``first_seen(txn)`` is its age, ties broken by transaction id."""
-    members = list(dict.fromkeys(cycle))  # unique, order-preserving
-    if policy == "requester":
-        return members[0]
-    pick = max if policy == "youngest" else min
-    return pick(members, key=lambda txn: (first_seen(txn), txn))
 
 
 class S2PLServer(TwoPhaseParticipant, ProtocolServer):
@@ -70,7 +61,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
         # carry the shard's prepare vote.
         self._vote_wanted = set()
         self.lock_table = LockTable()
-        # txn_id -> (client_id, first_seen_time); live transactions only.
+        # txn_id -> client_id; live transactions only.
         self._txns = {}
         self._dead = set()
         self.deadlocks_found = 0
@@ -94,7 +85,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
 
     def _crash_sweep(self):
         now = self.sim.now
-        crashed = [txn_id for txn_id, (client_id, _) in self._txns.items()
+        crashed = [txn_id for txn_id, client_id in self._txns.items()
                    if self._injector.is_crashed(client_id, now)
                    and txn_id not in self._prepared]
         if crashed:
@@ -129,7 +120,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
         if msg.txn_id in self._dead or msg.txn_id in self._swept:
             return  # request from a transaction this server already aborted
         if msg.txn_id not in self._txns:
-            self._txns[msg.txn_id] = (msg.client_id, self.sim.now)
+            self._txns[msg.txn_id] = msg.client_id
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.row("lock.request", msg.txn_id, msg.item_id, msg.mode.name,
@@ -192,7 +183,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
             self.twopc_aborts.add(txn_id)
             return
         client_id = (staged.client_id if staged is not None
-                     else self._txns.get(txn_id, (None, None))[0])
+                     else self._txns.get(txn_id))
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.row("twopc.decision", txn_id, self.site_id, msg.commit)
@@ -265,7 +256,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
         """Ship the granted item. ``vote`` ("2pc-opt"): this is the
         transaction's last grant at this shard and doubles as its PREPARED
         vote."""
-        client_id, _ = self._txns[txn_id]
+        client_id = self._txns[txn_id]
         item = self.store.read(item_id)
         env = self.send(client_id,
                         DataShip(txn_id=txn_id, item_id=item_id,
@@ -324,20 +315,16 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
                 table.waits_for(node).union(extra.get(node, ()))))
 
     def _detect_and_resolve(self, requester):
-        """Abort transactions until no wait-for cycle involves ``requester``."""
-        while True:
-            cycle = self._find_cycle_from(requester)
-            if cycle is None:
-                return
-            self.deadlocks_found += 1
-            victim = choose_victim(cycle, self.config.victim_policy,
-                                   lambda txn: self._txns[txn][1])
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.row("lock.deadlock", requester, victim, len(set(cycle)))
-            self._abort(victim, reason="deadlock")
-            if victim == requester:
-                return
+        """Abort ``requester`` if its request closed a wait-for cycle: the
+        one victim that clears every cycle through it."""
+        cycle = self._find_cycle_from(requester)
+        if cycle is None:
+            return
+        self.deadlocks_found += 1
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.row("lock.deadlock", requester, requester, len(set(cycle)))
+        self._abort(requester, reason="deadlock")
 
     def _abort(self, txn_id, reason):
         """Choose ``txn_id`` as a deadlock victim.
@@ -348,7 +335,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
         commit release. (Victims are always waiting transactions: every
         member of a wait-for cycle waits for someone.)
         """
-        client_id, _ = self._txns[txn_id]
+        client_id = self._txns[txn_id]
         self._dead.add(txn_id)
         self.aborts_initiated += 1
         tracer = self.sim.tracer
@@ -546,7 +533,7 @@ class S2PLClient(TwoPhaseCoordinator, ProtocolClient):
                       read_items=tuple(read_items),
                       commit_time=self.sim.now if fault_mode else None),
                   size=CONTROL_SIZE
-                  + len(updates) * self.config.data_item_size)
+                  + len(updates) * DATA_ITEM_SIZE)
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.round_charge(

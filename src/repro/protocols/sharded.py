@@ -65,6 +65,7 @@ from types import MappingProxyType
 from repro.protocols.messages import (
     CommitDecision,
     CONTROL_SIZE,
+    DATA_ITEM_SIZE,
     DecisionAck,
     OutcomeQuery,
     OutcomeReply,
@@ -293,7 +294,6 @@ class TwoPhaseCoordinator:
         tracer = self.sim.tracer
         txn_id = txn.txn_id
         fault_mode = self.fault_mode
-        item_size = self.config.data_item_size
         if voted is not None:
             ok = voted.issuperset(targets)
         else:
@@ -309,7 +309,7 @@ class TwoPhaseCoordinator:
                                                if reads else ()),
                                    participants=tuple(targets),
                                    charge=index == 0),
-                    size=CONTROL_SIZE + len(updates[target]) * item_size)
+                    size=CONTROL_SIZE + len(updates[target]) * DATA_ITEM_SIZE)
                 if tracer is not None and index == 0:
                     tracer.wire_charge(txn_id, env, phase="commit")
             if tracer is not None:
@@ -339,7 +339,7 @@ class TwoPhaseCoordinator:
                                             if ok and fault_mode else None),
                                ack=want_acks, charge=index == 0),
                 size=CONTROL_SIZE
-                + (len(payload) * item_size if payload else 0))
+                + (len(payload) * DATA_ITEM_SIZE if payload else 0))
             # The decision flight is only *awaited* (and thus chargeable
             # wire time) when acks are requested; in non-fault mode the
             # coordinator commits fire-and-forget, so charging it would

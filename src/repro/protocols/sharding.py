@@ -26,7 +26,6 @@ Cross-shard coordination state shared between shard servers:
 from repro.locking.waitfor import find_any_cycle
 from repro.protocols.base import SERVER_SITE_ID
 from repro.protocols.precedence import PrecedenceGraph
-from repro.protocols.s2pl import choose_victim
 
 
 def partition_items(n_items, n_shards):
@@ -167,11 +166,11 @@ class GlobalDeadlockDetector:
     distributed deadlock (T1 waits at shard A for T2, which waits at
     shard B for T1) has no local cycle anywhere. This detector
     periodically unions every shard's wait-for edges, finds cycles, and
-    aborts one victim per cycle through the shard where the victim is
-    waiting (a waiting transaction has a queued request at exactly the
-    shards it is blocked at; aborting it there triggers the normal
-    AbortNotice -> client abort -> AbortRelease fan-out that releases
-    its locks everywhere).
+    aborts one victim per cycle (its first member, where the search
+    started) through the shard where the victim is waiting (a waiting
+    transaction has a queued request at exactly the shards it is blocked
+    at; aborting it there triggers the normal AbortNotice -> client
+    abort -> AbortRelease fan-out that releases its locks everywhere).
 
     Deterministic: driven by a simulation timer, iterating servers in
     shard order and cycles in detection order.
@@ -180,16 +179,14 @@ class GlobalDeadlockDetector:
     each queued item's cached wait-edge map
     (:meth:`~repro.locking.lock_table.LockTable.wait_edges`), most
     sweeps end when the trim finds nothing that can reach a cycle, and
-    where a victim is waiting and how old it is are looked up only once a
-    cycle exists. ``sweeps`` / ``cyclic_sweeps`` count both kinds.
+    where a victim is waiting is looked up only once a cycle exists.
+    ``sweeps`` / ``cyclic_sweeps`` count both kinds.
     """
 
-    def __init__(self, sim, servers, interval, victim_policy="requester",
-                 stop_when=None):
+    def __init__(self, sim, servers, interval, stop_when=None):
         self.sim = sim
         self.servers = list(servers)
         self.interval = interval
-        self.victim_policy = victim_policy
         self.stop_when = stop_when
         self.distributed_deadlocks = 0
         self.sweeps = 0
@@ -219,11 +216,6 @@ class GlobalDeadlockDetector:
                         out[txn] = out.get(txn, blockers) | blockers
         return out
 
-    def _first_seen(self, txn):
-        """``txn``'s earliest registration at any shard (0.0 if none)."""
-        return min((server._txns[txn][1] for server in self.servers
-                    if txn in server._txns), default=0.0)
-
     def _sweep(self):
         """Abort one victim per cycle of the union graph as it stands now.
 
@@ -251,8 +243,7 @@ class GlobalDeadlockDetector:
                 waiting_at = {txn: server
                               for server in reversed(self.servers)
                               for txn in server.lock_table.waiting()}
-            victim = choose_victim(cycle, self.victim_policy,
-                                   self._first_seen)
+            victim = cycle[0]
             server = waiting_at[victim]
             self.distributed_deadlocks += 1
             tracer = self.sim.tracer

@@ -17,8 +17,8 @@ RUNNING, COMMITTED, ABORTED = (
 class Transaction:
     """A live transaction executing at a client.
 
-    Wraps the immutable workload spec with runtime status; ``birth`` is the
-    arrival time used by age-based deadlock victim policies.
+    Wraps the immutable workload spec with runtime status; ``birth`` is
+    the time its driver created it.
     """
 
     __slots__ = ("txn_id", "client_id", "spec", "status", "birth",

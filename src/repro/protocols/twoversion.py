@@ -40,6 +40,7 @@ from repro.protocols.messages import (
     CommitAck,
     CommitRelease,
     CONTROL_SIZE,
+    DATA_ITEM_SIZE,
     DataShip,
     LockRequest,
 )
@@ -363,7 +364,7 @@ class TwoVersionClient(S2PLClient):
                           CommitRelease(txn_id=txn.txn_id, updates=updates,
                                         read_items=()),
                           size=CONTROL_SIZE
-                          + len(updates) * self.config.data_item_size)
+                          + len(updates) * DATA_ITEM_SIZE)
                 event = self.sim.event()
                 # (a grant wait's shape; only the event is ever used)
                 self._grant_events[txn.txn_id] = (event, self.sim.now, 0.0)

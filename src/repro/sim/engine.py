@@ -3,9 +3,8 @@
 The run loop is the hottest code in the repository — every message
 delivery, timeout, and process resumption passes through it — so it
 binds the heap and counters to locals for the duration of a run (written
-back on exit, including on error), resolves the tracer hook once per run
-instead of per dispatch, and dispatches heap entries straight from the
-popped tuple without re-packing.  Every ``run`` flavour shares that one
+back on exit, including on error) and dispatches heap entries straight
+from the popped tuple without re-packing.  Every ``run`` flavour shares that one
 loop (:meth:`Simulator._drain`); :meth:`Simulator.step` is the only
 other place an entry is popped.
 
@@ -22,10 +21,9 @@ retransmissions and chain watchdogs) carry a fifth element, a one-slot
 mutable token.  Cancelling flips the token and the pop loop *skips* the
 entry instead of invoking a dead callback — lazy deletion, since removing
 from the middle of a heap is O(n).  Skipped entries still advance the
-clock, the processed-events counter, and the engine trace hook exactly as
-the live no-op call used to, so diagnostics and traces stay bit-identical
-with pre-fast-path kernels; they are additionally counted in
-:attr:`Simulator.cancelled_events`.
+clock and the processed-events counter exactly as the live no-op call
+used to, so diagnostics stay bit-identical with pre-fast-path kernels;
+they are additionally counted in :attr:`Simulator.cancelled_events`.
 """
 
 import gc
@@ -119,13 +117,6 @@ class Simulator:
         cancelled (lazy deletion; see :meth:`call_later_cancellable`)."""
         return self._cancelled_count
 
-    def _engine_hook(self):
-        """The per-dispatch tracer callback, or None (the common case)."""
-        tracer = self.tracer
-        if tracer is not None and tracer.engine_events:
-            return tracer.engine_dispatch
-        return None
-
     # -- event construction -------------------------------------------------
 
     def event(self):
@@ -208,7 +199,6 @@ class Simulator:
         processed entry's timestamp.
         """
         heap = self._heap
-        hook = self._engine_hook()
         heappop = heapq.heappop
         events = self._event_count
         peak = self._peak_heap
@@ -224,8 +214,6 @@ class Simulator:
                 entry = heappop(heap)
                 self.now = when
                 events += 1
-                if hook is not None:
-                    hook(when, depth)
                 if len(entry) == 5 and entry[4][0]:
                     cancelled += 1
                     continue
@@ -284,9 +272,6 @@ class Simulator:
         entry = heapq.heappop(self._heap)
         self.now = entry[0]
         self._event_count += 1
-        hook = self._engine_hook()
-        if hook is not None:
-            hook(entry[0], depth)
         if len(entry) == 5 and entry[4][0]:
             self._cancelled_count += 1
             return True

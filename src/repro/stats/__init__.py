@@ -8,13 +8,24 @@ replications (relative precision ≤ 2% in the paper's full-scale runs).
 
 from repro._lazy import lazy_exports
 
+#: a run above this many transactions streams its metrics (``streaming``
+#: auto): reservoir percentiles and running moments instead of lists
+STREAMING_THRESHOLD = 20_000
+#: samples a streamed percentile is estimated from
+RESERVOIR_CAPACITY = 8192
+#: width of one streamed throughput window, in sim-time units
+THROUGHPUT_WINDOW = 1000.0
+
 __all__ = [
     "ConfidenceInterval",
     "MetricsCollector",
+    "RESERVOIR_CAPACITY",
     "ReservoirSampler",
     "RunMetrics",
     "RunningStat",
+    "STREAMING_THRESHOLD",
     "StreamingMetrics",
+    "THROUGHPUT_WINDOW",
     "Welford",
     "WindowedThroughput",
     "mean_confidence_interval",

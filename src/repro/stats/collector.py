@@ -4,6 +4,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.stats import RESERVOIR_CAPACITY, THROUGHPUT_WINDOW
 from repro.stats.streaming import (
     ReservoirSampler,
     Welford,
@@ -130,8 +131,8 @@ class MetricsCollector:
     """
 
     def __init__(self, warmup_transactions=0, streaming=False,
-                 reservoir_rng=None, reservoir_capacity=8192,
-                 throughput_window=1000.0):
+                 reservoir_rng=None, reservoir_capacity=RESERVOIR_CAPACITY,
+                 throughput_window=THROUGHPUT_WINDOW):
         if warmup_transactions < 0:
             raise ValueError("warmup_transactions must be >= 0")
         self.warmup_transactions = warmup_transactions

@@ -29,6 +29,8 @@ streaming runs fingerprint and replay bit-identically at ``jobs=1`` and
 import math
 from collections import deque
 
+from repro.stats import RESERVOIR_CAPACITY, THROUGHPUT_WINDOW
+
 
 def linear_percentile(values, p):
     """Linearly-interpolated ``p``-th percentile (0-100) of ``values``;
@@ -86,7 +88,7 @@ class ReservoirSampler:
 
     __slots__ = ("capacity", "seen", "values", "_random")
 
-    def __init__(self, rng, capacity=8192):
+    def __init__(self, rng, capacity=RESERVOIR_CAPACITY):
         if capacity < 2:
             raise ValueError(f"capacity must be >= 2, got {capacity!r}")
         self.capacity = capacity
@@ -126,7 +128,7 @@ class WindowedThroughput:
     __slots__ = ("window", "recent", "total", "peak_count", "_index",
                  "_count")
 
-    def __init__(self, window=1000.0, max_windows=256):
+    def __init__(self, window=THROUGHPUT_WINDOW, max_windows=256):
         if window <= 0:
             raise ValueError(f"window must be positive, got {window!r}")
         self.window = window

@@ -142,10 +142,7 @@ def make_arrivals(config, rng, rate):
     if kind == "poisson":
         return PoissonArrivals(rng, rate)
     if kind == "burst":
-        return BurstArrivals(rng, rate, burst_factor=config.burst_factor,
-                             on_fraction=config.burst_fraction,
-                             period=config.burst_period)
+        return BurstArrivals(rng, rate)
     if kind == "diurnal":
-        return DiurnalArrivals(rng, rate, period=config.diurnal_period,
-                               amplitude=config.diurnal_amplitude)
+        return DiurnalArrivals(rng, rate)
     raise ValueError(f"unknown arrival process {kind!r}")

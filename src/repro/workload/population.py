@@ -58,8 +58,8 @@ arrival's does not yet include it.
 *What counts heap entries.* The entries a sleeping site never pushes are
 missing from ``engine_stats.processed_events`` / ``peak_heap_depth``
 and, in a traced run, from ``trace_summary.processed_events`` /
-``peak_heap_depth``, the ``heap_pending`` probe series and the
-``engine.dispatch`` events of ``trace_engine=True``. Nothing else moves.
+``peak_heap_depth`` and the ``heap_pending`` probe series. Nothing else
+moves.
 """
 
 import bisect

@@ -149,17 +149,6 @@ def test_aborted_writer_update_not_cached():
     h.check_serializable()
 
 
-def test_cache_capacity_evicts_lru():
-    h = Harness("c2pl", n_clients=1, n_items=4, latency=10.0,
-                cache_capacity=2)
-    h.launch(1, spec((0, R), (1, R), (2, R), think=1.0), txn_id=1)
-    h.run()
-    client = h.clients[1]
-    assert len(client._cache) == 2
-    assert 0 not in client._cache  # the oldest entry was evicted
-    assert 1 in client._cache and 2 in client._cache
-
-
 def test_read_only_workload_faster_than_s2pl():
     """With everything cacheable, c-2PL beats s-2PL on repeat reads."""
     from repro import SimulationConfig, run_simulation

@@ -1,19 +1,25 @@
 """Chaos smoke: every crash-capable protocol under loss, duplication,
-jitter and a client crash, and a site that never comes back.
+jitter and a client crash, a site that never comes back, and four traced
+runs whose traces are schema-validated and exported.
 
 Run alone with ``python -m pytest -m chaos -q``. The crash runs are
 generated from the registry, so a protocol that declares crash recovery
 is crashed here the moment it does.
 """
 
+import json
+
 import pytest
 
+from helpers import write_jsonl_per_row
 from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
 from repro.network.faults import FaultInjector, FaultSpec
 from repro.network.reliable import ReliableLink
 from repro.network.topology import Site, UniformTopology
 from repro.network.transport import Network
+from repro.obs.export import write_chrome_trace, write_jsonl, write_probes_csv
+from repro.obs.schema import validate_trace
 from repro.protocols import registry
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -51,3 +57,47 @@ def test_a_site_down_for_good_is_retried_forever_at_the_capped_interval():
     assert link.retransmissions > 1100
     # every copy is severed, the first transmission included
     assert injector.stats.dropped_crash == link.retransmissions + 1
+
+
+SMALL = dict(n_clients=4, n_items=6, total_transactions=60,
+             warmup_transactions=10)
+#: the two faulted static cells, plus one contention-adaptive and one
+#: sharded-2PC run: their hybrid.* and twopc.* kinds were once missing
+#: from the schema while only the faulted traces were validated
+TRACED = {
+    "s2pl-faulted": dict(SMALL, protocol="s2pl", faults=FAULTS),
+    "g2pl-faulted": dict(SMALL, protocol="g2pl", faults=FAULTS),
+    "hybrid": dict(
+        protocol="hybrid", n_clients=10, n_items=8, read_probability=0.75,
+        network_latency=200.0, total_transactions=150,
+        warmup_transactions=20),
+    "s2pl-sharded-2pc": dict(
+        protocol="s2pl", n_clients=6, n_items=12, n_shards=4, n_regions=2,
+        intra_region_latency=1.0, network_latency=100.0,
+        cross_shard_probability=0.5, total_transactions=100,
+        warmup_transactions=10),
+}
+
+
+@pytest.mark.parametrize("name", TRACED)
+def test_traced_run_validates_and_exports(name, tmp_path):
+    config = SimulationConfig(record_history=True, trace=True,
+                              probe_interval=200.0, **TRACED[name])
+    result = run_simulation(config)
+    trace = result.trace
+    assert validate_trace(trace) == []
+    export = tmp_path / f"{name}.jsonl"
+    write_jsonl(export, trace, config=config, seed=result.seed)
+    with open(export, encoding="utf-8") as lines:
+        rows = [json.loads(line) for line in lines]
+    assert len(rows) == (1 + len(trace.events) + len(trace.txns)
+                         + len(trace.probes))
+    sends = sum(1 for row in rows
+                if row["type"] == "event" and row["kind"] == "msg.send")
+    assert sends == trace.summary.messages_sent
+    # the compiled writer holds to the bytes of the per-row json.dumps one
+    oracle = tmp_path / f"{name}.oracle.jsonl"
+    write_jsonl_per_row(oracle, trace, config=config, seed=result.seed)
+    assert export.read_bytes() == oracle.read_bytes()
+    write_chrome_trace(tmp_path / f"{name}.chrome.json", trace)
+    write_probes_csv(tmp_path / f"{name}.metrics.csv", trace)

@@ -3,13 +3,10 @@
 ``MaterialisingDetector`` is the detector as it was before the lock table
 cached its wait edges, kept here as the reference: every tick it rebuilds
 a ``WaitForGraph`` from a fresh scan of every queue (the brute-force
-reading in ``helpers``, not the cache), walks every server's ``_txns``
-for ages, deletes sinks Kahn-style and restarts the search from scratch
-after each victim. The production sweep must abort the same victims at
-the same shards at the same times, whatever the victim policy.
+reading in ``helpers``, not the cache), deletes sinks Kahn-style and
+restarts the search from scratch after each victim. The production sweep
+must abort the same victims at the same shards at the same times.
 """
-
-import pytest
 
 from helpers import R, W, brute_force_wait_edges
 from repro.core import runner
@@ -20,14 +17,12 @@ from repro.network.transport import Network
 from repro.perf.fingerprint import fingerprint_digest, result_fingerprint
 from repro.protocols.messages import LockRequest
 from repro.protocols import sharding
-from repro.protocols.s2pl import S2PLServer, choose_victim
+from repro.protocols.s2pl import S2PLServer
 from repro.protocols.sharding import GlobalDeadlockDetector, ShardMap
 from repro.sim.engine import Simulator
 from repro.storage.store import VersionedStore
 from repro.storage.wal import WriteAheadLog
 from repro.validate.history import HistoryRecorder
-
-POLICIES = ("requester", "oldest", "youngest")
 
 
 def kahn_find_any_cycle(wfg):
@@ -58,21 +53,16 @@ class MaterialisingDetector(GlobalDeadlockDetector):
     def _sweep(self):
         union = WaitForGraph()
         waiting_at = {}
-        first_seen = {}
         for server in self.servers:
             for txn_id, blockers in brute_force_wait_edges(
                     server.lock_table).items():
                 union.add_edges(txn_id, blockers)
                 waiting_at.setdefault(txn_id, server)
-            for txn_id, (_client, seen) in server._txns.items():
-                if txn_id not in first_seen or seen < first_seen[txn_id]:
-                    first_seen[txn_id] = seen
         while True:
             cycle = kahn_find_any_cycle(union)
             if cycle is None:
                 return
-            victim = choose_victim(cycle, self.victim_policy,
-                                   lambda txn: first_seen.get(txn, 0.0))
+            victim = cycle[0]
             server = waiting_at[victim]
             assert victim in server._txns and victim not in server._dead
             self.distributed_deadlocks += 1
@@ -84,7 +74,7 @@ class MaterialisingDetector(GlobalDeadlockDetector):
             union.remove_node(victim)
 
 
-def run_and_log(monkeypatch, detector_class, seed, policy):
+def run_and_log(monkeypatch, detector_class, seed):
     """One small 3-shard run under ``detector_class``: (digest, the
     distributed aborts as ``(time, victim, cycle length, shard)``)."""
     monkeypatch.setattr(sharding, "GlobalDeadlockDetector", detector_class)
@@ -93,7 +83,7 @@ def run_and_log(monkeypatch, detector_class, seed, policy):
         intra_region_latency=1.0, network_latency=25.0,
         cross_shard_probability=0.6, read_probability=0.4,
         total_transactions=120, warmup_transactions=0, record_history=False,
-        victim_policy=policy, trace=True, seed=seed)
+        trace=True, seed=seed)
     result = runner.run_simulation(config)
     log = [(when, fields["victim"], fields["cycle"], fields["shard"])
            for when, kind, fields in result.trace.events
@@ -102,15 +92,12 @@ def run_and_log(monkeypatch, detector_class, seed, policy):
     return fingerprint_digest(result_fingerprint(result)), log
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_sweep_aborts_what_the_materialising_sweep_aborted(
-        monkeypatch, policy):
+def test_sweep_aborts_what_the_materialising_sweep_aborted(monkeypatch):
     aborts = shared_ticks = 0
     for seed in range(40):
-        expected = run_and_log(monkeypatch, MaterialisingDetector, seed,
-                               policy)
-        assert run_and_log(monkeypatch, GlobalDeadlockDetector, seed,
-                           policy) == expected, seed
+        expected = run_and_log(monkeypatch, MaterialisingDetector, seed)
+        assert run_and_log(monkeypatch, GlobalDeadlockDetector,
+                           seed) == expected, seed
         times = [when for when, *_ in expected[1]]
         aborts += len(times)
         shared_ticks += len(times) - len(set(times))

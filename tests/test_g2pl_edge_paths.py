@@ -1,6 +1,11 @@
 """Edge-path tests for g-2PL: races, abort plumbing, asymmetric networks."""
 
+from repro.network.faults import FaultInjector
+from repro.network.reliable import ReliableLink
 from repro.network.topology import MatrixTopology
+from repro.protocols.messages import CommitDecision, ReleaseWaiver
+from repro.protocols.sharding import ShardMap
+from repro.sim.rng import RandomStreams
 
 from helpers import Harness, R, W, spec
 
@@ -201,3 +206,61 @@ def test_queue_depth_equals_the_window_scan_at_every_probe_tick(monkeypatch):
                 if name == "lock_queue_depth")
     assert len(depths) == ticks > 50
     assert max(depths) > 1
+
+
+def faulted_harness(crash, **overrides):
+    """A g-2PL harness in fault mode with the runner's fault wiring (the
+    injector on the network, reliable links, the server's recovery
+    timers) but no crash controller: a test crashes a client itself."""
+    h = Harness("g2pl", faults=f"crash={crash}", **overrides)
+    injector = FaultInjector(h.config.faults,
+                             RandomStreams(1).spawn("faults"))
+    h.network.faults = injector
+    for site in (h.server, *h.clients.values()):
+        site.reliable = ReliableLink(h.sim, site, rto=50.0)
+    h.server.enable_fault_recovery(injector, rto=50.0, chain_timeout=100.0,
+                                   sweep_interval=100.0)
+    return h
+
+
+def test_chain_repair_waives_the_crashed_reader_only():
+    """Readers 1 and 2 share a read group ahead of writer 3; client 1
+    crashes before its copy lands. The repair owes writer 3 the release
+    of the dead reader alone: the live one releases for itself."""
+    h = faulted_harness("1@40", n_clients=4, n_items=2, latency=10.0)
+    waivers = []
+    send = h.server.send
+
+    def spy(dst, payload, size=1.0):
+        if isinstance(payload, ReleaseWaiver):
+            waivers.append((payload.from_txn, payload.to_txn, dst))
+        return send(dst, payload, size=size)
+
+    h.server.send = spy
+    # the primer holds item 0 while the group and the writer collect
+    h.launch(4, spec((0, W), think=20.0), txn_id=100)
+    h.launch(1, spec((0, R), think=500.0), delay=1.0, txn_id=1)
+    h.launch(2, spec((0, R), think=1.0), delay=1.0, txn_id=2)
+    h.launch(3, spec((0, W), think=1.0), delay=1.5, txn_id=3)
+    h.sim.call_later(40.0, h.clients[1].on_crash)
+    outcomes = h.run(until=3000.0)
+    assert waivers == [(1, 3, 3)]
+    assert h.server.chain_repairs == 1 and 1 in h.server._dead
+    assert all(outcomes[txn].committed for txn in (100, 2, 3))
+    assert h.server._items[0].chain is None  # the item came home
+
+
+def test_a_refused_vote_abort_retires_a_live_participant():
+    """Sharded fault mode: the coordinator aborts after another shard
+    refused its vote. A shard that still has the transaction registered
+    and alive retires it on the decision, before any TxnDone."""
+    h = faulted_harness("4@100000", n_clients=4, n_items=4, latency=10.0,
+                        shard_map=ShardMap(1, 4))
+    h.launch(1, spec((0, W), (1, W), think=50.0), txn_id=5)
+    h.run(until=30.0)
+    server = h.server
+    assert 5 in server._txns and 5 not in server._dead
+    server.on_CommitDecision(CommitDecision(txn_id=5, commit=False))
+    assert 5 in server._dead and 5 in server.twopc_aborts
+    assert 5 not in server._txns
+    assert len(server.precedence) == 0

