@@ -9,8 +9,8 @@ Two checks, artifacts under ``obs/``:
    additionally require a non-negative lock-wait residual). Exports the
    decomposition table and the per-transaction phase CSV.
 
-2. **Loopback live decompose** (both protocols, the PR 5 calibration
-   scenario): the live calibration runs the scenario in the simulator
+2. **Loopback live decompose** (both protocols, the calibrate-mode
+   scenario): the live calibration replays one schedule in the simulator
    and as real endpoint processes over TCP and decomposes the common
    committed population in both worlds; this requires (a) zero
    invariant violations in either world — the live
@@ -84,10 +84,9 @@ def sharded_cells(out_dir):
 def live_decompose(out_dir):
     failures = []
     for protocol in ("s2pl", "g2pl"):
-        spec = ScenarioSpec(
-            protocol=protocol, mode="calibrate", n_clients=4,
-            latency=2.0, think=1.0, repeats=3, trace_export=True,
-            probe_interval=50.0)
+        spec = ScenarioSpec(SimulationConfig(
+            protocol=protocol, n_clients=4, network_latency=2.0,
+            probe_interval=50.0), repeats=3, trace_export=True)
         calibration = calibrate(spec, time_scale=0.02)
         live, report = calibration.live, calibration.divergence
         text = "\n".join([report.sim.describe(), report.live.describe(),

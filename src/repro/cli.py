@@ -306,8 +306,8 @@ def _cmd_figure(args):
         from repro.live.scenario import ScenarioSpec
 
         for protocol in ("s2pl", "g2pl"):
-            spec = ScenarioSpec(protocol=protocol, mode="calibrate",
-                                n_clients=4, latency=2.0, repeats=3)
+            spec = ScenarioSpec(SimulationConfig(
+                protocol=protocol, n_clients=4, network_latency=2.0))
             print(calibrate(spec).divergence.describe())
             print()
     else:
@@ -324,12 +324,8 @@ def _cmd_live(args):
     from repro.live.scenario import ScenarioSpec
 
     try:
-        spec = ScenarioSpec(
-            protocol=args.protocol, mode=args.mode, n_clients=args.clients,
-            latency=args.latency, seed=args.seed, think=args.think,
-            repeats=args.repeats, duration=args.duration,
-            n_items=args.items, read_probability=args.pr,
-            trace_export=args.trace, probe_interval=args.probe_interval)
+        spec = ScenarioSpec(args.config, mode=args.mode,
+                            repeats=args.repeats, trace_export=args.trace)
     except ValueError as exc:
         print(f"repro-experiment live: error: {exc}", file=sys.stderr)
         return 2
@@ -467,48 +463,31 @@ def build_parser():
                      "simulator, and attribute the gap per phase")
     live_parser.add_argument("--protocol", default="s2pl",
                              choices=available_protocols())
-    live_parser.add_argument("--clients", type=int, default=4,
-                             help="client processes (calibrate mode: "
-                                  "m contenders + 1 primer)")
-    live_parser.add_argument("--latency", type=float, default=2.0,
-                             help="one-way link latency in simulation "
-                                  "units")
-    live_parser.add_argument("--duration", type=float, default=120.0,
-                             help="workload-mode horizon in simulation "
-                                  "units (clients stop starting "
-                                  "transactions after this)")
     live_parser.add_argument("--mode", default="calibrate",
-                             choices=("calibrate", "workload"))
+                             choices=("calibrate", "workload"),
+                             help="calibrate: the contended-item epochs "
+                                  "(--clients is m contenders + 1 primer);"
+                                  " workload: replay a --transactions run "
+                                  "of the simulator")
     live_parser.add_argument("--repeats", type=int, default=3,
                              help="calibrate-mode epochs (each commits "
                                   "clients-1 measured transactions)")
-    live_parser.add_argument("--think", type=float, default=1.0,
-                             help="calibrate-mode think time per "
-                                  "operation")
     live_parser.add_argument("--time-scale", type=float, default=0.02,
                              metavar="S",
                              help="wall seconds per simulation unit "
                                   "(default 0.02)")
-    live_parser.add_argument("--items", type=int, default=25,
-                             help="workload-mode data items")
-    live_parser.add_argument("--pr", type=float, default=0.6,
-                             help="workload-mode read probability")
-    live_parser.add_argument("--seed", type=int, default=1)
-    live_parser.add_argument("--trace", action="store_true",
-                             help="export every endpoint's structured "
-                                  "events, merged onto the shared clock "
-                                  "origin, as a Chrome trace and a "
-                                  "per-phase CSV")
-    live_parser.add_argument("--probe-interval", type=float, default=None,
-                             metavar="T",
-                             help="sample per-endpoint gauges every T "
-                                  "sim units (with --trace they land in "
-                                  "the merged timeline)")
     live_parser.add_argument("--out", default="live-trace",
                              metavar="PREFIX",
                              help="output path prefix for --trace "
-                                  "artifacts (default: live-trace)")
-    live_parser.set_defaults(func=_cmd_live)
+                                  "artifacts: every endpoint's events "
+                                  "merged onto one clock as a Chrome trace,"
+                                  " and a per-phase CSV (default: "
+                                  "live-trace)")
+    _add_workload_args(live_parser)
+    # a loopback-sized run: 40 ms one-way at the default time scale
+    live_parser.set_defaults(func=_cmd_live, n_clients=4,
+                             network_latency=2.0, total_transactions=20,
+                             warmup_transactions=0)
 
     list_parser = sub.add_parser("list", help="list protocols and figures")
     list_parser.set_defaults(func=_cmd_list)

@@ -22,7 +22,7 @@ from repro.stats.streaming import RunningStat
 from repro.storage.store import VersionedStore
 from repro.storage.wal import WriteAheadLog
 from repro.validate.history import HistoryRecorder
-from repro.workload.driver import ClientDriver, RunControl
+from repro.workload.driver import ClientDriver, ReplayDriver, RunControl
 from repro.workload.generator import WorkloadGenerator
 
 
@@ -170,10 +170,21 @@ class Assembly:
         return report
 
 
-def assemble(config, seed):
+def assemble(config, seed, sim=None, network=None, local_site=None,
+             schedule=None):
     """Wire one simulation: every home server and every client, on one
-    heap and one network."""
-    sim = Simulator()
+    heap and one network.
+
+    A live endpoint passes its own kernel (``sim``) and transport
+    (``network``) and the one site it hosts (``local_site``): only that
+    site is registered and driven, the others are reached over the
+    transport. A ``schedule`` (``client_id -> [(start, txn_id, spec,
+    measured), ...]``) is replayed by :class:`ReplayDriver`\\ s in place of
+    drawn transactions, and the run's control counts every scheduled
+    transaction.
+    """
+    if sim is None:
+        sim = Simulator()
     tracer = None
     if config.trace or config.probe_interval is not None:
         from repro.obs.tracer import Tracer
@@ -206,14 +217,18 @@ def assemble(config, seed):
             config.protocol, sim, config, VersionedStore(range(config.n_items)),
             WriteAheadLog(), history, client_ids)
         servers = [server]
-    network = Network(sim, _build_topology(config, shard_map),
-                      bandwidth=config.bandwidth, faults=injector)
+    if network is None:
+        network = Network(sim, _build_topology(config, shard_map),
+                          bandwidth=config.bandwidth, faults=injector)
     if tracer is not None:
         tracer.bind_network(network)
-    for site in [*servers, *clients.values()]:
+    hosted = [site for site in [*servers, *clients.values()]
+              if local_site is None or site.site_id == local_site]
+    for site in hosted:
         network.add_site(site)
 
-    control = RunControl(sim, config.total_transactions)
+    control = RunControl(sim, config.total_transactions if schedule is None
+                         else sum(map(len, schedule.values())))
     streaming = config.streaming_enabled
     collector = MetricsCollector(
         config.warmup_transactions, streaming=streaming,
@@ -228,7 +243,15 @@ def assemble(config, seed):
             client.op_waits = RunningStat()
     params = config.workload_params()
     drivers = {}
-    if config.population is None:
+    if schedule is not None:
+        for client_id, client in clients.items():
+            if client in hosted:
+                driver = ReplayDriver(sim, client_id, client,
+                                      schedule.get(client_id, ()), control,
+                                      collector)
+                drivers[client_id] = driver
+                driver.start()
+    elif config.population is None:
         generator = WorkloadGenerator(params, streams)
         for client_id, client in clients.items():
             driver = ClientDriver(sim, client_id, client, generator, control,
@@ -283,8 +306,9 @@ def assemble(config, seed):
         from repro.obs.probes import ProbeSampler, default_sources
 
         ProbeSampler(sim, tracer, config.probe_interval,
-                     default_sources(sim, network, servers, tracer,
-                                     drivers=drivers.values()),
+                     default_sources(sim, network,
+                                     [s for s in servers if s in hosted],
+                                     tracer, drivers=drivers.values()),
                      stop_when=lambda: control.done).start()
     return Assembly(sim=sim, network=network, servers=servers,
                     clients=clients, drivers=drivers, control=control,
@@ -341,22 +365,29 @@ def merge_server_stats(config, seed, per_server, op_waits,
     return server_stats
 
 
-def run_simulation(config, seed=None, check_serializability=None):
+def run_simulation(config, seed=None, check_serializability=None,
+                   schedule=None):
     """Run one simulation to ``config.total_transactions`` finished
     transactions and return a :class:`SimulationResult`.
 
     ``check_serializability`` defaults to ``config.record_history``; when
     enabled the run's recorded history is checked and a failure raises —
     a non-serializable execution is a protocol bug, never a result.
+
+    With a ``schedule`` (see :func:`assemble`) the run replays it to its
+    last transaction, then drains the heap so messages still in flight
+    (releases, returns) land and are charged before the trace is frozen.
     """
     if seed is None:
         seed = config.seed
     if check_serializability is None:
         check_serializability = config.record_history
-    built = assemble(config, seed)
+    built = assemble(config, seed, schedule=schedule)
     sim = built.sim
     wall_start = time.perf_counter()
     built.run(config)
+    if schedule is not None:
+        sim.run()
     wall_seconds = time.perf_counter() - wall_start
     report = built.check(config, seed, check_serializability)
 

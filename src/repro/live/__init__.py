@@ -19,7 +19,9 @@ unchanged, on the simulator's own kernel and send path, over:
 * :mod:`repro.live.harness` — launches 1 server + N clients, merges the
   per-endpoint histories and traces, validates them with
   :mod:`repro.validate`, and calibrates measured message rounds and
-  response times against a simulator run of the same scenario.
+  response times against the simulator replaying the same schedule
+  (:mod:`repro.live.scenario`: a run is one ``SimulationConfig``, wired
+  by :func:`repro.core.runner.assemble` in every process).
 
 Submodules are imported explicitly (``from repro.live import harness``)
 rather than re-exported here: endpoint processes import this package on

@@ -2,7 +2,7 @@
 
 Runs one protocol client site over real TCP: dials the full mesh, says
 hello to the server, pins its kernel to the broadcast clock origin, then
-drives the scenario's client loop in wall-clock time. After its own
+replays its client's schedule in wall-clock time. After its own
 transactions finish it reports done but keeps serving the kernel — a
 g-2PL client may still have to forward held items to other clients'
 transactions — until the server broadcasts shutdown.
@@ -21,12 +21,11 @@ from repro.live.endpoint import (
     START,
     endpoint_main,
 )
-from repro.live.scenario import client_loop
 from repro.protocols.base import SERVER_SITE_ID
 
 
-async def client(config, stack):
-    kernel, transport = stack.kernel, stack.transport
+async def client(endpoint):
+    kernel, transport = endpoint.kernel, endpoint.transport
     started, shutdown = asyncio.Event(), asyncio.Event()
     origin_box = {}
 
@@ -41,14 +40,13 @@ async def client(config, stack):
             raise RuntimeError(f"client got control frame {name!r}")
 
     transport.control_handler = handler
-    await stack.up()
-    transport.send_control(SERVER_SITE_ID, HELLO, {"site": config.site_id})
+    await endpoint.up()
+    transport.send_control(SERVER_SITE_ID, HELLO, {"site": endpoint.site_id})
     await asyncio.wait_for(started.wait(), timeout=HANDSHAKE_TIMEOUT)
     kernel.set_origin(origin_box["origin"])
 
-    loop = client_loop(config.spec, kernel, stack.site, config.site_id,
-                       stack.sink)
-    process = kernel.spawn(loop)
+    # spawned by the assembly; its first step runs at sim time zero
+    process = endpoint.assembly.drivers[endpoint.site_id].process
     errors = []
 
     def notify_done(*_):
@@ -56,17 +54,17 @@ async def client(config, stack):
             errors.append(repr(process._exception))
             process.defused = True
         transport.send_control(SERVER_SITE_ID, DONE,
-                               {"site": config.site_id})
+                               {"site": endpoint.site_id})
 
     process.add_callback(notify_done)
-    deadline = (config.lead + config.spec.horizon() * config.time_scale
-                + config.grace + 2 * HANDSHAKE_TIMEOUT)
+    deadline = (endpoint.lead + endpoint.horizon * endpoint.time_scale
+                + endpoint.grace + 2 * HANDSHAKE_TIMEOUT)
     await asyncio.wait_for(kernel.run(), timeout=deadline)
     if errors:
         raise RuntimeError(
-            f"client {config.site_id} scenario failed: {errors[0]}")
-    stack.write_results()
-    await stack.down()
+            f"client {endpoint.site_id} schedule failed: {errors[0]}")
+    endpoint.write_results()
+    await endpoint.down()
 
 
 def main(argv=None):

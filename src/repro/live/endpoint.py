@@ -2,8 +2,8 @@
 
 An endpoint process is configured by a single JSON file (written by the
 harness) naming its role, site id, the run's :class:`~repro.live
-.scenario.ScenarioSpec`, the port map, and where to write results. Both
-endpoint mains follow the same lifecycle::
+.scenario.ScenarioSpec` and schedule, the port map, and where to write
+results. Both endpoint mains follow the same lifecycle::
 
     listen -> dial the full mesh -> handshake (hello/start) ->
     run the kernel -> handshake (done/shutdown) -> write results
@@ -17,11 +17,11 @@ Linux, so all endpoints agree on ``now`` to within scheduling noise.
 import asyncio
 import json
 
+from repro.core.runner import assemble
 from repro.live.clock import LiveKernel
-from repro.live.scenario import OutcomeSink, ScenarioSpec, build_stack
+from repro.live.scenario import ScenarioSpec, horizon, schedule_from_json
 from repro.live.transport import LiveTransport
 from repro.network.topology import UniformTopology
-from repro.protocols.base import SERVER_SITE_ID
 
 #: control-frame names of the run handshake
 HELLO = "hello"
@@ -34,15 +34,22 @@ SHUTDOWN = "shutdown"
 HANDSHAKE_TIMEOUT = 60.0
 
 
-class EndpointConfig:
-    """Parsed per-process configuration."""
+class Endpoint:
+    """One process's configuration and its assembled site.
+
+    The run is wired by :func:`repro.core.runner.assemble` on this
+    process's :class:`LiveKernel` and :class:`LiveTransport`, hosting
+    only ``site_id``: the rest of the mesh are the transport's peer
+    proxies, reached by site id exactly like the simulator reaches them
+    over the in-memory network.
+    """
 
     def __init__(self, data):
         self.role = data["role"]
         self.site_id = int(data["site_id"])
         self.spec = ScenarioSpec.from_dict(data["spec"])
-        self.port_map = {int(site): port
-                         for site, port in data["port_map"].items()}
+        schedule = schedule_from_json(data["schedule"])
+        self.horizon = horizon(schedule)
         self.time_scale = float(data["time_scale"])
         self.result_path = data["result_path"]
         #: wall seconds between the start broadcast and sim time zero
@@ -50,58 +57,25 @@ class EndpointConfig:
         #: wall seconds the server lingers after the last client is done,
         #: letting in-flight releases/returns land before shutdown
         self.grace = float(data.get("grace", 1.0))
+        config = self.spec.config
+        self.kernel = LiveKernel(time_scale=self.time_scale)
+        self.transport = LiveTransport(
+            self.kernel, UniformTopology(config.network_latency),
+            self.site_id, {int(site): port
+                           for site, port in data["port_map"].items()})
+        self.assembly = assemble(config, config.seed, sim=self.kernel,
+                                 network=self.transport,
+                                 local_site=self.site_id, schedule=schedule)
 
     @classmethod
     def load(cls, path):
         with open(path, "r", encoding="utf-8") as handle:
             return cls(json.load(handle))
 
-
-class EndpointStack:
-    """One process's kernel, transport, tracer, history, and sites."""
-
-    def __init__(self, config):
-        self.config = config
-        spec = config.spec
-        self.kernel = LiveKernel(time_scale=config.time_scale)
-        self.transport = LiveTransport(
-            self.kernel, UniformTopology(spec.latency), config.site_id,
-            config.port_map)
-        self.tracer, self.history, server, clients = build_stack(
-            spec, self.kernel, self.transport)
-        self.sink = OutcomeSink()
-        # Only the site living in this process is registered; the rest of
-        # the mesh are the transport's peer proxies, reached by site id
-        # exactly like the simulator reaches them over the in-memory
-        # network.
-        self.site = self.transport.add_site(
-            server if config.site_id == SERVER_SITE_ID
-            else clients[config.site_id])
-        self.probes = None
-        if spec.probe_interval is not None:
-            from repro.obs.probes import ProbeSampler, default_sources
-
-            # Same gauge set as the simulator's runner, sampled on this
-            # endpoint's kernel heap; the first tick lands one interval
-            # after sim time zero. Gauges are read-only, so probing never
-            # perturbs protocol traffic.
-            self.probes = ProbeSampler(
-                self.kernel, self.tracer, spec.probe_interval,
-                default_sources(self.kernel, self.transport, self.site,
-                                self.tracer)).start()
-
-    def payload(self):
-        from repro.live.results import endpoint_payload
-
-        return endpoint_payload(
-            self.config.role, self.config.site_id, self.config.spec,
-            self.kernel, self.transport, self.tracer, self.history,
-            self.sink)
-
     def write_results(self):
-        from repro.live.results import write_payload
+        from repro.live.results import endpoint_payload, write_payload
 
-        write_payload(self.config.result_path, self.payload())
+        write_payload(self.result_path, endpoint_payload(self))
 
     async def up(self):
         """Listen, then dial every peer in the port map."""
@@ -117,7 +91,5 @@ def endpoint_main(argv, runner):
     if len(argv) != 1:
         raise SystemExit(
             f"usage: python -m repro.live.{runner.__name__} CONFIG_JSON")
-    config = EndpointConfig.load(argv[0])
-    stack = EndpointStack(config)
-    asyncio.run(runner(config, stack))
+    asyncio.run(runner(Endpoint.load(argv[0])))
     return 0

@@ -6,8 +6,9 @@ loopback with userspace latency shaping, polls them all (the first
 endpoint to die fails the run at once, named first), and merges their
 result payloads into a :class:`~repro.live.results.MergedRun`.
 
-:func:`calibrate` additionally runs the *same scenario* under the
-simulator (:func:`repro.live.scenario.run_reference`) and compares:
+:func:`calibrate` runs the scenario under the simulator first
+(:func:`repro.live.scenario.run_reference`), replays that reference's
+schedule live, and compares:
 
 * **history** — the merged live history must be serializable and strict
   (checked with the same :mod:`repro.validate` checkers the simulator
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 from repro.live.endpoint import HANDSHAKE_TIMEOUT
 from repro.live.results import MergedRun, load_payload
-from repro.live.scenario import run_reference
+from repro.live.scenario import horizon, run_reference, schedule_to_json
 from repro.obs.decompose import compare as attribute_gap
 from repro.obs.decompose import decompose_records
 from repro.protocols.base import SERVER_SITE_ID
@@ -126,10 +127,10 @@ def _wait_all(procs, deadline, workdir):
         time.sleep(POLL_INTERVAL)
 
 
-def run_live(spec, time_scale=DEFAULT_TIME_SCALE, workdir=None,
+def run_live(spec, schedule, time_scale=DEFAULT_TIME_SCALE, workdir=None,
              lead=1.0, grace=None, timeout=None):
-    """Execute ``spec`` across real processes; returns a
-    :class:`LiveRunResult`.
+    """Replay ``schedule`` (see :func:`~repro.live.scenario.run_reference`)
+    of ``spec`` across real processes; returns a :class:`LiveRunResult`.
 
     Every endpoint is polled, so a dead one fails the run at once: the
     first to exit non-zero is named first, with its stderr, and the rest
@@ -139,13 +140,13 @@ def run_live(spec, time_scale=DEFAULT_TIME_SCALE, workdir=None,
     workdir, so no pipe can fill and stall it."""
     if grace is None:
         # Long enough for a full round trip plus scheduling noise.
-        grace = max(1.0, 4.0 * spec.latency * time_scale)
+        grace = max(1.0, 4.0 * spec.config.network_latency * time_scale)
     site_ids = [SERVER_SITE_ID] + spec.client_ids
     ports = free_ports(len(site_ids))
     port_map = dict(zip(site_ids, ports))
     if timeout is None:
         timeout = 3 * HANDSHAKE_TIMEOUT + lead \
-            + spec.horizon() * time_scale + grace
+            + horizon(schedule) * time_scale + grace
     if workdir is None:
         workdir = tempfile.mkdtemp(prefix="repro-live-")
     procs = []
@@ -157,6 +158,7 @@ def run_live(spec, time_scale=DEFAULT_TIME_SCALE, workdir=None,
                 "role": role,
                 "site_id": site_id,
                 "spec": spec.to_dict(),
+                "schedule": schedule_to_json(schedule),
                 "port_map": {str(s): p for s, p in port_map.items()},
                 "time_scale": time_scale,
                 "result_path": os.path.join(workdir,
@@ -197,7 +199,7 @@ class CalibrationReport:
 
     spec: object
     live: LiveRunResult
-    reference: object                    # SimReference
+    reference: object                    # SimulationResult
     serializable: bool = False
     strict: bool = False
     committed_match: bool = False
@@ -220,10 +222,9 @@ class CalibrationReport:
     @property
     def ok(self):
         """Calibrate mode is fully deterministic, so the committed sets
-        must be identical. Workload mode is horizon-bounded: wall-clock
-        jitter can move the last transaction of a client across the
-        ``duration`` boundary, so only the commonly-committed
-        transactions are held to the exact-rounds bar."""
+        must be identical. Workload mode's arrivals are not staggered
+        against wall-clock noise as calibrate's are, so it holds only the
+        commonly-committed transactions to the exact-rounds bar."""
         if not (self.serializable and self.strict and self.rounds_exact):
             return False
         if self.spec.mode == "calibrate":
@@ -231,11 +232,12 @@ class CalibrationReport:
         return True
 
     def describe(self):
+        config = self.spec.config
         lines = [
-            f"calibration {self.spec.protocol} ({self.spec.mode}, "
-            f"{self.spec.n_clients} clients, latency "
-            f"{self.spec.latency:g}, time scale {self.live.time_scale:g}"
-            f" s/unit):",
+            f"calibration {config.protocol} ({self.spec.mode}, "
+            f"{config.n_clients} clients, latency "
+            f"{config.network_latency:g}, time scale "
+            f"{self.live.time_scale:g} s/unit):",
             f"  serializable: {self.serializable}   strict: {self.strict}"
             f"   committed sets match: {self.committed_match}",
             f"  committed (live): {len(self.live.committed)}   compared "
@@ -264,16 +266,16 @@ def compare(live, reference):
     serializability = check_history(merged.history)
     strictness = check_strictness(merged.history)
     live_records = merged.measured_committed()
-    sim_records = {txn: record
-                   for txn, record in reference.records_by_txn.items()
+    sim_records = {record["txn"]: record for record in reference.trace.txns
                    if record["measured"] and record["committed"]}
     common = sorted(set(live_records) & set(sim_records))
-    protocol = live.spec.protocol
+    protocol = live.spec.config.protocol
     report = CalibrationReport(
         spec=live.spec, live=live, reference=reference,
         serializable=serializability.ok, strict=strictness.ok,
         committed_match=(merged.history.committed
-                         == reference.history.committed),
+                         == {record["txn"] for record in reference.trace.txns
+                             if record["committed"]}),
         n_compared=len(common),
         divergence=attribute_gap(
             decompose_records([sim_records[txn] for txn in common],
@@ -307,7 +309,9 @@ def compare(live, reference):
 
 def calibrate(spec, time_scale=DEFAULT_TIME_SCALE, workdir=None,
               lead=1.0, grace=None, timeout=None):
-    """Run ``spec`` live and against the simulator; return the report."""
-    live = run_live(spec, time_scale=time_scale, workdir=workdir,
+    """Run ``spec`` under the simulator, replay its schedule live, and
+    return the report."""
+    reference, schedule = run_reference(spec)
+    live = run_live(spec, schedule, time_scale=time_scale, workdir=workdir,
                     lead=lead, grace=grace, timeout=timeout)
-    return compare(live, run_reference(spec))
+    return compare(live, reference)

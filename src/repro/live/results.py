@@ -2,7 +2,7 @@
 
 A live run produces one JSON payload per endpoint process (the server
 and every client). Each payload carries that endpoint's *local* view:
-its transaction outcomes, its tracer's finished records **and** partial
+its tracer's finished transaction records **and** partial
 accumulators (round charges made on behalf of transactions owned by
 other endpoints — see :meth:`repro.obs.tracer.Tracer.partial_records`),
 its slice of the recorded history, and its traffic counters.
@@ -31,28 +31,18 @@ _COMPONENT_KEYS = ("propagation", "transmission", "slack", "server_queue",
 _PHASE_KEYS = ("commit_coord", "abort_resolution", "overhead")
 
 
-def outcome_to_dict(outcome, measured):
-    return {
-        "txn": outcome.txn_id, "client": outcome.client_id,
-        "committed": outcome.committed, "start": outcome.start_time,
-        "end": outcome.end_time, "response": outcome.response_time,
-        "n_ops": outcome.n_ops, "abort_reason": outcome.abort_reason,
-        "measured": measured,
-    }
-
-
-def endpoint_payload(role, site_id, spec, kernel, transport, tracer,
-                     history, sink):
-    """Everything one endpoint contributes to the merged run."""
+def endpoint_payload(endpoint):
+    """Everything one :class:`~repro.live.endpoint.Endpoint` contributes
+    to the merged run."""
+    kernel, transport = endpoint.kernel, endpoint.transport
+    tracer, history = endpoint.assembly.tracer, endpoint.assembly.history
     trace = tracer.finish(processed_events=kernel.processed_events,
                           peak_heap_depth=kernel.peak_heap_depth)
     payload = {
-        "role": role,
-        "site": site_id,
-        "protocol": spec.protocol,
-        "mode": spec.mode,
-        "outcomes": [outcome_to_dict(outcome, measured)
-                     for outcome, measured in sink.outcomes],
+        "role": endpoint.role,
+        "site": endpoint.site_id,
+        "protocol": endpoint.spec.config.protocol,
+        "mode": endpoint.spec.mode,
         "txn_records": trace.txns,
         "partial_records": tracer.partial_records(),
         "history": {
@@ -75,7 +65,7 @@ def endpoint_payload(role, site_id, spec, kernel, transport, tracer,
             "end_time": kernel.now,
         },
     }
-    if getattr(spec, "trace_export", False):
+    if endpoint.spec.trace_export:
         # All timestamps are already on the shared CLOCK_MONOTONIC origin
         # (every kernel pins sim time zero to the same instant), so the
         # harness can interleave the per-process streams into one timeline
@@ -105,7 +95,6 @@ class MergedRun:
         self.history = HistoryRecorder()
         self.records = {}       # txn_id -> complete per-txn record
         self.orphans = []       # partials with no finished owner record
-        self.outcomes = []      # merged outcome dicts
         self.messages_sent = 0
         self.data_units_sent = 0.0
         self.per_type = {}
@@ -122,7 +111,6 @@ class MergedRun:
                 self.history.aborted.add(txn)
             for txn, when in hist["commit_times"].items():
                 self.history.commit_times[int(txn)] = when
-            self.outcomes.extend(payload["outcomes"])
             net = payload["net"]
             self.messages_sent += net["messages_sent"]
             self.data_units_sent += net["data_units_sent"]

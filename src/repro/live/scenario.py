@@ -1,13 +1,14 @@
-"""Portable live/sim scenarios: one driver, two kernels.
+"""Live runs as data: a :class:`SimulationConfig`, a mode, a schedule.
 
-A scenario is a set of per-client generator loops written against the
-:class:`~repro.sim.engine.Simulator`, so the exact same loop runs under
-the simulator (one process, virtual time) and under its wall-clock
-subclass :class:`~repro.live.clock.LiveKernel` (one process per site,
-over TCP), on a protocol stack both worlds assemble with one function
-(:func:`build_stack`). That is what makes the sim-vs-live calibration
-meaningful: any divergence is the transport and the clock, never the
-workload.
+A live run is described by one :class:`ScenarioSpec`: the
+:class:`~repro.core.config.SimulationConfig` it runs, plus the knobs
+only live mode has. Both worlds wire it with
+:func:`repro.core.runner.assemble` and drive it from one *schedule*:
+per client, each transaction's start time, txn id, operations and
+``measured`` flag, replayed by :class:`~repro.workload.driver
+.ReplayDriver` on the simulator and on every live client endpoint alike.
+That is what makes the sim-vs-live calibration meaningful: any
+divergence is the transport and the clock, never the workload.
 
 Two modes:
 
@@ -24,74 +25,80 @@ Two modes:
     magnitude above loopback jitter at the default time scale.
 
 ``workload``
-    The Table 1 workload. Each client draws from its own named random
-    stream (:class:`~repro.sim.rng.RandomStreams` derives streams by
-    name, not draw order), so a live client process and its sim
-    counterpart generate byte-identical transaction sequences. Clients
-    stop *starting* transactions at the ``duration`` horizon; round
-    counts are compared on the transactions committed in both worlds.
-
-Transaction ids are ``client_id * 1_000_000 + sequence`` — derivable
-per-process, no shared counter across endpoints.
+    The Table 1 workload, as ``run_simulation(config)`` runs it: live
+    clients replay every transaction that run began, finished or not, at
+    its start time and with its id, so records pair by txn id and a late
+    transaction never delays the next one's start.
 """
 
-from dataclasses import dataclass, field, replace
+import dataclasses
+from dataclasses import dataclass
 
 from repro.core.config import SimulationConfig
+from repro.core.runner import run_simulation
 from repro.locking.modes import LockMode
-from repro.protocols.transaction import Transaction
+from repro.sim.rng import RandomStreams
+from repro.workload.generator import WorkloadGenerator
 from repro.workload.spec import Operation, TransactionSpec
 
-#: txn-id stride per client; sequence numbers stay far below this
-TXN_ID_STRIDE = 1_000_000
-
 MODES = ("calibrate", "workload")
+
+#: config fields live mode cannot honour over sockets: the transport
+#: shapes a uniform latency and nothing else, one process hosts one
+#: site, and a client replays one transaction at a time
+UNSUPPORTED = ("bandwidth", "faults", "n_regions", "n_shards", "population",
+               "mpl")
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Everything that defines one live (or reference-sim) run."""
+    """Everything that defines one live (or reference-sim) run.
 
-    protocol: str = "s2pl"
+    ``config`` is the run; the spec keeps it traced and with its history
+    recorded, which both sides of the comparison read. Calibrate mode
+    writes item 0 with ``config.think_min`` of think time per
+    transaction, on ``config.n_clients`` sites (m contenders + 1 primer).
+    """
+
+    config: SimulationConfig
     mode: str = "calibrate"
-    #: client *sites* (calibrate: m = n_clients - 1 contenders + 1 primer)
-    n_clients: int = 4
-    latency: float = 2.0
-    seed: int = 1
     # calibrate mode
-    think: float = 1.0
     repeats: int = 3          # epochs; each epoch commits m contenders
     spacing: float = 0.5      # contender request stagger within an epoch
     epoch_gap: float = 10.0   # quiesce padding between epochs
-    # workload mode
-    duration: float = 200.0   # stop starting transactions at this time
-    n_items: int = 25
-    read_probability: float = 0.6
-    # observability (live runs): export every endpoint's structured
-    # events/probes in its payload so the harness can merge one
-    # cross-process Chrome trace; sample gauges every probe_interval
-    # sim units when set. Neither changes protocol traffic.
+    # export every endpoint's structured events/probes in its payload so
+    # the harness can merge one cross-process Chrome trace; it does not
+    # change protocol traffic
     trace_export: bool = False
-    probe_interval: float = None
 
     def __post_init__(self):
+        config = self.config
+        if not (config.trace and config.record_history):
+            object.__setattr__(self, "config", config.replace(
+                trace=True, record_history=True))
+        defaults = SimulationConfig()
+        unsupported = [name for name in UNSUPPORTED
+                       if getattr(config, name) != getattr(defaults, name)]
+        if unsupported:
+            raise ValueError(
+                f"live mode cannot honour {', '.join(unsupported)} over "
+                f"sockets (one uniform-latency TCP mesh, one site per "
+                f"process, one transaction at a time per client)")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; choose {MODES}")
-        if self.n_clients < 2 and self.mode == "calibrate":
-            raise ValueError("calibrate needs >= 2 clients (primer + m)")
-        if self.n_clients < 1:
-            raise ValueError("need at least one client")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if self.latency <= 0:
+        if config.network_latency <= 0:
             raise ValueError("latency must be positive")
         if self.spacing < 0:
             raise ValueError(f"spacing must be >= 0, got {self.spacing!r}")
         if self.mode == "calibrate":
+            if config.n_clients < 2:
+                raise ValueError("calibrate needs >= 2 clients (primer + m)")
             # every contender must request while the primer holds the
-            # item (see _calibrate_loop), or the window splits in two
-            last = 1.0 + (self.n_clients - 2) * self.spacing
-            hold = 2 * self.latency + self.think
+            # item (see calibrate_schedule), or the window splits in two
+            last = 1.0 + (config.n_clients - 2) * self.spacing
+            hold = 2 * config.network_latency + config.think_min
             if last >= hold:
                 raise ValueError(
                     f"calibrate: the last contender requests at t={last:g},"
@@ -102,16 +109,7 @@ class ScenarioSpec:
 
     @property
     def client_ids(self):
-        return list(range(1, self.n_clients + 1))
-
-    @property
-    def primer_id(self):
-        """Calibrate mode: the highest client id primes each epoch."""
-        return self.n_clients
-
-    @property
-    def contender_ids(self):
-        return list(range(1, self.n_clients))
+        return list(range(1, self.config.n_clients + 1))
 
     def epoch_length(self):
         """Worst-case busy period of one calibrate epoch, padded.
@@ -121,213 +119,108 @@ class ScenarioSpec:
         g-2PL is strictly faster (merged release/grant). ``epoch_gap``
         absorbs the return-to-server tail and all wall-clock jitter.
         """
-        m = self.n_clients - 1
-        primer = 2 * self.latency + self.think
-        chain = m * (self.think + 2 * self.latency)
+        config = self.config
+        m = config.n_clients - 1
+        latency, think = config.network_latency, config.think_min
+        primer = 2 * latency + think
+        chain = m * (think + 2 * latency)
         stagger = m * self.spacing
         return primer + chain + stagger + self.epoch_gap
 
-    def sim_config(self):
-        """The :class:`SimulationConfig` both worlds assemble from."""
-        if self.mode == "calibrate":
-            return SimulationConfig(
-                protocol=self.protocol, n_clients=self.n_clients, n_items=1,
-                network_latency=self.latency, read_probability=0.0,
-                think_min=self.think, think_max=self.think,
-                total_transactions=10_000, warmup_transactions=0,
-                seed=self.seed, record_history=True, trace=True)
-        return SimulationConfig(
-            protocol=self.protocol, n_clients=self.n_clients,
-            n_items=self.n_items, network_latency=self.latency,
-            read_probability=self.read_probability,
-            total_transactions=10_000, warmup_transactions=0,
-            seed=self.seed, record_history=True, trace=True)
-
-    def horizon(self):
-        """Upper bound on interesting simulation time (live shutdown aid)."""
-        if self.mode == "calibrate":
-            return self.repeats * self.epoch_length()
-        return self.duration
-
     def to_dict(self):
-        return {
-            "protocol": self.protocol, "mode": self.mode,
-            "n_clients": self.n_clients, "latency": self.latency,
-            "seed": self.seed, "think": self.think,
-            "repeats": self.repeats, "spacing": self.spacing,
-            "epoch_gap": self.epoch_gap, "duration": self.duration,
-            "n_items": self.n_items,
-            "read_probability": self.read_probability,
-            "trace_export": self.trace_export,
-            "probe_interval": self.probe_interval,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**data)
-
-    def with_(self, **changes):
-        return replace(self, **changes)
+        return cls(**{**data, "config": SimulationConfig(**data["config"])})
 
 
-@dataclass
-class OutcomeSink:
-    """Collects driver-visible outcomes on one endpoint (or the sim)."""
-
-    outcomes: list = field(default_factory=list)
-
-    def record(self, outcome, measured):
-        self.outcomes.append((outcome, measured))
+# -- schedules: client_id -> [(start, txn_id, spec, measured), ...] ----------
 
 
-def txn_id_for(client_id, sequence):
-    if sequence >= TXN_ID_STRIDE:
-        raise ValueError(f"sequence {sequence} overflows the txn-id stride")
-    return client_id * TXN_ID_STRIDE + sequence
+def calibrate_schedule(spec):
+    """Calibrate mode's schedule, epoch by epoch.
 
-
-def _run_txn(kernel, client, txn, sink, measured):
-    """Begin, execute, and finalise one transaction (shared sub-loop)."""
-    tracer = kernel.tracer
-    if tracer is not None:
-        tracer.txn_begin(txn)
-    outcome = yield kernel.spawn(client.execute(txn))
-    sink.record(outcome, measured)
-    if tracer is not None:
-        tracer.txn_finished(outcome, measured=measured)
-    return outcome
-
-
-def _calibrate_loop(spec, kernel, client, client_id, sink):
-    """One client's schedule across all calibrate epochs.
-
-    Absolute-time schedule (within epoch ``e``, base ``B = e * epoch``):
-    the primer requests at ``B``; contender ``i`` (1-based) requests at
-    ``B + 1 + (i - 1) * spacing``. With latency ``L`` and think ``T``,
-    the primer's lock exists at the server from ``B + L`` and its release
+    Within epoch ``e`` (base ``B = e * epoch_length``) the primer (the
+    highest client id) starts at ``B``; contender ``i`` (1-based) at
+    ``B + 1 + (i - 1) * spacing``. With latency ``L`` and think ``T``, the
+    primer's lock exists at the server from ``B + L`` and its release
     lands at ``B + 3L + T``; contender arrivals span
     ``(B + 1 + L, B + 1 + L + (m-1)s)`` — inside the hold window as long
     as ``1 + (m-1)s < 2L + T``, which :class:`ScenarioSpec` enforces,
     with ``spacing`` separating consecutive arrivals. Both margins are
-    wall-clock-jitter budgets.
+    wall-clock-jitter budgets. Txn ids count up in start order.
     """
-    is_primer = client_id == spec.primer_id
+    primer = spec.config.n_clients
     epoch = spec.epoch_length()
-    offset = 0.0 if is_primer else 1.0 + (client_id - 1) * spec.spacing
-    txn_spec = TransactionSpec(operations=(
-        Operation(item_id=0, mode=LockMode.WRITE, think_time=spec.think),))
+    txn = TransactionSpec(operations=(Operation(
+        item_id=0, mode=LockMode.WRITE, think_time=spec.config.think_min),))
+    schedule = {client_id: [] for client_id in spec.client_ids}
+    txn_id = 0
     for index in range(spec.repeats):
-        start = index * epoch + offset
-        delay = start - kernel.now
-        if delay > 0:
-            yield kernel.timeout(delay)
-        txn = Transaction(txn_id_for(client_id, index + 1), client_id,
-                          txn_spec, birth=kernel.now)
-        yield from _run_txn(kernel, client, txn, sink,
-                            measured=not is_primer)
+        for client_id in [primer, *range(1, primer)]:
+            offset = (0.0 if client_id == primer
+                      else 1.0 + (client_id - 1) * spec.spacing)
+            txn_id += 1
+            schedule[client_id].append((index * epoch + offset, txn_id, txn,
+                                        client_id != primer))
+    return schedule
 
 
-def _workload_loop(spec, kernel, client, client_id, sink, generator):
-    """The paper's client loop (stagger, run, idle) up to the horizon."""
-    yield kernel.timeout(generator.initial_stagger(client_id))
-    sequence = 0
-    while kernel.now < spec.duration:
-        sequence += 1
-        txn = Transaction(txn_id_for(client_id, sequence), client_id,
-                          generator.next_spec(client_id), birth=kernel.now)
-        yield from _run_txn(kernel, client, txn, sink, measured=True)
-        yield kernel.timeout(generator.idle_time(client_id))
+def replay_schedule(config, trace):
+    """The schedule of every transaction a traced run of ``config`` began.
+
+    Start time, id and ``measured`` flag come from the trace's records
+    (an unfinished one is unmeasured); the operations are redrawn. A
+    client's specs come from its own named stream, one per transaction
+    in the order it began them, which is txn-id order within the client.
+    """
+    generator = WorkloadGenerator(config.workload_params(),
+                                  RandomStreams(config.seed))
+    schedule = {client_id: [] for client_id in range(1, config.n_clients + 1)}
+    for record in sorted(trace.txns, key=lambda record: record["txn"]):
+        client_id = record["client"]
+        schedule[client_id].append((record["start"], record["txn"],
+                                    generator.next_spec(client_id),
+                                    record["measured"]))
+    return schedule
 
 
-def make_generator(spec):
-    """The Table 1 generator for ``spec`` (workload mode); per-client
-    streams are name-derived, so any process can build its own."""
-    from repro.sim.rng import RandomStreams
-    from repro.workload.generator import WorkloadGenerator
-
-    return WorkloadGenerator(spec.sim_config().workload_params(),
-                             RandomStreams(spec.seed))
+def horizon(schedule):
+    """The latest start time in ``schedule`` (live deadlines add to it)."""
+    return max(entry[0] for entries in schedule.values() for entry in entries)
 
 
-def client_loop(spec, kernel, client, client_id, sink, generator=None):
-    """The generator driving ``client_id``, for either kernel."""
-    if spec.mode == "calibrate":
-        return _calibrate_loop(spec, kernel, client, client_id, sink)
-    if generator is None:
-        generator = make_generator(spec)
-    return _workload_loop(spec, kernel, client, client_id, sink, generator)
+def schedule_to_json(schedule):
+    return {str(client_id): [
+        [start, txn_id, [[op.item_id, op.mode.name, op.think_time]
+                         for op in spec.operations], measured]
+        for start, txn_id, spec, measured in entries]
+        for client_id, entries in schedule.items()}
 
 
-# -- the reference run: same scenario, simulator kernel ----------------------
-
-
-@dataclass
-class SimReference:
-    """What the simulator says the live run should look like."""
-
-    spec: object
-    history: object           # HistoryRecorder
-    trace: object             # TraceData (complete per-txn records)
-    outcomes: list            # [(TxnOutcome, measured), ...]
-    messages_sent: int
-    duration: float
-
-    @property
-    def records_by_txn(self):
-        return {record["txn"]: record for record in self.trace.txns}
-
-
-def build_stack(spec, kernel, network):
-    """What both worlds assemble ``spec`` from on ``kernel`` and
-    ``network``: a tracer, a history, a store, a WAL, and
-    ``make_protocol``'s server and clients. No site is registered — the
-    reference run adds every one to its network, an endpoint only its
-    own — so this returns ``(tracer, history, server, clients)``."""
-    from repro.obs.tracer import Tracer
-    from repro.protocols.registry import make_protocol
-    from repro.storage.store import VersionedStore
-    from repro.storage.wal import WriteAheadLog
-    from repro.validate.history import HistoryRecorder
-
-    config = spec.sim_config()
-    tracer = Tracer(kernel)
-    kernel.tracer = tracer
-    tracer.bind_network(network)
-    history = HistoryRecorder()
-    server, clients = make_protocol(
-        spec.protocol, kernel, config, VersionedStore(range(config.n_items)),
-        WriteAheadLog(), history, spec.client_ids)
-    return tracer, history, server, clients
+def schedule_from_json(data):
+    return {int(client_id): [
+        (start, txn_id, TransactionSpec(operations=tuple(
+            Operation(item, LockMode[mode], think)
+            for item, mode, think in operations)), measured)
+        for start, txn_id, operations, measured in entries]
+        for client_id, entries in data.items()}
 
 
 def run_reference(spec):
-    """Run ``spec`` under the simulator; the calibration baseline."""
-    from repro.network.topology import UniformTopology
-    from repro.network.transport import Network
-    from repro.sim.engine import Simulator
+    """The schedule live replays and the simulator's replay of it.
 
-    sim = Simulator()
-    network = Network(sim, UniformTopology(spec.latency))
-    tracer, history, server, clients = build_stack(spec, sim, network)
-    network.add_site(server)
-    for client in clients.values():
-        network.add_site(client)
-    sink = OutcomeSink()
-    generator = make_generator(spec) if spec.mode == "workload" else None
-    processes = [
-        sim.spawn(client_loop(spec, sim, clients[client_id], client_id,
-                              sink, generator))
-        for client_id in spec.client_ids
-    ]
-    sim.run(until=sim.all_of(processes))
-    # Drain the tail (returns/releases still in flight) so late round
-    # charges land before the trace is frozen — live runs get the same
-    # courtesy from the harness's shutdown grace period.
-    sim.run()
-    return SimReference(
-        spec=spec, history=history,
-        trace=tracer.finish(processed_events=sim.processed_events,
-                            peak_heap_depth=sim.peak_heap_depth),
-        outcomes=sink.outcomes,
-        messages_sent=network.stats.messages_sent,
-        duration=sim.now)
+    Workload mode's schedule is read off ``run_simulation(spec.config)``.
+    That run stops at its last counted transaction, cutting off charges
+    still to land (g-2PL releases after a commit), so live is compared
+    with the replay, which runs every scheduled transaction to the end
+    as live does, and agrees with the run on everything the run
+    finished. Returns ``(SimulationResult, schedule)``.
+    """
+    if spec.mode == "calibrate":
+        schedule = calibrate_schedule(spec)
+    else:
+        schedule = replay_schedule(spec.config,
+                                   run_simulation(spec.config).trace)
+    return run_simulation(spec.config, schedule=schedule), schedule

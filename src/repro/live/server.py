@@ -23,16 +23,16 @@ from repro.live.endpoint import (
 )
 
 
-def _run_deadline(config):
+def _run_deadline(endpoint):
     """Wall-clock budget for the scenario itself (generous: live pacing
     is deterministic, so overrunning this means a wedged endpoint)."""
-    return (config.lead + config.spec.horizon() * config.time_scale
+    return (endpoint.lead + endpoint.horizon * endpoint.time_scale
             + HANDSHAKE_TIMEOUT)
 
 
-async def server(config, stack):
-    kernel, transport = stack.kernel, stack.transport
-    expected = set(config.spec.client_ids)
+async def server(endpoint):
+    kernel, transport = endpoint.kernel, endpoint.transport
+    expected = set(endpoint.spec.client_ids)
     hellos, dones = set(), set()
     all_hello, all_done = asyncio.Event(), asyncio.Event()
 
@@ -49,26 +49,27 @@ async def server(config, stack):
             raise RuntimeError(f"server got control frame {name!r}")
 
     transport.control_handler = handler
-    await stack.up()
+    await endpoint.up()
     await asyncio.wait_for(all_hello.wait(), timeout=HANDSHAKE_TIMEOUT)
     # Pin simulation time zero `lead` wall-seconds out, so every endpoint
     # has installed the origin and entered its run loop before t=0.
-    origin = time.monotonic() + config.lead
+    origin = time.monotonic() + endpoint.lead
     kernel.set_origin(origin)
     transport.broadcast_control(START, {"origin": origin})
     run_task = asyncio.ensure_future(kernel.run())
     try:
-        await asyncio.wait_for(all_done.wait(), timeout=_run_deadline(config))
+        await asyncio.wait_for(all_done.wait(),
+                               timeout=_run_deadline(endpoint))
         # Grace: the last client's final release/return (and any late
         # g-2PL handoff) is still on the wire; let it land and be charged
         # before the tracers are frozen.
-        await asyncio.sleep(config.grace)
+        await asyncio.sleep(endpoint.grace)
     finally:
         transport.broadcast_control(SHUTDOWN, {})
         kernel.stop()
         await run_task
-    stack.write_results()
-    await stack.down()
+    endpoint.write_results()
+    await endpoint.down()
 
 
 def main(argv=None):

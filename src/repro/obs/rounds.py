@@ -11,14 +11,15 @@ last contender's. The paper's Figure 1 timeline gives 15 units for s-2PL
 versus 12 for g-2PL at m=3, L=2, P=1; the exact round arithmetic gives 11
 (the paper's figure counts one extra unit; see EXPERIMENTS.md).
 
-The scenario is one epoch of live mode's ``calibrate`` mode
+The scenario is one epoch of live mode's ``calibrate`` schedule
 (:mod:`repro.live.scenario`) with every contender requesting at once,
-run under the simulator with the real protocol implementations: the
+replayed under the simulator with the real protocol implementations: the
 spans and rounds below are measured, not computed from the closed forms.
 """
 
 from dataclasses import dataclass
 
+from repro.core.config import SimulationConfig
 from repro.live.scenario import ScenarioSpec, run_reference
 
 
@@ -102,11 +103,12 @@ def expected_txn_rounds(protocol, n_ops, n_homes=1, commit_protocol="2pc"):
 
 def _contended_run(protocol, m, latency=2.0, think=1.0):
     """Run the scenario once under the simulator; returns its
-    :class:`~repro.live.scenario.SimReference`. The primer runs
+    :class:`~repro.core.runner.SimulationResult`. The primer runs
     unmeasured, like a warmup transaction."""
-    reference = run_reference(ScenarioSpec(
-        protocol=protocol, mode="calibrate", n_clients=m + 1,
-        latency=latency, think=think, repeats=1, spacing=0.0))
+    reference, _ = run_reference(ScenarioSpec(SimulationConfig(
+        protocol=protocol, n_clients=m + 1, network_latency=latency,
+        think_min=think, think_max=think),
+        repeats=1, spacing=0.0))
     committed = reference.trace.summary.committed
     if committed != m:
         raise RuntimeError(
@@ -136,10 +138,10 @@ def _span(reference):
     release reaches the server exactly one latency after its commit, so
     this is also the span between the server's first and last installs:
     "lock first available" to "final release arrives"."""
-    primer, = (outcome.end_time for outcome, measured in reference.outcomes
-               if not measured)
-    return max(outcome.end_time for outcome, measured in reference.outcomes
-               if measured) - primer
+    primer, = (record["end"] for record in reference.trace.txns
+               if not record["measured"])
+    return max(record["end"] for record in reference.trace.txns
+               if record["measured"]) - primer
 
 
 def run_worked_example(n_clients=3, latency=2.0, processing=1.0):

@@ -19,7 +19,7 @@ EVENT_SCHEMA = {
     "lock.queued": ("txn", "item"),
     "lock.grant": ("txn", "item", "mode"),
     "lock.release": ("txn", "granted"),
-    "lock.deadlock": ("requester", "victim", "cycle"),
+    "lock.deadlock": ("requester", "cycle"),
     "lock.deadlock.distributed": ("victim", "cycle", "shard"),
     # transaction lifecycle
     "txn.begin": ("txn", "client"),

@@ -323,7 +323,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
         self.deadlocks_found += 1
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.row("lock.deadlock", requester, requester, len(set(cycle)))
+            tracer.row("lock.deadlock", requester, len(set(cycle)))
         self._abort(requester, reason="deadlock")
 
     def _abort(self, txn_id, reason):

@@ -17,19 +17,17 @@ RUNNING, COMMITTED, ABORTED = (
 class Transaction:
     """A live transaction executing at a client.
 
-    Wraps the immutable workload spec with runtime status; ``birth`` is
-    the time its driver created it.
+    Wraps the immutable workload spec with runtime status.
     """
 
-    __slots__ = ("txn_id", "client_id", "spec", "status", "birth",
-                 "ops_done", "abort_reason")
+    __slots__ = ("txn_id", "client_id", "spec", "status", "ops_done",
+                 "abort_reason")
 
-    def __init__(self, txn_id, client_id, spec, birth):
+    def __init__(self, txn_id, client_id, spec):
         self.txn_id = txn_id
         self.client_id = client_id
         self.spec = spec
         self.status = RUNNING
-        self.birth = birth
         self.ops_done = 0
         self.abort_reason = None
 

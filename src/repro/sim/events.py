@@ -79,6 +79,18 @@ class Event:
         self.sim._schedule(self, delay)
         return self
 
+    def succeed_at(self, when, value=None):
+        """:meth:`succeed_after` at absolute time ``when`` (>= now).
+
+        ``now + (when - now)`` can round off ``when``; this lands on it
+        exactly, so a replayed start time is the recorded one.
+        """
+        if self._value is not _PENDING:
+            raise SimulationError(f"{self!r} has already been triggered")
+        self._value = value
+        self.sim.schedule_at(when, self._process)
+        return self
+
     def fail(self, exception):
         """Trigger the event with ``exception``; returns self."""
         if self.triggered:

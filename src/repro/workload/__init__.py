@@ -22,6 +22,7 @@ __all__ = [
     "PoissonArrivals",
     "PopulationDriver",
     "PopulationState",
+    "ReplayDriver",
     "RunControl",
     "TransactionClass",
     "TransactionSpec",
@@ -37,7 +38,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.workload.arrivals": ("BurstArrivals", "DiurnalArrivals",
                                 "PoissonArrivals", "make_arrivals"),
-    "repro.workload.driver": ("ClientDriver", "RunControl"),
+    "repro.workload.driver": ("ClientDriver", "ReplayDriver", "RunControl"),
     "repro.workload.generator": ("WorkloadGenerator", "WorkloadParams"),
     "repro.workload.population": ("OpenArrivalGenerator", "PopulationDriver",
                                   "PopulationState", "TransactionClass",

@@ -3,7 +3,9 @@
 Each client runs one transaction at a time (MPL 1). When a transaction
 finishes — committed or aborted — the client idles for a uniformly
 distributed period and then *replaces* it with a fresh transaction (§4:
-aborted transactions are replaced, not retried).
+aborted transactions are replaced, not retried). :class:`ReplayDriver`
+runs a client from a fixed schedule instead (live mode, on either
+kernel).
 """
 
 from repro.protocols.transaction import Transaction
@@ -103,8 +105,7 @@ class ClientDriver:
                 yield self._restart_event  # parks forever without a restart
                 continue
             spec = self.generator.next_spec(client_id)
-            txn = Transaction(control.next_txn_id(), client_id,
-                              spec, birth=self.sim.now)
+            txn = Transaction(control.next_txn_id(), client_id, spec)
             if tracer is not None:
                 tracer.txn_begin(txn)
             # delegated, not spawned: a crash interrupt lands in execute()
@@ -123,3 +124,44 @@ class ClientDriver:
                                     measured=self.collector.measuring)
             control.transaction_finished()
             yield self.sim.timeout(self.generator.idle_time(client_id))
+
+
+class ReplayDriver:
+    """Replays one client's schedule instead of drawing transactions.
+
+    A schedule entry is ``(start, txn_id, spec, measured)``: the
+    transaction begins at ``start``, or at once when the one before it
+    ran past that time, so lateness never carries over to the next. Its
+    loop is :class:`ClientDriver`'s with the draws replaced by the
+    entries, so replaying a run's own schedule on the simulator
+    reproduces that run transaction for transaction.
+    """
+
+    def __init__(self, sim, client_id, protocol_client, entries, control,
+                 collector):
+        self.sim = sim
+        self.client_id = client_id
+        self.protocol_client = protocol_client
+        self.entries = entries
+        self.control = control
+        self.collector = collector
+        self.process = None
+
+    def start(self):
+        self.process = self.sim.spawn(self._loop())
+        return [self.process]
+
+    def _loop(self):
+        sim = self.sim
+        tracer = sim.tracer
+        for start, txn_id, spec, measured in self.entries:
+            if start > sim.now:
+                yield sim.event().succeed_at(start)
+            txn = Transaction(txn_id, self.client_id, spec)
+            if tracer is not None:
+                tracer.txn_begin(txn)
+            outcome = yield from self.protocol_client.execute(txn)
+            self.collector.record_outcome(outcome)
+            if tracer is not None:
+                tracer.txn_finished(outcome, measured=measured)
+            self.control.transaction_finished()

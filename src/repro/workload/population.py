@@ -349,8 +349,7 @@ class PopulationDriver:
             state.shed += 1
             return
         spec = self.generator.next_spec()
-        txn = Transaction(self.control.next_txn_id(), self.client_id,
-                          spec, birth=self.sim.now)
+        txn = Transaction(self.control.next_txn_id(), self.client_id, spec)
         state.active[user] = txn.txn_id
         state.started += 1
         if len(state.active) > state.peak_active:

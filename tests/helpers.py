@@ -112,7 +112,7 @@ class Harness:
         def body():
             if delay:
                 yield self.sim.timeout(delay)
-            txn = Transaction(txn_id, client_id, txn_spec, birth=self.sim.now)
+            txn = Transaction(txn_id, client_id, txn_spec)
             outcome = yield self.sim.spawn(
                 self.clients[client_id].execute(txn))
             self.outcomes[txn_id] = outcome

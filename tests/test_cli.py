@@ -86,6 +86,49 @@ def test_a_live_spec_that_splits_its_window_is_a_usage_error(
     assert "window splits" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, argv", [
+    ("faults", ["--faults", "loss=0.1"]),
+    ("n_shards", ["--shards", "2"]),
+    ("n_regions", ["--shards", "2", "--regions", "2"]),
+    ("population", ["--population", "100"]),
+])
+def test_a_live_run_of_a_field_sockets_cannot_honour_is_a_usage_error(
+        capsys, monkeypatch, field, argv):
+    # (bandwidth and mpl have no flag: tests/test_live_scenario.py)
+    import repro.live.harness
+
+    def launch(*_args, **_kwargs):
+        raise AssertionError("a rejected spec must launch no process")
+
+    monkeypatch.setattr(repro.live.harness, "calibrate", launch)
+    assert main(["live", "--mode", "workload", "--protocol", "g2pl",
+                 *argv]) == 2
+    err = capsys.readouterr().err
+    assert "cannot honour" in err and field in err
+    assert "Traceback" not in err
+
+
+def test_live_takes_its_run_from_the_config_flags(monkeypatch):
+    import repro.live.harness
+
+    specs = []
+
+    def launch(spec, **_kwargs):
+        specs.append(spec)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(repro.live.harness, "calibrate", launch)
+    with pytest.raises(SystemExit):
+        main(["live", "--mode", "workload", "--pr", "0.3", "--seed", "4"])
+    [spec] = specs
+    config = spec.config
+    # live's own defaults, then the flags
+    assert (config.n_clients, config.network_latency) == (4, 2.0)
+    assert (config.read_probability, config.seed) == (0.3, 4)
+    assert config.trace and config.record_history
+    assert spec.mode == "workload" and not spec.trace_export
+
+
 # -- every run flag parses to the config the flag-by-flag parser built --------
 
 BASE = dict(total_transactions=1000, warmup_transactions=100,

@@ -291,7 +291,7 @@ class TestDivergenceReport:
 class TestLiveMergePhases:
     def _payload(self, site, role, records=(), partials=()):
         return {"role": role, "site": site, "protocol": "s2pl",
-                "mode": "calibrate", "outcomes": [],
+                "mode": "calibrate",
                 "txn_records": list(records),
                 "partial_records": list(partials),
                 "history": {"accesses": [], "committed": [],
@@ -397,25 +397,26 @@ class TestLiveDivergence:
             self, tmp_path):
         import json
 
+        from repro.core.config import SimulationConfig
         from repro.live.harness import run_live
-        from repro.live.scenario import ScenarioSpec
+        from repro.live.scenario import ScenarioSpec, calibrate_schedule
         from repro.obs.export import (
             write_merged_chrome_trace,
             write_phases_csv,
         )
 
-        spec = ScenarioSpec(protocol="g2pl", mode="calibrate",
-                            n_clients=3, latency=2.0, think=1.0,
-                            repeats=2, trace_export=True,
-                            probe_interval=50.0)
-        live = run_live(spec, time_scale=0.02, workdir=str(tmp_path))
+        spec = ScenarioSpec(SimulationConfig(
+            protocol="g2pl", n_clients=3, network_latency=2.0,
+            probe_interval=50.0), repeats=2, trace_export=True)
+        live = run_live(spec, calibrate_schedule(spec), time_scale=0.02,
+                        workdir=str(tmp_path))
         assert all("trace_events" in payload and "probes" in payload
                    for payload in live.merged.payloads)
         trace_path = tmp_path / "merged.chrome.json"
         write_merged_chrome_trace(trace_path, live.merged.payloads)
         events = json.loads(trace_path.read_text())["traceEvents"]
         pids = {e["pid"] for e in events if e.get("ph") == "M"}
-        assert len(pids) == spec.n_clients + 1  # one lane per endpoint
+        assert len(pids) == spec.config.n_clients + 1  # a lane per endpoint
         assert any(e.get("cat") == "txn" for e in events)
         assert any(e.get("cat") == "phase" for e in events)
         assert any(e.get("ph") == "C" for e in events)  # probe counters

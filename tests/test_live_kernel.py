@@ -258,7 +258,7 @@ def test_protocol_code_runs_unmodified_under_live_kernel():
         Operation(item_id=0, mode=LockMode.WRITE, think_time=1.0),
         Operation(item_id=2, mode=LockMode.READ, think_time=1.0),
     ))
-    txn = Transaction(1, 1, spec, birth=0.0)
+    txn = Transaction(1, 1, spec)
     outcome = run_async(
         kernel.run(until=kernel.spawn(clients[1].execute(txn))))
     assert outcome.committed

@@ -1,30 +1,52 @@
-"""Scenario layer: sim-side reference runs and result merging."""
+"""Scenario layer: specs, schedules, sim-side reference runs, merging."""
+
+import dataclasses
+import json
 
 import pytest
 
+from repro.core.config import SimulationConfig
+from repro.core.runner import assemble, run_simulation
 from repro.live.results import MergedRun
 from repro.live.scenario import (
     ScenarioSpec,
-    TXN_ID_STRIDE,
+    replay_schedule,
     run_reference,
-    txn_id_for,
+    schedule_from_json,
+    schedule_to_json,
 )
 from repro.obs.rounds import expected_rounds
+from repro.perf.fingerprint import result_fingerprint
+
+#: a short Table 1 run at loopback latency (workload mode)
+WORKLOAD = SimulationConfig(protocol="s2pl", n_clients=3, network_latency=2.0,
+                            total_transactions=40, warmup_transactions=5,
+                            seed=5)
+
+
+def calibrate_spec(protocol="g2pl", n_clients=4, **spec_fields):
+    return ScenarioSpec(SimulationConfig(
+        protocol=protocol, n_clients=n_clients, network_latency=2.0),
+        **spec_fields)
 
 
 def test_spec_round_trips_through_dict():
-    spec = ScenarioSpec(protocol="g2pl", mode="workload", n_clients=6,
-                        latency=3.0, seed=9, duration=77.0)
-    assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+    spec = ScenarioSpec(WORKLOAD.replace(protocol="g2pl", n_clients=6,
+                                         network_latency=3.0, seed=9),
+                        mode="workload", trace_export=True)
+    # a live run is traced and keeps its history, whatever it was given
+    assert spec.config.trace and spec.config.record_history
+    assert ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) \
+        == spec
 
 
 def test_spec_rejects_bad_modes_and_sizes():
     with pytest.raises(ValueError):
-        ScenarioSpec(mode="nope")
+        ScenarioSpec(WORKLOAD, mode="nope")
     with pytest.raises(ValueError):
-        ScenarioSpec(mode="calibrate", n_clients=1)
+        calibrate_spec(n_clients=1)
     with pytest.raises(ValueError):
-        ScenarioSpec(repeats=0)
+        calibrate_spec(repeats=0)
 
 
 @pytest.mark.parametrize("n_clients", [10, 12, 16])
@@ -33,18 +55,26 @@ def test_spec_rejects_a_calibrate_window_that_would_split(n_clients):
     requesting at 1 + (m-1)*0.5 >= 5 reaches the server after the
     primer's release: the epoch would read one round more than 2m+1."""
     with pytest.raises(ValueError, match="window splits"):
-        ScenarioSpec(protocol="g2pl", mode="calibrate", n_clients=n_clients)
+        calibrate_spec(n_clients=n_clients)
 
 
 def test_spec_rejects_a_negative_spacing():
     with pytest.raises(ValueError, match="spacing"):
-        ScenarioSpec(spacing=-0.5)
+        calibrate_spec(spacing=-0.5)
 
 
-def test_txn_ids_are_disjoint_per_client():
-    assert txn_id_for(3, 7) == 3 * TXN_ID_STRIDE + 7
-    with pytest.raises(ValueError):
-        txn_id_for(1, TXN_ID_STRIDE)
+@pytest.mark.parametrize("field, changes", [
+    ("bandwidth", dict(bandwidth=10.0)),
+    ("faults", dict(faults="loss=0.1")),
+    ("n_shards", dict(n_shards=2)),
+    ("n_regions", dict(n_shards=2, n_regions=2)),
+    ("population", dict(population=100)),
+    ("mpl", dict(mpl=2)),
+])
+def test_spec_rejects_a_field_live_mode_cannot_honour(field, changes):
+    config = WORKLOAD.replace(**changes)
+    with pytest.raises(ValueError, match=f"cannot honour .*{field}"):
+        ScenarioSpec(config, mode="workload")
 
 
 @pytest.mark.parametrize("protocol", ["s2pl", "g2pl"])
@@ -52,53 +82,95 @@ def test_calibrate_reference_matches_paper_arithmetic(protocol):
     """The staggered contended scenario must still produce the paper's
     closed forms (3m / 2m+1 per epoch) — the stagger fixes arrival order
     without changing the window composition."""
-    spec = ScenarioSpec(protocol=protocol, mode="calibrate", n_clients=5,
-                        latency=2.0, think=1.0, repeats=3)
-    ref = run_reference(spec)
-    m = spec.n_clients - 1
+    spec = calibrate_spec(protocol, n_clients=5)
+    ref, schedule = run_reference(spec)
+    m = spec.config.n_clients - 1
     measured = [r for r in ref.trace.txns
                 if r["measured"] and r["committed"]]
     assert len(measured) == m * spec.repeats
     total = sum(r["rounds_sequential"] for r in measured)
     assert total == expected_rounds(protocol, m) * spec.repeats
-    # calibrate histories are single-item write chains: always clean
-    assert len(ref.history.aborted) == 0
-    assert len(ref.history.committed) == (m + 1) * spec.repeats
+    # calibrate histories are single-item write chains: always clean,
+    # and every scheduled transaction (primers too) commits
+    assert ref.serializability.ok
+    assert sorted(r["txn"] for r in ref.trace.txns if r["committed"]) \
+        == sorted(entry[1] for entries in schedule.values()
+                  for entry in entries)
+    assert len(ref.trace.txns) == (m + 1) * spec.repeats
     # the widest window the spec accepts at these settings (its last
     # contender requests at 4.5 < 2*latency + think) still adds up
-    widest = run_reference(spec.with_(n_clients=9))
+    widest, _ = run_reference(dataclasses.replace(
+        spec, config=spec.config.replace(n_clients=9)))
     assert widest.trace.summary.rounds_total \
         == expected_rounds(protocol, 8) * spec.repeats
 
 
 def test_calibrate_reference_is_deterministic():
-    spec = ScenarioSpec(protocol="g2pl", mode="calibrate", n_clients=4,
-                        repeats=2)
-    a, b = run_reference(spec), run_reference(spec)
-    assert {r["txn"]: r["rounds"] for r in a.trace.txns} \
-        == {r["txn"]: r["rounds"] for r in b.trace.txns}
-    assert [o.response_time for o, _ in a.outcomes] \
-        == [o.response_time for o, _ in b.outcomes]
+    spec = calibrate_spec("g2pl", repeats=2)
+    (a, _), (b, _) = run_reference(spec), run_reference(spec)
+    assert {r["txn"]: (r["rounds"], r["response"]) for r in a.trace.txns} \
+        == {r["txn"]: (r["rounds"], r["response"]) for r in b.trace.txns}
 
 
-def test_workload_reference_runs_and_validates():
-    spec = ScenarioSpec(protocol="s2pl", mode="workload", n_clients=3,
-                        latency=2.0, duration=80.0, seed=5)
-    ref = run_reference(spec)
-    assert len(ref.history.committed) > 0
-    # every committed outcome was measured and recorded
-    committed = {o.txn_id for o, _ in ref.outcomes if o.committed}
-    assert committed == ref.history.committed
+def test_the_workload_schedule_is_the_simulators_own_run():
+    spec = ScenarioSpec(WORKLOAD, mode="workload")
+    reference, schedule = run_reference(spec)
+    source = run_simulation(spec.config)
+    # the run the schedule is read off is run_simulation(config), traced
+    # and with its history checked: turning both on moved nothing
+    assert result_fingerprint(source) == result_fingerprint(
+        run_simulation(WORKLOAD.replace(trace=True)))
+    assert source.serializability.ok and source.metrics.committed > 0
+    assert schedule == replay_schedule(spec.config, source.trace)
+    # every transaction it began, finished or not, once
+    assert any(record.get("unfinished") for record in source.trace.txns)
+    assert sorted(entry[1] for entries in schedule.values()
+                  for entry in entries) \
+        == sorted(record["txn"] for record in source.trace.txns)
+    # the reference is the replay: it finishes them all
+    assert not any(record.get("unfinished")
+                   for record in reference.trace.txns)
+    assert reference.serializability.ok
+    # and the schedule survives the trip to an endpoint's config file
+    assert schedule_from_json(json.loads(json.dumps(
+        schedule_to_json(schedule)))) == schedule
 
 
-def _payload(site, role, records=(), partials=(), outcomes=(),
-             history=None, net=None):
+@pytest.mark.parametrize("protocol", ["s2pl", "g2pl"])
+def test_replaying_a_reference_schedule_reproduces_it(protocol):
+    """Every transaction the run finished is finished again by the replay
+    with the same rounds and the same response, to the bit. The run is
+    drained after its last counted transaction, as the replay is, so
+    charges landing after that (g-2PL releases after a commit) are
+    counted on both sides: at this seed, g-2PL's txn 77 would otherwise
+    miss its three release rounds."""
+    config = WORKLOAD.replace(protocol=protocol, n_clients=5, n_items=8,
+                              network_latency=50.0, total_transactions=80,
+                              seed=6, trace=True)
+    run = assemble(config, config.seed)
+    run.run(config)
+    run.sim.run()
+    run.tracer.close()
+    trace = run.tracer.finish()
+    replay = run_simulation(config,
+                            schedule=replay_schedule(config, trace))
+    replayed = {record["txn"]: record for record in replay.trace.txns}
+    finished = [record for record in trace.txns
+                if not record.get("unfinished")]
+    assert len(finished) == config.total_transactions
+    keys = ("rounds", "start", "response", "committed", "measured")
+    for record in finished:
+        assert [replayed[record["txn"]][key] for key in keys] \
+            == [record[key] for key in keys]
+
+
+def _payload(site, role, records=(), partials=(), history=None, net=None):
     history = history or {"accesses": [], "committed": [], "aborted": [],
                           "commit_times": {}}
     net = net or {"messages_sent": 0, "data_units_sent": 0.0,
                   "per_type": {}}
     return {"role": role, "site": site, "protocol": "s2pl",
-            "mode": "calibrate", "outcomes": list(outcomes),
+            "mode": "calibrate",
             "txn_records": list(records), "partial_records": list(partials),
             "history": history, "net": net,
             "engine": {"processed_events": 0, "peak_heap_depth": 0,

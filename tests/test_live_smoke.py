@@ -2,7 +2,7 @@
 
 Each case launches 1 server + N client OS processes over loopback with
 userspace-shaped latency, merges their results, and compares against the
-simulator running the *same scenario code*:
+simulator replaying the *same schedule*:
 
 * the merged history is serializable and strict,
 * the committed transaction sets are identical (calibrate mode is fully
@@ -26,8 +26,9 @@ import time
 
 import pytest
 
+from repro.core.config import SimulationConfig
 from repro.live.harness import calibrate, run_live
-from repro.live.scenario import ScenarioSpec
+from repro.live.scenario import ScenarioSpec, calibrate_schedule
 from repro.obs.rounds import expected_rounds
 
 #: documented smoke tolerance on the mean relative response-time delta;
@@ -39,14 +40,14 @@ pytestmark = pytest.mark.live
 
 @pytest.mark.parametrize("protocol", ["s2pl", "g2pl"])
 def test_live_calibrate_matches_simulator(protocol):
-    spec = ScenarioSpec(protocol=protocol, mode="calibrate", n_clients=4,
-                        latency=2.0, think=1.0, repeats=2)
+    spec = ScenarioSpec(SimulationConfig(
+        protocol=protocol, n_clients=4, network_latency=2.0), repeats=2)
     report = calibrate(spec, time_scale=0.02)
     assert report.serializable, "merged live history not serializable"
     assert report.strict, "merged live history not strict"
     assert report.committed_match, (
         "live committed set differs from simulator")
-    m = spec.n_clients - 1
+    m = spec.config.n_clients - 1
     assert report.n_compared == m * spec.repeats
     assert report.rounds_exact, (
         f"round mismatches: {report.round_mismatches}")
@@ -71,8 +72,10 @@ def test_live_calibrate_matches_simulator(protocol):
 
 
 def test_live_workload_history_is_serializable_and_rounds_match():
-    spec = ScenarioSpec(protocol="g2pl", mode="workload", n_clients=3,
-                        latency=2.0, duration=60.0, seed=7)
+    spec = ScenarioSpec(SimulationConfig(
+        protocol="g2pl", n_clients=3, network_latency=2.0,
+        total_transactions=20, warmup_transactions=2, seed=7),
+        mode="workload")
     report = calibrate(spec, time_scale=0.01)
     assert report.serializable and report.strict
     assert report.n_compared > 0
@@ -104,12 +107,13 @@ def test_a_dead_endpoint_fails_the_run_fast_and_is_named_first(
         return proc
 
     monkeypatch.setattr(subprocess, "Popen", popen)
-    spec = ScenarioSpec(protocol="s2pl", mode="calibrate", n_clients=3,
-                        latency=2.0, think=1.0, repeats=6)
+    spec = ScenarioSpec(SimulationConfig(
+        protocol="s2pl", n_clients=3, network_latency=2.0), repeats=6)
     start = time.monotonic()
     try:
         with pytest.raises(RuntimeError) as failure:
-            run_live(spec, time_scale=0.02, workdir=str(tmp_path))
+            run_live(spec, calibrate_schedule(spec), time_scale=0.02,
+                     workdir=str(tmp_path))
     finally:
         for timer in timers:
             timer.cancel()

@@ -45,7 +45,7 @@ def run_contended_chain(protocol, m=3, latency=2.0):
 
     def launch(client_id, txn_id):
         def body():
-            txn = Transaction(txn_id, client_id, spec, birth=sim.now)
+            txn = Transaction(txn_id, client_id, spec)
             outcome = yield sim.spawn(clients[client_id].execute(txn))
             return outcome
         sim.spawn(body())

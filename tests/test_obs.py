@@ -175,7 +175,7 @@ class TestTracerClose:
         tracer = Tracer(sim)
         spec = TransactionSpec(operations=(
             Operation(0, LockMode.READ, 1.0),))
-        tracer.txn_begin(Transaction(1, 1, spec, birth=0.0))
+        tracer.txn_begin(Transaction(1, 1, spec))
         assert len(tracer.partial_records()) == 1
         records = tracer.close()
         assert [r["txn"] for r in records] == [1]

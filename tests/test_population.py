@@ -239,10 +239,10 @@ class StubClient:
     def __init__(self, sim, services=(1.0,)):
         self.sim = sim
         self.services = services
-        self.admitted = []   # (txn_id, birth, spec) in admission order
+        self.admitted = []   # (txn_id, time, spec) in admission order
 
     def execute(self, txn):
-        self.admitted.append((txn.txn_id, txn.birth, txn.spec))
+        self.admitted.append((txn.txn_id, self.sim.now, txn.spec))
         start = self.sim.now
         yield self.sim.timeout(self.services[txn.txn_id % len(self.services)])
         txn.commit()
@@ -437,10 +437,10 @@ class TestSkipAheadMatchesEagerOracle:
             fire = as_armed[-1]
             as_armed.append(fire + (process.next_arrival(fire) - fire))
             as_answered.append(process.next_arrival(as_answered[-1]))
-        births = [birth for _, birth, _ in skip["admitted"]]
-        assert len(births) >= 3
-        assert set(births) <= set(as_armed)
-        assert not set(births[1:]) & set(as_answered)
+        admitted = [when for _, when, _ in skip["admitted"]]
+        assert len(admitted) >= 3
+        assert set(admitted) <= set(as_armed)
+        assert not set(admitted[1:]) & set(as_answered)
 
     def test_arrival_tied_with_a_completion_comes_after_it(self):
         # The documented tie rule. Arrivals at 1, 2, 3, ... and a service

@@ -31,13 +31,13 @@ def one_op_spec():
 
 class TestTransaction:
     def make(self):
-        return Transaction(1, client_id=2, spec=one_op_spec(), birth=5.0)
+        return Transaction(1, client_id=2, spec=one_op_spec())
 
     def test_initial_state(self):
         txn = self.make()
         assert txn.running
         assert txn.status is TxnStatus.RUNNING
-        assert txn.birth == 5.0
+        assert (txn.txn_id, txn.client_id, txn.ops_done) == (1, 2, 0)
 
     def test_commit(self):
         txn = self.make()

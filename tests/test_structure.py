@@ -146,8 +146,8 @@ def test_only_the_jobs_pool_starts_processes():
 
 def test_no_run_flag_is_declared_outside_its_config_field():
     """Every option whose dest is a flagged config field comes from
-    ``_add_workload_args``' one loop (``report`` and ``live`` build no
-    ``SimulationConfig``: their ``--seed`` / ``--trace`` are their own)."""
+    ``_add_workload_args``' one loop (``report`` builds no
+    ``SimulationConfig``: its ``--seed`` is its own)."""
     import dataclasses
 
     from repro.core.config import SimulationConfig
@@ -167,8 +167,8 @@ def test_no_run_flag_is_declared_outside_its_config_field():
             longs = [o for o in options if o.startswith("--")] or options
             name = (dest.value if dest is not None
                     else longs[0].lstrip("-").replace("-", "_"))
-            if name in fields and ast.unparse(node.func.value) not in (
-                    "report_parser", "live_parser"):
+            if name in fields and ast.unparse(node.func.value) \
+                    != "report_parser":
                 stray.append(f"{function.name}: {ast.unparse(node)[:60]}")
     assert (derived, stray) == (["_add_workload_args"], [])
 
