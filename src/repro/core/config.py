@@ -62,7 +62,10 @@ class SimulationConfig:
     Workload (Table 1): ``n_clients`` identical clients, MPL 1, each
     transaction accesses 1–5 distinct items out of 25 hot items, each
     access is a read with probability ``read_probability``, think time
-    U(1,3) per operation, idle time U(2,10) between transactions.
+    U(1,3) per operation, idle time U(2,10) between transactions. A
+    ``population`` replaces the terminals with open-arrival users, and a
+    site then runs several transactions at once. Servers charge no
+    processing time (Table 1).
 
     Network: uniform latency between every pair of sites; transmission
     delay negligible unless ``bandwidth`` is set (data units per time unit).
@@ -80,11 +83,9 @@ class SimulationConfig:
     think_max: float = 3.0
     idle_min: float = 2.0
     idle_max: float = 10.0
-    server_processing_time: float = 0.0
     access_skew: float = _flag(
         0.0, "--zipf", "Zipf-like access skew (item at rank r has weight "
         "1/(r+1)^S; default 0 = uniform)", metavar="S")
-    mpl: int = 1              # multiprogramming level per client (Table 1: 1)
     # installed updates between server checkpoints; None = aggressive log
     # truncation with no crash-recovery coverage (the paper's assumption)
     checkpoint_interval: Optional[int] = None
@@ -202,8 +203,6 @@ class SimulationConfig:
         if self.warmup_transactions >= self.total_transactions:
             raise ValueError(
                 "warmup_transactions must be below total_transactions")
-        if self.mpl < 1:
-            raise ValueError("mpl must be >= 1")
         if (self.max_forward_list_length is not None
                 and self.max_forward_list_length < 1):
             raise ValueError(

@@ -255,7 +255,7 @@ def assemble(config, seed, sim=None, network=None, local_site=None,
         generator = WorkloadGenerator(params, streams)
         for client_id, client in clients.items():
             driver = ClientDriver(sim, client_id, client, generator, control,
-                                  collector, mpl=config.mpl)
+                                  collector)
             drivers[client_id] = driver
             driver.start()
     else:

@@ -187,9 +187,3 @@ class MergedRun:
     @property
     def committed(self):
         return self.history.committed
-
-    def endpoint(self, site_id):
-        for payload in self.payloads:
-            if payload["site"] == site_id:
-                return payload
-        raise KeyError(f"no payload for site {site_id}")

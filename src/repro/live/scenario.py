@@ -46,8 +46,7 @@ MODES = ("calibrate", "workload")
 #: config fields live mode cannot honour over sockets: the transport
 #: shapes a uniform latency and nothing else, one process hosts one
 #: site, and a client replays one transaction at a time
-UNSUPPORTED = ("bandwidth", "faults", "n_regions", "n_shards", "population",
-               "mpl")
+UNSUPPORTED = ("bandwidth", "faults", "n_regions", "n_shards", "population")
 
 
 @dataclass(frozen=True)

@@ -470,9 +470,6 @@ class Tracer:
     def think_charge(self, txn_id, duration):
         self._acc(txn_id).client_think += duration
 
-    def queue_charge(self, txn_id, duration):
-        self._acc(txn_id).server_queue += duration
-
     def txn_begin(self, txn):
         acc = self._acc(txn.txn_id)
         acc.client_id = txn.client_id

@@ -87,10 +87,9 @@ class _Dispatcher(Site):
 class ProtocolServer(_Dispatcher):
     """Base class for the data server of a protocol.
 
-    Owns the versioned store and the WAL; optionally serialises message
-    handling through a single CPU with ``server_processing_time`` per
-    message (the paper charges both protocols the same server cost, zero
-    by default).
+    Owns the versioned store and the WAL. Message handling costs no
+    server time (Table 1 charges none), so a payload is handled the
+    instant it arrives.
     """
 
     is_server = True
@@ -109,35 +108,12 @@ class ProtocolServer(_Dispatcher):
         if getattr(config, "faults", None) is not None:
             self.fault_mode = True
         self.aborts_initiated = 0
-        self._cpu_free_at = 0.0
         self.recovery = None
         if config.checkpoint_interval is not None:
             from repro.storage.recovery import RecoveryManager
 
             self.recovery = RecoveryManager(
                 store, wal, checkpoint_interval=config.checkpoint_interval)
-
-    def _dispatch(self, payload):
-        # Channel bookkeeping (acks, duplicate suppression) was already
-        # handled in receive() and costs no server CPU.
-        cost = self.config.server_processing_time
-        if cost <= 0.0:
-            handler = self._handlers.get(payload.__class__)
-            if handler is None:
-                handler = self._handler_for(payload)
-            handler(payload)
-            return
-        start = max(self.sim.now, self._cpu_free_at)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            # CPU wait + service both count as server queueing for the
-            # transaction named by the message (if any).
-            txn_id = getattr(payload, "txn_id", None)
-            if txn_id is not None:
-                tracer.queue_charge(txn_id, start + cost - self.sim.now)
-        self._cpu_free_at = start + cost
-        self.sim.call_later(self._cpu_free_at - self.sim.now,
-                            self._handler_for(payload), payload)
 
     def install_updates(self, txn_id, updates):
         """WAL-then-install the committed ``updates`` (item -> value), then

@@ -77,13 +77,14 @@ class C2PLServer(S2PLServer):
         The requester's own registration is left in place: its copy is
         either overwritten by the write or dropped by the client on abort,
         and an over-registration is harmless (a recall finds nothing).
-        With MPL > 1 the writer's own client is recalled too — another
-        local transaction may be reading the cached copy, and only the
-        recall/busy machinery serialises against it.
+        At a population site the writer's own client is recalled too —
+        another local transaction may be reading the cached copy, and only
+        the recall/busy machinery serialises against it. A closed-loop
+        terminal runs one transaction at a time, so it has no such reader.
         """
         client_id = self._txns[txn_id]
         holders = set(self._cached.get(item_id, set()))
-        if self.config.mpl == 1:
+        if self.config.population is None:
             holders.discard(client_id)
         if not holders:
             self._ship(txn_id, item_id, LockMode.WRITE)
@@ -126,7 +127,8 @@ class C2PLServer(S2PLServer):
     def _extra_wait_edges(self):
         extra = {}
         for writer, busy in self._busy_edges:
-            if writer != busy:  # MPL > 1: a writer can pin its own copy
+            # a population site's writer can pin its own copy
+            if writer != busy:
                 extra.setdefault(writer, set()).add(busy)
         return extra
 
@@ -170,9 +172,9 @@ class C2PLClient(S2PLClient):
         # when the fetching transaction commits (which is also when the
         # copy gets registered at the server); only published copies are
         # cache-hittable — a copy fetched by a still-active sibling
-        # transaction (MPL > 1) is protected by that sibling's server lock
-        # only until the sibling ends, which is not long enough for a
-        # hitchhiking reader.
+        # transaction (population sites) is protected by that sibling's
+        # server lock only until the sibling ends, which is not long
+        # enough for a hitchhiking reader.
         self._cache = {}
         self._deferred_recalls = set()
         self._txn_used = {}         # txn_id -> set(item_id) used from cache
@@ -186,9 +188,9 @@ class C2PLClient(S2PLClient):
                  if msg.item_id in used]
         if users:
             self._deferred_recalls.add(msg.item_id)
-            # One busy ack per pinning transaction (MPL > 1 can have
-            # several): the server needs a wait-for edge to each, or the
-            # edge to the first points at nobody once that one commits
+            # One busy ack per pinning transaction (a population site can
+            # have several): the server needs a wait-for edge to each, or
+            # the edge to the first points at nobody once that one commits
             # and a cycle through the others goes undetected.
             for busy_txn in users:
                 self.send(self.server_id,
@@ -208,8 +210,8 @@ class C2PLClient(S2PLClient):
         for item_id in list(self._deferred_recalls):
             if item_id not in used:
                 continue
-            # With MPL > 1 another local transaction may still be using the
-            # copy; the drop waits for the last user.
+            # At a population site another local transaction may still be
+            # using the copy; the drop waits for the last user.
             if any(item_id in other for other in self._txn_used.values()):
                 continue
             self._deferred_recalls.discard(item_id)
@@ -275,8 +277,8 @@ class C2PLClient(S2PLClient):
                     new_version = msg.version + 1
                     updates[op.item_id] = f"t{txn.txn_id}v{new_version}"
                     # The new value enters the cache only at commit: a
-                    # concurrent local transaction (MPL > 1) must never
-                    # cache-hit an uncommitted write.
+                    # concurrent local transaction (population sites) must
+                    # never cache-hit an uncommitted write.
                     pending_cache[op.item_id] = (new_version,
                                                  updates[op.item_id])
                     self.history.record_access(

@@ -100,16 +100,13 @@ def dispatch_chain(sender, item_id, version, value, fl, mr1w, epoch=0):
     first = fl.head
     if first.is_read_group:
         next_writer = fl[1].writer if len(fl) > 1 else None
-        release_to = ((next_writer.txn_id, next_writer.client_id)
-                      if next_writer is not None else None)
         group = first.txn_ids()
         for ref in first.txns:
             env = sender.send(ref.client_id,
                               GShip(txn_id=ref.txn_id, item_id=item_id,
                                     version=version, value=value,
                                     mode=READ, fl_tail=fl,
-                                    group=group, release_to=release_to,
-                                    epoch=epoch),
+                                    group=group, epoch=epoch),
                               size=sender.data_ship_size(fl=fl))
             if tracer is not None:
                 if from_server:
@@ -911,8 +908,7 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
                 # routes around this position instead of waiting on it.
                 self.send_control(self.home_of(msg.item_id),
                                   HandoffNote(item_id=msg.item_id,
-                                              from_txn=msg.txn_id,
-                                              epoch=msg.epoch))
+                                              from_txn=msg.txn_id))
                 return True
             return False
         if hold.data_received:
@@ -1065,9 +1061,7 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
             self.send(self.home_of(hold.item_id),
                       ReturnToServer(item_id=hold.item_id,
                                      version=out_version, value=out_value,
-                                     from_txn=hold.txn_id,
-                                     outcomes={hold.txn_id: "done"},
-                                     epoch=hold.epoch),
+                                     from_txn=hold.txn_id),
                       size=self.data_ship_size())
         elif hold.mode is READ:
             writer = rest.head.writer
@@ -1080,8 +1074,7 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
                                 version=out_version,
                                 value=out_value if carries else None,
                                 fl_from_writer=rest if carries else None,
-                                group=hold.group, carries_data=carries,
-                                epoch=hold.epoch),
+                                group=hold.group, carries_data=carries),
                             size=(self.data_ship_size(fl=rest)
                                   if carries else CONTROL_SIZE))
             successor = writer.client_id
@@ -1109,8 +1102,7 @@ class G2PLClient(TwoPhaseCoordinator, ProtocolClient):
             # has passed the item on (returns speak for themselves).
             self.send_control(self.home_of(hold.item_id),
                               HandoffNote(item_id=hold.item_id,
-                                          from_txn=hold.txn_id,
-                                          epoch=hold.epoch))
+                                          from_txn=hold.txn_id))
         self._holds.pop((hold.txn_id, hold.item_id), None)
         item_set = self._txn_holds.get(hold.txn_id)
         if item_set is not None:

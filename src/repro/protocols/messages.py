@@ -7,7 +7,7 @@ the paper's infinite-bandwidth assumption sizes only feed the traffic
 statistics; the A2 ablation gives them teeth.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 CONTROL_SIZE = 1.0
@@ -42,7 +42,6 @@ class DataShip:
     version: int
     value: object
     mode: object
-    from_cache_grant: bool = False
     vote: bool = False
 
 
@@ -90,9 +89,7 @@ class GShip:
     Delivers ``item_id`` to ``txn_id`` together with the remaining forward
     list ``fl_tail`` (the entries *after* the recipient's own entry).
 
-    ``release_to`` tells a reader where its release must go: a
-    ``(txn_id, client_id)`` pair for the next writer, or ``None`` for the
-    server. ``group`` is the recipient's read-group membership (txn ids),
+    ``group`` is the recipient's read-group membership (txn ids),
     used by the next writer to count releases. ``await_releases_from`` is
     non-empty for a writer shipped concurrently with its preceding read
     group under MR1W.
@@ -110,7 +107,9 @@ class GShip:
     mode: object
     fl_tail: object  # ForwardList
     group: tuple = ()
-    release_to: Optional[tuple] = None  # (txn_id, client_id) or None
+    # Read by no handler and left None by every sender; the perf ledger's
+    # codec cell still builds a GShip with it.
+    release_to: Optional[tuple] = None
     await_releases_from: tuple = ()
     epoch: int = 0
 
@@ -132,23 +131,16 @@ class ReaderRelease:
     fl_from_writer: object = None  # ForwardList, basic mode only
     group: tuple = ()              # the releasing reader's group (txn ids)
     carries_data: bool = False
-    epoch: int = 0                 # chain-repair epoch (fault injection)
 
 
 @dataclass(slots=True)
 class ReturnToServer:
-    """g-2PL last-entry client → server: item comes home.
-
-    ``outcomes`` maps txn_id -> "committed" / "aborted" for the chain
-    members this sender knows terminated (piggybacked bookkeeping).
-    """
+    """g-2PL last-entry client → server: item comes home."""
 
     item_id: int
     version: int
     value: object
     from_txn: int
-    outcomes: dict = field(default_factory=dict)
-    epoch: int = 0  # chain-repair epoch (fault injection)
 
 
 @dataclass(slots=True)
@@ -203,7 +195,6 @@ class HandoffNote:
 
     item_id: int
     from_txn: int
-    epoch: int = 0
 
 
 @dataclass(slots=True)
@@ -279,7 +270,6 @@ class PrepareVote:
     """Participant home server → coordinator: PREPARED (or refused)."""
 
     txn_id: int
-    shard: int  # voting server's site id
     vote: bool
     charge: bool = False
 
@@ -310,7 +300,6 @@ class DecisionAck:
     """Participant → coordinator, fault mode: decision applied."""
 
     txn_id: int
-    shard: int
     charge: bool = False
 
 

@@ -142,8 +142,8 @@ class TwoPhaseParticipant:
         if tracer is not None:
             tracer.row("twopc.prepare", txn_id, self.site_id, vote)
         env = self.send(msg.client_id,
-                        PrepareVote(txn_id=txn_id, shard=self.site_id,
-                                    vote=vote, charge=msg.charge),
+                        PrepareVote(txn_id=txn_id, vote=vote,
+                                    charge=msg.charge),
                         size=CONTROL_SIZE)
         if tracer is not None:
             tracer.round_charge(
@@ -155,8 +155,7 @@ class TwoPhaseParticipant:
     def _send_decision_ack(self, msg, client_id):
         tracer = self.sim.tracer
         env = self.send(client_id,
-                        DecisionAck(txn_id=msg.txn_id, shard=self.site_id,
-                                    charge=msg.charge),
+                        DecisionAck(txn_id=msg.txn_id, charge=msg.charge),
                         size=CONTROL_SIZE)
         if tracer is not None:
             tracer.round_charge(

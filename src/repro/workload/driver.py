@@ -40,51 +40,42 @@ class RunControl:
 
 
 class ClientDriver:
-    """Generates and runs transactions at one client site.
-
-    The paper fixes the multiprogramming level at 1; ``mpl`` > 1 (an
-    extension knob) runs that many independent transaction streams at the
-    same client site concurrently.
-    """
+    """Generates and runs transactions at one client site, one at a time
+    (the paper's multiprogramming level of 1)."""
 
     def __init__(self, sim, client_id, protocol_client, generator, control,
-                 collector, mpl=1):
-        if mpl < 1:
-            raise ValueError("mpl must be >= 1")
+                 collector):
         self.sim = sim
         self.client_id = client_id
         self.protocol_client = protocol_client
         self.generator = generator
         self.control = control
         self.collector = collector
-        self.mpl = mpl
-        self._loops = []       # one Process per stream
-        self._in_txn = set()   # streams currently inside execute()
+        self.process = None
+        self._in_txn = False   # the loop is inside execute()
         self._crashed = False
         self._restart_event = None
 
     def start(self):
-        """Spawn the client loop(s); returns the list of processes."""
-        self._loops = [self.sim.spawn(self._loop(stream))
-                       for stream in range(self.mpl)]
-        return self._loops
+        """Spawn the client loop as :attr:`process`."""
+        self.process = self.sim.spawn(self._loop())
 
     # -- crash lifecycle (fault injection) -----------------------------------
 
     def crash(self):
-        """Fail-stop this site: every in-flight transaction is interrupted
-        (its coroutine aborts with reason ``client-crash``) and the loop(s)
-        park until :meth:`restart`.
+        """Fail-stop this site: an in-flight transaction is interrupted
+        (its coroutine aborts with reason ``client-crash``) and the loop
+        parks until :meth:`restart`.
 
         Idempotent: a repeated ``crash()`` on an already-crashed site keeps
-        the live restart event. Replacing it would orphan loops already
+        the live restart event. Replacing it would orphan a loop already
         parked on the old event — ``restart()`` would trigger only the new
-        one and the parked loops would sleep forever."""
+        one and the parked loop would sleep forever."""
         self._crashed = True
         if self._restart_event is None or self._restart_event.triggered:
             self._restart_event = self.sim.event()
-        for stream in sorted(self._in_txn):
-            self._loops[stream].interrupt("client-crash")
+        if self._in_txn:
+            self.process.interrupt("client-crash")
 
     def restart(self):
         """The site comes back up and resumes submitting transactions."""
@@ -93,10 +84,8 @@ class ClientDriver:
         if event is not None and not event.triggered:
             event.succeed()
 
-    def _loop(self, stream):
-        stagger_key = (self.client_id if stream == 0
-                       else f"{self.client_id}.s{stream}")
-        yield self.sim.timeout(self.generator.initial_stagger(stagger_key))
+    def _loop(self):
+        yield self.sim.timeout(self.generator.initial_stagger(self.client_id))
         tracer = self.sim.tracer
         control = self.control
         client_id = self.client_id
@@ -109,11 +98,11 @@ class ClientDriver:
             if tracer is not None:
                 tracer.txn_begin(txn)
             # delegated, not spawned: a crash interrupt lands in execute()
-            self._in_txn.add(stream)
+            self._in_txn = True
             try:
                 outcome = yield from self.protocol_client.execute(txn)
             finally:
-                self._in_txn.discard(stream)
+                self._in_txn = False
             if control.done:
                 break  # the run closed while this transaction was in flight
             self.collector.record_outcome(outcome)
@@ -149,7 +138,6 @@ class ReplayDriver:
 
     def start(self):
         self.process = self.sim.spawn(self._loop())
-        return [self.process]
 
     def _loop(self):
         sim = self.sim

@@ -93,7 +93,6 @@ class WorkloadGenerator:
         # the same streams once per transaction, so memoise them here.
         self._txn_streams = {}
         self._idle_streams = {}
-        self._stagger_streams = {}
         # Home-shard pools depend only on (n_items, n_shards), both fixed
         # for the generator's lifetime; computed once on first use instead
         # of re-partitioning the item space on every local-transaction draw.
@@ -188,10 +187,7 @@ class WorkloadGenerator:
         """Start-up desynchronisation: the first transaction of each client
         begins after one idle-time draw, so all clients do not fire their
         first request at t=0 in lockstep."""
-        # One draw per client per run: caching the stream avoids the
-        # f-string rebuild, but buffering would prefetch draws nobody uses.
-        stream = self._stagger_streams.get(client_id)
-        if stream is None:
-            stream = self._stream(client_id, "stagger")
-            self._stagger_streams[client_id] = stream
-        return stream.uniform(0.0, self.params.idle_max)
+        # One draw per client per run, so unbuffered: buffering would
+        # prefetch draws nobody uses.
+        return self._stream(client_id, "stagger").uniform(
+            0.0, self.params.idle_max)

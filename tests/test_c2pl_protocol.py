@@ -72,10 +72,11 @@ def test_callback_deadlock_detected():
 
 
 def test_recall_of_a_copy_pinned_twice_reports_both_transactions():
-    """MPL > 1: two local transactions pin the recalled copy. The server
-    needs a wait-for edge to each; told only about the first, it misses
-    the cycle through the second once the first commits, and stalls."""
-    h = Harness("c2pl", n_clients=2, latency=10.0, mpl=2)
+    """A population site: two local transactions pin the recalled copy.
+    The server needs a wait-for edge to each; told only about the first,
+    it misses the cycle through the second once the first commits, and
+    stalls."""
+    h = Harness("c2pl", n_clients=2, latency=10.0, population=2)
     h.launch(1, spec((0, R), think=1.0), txn_id=1)   # client 1 caches item 0
     # txns 2 and 3 at client 1 both use the cached copy; 3 then wants item 1.
     h.launch(1, spec((0, R), think=60.0), delay=40.0, txn_id=2)
@@ -99,10 +100,26 @@ def test_recall_of_a_copy_pinned_twice_reports_both_transactions():
     h.check_serializable()
 
 
-def test_mpl2_recall_stall_config_runs_to_completion(monkeypatch):
-    """The tier-1 flake PR 17 recorded: stalled at 44 of 60 knowing only
-    the busy edge 44 -> 45, while the real cycle 44 -> 47 -> 48 -> 44 ran
-    through the pin of item 0 by 47 that nobody reported."""
+def test_population_writer_recalls_its_own_sites_copy():
+    """At a population site a writer's own client is recalled too: a
+    sibling transaction still reading the cached copy must finish before
+    the write lands, or it reads item 0 before the writer and item 1
+    after it."""
+    h = Harness("c2pl", n_clients=1, latency=10.0, population=2)
+    h.launch(1, spec((0, R), think=1.0), txn_id=1)   # client 1 caches item 0
+    h.launch(1, spec((0, R), (1, R), think=30.0), delay=40.0, txn_id=2)
+    h.launch(1, spec((0, W), (1, W), think=1.0), delay=45.0, txn_id=3)
+    outcomes = h.run()
+    assert all(out.committed for out in outcomes.values())
+    assert h.server.callbacks_sent == 2  # items 0 and 1, both from site 1
+    assert outcomes[3].end_time > outcomes[2].end_time
+    h.check_serializable()
+
+
+def test_population_recall_stall_config_runs_to_completion(monkeypatch):
+    """Two users of one site pin a copy that writer 54 recalls: the
+    server must hold the busy edges to both 52 and 55 at once. Told only
+    of the first, this run stalls."""
     from repro import SimulationConfig, run_simulation
     from repro.protocols.c2pl import C2PLServer
 
@@ -115,11 +132,12 @@ def test_mpl2_recall_stall_config_runs_to_completion(monkeypatch):
 
     monkeypatch.setattr(C2PLServer, "on_CacheRecallAck", recording_ack)
     config = SimulationConfig(
-        protocol="c2pl", n_clients=3, n_items=2, read_probability=0.7,
-        network_latency=1.0, max_ops=2, mpl=2, access_skew=1.0, seed=101,
+        protocol="c2pl", n_clients=2, n_items=2, read_probability=0.7,
+        network_latency=25.0, max_ops=2, access_skew=1.0, seed=10,
+        population=4, arrival_rate=0.05, max_inflight_per_site=2,
         total_transactions=60, warmup_transactions=0)
     result = run_simulation(config)
-    assert any({(44, 45), (44, 47)} <= edges for edges in seen)
+    assert any({(54, 52), (54, 55)} <= edges for edges in seen)
     assert result.metrics.finished == 60
     assert result.serializability.ok
 

@@ -10,7 +10,8 @@ Three batteries, all generated from :mod:`repro.protocols.registry`:
    started).
 2. **Capabilities** — protocol x {1 shard, 3 shards with a mixed
    workload, 3 shards on local partitions} x {no faults, loss+dup,
-   crash} x {2pc, 2pc-opt}: every accepted cell runs ~50
+   crash} x {2pc, 2pc-opt} x {closed-loop terminals, an open-arrival
+   population}: every accepted cell runs ~50
    transactions through serializability, strictness, ``assert_invariants``
    (window ledger included) and the 2PC-atomicity check — all of which
    ``run_simulation`` raises on — and every rejected cell raises at
@@ -120,20 +121,28 @@ FAULTS = {"clean": None, "lossy": "loss=0.05,dup=0.02",
 #: shard, so 2PC only ever runs its single-participant path)
 DEPLOYMENTS = ((1, None, ""), (3, 0.5, ""), (3, 0.0, "-lp"))
 
+#: users per client site (id suffix "-popn"), or None for the paper's
+#: closed-loop terminals (no suffix); the population's arrival rate keeps
+#: several transactions in flight at a site
+USERS_PER_SITE = (None, 4)
+
 BATTERY = [
-    pytest.param(protocol, n_shards, faults, commit, cross,
-                 id=f"{protocol}-{n_shards}sh-{faults}-{commit}{suffix}")
-    for protocol, (n_shards, cross, suffix), faults, commit
+    pytest.param(protocol, n_shards, faults, commit, cross, users,
+                 id=f"{protocol}-{n_shards}sh-{faults}-{commit}{suffix}"
+                    f"{'' if users is None else '-popn'}")
+    for protocol, (n_shards, cross, suffix), faults, commit, users
     in itertools.product(registry.available_protocols(), DEPLOYMENTS,
-                         FAULTS, ("2pc", "2pc-opt"))]
+                         FAULTS, ("2pc", "2pc-opt"), USERS_PER_SITE)]
 
 
-def _expected_rejection(protocol, n_shards, faults, commit):
+def _expected_rejection(protocol, n_shards, faults, commit, users):
     """The battery's own reading of the table: the name of a rule that
     must reject the cell, or None when it must run."""
     row = registry.PROTOCOLS[protocol]
     if n_shards > 1 and not row.shardable:
         return "single-server-protocol"
+    if faults == "crash" and users is not None:
+        return "crash-with-population"
     if faults == "crash" and not row.crash_recovery:
         return "crash-without-recovery"
     if faults == "crash" and n_shards > 1 and commit == "2pc-opt":
@@ -141,8 +150,10 @@ def _expected_rejection(protocol, n_shards, faults, commit):
     return None
 
 
-@pytest.mark.parametrize("protocol,n_shards,faults,commit,cross", BATTERY)
-def test_capability_battery(protocol, n_shards, faults, commit, cross):
+@pytest.mark.parametrize("protocol,n_shards,faults,commit,cross,users",
+                         BATTERY)
+def test_capability_battery(protocol, n_shards, faults, commit, cross,
+                            users):
     keywords = dict(
         protocol=protocol, n_clients=6, n_items=12, n_shards=n_shards,
         n_regions=n_shards, commit_protocol=commit, faults=FAULTS[faults],
@@ -150,7 +161,15 @@ def test_capability_battery(protocol, n_shards, faults, commit, cross):
         read_probability=0.5, total_transactions=48,
         warmup_transactions=0, record_history=True,
         cross_shard_probability=cross)
-    expected = _expected_rejection(protocol, n_shards, faults, commit)
+    if users is not None:
+        # Admission capped at the site's users refuses nothing a busy
+        # user would not skip anyway, but a site whose users all stall
+        # then sleeps, so a stall fails the run instead of arriving
+        # forever.
+        keywords.update(population=6 * users, arrival_rate=0.01,
+                        max_inflight_per_site=users)
+    expected = _expected_rejection(protocol, n_shards, faults, commit,
+                                   users)
     if expected is not None:
         rule = next(rule for rule in registry.REJECTIONS
                     if rule.name == expected)

@@ -94,7 +94,7 @@ def test_a_live_spec_that_splits_its_window_is_a_usage_error(
 ])
 def test_a_live_run_of_a_field_sockets_cannot_honour_is_a_usage_error(
         capsys, monkeypatch, field, argv):
-    # (bandwidth and mpl have no flag: tests/test_live_scenario.py)
+    # (bandwidth has no flag: tests/test_live_scenario.py)
     import repro.live.harness
 
     def launch(*_args, **_kwargs):

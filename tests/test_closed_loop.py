@@ -39,10 +39,9 @@ def test_heap_entries_derive_from_counters(name):
         client.on_AbortNotice = counted
     built.run(config)
 
-    streams = config.n_clients * config.mpl
     pushed = {
-        "loop starts": streams,
-        "stagger timers": streams,
+        "loop starts": config.n_clients,
+        "stagger timers": config.n_clients,
         "deliveries": built.network.stats.messages_sent,
         "grant+think timers": sum(len(client.op_waits)
                                   for client in built.clients.values()),
@@ -100,131 +99,73 @@ def test_traced_golden_moved_only_in_heap_counters(name):
 
 # -- crashes unchanged ---------------------------------------------------------
 
-#: (protocol, mpl, state of site 2 when it fail-stops, fault spec) ->
+#: (protocol, state of site 2 when it fail-stops, fault spec) ->
 #: (committed, aborted, abort_reasons, repr(end time), outcomes site 2
 #: recorded, its failed transactions), as the spawning driver left them
 CRASH_CASES = {
-    ("g2pl", 1, "commit-wait", "crash=2@410:3000"):
+    ("g2pl", "commit-wait", "crash=2@410:3000"):
         (44, 11, {"precedence-cycle": 11}, "29140.93390840351", 16,
          [(2, "commit-limbo"), (23, "precedence-cycle")]),
-    ("g2pl", 1, "grant-wait", "crash=2@1000:3000"):
+    ("g2pl", "grant-wait", "crash=2@1000:3000"):
         (44, 11, {"precedence-cycle": 11}, "28334.09677902134", 16,
          [(4, "client-crash"), (23, "precedence-cycle")]),
-    ("g2pl", 1, "idle", "crash=2@610:3000"):
+    ("g2pl", "idle", "crash=2@610:3000"):
         (44, 11, {"precedence-cycle": 11}, "29140.93390840351", 16,
          [(23, "precedence-cycle")]),
-    ("g2pl", 1, "parked", "crash=2@1000:3000,crash=2@1500:3000"):
+    ("g2pl", "parked", "crash=2@1000:3000,crash=2@1500:3000"):
         (44, 11, {"precedence-cycle": 11}, "28334.09677902134", 16,
          [(4, "client-crash"), (23, "precedence-cycle")]),
-    ("g2pl", 1, "think", "crash=2@2222.5:4000"):
+    ("g2pl", "think", "crash=2@2222.5:4000"):
         (44, 11, {"precedence-cycle": 11}, "28334.09677902134", 16,
          [(4, "client-crash"), (23, "precedence-cycle")]),
-    ("g2pl", 3, "grant-wait", "crash=2@1000:3000"):
-        (28, 27, {"precedence-cycle": 27}, "17017.80163198297", 18,
-         [(4, "client-crash"), (8, "client-crash"), (11, "client-crash"),
-          (17, "precedence-cycle"), (18, "precedence-cycle"),
-          (19, "precedence-cycle"), (24, "precedence-cycle"),
-          (29, "precedence-cycle"), (30, "precedence-cycle"),
-          (34, "precedence-cycle"), (48, "precedence-cycle"),
-          (49, "precedence-cycle")]),
-    ("g2pl", 3, "idle", "crash=2@609:3000"):
-        (22, 33, {"precedence-cycle": 33}, "30265.846526172063", 18,
-         [(4, "client-crash"), (8, "client-crash"),
-          (12, "precedence-cycle"), (13, "precedence-cycle"),
-          (14, "precedence-cycle"), (21, "precedence-cycle"),
-          (24, "precedence-cycle"), (25, "precedence-cycle"),
-          (36, "precedence-cycle"), (40, "precedence-cycle"),
-          (47, "precedence-cycle"), (48, "precedence-cycle"),
-          (51, "precedence-cycle")]),
-    ("g2pl", 3, "parked", "crash=2@1000:3000,crash=2@1500:3000"):
-        (28, 27, {"precedence-cycle": 27}, "17017.80163198297", 18,
-         [(4, "client-crash"), (8, "client-crash"), (11, "client-crash"),
-          (17, "precedence-cycle"), (18, "precedence-cycle"),
-          (19, "precedence-cycle"), (24, "precedence-cycle"),
-          (29, "precedence-cycle"), (30, "precedence-cycle"),
-          (34, "precedence-cycle"), (48, "precedence-cycle"),
-          (49, "precedence-cycle")]),
-    ("g2pl", 3, "think", "crash=2@1816.6:4000"):
-        (29, 26, {"client-crash": 3, "precedence-cycle": 23},
-         "17888.63442996212", 16,
-         [(4, "client-crash"), (8, "client-crash"), (11, "client-crash"),
-          (19, "precedence-cycle"), (20, "precedence-cycle"),
-          (26, "precedence-cycle"), (30, "precedence-cycle"),
-          (32, "precedence-cycle"), (38, "precedence-cycle"),
-          (47, "precedence-cycle")]),
-    ("s2pl", 1, "grant-wait", "crash=2@1000:3000"):
+    ("s2pl", "grant-wait", "crash=2@1000:3000"):
         (46, 9, {"deadlock": 9}, "21435.71366843262", 15,
          [(4, "client-crash"), (23, "deadlock"), (29, "deadlock"),
           (34, "deadlock"), (36, "deadlock")]),
-    ("s2pl", 1, "idle", "crash=2@411:3000"):
+    ("s2pl", "idle", "crash=2@411:3000"):
         (44, 11, {"deadlock": 11}, "22445.248193102063", 15,
          [(22, "deadlock"), (28, "deadlock"), (34, "deadlock"),
           (36, "deadlock")]),
-    ("s2pl", 1, "parked", "crash=2@1000:3000,crash=2@1500:3000"):
+    ("s2pl", "parked", "crash=2@1000:3000,crash=2@1500:3000"):
         (46, 9, {"deadlock": 9}, "21435.71366843262", 15,
          [(4, "client-crash"), (23, "deadlock"), (29, "deadlock"),
           (34, "deadlock"), (36, "deadlock")]),
-    ("s2pl", 1, "think", "crash=2@618.7:3000"):
+    ("s2pl", "think", "crash=2@618.7:3000"):
         (46, 9, {"deadlock": 9}, "21435.71366843262", 15,
          [(4, "client-crash"), (23, "deadlock"), (29, "deadlock"),
           (34, "deadlock"), (36, "deadlock")]),
-    ("s2pl", 3, "grant-wait", "crash=2@1000:3000"):
-        (30, 25, {"deadlock": 25}, "17039.067106085167", 20,
-         [(4, "client-crash"), (8, "client-crash"), (10, "client-crash"),
-          (20, "deadlock"), (25, "deadlock"), (33, "deadlock"),
-          (34, "deadlock"), (37, "deadlock"), (40, "deadlock"),
-          (64, "deadlock")]),
-    ("s2pl", 3, "idle", "crash=2@409.5:3000"):
-        (22, 33, {"deadlock": 33}, "17138.76312289649", 18,
-         [(4, "client-crash"), (8, "client-crash"), (18, "deadlock"),
-          (19, "deadlock"), (20, "deadlock"), (25, "deadlock"),
-          (28, "deadlock"), (33, "deadlock"), (35, "deadlock"),
-          (38, "deadlock"), (42, "deadlock"), (48, "deadlock")]),
-    ("s2pl", 3, "parked", "crash=2@1000:3000,crash=2@1500:3000"):
-        (30, 25, {"deadlock": 25}, "17039.067106085167", 20,
-         [(4, "client-crash"), (8, "client-crash"), (10, "client-crash"),
-          (20, "deadlock"), (25, "deadlock"), (33, "deadlock"),
-          (34, "deadlock"), (37, "deadlock"), (40, "deadlock"),
-          (64, "deadlock")]),
-    ("s2pl", 3, "think", "crash=2@4631.8:7000"):
-        (27, 28, {"client-crash": 3, "deadlock": 25}, "16814.388818146545",
-         17,
-         [(4, "client-crash"), (10, "client-crash"), (14, "deadlock"),
-          (19, "client-crash"), (27, "deadlock"), (28, "deadlock"),
-          (39, "deadlock"), (41, "deadlock"), (46, "deadlock")]),
 }
 
 
-def _site_states(built, client_id):
-    """What each stream of the site is doing right now, sorted."""
+def _site_state(built, client_id):
+    """What the site's loop is doing right now."""
     client = built.clients[client_id]
     driver = built.drivers[client_id]
     if driver._crashed:
         assert not driver._in_txn
-        assert all(loop._waiting_on is driver._restart_event
-                   for loop in driver._loops)
-        return ["parked"] * driver.mpl
-    states = []
-    for txn_id in client._active:
-        if txn_id in client._grant_events:
-            states.append("grant-wait")
-        elif txn_id in getattr(client, "_commit_events", ()):
-            states.append("commit-wait")
-        else:
-            states.append("think")  # granted; the armed event is pending
-    assert len(states) == len(driver._in_txn)
-    states += ["idle"] * (driver.mpl - len(states))
-    return sorted(states)
+        assert driver.process._waiting_on is driver._restart_event
+        return "parked"
+    [txn_id] = client._active or [None]
+    assert (txn_id is not None) == driver._in_txn
+    if txn_id is None:
+        return "idle"
+    if txn_id in client._grant_events:
+        return "grant-wait"
+    if txn_id in getattr(client, "_commit_events", ()):
+        return "commit-wait"
+    return "think"  # granted; the armed event is pending
 
 
+# The ids keep the "mpl1" the cells were recorded under: a closed-loop
+# site runs one transaction at a time (Table 1's multiprogramming level).
 @pytest.mark.parametrize(
-    "protocol,mpl,state,faults", sorted(CRASH_CASES),
-    ids=[f"{p}-mpl{m}-{s}" for p, m, s, _ in sorted(CRASH_CASES)])
-def test_fail_stop_in_each_loop_state(protocol, mpl, state, faults):
+    "protocol,state,faults", sorted(CRASH_CASES),
+    ids=[f"{p}-mpl1-{s}" for p, s, _ in sorted(CRASH_CASES)])
+def test_fail_stop_in_each_loop_state(protocol, state, faults):
     config = SimulationConfig(
         protocol=protocol, n_clients=3, n_items=6, read_probability=0.5,
         network_latency=100.0, total_transactions=60, warmup_transactions=5,
-        mpl=mpl, faults=faults, record_history=True)
+        faults=faults, record_history=True)
     built = assemble(config, 5)
     seen = []
     record = built.collector.record_outcome
@@ -238,19 +179,17 @@ def test_fail_stop_in_each_loop_state(protocol, mpl, state, faults):
     found = []
     # just before the (last) crash: the state the case is named after
     built.sim.call_later(config.faults.crashes[-1].at - 1e-6,
-                         lambda: found.extend(_site_states(built, 2)))
+                         lambda: found.append(_site_state(built, 2)))
     built.run(config)
     built.check(config, 5, True)
 
-    assert state in found, found
+    assert found == [state]
     metrics = built.collector.metrics
     committed, aborted, reasons, end, recorded, failed = \
-        CRASH_CASES[protocol, mpl, state, faults]
+        CRASH_CASES[protocol, state, faults]
     assert (metrics.committed, metrics.aborted) == (committed, aborted)
     assert dict(metrics.abort_reasons) == reasons
     assert repr(built.sim.now) == end
     assert len(seen) == recorded
-    # Sorted: same-instant interrupts of an MPL > 1 site used to land in
-    # set order of their Process objects, i.e. in no particular order.
     assert sorted((outcome.txn_id, outcome.abort_reason)
                   for outcome in seen if not outcome.committed) == failed

@@ -28,7 +28,7 @@ class InstantClient:
                           n_writes=txn.spec.n_writes)
 
 
-def build(sim, target=10, mpl=1, n_clients=2):
+def build(sim, target=10, n_clients=2):
     control = RunControl(sim, target)
     collector = MetricsCollector(0)
     generator = WorkloadGenerator(
@@ -37,8 +37,8 @@ def build(sim, target=10, mpl=1, n_clients=2):
     for client_id in range(1, n_clients + 1):
         client = InstantClient(sim)
         clients[client_id] = client
-        ClientDriver(sim, client_id, client, generator, control, collector,
-                     mpl=mpl).start()
+        ClientDriver(sim, client_id, client, generator, control,
+                     collector).start()
     return control, collector, clients
 
 
@@ -56,26 +56,6 @@ def test_txn_ids_unique_and_increasing():
     sim.run(until=control.done_event)
     all_ids = [txn_id for c in clients.values() for txn_id in c.executed]
     assert len(all_ids) == len(set(all_ids))
-
-
-def test_mpl_spawns_streams():
-    sim = Simulator()
-    control = RunControl(sim, 5)
-    collector = MetricsCollector(0)
-    generator = WorkloadGenerator(WorkloadParams(), RandomStreams(1))
-    client = InstantClient(sim)
-    processes = ClientDriver(sim, 1, client, generator, control, collector,
-                             mpl=3).start()
-    assert len(processes) == 3
-    sim.run(until=control.done_event)
-    assert control.finished == 5
-
-
-def test_invalid_mpl():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        ClientDriver(sim, 1, InstantClient(sim), None, RunControl(sim, 1),
-                     MetricsCollector(0), mpl=0)
 
 
 def test_run_control_validation():

@@ -1,4 +1,5 @@
-"""Tests for the extension knobs: access skew (Zipf) and MPL > 1."""
+"""Tests for the extensions: access skew (Zipf) and a site running
+several transactions at once."""
 
 import pytest
 
@@ -61,29 +62,37 @@ class TestAccessSkew:
         assert lengths[2.0] > lengths[0.0]
 
 
+
 class TestMultiprogramming:
-    def test_mpl_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(mpl=0)
+    """A site's multiprogramming level, reached through a population:
+    ``k`` users per site with admission capped at ``k`` run at most ``k``
+    transactions there at once (the closed loop's level is 1)."""
+
+    @staticmethod
+    def _at_level(level, n_clients, **keywords):
+        return SimulationConfig(
+            n_clients=n_clients, population=level * n_clients,
+            max_inflight_per_site=level, warmup_transactions=0, seed=4,
+            **keywords)
 
     @pytest.mark.parametrize("protocol", ["s2pl", "g2pl", "c2pl"])
     def test_mpl2_serializable(self, protocol):
-        result = run_simulation(SimulationConfig(
-            protocol=protocol, n_clients=4, n_items=8, mpl=2,
-            network_latency=20.0, total_transactions=120,
-            warmup_transactions=0, seed=4))
+        result = run_simulation(self._at_level(
+            2, 4, protocol=protocol, n_items=8, arrival_rate=0.05,
+            network_latency=20.0, total_transactions=120))
         assert result.serializability.ok
         assert result.metrics.finished == 120
+        assert result.server_stats["popn_peak_inflight"] == 2
 
     def test_mpl_raises_throughput_at_low_contention(self):
-        """With plenty of items, more streams per client finish the run
-        in less simulated time."""
+        """With plenty of items, more transactions in flight per site
+        finish the run in less simulated time."""
         durations = {}
-        for mpl in (1, 3):
-            result = run_simulation(SimulationConfig(
-                protocol="s2pl", n_clients=3, n_items=20, max_ops=1,
-                read_probability=1.0, mpl=mpl, network_latency=50.0,
-                total_transactions=150, warmup_transactions=0, seed=4,
+        for level in (1, 3):
+            result = run_simulation(self._at_level(
+                level, 3, protocol="s2pl", n_items=20, max_ops=1,
+                read_probability=1.0, arrival_rate=0.1,
+                network_latency=50.0, total_transactions=150,
                 record_history=False))
-            durations[mpl] = result.duration
+            durations[level] = result.duration
         assert durations[3] < durations[1]

@@ -68,13 +68,6 @@ def test_finite_bandwidth_serializable():
         assert result.serializability.ok
 
 
-def test_server_processing_time_serializable():
-    for protocol in ("s2pl", "g2pl"):
-        result = run_simulation(
-            contended_config(protocol, 3, server_processing_time=0.5))
-        assert result.serializability.ok
-
-
 def test_single_client_never_aborts():
     for protocol in available_protocols():
         result = run_simulation(contended_config(protocol, 1, n_clients=1))

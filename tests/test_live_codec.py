@@ -86,9 +86,6 @@ def _field_strategy(cls, field):
         ("ChainCommit", "writes"):
             st.dictionaries(ids, st.tuples(ids, st.text(max_size=12)),
                             max_size=4),
-        ("ReturnToServer", "outcomes"):
-            st.dictionaries(ids, st.sampled_from(["committed", "aborted"]),
-                            max_size=4),
         ("PrepareRequest", "updates"):
             st.dictionaries(ids, st.one_of(
                 st.text(max_size=12),
@@ -114,9 +111,8 @@ def _field_strategy(cls, field):
         return st.one_of(st.none(), floats)
     if name in ("reason",):
         return st.text(max_size=20)
-    if name in ("committed", "final", "from_cache_grant", "carries_data",
-                "vote", "vote_request", "charge", "ack", "commit",
-                "accepted"):
+    if name in ("final", "carries_data", "vote", "vote_request", "charge",
+                "ack", "commit"):
         return st.booleans()
     if name in ("busy_txn", "client_id") and field.default is None:
         return st.one_of(st.none(), ids)

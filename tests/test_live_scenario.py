@@ -69,7 +69,6 @@ def test_spec_rejects_a_negative_spacing():
     ("n_shards", dict(n_shards=2)),
     ("n_regions", dict(n_shards=2, n_regions=2)),
     ("population", dict(population=100)),
-    ("mpl", dict(mpl=2)),
 ])
 def test_spec_rejects_a_field_live_mode_cannot_honour(field, changes):
     config = WORKLOAD.replace(**changes)
