@@ -13,8 +13,9 @@ these fingerprints taken from the pre-optimization kernel; every kernel
 optimization must reproduce them byte for byte.
 """
 
-import hashlib
 import json
+
+from repro.sim.rng import sha256
 
 
 def _canon(value):
@@ -126,4 +127,4 @@ def fingerprint_digest(fingerprint):
     """Stable SHA-256 over the canonical JSON encoding of a fingerprint."""
     encoded = json.dumps(fingerprint, sort_keys=True,
                          separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(encoded).hexdigest()
+    return sha256(encoded).hexdigest()

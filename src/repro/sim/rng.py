@@ -4,11 +4,27 @@ Each simulation entity (workload generator, per-client arrival process, ...)
 draws from its own stream so that changing one entity's consumption pattern
 does not perturb the others — the standard variance-reduction discipline for
 comparing protocols under common random numbers (Jain, ch. 25).
+
+A stream's seed is the first eight bytes of SHA-256 over
+``"{root_seed}:{name}"``. The digest comes from the interpreter's built-in
+module (``_sha2`` from Python 3.12, ``_sha256`` before), as CPython's own
+``random`` takes its ``sha512``: ``hashlib`` maps OpenSSL's libcrypto,
+which a simulator process has no other use for (DESIGN.md §8 gives its
+resident cost). The bytes are SHA-256's either way, so every seed is the
+same. This is the package's only digest import
+(:mod:`repro.perf.fingerprint` takes ``sha256`` from here).
 """
 
-import hashlib
 import random
 from math import ceil, log
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 def below(getrandbits, n):
@@ -45,7 +61,7 @@ def sample_indices(getrandbits, n, k):
 
 
 def _derive_seed(root_seed, name):
-    digest = hashlib.sha256(f"{root_seed}:{name}".encode("utf-8")).digest()
+    digest = sha256(f"{root_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -27,9 +27,10 @@ picks and spec draws), so population runs replay bit-identically at any
 Saturated sites
 ---------------
 An overloaded run costs what it *admits*, not what it is *offered*. Each
-site keeps one heap entry: its next arrival. A site that has reached
-``max_inflight`` keeps none — every arrival until one of its own
-transactions completes is refused whatever else happens in the system,
+site keeps one heap entry: its next arrival. A site that has reached its
+cap — ``max_inflight``, or every one of its users when it has fewer —
+keeps none: every arrival until one of its own transactions completes is
+refused (shed, or busy-skipped) whatever else happens in the system,
 so the site draws the next arrival's timestamp, remembers it, and goes to
 sleep. When one of its transactions completes (or its counters are read,
 or the run ends) it *replays* the arrivals it slept through — the same
@@ -293,6 +294,10 @@ class PopulationDriver:
         self.collector = collector
         self.arrivals = arrivals
         self.max_inflight = max_inflight
+        # At this many in flight every arrival is refused: shed at
+        # max_inflight, busy-skipped once all of a smaller site's users
+        # are in flight.
+        self._cap = min(max_inflight, n_users)
         self._state = PopulationState(n_users=n_users)
         self._user_rng = user_rng
         # Timestamp of the next arrival while the site sleeps at its cap
@@ -324,7 +329,7 @@ class PopulationDriver:
         where nothing but one of this site's own completions can change
         what it does — only remember it."""
         fire = self._after(self.sim.now)
-        if len(self._state.active) >= self.max_inflight:
+        if len(self._state.active) >= self._cap:
             self._slept = fire
         else:
             self.sim.schedule_at(fire, self._arrive)

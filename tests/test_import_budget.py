@@ -4,7 +4,9 @@ Every check starts a fresh interpreter and reads its ``sys.modules``:
 ``repro-experiment list`` simulates nothing, so it must load no runner,
 no protocol and no process pool; a closed-loop s-2PL run must load none
 of the layers its config leaves off; a package facade imports nothing
-until one of its names is asked for, and then every name resolves.
+until one of its names is asked for, and then every name resolves. No
+simulator process maps OpenSSL: stream seeds and fingerprints take
+SHA-256 from the interpreter's built-in module, not ``hashlib``.
 """
 
 import json
@@ -33,6 +35,9 @@ PROTOCOL_MODULES = {f"repro.protocols.{name}" for name in (
     "s2pl", "g2pl", "adaptive", "c2pl", "twoversion", "sharded",
     "sharding")}
 POOL_MODULES = {"multiprocessing", "concurrent.futures"}
+#: ``hashlib`` maps OpenSSL's libcrypto through ``_hashlib``; ``_ssl``
+#: would map it too
+OPENSSL_MODULES = {"hashlib", "_hashlib", "_ssl"}
 
 
 def loaded_after(code):
@@ -86,9 +91,27 @@ def test_a_closed_loop_s2pl_run_loads_no_optional_layer():
         "repro.network.faults", "repro.network.reliable",
         "repro.obs.tracer", "repro.obs.probes",
         "repro.workload.population", "repro.workload.arrivals",
-        "repro.live", "multiprocessing",
+        "repro.live", "multiprocessing", *OPENSSL_MODULES,
     }
     assert not modules & unused, sorted(modules & unused)
+
+
+def test_the_figure_sweep_maps_no_openssl():
+    # what a serial sweep process loads: the report module, then a cell
+    # (traced, so the tracer loads too) through the pool's serial path;
+    # and the other digest the package takes, a result's fingerprint
+    modules = loaded_after(
+        "import repro.analysis.report\n"
+        "from repro.core.config import SimulationConfig\n"
+        "from repro.core.parallel import SimulationCell, run_cells\n"
+        "from repro.perf.fingerprint import (\n"
+        "    fingerprint_digest, result_fingerprint)\n"
+        "[result] = run_cells([SimulationCell(SimulationConfig(\n"
+        "    protocol='g2pl', n_clients=4, n_items=8, trace=True,\n"
+        "    total_transactions=40, warmup_transactions=4), 1)])\n"
+        "assert len(fingerprint_digest(result_fingerprint(result))) == 64\n")
+    assert "repro.obs.tracer" in modules
+    assert not modules & OPENSSL_MODULES, sorted(modules & OPENSSL_MODULES)
 
 
 @pytest.mark.parametrize("package", PACKAGES)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import repro.workload.population as population_mod
 from repro.core.config import SimulationConfig
 from repro.core.parallel import SimulationCell, run_cells
-from repro.core.runner import run_simulation
+from repro.core.runner import assemble, run_simulation
 from repro.obs.export import write_jsonl
 from repro.perf.fingerprint import result_fingerprint
 from repro.protocols.transaction import TxnOutcome
@@ -252,6 +252,29 @@ class StubClient:
                           n_writes=txn.spec.n_writes)
 
 
+class HungClient:
+    """Protocol-client stub whose transactions never finish."""
+
+    def __init__(self, sim):
+        self.sim = sim
+
+    def execute(self, txn):
+        yield self.sim.event()
+
+
+class ArrivalBudget:
+    """An arrival process that fails after ``limit`` draws."""
+
+    def __init__(self, arrivals, limit):
+        self.arrivals = arrivals
+        self.left = limit
+
+    def next_arrival(self, now):
+        self.left -= 1
+        assert self.left >= 0, "arrival budget spent: the site never slept"
+        return self.arrivals.next_arrival(now)
+
+
 class ScriptedArrivals:
     """Two scripted arrivals, then gaps growing by a quarter. The second is
     answered as ``A(t) = 1.8948738187308816``, but a ``Timeout`` armed at
@@ -338,6 +361,24 @@ class TestPopulationDriver:
         assert driver.state.peak_active <= 4
         assert driver.state.shed > 0
 
+    def test_a_run_whose_transactions_never_finish_stalls(self):
+        # Every transaction hangs, and each site has fewer users than the
+        # default cap: once all of them are in flight the site sleeps, so
+        # the heap drains and the run reports the stall. (A site that
+        # armed busy-skipped arrivals forever would never drain it; the
+        # arrival budget turns that hang into a failure.)
+        config = popn_config(n_clients=2, population=6)
+        assembly = assemble(config, seed=3)
+        for driver in assembly.drivers.values():
+            assert driver.max_inflight == 256 > driver.state.n_users
+            driver.protocol_client = HungClient(assembly.sim)
+            driver.arrivals = ArrivalBudget(driver.arrivals, 10_000)
+        with pytest.raises(RuntimeError, match="simulation stalled"):
+            assembly.run(config)
+        assert assembly.control.finished == 0
+        assert all(driver.state.inflight == driver.state.n_users == 3
+                   for driver in assembly.drivers.values())
+
     def test_validation(self):
         sim = Simulator()
         with pytest.raises(ValueError):
@@ -411,8 +452,18 @@ class TestSkipAheadMatchesEagerOracle:
             assert skip_events < eager_events
 
     def test_one_user_at_cap_one_is_all_busy_skips(self):
-        kwargs = dict(n_users=1, rate=20.0, max_inflight=1, target=12,
-                      services=(3.0, 0.5), read_times=(1.0, 7.5, 20.0))
+        self.check_one_user_is_all_busy_skips(max_inflight=1)
+
+    def test_one_user_under_a_large_cap_is_all_busy_skips(self):
+        # A site whose every user is in flight sleeps whatever its cap:
+        # at 256 the one user, not max_inflight, is what fills it.
+        self.check_one_user_is_all_busy_skips(max_inflight=256)
+
+    @staticmethod
+    def check_one_user_is_all_busy_skips(max_inflight):
+        kwargs = dict(n_users=1, rate=20.0, max_inflight=max_inflight,
+                      target=12, services=(3.0, 0.5),
+                      read_times=(1.0, 7.5, 20.0))
         eager, eager_events = run_twin(EagerPopulationDriver, **kwargs)
         skip, skip_events = run_twin(PopulationDriver, **kwargs)
         assert skip == eager

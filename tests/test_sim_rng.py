@@ -1,9 +1,27 @@
 """Unit tests for named random streams."""
 
+import hashlib
 import random
 
+import pytest
+
 from repro.sim import RandomStreams
-from repro.sim.rng import below, sample_indices
+from repro.sim.rng import _derive_seed, below, sample_indices, sha256
+
+#: (root seed, stream name) -> seed, computed by ``hashlib.sha256`` before
+#: the package took its digest from the interpreter's built-in module: the
+#: streams a run draws from (a client's arrivals and user picks, the
+#: workload's per-client stream, the metrics reservoir, the fault
+#: namespace and a stream inside it), and the empty name
+PINNED_SEEDS = {
+    (42, "client1.arrival"): 11881088981085708156,
+    (42, "client1.popn"): 9409918901102331440,
+    (101, "client3.txn"): 9087778114803292997,
+    (7, "metrics.reservoir"): 9263524780678843549,
+    (101, "faults"): 2255922942844881280,
+    (2255922942844881280, "loss"): 13351000184707288093,
+    (0, ""): 13436079590000323820,
+}
 
 
 def test_same_seed_same_sequence():
@@ -84,3 +102,17 @@ def test_below_one_still_draws_a_bit():
     for _ in range(50):
         assert below(twin.getrandbits, 1) == reference.randint(3, 3) - 3 == 0
     assert twin.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("root, name", sorted(PINNED_SEEDS))
+def test_stream_seeds_are_pinned(root, name):
+    data = f"{root}:{name}".encode("utf-8")
+    assert sha256(data).digest() == hashlib.sha256(data).digest()
+    assert _derive_seed(root, name) == PINNED_SEEDS[root, name]
+
+
+def test_a_spawned_namespace_is_seeded_from_its_name():
+    child = RandomStreams(101).spawn("faults")
+    assert child.root_seed == PINNED_SEEDS[101, "faults"]
+    assert (child.stream("loss").random()
+            == random.Random(PINNED_SEEDS[child.root_seed, "loss"]).random())

@@ -153,6 +153,25 @@ def test_only_the_jobs_pool_starts_processes():
     assert set(importers) == {os.path.join("core", "parallel.py")}
 
 
+def test_hashlib_is_imported_only_as_the_digest_fallback():
+    # hashlib maps OpenSSL's libcrypto; the package takes SHA-256 from the
+    # interpreter's built-in module and names hashlib once, in the
+    # ``except ImportError`` that covers an interpreter without one
+    importers = []
+    for path, tree in _trees(""):
+        fallbacks = {id(inner) for node in ast.walk(tree)
+                     if isinstance(node, ast.ExceptHandler)
+                     and ast.unparse(node.type) == "ImportError"
+                     for inner in node.body}
+        importers.extend(
+            (os.path.relpath(path, SRC), id(node) in fallbacks)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(name.split(".")[0] == "hashlib"
+                    for name in _imports(node)))
+    assert importers == [(os.path.join("sim", "rng.py"), True)]
+
+
 def test_no_run_flag_is_declared_outside_its_config_field():
     """Every option whose dest is a flagged config field comes from
     ``_add_workload_args``' one loop (``report`` builds no
