@@ -32,7 +32,7 @@ class NoWait2PLServer(S2PLServer):
         if msg.txn_id in self._dead:
             return
         if msg.txn_id not in self._txns:
-            self._txns[msg.txn_id] = (msg.client_id, self.sim.now)
+            self._txns[msg.txn_id] = msg.client_id
         state = self.lock_table.acquire(msg.txn_id, msg.item_id, msg.mode)
         if state is LockRequestState.GRANTED:
             self._ship(msg.txn_id, msg.item_id, msg.mode)

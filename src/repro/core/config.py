@@ -81,14 +81,9 @@ class SimulationConfig:
     bandwidth: Optional[float] = None
     think_min: float = 1.0
     think_max: float = 3.0
-    idle_min: float = 2.0
-    idle_max: float = 10.0
     access_skew: float = _flag(
         0.0, "--zipf", "Zipf-like access skew (item at rank r has weight "
         "1/(r+1)^S; default 0 = uniform)", metavar="S")
-    # installed updates between server checkpoints; None = aggressive log
-    # truncation with no crash-recovery coverage (the paper's assumption)
-    checkpoint_interval: Optional[int] = None
 
     # g-2PL options
     mr1w: bool = True
@@ -280,8 +275,6 @@ class SimulationConfig:
             read_probability=self.read_probability,
             think_min=self.think_min,
             think_max=self.think_max,
-            idle_min=self.idle_min,
-            idle_max=self.idle_max,
             access_skew=self.access_skew,
             n_shards=self.n_shards,
             cross_shard_probability=self.cross_shard_probability,

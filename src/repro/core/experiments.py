@@ -23,6 +23,7 @@ from repro.core.parallel import run_cells
 from repro.core.runner import replication_cells
 from repro.network.presets import LATENCY_SWEEP, TABLE2_ENVIRONMENTS
 from repro.stats.ci import mean_confidence_interval
+from repro.workload.generator import IDLE_MAX, IDLE_MIN
 
 #: Read probabilities swept in Figures 5-7.
 READ_PROBABILITY_SWEEP = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
@@ -494,7 +495,7 @@ def table1_parameters():
         ("Computation time per operation",
          f"{cfg.think_min:g}-{cfg.think_max:g} time units"),
         ("Idle time between transactions",
-         f"{cfg.idle_min:g}-{cfg.idle_max:g} time units"),
+         f"{IDLE_MIN:g}-{IDLE_MAX:g} time units"),
         ("Multiprogramming level at clients", "1"),
     ]
 

@@ -20,7 +20,6 @@ from repro.sim.rng import RandomStreams
 from repro.stats.collector import MetricsCollector
 from repro.stats.streaming import RunningStat
 from repro.storage.store import VersionedStore
-from repro.storage.wal import WriteAheadLog
 from repro.validate.history import HistoryRecorder
 from repro.workload.driver import ClientDriver, ReplayDriver, RunControl
 from repro.workload.generator import WorkloadGenerator
@@ -208,14 +207,13 @@ def assemble(config, seed, sim=None, network=None, local_site=None,
             config.protocol, sim, config,
             {site_id: VersionedStore(shard_map.items_of(shard))
              for shard, site_id in enumerate(site_ids)},
-            {site_id: WriteAheadLog() for site_id in site_ids},
             history, client_ids, shard_map=shard_map)
         servers = [servers[site_id] for site_id in site_ids]
     else:
         shard_map = None
         server, clients = make_protocol(
             config.protocol, sim, config, VersionedStore(range(config.n_items)),
-            WriteAheadLog(), history, client_ids)
+            history, client_ids)
         servers = [server]
     if network is None:
         network = Network(sim, _build_topology(config, shard_map),

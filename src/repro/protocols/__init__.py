@@ -13,7 +13,6 @@
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "CycleError",
     "FLEntry",
     "ForwardList",
     "PrecedenceGraph",
@@ -31,7 +30,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.protocols.base": ("ProtocolClient", "ProtocolServer",
                              "TxnOutcome"),
     "repro.protocols.forward_list": ("FLEntry", "ForwardList", "TxnRef"),
-    "repro.protocols.precedence": ("CycleError", "PrecedenceGraph"),
+    "repro.protocols.precedence": ("PrecedenceGraph",),
     "repro.protocols.registry": ("available_protocols", "make_protocol"),
     "repro.protocols.transaction": ("Transaction", "TxnStatus"),
 })

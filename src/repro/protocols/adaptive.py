@@ -26,8 +26,8 @@ class AdaptiveG2PLServer(G2PLServer):
     gauges = G2PLServer.gauges + (
         ("hybrid_single_items", "single_mode_items"),)
 
-    def __init__(self, sim, config, store, wal, history, **kwargs):
-        super().__init__(sim, config, store, wal, history, **kwargs)
+    def __init__(self, sim, config, store, history, **kwargs):
+        super().__init__(sim, config, store, history, **kwargs)
         self._contention_ctls = {}        # item_id -> ContentionController
         # statistics
         self.mode_switches = 0

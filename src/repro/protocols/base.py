@@ -5,10 +5,8 @@ from array import array
 from repro.network.topology import Site
 from repro.protocols.messages import CONTROL_SIZE, DATA_ITEM_SIZE
 from repro.protocols.transaction import TxnOutcome, TxnStatus
-from repro.storage.wal import LogRecordType
 
 SERVER_SITE_ID = 0
-LOG_UPDATE, LOG_COMMIT = LogRecordType.UPDATE, LogRecordType.COMMIT
 COMMITTED = TxnStatus.COMMITTED
 
 
@@ -30,7 +28,7 @@ class _Dispatcher(Site):
     #: single-server layout where every item lives at SERVER_SITE_ID. Like
     #: everything sharding adds, it is set on the instance only when
     #: sharded: a single server's instance stays what it was — g-2PL's
-    #: sits one attribute under CPython's limit (30) for the inline-values
+    #: 26 attributes stay under CPython's limit (30) for the inline-values
     #: fast path of attribute loads and method calls.
     shard_map = None
     #: Shard identity for per-shard round accounting (None = unsharded).
@@ -87,20 +85,21 @@ class _Dispatcher(Site):
 class ProtocolServer(_Dispatcher):
     """Base class for the data server of a protocol.
 
-    Owns the versioned store and the WAL. Message handling costs no
-    server time (Table 1 charges none), so a payload is handled the
+    Owns the versioned store, into which a commit installs its updates.
+    The write-ahead log the paper assumes (§1) costs no simulated time and
+    no server crash is modelled, so no log is kept. Message handling costs
+    no server time (Table 1 charges none), so a payload is handled the
     instant it arrives.
     """
 
     is_server = True
 
-    def __init__(self, sim, config, store, wal, history,
+    def __init__(self, sim, config, store, history,
                  site_id=SERVER_SITE_ID, shard_map=None):
         super().__init__(site_id)
         self.sim = sim
         self.config = config
         self.store = store
-        self.wal = wal
         self.history = history
         if shard_map is not None:
             self.shard_map = shard_map
@@ -108,37 +107,12 @@ class ProtocolServer(_Dispatcher):
         if getattr(config, "faults", None) is not None:
             self.fault_mode = True
         self.aborts_initiated = 0
-        self.recovery = None
-        if config.checkpoint_interval is not None:
-            from repro.storage.recovery import RecoveryManager
 
-            self.recovery = RecoveryManager(
-                store, wal, checkpoint_interval=config.checkpoint_interval)
-
-    def install_updates(self, txn_id, updates):
-        """WAL-then-install the committed ``updates`` (item -> value), then
-        force the log and garbage collect the durable prefix."""
-        if not updates:
-            return
+    def install_updates(self, updates):
+        """Install the committed ``updates`` (item -> value)."""
+        now = self.sim.now
         for item_id, value in updates.items():
-            version = self.store.version(item_id) + 1
-            self.wal.append(LOG_UPDATE, txn=txn_id,
-                            item_id=item_id, version=version,
-                            now=self.sim.now)
-            self.store.install(item_id, value=value, now=self.sim.now)
-        lsn = self.wal.append(LOG_COMMIT, txn=txn_id,
-                              now=self.sim.now)
-        self.wal.force(lsn)
-        self.truncate_log(len(updates))
-
-    def truncate_log(self, installs):
-        """Garbage collect the log; with recovery enabled the horizon stops
-        at the last checkpoint so a crash stays survivable."""
-        if self.recovery is None:
-            self.wal.garbage_collect(self.wal.durable_lsn)
-            return
-        self.recovery.note_installs(installs, now=self.sim.now)
-        self.wal.garbage_collect(self.recovery.gc_horizon())
+            self.store.install(item_id, value=value, now=now)
 
     def data_ship_size(self, n_items=1, fl=None):
         size = CONTROL_SIZE + n_items * DATA_ITEM_SIZE

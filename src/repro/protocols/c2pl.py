@@ -34,8 +34,8 @@ from repro.protocols.s2pl import S2PLClient, S2PLServer
 class C2PLServer(S2PLServer):
     """s-2PL server extended with a cached-copy registry and callbacks."""
 
-    def __init__(self, sim, config, store, wal, history):
-        super().__init__(sim, config, store, wal, history)
+    def __init__(self, sim, config, store, history):
+        super().__init__(sim, config, store, history)
         self._cached = {}           # item_id -> set(client_id)
         self._recall_waits = {}     # item_id -> {"txn": writer, "clients": set}
         self._busy_edges = {}       # (writer_txn, busy_txn) -> item_id

@@ -73,10 +73,8 @@ from repro.protocols.precedence import PrecedenceGraph
 from repro.protocols.sharded import TwoPhaseCoordinator, TwoPhaseParticipant
 from repro.protocols.sharding import SharedPrecedence
 from repro.sim.errors import Interrupt
-from repro.storage.wal import LogRecordType
 
 READ, WRITE = LockMode.READ, LockMode.WRITE
-LOG_UPDATE, LOG_COMMIT = LogRecordType.UPDATE, LogRecordType.COMMIT
 
 
 def dispatch_chain(sender, item_id, version, value, fl, mr1w, epoch=0):
@@ -212,9 +210,9 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
     gauges = (("lock_queue_depth", "queue_depth"),
               ("fl_occupancy", "fl_occupancy"))
 
-    def __init__(self, sim, config, store, wal, history,
+    def __init__(self, sim, config, store, history,
                  site_id=SERVER_SITE_ID, shard_map=None, precedence=None):
-        super().__init__(sim, config, store, wal, history, site_id=site_id,
+        super().__init__(sim, config, store, history, site_id=site_id,
                          shard_map=shard_map)
         self._init_participant()
         self._items = {item_id: _ItemState(item_id)
@@ -273,8 +271,8 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         chain = info.chain
         live_chain = ([t for t in chain.live if t != txn_id]
                       if chain is not None else ())
-        # would_cycle(chain_txn, txn_id) for each member is reaches(txn_id,
-        # chain_txn); one DFS over the member set answers them all.
+        # An edge chain_txn -> txn_id closes a cycle iff txn_id already
+        # reaches chain_txn; one DFS over the member set answers them all.
         if live_chain and self.precedence.reaches_any(txn_id, live_chain):
             self._abort(txn_id, reason="precedence-cycle")
             return
@@ -347,7 +345,8 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         # version guard makes the eventual chain return a no-op.
         for item_id, (version, value) in sorted(writes.items()):
             if item_id in self._items and version > self.store.version(item_id):
-                self._install_returned(item_id, version, value)
+                self.store.install_as(item_id, version, value=value,
+                                      now=self.sim.now)
 
     def on_ChainCommit(self, msg):
         if msg.txn_id in self._dead:
@@ -549,22 +548,11 @@ class G2PLServer(TwoPhaseParticipant, ProtocolServer):
         if chain.watchdog is not None:
             chain.watchdog[0] = True
         if chain.version > self.store.version(item_id):
-            self._install_returned(item_id, chain.version, chain.value)
+            self.store.install_as(item_id, chain.version,
+                                  value=chain.value, now=self.sim.now)
         self._maybe_dispatch(info)
 
     # -- internals -----------------------------------------------------------
-
-    def _install_returned(self, item_id, version, value):
-        # Tag the records with a unique unit-of-installation id so the
-        # recovery redo pass can pair UPDATE with its COMMIT.
-        unit = ("return", item_id, version)
-        self.wal.append(LOG_UPDATE, txn=unit, item_id=item_id,
-                        version=version, now=self.sim.now)
-        self.store.install_as(item_id, version, value=value, now=self.sim.now)
-        lsn = self.wal.append(LOG_COMMIT, txn=unit,
-                              now=self.sim.now)
-        self.wal.force(lsn)
-        self.truncate_log(1)
 
     def _retire(self, txn_id):
         """A transaction terminated: drop it from the avoidance structures."""

@@ -14,17 +14,13 @@ reduces to keeping this graph acyclic:
 """
 
 
-class CycleError(Exception):
-    """Adding this edge would create a cycle (deadlock unavoidable)."""
-
-    def __init__(self, src, dst):
-        super().__init__(f"edge {src!r} -> {dst!r} closes a precedence cycle")
-        self.src = src
-        self.dst = dst
-
-
 class PrecedenceGraph:
-    """Directed acyclic graph with cycle-refusing edge insertion."""
+    """Directed acyclic graph of live transactions.
+
+    The graph does not check insertions itself: its caller asks
+    :meth:`reaches_any` whether an edge would close a cycle and inserts
+    with :meth:`add_edge_unchecked` only when it would not.
+    """
 
     def __init__(self):
         self._out = {}
@@ -50,46 +46,16 @@ class PrecedenceGraph:
     def predecessors(self, node):
         return set(self._in.get(node, ()))
 
-    def reaches(self, src, dst):
-        """Is there a directed path from ``src`` to ``dst``? (src != dst)
-
-        Hot path: consulted for every cycle check the protocols make.
-        Every node named in an edge set is a key of ``_out`` (``add_edge``
-        registers both endpoints, ``remove_node`` scrubs edge sets), so the
-        walk can index the adjacency dict directly.
-        """
-        if src == dst:
-            return True
-        out = self._out
-        if dst not in out:
-            return False
-        edges = out.get(src)
-        if not edges:
-            return False
-        if dst in edges:
-            return True
-        stack = list(edges)
-        seen = set(edges)
-        while stack:
-            for nxt in out[stack.pop()]:
-                if nxt == dst:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
-    def would_cycle(self, src, dst):
-        """Would adding ``src -> dst`` close a cycle?"""
-        return src == dst or self.reaches(dst, src)
-
     def reaches_any(self, src, targets):
         """Is any member of ``targets`` reachable from ``src``?
 
-        One DFS for the whole target set — equivalent to
-        ``any(self.reaches(src, t) for t in targets)`` but without
-        restarting the walk per target. ``src`` itself does not count as
-        reached (a DAG has no path from a node back to itself).
+        One DFS for the whole target set. ``src`` itself does not count
+        as reached (a DAG has no path from a node back to itself), so an
+        edge ``a -> b`` closes a cycle iff ``a == b or
+        reaches_any(b, {a})``. Every node named in an edge set is a key
+        of ``_out`` (:meth:`add_edge_unchecked` registers both endpoints,
+        :meth:`remove_node` scrubs edge sets), so the walk indexes the
+        adjacency dict directly.
         """
         out = self._out
         edges = out.get(src)
@@ -112,41 +78,14 @@ class PrecedenceGraph:
                     stack.append(nxt)
         return False
 
-    def add_edge(self, src, dst):
-        """Insert ``src -> dst``; raises :class:`CycleError` if it cycles.
-
-        Idempotent for existing edges. Nothing is mutated when the edge is
-        refused. Node registration is inlined (this is called for every
-        pair of a dispatched chain).
-        """
-        if src == dst:
-            raise CycleError(src, dst)
-        out = self._out
-        edges = out.get(src)
-        if edges is not None and dst in edges:
-            return
-        if self.reaches(dst, src):
-            raise CycleError(src, dst)
-        inn = self._in
-        if edges is None:
-            edges = out[src] = set()
-            inn[src] = set()
-        if dst in out:
-            inn[dst].add(src)
-        else:
-            out[dst] = set()
-            inn[dst] = {src}
-        edges.add(dst)
-
     def add_edge_unchecked(self, src, dst):
-        """Insert ``src -> dst`` *without* the cycle check.
+        """Insert ``src -> dst`` (idempotent), registering both endpoints.
 
-        Only for callers that can prove acyclicity from context — edges
-        chained along a :meth:`linear_extension` order, or edges into a
-        node already known (via :meth:`reaches_any`) not to reach any of
-        the sources. Same mutation as :meth:`add_edge`; skipping the
-        reachability DFS is the entire point (it dominates dispatch cost
-        on long chains). :meth:`find_any_cycle` remains the safety net.
+        Nothing here checks for a cycle: callers prove acyclicity from
+        context — edges chained along a :meth:`linear_extension` order,
+        or edges into a node already known (via :meth:`reaches_any`) not
+        to reach any of the sources. :meth:`find_any_cycle` remains the
+        safety net.
         """
         out = self._out
         edges = out.get(src)
@@ -172,11 +111,11 @@ class PrecedenceGraph:
     def linear_extension(self, nodes, key=None):
         """Order ``nodes`` consistently with reachability between them.
 
-        Builds the induced partial order (u before v iff ``reaches(u, v)``)
-        and returns a linear extension; among unconstrained nodes, ``key``
-        (default: input order) decides — so FIFO arrival order is preserved
-        wherever the DAG does not force otherwise. Chaining edges along the
-        returned order can never create a cycle.
+        Builds the induced partial order (u before v iff v is reachable
+        from u) and returns a linear extension; among unconstrained nodes,
+        ``key`` (default: input order) decides — so FIFO arrival order is
+        preserved wherever the DAG does not force otherwise. Chaining
+        edges along the returned order can never create a cycle.
         """
         nodes = list(nodes)
         if len(nodes) <= 1:
@@ -186,7 +125,7 @@ class PrecedenceGraph:
             key = rank.__getitem__
         # One DFS per node instead of one per ordered pair: the subset of
         # ``nodes`` reachable from each node induces exactly the partial
-        # order the pairwise reaches() queries would (reachability is a
+        # order pairwise reachability queries would (reachability is a
         # property of the graph, not of the query order).
         out = self._out
         node_set = set(nodes)

@@ -213,15 +213,14 @@ def capability_table():
 # The factory
 # ---------------------------------------------------------------------------
 
-def make_protocol(name, sim, config, store, wal, history, client_ids,
+def make_protocol(name, sim, config, store, history, client_ids,
                   shard_map=None):
     """Instantiate the protocol's server(s) and one client per id.
 
-    Single-server callers pass one ``store`` and one ``wal`` and get
-    ``(server, clients)``. A sharded deployment passes its ``shard_map``
-    and ``store`` / ``wal`` as dicts keyed by the site ids of the home
-    servers, and gets ``(servers, clients)`` with ``servers`` keyed the
-    same way.
+    Single-server callers pass one ``store`` and get ``(server,
+    clients)``. A sharded deployment passes its ``shard_map`` and
+    ``store`` as a dict keyed by the site ids of the home servers, and
+    gets ``(servers, clients)`` with ``servers`` keyed the same way.
 
     The row's pins are applied to ``config`` first (``g2pl-basic`` runs
     with ``mr1w=False`` whatever the config says).
@@ -231,15 +230,15 @@ def make_protocol(name, sim, config, store, wal, history, client_ids,
         config = config.replace(**row.pins)
     server_cls, client_cls = row.server, row.client
     if shard_map is None:
-        server = server_cls(sim, config, store, wal, history)
+        server = server_cls(sim, config, store, history)
         clients = {client_id: client_cls(sim, client_id, config, history)
                    for client_id in client_ids}
         return server, clients
     shared = server_cls.cross_shard_state()
-    servers = {site_id: server_cls(sim, config, store[site_id], wal[site_id],
-                                   history, site_id=site_id,
-                                   shard_map=shard_map, **shared)
-               for site_id in store}
+    servers = {site_id: server_cls(sim, config, site_store, history,
+                                   site_id=site_id, shard_map=shard_map,
+                                   **shared)
+               for site_id, site_store in store.items()}
     clients = {client_id: client_cls(sim, client_id, config, history,
                                      shard_map=shard_map)
                for client_id in client_ids}

@@ -5,7 +5,7 @@ Protocol (§3.1, §4):
 * Growing phase — the client requests each data item in turn; the server
   acquires the lock (or queues the request) and ships the item when granted.
 * Shrinking phase — at commit the client sends a single release message
-  carrying all modified items; the server installs them (WAL first),
+  carrying all modified items; the server installs them,
   releases the locks and grants/ships to the next compatible waiters.
 * Deadlock handling — detection, initiated whenever a lock cannot be
   granted: the server computes the wait-for graph and aborts transactions
@@ -52,9 +52,9 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
 
     gauges = (("lock_queue_depth", "queue_depth"),)
 
-    def __init__(self, sim, config, store, wal, history,
+    def __init__(self, sim, config, store, history,
                  site_id=SERVER_SITE_ID, shard_map=None):
-        super().__init__(sim, config, store, wal, history, site_id=site_id,
+        super().__init__(sim, config, store, history, site_id=site_id,
                          shard_map=shard_map)
         self._init_participant()
         # "2pc-opt": (txn_id, item_id) of queued requests whose grant must
@@ -148,7 +148,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
             self._dead.discard(msg.txn_id)
             self._finish(msg.txn_id)
             return
-        self.install_updates(msg.txn_id, msg.updates)
+        self.install_updates(msg.updates)
         if msg.commit_time is not None:
             # Fault mode: the server is the commit point of record (see
             # CommitRelease). Stamped with the client's decision time.
@@ -192,7 +192,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
                 updates = (msg.updates if msg.updates is not None
                            else (staged.updates if staged is not None
                                  else {}))
-                self.install_updates(txn_id, updates or {})
+                self.install_updates(updates or {})
                 if msg.commit_time is not None:
                     # Fault mode: the participant is this shard's commit
                     # point of record, stamped with the decision time.
@@ -222,7 +222,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
             self._reclaim([txn_id])
             return
         if txn_id in self._txns:
-            self.install_updates(txn_id, staged.updates or {})
+            self.install_updates(staged.updates or {})
         # Idempotent set-add; the peer that saw the decision holds the
         # stamped commit time.
         self.history.record_commit(txn_id)

@@ -66,8 +66,8 @@ class _ItemState:
 class TwoVersionServer(ProtocolServer):
     """The data server running two-version 2PL with certified commits."""
 
-    def __init__(self, sim, config, store, wal, history):
-        super().__init__(sim, config, store, wal, history)
+    def __init__(self, sim, config, store, history):
+        super().__init__(sim, config, store, history)
         self._items = {}
         self._txns = {}     # txn_id -> client_id
         self._dead = set()
@@ -150,7 +150,7 @@ class TwoVersionServer(ProtocolServer):
                   size=self.data_ship_size())
 
     def _finalise_commit(self, txn_id, updates):
-        self.install_updates(txn_id, updates)
+        self.install_updates(updates)
         if self.fault_mode:
             # The certifying server is the commit point. On a perfect
             # network the ack reaches the client before anyone can use the

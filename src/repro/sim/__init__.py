@@ -15,11 +15,8 @@ the event-driven form is dramatically faster in Python.
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
     "Interrupt",
-    "Mailbox",
     "Process",
     "RandomStreams",
     "SimulationError",
@@ -30,8 +27,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.sim.engine": ("Simulator",),
     "repro.sim.errors": ("Interrupt", "SimulationError"),
-    "repro.sim.events": ("AllOf", "AnyOf", "Event", "Timeout"),
-    "repro.sim.mailbox": ("Mailbox",),
+    "repro.sim.events": ("Event", "Timeout"),
     "repro.sim.process": ("Process",),
     "repro.sim.rng": ("RandomStreams",),
 })

@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from itertools import count
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import Event, Timeout
 
 
 @contextmanager
@@ -126,14 +126,6 @@ class Simulator:
     def timeout(self, delay, value=None):
         """Create a :class:`Timeout` that fires ``delay`` units from now."""
         return Timeout(self, delay, value)
-
-    def all_of(self, events):
-        """Create an :class:`AllOf` condition over ``events``."""
-        return AllOf(self, events)
-
-    def any_of(self, events):
-        """Create an :class:`AnyOf` condition over ``events``."""
-        return AnyOf(self, events)
 
     def spawn(self, generator):
         """Run ``generator`` as a simulation :class:`Process`."""

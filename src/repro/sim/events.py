@@ -6,7 +6,7 @@ the current simulation time; when the simulator pops it, the event is
 *processed* and its callbacks run in registration order.
 
 :class:`Timeout` is an event that triggers itself ``delay`` time units in the
-future. :class:`AllOf` / :class:`AnyOf` compose events.
+future.
 """
 
 from repro.sim.errors import SimulationError
@@ -146,63 +146,3 @@ class Timeout(Event):
 
     def succeed(self, value=None):  # pragma: no cover - misuse guard
         raise SimulationError("a Timeout triggers itself; do not call succeed()")
-
-
-class _Condition(Event):
-    """Common machinery for :class:`AllOf` / :class:`AnyOf`."""
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim, events):
-        super().__init__(sim)
-        self.events = list(events)
-        self._remaining = len(self.events)
-        if not self.events:
-            self._value = []
-            sim._enqueue_triggered(self)
-            return
-        for event in self.events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event):
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Succeeds with the list of values once every child event succeeds.
-
-    Fails as soon as any child fails (remaining children are ignored and
-    their failures defused).
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, event):
-        if self.triggered:
-            if not event.ok:
-                event.defused = True
-            return
-        if not event.ok:
-            event.defused = True
-            self.fail(event._exception)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([child._value for child in self.events])
-
-
-class AnyOf(_Condition):
-    """Succeeds with the first child to be processed (fails if it failed)."""
-
-    __slots__ = ()
-
-    def _on_child(self, event):
-        if self.triggered:
-            if not event.ok:
-                event.defused = True
-            return
-        if event.ok:
-            self.succeed(event)
-        else:
-            event.defused = True
-            self.fail(event._exception)

@@ -27,11 +27,11 @@ class VersionedStore:
             self.create(item_id)
         self.installs = 0
 
-    def create(self, item_id, value=None):
+    def create(self, item_id):
         """Register a new data item at version 0."""
         if item_id in self._items:
             raise ValueError(f"item {item_id!r} already exists")
-        item = DataItem(item_id=item_id, value=value)
+        item = DataItem(item_id=item_id)
         self._items[item_id] = item
         return item
 

@@ -9,6 +9,11 @@ from repro.workload.spec import Operation, TransactionSpec
 
 READ, WRITE = LockMode.READ, LockMode.WRITE
 
+#: Table 1's idle time between a client's transactions, U(IDLE_MIN,
+#: IDLE_MAX); no experiment varies it.
+IDLE_MIN = 2.0
+IDLE_MAX = 10.0
+
 
 @dataclass(frozen=True)
 class WorkloadParams:
@@ -28,8 +33,6 @@ class WorkloadParams:
     read_probability: float = 0.6
     think_min: float = 1.0
     think_max: float = 3.0
-    idle_min: float = 2.0
-    idle_max: float = 10.0
     access_skew: float = 0.0
     # Sharded workloads: with cross_shard_probability = p, a transaction
     # is cross-shard-eligible with probability p (items drawn from the
@@ -52,8 +55,6 @@ class WorkloadParams:
                 f"max_ops {self.max_ops} exceeds the {self.n_items}-item pool")
         if self.think_min > self.think_max or self.think_min < 0:
             raise ValueError("invalid think time range")
-        if self.idle_min > self.idle_max or self.idle_min < 0:
-            raise ValueError("invalid idle time range")
         if self.access_skew < 0:
             raise ValueError(f"negative access_skew {self.access_skew}")
         if self.n_shards < 1:
@@ -181,7 +182,7 @@ class WorkloadGenerator:
         if stream is None:
             stream = self._stream(client_id, "idle")
             self._idle_streams[client_id] = stream
-        return stream.uniform(self.params.idle_min, self.params.idle_max)
+        return stream.uniform(IDLE_MIN, IDLE_MAX)
 
     def initial_stagger(self, client_id):
         """Start-up desynchronisation: the first transaction of each client
@@ -189,5 +190,4 @@ class WorkloadGenerator:
         first request at t=0 in lockstep."""
         # One draw per client per run, so unbuffered: buffering would
         # prefetch draws nobody uses.
-        return self._stream(client_id, "stagger").uniform(
-            0.0, self.params.idle_max)
+        return self._stream(client_id, "stagger").uniform(0.0, IDLE_MAX)

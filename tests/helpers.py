@@ -24,7 +24,6 @@ from repro.protocols.registry import make_protocol
 from repro.protocols.transaction import Transaction
 from repro.sim.engine import Simulator
 from repro.storage.store import VersionedStore
-from repro.storage.wal import WriteAheadLog
 from repro.validate.history import HistoryRecorder
 from repro.workload.population import PopulationDriver
 from repro.workload.spec import Operation, TransactionSpec
@@ -60,6 +59,21 @@ def brute_force_wait_edges(table):
     return union
 
 
+def dfs_reaches(graph, u, v):
+    """Is there a path of one or more edges from ``u`` to ``v`` in a
+    precedence graph? A plain DFS over its public ``successors``, the
+    oracle its one-walk ``reaches_any`` is tested against."""
+    stack, seen = [u], set()
+    while stack:
+        for nxt in graph.successors(stack.pop()):
+            if nxt == v:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
 def spec(*ops, think=1.0):
     """Build a TransactionSpec from (item, mode) pairs."""
     return TransactionSpec(operations=tuple(
@@ -81,20 +95,18 @@ class Harness:
         self.sim = Simulator()
         self.history = HistoryRecorder()
         self.store = VersionedStore(range(n_items))
-        self.wal = WriteAheadLog()
         self.network = Network(self.sim,
                                topology or UniformTopology(latency))
         client_ids = list(range(1, n_clients + 1))
         if shard_map is None:
             self.server, self.clients = make_protocol(
-                protocol, self.sim, self.config, self.store, self.wal,
-                self.history, client_ids)
+                protocol, self.sim, self.config, self.store, self.history,
+                client_ids)
         else:
             # the sharded factory form, for a map that has one shard
             servers, self.clients = make_protocol(
                 protocol, self.sim, self.config, {0: self.store},
-                {0: self.wal}, self.history, client_ids,
-                shard_map=shard_map)
+                self.history, client_ids, shard_map=shard_map)
             self.server = servers[0]
         self.network.add_site(self.server)
         for client in self.clients.values():

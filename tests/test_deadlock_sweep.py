@@ -21,7 +21,6 @@ from repro.protocols.s2pl import S2PLServer
 from repro.protocols.sharding import GlobalDeadlockDetector, ShardMap
 from repro.sim.engine import Simulator
 from repro.storage.store import VersionedStore
-from repro.storage.wal import WriteAheadLog
 from repro.validate.history import HistoryRecorder
 
 
@@ -135,8 +134,7 @@ def _two_cycles(detector_class):
     for shard, site_id in enumerate(shard_map.server_ids):
         server = S2PLServer(
             sim, config, VersionedStore(shard_map.items_of(shard)),
-            WriteAheadLog(), HistoryRecorder(), site_id=site_id,
-            shard_map=shard_map)
+            HistoryRecorder(), site_id=site_id, shard_map=shard_map)
         network.add_site(server)
         servers.append(server)
     for client_id in range(1, 10):

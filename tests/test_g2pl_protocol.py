@@ -251,9 +251,10 @@ def test_server_invariants_after_heavy_run():
     h.check_serializable()
 
 
-def test_wal_used_for_returned_versions():
+def test_returned_chain_installs_its_version():
     h = Harness("g2pl", n_clients=1, latency=5.0)
     h.launch(1, spec((0, W), think=1.0))
-    h.run()
-    assert h.wal.durable_lsn == h.wal.tail_lsn()
-    assert h.wal.forces >= 1
+    outcomes = h.run()
+    assert outcomes[1].committed
+    assert h.store.version(0) == 1
+    assert h.store.installs == outcomes[1].n_writes == 1

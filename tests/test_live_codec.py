@@ -166,7 +166,6 @@ def test_message_pickles(cls, data):
 def test_other_value_objects_pickle():
     from repro.network.reliable import Reliable, ReliableAck
     from repro.protocols.transaction import TxnOutcome
-    from repro.storage.wal import LogRecord, LogRecordType
     from repro.workload.spec import Operation, TransactionSpec
 
     spec = TransactionSpec(operations=(
@@ -177,8 +176,6 @@ def test_other_value_objects_pickle():
             TxnOutcome(txn_id=7, client_id=3, committed=False,
                        start_time=1.0, end_time=4.0, n_ops=2, n_writes=1,
                        abort_reason="deadlock"),
-            LogRecord(lsn=1, record_type=LogRecordType.UPDATE, txn=7,
-                      item_id=2, version=3, timestamp=9.0),
             Reliable(inner=TxnDone(txn_id=7), seq=4,
                      incarnation=1),
             ReliableAck(seq=4, incarnation=1)):

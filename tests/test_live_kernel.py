@@ -92,10 +92,19 @@ def test_succeed_after_behaves_as_under_the_simulator():
         with pytest.raises(SimulationError):
             event.succeed("again")
 
+    both, fired = kernel.event(), []
+
+    def on_fired(child):
+        fired.append(child)
+        if len(fired) == 2:
+            both.succeed()
+
+    event.add_callback(on_fired)
+    abandoned.add_callback(on_fired)
     kernel.call_later(1.0, arm)
     kernel.call_later(2.0, leaver.interrupt, "crash")
     # (not a fixed horizon: a stalled host arms late and fires late)
-    run_async(kernel.run(until=kernel.all_of([event, abandoned])))
+    run_async(kernel.run(until=both))
     assert seen[0] == ("interrupted", "crash")
     (woke_at, value), = seen[1:]
     assert value == "data" and woke_at >= armed_at[0] + 4.0
@@ -235,7 +244,6 @@ def test_protocol_code_runs_unmodified_under_live_kernel():
     from repro.protocols.registry import make_protocol
     from repro.protocols.transaction import Transaction
     from repro.storage.store import VersionedStore
-    from repro.storage.wal import WriteAheadLog
     from repro.validate.history import HistoryRecorder
     from repro.workload.spec import Operation, TransactionSpec
     from repro.locking.modes import LockMode
@@ -246,11 +254,10 @@ def test_protocol_code_runs_unmodified_under_live_kernel():
         total_transactions=1, warmup_transactions=0)
     history = HistoryRecorder()
     store = VersionedStore(range(3))
-    wal = WriteAheadLog()
     transport = LiveTransport(kernel, UniformTopology(2.0), site_id=0,
                               port_map={0: 0})
-    server, clients = make_protocol("s2pl", kernel, config, store, wal,
-                                    history, [1])
+    server, clients = make_protocol("s2pl", kernel, config, store, history,
+                                    [1])
     transport.add_site(server)
     transport.add_site(clients[1])
 

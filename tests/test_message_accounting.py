@@ -19,7 +19,6 @@ from repro.protocols.registry import make_protocol
 from repro.protocols.transaction import Transaction
 from repro.sim.engine import Simulator
 from repro.storage.store import VersionedStore
-from repro.storage.wal import WriteAheadLog
 from repro.validate.history import HistoryRecorder
 from repro.workload.spec import Operation, TransactionSpec
 
@@ -37,7 +36,7 @@ def run_contended_chain(protocol, m=3, latency=2.0):
     spec = TransactionSpec(operations=(
         Operation(item_id=0, mode=LockMode.WRITE, think_time=1.0),))
     server, clients = make_protocol(
-        protocol, sim, config, store, WriteAheadLog(), HistoryRecorder(),
+        protocol, sim, config, store, HistoryRecorder(),
         list(range(1, m + 1)))
     network.add_site(server)
     for client in clients.values():

@@ -1,11 +1,12 @@
 """Property-based tests for the precedence graph and forward lists."""
 
 import pytest
+from helpers import dfs_reaches
 from hypothesis import given, settings, strategies as st
 
 from repro.locking.modes import LockMode
 from repro.protocols.forward_list import FLEntry, ForwardList, TxnRef
-from repro.protocols.precedence import CycleError, PrecedenceGraph
+from repro.protocols.precedence import PrecedenceGraph
 
 R, W = LockMode.READ, LockMode.WRITE
 
@@ -16,15 +17,23 @@ EDGES = st.lists(
 )
 
 
+def refuses(graph, src, dst):
+    """g-2PL's check before it inserts ``src -> dst``: would it cycle?"""
+    return src == dst or graph.reaches_any(dst, {src})
+
+
 def build_graph(edges):
+    """Insert ``edges`` in order as g-2PL does: refuse an edge that would
+    close a cycle, insert the rest unchecked. Every answer is checked
+    against the DFS oracle."""
     graph = PrecedenceGraph()
     accepted = []
     for src, dst in edges:
-        try:
-            graph.add_edge(src, dst)
+        refused = refuses(graph, src, dst)
+        assert refused == (src == dst or dfs_reaches(graph, dst, src))
+        if not refused:
+            graph.add_edge_unchecked(src, dst)
             accepted.append((src, dst))
-        except CycleError:
-            pass
     return graph, accepted
 
 
@@ -40,13 +49,13 @@ def test_graph_never_cycles(edges):
 def test_rejected_edges_would_have_cycled(edges):
     graph = PrecedenceGraph()
     for src, dst in edges:
-        if graph.would_cycle(src, dst):
-            with pytest.raises(CycleError):
-                graph.add_edge(src, dst)
-            assert graph.reaches(dst, src)
+        if refuses(graph, src, dst):
+            assert dfs_reaches(graph, dst, src)
         else:
-            graph.add_edge(src, dst)
-            assert graph.reaches(src, dst)
+            assert not dfs_reaches(graph, dst, src)
+            graph.add_edge_unchecked(src, dst)
+            assert dfs_reaches(graph, src, dst)
+            assert graph.reaches_any(src, {dst})
 
 
 @given(EDGES, st.lists(st.integers(0, 9), min_size=1, max_size=9,
@@ -59,9 +68,11 @@ def test_linear_extension_respects_reachability(edges, nodes):
     position = {node: i for i, node in enumerate(order)}
     for i, u in enumerate(nodes):
         for v in nodes[i + 1:]:
-            if graph.reaches(u, v) and not graph.reaches(v, u):
+            forward, backward = (dfs_reaches(graph, u, v),
+                                 dfs_reaches(graph, v, u))
+            if forward and not backward:
                 assert position[u] < position[v]
-            elif graph.reaches(v, u) and not graph.reaches(u, v):
+            elif backward and not forward:
                 assert position[v] < position[u]
 
 
@@ -74,7 +85,8 @@ def test_chaining_extension_order_never_cycles(edges, nodes):
     graph, _ = build_graph(edges)
     order = graph.linear_extension(nodes)
     for left, right in zip(order, order[1:]):
-        graph.add_edge(left, right)  # must not raise
+        assert not refuses(graph, left, right)
+        graph.add_edge_unchecked(left, right)
     assert graph.find_any_cycle() is None
 
 

@@ -19,7 +19,6 @@ from repro.protocols.registry import available_protocols, make_protocol
 from repro.protocols.transaction import Transaction, TxnOutcome, TxnStatus
 from repro.sim.engine import Simulator
 from repro.storage.store import VersionedStore
-from repro.storage.wal import WriteAheadLog
 from repro.validate.history import HistoryRecorder
 from repro.workload.spec import Operation, TransactionSpec
 
@@ -106,8 +105,7 @@ class TestRegistry:
         config = config or SimulationConfig(n_clients=2, n_items=2)
         store = VersionedStore(range(2))
         server, clients = make_protocol(
-            name, sim, config, store, WriteAheadLog(), HistoryRecorder(),
-            [1, 2])
+            name, sim, config, store, HistoryRecorder(), [1, 2])
         return server, clients
 
     def test_variant_pins_override_config(self):

@@ -110,14 +110,14 @@ def test_versions_advance_per_committed_write():
     h.check_serializable()
 
 
-def test_wal_records_and_garbage_collection():
+def test_commit_installs_each_write_once():
     h = Harness("s2pl", n_clients=1, latency=5.0)
     h.launch(1, spec((0, W), (1, W), think=1.0))
-    h.run()
-    # Installed updates were logged, forced, and garbage collected.
-    assert h.wal.durable_lsn == h.wal.tail_lsn()
-    assert len(h.wal) == 0
-    assert h.wal.forces >= 1
+    outcomes = h.run()
+    # The commit installed each committed write exactly once.
+    assert outcomes[1].committed
+    assert (h.store.version(0), h.store.version(1)) == (1, 1)
+    assert h.store.installs == outcomes[1].n_writes == 2
 
 
 def test_history_records_read_versions():

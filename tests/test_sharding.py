@@ -20,7 +20,6 @@ from repro.protocols.sharding import (
 )
 from repro.sim.engine import Simulator
 from repro.storage.store import VersionedStore
-from repro.storage.wal import WriteAheadLog
 from repro.validate.history import HistoryRecorder
 
 
@@ -281,7 +280,7 @@ def _two_shard_servers():
     for shard, site_id in enumerate(shard_map.server_ids):
         server = S2PLServer(
             sim, config, VersionedStore(shard_map.items_of(shard)),
-            WriteAheadLog(), history, site_id=site_id, shard_map=shard_map)
+            history, site_id=site_id, shard_map=shard_map)
         network.add_site(server)
         servers.append(server)
     return sim, servers, history

@@ -109,51 +109,6 @@ def test_timeout_cannot_be_succeeded_manually(sim):
     sim.run()
 
 
-def test_all_of_collects_values_in_child_order(sim):
-    first, second = sim.event(), sim.event()
-    condition = sim.all_of([first, second])
-    sim.call_later(2.0, second.succeed, "b")
-    sim.call_later(5.0, first.succeed, "a")
-    result = sim.run(until=condition)
-    assert result == ["a", "b"]
-    assert sim.now == 5.0
-
-
-def test_all_of_empty_succeeds_immediately(sim):
-    condition = sim.all_of([])
-    assert sim.run(until=condition) == []
-
-
-def test_all_of_fails_fast(sim):
-    first, second = sim.event(), sim.event()
-    condition = sim.all_of([first, second])
-    sim.call_later(1.0, first.fail, RuntimeError("child failed"))
-    with pytest.raises(RuntimeError, match="child failed"):
-        sim.run(until=condition)
-    # the never-triggered sibling must not poison later runs
-    second.succeed("late")
-    sim.run()
-
-
-def test_any_of_returns_first_event(sim):
-    slow, fast = sim.timeout(10.0, "slow"), sim.timeout(1.0, "fast")
-    condition = sim.any_of([slow, fast])
-    winner = sim.run(until=condition)
-    assert winner is fast
-    assert winner.value == "fast"
-    assert sim.now == 1.0
-    sim.run()  # drain the slow timeout harmlessly
-
-
-def test_any_of_later_failures_are_defused(sim):
-    fast, failing = sim.event(), sim.event()
-    condition = sim.any_of([fast, failing])
-    sim.call_later(1.0, fast.succeed, "ok")
-    sim.call_later(2.0, failing.fail, RuntimeError("late failure"))
-    assert sim.run(until=condition) is fast
-    sim.run()  # must not raise: the late failure was defused
-
-
 # -- succeed_after: trigger now, process later -------------------------------
 
 

@@ -1,8 +1,8 @@
-"""Unit tests for the versioned store and the write-ahead log."""
+"""Unit tests for the versioned store."""
 
 import pytest
 
-from repro.storage import LogRecordType, VersionedStore, WriteAheadLog
+from repro.storage import VersionedStore
 
 
 class TestVersionedStore:
@@ -37,71 +37,3 @@ class TestVersionedStore:
         store = VersionedStore(range(2))
         store.install(1)
         assert store.snapshot_versions() == {0: 0, 1: 1}
-
-
-class TestWriteAheadLog:
-    def test_append_assigns_increasing_lsns(self):
-        wal = WriteAheadLog()
-        lsns = [wal.append(LogRecordType.UPDATE, txn="t1", item_id=i)
-                for i in range(3)]
-        assert lsns == [1, 2, 3]
-        assert wal.tail_lsn() == 3
-
-    def test_force_advances_durable_lsn(self):
-        wal = WriteAheadLog()
-        wal.append(LogRecordType.UPDATE, txn="t1")
-        wal.append(LogRecordType.COMMIT, txn="t1")
-        assert wal.durable_lsn == 0
-        assert wal.force() == 2
-        assert wal.is_durable(2)
-        assert wal.forces == 1
-
-    def test_force_partial_prefix(self):
-        wal = WriteAheadLog()
-        for _ in range(4):
-            wal.append(LogRecordType.UPDATE, txn="t")
-        wal.force(up_to_lsn=2)
-        assert wal.is_durable(2)
-        assert not wal.is_durable(3)
-
-    def test_force_past_end_rejected(self):
-        wal = WriteAheadLog()
-        wal.append(LogRecordType.UPDATE, txn="t")
-        with pytest.raises(ValueError):
-            wal.force(up_to_lsn=10)
-
-    def test_repeated_force_is_idempotent(self):
-        wal = WriteAheadLog()
-        wal.append(LogRecordType.COMMIT, txn="t")
-        wal.force()
-        wal.force()
-        assert wal.forces == 1
-
-    def test_garbage_collect_requires_durability(self):
-        wal = WriteAheadLog()
-        wal.append(LogRecordType.UPDATE, txn="t")
-        with pytest.raises(ValueError):
-            wal.garbage_collect(1)
-        wal.force()
-        assert wal.garbage_collect(1) == 1
-        assert len(wal) == 0
-
-    def test_garbage_collect_keeps_suffix(self):
-        wal = WriteAheadLog()
-        for i in range(5):
-            wal.append(LogRecordType.UPDATE, txn=f"t{i}")
-        wal.force()
-        assert wal.garbage_collect(3) == 3
-        remaining = [r.lsn for r in wal.records()]
-        assert remaining == [4, 5]
-
-    def test_records_filter_by_type(self):
-        wal = WriteAheadLog()
-        wal.append(LogRecordType.UPDATE, txn="t", item_id=1, version=1)
-        wal.append(LogRecordType.COMMIT, txn="t")
-        wal.append(LogRecordType.ABORT, txn="u")
-        assert len(wal.records(LogRecordType.UPDATE)) == 1
-        assert len(wal.records(LogRecordType.COMMIT)) == 1
-        assert len(wal.records(LogRecordType.ABORT)) == 1
-        update = wal.records(LogRecordType.UPDATE)[0]
-        assert (update.item_id, update.version) == (1, 1)

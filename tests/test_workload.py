@@ -7,7 +7,12 @@ from helpers import next_spec_by_methods, open_next_spec_by_methods
 
 from repro.locking.modes import LockMode
 from repro.sim import RandomStreams
-from repro.workload.generator import WorkloadGenerator, WorkloadParams
+from repro.workload.generator import (
+    IDLE_MAX,
+    IDLE_MIN,
+    WorkloadGenerator,
+    WorkloadParams,
+)
 from repro.workload.population import (
     OpenArrivalGenerator,
     default_classes,
@@ -27,7 +32,7 @@ class TestParams:
         assert p.n_items == 25
         assert (p.min_ops, p.max_ops) == (1, 5)
         assert (p.think_min, p.think_max) == (1.0, 3.0)
-        assert (p.idle_min, p.idle_max) == (2.0, 10.0)
+        assert (IDLE_MIN, IDLE_MAX) == (2.0, 10.0)
 
     def test_read_probability_validated(self):
         with pytest.raises(ValueError):
@@ -46,8 +51,6 @@ class TestParams:
     def test_time_ranges_validated(self):
         with pytest.raises(ValueError):
             WorkloadParams(think_min=5, think_max=2)
-        with pytest.raises(ValueError):
-            WorkloadParams(idle_min=-1)
 
 
 class TestSpec:
