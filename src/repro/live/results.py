@@ -43,7 +43,7 @@ def endpoint_payload(endpoint):
         "site": endpoint.site_id,
         "protocol": endpoint.spec.config.protocol,
         "mode": endpoint.spec.mode,
-        "txn_records": trace.txns,
+        "txn_records": list(trace.txns),
         "partial_records": tracer.partial_records(),
         "history": {
             "accesses": [[a.txn_id, a.item_id, a.mode.name, a.version,

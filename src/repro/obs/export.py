@@ -53,6 +53,11 @@ _BLOCK = 256
 _BAKED = 64
 #: stands for the time in a tick template (JSON text holds no raw NUL)
 _TIME = "\0"
+#: record-line templates kept per log (a list column with more distinct
+#: values is not low-cardinality: its further shapes are spelled)
+_TXN_SHAPES = 4096
+#: value types a record-line template holds the JSON text of
+_BAKED_TYPES = {str, bool, type(None)}
 
 
 def _summary_dict(summary):
@@ -216,6 +221,106 @@ def _write_ticks(out, log):
         out.write("".join(lines))
 
 
+def _spell_txn(record):
+    return json.dumps({"type": "txn", **record}) + "\n"
+
+
+def _pick(slots):
+    """``values -> tuple`` of the values at ``slots``."""
+    if len(slots) == 1:
+        slot, = slots
+        return lambda values: (values[slot],)
+    return itemgetter(*slots) if slots else lambda values: ()
+
+
+def _txn_lines(log):
+    """A :class:`~repro.obs.tracer.TxnLog`'s lines, in row order.
+
+    A regular row takes the template of its shape: its ``rounds`` code and
+    the values in its list columns (the two flags and ``abort_reason``),
+    whose JSON text the template holds, with its array columns printed by
+    ``%r``. Every template is made from one skeleton, by one ``%``, and a
+    ``rounds`` table's text is made once. An odd row, a row with a
+    non-finite float, a shape with a value that is not a ``str``,
+    ``bool``, ``None`` or ``int`` in a list column (a float would share
+    its shape with every float equal to it: ``-0.0`` with ``0.0``) and a
+    shape past :data:`_TXN_SHAPES` are spelled by ``json.dumps``."""
+    from repro.obs.schema import TXN_RECORD_FIELDS
+
+    columns, odd = log.columns, log.odd
+    rounds = TXN_RECORD_FIELDS.index("rounds")
+    numbers, baked, checked, parts = [], [], [], ['{"type": "txn"']
+    for slot, column in enumerate(columns):
+        parts.append(_literal(_literal(
+            f", {json.dumps(TXN_RECORD_FIELDS[slot])}: ")))
+        if slot == rounds or type(column) is list:
+            baked.append(slot)
+            parts.append("%s")
+            continue
+        numbers.append(slot)
+        parts.append("%%r")
+        if column.typecode == "d":
+            total = sum(column)
+            if total - total != 0.0:   # an inf somewhere in it
+                checked.append(slot)
+    skeleton = "".join(parts) + "}\n"
+    numbers_of = _pick(numbers)
+    picked_of = key_of = _pick(baked)
+    # a shape is its values while no list column holds a number: True
+    # would otherwise share a shape with 1
+    if any(set(map(type, columns[slot])) - _BAKED_TYPES
+           for slot in baked if slot != rounds):
+        key_of = lambda values: (*picked_of(values),
+                                 *map(type, picked_of(values)))
+    rounds_texts = [json.dumps(dict(shape)) for shape in log.shapes]
+    templates = {}
+
+    def template(values):
+        texts = []
+        for slot, value in zip(baked, picked_of(values)):
+            kind = type(value)
+            if slot == rounds:
+                texts.append(rounds_texts[value])
+            elif kind in _BAKED_TYPES or kind is int:
+                texts.append(_json_value(value))
+            else:
+                return None
+        return skeleton % tuple(map(_literal, texts))
+
+    def line(values):
+        if checked and any(values[slot] - values[slot] != 0.0
+                           for slot in checked):
+            return _spell_txn(log.record(values))
+        key = key_of(values)
+        try:
+            return templates[key] % numbers_of(values)
+        except KeyError:
+            if len(templates) < _TXN_SHAPES:
+                templates[key] = template(values)
+                return line(values)
+        except TypeError:   # an unhashable value, or no template
+            pass
+        return _spell_txn(log.record(values))
+
+    lines = map(line, zip(*columns))
+    if not odd:
+        return lines
+    return (_spell_txn(odd[row]) if row in odd else next(lines)
+            for row in range(len(log)))
+
+
+def _write_txns(out, log):
+    """Write a :class:`~repro.obs.tracer.TxnLog` as JSON lines, a block at
+    a time."""
+    log.settle()
+    lines = _txn_lines(log)
+    while True:
+        block = "".join(islice(lines, _BLOCK))
+        if not block:
+            return
+        out.write(block)
+
+
 def write_jsonl(path, trace, config=None, seed=None):
     """One JSON object per line: a header, then events, transactions, and
     probe samples in that order."""
@@ -236,8 +341,7 @@ def write_jsonl(path, trace, config=None, seed=None):
                         lambda kind: tuple(fields), {})
             start = index + 1
         _write_rows(out, rows, "event", "kind", of_its_kind, typed)
-        for record in trace.txns:
-            out.write(json.dumps({"type": "txn", **record}) + "\n")
+        _write_txns(out, trace.txns)
         _write_ticks(out, trace.probes)
     return path
 

@@ -50,13 +50,20 @@ EVENT_SCHEMA = {
     "hybrid.switch": ("item", "mode", "epoch", "score"),
 }
 
+#: a finished transaction's record, its keys in order: the one place that
+#: names them. A sharded record carries ``rounds_by_shard`` after
+#: ``lock_wait``; an unfinished one (see ``Tracer.close``) carries
+#: ``unfinished`` after ``measured``.
+TXN_RECORD_FIELDS = (
+    "txn", "client", "rounds", "rounds_sequential",
+    "propagation", "transmission", "slack", "server_queue", "client_think",
+    "commit_coord", "abort_resolution", "overhead", "lock_wait",
+    "committed", "measured", "start", "end", "response", "n_ops",
+    "abort_reason",
+)
+
 #: keys every per-transaction accounting record must carry
-TXN_RECORD_KEYS = frozenset({
-    "txn", "client", "committed", "measured", "start", "end", "response",
-    "rounds", "rounds_sequential", "propagation", "transmission", "slack",
-    "server_queue", "client_think", "lock_wait",
-    "commit_coord", "abort_resolution", "overhead",
-})
+TXN_RECORD_KEYS = frozenset(TXN_RECORD_FIELDS)
 
 
 def validate_events(events, max_errors=20):

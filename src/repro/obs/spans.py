@@ -1,6 +1,6 @@
 """Per-transaction phase spans and the decomposition exactness invariant.
 
-A traced transaction record (see :meth:`repro.obs.tracer.Tracer._txn_record`)
+A traced transaction record (see :data:`repro.obs.schema.TXN_RECORD_FIELDS`)
 carries additive *components* (propagation, transmission, slack,
 server_queue, client_think) plus phase sub-accounts (commit_coord,
 abort_resolution — wire time re-attributed from the components — and

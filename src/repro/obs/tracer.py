@@ -34,12 +34,19 @@ all events) are staged by the network hooks themselves. A row is staged
 as one ``(time, *values)`` tuple under its kind, and every
 :data:`~repro.obs.columns.STAGE` rows :meth:`EventLog.settle` moves the
 staged tuples into typed columns (:mod:`repro.obs.columns`): 8 bytes a
-number, and a list slot only for a field that holds something else. On
-the ledger's ``traced_g2pl`` an event costs 39 B resident and a probe
+float, an int in the narrowest of 1, 2, 4 or 8 bytes that holds its
+column, and a list slot only for a field that holds something else. On
+the ledger's ``traced_g2pl`` an event costs 21 B resident and a probe
 tick 42 B, against 122 B and 208 B as a tuple of boxed values per row
-(whose container alone was 86 B; a tuple holding a keyword dict, 271 B).
-Keyword :meth:`Tracer.emit` remains for kinds the schema does not
-declare. :meth:`Tracer.finish` hands the same logs to
+(whose container alone was 86 B; a tuple holding a keyword dict, 271 B)
+and 39 B an event with every int in 8 bytes. Keyword :meth:`Tracer.emit`
+remains for kinds the schema does not declare.
+
+A finished transaction's record goes the same way: :class:`TxnLog`
+keeps it as a row of typed columns, its ``rounds`` table as a code into
+the run's distinct tables, and reads the rows back as the record dicts
+it replaced — 179 B a record on ``traced_g2pl``, where a dict with its
+values cost 889 B. :meth:`Tracer.finish` hands the same logs to
 :class:`TraceData`; nothing is copied.
 
 Round-charging scheme (validates the paper's arithmetic exactly on the
@@ -64,18 +71,41 @@ worked-example scenario):
 """
 
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import repeat
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, attrgetter, truth
 
-from repro.obs.columns import STAGE, extend
+from repro.obs.columns import STAGE, extend, put
 from repro.obs.probes import ProbeLog
-from repro.obs.schema import EVENT_SCHEMA
+from repro.obs.schema import EVENT_SCHEMA, TXN_RECORD_FIELDS
 from repro.obs.summary import NON_SEQUENTIAL_ROUND_KINDS, TraceSummary
 
 
 #: keys :func:`repro.obs.export.write_jsonl` gives every event row itself
 RESERVED_FIELDS = ("type", "t", "kind")
+
+#: finished transactions a :class:`TxnLog` stages before it settles them
+STAGE_TXNS = 64
+
+#: what a transaction's charges add up in: the record keys between its
+#: round counts and its ``lock_wait`` residual
+_SUMS = TXN_RECORD_FIELDS[TXN_RECORD_FIELDS.index("rounds_sequential") + 1:
+                          TXN_RECORD_FIELDS.index("lock_wait")]
+_sums_of = attrgetter(*_SUMS)
+
+#: the record keys :class:`~repro.obs.summary.TraceSummary` sums
+_SUMMED = tuple(name[:-len("_sum")]
+                for name in TraceSummary.__dataclass_fields__
+                if name.endswith("_sum"))
+
+#: the outcome's keys, after the residual: the rest of a record's are
+#: ``txn``, ``client``, ``rounds``, ``rounds_sequential``, the sums and
+#: ``lock_wait``, in that order (:meth:`TxnLog._row` builds them so)
+_OUTCOME = TXN_RECORD_FIELDS[TXN_RECORD_FIELDS.index("lock_wait") + 1:]
+
+_ROUNDS = TXN_RECORD_FIELDS.index("rounds")
 
 
 class EventLog:
@@ -248,22 +278,11 @@ class EventLog:
         return self.__dict__
 
 
-@dataclass
-class TraceData:
-    """Everything one traced run captured (plain data, picklable)."""
-
-    events: EventLog  # reads as [(time, kind, {field: value}), ...]
-    txns: list        # [per-transaction record dict, ...]
-    probes: ProbeLog  # reads as [(time, series_name, value), ...]
-    summary: TraceSummary
-
-
 class _TxnAcc:
     """Accumulating per-transaction charges; finalised into a record."""
 
     __slots__ = ("txn_id", "client_id", "begin", "rounds", "shard_rounds",
-                 "propagation", "transmission", "slack", "server_queue",
-                 "client_think", "commit_wire", "abort_wire", "overhead")
+                 *_SUMS)
 
     def __init__(self, txn_id):
         self.txn_id = txn_id
@@ -281,9 +300,315 @@ class _TxnAcc:
         # deadlock/abort resolution), plus live-only process overhead
         # (receiver-side excess over the shaped delivery time) which is
         # *not* part of the wire components.
-        self.commit_wire = 0.0
-        self.abort_wire = 0.0
+        self.commit_coord = 0.0
+        self.abort_resolution = 0.0
         self.overhead = 0.0
+
+    @classmethod
+    def of(cls, record):
+        """The accumulator ``record`` was made from."""
+        acc = cls(record["txn"])
+        acc.client_id = record["client"]
+        acc.rounds = dict(record["rounds"])
+        if "rounds_by_shard" in record:
+            acc.shard_rounds = {shard: dict(kinds) for shard, kinds
+                                in record["rounds_by_shard"].items()}
+        for name in _SUMS:
+            setattr(acc, name, record[name])
+        return acc
+
+
+def _sequential(rounds):
+    """The sequential rounds among ``rounds``' ``(kind, count)`` items."""
+    return sum(count for kind, count in rounds
+               if kind not in NON_SEQUENTIAL_ROUND_KINDS)
+
+
+def _lock_wait(acc, response):
+    """The residual of ``response``: time blocked on other transactions'
+    locks."""
+    explained = (acc.propagation + acc.transmission + acc.slack
+                 + acc.server_queue + acc.client_think)
+    return response - explained - acc.overhead
+
+
+def _record(acc, meta):
+    """The record of ``acc``, then ``meta``'s keys (the outcome, whose
+    ``response`` the ``lock_wait`` residual is taken from)."""
+    record = {
+        "txn": acc.txn_id,
+        "client": acc.client_id,
+        "rounds": dict(acc.rounds),
+        "rounds_sequential": _sequential(acc.rounds.items()),
+    }
+    # phase sub-accounts (see repro.obs.spans): commit_coord and
+    # abort_resolution re-attribute wire time already inside the
+    # components; overhead is live-only extra time.
+    record.update(zip(_SUMS, _sums_of(acc)))
+    record["lock_wait"] = _lock_wait(acc, meta["response"])
+    if acc.shard_rounds:
+        record["rounds_by_shard"] = {
+            shard: dict(kinds) for shard, kinds in acc.shard_rounds.items()}
+    record.update(meta)
+    return record
+
+
+class TxnLog:
+    """The finished transactions' records, kept column-wise, read as the
+    list of record dicts it replaces.
+
+    A record whose keys are :data:`~repro.obs.schema.TXN_RECORD_FIELDS`,
+    in that order, is a row of ``columns``: one typed column per key (see
+    :mod:`repro.obs.columns`), the ``rounds`` one holding a code into
+    ``shapes``, the distinct ``rounds`` tables as ``((kind, count), ...)``
+    in their own key order (4,048 records on the ledger's ``traced_g2pl``
+    have 323; a table a late charge replaced stays). A record with keys
+    of its own (a sharded one carries ``rounds_by_shard``, an unfinished
+    one from :meth:`Tracer.close` ``unfinished``) is kept whole under its
+    row index in ``odd``.
+
+    A finished transaction's ``(accumulator, meta)`` pair is staged until
+    :data:`STAGE_TXNS` more have finished, and a finished one is found by
+    its txn id (``_rows_by_id``: ``row + 1`` at that index while the ids
+    are small ints) for as long as the log lives. A late charge to a
+    staged row adds to its accumulator; one to a settled row reopens the
+    row in ``reopened``, and the next :meth:`settle` writes it back. Every
+    reader settles first. ``len()``, iteration, indexing, ``==`` and
+    pickling behave as the list of dicts did; :meth:`tally` and
+    :func:`repro.obs.export.write_jsonl` read the columns.
+    """
+
+    def __init__(self):
+        self.columns = [[] for _ in TXN_RECORD_FIELDS]
+        self.shapes = []           # code -> ((kind, count), ...)
+        self.odd = {}              # row index -> record dict
+        self.settled = 0           # rows in columns and odd
+        self.staged = []           # [(acc, meta), ...] after the settled
+        self.reopened = {}         # settled row -> (acc, meta)
+        self._code_of = {}         # shape -> code
+        self._sequential = []      # code -> its sequential rounds
+        self._rows_by_id = array("i")  # txn id -> row + 1 (or a dict)
+
+    # -- writing ---------------------------------------------------------
+
+    def add(self, acc, meta, finished=True):
+        """Stage the record of ``acc`` with ``meta``. A ``finished`` one
+        replaces the row its txn id already has, as a dict key's value
+        would."""
+        row = end = self.settled + len(self.staged)
+        if finished:
+            row = self._index(acc.txn_id, end)
+        if row == end:
+            self.staged.append((acc, meta))
+            if len(self.staged) >= STAGE_TXNS:
+                self.settle()
+        elif row >= self.settled:
+            self.staged[row - self.settled] = (acc, meta)
+        else:
+            self.reopened[row] = (acc, meta)
+
+    def reopen(self, txn_id):
+        """The accumulator a late charge to finished ``txn_id`` adds to,
+        or ``None`` when no row is that transaction's."""
+        rows = self._rows_by_id
+        if type(rows) is dict:
+            row = rows.get(txn_id)
+            if row is None:
+                return None
+        elif type(txn_id) is int and 0 <= txn_id < len(rows):
+            row = rows[txn_id] - 1
+            if row < 0:
+                return None
+        else:
+            return None
+        if row >= self.settled:
+            return self.staged[row - self.settled][0]
+        pair = self.reopened.get(row)
+        if pair is None:
+            record = self._read(row)
+            acc = _TxnAcc.of(record)
+            own = _record(acc, {"response": 0.0})
+            pair = self.reopened[row] = (acc, {
+                key: value for key, value in record.items()
+                if key not in own or key == "response"})
+        return pair[0]
+
+    def settle(self):
+        """Write the reopened rows back, then move the staged ones into
+        the columns."""
+        for row, (acc, meta) in self.reopened.items():
+            self._write(row, acc, meta)
+        self.reopened.clear()
+        staged = self.staged
+        if not staged:
+            return
+        rows = []
+        for row, (acc, meta) in enumerate(staged, self.settled):
+            values = self._row(acc, meta)
+            if values is None:
+                self.odd[row] = _record(acc, meta)
+            else:
+                rows.append(values)
+        if rows:
+            self.columns = [extend(column, batch) for column, batch
+                            in zip(self.columns, zip(*rows))]
+        self.settled += len(staged)
+        staged.clear()
+
+    def _row(self, acc, meta):
+        """The values of the record of ``acc`` with ``meta``, in
+        :data:`~repro.obs.schema.TXN_RECORD_FIELDS` order with its
+        ``rounds`` as a shape code, made without the dict; ``None`` when
+        the record has keys of its own."""
+        if acc.shard_rounds or tuple(meta) != _OUTCOME:
+            return None
+        shape = tuple(acc.rounds.items())
+        code = self._code_of.get(shape)
+        if code is None:
+            code = self._code_of[shape] = len(self.shapes)
+            self.shapes.append(shape)
+            self._sequential.append(_sequential(shape))
+        return (acc.txn_id, acc.client_id, code, self._sequential[code],
+                *_sums_of(acc), _lock_wait(acc, meta["response"]),
+                *meta.values())
+
+    def _write(self, row, acc, meta):
+        """Put the record of ``acc`` with ``meta`` at settled ``row``: in
+        place, or in ``odd`` when the row is odd or the record has keys of
+        its own."""
+        odd = row in self.odd
+        values = None if odd else self._row(acc, meta)
+        if values is not None:
+            at = self._position(row)
+            self.columns = [put(column, at, value) for column, value
+                            in zip(self.columns, values)]
+            return
+        if not odd:
+            at = self._position(row)
+            for column in self.columns:
+                del column[at]
+        self.odd[row] = _record(acc, meta)
+
+    def _index(self, txn_id, row):
+        """``txn_id``'s row: the one it has, or ``row``, now its."""
+        rows = self._rows_by_id
+        if type(rows) is array:
+            if type(txn_id) is int and 0 <= txn_id < len(rows) + STAGE:
+                if txn_id >= len(rows):
+                    rows.frombytes(bytes(rows.itemsize * STAGE))
+                if rows[txn_id]:
+                    return rows[txn_id] - 1
+                rows[txn_id] = row + 1
+                return row
+            # an id far from the others: look them all up by hash
+            rows = self._rows_by_id = {
+                txn: at - 1 for txn, at in enumerate(rows) if at}
+        return rows.setdefault(txn_id, row)
+
+    # -- reading ---------------------------------------------------------
+
+    def record(self, values):
+        """A regular row's record from its column ``values``."""
+        record = dict(zip(TXN_RECORD_FIELDS, values))
+        record["rounds"] = dict(self.shapes[values[_ROUNDS]])
+        return record
+
+    def _position(self, row):
+        """Settled ``row``'s place in the columns."""
+        return row - sum(1 for other in self.odd if other < row)
+
+    def _read(self, row):
+        if row in self.odd:
+            return dict(self.odd[row])
+        at = self._position(row)
+        return self.record([column[at] for column in self.columns])
+
+    def tally(self, summary):
+        """Add the measured records to ``summary``, each sum in row order
+        with the additions the record-by-record loop made."""
+        self.settle()
+        if any(record["measured"] for record in self.odd.values()):
+            for record in self:
+                _tally(summary, record)
+            return
+        column = dict(zip(TXN_RECORD_FIELDS, self.columns))
+        measured = list(map(truth, column["measured"]))
+        won = [flag and bool(committed) for flag, committed
+               in zip(measured, column["committed"])]
+        committed = won.count(True)
+        summary.committed += committed
+        summary.aborted += measured.count(True) - committed
+        summary.rounds_total += sum(compress(column["rounds_sequential"],
+                                             won))
+        by_kind = summary.rounds_by_kind
+        for code, times in Counter(compress(column["rounds"], won)).items():
+            for kind, count in self.shapes[code]:
+                by_kind[kind] = by_kind.get(kind, 0) + count * times
+        for name in _SUMMED:
+            total = f"{name}_sum"
+            setattr(summary, total, reduce(
+                add, compress(column[name], won), getattr(summary, total)))
+
+    def __len__(self):
+        return self.settled + len(self.staged)
+
+    def __iter__(self):
+        self.settle()
+        rows = map(self.record, zip(*self.columns))
+        odd = self.odd
+        if not odd:
+            return rows
+        return (dict(odd[index]) if index in odd else next(rows)
+                for index in range(self.settled))
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]
+        self.settle()
+        if isinstance(index, slice):
+            return [self._read(row) for row in picked]
+        return self._read(picked)
+
+    def __eq__(self, other):
+        if not isinstance(other, (TxnLog, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    def __getstate__(self):
+        self.settle()
+        return self.__dict__
+
+
+def _tally(summary, record):
+    """Add one record to ``summary``: the loop :meth:`TxnLog.tally` runs
+    when a measured record has keys of its own."""
+    if not record["measured"]:
+        return
+    if not record["committed"]:
+        summary.aborted += 1
+        return
+    summary.committed += 1
+    summary.rounds_total += record["rounds_sequential"]
+    for kind, count in record["rounds"].items():
+        summary.rounds_by_kind[kind] = (
+            summary.rounds_by_kind.get(kind, 0) + count)
+    for shard, kinds in record.get("rounds_by_shard", {}).items():
+        cell = summary.rounds_by_shard.setdefault(shard, {})
+        for kind, count in kinds.items():
+            cell[kind] = cell.get(kind, 0) + count
+    for name in _SUMMED:
+        total = f"{name}_sum"
+        setattr(summary, total, getattr(summary, total) + record[name])
+
+
+@dataclass
+class TraceData:
+    """Everything one traced run captured (plain data, picklable)."""
+
+    events: EventLog  # reads as [(time, kind, {field: value}), ...]
+    txns: TxnLog      # reads as [per-transaction record dict, ...]
+    probes: ProbeLog  # reads as [(time, series_name, value), ...]
+    summary: TraceSummary
 
 
 class Tracer:
@@ -298,8 +623,8 @@ class Tracer:
         self._columns = self.events.columns
         self.probes = ProbeLog()   # ProbeSampler adds a row per tick
         self._live = {}   # txn_id -> _TxnAcc
-        self._done = {}   # txn_id -> (acc, meta dict), insertion-ordered
-        self._unfinished = []  # records finalised by close(), never begun
+        self.txns = TxnLog()   # txn_finished adds a row per transaction
+        self._unfinished = []  # rows close() finalised, never finished
         self._msgs_seen = 0  # each stamped with its number at first sight
         # network gauges / counters
         self.in_flight_total = 0
@@ -398,12 +723,11 @@ class Tracer:
     def _acc(self, txn_id):
         acc = self._live.get(txn_id)
         if acc is None:
-            done = self._done.get(txn_id)
-            if done is not None:
-                # Late charge: a committed g-2PL transaction can still hand
-                # an item off after its coroutine returned (MR1W gating).
-                return done[0]
-            acc = self._live[txn_id] = _TxnAcc(txn_id)
+            # Late charge: a committed g-2PL transaction can still hand
+            # an item off after its coroutine returned (MR1W gating).
+            acc = self.txns.reopen(txn_id)
+            if acc is None:
+                acc = self._live[txn_id] = _TxnAcc(txn_id)
         return acc
 
     def round_charge(self, txn_id, kind, shard=None):
@@ -456,9 +780,9 @@ class Tracer:
         if phase is not None:
             wire = propagation + transmission + slack
             if phase == "commit":
-                acc.commit_wire += wire
+                acc.commit_coord += wire
             elif phase == "abort":
-                acc.abort_wire += wire
+                acc.abort_resolution += wire
 
     def overhead_charge(self, txn_id, duration):
         """Charge live-only process overhead: the receiver-side excess of a
@@ -491,7 +815,7 @@ class Tracer:
             "n_ops": outcome.n_ops,
             "abort_reason": outcome.abort_reason,
         }
-        self._done[outcome.txn_id] = (acc, meta)
+        self.txns.add(acc, meta)
         self.row("txn.end", outcome.txn_id, outcome.client_id,
                  outcome.committed, outcome.response_time)
 
@@ -503,18 +827,13 @@ class Tracer:
         the server charges grants, a forwarding g-2PL client charges the
         successor's handoff wire time. Those foreign charges accumulate in
         ``_live`` and are never finalised locally — the harness merges them
-        into the owning endpoint's finished record. Keys mirror
-        :meth:`_txn_record` minus the outcome metadata.
+        into the owning endpoint's finished record. Keys mirror a record's
+        (see :data:`~repro.obs.schema.TXN_RECORD_FIELDS`) minus the
+        residual and the outcome metadata.
         """
         return [
             {"txn": acc.txn_id, "client": acc.client_id,
-             "rounds": dict(acc.rounds), "propagation": acc.propagation,
-             "transmission": acc.transmission, "slack": acc.slack,
-             "server_queue": acc.server_queue,
-             "client_think": acc.client_think,
-             "commit_coord": acc.commit_wire,
-             "abort_resolution": acc.abort_wire,
-             "overhead": acc.overhead}
+             "rounds": dict(acc.rounds), **dict(zip(_SUMS, _sums_of(acc)))}
             for acc in self._live.values()
         ]
 
@@ -527,11 +846,11 @@ class Tracer:
         them and :meth:`partial_records` reported them as if they were
         foreign charges. ``close()`` converts each into a full-shaped
         record flagged ``unfinished`` (``measured=False``, so summaries
-        and fingerprints of finished work are untouched) and empties
-        ``_live``. Call it once, after the run loop exits and before
-        :meth:`finish`; live-mode endpoints must *not* call it — their
-        residual accumulators are genuine partial records that the
-        harness merges across processes.
+        and fingerprints of finished work are untouched), empties
+        ``_live`` and returns every record it has made. Call it once,
+        after the run loop exits and before :meth:`finish`; live-mode
+        endpoints must *not* call it — their residual accumulators are
+        genuine partial records that the harness merges across processes.
         """
         now = self.sim.now
         for acc in self._live.values():
@@ -546,52 +865,16 @@ class Tracer:
                 "n_ops": None,
                 "abort_reason": "unfinished",
             }
-            self._unfinished.append(self._txn_record(acc, meta))
+            self._unfinished.append(len(self.txns))
+            self.txns.add(acc, meta, finished=False)
         self._live.clear()
-        return self._unfinished
+        return [self.txns[row] for row in self._unfinished]
 
     # -- finalisation --------------------------------------------------------
 
-    def _txn_record(self, acc, meta):
-        sequential = sum(count for kind, count in acc.rounds.items()
-                         if kind not in NON_SEQUENTIAL_ROUND_KINDS)
-        explained = (acc.propagation + acc.transmission + acc.slack
-                     + acc.server_queue + acc.client_think)
-        record = {
-            "txn": acc.txn_id,
-            "client": acc.client_id,
-            "rounds": dict(acc.rounds),
-            "rounds_sequential": sequential,
-            "propagation": acc.propagation,
-            "transmission": acc.transmission,
-            "slack": acc.slack,
-            "server_queue": acc.server_queue,
-            "client_think": acc.client_think,
-            # phase sub-accounts (see repro.obs.spans): commit_coord and
-            # abort_resolution re-attribute wire time already inside the
-            # components above; overhead is live-only extra time.
-            "commit_coord": acc.commit_wire,
-            "abort_resolution": acc.abort_wire,
-            "overhead": acc.overhead,
-            # residual: time blocked on other transactions' locks
-            "lock_wait": meta["response"] - explained - acc.overhead,
-        }
-        if acc.shard_rounds:
-            record["rounds_by_shard"] = {
-                shard: dict(kinds)
-                for shard, kinds in acc.shard_rounds.items()}
-        record.update(meta)
-        return record
-
     def finish(self, processed_events=0, peak_heap_depth=0):
-        """Freeze everything captured into a picklable :class:`TraceData`.
-
-        Each finished transaction's accumulator leaves ``_done`` as its
-        record is built, so the two are never resident together."""
-        done, txns = self._done, []
-        for txn_id in list(done):
-            txns.append(self._txn_record(*done.pop(txn_id)))
-        txns.extend(self._unfinished)
+        """Freeze everything captured into a picklable :class:`TraceData`;
+        nothing is copied."""
         self.events.settle()
         self.probes.settle()
         summary = TraceSummary(
@@ -606,31 +889,6 @@ class Tracer:
             peak_heap_depth=peak_heap_depth,
             probe_series=self.probes.series(),
         )
-        for record in txns:
-            if not record["measured"]:
-                continue
-            if record["committed"]:
-                summary.committed += 1
-                summary.rounds_total += record["rounds_sequential"]
-                for kind, count in record["rounds"].items():
-                    summary.rounds_by_kind[kind] = (
-                        summary.rounds_by_kind.get(kind, 0) + count)
-                for shard, kinds in record.get("rounds_by_shard",
-                                               {}).items():
-                    cell = summary.rounds_by_shard.setdefault(shard, {})
-                    for kind, count in kinds.items():
-                        cell[kind] = cell.get(kind, 0) + count
-                summary.response_sum += record["response"]
-                summary.propagation_sum += record["propagation"]
-                summary.transmission_sum += record["transmission"]
-                summary.server_queue_sum += record["server_queue"]
-                summary.client_think_sum += record["client_think"]
-                summary.slack_sum += record["slack"]
-                summary.lock_wait_sum += record["lock_wait"]
-                summary.commit_coord_sum += record["commit_coord"]
-                summary.abort_resolution_sum += record["abort_resolution"]
-                summary.overhead_sum += record["overhead"]
-            else:
-                summary.aborted += 1
-        return TraceData(events=self.events, txns=txns, probes=self.probes,
-                         summary=summary)
+        self.txns.tally(summary)
+        return TraceData(events=self.events, txns=self.txns,
+                         probes=self.probes, summary=summary)

@@ -18,6 +18,8 @@ from repro.network.presets import NetworkEnvironment
 from repro.network.reliable import ACK_SIZE, Reliable, ReliableAck
 from repro.network.topology import UniformTopology
 from repro.network.transport import Network
+from repro.obs.summary import NON_SEQUENTIAL_ROUND_KINDS
+from repro.obs.tracer import Tracer, _TxnAcc
 from repro.obs.rounds import round_table, run_worked_example
 from repro.perf.goldens import GOLDEN_CELLS
 from repro.protocols.registry import make_protocol
@@ -333,6 +335,128 @@ def write_jsonl_per_row(path, trace, config=None, seed=None):
             out.write(json.dumps({"type": "probe", "t": time,
                                   "name": name, "value": value}) + "\n")
     return path
+
+
+def _txn_record(acc, meta):
+    """A finished transaction's record, built from its accumulator and its
+    outcome ``meta`` as the tracer built every record before they went
+    into columns."""
+    sequential = sum(count for kind, count in acc.rounds.items()
+                     if kind not in NON_SEQUENTIAL_ROUND_KINDS)
+    explained = (acc.propagation + acc.transmission + acc.slack
+                 + acc.server_queue + acc.client_think)
+    record = {
+        "txn": acc.txn_id,
+        "client": acc.client_id,
+        "rounds": dict(acc.rounds),
+        "rounds_sequential": sequential,
+        "propagation": acc.propagation,
+        "transmission": acc.transmission,
+        "slack": acc.slack,
+        "server_queue": acc.server_queue,
+        "client_think": acc.client_think,
+        "commit_coord": acc.commit_coord,
+        "abort_resolution": acc.abort_resolution,
+        "overhead": acc.overhead,
+        "lock_wait": meta["response"] - explained - acc.overhead,
+    }
+    if acc.shard_rounds:
+        record["rounds_by_shard"] = {
+            shard: dict(kinds) for shard, kinds in acc.shard_rounds.items()}
+    record.update(meta)
+    return record
+
+
+class DictPathTracer(Tracer):
+    """The tracer as it kept transaction records before
+    :class:`repro.obs.tracer.TxnLog`: a finished transaction's
+    ``(accumulator, meta)`` pair in a dict by txn id (a late charge adds
+    to that accumulator, a second finish replaces the pair in place), a
+    :func:`_txn_record` dict per pair and per unfinished transaction, and
+    ``finish`` summing the records one by one. Reference implementation —
+    the oracle the columnar log must read back as, record for record,
+    with the same summary."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self._done = {}
+        self._closed = []
+
+    def _acc(self, txn_id):
+        acc = self._live.get(txn_id)
+        if acc is None:
+            done = self._done.get(txn_id)
+            if done is not None:
+                return done[0]
+            acc = self._live[txn_id] = _TxnAcc(txn_id)
+        return acc
+
+    def txn_finished(self, outcome, measured=True):
+        acc = self._live.pop(outcome.txn_id, None)
+        if acc is None:
+            acc = _TxnAcc(outcome.txn_id)
+        acc.client_id = outcome.client_id
+        self._done[outcome.txn_id] = (acc, {
+            "committed": outcome.committed,
+            "measured": measured,
+            "start": outcome.start_time,
+            "end": outcome.end_time,
+            "response": outcome.response_time,
+            "n_ops": outcome.n_ops,
+            "abort_reason": outcome.abort_reason,
+        })
+        self.row("txn.end", outcome.txn_id, outcome.client_id,
+                 outcome.committed, outcome.response_time)
+
+    def close(self):
+        now = self.sim.now
+        for acc in self._live.values():
+            begin = acc.begin
+            self._closed.append(_txn_record(acc, {
+                "committed": False,
+                "measured": False,
+                "unfinished": True,
+                "start": begin,
+                "end": now,
+                "response": now - begin if begin is not None else 0.0,
+                "n_ops": None,
+                "abort_reason": "unfinished",
+            }))
+        self._live.clear()
+        return self._closed
+
+    def finish(self, processed_events=0, peak_heap_depth=0):
+        trace = super().finish(processed_events, peak_heap_depth)
+        txns = [_txn_record(acc, meta) for acc, meta in self._done.values()]
+        txns.extend(self._closed)
+        summary = trace.summary
+        for record in txns:
+            if not record["measured"]:
+                continue
+            if record["committed"]:
+                summary.committed += 1
+                summary.rounds_total += record["rounds_sequential"]
+                for kind, count in record["rounds"].items():
+                    summary.rounds_by_kind[kind] = (
+                        summary.rounds_by_kind.get(kind, 0) + count)
+                for shard, kinds in record.get("rounds_by_shard",
+                                               {}).items():
+                    cell = summary.rounds_by_shard.setdefault(shard, {})
+                    for kind, count in kinds.items():
+                        cell[kind] = cell.get(kind, 0) + count
+                summary.response_sum += record["response"]
+                summary.propagation_sum += record["propagation"]
+                summary.transmission_sum += record["transmission"]
+                summary.server_queue_sum += record["server_queue"]
+                summary.client_think_sum += record["client_think"]
+                summary.slack_sum += record["slack"]
+                summary.lock_wait_sum += record["lock_wait"]
+                summary.commit_coord_sum += record["commit_coord"]
+                summary.abort_resolution_sum += record["abort_resolution"]
+                summary.overhead_sum += record["overhead"]
+            else:
+                summary.aborted += 1
+        return dataclasses.replace(trace, txns=txns)
 
 
 def _sample_items_by_sample(generator, rng, n_ops, pool=None):

@@ -96,6 +96,15 @@ def test_a_closed_loop_s2pl_run_loads_no_optional_layer():
     assert not modules & unused, sorted(modules & unused)
 
 
+def test_the_exporters_load_no_trace_layer():
+    # the ledger's child and the CLI import the exporters whatever they
+    # run; the trace's own modules come with a trace
+    modules = loaded_after("import repro.obs.export\n")
+    unused = {"repro.obs.tracer", "repro.obs.probes", "repro.obs.columns",
+              "repro.obs.schema", "repro.obs.summary"}
+    assert not modules & unused, sorted(modules & unused)
+
+
 def test_the_figure_sweep_maps_no_openssl():
     # what a serial sweep process loads: the report module, then a cell
     # (traced, so the tracer loads too) through the pool's serial path;

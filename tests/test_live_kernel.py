@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.live.clock import LiveKernel
+from repro.live.harness import DEFAULT_TIME_SCALE
 from repro.live.transport import LiveTransport
 from repro.network.topology import UniformTopology
 from repro.sim.engine import Simulator
@@ -222,8 +223,12 @@ def test_stop_interrupts_run():
 
 
 def test_two_kernels_interleave_in_one_loop():
-    """Two endpoints' kernels are just coroutines; they must co-run."""
-    a, b = LiveKernel(time_scale=0.001), LiveKernel(time_scale=0.001)
+    """Two endpoints' kernels are just coroutines; they must co-run. At
+    live mode's own time scale the entries are 20 ms apart: a host stall
+    of 1 ms (the gap at 0.001) let ``b`` fire ``b1`` and ``b3`` in one
+    turn."""
+    a = LiveKernel(time_scale=DEFAULT_TIME_SCALE)
+    b = LiveKernel(time_scale=DEFAULT_TIME_SCALE)
     log = []
     a.call_later(2.0, log.append, "a2")
     b.call_later(1.0, log.append, "b1")

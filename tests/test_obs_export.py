@@ -432,18 +432,28 @@ def test_a_misfit_turns_its_column_into_a_list_and_keeps_every_value(
 
 
 def test_a_column_stays_an_array_while_every_value_fits():
+    """An int column is as narrow as its values so far: its first batch
+    picks the narrowest signed typecode that holds it, and a later batch
+    that does not fit copies it into a wider one."""
     clock = _Clock()
     tracer = Tracer(clock)
+    first = None
     for index in range(SETTLED):
         clock.now = float(index)
-        tracer.row("fl.handoff", index, 2 ** 63 - 1, -2 ** 63)
+        tracer.row("fl.handoff", index // 16, 2 ** 63 - 1, -2 ** 63)
         tracer.row("txn.end", index, 1, True, index * 0.5)
+        if index == STAGE // 2:   # one batch settled: items 0 .. 127
+            first = [column.typecode
+                     for column in tracer.events.fields["fl.handoff"]]
     fields = tracer.finish().events.fields
+    assert first == ["d", "b", "q", "q"]
     assert [column.typecode for column in fields["fl.handoff"]] == [
-        "d", "q", "q", "q"]
+        "d", "h", "q", "q"]
+    assert list(fields["fl.handoff"][1]) == [
+        index // 16 for index in range(SETTLED)]
     times, txn, client, committed, response = fields["txn.end"]
     assert [times.typecode, txn.typecode, client.typecode,
-            response.typecode] == ["d", "q", "q", "d"]
+            response.typecode] == ["d", "h", "b", "d"]
     assert committed == [True] * SETTLED
 
 
@@ -507,14 +517,48 @@ def resident_bytes(log):
     return total
 
 
-def test_a_traced_run_keeps_under_48_bytes_an_event():
-    """The layout's price on a real run: a kind code, the clock reading and
-    8 bytes a number, plus a list slot for a string or a bool. Rows as
+def test_a_traced_run_keeps_under_22_bytes_an_event():
+    """The layout's price on a real run: a kind code, the clock reading,
+    8 bytes a float and 1 or 2 an int, plus a list slot for a string or a
+    bool: 21.25 bytes an event here, 39.88 with every int in 8. Rows as
     tuples of boxed values cost about 119 bytes each."""
     config, seed = golden_config("g2pl_traced")
     events = run_simulation(config, seed=seed).trace.events
     assert len(events) > 4_000 and not events.odd
-    assert resident_bytes(events) / len(events) < 48
+    assert resident_bytes(events) / len(events) < 22
+
+
+def txn_resident_bytes(log):
+    """What a :class:`~repro.obs.tracer.TxnLog` keeps for its regular
+    rows: its columns, each object in a list column once, its interned
+    ``rounds`` shapes and its txn-id index."""
+    seen = set()
+    total = sys.getsizeof(log._rows_by_id) + sys.getsizeof(log.shapes)
+    for column in log.columns:
+        total += sys.getsizeof(column)
+        if type(column) is list:
+            for value in column:
+                if id(value) not in seen:
+                    seen.add(id(value))
+                    total += sys.getsizeof(value)
+    for shape in log.shapes:
+        total += sys.getsizeof(shape) + sum(map(sys.getsizeof, shape))
+    return total
+
+
+def test_a_traced_run_keeps_under_240_bytes_a_transaction_record():
+    """A finished transaction's row: 8 bytes a float, 1 or 2 an int, a
+    list slot for each flag and its abort reason, and its share of the
+    interned ``rounds`` shapes (140 of them) and of the txn-id index:
+    233.9 bytes here. Rows as record dicts cost 887 bytes each."""
+    config = SimulationConfig(
+        protocol="g2pl", n_clients=50, n_items=25, read_probability=0.6,
+        network_latency=500.0, total_transactions=600,
+        warmup_transactions=60, record_history=False, trace=True)
+    txns = run_simulation(config, seed=3).trace.txns
+    rows = len(txns) - len(txns.odd)
+    assert rows == 600 and len(txns.shapes) > 100
+    assert txn_resident_bytes(txns) / rows < 240
 
 
 # -- the view -----------------------------------------------------------------
