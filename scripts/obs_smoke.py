@@ -3,11 +3,13 @@
 
 Two checks, artifacts under ``obs/``:
 
-1. **Traced sharded cells** (both protocols, 2PC + 2PC-opt): every
-   finished transaction's phase spans must sum exactly to its measured
-   response time and no phase may go negative (committed transactions
-   additionally require a non-negative lock-wait residual). Exports the
-   decomposition table and the per-transaction phase CSV.
+1. **Traced sharded cells** (both protocols, 2PC + 2PC-opt), each run
+   as ``repro-experiment run --trace --out obs/<cell>``: every measured
+   transaction's phase spans must sum exactly to its measured response
+   time and no phase may go negative (committed transactions
+   additionally require a non-negative lock-wait residual), or the
+   command exits 1. It prints the decomposition table and writes the
+   trace's exports, the per-transaction phase CSV among them.
 
 2. **Loopback live decompose** (both protocols, the calibrate-mode
    scenario): the live calibration replays one schedule in the simulator
@@ -34,16 +36,14 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
+from repro.cli import main as cli_main  # noqa: E402
 from repro.core.config import SimulationConfig  # noqa: E402
-from repro.core.runner import run_simulation  # noqa: E402
 from repro.live.harness import calibrate  # noqa: E402
 from repro.live.scenario import ScenarioSpec  # noqa: E402
-from repro.obs.decompose import decompose_records  # noqa: E402
 from repro.obs.export import (  # noqa: E402
     write_merged_chrome_trace,
     write_phases_csv,
 )
-from repro.obs.spans import check_records  # noqa: E402
 
 #: acceptance gate on the live network phase's relative disagreement
 NETWORK_TOLERANCE = 0.05
@@ -53,31 +53,16 @@ def sharded_cells(out_dir):
     failures = []
     for protocol in ("s2pl", "g2pl"):
         for commit in ("2pc", "2pc-opt"):
-            config = SimulationConfig(
-                protocol=protocol, n_clients=6, n_items=12,
-                n_shards=4, n_regions=2, intra_region_latency=1.0,
-                network_latency=100.0, cross_shard_probability=0.5,
-                commit_protocol=commit, total_transactions=120,
-                warmup_transactions=20, record_history=False,
-                trace=True)
-            result = run_simulation(config, seed=11)
-            finished = [r for r in result.trace.txns
-                        if not r.get("unfinished")]
-            violations = check_records(finished)
             name = f"{protocol}-{commit}"
-            decomposition = decompose_records(
-                [r for r in finished if r["measured"]], label=name)
-            print(decomposition.describe())
-            write_phases_csv(
-                os.path.join(out_dir, f"{name}.phases.csv"), finished)
-            if violations:
-                failures.append(f"{name}: {violations[0]} "
-                                f"(+{len(violations) - 1} more)")
-            coordinated = sum(1 for r in finished
-                              if r["commit_coord"] > 0.0)
-            print(f"  {name}: {len(finished)} txns, "
-                  f"{coordinated} paid 2PC wire, "
-                  f"{len(violations)} violations")
+            code = cli_main([
+                "run", "--trace", "--protocol", protocol, "--clients", "6",
+                "--items", "12", "--shards", "4", "--regions", "2",
+                "--intra-latency", "1", "--latency", "100",
+                "--cross-shard", "0.5", "--commit", commit,
+                "--transactions", "120", "--warmup", "20", "--seed", "11",
+                "--out", os.path.join(out_dir, name)])
+            if code != 0:
+                failures.append(f"{name}: `run --trace` exited {code}")
     return failures
 
 

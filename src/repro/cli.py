@@ -4,6 +4,7 @@ Installed as ``repro-experiment``. Examples::
 
     repro-experiment run --protocol g2pl --clients 50 --pr 0.25 \
         --latency 500 --transactions 1000
+    repro-experiment run --protocol s2pl --trace --out trace
     repro-experiment compare --pr 0.6 --latency 500
     repro-experiment figure 3
     repro-experiment figure 11 --fidelity smoke
@@ -109,8 +110,13 @@ def _cmd_run(args):
     if getattr(args, "jobs", 1) not in (None, 1):
         print("note: a single simulation always runs serially; "
               "--jobs applies to compare/figure sweeps", file=sys.stderr)
-    result = _profiled(args, args.protocol,
-                       lambda: run_simulation(args.config))
+    config = args.config
+    if args.out and config.probe_interval is None:
+        # Without an explicit interval, sample roughly once per round trip
+        # so the probe CSV is never empty.
+        config = config.replace(
+            probe_interval=max(2.0 * config.network_latency, 1.0))
+    result = _profiled(args, args.protocol, lambda: run_simulation(config))
     print(result.summary())
     print(f"  duration: {result.duration:,.0f} time units, "
           f"throughput: {result.throughput:.5f} txn/unit")
@@ -122,9 +128,42 @@ def _cmd_run(args):
               f"{result.metrics.p50_response_time:,.1f} / "
               f"{result.metrics.p95_response_time:,.1f} / "
               f"{result.metrics.p99_response_time:,.1f}")
-    if result.trace is not None:
-        print(result.trace.summary.describe())
-    return 0
+    if result.trace is None:
+        return 0
+    return _report_trace(result, config, args.out)
+
+
+def _report_trace(result, config, prefix):
+    """Print a traced run's summary and its phase table, and write its
+    exports under ``prefix`` when there is one; 1 when a transaction's
+    phases do not sum to its response."""
+    from repro.obs.decompose import decompose_records
+
+    trace = result.trace
+    records = [record for record in trace.txns if record["measured"]]
+    decomposition = decompose_records(
+        records, label=f"{config.protocol} seed {result.seed}")
+    print(trace.summary.describe())
+    print(decomposition.describe())
+    if prefix:
+        from repro.obs.export import (
+            write_chrome_trace,
+            write_jsonl,
+            write_phases_csv,
+            write_probes_csv,
+        )
+
+        jsonl = write_jsonl(f"{prefix}.jsonl", trace, config=config,
+                            seed=result.seed)
+        chrome = write_chrome_trace(f"{prefix}.chrome.json", trace)
+        probes = write_probes_csv(f"{prefix}.metrics.csv", trace)
+        phases = write_phases_csv(f"{prefix}.phases.csv", records)
+        print(f"wrote {jsonl} ({len(trace.events)} events, "
+              f"{len(trace.txns)} txn records)")
+        print(f"wrote {chrome} (open in Perfetto / chrome://tracing)")
+        print(f"wrote {probes} ({len(trace.probes)} probe samples)")
+        print(f"wrote {phases} ({len(records)} measured txns)")
+    return 1 if _violated(decomposition.violations) else 0
 
 
 def _cmd_compare(args):
@@ -149,37 +188,6 @@ def _cmd_compare(args):
     return 0
 
 
-def _cmd_trace(args):
-    from repro.obs.export import (
-        write_chrome_trace,
-        write_jsonl,
-        write_probes_csv,
-    )
-
-    config = args.config
-    if config.probe_interval is None:
-        # Without an explicit interval, sample roughly once per round trip
-        # so the probe CSV is never empty.
-        config = config.replace(
-            probe_interval=max(2.0 * config.network_latency, 1.0))
-    result = run_simulation(config)
-    trace = result.trace
-    prefix = args.out
-    jsonl = f"{prefix}.jsonl"
-    chrome = f"{prefix}.chrome.json"
-    csv_path = f"{prefix}.metrics.csv"
-    write_jsonl(jsonl, trace, config=config, seed=result.seed)
-    write_chrome_trace(chrome, trace)
-    write_probes_csv(csv_path, trace)
-    print(result.summary())
-    print(trace.summary.describe())
-    print(f"wrote {jsonl} ({len(trace.events)} events, "
-          f"{len(trace.txns)} txn records)")
-    print(f"wrote {chrome} (open in Perfetto / chrome://tracing)")
-    print(f"wrote {csv_path} ({len(trace.probes)} probe samples)")
-    return 0
-
-
 def _violated(violations):
     """Name the first decomposition invariant violation on stderr; true
     when there was one (the verb then exits 1)."""
@@ -187,24 +195,6 @@ def _violated(violations):
         print(f"decomposition invariant violated ({len(violations)}): "
               f"{violations[0]}", file=sys.stderr)
     return bool(violations)
-
-
-def _cmd_decompose(args):
-    from repro.obs.decompose import decompose_records
-    from repro.obs.export import write_phases_csv
-
-    result = run_simulation(args.config)
-    records = [record for record in result.trace.txns
-               if record["measured"]]
-    decomposition = decompose_records(
-        records, label=f"{args.protocol} seed {result.seed}")
-    print(result.summary())
-    print(decomposition.describe())
-    if args.out:
-        csv_path = f"{args.out}.phases.csv"
-        write_phases_csv(csv_path, records)
-        print(f"wrote {csv_path}")
-    return 1 if _violated(decomposition.violations) else 0
 
 
 def _cmd_report(args):
@@ -395,6 +385,11 @@ def build_parser():
     run_parser.add_argument("--profile", action="store_true",
                             help="wrap the run in cProfile and write "
                                  "profile_<protocol>.pstats")
+    run_parser.add_argument("--out", default=None, metavar="PREFIX",
+                            help="with --trace: write PREFIX.jsonl, "
+                                 ".chrome.json, .metrics.csv (probes, one "
+                                 "round trip apart unless "
+                                 "--probe-interval) and .phases.csv")
     _add_workload_args(run_parser)
     _add_jobs_arg(run_parser)
     run_parser.set_defaults(func=_cmd_run)
@@ -422,27 +417,6 @@ def build_parser():
                                choices=[f.label for f in Fidelity])
     _add_jobs_arg(figure_parser)
     figure_parser.set_defaults(func=_cmd_figure)
-
-    trace_parser = sub.add_parser(
-        "trace", help="run one traced simulation and export the trace "
-                      "(JSONL + Chrome trace-event + probe CSV)")
-    trace_parser.add_argument("--protocol", default="g2pl",
-                              choices=available_protocols())
-    trace_parser.add_argument("--out", default="trace", metavar="PREFIX",
-                              help="output path prefix (default: trace)")
-    _add_workload_args(trace_parser)
-    trace_parser.set_defaults(func=_cmd_trace, trace=True)
-
-    decompose_parser = sub.add_parser(
-        "decompose", help="per-phase response-time decomposition of one "
-                          "traced run (the live verb prints the "
-                          "sim-vs-live divergence)")
-    decompose_parser.add_argument("--protocol", default="g2pl",
-                                  choices=available_protocols())
-    decompose_parser.add_argument("--out", default=None, metavar="PREFIX",
-                                  help="also write PREFIX.phases.csv")
-    _add_workload_args(decompose_parser)
-    decompose_parser.set_defaults(func=_cmd_decompose, trace=True)
 
     report_parser = sub.add_parser(
         "report", help="regenerate the full reproduction report "
@@ -507,6 +481,9 @@ def main(argv=None):
                 args.config.replace(protocol=protocol)
         except ValueError as exc:
             parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
+        if args.command == "run" and args.out and not args.config.trace:
+            parser.exit(2, f"{parser.prog} run: error: --out writes a "
+                           f"trace's exports; it needs --trace\n")
     return args.func(args)
 
 

@@ -19,16 +19,9 @@ same transaction.
 import json
 
 from repro.locking.modes import LockMode
+from repro.obs.schema import COMPONENTS, RESIDUAL, SUB_ACCOUNTS
 from repro.obs.summary import NON_SEQUENTIAL_ROUND_KINDS
 from repro.validate.history import HistoryRecorder
-
-#: wire-accounting component keys merged additively across endpoints
-_COMPONENT_KEYS = ("propagation", "transmission", "slack", "server_queue",
-                   "client_think")
-
-#: phase sub-accounts (see :mod:`repro.obs.spans`), also summed across
-#: endpoints; absent from pre-phase payloads, so merged with a 0 default
-_PHASE_KEYS = ("commit_coord", "abort_resolution", "overhead")
 
 
 def endpoint_payload(endpoint):
@@ -121,10 +114,7 @@ class MergedRun:
                 if txn in self.records:
                     raise ValueError(
                         f"txn {txn} finished on two endpoints")
-                merged = dict(record, rounds=dict(record["rounds"]))
-                for key in _PHASE_KEYS:
-                    merged.setdefault(key, 0.0)
-                self.records[txn] = merged
+                self.records[txn] = dict(record, rounds=dict(record["rounds"]))
         # History accesses in global time order — the order the simulator
         # would have appended them in a single-recorder run.
         accesses.sort(key=lambda a: (a[4], a[0], a[1]))
@@ -141,17 +131,15 @@ class MergedRun:
                 rounds = record["rounds"]
                 for kind, count in partial["rounds"].items():
                     rounds[kind] = rounds.get(kind, 0) + count
-                for key in _COMPONENT_KEYS:
+                for key in COMPONENTS + SUB_ACCOUNTS:
                     record[key] += partial[key]
-                for key in _PHASE_KEYS:
-                    record[key] += partial.get(key, 0.0)
         for record in self.records.values():
             record["rounds_sequential"] = sum(
                 count for kind, count in record["rounds"].items()
                 if kind not in NON_SEQUENTIAL_ROUND_KINDS)
-            explained = sum(record[key] for key in _COMPONENT_KEYS)
-            record["lock_wait"] = (record["response"] - explained
-                                   - record["overhead"])
+            explained = sum(record[key] for key in COMPONENTS)
+            record[RESIDUAL] = (record["response"] - explained
+                                - record["overhead"])
         self._enforce_span_invariant()
 
     def _enforce_span_invariant(self):

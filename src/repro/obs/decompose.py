@@ -21,7 +21,8 @@ in *both* worlds: ``calibrate(spec).divergence``.
 
 from dataclasses import dataclass, field
 
-from repro.obs.spans import PHASES, PhaseAccumulator, check_record
+from repro.obs.schema import PHASES
+from repro.obs.spans import PhaseAccumulator, check_record
 
 
 @dataclass

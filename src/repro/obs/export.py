@@ -44,8 +44,6 @@ from json.encoder import encode_basestring_ascii
 from math import isfinite
 from operator import itemgetter
 
-from repro.obs.spans import PHASE_COLORS, PHASES, phase_view
-
 #: lines formatted per ``write``; see the module docstring
 _BLOCK = 256
 #: template variants kept per shape (a slot with more distinct values is
@@ -61,9 +59,14 @@ _BAKED_TYPES = {str, bool, type(None)}
 
 
 def _summary_dict(summary):
+    """The summary as the header holds it: each of its ``sums`` as a key
+    of its own, ``<name>_sum``."""
     if summary is None:
         return None
-    return dataclasses.asdict(summary)
+    fields = dataclasses.asdict(summary)
+    sums = fields.pop("sums")
+    fields.update((f"{name}_sum", total) for name, total in sums.items())
+    return fields
 
 
 def _json_value(value):
@@ -361,6 +364,9 @@ def _phase_slices(record, pid, tid):
     invariant). Child slices carry ``cat: "phase"`` so span-counting
     consumers filtering on ``cat: "txn"`` are unaffected.
     """
+    from repro.obs.schema import PHASE_COLORS
+    from repro.obs.spans import phase_view
+
     slices = []
     cursor = record["start"]
     for name, value in phase_view(record).items():
@@ -379,6 +385,8 @@ def _phase_slices(record, pid, tid):
 def write_chrome_trace(path, trace):
     """Chrome trace-event format: transaction spans per client, message
     flights per link, counter tracks for probes, instants for the rest."""
+    from repro.obs.schema import SPAN_ARGS
+
     out = [
         {"ph": "M", "name": "process_name", "pid": _PID_CLIENTS, "tid": 0,
          "args": {"name": "clients (transactions)"}},
@@ -401,9 +409,7 @@ def write_chrome_trace(path, trace):
             "name": f"txn {record['txn']} ({label})",
             "args": {"rounds_sequential": record["rounds_sequential"],
                      "rounds": record["rounds"],
-                     "lock_wait": record["lock_wait"],
-                     "propagation": record["propagation"],
-                     "client_think": record["client_think"]},
+                     **{name: record[name] for name in SPAN_ARGS}},
         })
         out.extend(_phase_slices(record, _PID_CLIENTS, tid))
     link_tids = {}
@@ -452,6 +458,9 @@ def write_probes_csv(path, trace):
 def write_phases_csv(path, records):
     """Per-transaction phase decomposition as CSV, one row per txn
     (numbers by ``repr``, so a row read back still sums to its response)."""
+    from repro.obs.schema import PHASES
+    from repro.obs.spans import phase_view
+
     with open(path, "w", encoding="utf-8") as out:
         out.write("txn,client,committed,response,"
                   + ",".join(PHASES) + "\n")
@@ -475,6 +484,8 @@ def write_merged_chrome_trace(path, payloads):
     ``probes`` entries exist when the run's spec set ``trace_export``.
     JSON round-trips tuples as lists, so both shapes are accepted.
     """
+    from repro.obs.schema import SPAN_ARGS
+
     out = []
     for index, payload in enumerate(sorted(payloads,
                                            key=lambda p: p["site"])):
@@ -492,8 +503,8 @@ def write_merged_chrome_trace(path, payloads):
                 "dur": max(record["response"], 0.0),
                 "name": f"txn {record['txn']} ({label})",
                 "args": {"rounds": record["rounds"],
-                         "lock_wait": record["lock_wait"],
-                         "overhead": record.get("overhead", 0.0)},
+                         **{name: record[name] for name in SPAN_ARGS},
+                         "overhead": record["overhead"]},
             })
             out.extend(_phase_slices(record, pid, 0))
         for event in payload.get("trace_events", []):

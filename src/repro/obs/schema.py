@@ -50,14 +50,45 @@ EVENT_SCHEMA = {
     "hybrid.switch": ("item", "mode", "epoch", "score"),
 }
 
-#: a finished transaction's record, its keys in order: the one place that
-#: names them. A sharded record carries ``rounds_by_shard`` after
-#: ``lock_wait``; an unfinished one (see ``Tracer.close``) carries
-#: ``unfinished`` after ``measured``.
+#: A transaction's response, accounted: the one place that names the
+#: parts. Its time on the wire (``WIRE``) and its client's think time are
+#: the additive ``COMPONENTS``. The ``SUB_ACCOUNTS`` name time within or
+#: beside them: ``commit_coord`` and ``abort_resolution`` re-attribute
+#: wire flights of 2PC coordination and of abort resolution, and
+#: ``overhead`` is live-only process time outside the components. The
+#: ``RESIDUAL`` is what is left of the response: time blocked on other
+#: transactions' locks.
+WIRE = ("propagation", "transmission", "slack")
+COMPONENTS = (*WIRE, "client_think")
+SUB_ACCOUNTS = ("commit_coord", "abort_resolution", "overhead")
+RESIDUAL = "lock_wait"
+#: a record's account keys, in record order (each summed by
+#: :class:`~repro.obs.summary.TraceSummary`)
+ACCOUNT = (*COMPONENTS, *SUB_ACCOUNTS, RESIDUAL)
+
+#: the phases (:mod:`repro.obs.spans`), disjoint and summing exactly to
+#: the response: ``network`` is the wire time left after the two carved
+#: sub-accounts, each other phase its account key. Their Chrome
+#: trace-viewer reserved color names (Perfetto palette), in report order.
+PHASE_COLORS = {
+    "network": "thread_state_running",          # green
+    "client_think": "rail_idle",                # pale
+    "commit_coord": "thread_state_iowait",      # orange
+    "abort_resolution": "terrible",             # red
+    "overhead": "bad",                          # amber
+    "lock_wait": "grey",
+}
+PHASES = tuple(PHASE_COLORS)
+
+#: what a transaction's Chrome-trace span carries in its args besides its
+#: rounds (its phases are the slices nested under it)
+SPAN_ARGS = (RESIDUAL, "propagation", "client_think")
+
+#: a finished transaction's record, its keys in order. A sharded record
+#: carries ``rounds_by_shard`` after ``lock_wait``; an unfinished one (see
+#: ``Tracer.close``) carries ``unfinished`` after ``measured``.
 TXN_RECORD_FIELDS = (
-    "txn", "client", "rounds", "rounds_sequential",
-    "propagation", "transmission", "slack", "server_queue", "client_think",
-    "commit_coord", "abort_resolution", "overhead", "lock_wait",
+    "txn", "client", "rounds", "rounds_sequential", *ACCOUNT,
     "committed", "measured", "start", "end", "response", "n_ops",
     "abort_reason",
 )

@@ -1,16 +1,16 @@
 """Per-transaction phase spans and the decomposition exactness invariant.
 
-A traced transaction record (see :data:`repro.obs.schema.TXN_RECORD_FIELDS`)
-carries additive *components* (propagation, transmission, slack,
-server_queue, client_think) plus phase sub-accounts (commit_coord,
-abort_resolution — wire time re-attributed from the components — and
-overhead, live-only time outside them) and a residual lock_wait. This
-module regroups those into a disjoint **phase view**: named spans that are
-non-overlapping by construction and sum *exactly* to the measured response
-time::
+A traced transaction record carries the account declared in
+:mod:`repro.obs.schema`: the additive components (propagation,
+transmission and slack on the wire, and client_think), the phase
+sub-accounts (commit_coord and abort_resolution, wire time re-attributed
+from the components, and overhead, live-only time outside them) and the
+residual lock_wait. This module regroups those into a disjoint **phase
+view**: named spans that are non-overlapping by construction and sum
+*exactly* to the measured response time::
 
-    response = network + server_queue + client_think
-             + commit_coord + abort_resolution + overhead + lock_wait
+    response = network + client_think + commit_coord + abort_resolution
+             + overhead + lock_wait
 
 where ``network = propagation + transmission + slack - commit_coord -
 abort_resolution`` (generic wire time after carving out the flights that
@@ -28,24 +28,12 @@ switching away from exact per-transaction lists above the same
 """
 
 import random
+from functools import reduce
+from operator import add
 
+from repro.obs.schema import PHASES, WIRE
 from repro.stats import RESERVOIR_CAPACITY, STREAMING_THRESHOLD
 from repro.stats.streaming import ReservoirSampler, Welford, linear_percentile
-
-#: phase names in report order; disjoint, summing exactly to response time
-PHASES = ("network", "server_queue", "client_think", "commit_coord",
-          "abort_resolution", "overhead", "lock_wait")
-
-#: Chrome trace-viewer reserved color names per phase (Perfetto palette)
-PHASE_COLORS = {
-    "network": "thread_state_running",          # green
-    "server_queue": "thread_state_runnable",    # blue-grey
-    "client_think": "rail_idle",                # pale
-    "commit_coord": "thread_state_iowait",      # orange
-    "abort_resolution": "terrible",             # red
-    "overhead": "bad",                          # amber
-    "lock_wait": "grey",
-}
 
 #: default tolerance for the sum invariant: absolute floor plus a
 #: relative term for long responses (float addition error only — every
@@ -60,24 +48,14 @@ def tolerance(response):
 
 
 def phase_view(record):
-    """The disjoint phase spans of one transaction record.
-
-    Tolerates records that predate the phase sub-accounts (old JSONL
-    exports, synthetic fixtures) by treating missing sub-accounts as zero,
-    which degrades gracefully: everything lands in ``network``.
-    """
-    commit = record.get("commit_coord", 0.0)
-    abort = record.get("abort_resolution", 0.0)
-    wire = record["propagation"] + record["transmission"] + record["slack"]
-    return {
-        "network": wire - commit - abort,
-        "server_queue": record["server_queue"],
-        "client_think": record["client_think"],
-        "commit_coord": commit,
-        "abort_resolution": abort,
-        "overhead": record.get("overhead", 0.0),
-        "lock_wait": record["lock_wait"],
-    }
+    """The disjoint phase spans of one transaction record (or of any
+    mapping with its account keys, such as a summary's sums)."""
+    wire = reduce(add, map(record.__getitem__, WIRE))
+    view = {"network": wire - record["commit_coord"]
+            - record["abort_resolution"]}
+    for name in PHASES[1:]:
+        view[name] = record[name]
+    return view
 
 
 def sum_violation(record):

@@ -13,6 +13,8 @@ next to in a report.
 
 from dataclasses import dataclass, field
 
+from repro.obs.schema import ACCOUNT, COMPONENTS, RESIDUAL
+
 #: round kinds excluded from the sequential-round total: the MR1W
 #: concurrent writer ship overlaps the read group's rounds instead of
 #: following them, so it adds messages but no response-time rounds.
@@ -21,10 +23,6 @@ from dataclasses import dataclass, field
 #: replies travel in parallel with it.
 NON_SEQUENTIAL_ROUND_KINDS = frozenset(
     {"grant_concurrent", "vote_concurrent", "commit_ack_concurrent"})
-
-#: response-time components, in the order reports print them
-COMPONENTS = ("propagation", "transmission", "server_queue",
-              "client_think", "slack", "lock_wait")
 
 
 def _merge_counts(into, other):
@@ -47,18 +45,11 @@ class TraceSummary:
     #: empty for single-server runs, keeping their summaries unchanged
     rounds_by_shard: dict = field(default_factory=dict)
     response_sum: float = 0.0
-    propagation_sum: float = 0.0
-    transmission_sum: float = 0.0
-    server_queue_sum: float = 0.0
-    client_think_sum: float = 0.0
-    slack_sum: float = 0.0
-    lock_wait_sum: float = 0.0
-    #: phase sub-accounts (see repro.obs.spans): commit_coord and
-    #: abort_resolution re-attribute wire time already counted in the
-    #: component sums above; overhead is live-only time *outside* them.
-    commit_coord_sum: float = 0.0
-    abort_resolution_sum: float = 0.0
-    overhead_sum: float = 0.0
+    #: account key (:data:`~repro.obs.schema.ACCOUNT`) -> its sum over
+    #: committed measured txns. The sub-accounts ``commit_coord`` and
+    #: ``abort_resolution`` re-attribute wire time already counted in the
+    #: components; ``overhead`` is live-only time *outside* them.
+    sums: dict = field(default_factory=lambda: dict.fromkeys(ACCOUNT, 0.0))
     messages_sent: int = 0
     msgs_by_kind: dict = field(default_factory=dict)
     drops_by_cause: dict = field(default_factory=dict)
@@ -86,15 +77,10 @@ class TraceSummary:
         return self.response_sum / self.committed
 
     def component_sums(self):
-        """Response-time decomposition, same order as ``COMPONENTS``."""
-        return {
-            "propagation": self.propagation_sum,
-            "transmission": self.transmission_sum,
-            "server_queue": self.server_queue_sum,
-            "client_think": self.client_think_sum,
-            "slack": self.slack_sum,
-            "lock_wait": self.lock_wait_sum,
-        }
+        """Response-time decomposition: the components, then the
+        residual."""
+        sums = self.sums
+        return {name: sums[name] for name in (*COMPONENTS, RESIDUAL)}
 
     def component_fractions(self):
         """Each component as a fraction of summed response time."""
@@ -106,21 +92,11 @@ class TraceSummary:
 
     def phase_sums(self):
         """Named-phase decomposition (see :mod:`repro.obs.spans`): the
-        component sums regrouped so every phase is disjoint and the
-        phases sum to ``response_sum`` exactly. ``network`` is the
-        generic wire time left after carving out the 2PC-coordination
-        and abort-resolution flights."""
-        wire = self.propagation_sum + self.transmission_sum + self.slack_sum
-        return {
-            "network": wire - self.commit_coord_sum
-                       - self.abort_resolution_sum,
-            "server_queue": self.server_queue_sum,
-            "client_think": self.client_think_sum,
-            "commit_coord": self.commit_coord_sum,
-            "abort_resolution": self.abort_resolution_sum,
-            "overhead": self.overhead_sum,
-            "lock_wait": self.lock_wait_sum,
-        }
+        account sums regrouped so every phase is disjoint and the phases
+        sum to ``response_sum`` exactly."""
+        from repro.obs.spans import phase_view
+
+        return phase_view(self.sums)
 
     def describe(self):
         """Multi-line human summary, used by the CLI."""
@@ -170,15 +146,8 @@ class TraceSummary:
                 _merge_counts(
                     out.rounds_by_shard.setdefault(shard, {}), kinds)
             out.response_sum += s.response_sum
-            out.propagation_sum += s.propagation_sum
-            out.transmission_sum += s.transmission_sum
-            out.server_queue_sum += s.server_queue_sum
-            out.client_think_sum += s.client_think_sum
-            out.slack_sum += s.slack_sum
-            out.lock_wait_sum += s.lock_wait_sum
-            out.commit_coord_sum += s.commit_coord_sum
-            out.abort_resolution_sum += s.abort_resolution_sum
-            out.overhead_sum += s.overhead_sum
+            for name, value in s.sums.items():
+                out.sums[name] += value
             out.messages_sent += s.messages_sent
             _merge_counts(out.msgs_by_kind, s.msgs_by_kind)
             _merge_counts(out.drops_by_cause, s.drops_by_cause)

@@ -16,10 +16,11 @@ Three kinds of records are captured:
   ``(sim_time, kind, fields)`` triples. See :mod:`repro.obs.schema`.
 * **transactions** — per-transaction latency-round accounting: the count
   of *sequential message rounds* a transaction's busy period contributed
-  (the paper's 3m vs 2m+1 arithmetic) and a decomposition of its response
-  time into propagation, transmission, server-queueing, client-processing
-  (think), delivery slack (jitter / FIFO clamping), and residual lock
-  wait.
+  (the paper's 3m vs 2m+1 arithmetic) and the account of its response
+  time declared in :mod:`repro.obs.schema`: propagation, transmission,
+  delivery slack (jitter / FIFO clamping) and client think time, the
+  2PC-coordination, abort-resolution and live-overhead sub-accounts, and
+  the residual lock wait.
 * **probes** — periodic gauge samples, one ``(sim_time, v0, ..., vn)``
   tick per interval taken by :class:`~repro.obs.probes.ProbeSampler` and
   kept column-wise; :class:`~repro.obs.probes.ProbeLog` reads them back
@@ -45,7 +46,7 @@ remains for kinds the schema does not declare.
 A finished transaction's record goes the same way: :class:`TxnLog`
 keeps it as a row of typed columns, its ``rounds`` table as a code into
 the run's distinct tables, and reads the rows back as the record dicts
-it replaced — 179 B a record on ``traced_g2pl``, where a dict with its
+it replaced — 171 B a record on ``traced_g2pl``, where a dict with its
 values cost 889 B. :meth:`Tracer.finish` hands the same logs to
 :class:`TraceData`; nothing is copied.
 
@@ -79,7 +80,14 @@ from operator import add, attrgetter, truth
 
 from repro.obs.columns import STAGE, extend, put
 from repro.obs.probes import ProbeLog
-from repro.obs.schema import EVENT_SCHEMA, TXN_RECORD_FIELDS
+from repro.obs.schema import (
+    ACCOUNT,
+    COMPONENTS,
+    EVENT_SCHEMA,
+    RESIDUAL,
+    SUB_ACCOUNTS,
+    TXN_RECORD_FIELDS,
+)
 from repro.obs.summary import NON_SEQUENTIAL_ROUND_KINDS, TraceSummary
 
 
@@ -89,21 +97,15 @@ RESERVED_FIELDS = ("type", "t", "kind")
 #: finished transactions a :class:`TxnLog` stages before it settles them
 STAGE_TXNS = 64
 
-#: what a transaction's charges add up in: the record keys between its
-#: round counts and its ``lock_wait`` residual
-_SUMS = TXN_RECORD_FIELDS[TXN_RECORD_FIELDS.index("rounds_sequential") + 1:
-                          TXN_RECORD_FIELDS.index("lock_wait")]
+#: what a transaction's charges add up in: its account but the residual
+_SUMS = COMPONENTS + SUB_ACCOUNTS
 _sums_of = attrgetter(*_SUMS)
-
-#: the record keys :class:`~repro.obs.summary.TraceSummary` sums
-_SUMMED = tuple(name[:-len("_sum")]
-                for name in TraceSummary.__dataclass_fields__
-                if name.endswith("_sum"))
+_components_of = attrgetter(*COMPONENTS)
 
 #: the outcome's keys, after the residual: the rest of a record's are
-#: ``txn``, ``client``, ``rounds``, ``rounds_sequential``, the sums and
-#: ``lock_wait``, in that order (:meth:`TxnLog._row` builds them so)
-_OUTCOME = TXN_RECORD_FIELDS[TXN_RECORD_FIELDS.index("lock_wait") + 1:]
+#: ``txn``, ``client``, ``rounds``, ``rounds_sequential`` and the account,
+#: in that order (:meth:`TxnLog._row` builds them so)
+_OUTCOME = TXN_RECORD_FIELDS[TXN_RECORD_FIELDS.index(RESIDUAL) + 1:]
 
 _ROUNDS = TXN_RECORD_FIELDS.index("rounds")
 
@@ -290,19 +292,8 @@ class _TxnAcc:
         self.begin = None
         self.rounds = {}
         self.shard_rounds = None  # {shard: {kind: count}} (sharded runs)
-        self.propagation = 0.0
-        self.transmission = 0.0
-        self.slack = 0.0
-        self.server_queue = 0.0
-        self.client_think = 0.0
-        # phase sub-accounts: wire time already counted in the components
-        # above but attributable to a named phase (2PC coordination,
-        # deadlock/abort resolution), plus live-only process overhead
-        # (receiver-side excess over the shaped delivery time) which is
-        # *not* part of the wire components.
-        self.commit_coord = 0.0
-        self.abort_resolution = 0.0
-        self.overhead = 0.0
+        for name in _SUMS:
+            setattr(self, name, 0.0)
 
     @classmethod
     def of(cls, record):
@@ -327,9 +318,7 @@ def _sequential(rounds):
 def _lock_wait(acc, response):
     """The residual of ``response``: time blocked on other transactions'
     locks."""
-    explained = (acc.propagation + acc.transmission + acc.slack
-                 + acc.server_queue + acc.client_think)
-    return response - explained - acc.overhead
+    return response - reduce(add, _components_of(acc)) - acc.overhead
 
 
 def _record(acc, meta):
@@ -341,11 +330,8 @@ def _record(acc, meta):
         "rounds": dict(acc.rounds),
         "rounds_sequential": _sequential(acc.rounds.items()),
     }
-    # phase sub-accounts (see repro.obs.spans): commit_coord and
-    # abort_resolution re-attribute wire time already inside the
-    # components; overhead is live-only extra time.
     record.update(zip(_SUMS, _sums_of(acc)))
-    record["lock_wait"] = _lock_wait(acc, meta["response"])
+    record[RESIDUAL] = _lock_wait(acc, meta["response"])
     if acc.shard_rounds:
         record["rounds_by_shard"] = {
             shard: dict(kinds) for shard, kinds in acc.shard_rounds.items()}
@@ -544,10 +530,11 @@ class TxnLog:
         for code, times in Counter(compress(column["rounds"], won)).items():
             for kind, count in self.shapes[code]:
                 by_kind[kind] = by_kind.get(kind, 0) + count * times
-        for name in _SUMMED:
-            total = f"{name}_sum"
-            setattr(summary, total, reduce(
-                add, compress(column[name], won), getattr(summary, total)))
+        summary.response_sum = reduce(add, compress(column["response"], won),
+                                      summary.response_sum)
+        sums = summary.sums
+        for name in ACCOUNT:
+            sums[name] = reduce(add, compress(column[name], won), sums[name])
 
     def __len__(self):
         return self.settled + len(self.staged)
@@ -596,9 +583,10 @@ def _tally(summary, record):
         cell = summary.rounds_by_shard.setdefault(shard, {})
         for kind, count in kinds.items():
             cell[kind] = cell.get(kind, 0) + count
-    for name in _SUMMED:
-        total = f"{name}_sum"
-        setattr(summary, total, getattr(summary, total) + record[name])
+    summary.response_sum += record["response"]
+    sums = summary.sums
+    for name in ACCOUNT:
+        sums[name] += record[name]
 
 
 @dataclass

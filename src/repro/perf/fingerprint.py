@@ -74,12 +74,9 @@ def _summary_fingerprint(summary):
         "rounds_total": summary.rounds_total,
         "rounds_by_kind": _canon(summary.rounds_by_kind),
         "response_sum": _canon(summary.response_sum),
-        "propagation_sum": _canon(summary.propagation_sum),
-        "transmission_sum": _canon(summary.transmission_sum),
-        "server_queue_sum": _canon(summary.server_queue_sum),
-        "client_think_sum": _canon(summary.client_think_sum),
-        "slack_sum": _canon(summary.slack_sum),
-        "lock_wait_sum": _canon(summary.lock_wait_sum),
+        # the components and the residual; not the sub-accounts
+        **{f"{name}_sum": _canon(value)
+           for name, value in summary.component_sums().items()},
         "messages_sent": summary.messages_sent,
         "msgs_by_kind": _canon(summary.msgs_by_kind),
         "drops_by_cause": _canon(summary.drops_by_cause),

@@ -317,11 +317,16 @@ def write_jsonl_per_row(path, trace, config=None, seed=None):
     """The JSONL writer as it was before the compiled one: a dict and a
     ``json.dumps`` per row. Reference implementation — the oracle
     :func:`repro.obs.export.write_jsonl` must match byte for byte."""
+    summary = None
+    if trace.summary is not None:
+        # each of the summary's sums is a header key, <name>_sum
+        summary = dataclasses.asdict(trace.summary)
+        sums = summary.pop("sums")
+        summary.update((f"{name}_sum", value) for name, value in sums.items())
     with open(path, "w", encoding="utf-8") as out:
         header = {"type": "header", "seed": seed,
                   "config": config.describe() if config is not None else None,
-                  "summary": (dataclasses.asdict(trace.summary)
-                              if trace.summary is not None else None)}
+                  "summary": summary}
         out.write(json.dumps(header) + "\n")
         for time, kind, fields in trace.events:
             row = {"type": "event", "t": time, "kind": kind}
@@ -344,7 +349,7 @@ def _txn_record(acc, meta):
     sequential = sum(count for kind, count in acc.rounds.items()
                      if kind not in NON_SEQUENTIAL_ROUND_KINDS)
     explained = (acc.propagation + acc.transmission + acc.slack
-                 + acc.server_queue + acc.client_think)
+                 + acc.client_think)
     record = {
         "txn": acc.txn_id,
         "client": acc.client_id,
@@ -353,7 +358,6 @@ def _txn_record(acc, meta):
         "propagation": acc.propagation,
         "transmission": acc.transmission,
         "slack": acc.slack,
-        "server_queue": acc.server_queue,
         "client_think": acc.client_think,
         "commit_coord": acc.commit_coord,
         "abort_resolution": acc.abort_resolution,
@@ -365,6 +369,51 @@ def _txn_record(acc, meta):
             shard: dict(kinds) for shard, kinds in acc.shard_rounds.items()}
     record.update(meta)
     return record
+
+
+def account_record(txn=1, response=100.0, propagation=40.0,
+                   transmission=5.0, slack=1.0, client_think=20.0,
+                   commit_coord=10.0, abort_resolution=0.0, overhead=0.0,
+                   committed=True, rounds=None):
+    """A synthetic finished, measured transaction record with every key a
+    traced one has, its ``lock_wait`` the residual."""
+    rounds = rounds or {}
+    explained = propagation + transmission + slack + client_think
+    return {
+        "txn": txn, "client": 1, "rounds": rounds,
+        "rounds_sequential": sum(rounds.values()),
+        "propagation": propagation, "transmission": transmission,
+        "slack": slack, "client_think": client_think,
+        "commit_coord": commit_coord, "abort_resolution": abort_resolution,
+        "overhead": overhead, "lock_wait": response - explained - overhead,
+        "committed": committed, "measured": True, "start": 0.0,
+        "end": response, "response": response, "n_ops": 1,
+        "abort_reason": None,
+    }
+
+
+def partial_record(txn, rounds, client=1, **charges):
+    """A live endpoint's partial record: every charge 0.0 but ``charges``."""
+    return {"txn": txn, "client": client, "rounds": rounds,
+            "propagation": 0.0, "transmission": 0.0, "slack": 0.0,
+            "client_think": 0.0, "commit_coord": 0.0,
+            "abort_resolution": 0.0, "overhead": 0.0, **charges}
+
+
+def endpoint_payload(site, role, records=(), partials=(), history=None,
+                     net=None):
+    """A live endpoint's result payload with nothing in it but what is
+    given (see :func:`repro.live.results.endpoint_payload`)."""
+    history = history or {"accesses": [], "committed": [], "aborted": [],
+                          "commit_times": {}}
+    net = net or {"messages_sent": 0, "data_units_sent": 0.0,
+                  "per_type": {}}
+    return {"role": role, "site": site, "protocol": "s2pl",
+            "mode": "calibrate",
+            "txn_records": list(records), "partial_records": list(partials),
+            "history": history, "net": net,
+            "engine": {"processed_events": 0, "peak_heap_depth": 0,
+                       "cancelled_events": 0, "end_time": 0.0}}
 
 
 class DictPathTracer(Tracer):
@@ -445,15 +494,10 @@ class DictPathTracer(Tracer):
                     for kind, count in kinds.items():
                         cell[kind] = cell.get(kind, 0) + count
                 summary.response_sum += record["response"]
-                summary.propagation_sum += record["propagation"]
-                summary.transmission_sum += record["transmission"]
-                summary.server_queue_sum += record["server_queue"]
-                summary.client_think_sum += record["client_think"]
-                summary.slack_sum += record["slack"]
-                summary.lock_wait_sum += record["lock_wait"]
-                summary.commit_coord_sum += record["commit_coord"]
-                summary.abort_resolution_sum += record["abort_resolution"]
-                summary.overhead_sum += record["overhead"]
+                for name in ("propagation", "transmission", "slack",
+                             "client_think", "commit_coord",
+                             "abort_resolution", "overhead", "lock_wait"):
+                    summary.sums[name] += record[name]
             else:
                 summary.aborted += 1
         return dataclasses.replace(trace, txns=txns)

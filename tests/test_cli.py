@@ -184,6 +184,12 @@ def _configs_run_by(monkeypatch, argv):
     return ran.value.args[0]
 
 
+#: the runs the retired verbs ``trace`` and ``decompose`` made, as ``run``
+#: now spells them
+RETIRED = {"trace": ["run", "--trace", "--out", "P"],
+           "decompose": ["run", "--trace"]}
+
+
 @pytest.mark.parametrize("command", ["run", "compare", "trace", "decompose"])
 @pytest.mark.parametrize("argv,fields", PARITY,
                          ids=[" ".join(argv) or "[]" for argv, _ in PARITY])
@@ -201,11 +207,24 @@ def test_each_flag_parses_to_the_config_it_always_did(monkeypatch, command,
         if command != "run":
             kwargs["trace"] = True
         if command == "trace" and "probe_interval" not in fields:
+            # --out samples probes once a round trip unless told otherwise
             kwargs["probe_interval"] = 2.0 * kwargs.get("network_latency",
                                                         500.0)
         config = SimulationConfig(**kwargs)
         expected = {config.protocol: config}
-    assert _configs_run_by(monkeypatch, [command, *argv]) == expected
+    verb = RETIRED.get(command, [command])
+    assert _configs_run_by(monkeypatch, [*verb, *argv]) == expected
+
+
+def test_out_without_trace_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--out", "P"])
+    assert excinfo.value.code == 2 and "--trace" in capsys.readouterr().err
+
+
+def test_six_verbs():
+    verbs = build_parser()._subparsers._group_actions[0].choices
+    assert list(verbs) == ["run", "compare", "figure", "report", "live", "list"]
 
 
 def test_every_run_option_is_still_offered():
@@ -217,8 +236,8 @@ def test_every_run_option_is_still_offered():
         "--clients", "--commit", "--cross-shard", "--faults", "--help",
         "--hybrid-high", "--hybrid-low", "--hybrid-scale",
         "--intra-latency", "--items", "--jobs", "--latency",
-        "--max-inflight", "--population", "--pr", "--probe-interval",
-        "--profile", "--protocol", "--regions", "--seed", "--shards",
+        "--max-inflight", "--out", "--population", "--pr",
+        "--probe-interval", "--profile", "--protocol", "--regions", "--seed", "--shards",
         "--streaming", "--trace",
         "--transactions", "--txn-mix", "--verbose", "--warmup",
         "--zipf", "-h", "-v"}

@@ -1,8 +1,7 @@
 """The decomposition invariant battery (PR 8).
 
-Every traced transaction's phase spans — network, server_queue,
-client_think, commit_coord, abort_resolution, overhead, lock_wait — must
-sum *exactly* to its measured response time, across every protocol
+Every traced transaction's phase spans — network, client_think,
+commit_coord, abort_resolution, overhead, lock_wait — must sum *exactly* to its measured response time, across every protocol
 family, under fault injection, at jobs=1 and jobs=N, and through the
 live merge. Tracing itself must stay observation-only: a traced run's
 metrics fingerprint must be byte-identical to the untraced run (the
@@ -34,6 +33,9 @@ from repro.obs.spans import (
 )
 from repro.perf.fingerprint import result_fingerprint
 from repro.perf.goldens import FAULTS
+
+from helpers import account_record as _record
+from helpers import endpoint_payload, partial_record
 
 
 def traced_config(**overrides):
@@ -153,40 +155,11 @@ class TestPooledParity:
                 b.trace.summary.phase_sums()
 
 
-def _record(txn=1, response=100.0, propagation=40.0, transmission=5.0,
-            slack=1.0, server_queue=4.0, client_think=20.0,
-            commit_coord=10.0, abort_resolution=0.0, overhead=0.0,
-            committed=True):
-    explained = (propagation + transmission + slack + server_queue
-                 + client_think)
-    return {
-        "txn": txn, "client": 1, "committed": committed, "measured": True,
-        "start": 0.0, "end": response, "response": response,
-        "propagation": propagation, "transmission": transmission,
-        "slack": slack, "server_queue": server_queue,
-        "client_think": client_think, "commit_coord": commit_coord,
-        "abort_resolution": abort_resolution, "overhead": overhead,
-        "lock_wait": response - explained - overhead,
-        "rounds": {}, "rounds_sequential": 0, "n_ops": 1,
-        "abort_reason": None,
-    }
-
-
 class TestSpanArithmetic:
     def test_phase_view_carves_coordination_out_of_network(self):
         phases = phase_view(_record())
         assert phases["network"] == pytest.approx(40.0 + 5.0 + 1.0 - 10.0)
         assert phases["commit_coord"] == 10.0
-        assert sum(phases.values()) == pytest.approx(100.0)
-
-    def test_phase_view_tolerates_records_without_subaccounts(self):
-        record = _record()
-        for key in ("commit_coord", "abort_resolution", "overhead"):
-            del record[key]
-        record["lock_wait"] = 100.0 - (40.0 + 5.0 + 1.0 + 4.0 + 20.0)
-        phases = phase_view(record)
-        assert phases["network"] == pytest.approx(46.0)
-        assert phases["commit_coord"] == 0.0
         assert sum(phases.values()) == pytest.approx(100.0)
 
     def test_sum_violation_catches_a_broken_budget(self):
@@ -196,7 +169,7 @@ class TestSpanArithmetic:
         assert check_record(record) != []
 
     def test_negative_lock_wait_is_fatal_only_when_committed(self):
-        record = _record(client_think=60.0)  # residual −40
+        record = _record(client_think=60.0)  # residual −6
         assert any("lock_wait is negative" in v
                    for v in check_record(record))
         aborted = _record(client_think=60.0, committed=False)
@@ -289,57 +262,28 @@ class TestDivergenceReport:
 
 
 class TestLiveMergePhases:
-    def _payload(self, site, role, records=(), partials=()):
-        return {"role": role, "site": site, "protocol": "s2pl",
-                "mode": "calibrate",
-                "txn_records": list(records),
-                "partial_records": list(partials),
-                "history": {"accesses": [], "committed": [],
-                            "aborted": [], "commit_times": {}},
-                "net": {"messages_sent": 0, "data_units_sent": 0.0,
-                        "per_type": {}},
-                "engine": {"processed_events": 0, "peak_heap_depth": 0,
-                           "cancelled_events": 0, "end_time": 0.0}}
-
     def test_partial_phase_charges_fold_and_overhead_cuts_lock_wait(self):
         from repro.live.results import MergedRun
 
-        owner = _record(txn=1_000_001, response=100.0, overhead=3.0)
-        owner["rounds"] = {"request": 1}
-        server = self._payload(0, "server", partials=[
-            {"txn": 1_000_001, "client": 1, "rounds": {"grant": 1},
-             "propagation": 2.0, "transmission": 0.0, "slack": 0.0,
-             "server_queue": 1.0, "client_think": 0.0,
-             "commit_coord": 2.0, "abort_resolution": 0.0,
-             "overhead": 0.5}])
-        merged = MergedRun([server, self._payload(1, "client", [owner])])
+        owner = _record(txn=1_000_001, overhead=3.0, rounds={"request": 1})
+        server = endpoint_payload(0, "server", partials=[partial_record(
+            1_000_001, {"grant": 1}, propagation=2.0, commit_coord=2.0,
+            overhead=0.5)])
+        merged = MergedRun([server, endpoint_payload(1, "client", [owner])])
         record = merged.records[1_000_001]
         assert record["commit_coord"] == pytest.approx(12.0)
         assert record["overhead"] == pytest.approx(3.5)
         explained = (record["propagation"] + record["transmission"]
-                     + record["slack"] + record["server_queue"]
-                     + record["client_think"])
+                     + record["slack"] + record["client_think"])
         assert record["lock_wait"] == pytest.approx(
             100.0 - explained - 3.5)
-        assert sum_violation(record) is None
-
-    def test_old_payloads_without_phase_keys_merge_as_zero(self):
-        from repro.live.results import MergedRun
-
-        owner = _record(txn=1_000_002)
-        for key in ("commit_coord", "abort_resolution", "overhead"):
-            del owner[key]
-        merged = MergedRun([self._payload(1, "client", [owner])])
-        record = merged.records[1_000_002]
-        assert record["commit_coord"] == 0.0
-        assert record["overhead"] == 0.0
         assert sum_violation(record) is None
 
     def test_merge_tripwire_raises_on_a_broken_budget(self):
         from repro.live.results import MergedRun
 
         merged = MergedRun(
-            [self._payload(1, "client", [_record(txn=1_000_003)])])
+            [endpoint_payload(1, "client", [_record(txn=1_000_003)])])
         merged.records[1_000_003]["lock_wait"] += 7.0
         with pytest.raises(AssertionError, match="span-sum invariant"):
             merged._enforce_span_invariant()
@@ -368,23 +312,41 @@ class TestPopulationProbes:
 
 
 class TestCLI:
-    def test_decompose_verb_prints_a_budget_and_writes_csv(
+    ARGV = ["run", "--trace", "--protocol", "s2pl", "--clients", "6",
+            "--items", "8", "--transactions", "120", "--warmup", "20",
+            "--latency", "100", "--shards", "2"]
+
+    def test_run_trace_out_prints_a_budget_and_writes_four_files(
             self, capsys, tmp_path):
+        import json
+
         from repro.cli import main
 
-        prefix = tmp_path / "dec"
-        code = main(["decompose", "--protocol", "s2pl", "--clients", "6",
-                     "--items", "8", "--transactions", "120",
-                     "--warmup", "20", "--latency", "100",
-                     "--shards", "2", "--out", str(prefix)])
-        assert code == 0
+        assert main([*self.ARGV, "--out", str(tmp_path / "dec")]) == 0
         out = capsys.readouterr().out
-        assert "decomposition [" in out
-        for name in PHASES:
-            assert name in out
-        csv_path = tmp_path / "dec.phases.csv"
-        header = csv_path.read_text().splitlines()[0]
+        assert "decomposition [" in out and all(n in out for n in PHASES)
+        for suffix in ("jsonl", "chrome.json", "metrics.csv", "phases.csv"):
+            assert (tmp_path / f"dec.{suffix}").stat().st_size > 0
+        header = (tmp_path / "dec.phases.csv").read_text().splitlines()[0]
         assert header == "txn,client,committed,response," + ",".join(PHASES)
+        rows = map(json.loads, open(tmp_path / "dec.jsonl", encoding="utf-8"))
+        txns = [row for row in rows if row["type"] == "txn"]
+        assert txns and not any("server_queue" in row for row in txns)
+
+    def test_a_broken_phase_sum_exits_1(self, capsys, monkeypatch):
+        import repro.cli as cli
+
+        def broken(config):
+            result = run_simulation(config)
+            records = list(result.trace.txns)
+            next(record for record in records
+                 if record["measured"])["lock_wait"] += 7.0
+            result.trace.txns = records
+            return result
+
+        monkeypatch.setattr(cli, "run_simulation", broken)
+        assert cli.main(self.ARGV) == 1
+        assert "decomposition invariant violated" in capsys.readouterr().err
 
 
 @pytest.mark.live

@@ -18,6 +18,9 @@ from repro.live.scenario import (
 from repro.obs.rounds import expected_rounds
 from repro.perf.fingerprint import result_fingerprint
 
+from helpers import account_record, partial_record
+from helpers import endpoint_payload as _payload
+
 #: a short Table 1 run at loopback latency (workload mode)
 WORKLOAD = SimulationConfig(protocol="s2pl", n_clients=3, network_latency=2.0,
                             total_transactions=40, warmup_transactions=5,
@@ -163,35 +166,17 @@ def test_replaying_a_reference_schedule_reproduces_it(protocol):
             == [record[key] for key in keys]
 
 
-def _payload(site, role, records=(), partials=(), history=None, net=None):
-    history = history or {"accesses": [], "committed": [], "aborted": [],
-                          "commit_times": {}}
-    net = net or {"messages_sent": 0, "data_units_sent": 0.0,
-                  "per_type": {}}
-    return {"role": role, "site": site, "protocol": "s2pl",
-            "mode": "calibrate",
-            "txn_records": list(records), "partial_records": list(partials),
-            "history": history, "net": net,
-            "engine": {"processed_events": 0, "peak_heap_depth": 0,
-                       "cancelled_events": 0, "end_time": 0.0}}
-
-
 def _record(txn, rounds, response=10.0):
-    return {"txn": txn, "client": 1, "rounds": rounds,
-            "rounds_sequential": sum(rounds.values()), "propagation": 4.0,
-            "transmission": 0.0, "slack": 0.0, "server_queue": 0.0,
-            "client_think": 1.0, "committed": True, "measured": True,
-            "start": 0.0, "end": response, "response": response,
-            "n_ops": 1, "abort_reason": None}
+    return account_record(txn, response, propagation=4.0, transmission=0.0,
+                          slack=0.0, client_think=1.0, commit_coord=0.0,
+                          rounds=rounds)
 
 
 def test_merge_folds_partial_charges_into_owner_record():
     owner = _payload(1, "client",
                      records=[_record(1_000_001, {"request": 1})])
-    server = _payload(0, "server", partials=[
-        {"txn": 1_000_001, "client": 1, "rounds": {"grant": 1},
-         "propagation": 2.0, "transmission": 0.0, "slack": 0.5,
-         "server_queue": 0.0, "client_think": 0.0}])
+    server = _payload(0, "server", partials=[partial_record(
+        1_000_001, {"grant": 1}, propagation=2.0, slack=0.5)])
     merged = MergedRun([server, owner])
     record = merged.records[1_000_001]
     assert record["rounds"] == {"request": 1, "grant": 1}
@@ -203,10 +188,8 @@ def test_merge_folds_partial_charges_into_owner_record():
 
 
 def test_merge_reports_orphan_partials():
-    server = _payload(0, "server", partials=[
-        {"txn": 42, "client": None, "rounds": {"grant": 1},
-         "propagation": 0.0, "transmission": 0.0, "slack": 0.0,
-         "server_queue": 0.0, "client_think": 0.0}])
+    server = _payload(0, "server",
+                      partials=[partial_record(42, {"grant": 1}, client=None)])
     merged = MergedRun([server])
     assert len(merged.orphans) == 1
     assert merged.orphans[0]["txn"] == 42

@@ -115,8 +115,8 @@ class TestTracedRun:
         result = run_simulation(traced_config("s2pl"))
         for record in result.trace.txns:
             explained = (record["propagation"] + record["transmission"]
-                         + record["slack"] + record["server_queue"]
-                         + record["client_think"] + record["lock_wait"])
+                         + record["slack"] + record["client_think"]
+                         + record["lock_wait"])
             assert explained == pytest.approx(record["response"])
 
     def test_txn_records_cover_every_finished_transaction(self):
@@ -437,7 +437,8 @@ class TestSummaryMerge:
 
     def test_describe_renders(self):
         summary = TraceSummary(committed=2, rounds_total=6,
-                               response_sum=20.0, lock_wait_sum=10.0)
+                               response_sum=20.0)
+        summary.sums["lock_wait"] = 10.0
         text = summary.describe()
         assert "mean sequential rounds per commit: 3.00" in text
         assert "lock_wait 50.0%" in text

@@ -550,7 +550,7 @@ def test_a_traced_run_keeps_under_240_bytes_a_transaction_record():
     """A finished transaction's row: 8 bytes a float, 1 or 2 an int, a
     list slot for each flag and its abort reason, and its share of the
     interned ``rounds`` shapes (140 of them) and of the txn-id index:
-    233.9 bytes here. Rows as record dicts cost 887 bytes each."""
+    225.5 bytes here. Rows as record dicts cost 887 bytes each."""
     config = SimulationConfig(
         protocol="g2pl", n_clients=50, n_items=25, read_probability=0.6,
         network_latency=500.0, total_transactions=600,

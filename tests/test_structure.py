@@ -15,7 +15,9 @@ re-introduced copy cannot hide behind one:
   partitioning) and the scattered capability lists are gone, and so is
   the attribute tuple the two stats merges copied from each other;
 * only the ``--jobs`` pool starts processes, and every run flag is
-  declared once, on its config field.
+  declared once, on its config field;
+* a response's account (its components, sub-accounts, residual and
+  phases) is declared once, in ``repro.obs.schema``.
 """
 
 import ast
@@ -129,7 +131,12 @@ def test_retired_names_resolve_nowhere():
                "RecoveryManager", "take_checkpoint", "truncate_log",
                "checkpoint_interval", "idle_min", "idle_max", "Mailbox",
                "AllOf", "AnyOf", "all_of", "any_of", "would_cycle",
-               "CycleError"}
+               "CycleError",
+               # the component nothing charged, the two verbs ``run
+               # --trace`` took over, and the lists of names the account's
+               # one declaration replaced
+               "server_queue", "server_queue_sum", "_cmd_trace",
+               "_cmd_decompose", "_COMPONENT_KEYS", "_PHASE_KEYS"}
     found = []
     for path, tree in _trees(""):
         for node in ast.walk(tree):
@@ -521,3 +528,28 @@ def test_the_message_number_rides_in_the_slot_the_global_id_had():
     assert not [name for name, value in vars(message).items()
                 if type(value).__module__ == "itertools"]
     assert len(vars(Harness("g2pl").server)) <= 29
+
+
+def _names_held(node, names):
+    """How many of ``names`` a tuple, list, set or dict literal spells."""
+    if isinstance(node, ast.Dict):
+        elements = [*node.keys, *node.values]
+    elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        elements = node.elts
+    else:
+        return 0
+    return sum(isinstance(element, ast.Constant) and element.value in names
+               for element in elements)
+
+
+def test_the_account_is_declared_once():
+    from repro.obs.schema import ACCOUNT, PHASES
+
+    names = set(ACCOUNT) | set(PHASES)
+    spelled = [f"{os.path.relpath(path, SRC)}:{node.lineno}"
+               for path, tree in _trees("") if not path.endswith("schema.py")
+               for node in ast.walk(tree) if _names_held(node, names) >= 2]
+    assert spelled == []   # and the gate sees each literal form:
+    for text in ('("slack", "overhead")', '["network", "lock_wait"]',
+                 '{"network", "slack"}', '{"slack": "network"}'):
+        assert _names_held(ast.parse(text).body[0].value, names) == 2
