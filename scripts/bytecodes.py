@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Count the bytecodes one closed-loop run executes, by function.
+"""Count the bytecodes and C calls one closed-loop run executes.
 
 A deterministic instrument for sizing and locating interpreter work: the
 same seed gives the same counts on the same interpreter version, however
@@ -8,7 +8,10 @@ items, read probability 0.6, latency 500 — the ledger's ``closed_*``
 configuration) of the named protocol under ``sys.settrace`` with opcode
 events on, and prints the total, the share spent inside ``repro``, the
 share spent in dataclass-generated ``__init__`` bodies, and the top
-functions.
+functions.  Beside it a ``sys.setprofile`` hook tallies every call into
+a C callable (``sorted``, ``set.union``, a type's constructor ...):
+work one opcode starts and the opcode count cannot see.  It prints their
+total and the top callables by count.
 
     python scripts/bytecodes.py g2pl --seed 37
     python scripts/bytecodes.py s2pl --top 30 --faults loss=0.03,dup=0.01
@@ -59,11 +62,20 @@ FAULTED = dict(n_clients=12, n_items=10, read_probability=0.6,
                faults="loss=0.03,dup=0.01,jitter=25,crash=2@4000:8000")
 
 
+def c_callable_name(function):
+    """``sorted``, ``set.union``, ``time.perf_counter``: a C callable's
+    name as its module and qualified name spell it."""
+    name = getattr(function, "__qualname__", None) or repr(function)
+    module = getattr(function, "__module__", None)
+    return name if module in (None, "builtins") else f"{module}.{name}"
+
+
 def count_bytecodes(protocol, seed, faults=None, shape=TABLE_1,
                     traced=False):
-    """``(Counter keyed by (file, line, function), result)`` for one run;
-    ``traced`` arms the tracer and 200-unit probes and counts the JSONL
-    export with the run."""
+    """``(opcodes, c_calls, result)`` for one run: opcodes counted by
+    ``(file, line, function)``, C calls by callable name. ``traced`` arms
+    the tracer and 200-unit probes and counts the JSONL export with the
+    run."""
     keywords = dict(shape, protocol=protocol, record_history=False,
                     total_transactions=TRANSACTIONS,
                     warmup_transactions=TRANSACTIONS // 10)
@@ -73,6 +85,11 @@ def count_bytecodes(protocol, seed, faults=None, shape=TABLE_1,
         keywords.update(trace=True, probe_interval=200.0)
     config = SimulationConfig(**keywords)
     counts = Counter()
+    c_calls = Counter()
+
+    def profile(_frame, event, function):
+        if event == "c_call":
+            c_calls[c_callable_name(function)] += 1
 
     def local_trace(frame, event, _arg):
         if event == "opcode":
@@ -86,17 +103,21 @@ def count_bytecodes(protocol, seed, faults=None, shape=TABLE_1,
 
     with tempfile.TemporaryDirectory() as scratch:
         sys.settrace(global_trace)
+        sys.setprofile(profile)
         try:
             result = run_simulation(config, seed=seed)
             if traced:
                 write_jsonl(os.path.join(scratch, "trace.jsonl"),
                             result.trace, config, seed)
         finally:
+            sys.setprofile(None)
             sys.settrace(None)
-    return counts, result
+    # the hook's own removal is no work of the run's
+    c_calls["sys.setprofile"] -= 1
+    return counts, +c_calls, result
 
 
-def describe(counts, result, top):
+def describe(counts, c_calls, result, top):
     total = sum(counts.values())
     src = os.path.join("src", "repro") + os.sep
     in_repro = sum(n for (path, _, _), n in counts.items() if src in path)
@@ -115,6 +136,10 @@ def describe(counts, result, top):
     for (path, line, name), n in counts.most_common(top):
         where = path.split(src)[-1] if src in path else os.path.basename(path)
         lines.append(f"    {n:>12,}  {n / total:6.1%}  {where}:{line} {name}")
+    c_total = sum(c_calls.values())
+    lines.append(f"  C calls: {c_total:,}; top {top} callables:")
+    for name, n in c_calls.most_common(top):
+        lines.append(f"    {n:>12,}  {n / c_total:6.1%}  {name}")
     return "\n".join(lines)
 
 
@@ -138,13 +163,13 @@ def main(argv=None):
                              "200-unit probes and the JSONL export counted, "
                              "then the untraced total and the ratio")
     args = parser.parse_args(argv)
-    counts, result = count_bytecodes(args.protocol, args.seed,
-                                     faults=args.faults, shape=args.shape,
-                                     traced=args.traced)
-    print(describe(counts, result, args.top))
+    counts, c_calls, result = count_bytecodes(
+        args.protocol, args.seed, faults=args.faults, shape=args.shape,
+        traced=args.traced)
+    print(describe(counts, c_calls, result, args.top))
     if args.traced:
-        plain, _ = count_bytecodes(args.protocol, args.seed,
-                                   faults=args.faults, shape=args.shape)
+        plain, _, _ = count_bytecodes(args.protocol, args.seed,
+                                      faults=args.faults, shape=args.shape)
         traced, untraced = sum(counts.values()), sum(plain.values())
         print(f"  untraced, same seed: {untraced:,} bytecodes; traced + "
               f"export is {traced / untraced:.3f}x")

@@ -4,7 +4,6 @@ import enum
 from collections import OrderedDict, deque
 
 from repro.locking.modes import LockMode
-from repro.locking.waitfor import expansion_order
 
 
 class LockRequestState(enum.Enum):
@@ -21,17 +20,15 @@ GRANTED, WAITING = LockRequestState.GRANTED, LockRequestState.WAITING
 class _ItemLock:
     """Lock state of a single data item."""
 
-    __slots__ = ("holders", "queue", "edges", "order")
+    __slots__ = ("holders", "queue", "edges")
 
     def __init__(self):
         # txn -> mode for current holders (all READ, or one WRITE)
         self.holders = OrderedDict()
         # FIFO of (txn, mode) waiting
         self.queue = deque()
-        # cached wait_edges(), and waiter -> those blockers in the cycle
-        # search's expansion order (LockTable.waits_for_ordered); both
-        # None whenever holders or queue changed, always reset together
-        self.edges = self.order = None
+        # cached wait_edges(); None whenever holders or queue changed
+        self.edges = None
 
     def wait_edges(self):
         """``waiter -> frozenset(blockers)`` for every queued request: the
@@ -81,10 +78,9 @@ class LockTable:
     A wait index (txn -> items it is queued on) is kept current at every
     queue change, so release, drop and deadlock detection touch only the
     queues a transaction sits in; each item caches its wait edges
-    (:meth:`_ItemLock.wait_edges`) and, per waiter, those blockers in the
-    cycle search's expansion order (:meth:`waits_for_ordered`), both reset
-    by the four methods below that change a queue or a holder set, so
-    detection rescans and re-sorts only what changed.
+    (:meth:`_ItemLock.wait_edges`), reset by the four methods below that
+    change a queue or a holder set, so detection rescans only what
+    changed.
     """
 
     def __init__(self):
@@ -141,26 +137,6 @@ class LockTable:
         return frozenset().union(
             *[self._items[item].wait_edges()[txn] for item in items])
 
-    def waits_for_ordered(self, txn):
-        """:meth:`waits_for` as a list in the cycle search's pinned
-        :func:`~repro.locking.waitfor.expansion_order` — the successor
-        function of s-2PL's search. A transaction queued on one item
-        (every s-2PL waiter) gets its blockers sorted once per lock state:
-        cached in the item's ``order`` until the lock changes, shared with
-        every reader and never mutated. One queued on several items is
-        sorted on the spot."""
-        items = self._queued_on.get(txn, ())
-        if len(items) != 1:
-            return expansion_order(self.waits_for(txn))
-        lock = self._items[items[0]]
-        order = lock.order
-        if order is None:
-            order = lock.order = {}
-        blockers = order.get(txn)
-        if blockers is None:
-            blockers = order[txn] = expansion_order(lock.wait_edges()[txn])
-        return blockers
-
     def wait_edges(self):
         """The cached wait-edge map of every item with a queue, in table
         order — their union is this table's wait-for graph."""
@@ -197,7 +173,7 @@ class LockTable:
         since the upgrade logically precedes every queued request).
         """
         lock = self._item(item)
-        lock.edges = lock.order = None
+        lock.edges = None
         held = self._held_by_txn.setdefault(txn, {})
         if item in held:
             if held[item] is WRITE or mode is READ:
@@ -234,7 +210,7 @@ class LockTable:
             items = [item for item in self._items if item in queued]
         for item in items:
             lock = self._items[item]
-            lock.edges = lock.order = None
+            lock.edges = None
             before = len(lock.queue)
             lock.queue = deque(
                 entry for entry in lock.queue if entry[0] != txn)
@@ -251,7 +227,7 @@ class LockTable:
         granted = []
         for item in self._held_by_txn.pop(txn, ()):
             lock = self._items[item]
-            lock.edges = lock.order = None
+            lock.edges = None
             lock.holders.pop(txn, None)
             granted.extend(self._grant_from_queue(item, lock))
         granted.extend(self.drop_queued(txn))
@@ -259,7 +235,7 @@ class LockTable:
 
     def _grant_from_queue(self, item, lock):
         granted = []
-        lock.edges = lock.order = None
+        lock.edges = None
         queue, holders = lock.queue, lock.holders
         # Holders are all READ or one WRITE, and the loop below only adds
         # readers to readers, so one look at them serves every iteration.

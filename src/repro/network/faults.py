@@ -118,11 +118,6 @@ class FaultSpec:
         object.__setattr__(self, "partitions", tuple(self.partitions))
         object.__setattr__(self, "crashes", tuple(self.crashes))
 
-    @property
-    def perturbs_messages(self):
-        return bool(self.message_loss or self.duplicate_probability
-                    or self.extra_jitter or self.partitions or self.crashes)
-
     @classmethod
     def parse(cls, text):
         """Build a spec from the CLI syntax, e.g.::

@@ -124,13 +124,16 @@ class C2PLServer(S2PLServer):
 
     # -- deadlock plumbing -------------------------------------------------------
 
-    def _extra_wait_edges(self):
-        extra = {}
-        for writer, busy in self._busy_edges:
-            # a population site's writer can pin its own copy
-            if writer != busy:
-                extra.setdefault(writer, set()).add(busy)
-        return extra
+    def _waits_for(self, txn):
+        # a population site's writer can pin its own copy
+        busy = [pinner for writer, pinner in self._busy_edges
+                if writer == txn != pinner]
+        blockers = super()._waits_for(txn)
+        return blockers.union(busy) if busy else blockers
+
+    def _can_be_waited_on(self, txn):
+        return super()._can_be_waited_on(txn) or any(
+            pinner == txn != writer for writer, pinner in self._busy_edges)
 
     def _drop_busy_edges(self, writer):
         for key in [k for k in self._busy_edges if k[0] == writer]:

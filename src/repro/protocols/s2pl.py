@@ -22,7 +22,7 @@ runs the atomic commit of :mod:`repro.protocols.sharded` (classic 2PC, or
 
 from repro.locking.lock_table import LockRequestState, LockTable
 from repro.locking.modes import LockMode
-from repro.locking.waitfor import expansion_order, find_cycle_through
+from repro.locking.waitfor import find_cycle_through, name_cycle
 from repro.protocols.base import (
     SERVER_SITE_ID,
     ProtocolClient,
@@ -282,48 +282,46 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
         """Total queued (waiting) lock requests — a contention gauge."""
         return self.lock_table.total_waiters()
 
-    def _extra_wait_edges(self):
-        """Wait-for edges beyond lock-queue blocking, as waiter -> set of
-        blockers (subclass hook; c-2PL adds callback busy edges)."""
-        return {}
+    def _waits_for(self, txn):
+        """Every transaction ``txn`` waits for, in no particular order: its
+        wait-for successors (c-2PL adds its callback busy edges)."""
+        return self.lock_table.waits_for(txn)
+
+    def _can_be_waited_on(self, txn):
+        """Could any wait edge point at ``txn``? False is exact; True may
+        overstate (c-2PL adds its busy edges)."""
+        return self.lock_table.can_be_waited_on(txn)
 
     def _find_cycle_from(self, requester):
-        """A wait-for cycle through ``requester`` (first == last), or None.
+        """The wait-for cycle through ``requester`` (first == last) a traced
+        deadlock names, or None: successors expanded in the pinned
+        :func:`~repro.locking.waitfor.expansion_order`, so a trace names
+        the same cycle on every run."""
+        return name_cycle(requester, self._waits_for)
 
-        The cycle ``WaitForGraph.find_cycle_from`` would return on the
-        materialised graph, without building it: successors come from the
-        lock table's wait index, only for transactions the search reaches.
+    def _closes_cycle(self, requester):
+        """Does a wait-for cycle run through ``requester``?
+
+        No wait-for graph is built: successors come from the lock table's
+        wait index, unordered, only for transactions the search reaches.
         Detection runs on every request that queues and mostly finds
         nothing, so the search is skipped when no wait edge can point at
         ``requester``. That prune is exact: a cycle needs an edge into it.
-        Without extra edges (every s-2PL server) the successors come
-        presorted from the lock table's per-lock-state cache; with them
-        (c-2PL's callback waits) each union is sorted as it is built.
         """
-        table = self.lock_table
-        extra = self._extra_wait_edges()
-        if not extra:
-            if not table.can_be_waited_on(requester):
-                return None
-            return find_cycle_through(requester, table.waits_for_ordered)
-        if not table.can_be_waited_on(requester) and not any(
-                requester in blockers for blockers in extra.values()):
-            return None
-        return find_cycle_through(
-            requester,
-            lambda node: expansion_order(
-                table.waits_for(node).union(extra.get(node, ()))))
+        return self._can_be_waited_on(requester) and find_cycle_through(
+            requester, self._waits_for) is not None
 
     def _detect_and_resolve(self, requester):
         """Abort ``requester`` if its request closed a wait-for cycle: the
-        one victim that clears every cycle through it."""
-        cycle = self._find_cycle_from(requester)
-        if cycle is None:
+        one victim that clears every cycle through it. Only a traced
+        deadlock pays for naming its cycle."""
+        if not self._closes_cycle(requester):
             return
         self.deadlocks_found += 1
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.row("lock.deadlock", requester, len(set(cycle)))
+            tracer.row("lock.deadlock", requester,
+                       len(set(self._find_cycle_from(requester))))
         self._abort(requester, reason="deadlock")
 
     def _abort(self, txn_id, reason):

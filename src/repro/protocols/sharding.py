@@ -23,7 +23,7 @@ Cross-shard coordination state shared between shard servers:
   shards, so a periodic sweep unions the local graphs and aborts victims.
 """
 
-from repro.locking.waitfor import find_any_cycle
+from repro.locking.waitfor import find_any_cycle, name_cycle
 from repro.protocols.base import SERVER_SITE_ID
 from repro.protocols.precedence import PrecedenceGraph
 
@@ -166,8 +166,8 @@ class GlobalDeadlockDetector:
     distributed deadlock (T1 waits at shard A for T2, which waits at
     shard B for T1) has no local cycle anywhere. This detector
     periodically unions every shard's wait-for edges, finds cycles, and
-    aborts one victim per cycle (its first member, where the search
-    started) through the shard where the victim is waiting (a waiting
+    aborts one victim per cycle (the first node in ``repr`` order that
+    lies on one) through the shard where the victim is waiting (a waiting
     transaction has a queued request at exactly the shards it is blocked
     at; aborting it there triggers the normal AbortNotice -> client
     abort -> AbortRelease fan-out that releases its locks everywhere).
@@ -248,7 +248,10 @@ class GlobalDeadlockDetector:
             self.distributed_deadlocks += 1
             tracer = self.sim.tracer
             if tracer is not None:
+                # the pinned-order cycle through the victim, on the graph
+                # the search saw
+                named = name_cycle(victim, lambda txn: out[txn] & alive)
                 tracer.row("lock.deadlock.distributed", victim,
-                           len(set(cycle)), server.site_id)
+                           len(set(named)), server.site_id)
             server._abort(victim, reason="distributed-deadlock")
             alive.discard(victim)

@@ -32,7 +32,7 @@ round trip (the price of server-certified commits).
 from collections import OrderedDict, deque
 
 from repro.locking.modes import LockMode
-from repro.locking.waitfor import WaitForGraph
+from repro.locking.waitfor import find_cycle_through
 from repro.protocols.base import ProtocolServer
 from repro.protocols.messages import (
     AbortNotice,
@@ -221,9 +221,14 @@ class TwoVersionServer(ProtocolServer):
 
     # -- deadlock handling -----------------------------------------------------
 
-    def _build_waitfor_graph(self):
-        wfg = WaitForGraph()
-        for item_id, state in self._items.items():
+    def _wait_edges(self):
+        """The wait-for graph as ``{waiter: set(blockers)}``, never a
+        waiter in its own set: a queued request waits for the item's
+        write/certify lock holder and (a write) for the writes queued ahead
+        of it, a pending certification for the other readers of what it
+        wrote."""
+        out = {}
+        for state in self._items.values():
             write_ahead = []
             if state.certifying is not None:
                 write_ahead.append(state.certifying)
@@ -233,20 +238,21 @@ class TwoVersionServer(ProtocolServer):
                           if state.certifying is not None else [])
             for txn_id, mode in state.queue:
                 if mode is LockMode.WRITE:
-                    wfg.add_edges(txn_id, write_ahead)
+                    out.setdefault(txn_id, set()).update(write_ahead)
                     write_ahead = write_ahead + [txn_id]
                 else:
-                    wfg.add_edges(txn_id, cert_ahead)
+                    out.setdefault(txn_id, set()).update(cert_ahead)
         for txn_id, pending in self._certifications.items():
             for item_id in pending["waiting_on"]:
-                wfg.add_edges(txn_id, [t for t in
-                                       self._item(item_id).readers
-                                       if t != txn_id])
-        return wfg
+                out.setdefault(txn_id, set()).update(
+                    self._item(item_id).readers)
+        for txn_id, blockers in out.items():
+            blockers.discard(txn_id)
+        return out
 
     def _can_be_waited_on(self, txn_id):
-        """Could any wait edge of ``_build_waitfor_graph`` point at
-        ``txn_id``? False is exact; True may overstate.
+        """Could any wait edge of :meth:`_wait_edges` point at ``txn_id``?
+        False is exact; True may overstate.
 
         Edges run from a queued request to the item's write/certify lock
         holder and to write requests queued ahead of it, and from a
@@ -268,14 +274,17 @@ class TwoVersionServer(ProtocolServer):
     def _detect(self, requester):
         """Abort ``requester`` if its new wait closes a cycle.
 
-        Only cycles through the requester are looked for, and the graph is
-        not even built when nothing can be waiting on it (a cycle through a
-        node needs an edge into it) — the same exact prune as s-2PL's.
+        Only cycles through the requester are looked for, and the edges
+        are not even collected when nothing can be waiting on it (a cycle
+        through a node needs an edge into it) — the same exact prune as
+        s-2PL's. The walk is unordered: the victim is the requester
+        whichever cycle it closed.
         """
         if not self._can_be_waited_on(requester):
             return
-        cycle = self._build_waitfor_graph().find_cycle_from(requester)
-        if cycle is None:
+        out = self._wait_edges()
+        if find_cycle_through(requester,
+                              lambda txn: out.get(txn, ())) is None:
             return
         self.deadlocks_found += 1
         self._abort(requester, reason="deadlock")

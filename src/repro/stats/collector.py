@@ -105,10 +105,6 @@ class StreamingMetrics(RunMetrics):
             return float("nan")
         return self.moments.mean
 
-    @property
-    def response_time_std(self):
-        return self.moments.std
-
     def percentile(self, p):
         """Reservoir-estimated percentile (exact while seen <= capacity)."""
         return self.reservoir.percentile(p)

@@ -14,6 +14,7 @@ from repro.analysis.tables import (
 from repro.core import experiments as exp
 from repro.core.config import SimulationConfig
 from repro.locking.modes import LockMode
+from repro.locking.waitfor import find_any_cycle, name_cycle
 from repro.network.presets import NetworkEnvironment
 from repro.network.reliable import ACK_SIZE, Reliable, ReliableAck
 from repro.network.topology import UniformTopology
@@ -59,6 +60,61 @@ def brute_force_wait_edges(table):
         for txn, blockers in brute_force_blockers(table, item).items():
             union.setdefault(txn, set()).update(blockers)
     return union
+
+
+class WaitForGraph:
+    """A materialised wait-for graph: edge waiter -> holder means "waiter
+    waits for holder". The oracle the protocols' on-demand searches are
+    tested against; no protocol builds one."""
+
+    def __init__(self):
+        self._out = {}
+
+    def add_edge(self, waiter, holder):
+        """Record that ``waiter`` waits for ``holder`` (self-edges ignored)."""
+        if waiter == holder:
+            return
+        self._out.setdefault(waiter, set()).add(holder)
+
+    def add_edges(self, waiter, holders):
+        for holder in holders:
+            self.add_edge(waiter, holder)
+
+    def remove_edge(self, waiter, holder):
+        edges = self._out.get(waiter)
+        if edges is not None:
+            edges.discard(holder)
+            if not edges:
+                del self._out[waiter]
+
+    def remove_node(self, txn):
+        """Drop ``txn`` and every edge touching it (commit/abort cleanup)."""
+        self._out.pop(txn, None)
+        empty = []
+        for waiter, holders in self._out.items():
+            holders.discard(txn)
+            if not holders:
+                empty.append(waiter)
+        for waiter in empty:
+            del self._out[waiter]
+
+    def successors(self, txn):
+        return set(self._out.get(txn, ()))
+
+    @property
+    def edge_count(self):
+        return sum(len(holders) for holders in self._out.values())
+
+    def find_cycle_from(self, start):
+        """The cycle (first == last) through ``start`` a trace names, in
+        the pinned expansion order, or None."""
+        out = self._out
+        return name_cycle(start, lambda txn: out.get(txn, ()))
+
+    def find_any_cycle(self):
+        """A cycle through the first node in ``repr`` order on one, or
+        None."""
+        return find_any_cycle(self._out, set(self._out))
 
 
 def dfs_reaches(graph, u, v):

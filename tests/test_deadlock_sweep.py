@@ -8,10 +8,9 @@ restarts the search from scratch after each victim. The production sweep
 must abort the same victims at the same shards at the same times.
 """
 
-from helpers import R, W, brute_force_wait_edges
+from helpers import R, W, WaitForGraph, brute_force_wait_edges
 from repro.core import runner
 from repro.core.config import SimulationConfig
-from repro.locking import WaitForGraph
 from repro.network.topology import Site, UniformTopology
 from repro.network.transport import Network
 from repro.perf.fingerprint import fingerprint_digest, result_fingerprint

@@ -1,7 +1,7 @@
-"""Differential tests: s-2PL's pruned, index-driven cycle search against
-``WaitForGraph.find_cycle_from`` on the fully materialised graph, and the
-lock table's cached wait edges against a brute-force reading of its
-queues."""
+"""Differential tests: s-2PL's pruned, index-driven deadlock decision and
+the cycle a trace names, against ``WaitForGraph.find_cycle_from`` on the
+fully materialised graph, and the lock table's cached wait edges against
+a brute-force reading of its queues."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,16 +9,16 @@ from helpers import (
     Harness,
     R,
     W,
+    WaitForGraph,
     brute_force_blockers,
     brute_force_wait_edges,
 )
-from repro.locking import LockTable, WaitForGraph
-from repro.locking.waitfor import expansion_order
+from repro.locking import LockTable
 
 # Half the ids on each side of a digit boundary, so ``repr`` order (the
-# search's pinned expansion order: "9" > "12") differs from numeric
-# order often enough that a search expanding successors numerically
-# picks a different cycle in some drawn history.
+# pinned order a traced cycle is named in: "9" > "12") differs from
+# numeric order often enough that a search expanding successors
+# numerically picks a different cycle in some drawn history.
 TXNS = range(7, 13)
 
 # (txn, op, item): acquire in a mode (a held READ asking for WRITE is an
@@ -63,10 +63,12 @@ def materialise(table, busy_edges=()):
 def assert_same_cycles(server, wfg):
     for requester in TXNS:
         expected = wfg.find_cycle_from(requester)
-        assert server._find_cycle_from(requester) == expected
-        if not (server.lock_table.can_be_waited_on(requester)
-                or any(requester in blockers for blockers
-                       in server._extra_wait_edges().values())):
+        named = server._find_cycle_from(requester)
+        assert named == expected
+        # decide and describe agree: the unordered walk says yes exactly
+        # when the pinned one names a cycle
+        assert server._closes_cycle(requester) == (named is not None)
+        if not server._can_be_waited_on(requester):
             # The prune fired; it must be exact, not merely cycle-free.
             assert not any(requester in holders
                            for holders in wfg._out.values())
@@ -109,15 +111,12 @@ def test_search_with_an_upgrade_at_a_queue_head(actions, first, second):
 
 
 def assert_cache_coherent(table):
-    """Every cached wait edge, and its cached expansion order, equals
-    the brute-force one, right now."""
+    """Every cached wait edge equals the brute-force one, right now."""
     union = brute_force_wait_edges(table)
     per_item = {item: brute_force_blockers(table, item)
                 for item in list(table._items) + ["absent"]}
     for txn in list(TXNS) + ["tail"]:
         assert table.waits_for(txn) == union.get(txn, set())
-        assert table.waits_for_ordered(txn) == expansion_order(
-            union.get(txn, ()))
         for item, edges in per_item.items():
             assert table.blockers_of(txn, item) == edges.get(txn, set())
     assert set(table.waiting()) == set(union)

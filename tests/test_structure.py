@@ -136,7 +136,13 @@ def test_retired_names_resolve_nowhere():
                # --trace`` took over, and the lists of names the account's
                # one declaration replaced
                "server_queue", "server_queue_sum", "_cmd_trace",
-               "_cmd_decompose", "_COMPONENT_KEYS", "_PHASE_KEYS"}
+               "_cmd_decompose", "_COMPONENT_KEYS", "_PHASE_KEYS",
+               # the deadlock search's sorted-blocker cache and the extra
+               # edge map, both gone with the ordered decision, and the
+               # graph object only tests build
+               "waits_for_ordered", "_extra_wait_edges", "WaitForGraph",
+               # properties nothing read
+               "perturbs_messages", "response_time_std"}
     found = []
     for path, tree in _trees(""):
         for node in ast.walk(tree):
@@ -154,9 +160,15 @@ def test_retired_names_resolve_nowhere():
     assert found == []
     # a method name other classes still use (``endpoint`` is a local
     # throughout repro.live), so asked of its one class
+    import repro.locking
     from repro.live.results import MergedRun
+    from repro.locking.lock_table import _ItemLock
 
     assert not hasattr(MergedRun, "endpoint")
+    # likewise ``order`` (the tracer's staged rows keep one), and the
+    # facade's lazy name
+    assert "order" not in _ItemLock.__slots__
+    assert not hasattr(repro.locking, "WaitForGraph")
 
 
 def test_only_the_jobs_pool_starts_processes():
@@ -376,11 +388,11 @@ def _lock_state_mutations(function):
                     yield ast.unparse(node)
 
 
-_CACHES = {"edges", "order"}  # an item lock's wait edges and their order
+_CACHES = {"edges"}  # an item lock's cached wait edges
 
 
 def _resets_edge_cache(function):
-    """Does ``function`` set both of an item lock's caches to None?"""
+    """Does ``function`` set an item lock's edge cache to None?"""
     reset = {target.attr for node in ast.walk(function)
              if isinstance(node, ast.Assign)
              and isinstance(node.value, ast.Constant)
@@ -393,8 +405,7 @@ def _resets_edge_cache(function):
 def test_whatever_changes_an_item_lock_resets_its_edge_cache():
     """A stale wait-edge cache is a wrong deadlock victim, and no golden
     names the line that forgot: every function of the lock table that
-    changes a queue or a holder set must also set ``edges`` and the
-    blockers' cached search order, ``order``, to None."""
+    changes a queue or a holder set must also set ``edges`` to None."""
     (_, tree), = _trees(os.path.join("locking", "lock_table.py"))
     mutating = [node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef)
@@ -420,15 +431,14 @@ def test_the_edge_cache_gate_sees_each_form():
                    "lock.edges = None", "granted.append(lock.queue[0])"):
         function = ast.parse(f"def f():\n    {source}")
         assert list(_lock_state_mutations(function)) == [], source
-    assert _resets_edge_cache(
-        ast.parse("def f():\n    lock.edges = lock.order = None"))
-    assert not _resets_edge_cache(ast.parse("def f():\n    lock.edges = None"))
+    assert _resets_edge_cache(ast.parse("def f():\n    lock.edges = None"))
+    assert not _resets_edge_cache(ast.parse("def f():\n    lock.edges = {}"))
 
 
 def test_item_locks_stay_slotted():
     from repro.locking.lock_table import _ItemLock
 
-    assert _ItemLock.__slots__ == ("holders", "queue", "edges", "order")
+    assert _ItemLock.__slots__ == ("holders", "queue", "edges")
     assert not hasattr(_ItemLock(), "__dict__")
 
 

@@ -7,7 +7,7 @@ transaction) when certification deadlocks.
 
 import pytest
 
-from helpers import Harness, R, W, spec
+from helpers import Harness, R, W, WaitForGraph, spec
 
 
 def test_single_writer_commits():
@@ -154,12 +154,56 @@ def test_contended_runs_serializable_and_strict():
         assert result.metrics.finished == 150
 
 
+def _graph_object_server():
+    """The server as it was before detection walked a plain dict: a
+    ``WaitForGraph`` built on every detection and searched in the pinned
+    order (test-only)."""
+    from repro.protocols.twoversion import TwoVersionServer
+
+    class GraphObjectServer(TwoVersionServer):
+        def _build_waitfor_graph(self):
+            wfg = WaitForGraph()
+            for state in self._items.values():
+                write_ahead = []
+                if state.certifying is not None:
+                    write_ahead.append(state.certifying)
+                if state.writer is not None:
+                    write_ahead.append(state.writer)
+                cert_ahead = ([state.certifying]
+                              if state.certifying is not None else [])
+                for txn_id, mode in state.queue:
+                    if mode is W:
+                        wfg.add_edges(txn_id, write_ahead)
+                        write_ahead = write_ahead + [txn_id]
+                    else:
+                        wfg.add_edges(txn_id, cert_ahead)
+            for txn_id, pending in self._certifications.items():
+                for item_id in pending["waiting_on"]:
+                    wfg.add_edges(txn_id, [t for t in
+                                           self._item(item_id).readers
+                                           if t != txn_id])
+            return wfg
+
+        def _detect(self, requester):
+            if not self._can_be_waited_on(requester):
+                return
+            cycle = self._build_waitfor_graph().find_cycle_from(requester)
+            if cycle is None:
+                return
+            self.deadlocks_found += 1
+            self._abort(requester, reason="deadlock")
+
+    return GraphObjectServer
+
+
 def test_detection_prune_never_changes_a_trajectory(monkeypatch):
     """The prune skips only searches that could not find a cycle: a run
-    that always builds the graph has the same fingerprint."""
+    that always walks the edges has the same fingerprint. So does a run
+    that builds a graph object on every detection and searches it in the
+    pinned order: the unordered walk decides the same."""
     from repro import SimulationConfig, run_simulation
     from repro.perf.fingerprint import result_fingerprint
-    from repro.protocols.twoversion import TwoVersionServer
+    from repro.protocols import twoversion
 
     def fingerprint(seed):
         return result_fingerprint(run_simulation(SimulationConfig(
@@ -169,6 +213,9 @@ def test_detection_prune_never_changes_a_trajectory(monkeypatch):
 
     pruned = {seed: fingerprint(seed) for seed in (1, 2, 3)}
     assert any(fp["server_stats"]["deadlocks_found"] for fp in pruned.values())
-    monkeypatch.setattr(TwoVersionServer, "_can_be_waited_on",
+    with monkeypatch.context() as patch:
+        patch.setattr(twoversion, "TwoVersionServer", _graph_object_server())
+        assert {seed: fingerprint(seed) for seed in (1, 2, 3)} == pruned
+    monkeypatch.setattr(twoversion.TwoVersionServer, "_can_be_waited_on",
                         lambda self, txn_id: True)
     assert {seed: fingerprint(seed) for seed in (1, 2, 3)} == pruned
