@@ -5,7 +5,8 @@ Each golden pins the canonical fingerprint (see
 :mod:`repro.perf.fingerprint`) of one small but representative run:
 plain, traced, faulted, sharded, hybrid and population cells, plus six
 high-contention cells that were the kernel benchmark's macro cells
-(their digests carried over unchanged). Every kernel optimization must
+(their digests carried over unchanged) and one contention cell for each
+other registered protocol. Every kernel optimization must
 reproduce them byte for byte, serially and under the process pool,
 which is what :mod:`tests.test_fastpath_replay` asserts.
 
@@ -128,6 +129,12 @@ GOLDEN_CELLS = {
     "s2pl_contention": (dict(_CONTENTION, protocol="s2pl"), 73),
     "g2pl_contention": (dict(_CONTENTION, protocol="g2pl"), 73),
     "hybrid_contention": (dict(_CONTENTION, protocol="hybrid"), 73),
+    # The other registered protocols on the same workload: caching and
+    # two-version s-2PL, and g-2PL's read-only and basic forward lists.
+    "c2pl_contention": (dict(_CONTENTION, protocol="c2pl"), 73),
+    "2v2pl_contention": (dict(_CONTENTION, protocol="2v2pl"), 73),
+    "g2pl-ro_contention": (dict(_CONTENTION, protocol="g2pl-ro"), 73),
+    "g2pl-basic_contention": (dict(_CONTENTION, protocol="g2pl-basic"), 73),
     "g2pl_contention_faulted": (dict(
         _CONTENTION, protocol="g2pl", n_clients=12, n_items=10,
         faults="loss=0.03,dup=0.01,jitter=25,crash=2@4000:8000"), 73),
