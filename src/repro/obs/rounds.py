@@ -89,6 +89,9 @@ def expected_txn_rounds(protocol, n_ops, n_homes=1, commit_protocol="2pc"):
     per-shard returns overlap.  The g-2PL savings the paper counts come
     from *contended* windows (see :func:`expected_rounds`), not from
     this uncontended profile.
+
+    2V-2PL's commit is a certify round trip (``commit`` out,
+    ``commit_ack`` back) where s-2PL's is the one-way release -> 2m+2.
     """
     if n_ops < 1:
         raise ValueError(f"n_ops must be >= 1, got {n_ops!r}")
@@ -96,6 +99,8 @@ def expected_txn_rounds(protocol, n_ops, n_homes=1, commit_protocol="2pc"):
         raise ValueError(f"n_homes must be >= 1, got {n_homes!r}")
     if protocol.startswith("g2pl"):
         return 3 * n_ops
+    if protocol == "2v2pl":
+        return 2 * n_ops + 2
     if n_homes == 1 or commit_protocol == "2pc-opt":
         return 2 * n_ops + 1
     return 2 * n_ops + 3

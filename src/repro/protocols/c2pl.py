@@ -16,19 +16,17 @@ the callback-locking family the paper cites [1, 5, 13]:
   preceded by recalling all copies.
 """
 
-from repro.locking.lock_table import LockRequestState
 from repro.locking.modes import LockMode
 from repro.protocols.messages import (
-    AbortNotice,
-    AbortRelease,
     CacheRecall,
     CacheRecallAck,
-    CommitRelease,
     CONTROL_SIZE,
-    DATA_ITEM_SIZE,
-    LockRequest,
 )
 from repro.protocols.s2pl import S2PLClient, S2PLServer
+from repro.protocols.transaction import TxnStatus
+
+READ, WRITE = LockMode.READ, LockMode.WRITE
+COMMITTED = TxnStatus.COMMITTED
 
 
 class C2PLServer(S2PLServer):
@@ -48,51 +46,30 @@ class C2PLServer(S2PLServer):
         stats["cache_hits"] = self.cache_hits
         return stats
 
-    # -- request handling ------------------------------------------------------
+    # -- recalls ----------------------------------------------------------------
 
-    def on_LockRequest(self, msg):
-        if msg.txn_id in self._dead:
-            return
-        if msg.txn_id not in self._txns:
-            self._txns[msg.txn_id] = msg.client_id
-        state = self.lock_table.acquire(msg.txn_id, msg.item_id, msg.mode)
-        if state is LockRequestState.WAITING:
-            self._detect_and_resolve(msg.txn_id)
-            return
-        self._grant(msg.txn_id, msg.item_id, msg.mode)
-
-    def _grant(self, txn_id, item_id, mode):
-        # Cached-copy registration is CLIENT-driven (it rides the commit
-        # release), never grant-driven: a grant-time registration can be
-        # erased by a recall ack that is still in flight from the same
-        # client, leaving an untracked — and eventually stale — copy.
-        if mode is LockMode.WRITE:
-            self._grant_write(txn_id, item_id)
-        else:
-            self._ship(txn_id, item_id, mode)
-
-    def _grant_write(self, txn_id, item_id):
-        """The table lock is held; recall foreign cached copies, then ship.
-
-        The requester's own registration is left in place: its copy is
-        either overwritten by the write or dropped by the client on abort,
-        and an over-registration is harmless (a recall finds nothing).
-        At a population site the writer's own client is recalled too —
-        another local transaction may be reading the cached copy, and only
-        the recall/busy machinery serialises against it. A closed-loop
-        terminal runs one transaction at a time, so it has no such reader.
-        """
-        client_id = self._txns[txn_id]
-        holders = set(self._cached.get(item_id, set()))
-        if self.config.population is None:
-            holders.discard(client_id)
-        if not holders:
-            self._ship(txn_id, item_id, LockMode.WRITE)
-            return
-        self._recall_waits[item_id] = {"txn": txn_id, "clients": set(holders)}
-        for holder in holders:
-            self.callbacks_sent += 1
-            self.send(holder, CacheRecall(item_id=item_id), size=CONTROL_SIZE)
+    def _ship(self, txn_id, item_id, mode, vote=False):
+        """Ship a granted item; a write first recalls the other clients'
+        cached copies and ships once the last is given back (the writer's
+        own copy is overwritten by the write or dropped on abort). At a
+        population site the writer's own client is recalled too: another
+        local transaction may be reading the copy. Registration rides the
+        commit release, never a grant: a grant-time registration can be
+        erased by a recall ack still in flight from the same client,
+        leaving an untracked — and eventually stale — copy."""
+        if mode is WRITE:
+            holders = set(self._cached.get(item_id, set()))
+            if self.config.population is None:
+                holders.discard(self._txns[txn_id])
+            if holders:
+                self._recall_waits[item_id] = {"txn": txn_id,
+                                               "clients": set(holders)}
+                for holder in holders:
+                    self.callbacks_sent += 1
+                    self.send(holder, CacheRecall(item_id=item_id),
+                              size=CONTROL_SIZE)
+                return
+        super()._ship(txn_id, item_id, mode, vote)
 
     def on_CacheRecallAck(self, msg):
         if not msg.final:
@@ -119,8 +96,8 @@ class C2PLServer(S2PLServer):
         self._drop_busy_edges(writer)
         if writer in self._dead or writer not in self._txns:
             return  # the writer lost a deadlock while waiting for recalls
-        if self.lock_table.holds(writer, msg.item_id, LockMode.WRITE):
-            self._ship(writer, msg.item_id, LockMode.WRITE)
+        if self.lock_table.holds(writer, msg.item_id, WRITE):
+            super()._ship(writer, msg.item_id, WRITE)
 
     # -- deadlock plumbing -------------------------------------------------------
 
@@ -145,9 +122,8 @@ class C2PLServer(S2PLServer):
         for item_id in [i for i, p in self._recall_waits.items()
                         if p["txn"] == txn_id]:
             del self._recall_waits[item_id]
-        self._drop_busy_edges(txn_id)
-        for key in [k for k in self._busy_edges if k[1] == txn_id]:
-            del self._busy_edges[key]
+        self._busy_edges = {edge: item_id for edge, item_id
+                            in self._busy_edges.items() if txn_id not in edge}
         super()._abort(txn_id, reason)
 
     def _finish(self, txn_id):
@@ -167,7 +143,13 @@ class C2PLServer(S2PLServer):
 
 
 class C2PLClient(S2PLClient):
-    """s-2PL client with a local cache of data items across transactions."""
+    """s-2PL client with a local cache of data items across transactions.
+
+    It runs the s-2PL loop: ``_local_read`` serves a read of a published
+    copy locally (its think time, no round), ``on_DataShip`` notes each
+    grant, and ``_after_release`` publishes or drops copies and gives back
+    deferred recalls once the commit or abort release is sent.
+    """
 
     def __init__(self, sim, client_id, config, history):
         super().__init__(sim, client_id, config, history)
@@ -180,7 +162,10 @@ class C2PLClient(S2PLClient):
         # enough for a hitchhiking reader.
         self._cache = {}
         self._deferred_recalls = set()
-        self._txn_used = {}         # txn_id -> set(item_id) used from cache
+        self._txn_used = {}         # txn_id -> set(item_id) in use
+        # txn_id -> the DataShip it resumes from when its think time ends
+        self._granted = {}
+        self._written = {}          # txn_id -> {item_id: new version}
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -202,10 +187,13 @@ class C2PLClient(S2PLClient):
                                          final=False, busy_txn=busy_txn),
                           size=CONTROL_SIZE)
             return
-        self._cache.pop(msg.item_id, None)
+        self._give_back(msg.item_id)
+
+    def _give_back(self, item_id):
+        self._cache.pop(item_id, None)
         self.send(self.server_id,
-                  CacheRecallAck(item_id=msg.item_id,
-                                 client_id=self.client_id, final=True),
+                  CacheRecallAck(item_id=item_id, client_id=self.client_id,
+                                 final=True),
                   size=CONTROL_SIZE)
 
     def _flush_deferred_recalls(self, txn_id):
@@ -218,110 +206,67 @@ class C2PLClient(S2PLClient):
             if any(item_id in other for other in self._txn_used.values()):
                 continue
             self._deferred_recalls.discard(item_id)
-            self._cache.pop(item_id, None)
-            self.send(self.server_id,
-                      CacheRecallAck(item_id=item_id,
-                                     client_id=self.client_id,
-                                     final=True),
-                      size=CONTROL_SIZE)
+            self._give_back(item_id)
 
-    # -- transaction execution ------------------------------------------------------
+    # -- hooks on the s-2PL loop -------------------------------------------------
 
-    def execute(self, txn):
-        """Like s-2PL, but reads of cached items are local hits."""
-        start_time = self.sim.now
-        self._active[txn.txn_id] = txn
-        self._txn_used[txn.txn_id] = set()
-        updates = {}
-        read_items = []
-        fetched = []  # read misses cached during this transaction
-        pending_cache = {}  # writes to cache at commit
-        try:
-            for op in txn.spec.operations:
-                # A copy under a deferred recall is already promised to a
-                # remote writer: new local transactions must not start
-                # using it (they go to the server and queue instead).
-                if (op.mode is LockMode.READ and op.item_id in self._cache
-                        and self._cache[op.item_id][2]
-                        and op.item_id not in self._deferred_recalls):
-                    self.cache_hits += 1
-                    self._txn_used[txn.txn_id].add(op.item_id)
-                    version = self._cache[op.item_id][0]
-                    yield self.sim.timeout(op.think_time)
-                    notice = self._abort_flags.pop(txn.txn_id, None)
-                    if notice is not None:
-                        txn.abort(notice.reason)
-                        break
-                    txn.ops_done += 1
-                    self.history.record_access(
-                        txn.txn_id, op.item_id, op.mode, version,
-                        self.sim.now)
-                    continue
-                if op.mode is LockMode.READ:
-                    self.cache_misses += 1
-                self.send(self.server_id,
-                          LockRequest(txn_id=txn.txn_id, item_id=op.item_id,
-                                      mode=op.mode, client_id=self.client_id),
-                          size=CONTROL_SIZE)
-                event = self.sim.event()
-                self._grant_events[txn.txn_id] = (event, self.sim.now,
-                                                  op.think_time)
-                msg = yield event  # fires think_time after the grant
-                if isinstance(msg, AbortNotice):
-                    txn.abort(msg.reason)
-                    break
-                notice = self._abort_flags.pop(txn.txn_id, None)
-                if notice is not None:
-                    txn.abort(notice.reason)
-                    break
-                txn.ops_done += 1
-                self._txn_used[txn.txn_id].add(op.item_id)
-                if op.mode is LockMode.WRITE:
-                    new_version = msg.version + 1
-                    updates[op.item_id] = f"t{txn.txn_id}v{new_version}"
-                    # The new value enters the cache only at commit: a
-                    # concurrent local transaction (population sites) must
-                    # never cache-hit an uncommitted write.
-                    pending_cache[op.item_id] = (new_version,
-                                                 updates[op.item_id])
-                    self.history.record_access(
-                        txn.txn_id, op.item_id, op.mode, new_version,
-                        self.sim.now)
-                else:
-                    read_items.append(op.item_id)
-                    fetched.append(op.item_id)
-                    self._cache[op.item_id] = [msg.version, msg.value, False]
-                    self.history.record_access(
-                        txn.txn_id, op.item_id, op.mode, msg.version,
-                        self.sim.now)
-            else:
-                txn.commit()
-        finally:
-            self._active.pop(txn.txn_id, None)
-            self._grant_events.pop(txn.txn_id, None)
-            self._abort_flags.pop(txn.txn_id, None)
-        end_time = self.sim.now
-        if txn.status.value == "committed":
-            self.history.record_commit(txn.txn_id, time=self.sim.now)
-            for item_id, (version, value) in pending_cache.items():
-                self._cache[item_id] = [version, value, True]
-            for item_id in fetched:
+    def on_DataShip(self, msg):
+        if msg.txn_id in self._grant_events:
+            self._granted[msg.txn_id] = msg
+        super().on_DataShip(msg)
+
+    def _take_grant(self, txn_id):
+        """Take in the grant ``txn_id`` resumed from: the item is in use, a
+        read's copy enters the cache unpublished, and a write's new version
+        waits for the commit (a concurrent local transaction must never
+        hit an uncommitted write). Taken when the think ends, where the
+        loop records the operation, not on arrival: a grant that an abort
+        notice overtakes during the think is never used."""
+        msg = self._granted.pop(txn_id, None)
+        if msg is None:
+            return
+        self._txn_used[txn_id].add(msg.item_id)
+        if msg.mode is WRITE:
+            self._written.setdefault(txn_id, {})[msg.item_id] = (
+                msg.version + 1)
+        else:
+            self._cache[msg.item_id] = [msg.version, msg.value, False]
+
+    def _local_read(self, txn_id, op):
+        """The version a published cached copy serves a read with, or None
+        (the operation goes to the server). A copy under a deferred recall
+        is already promised to a remote writer: new local transactions
+        must not start using it (they go to the server and queue)."""
+        used = self._txn_used.setdefault(txn_id, set())
+        self._take_grant(txn_id)
+        if op.mode is READ:
+            entry = self._cache.get(op.item_id)
+            if (entry is not None and entry[2]
+                    and op.item_id not in self._deferred_recalls):
+                self.cache_hits += 1
+                used.add(op.item_id)
+                return entry[0]
+            self.cache_misses += 1
+        return None
+
+    def _after_release(self, txn, updates, read_items):
+        """A commit publishes the transaction's copies (their registration
+        rode the release); an abort drops the copies it fetched, never
+        registered, its uncommitted writes having never entered the cache.
+        Then the deferred recalls of what it used are given back."""
+        txn_id = txn.txn_id
+        if txn.status is COMMITTED:
+            self._take_grant(txn_id)
+            written = self._written.pop(txn_id, {})
+            for item_id, value in updates.items():
+                self._cache[item_id] = [written[item_id], value, True]
+            for item_id in read_items:
                 entry = self._cache.get(item_id)
                 if entry is not None:
-                    entry[2] = True  # registration rides the commit release
-            self.send(self.server_id,
-                      CommitRelease(txn_id=txn.txn_id, updates=updates,
-                                    read_items=tuple(read_items)),
-                      size=CONTROL_SIZE
-                      + len(updates) * DATA_ITEM_SIZE)
+                    entry[2] = True
         else:
-            self.history.record_abort(txn.txn_id)
-            # Copies fetched during this transaction were never registered
-            # at the server (the registration rides the commit release),
-            # so they go; uncommitted writes never entered the cache.
-            for item_id in fetched:
+            self._granted.pop(txn_id, None)
+            self._written.pop(txn_id, None)
+            for item_id in read_items:
                 self._cache.pop(item_id, None)
-            self.send(self.server_id, AbortRelease(txn_id=txn.txn_id),
-                      size=CONTROL_SIZE)
-        self._flush_deferred_recalls(txn.txn_id)
-        return self.make_outcome(txn, start_time, end_time)
+        self._flush_deferred_recalls(txn_id)

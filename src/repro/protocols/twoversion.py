@@ -29,20 +29,18 @@ a forward list. The client-observed response time includes the commit
 round trip (the price of server-certified commits).
 """
 
-from collections import OrderedDict, deque
+from collections import OrderedDict, defaultdict, deque
 
 from repro.locking.modes import LockMode
-from repro.locking.waitfor import find_cycle_through
+from repro.locking.waitfor import find_cycle_through, name_cycle
 from repro.protocols.base import ProtocolServer
 from repro.protocols.messages import (
     AbortNotice,
-    AbortRelease,
     CommitAck,
     CommitRelease,
     CONTROL_SIZE,
     DATA_ITEM_SIZE,
     DataShip,
-    LockRequest,
 )
 from repro.protocols.s2pl import S2PLClient
 
@@ -99,7 +97,7 @@ class TwoVersionServer(ProtocolServer):
             # queued writers: read and write locks are compatible in 2V.)
             if state.certifying is None:
                 state.readers[msg.txn_id] = True
-                self._ship(msg.txn_id, msg.item_id)
+                self._ship(msg.txn_id, msg.item_id, LockMode.READ)
                 return
             state.queue.append((msg.txn_id, LockMode.READ))
             self._detect(msg.txn_id)
@@ -107,7 +105,7 @@ class TwoVersionServer(ProtocolServer):
         if not state.write_locked and not any(
                 mode is LockMode.WRITE for _t, mode in state.queue):
             state.writer = msg.txn_id
-            self._ship(msg.txn_id, msg.item_id)
+            self._ship(msg.txn_id, msg.item_id, LockMode.WRITE)
         else:
             state.queue.append((msg.txn_id, LockMode.WRITE))
             self._detect(msg.txn_id)
@@ -140,14 +138,19 @@ class TwoVersionServer(ProtocolServer):
 
     # -- internals -----------------------------------------------------------
 
-    def _ship(self, txn_id, item_id):
+    def _ship(self, txn_id, item_id, mode):
         client_id = self._txns[txn_id]
         item = self.store.read(item_id)
-        self.send(client_id,
-                  DataShip(txn_id=txn_id, item_id=item_id,
-                           version=item.version, value=item.value,
-                           mode=None),
-                  size=self.data_ship_size())
+        env = self.send(client_id,
+                        DataShip(txn_id=txn_id, item_id=item_id,
+                                 version=item.version, value=item.value,
+                                 mode=mode),
+                        size=self.data_ship_size())
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.row("lock.grant", txn_id, item_id, mode.name)
+            tracer.round_charge(txn_id, "grant")
+            tracer.wire_charge(txn_id, env)
 
     def _finalise_commit(self, txn_id, updates):
         self.install_updates(updates)
@@ -161,8 +164,13 @@ class TwoVersionServer(ProtocolServer):
         client_id = self._txns.get(txn_id)
         self._release_everything(txn_id)
         if client_id is not None:
-            self.send(client_id, CommitAck(txn_id=txn_id),
-                      size=CONTROL_SIZE)
+            env = self.send(client_id, CommitAck(txn_id=txn_id),
+                            size=CONTROL_SIZE)
+            tracer = self.sim.tracer
+            if tracer is not None:
+                # the certify round's second half: coordination wire
+                tracer.round_charge(txn_id, "commit_ack")
+                tracer.wire_charge(txn_id, env, phase="commit")
 
     def _release_everything(self, txn_id):
         self._txns.pop(txn_id, None)
@@ -195,11 +203,11 @@ class TwoVersionServer(ProtocolServer):
                         if mode is not LockMode.READ)
                     for txn_id in reads:
                         state.readers[txn_id] = True
-                        self._ship(txn_id, item_id)
+                        self._ship(txn_id, item_id, LockMode.READ)
             while state.queue and not state.write_locked:
                 txn_id, _mode = state.queue.popleft()
                 state.writer = txn_id
-                self._ship(txn_id, item_id)
+                self._ship(txn_id, item_id, LockMode.WRITE)
 
     def _retry_certifications(self):
         progressed = True
@@ -222,12 +230,12 @@ class TwoVersionServer(ProtocolServer):
     # -- deadlock handling -----------------------------------------------------
 
     def _wait_edges(self):
-        """The wait-for graph as ``{waiter: set(blockers)}``, never a
-        waiter in its own set: a queued request waits for the item's
-        write/certify lock holder and (a write) for the writes queued ahead
-        of it, a pending certification for the other readers of what it
-        wrote."""
-        out = {}
+        """The wait-for graph as ``{waiter: set(blockers)}`` (an empty set
+        for a transaction that waits for nothing), never a waiter in its
+        own set: a queued request waits for the item's write/certify lock
+        holder and (a write) for the writes queued ahead of it, a pending
+        certification for the other readers of what it wrote."""
+        out = defaultdict(set)
         for state in self._items.values():
             write_ahead = []
             if state.certifying is not None:
@@ -238,14 +246,13 @@ class TwoVersionServer(ProtocolServer):
                           if state.certifying is not None else [])
             for txn_id, mode in state.queue:
                 if mode is LockMode.WRITE:
-                    out.setdefault(txn_id, set()).update(write_ahead)
+                    out[txn_id].update(write_ahead)
                     write_ahead = write_ahead + [txn_id]
                 else:
-                    out.setdefault(txn_id, set()).update(cert_ahead)
+                    out[txn_id].update(cert_ahead)
         for txn_id, pending in self._certifications.items():
             for item_id in pending["waiting_on"]:
-                out.setdefault(txn_id, set()).update(
-                    self._item(item_id).readers)
+                out[txn_id].update(self._item(item_id).readers)
         for txn_id, blockers in out.items():
             blockers.discard(txn_id)
         return out
@@ -278,15 +285,19 @@ class TwoVersionServer(ProtocolServer):
         are not even collected when nothing can be waiting on it (a cycle
         through a node needs an edge into it) — the same exact prune as
         s-2PL's. The walk is unordered: the victim is the requester
-        whichever cycle it closed.
+        whichever cycle it closed; only a traced deadlock pays for naming
+        it.
         """
         if not self._can_be_waited_on(requester):
             return
-        out = self._wait_edges()
-        if find_cycle_through(requester,
-                              lambda txn: out.get(txn, ())) is None:
+        blockers = self._wait_edges().__getitem__
+        if find_cycle_through(requester, blockers) is None:
             return
         self.deadlocks_found += 1
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.row("lock.deadlock", requester,
+                       len(set(name_cycle(requester, blockers))))
         self._abort(requester, reason="deadlock")
 
     def _abort(self, txn_id, reason):
@@ -295,6 +306,9 @@ class TwoVersionServer(ProtocolServer):
             return
         self._dead.add(txn_id)
         self.aborts_initiated += 1
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.row("txn.abort", txn_id, reason)
         # Wait edges vanish now: queued requests and any pending
         # certification of the victim are dropped (the certify locks it
         # took revert so others can progress); held read/write locks go
@@ -314,16 +328,20 @@ class TwoVersionServer(ProtocolServer):
                                     if entry[0] != txn_id)
         self._drain_queues()
         self._retry_certifications()
-        self.send(client_id, AbortNotice(txn_id=txn_id, reason=reason),
-                  size=CONTROL_SIZE)
+        env = self.send(client_id, AbortNotice(txn_id=txn_id, reason=reason),
+                        size=CONTROL_SIZE)
+        if tracer is not None:
+            # the victim waits on a lock or its certification until the
+            # notice lands: abort-resolution wire, as for s-2PL
+            tracer.wire_charge(txn_id, env, phase="abort")
 
 
 class TwoVersionClient(S2PLClient):
-    """Client side: s-2PL flow plus a commit round trip.
+    """Client side: the s-2PL loop, its commit a certify round trip.
 
-    After the last operation the client sends the commit request and
-    waits for the server's ack (certification may refuse it with an
-    abort). History commit/abort is recorded at the outcome, so the
+    After the last operation ``_commit_round`` sends the commit request
+    and waits for the server's ack (certification may refuse it with an
+    abort). The history commit is recorded when the ack lands, so the
     validator sees exactly what the server decided.
     """
 
@@ -334,66 +352,23 @@ class TwoVersionClient(S2PLClient):
         if pending is not None:
             pending[0].succeed(msg)
 
-    def execute(self, txn):
-        start_time = self.sim.now
-        self._active[txn.txn_id] = txn
-        updates = {}
-        decided_by_server = False
-        try:
-            for op in txn.spec.operations:
-                self.send(self.server_id,
-                          LockRequest(txn_id=txn.txn_id, item_id=op.item_id,
-                                      mode=op.mode, client_id=self.client_id),
-                          size=CONTROL_SIZE)
-                event = self.sim.event()
-                self._grant_events[txn.txn_id] = (event, self.sim.now,
-                                                  op.think_time)
-                msg = yield event  # fires think_time after the grant
-                if isinstance(msg, AbortNotice):
-                    txn.abort(msg.reason)
-                    break
-                notice = self._abort_flags.pop(txn.txn_id, None)
-                if notice is not None:
-                    txn.abort(notice.reason)
-                    break
-                txn.ops_done += 1
-                if op.mode is LockMode.WRITE:
-                    new_version = msg.version + 1
-                    updates[op.item_id] = f"t{txn.txn_id}v{new_version}"
-                    self.history.record_access(
-                        txn.txn_id, op.item_id, op.mode, new_version,
-                        self.sim.now)
-                else:
-                    self.history.record_access(
-                        txn.txn_id, op.item_id, op.mode, msg.version,
-                        self.sim.now)
-            else:
-                # Commit request: the server certifies and acks (or aborts).
-                self.send(self.server_id,
-                          CommitRelease(txn_id=txn.txn_id, updates=updates,
-                                        read_items=()),
-                          size=CONTROL_SIZE
-                          + len(updates) * DATA_ITEM_SIZE)
-                event = self.sim.event()
-                # (a grant wait's shape; only the event is ever used)
-                self._grant_events[txn.txn_id] = (event, self.sim.now, 0.0)
-                msg = yield event
-                decided_by_server = True
-                if isinstance(msg, AbortNotice):
-                    txn.abort(msg.reason)
-                else:
-                    txn.commit()
-        finally:
-            self._active.pop(txn.txn_id, None)
-            self._grant_events.pop(txn.txn_id, None)
-            self._abort_flags.pop(txn.txn_id, None)
-        end_time = self.sim.now
-        if txn.status.value == "committed":
-            if not self.fault_mode:  # else stamped by the certifying server
-                self.history.record_commit(txn.txn_id, time=self.sim.now)
-        else:
-            self.history.record_abort(txn.txn_id)
-            # Roll back; locks release at the server when this arrives.
-            self.send(self.server_id, AbortRelease(txn_id=txn.txn_id),
-                      size=CONTROL_SIZE)
-        return self.make_outcome(txn, start_time, end_time)
+    def _commit_round(self, txn, updates):
+        txn_id = txn.txn_id
+        env = self.send(self.server_id,
+                        CommitRelease(txn_id=txn_id, updates=updates,
+                                      read_items=()),
+                        size=CONTROL_SIZE + len(updates) * DATA_ITEM_SIZE)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.round_charge(txn_id, "commit")
+            tracer.wire_charge(txn_id, env, phase="commit")
+        event = self.sim.event()
+        # (a grant wait's shape; only the event is ever used)
+        self._grant_events[txn_id] = (event, self.sim.now, 0.0)
+        msg = yield event
+        if isinstance(msg, AbortNotice):
+            txn.abort(msg.reason)
+            return
+        txn.commit()
+        if not self.fault_mode:  # else stamped by the certifying server
+            self.history.record_commit(txn_id, time=self.sim.now)

@@ -1,7 +1,10 @@
 """Shared helpers for protocol-level tests: hand-built micro scenarios."""
 
 import dataclasses
+import itertools
 import json
+
+import pytest
 
 from repro.analysis.ascii_plot import ascii_plot
 from repro.analysis.crossover import find_crossover
@@ -23,6 +26,7 @@ from repro.obs.summary import NON_SEQUENTIAL_ROUND_KINDS
 from repro.obs.tracer import Tracer, _TxnAcc
 from repro.obs.rounds import round_table, run_worked_example
 from repro.perf.goldens import GOLDEN_CELLS
+from repro.protocols import registry
 from repro.protocols.registry import make_protocol
 from repro.protocols.transaction import Transaction
 from repro.sim.engine import Simulator
@@ -36,6 +40,71 @@ R, W = LockMode.READ, LockMode.WRITE
 #: the golden cells that run with tracing on, for tests of the trace itself
 TRACED_GOLDEN_CELLS = sorted(name for name, (kwargs, _) in GOLDEN_CELLS.items()
                              if kwargs.get("trace"))
+
+# -- the capability battery (tests/test_capabilities.py) ---------------------
+
+BATTERY_FAULTS = {"clean": None, "lossy": "loss=0.05,dup=0.02",
+                  "crash": "loss=0.02,crash=2@300:900"}
+
+#: (n_shards, cross_shard_probability, id suffix): one shard, three shards
+#: mixing local and cross-shard transactions under the paper's rule, and
+#: three shards on local partitions ("-lp": every transaction stays on one
+#: shard, so 2PC only ever runs its single-participant path)
+DEPLOYMENTS = ((1, None, ""), (3, 0.5, ""), (3, 0.0, "-lp"))
+
+#: users per client site (id suffix "-popn"), or None for the paper's
+#: closed-loop terminals (no suffix); the population's arrival rate keeps
+#: several transactions in flight at a site
+USERS_PER_SITE = (None, 4)
+
+BATTERY = [
+    pytest.param(protocol, n_shards, faults, commit, cross, users,
+                 id=f"{protocol}-{n_shards}sh-{faults}-{commit}{suffix}"
+                    f"{'' if users is None else '-popn'}")
+    for protocol, (n_shards, cross, suffix), faults, commit, users
+    in itertools.product(registry.available_protocols(), DEPLOYMENTS,
+                         BATTERY_FAULTS, ("2pc", "2pc-opt"), USERS_PER_SITE)]
+
+
+def battery_rejection(protocol, n_shards, faults, commit, users):
+    """The battery's own reading of the table: the name of a rule that
+    must reject the cell, or None when it must run."""
+    row = registry.PROTOCOLS[protocol]
+    if n_shards > 1 and not row.shardable:
+        return "single-server-protocol"
+    if faults == "crash" and users is not None:
+        return "crash-with-population"
+    if faults == "crash" and not row.crash_recovery:
+        return "crash-without-recovery"
+    if faults == "crash" and n_shards > 1 and commit == "2pc-opt":
+        return "crash-with-2pc-opt"
+    return None
+
+
+def battery_keywords(protocol, n_shards, faults, commit, cross, users):
+    """The ``SimulationConfig`` keywords of one battery cell: 48
+    transactions, history recorded."""
+    keywords = dict(
+        protocol=protocol, n_clients=6, n_items=12, n_shards=n_shards,
+        n_regions=n_shards, commit_protocol=commit,
+        faults=BATTERY_FAULTS[faults], network_latency=40.0,
+        intra_region_latency=1.0, read_probability=0.5,
+        total_transactions=48, warmup_transactions=0, record_history=True,
+        cross_shard_probability=cross)
+    if users is not None:
+        # Admission capped at the site's users refuses nothing a busy
+        # user would not skip anyway, but a site whose users all stall
+        # then sleeps, so a stall fails the run instead of arriving
+        # forever.
+        keywords.update(population=6 * users, arrival_rate=0.01,
+                        max_inflight_per_site=users)
+    return keywords
+
+
+#: the battery cells the table accepts
+ACCEPTED_BATTERY = [
+    cell for cell in BATTERY
+    if battery_rejection(*cell.values[:4], cell.values[5]) is None]
 
 
 def brute_force_blockers(table, item):

@@ -21,7 +21,6 @@ Three batteries, all generated from :mod:`repro.protocols.registry`:
    not leak into deployments where the thing it counts cannot happen.
 """
 
-import itertools
 import os
 
 import pytest
@@ -30,6 +29,8 @@ from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
 from repro.perf.goldens import GOLDEN_CELLS, golden_config, load_golden
 from repro.protocols import registry
+
+from helpers import BATTERY, battery_keywords, battery_rejection
 
 # ---------------------------------------------------------------------------
 # 1. every rejection, at construction, with its reason
@@ -112,64 +113,13 @@ def test_readme_carries_the_registrys_table():
 # 2. the capability battery
 # ---------------------------------------------------------------------------
 
-FAULTS = {"clean": None, "lossy": "loss=0.05,dup=0.02",
-          "crash": "loss=0.02,crash=2@300:900"}
-
-#: (n_shards, cross_shard_probability, id suffix): one shard, three shards
-#: mixing local and cross-shard transactions under the paper's rule, and
-#: three shards on local partitions ("-lp": every transaction stays on one
-#: shard, so 2PC only ever runs its single-participant path)
-DEPLOYMENTS = ((1, None, ""), (3, 0.5, ""), (3, 0.0, "-lp"))
-
-#: users per client site (id suffix "-popn"), or None for the paper's
-#: closed-loop terminals (no suffix); the population's arrival rate keeps
-#: several transactions in flight at a site
-USERS_PER_SITE = (None, 4)
-
-BATTERY = [
-    pytest.param(protocol, n_shards, faults, commit, cross, users,
-                 id=f"{protocol}-{n_shards}sh-{faults}-{commit}{suffix}"
-                    f"{'' if users is None else '-popn'}")
-    for protocol, (n_shards, cross, suffix), faults, commit, users
-    in itertools.product(registry.available_protocols(), DEPLOYMENTS,
-                         FAULTS, ("2pc", "2pc-opt"), USERS_PER_SITE)]
-
-
-def _expected_rejection(protocol, n_shards, faults, commit, users):
-    """The battery's own reading of the table: the name of a rule that
-    must reject the cell, or None when it must run."""
-    row = registry.PROTOCOLS[protocol]
-    if n_shards > 1 and not row.shardable:
-        return "single-server-protocol"
-    if faults == "crash" and users is not None:
-        return "crash-with-population"
-    if faults == "crash" and not row.crash_recovery:
-        return "crash-without-recovery"
-    if faults == "crash" and n_shards > 1 and commit == "2pc-opt":
-        return "crash-with-2pc-opt"
-    return None
-
-
 @pytest.mark.parametrize("protocol,n_shards,faults,commit,cross,users",
                          BATTERY)
 def test_capability_battery(protocol, n_shards, faults, commit, cross,
                             users):
-    keywords = dict(
-        protocol=protocol, n_clients=6, n_items=12, n_shards=n_shards,
-        n_regions=n_shards, commit_protocol=commit, faults=FAULTS[faults],
-        network_latency=40.0, intra_region_latency=1.0,
-        read_probability=0.5, total_transactions=48,
-        warmup_transactions=0, record_history=True,
-        cross_shard_probability=cross)
-    if users is not None:
-        # Admission capped at the site's users refuses nothing a busy
-        # user would not skip anyway, but a site whose users all stall
-        # then sleeps, so a stall fails the run instead of arriving
-        # forever.
-        keywords.update(population=6 * users, arrival_rate=0.01,
-                        max_inflight_per_site=users)
-    expected = _expected_rejection(protocol, n_shards, faults, commit,
-                                   users)
+    keywords = battery_keywords(protocol, n_shards, faults, commit, cross,
+                                users)
+    expected = battery_rejection(protocol, n_shards, faults, commit, users)
     if expected is not None:
         rule = next(rule for rule in registry.REJECTIONS
                     if rule.name == expected)

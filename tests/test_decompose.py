@@ -9,6 +9,7 @@ golden replay suite pins the same property against the committed
 pre-optimization goldens).
 """
 
+import functools
 import math
 
 import pytest
@@ -31,9 +32,12 @@ from repro.obs.spans import (
     sum_violation,
     tolerance,
 )
+from repro.obs.rounds import expected_txn_rounds
 from repro.perf.fingerprint import result_fingerprint
 from repro.perf.goldens import FAULTS
+from repro.protocols.registry import available_protocols
 
+from helpers import ACCEPTED_BATTERY, battery_keywords
 from helpers import account_record as _record
 from helpers import endpoint_payload, partial_record
 
@@ -131,6 +135,63 @@ class TestInvariantUnderFaults:
                 assert record["propagation"] <= record["response"]
 
 
+#: the fingerprint keys only a traced run has
+TRACE_KEYS = ("trace_summary", "trace_events", "trace_txns", "trace_probes")
+
+#: one client and nothing to wait for (SNIPPETS.md §2, SELECT 1): every
+#: charge a transaction waited on is in its account, so the residual is 0
+SOLO = dict(n_clients=1, n_items=50, total_transactions=100,
+            warmup_transactions=10, network_latency=100.0, trace=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _solo_records(protocol):
+    """``{txn: record}`` of the committed transactions of the lone-client
+    run under ``protocol`` (seed 7; every protocol draws the same
+    transactions)."""
+    result = run_simulation(SimulationConfig(protocol=protocol, **SOLO),
+                            seed=7)
+    return {record["txn"]: record for record in result.trace.txns
+            if record["committed"]}
+
+
+class TestEveryProtocolKeepsItsAccount:
+    @pytest.mark.parametrize("protocol", available_protocols())
+    def test_a_lone_client_never_waits_for_a_lock(self, protocol):
+        records = _solo_records(protocol)
+        assert records
+        for record in records.values():
+            assert abs(phase_view(record)["lock_wait"]) <= tolerance(
+                record["response"]), record
+
+    @pytest.mark.parametrize("protocol", sorted(
+        set(available_protocols()) - {"c2pl", "hybrid"}))
+    def test_rounds_per_commit_are_the_closed_form(self, protocol):
+        for record in _solo_records(protocol).values():
+            assert record["rounds_sequential"] == expected_txn_rounds(
+                protocol, record["n_ops"])
+
+    def test_hybrid_runs_one_familys_rounds(self):
+        for record in _solo_records("hybrid").values():
+            assert record["rounds_sequential"] in {
+                expected_txn_rounds(family, record["n_ops"])
+                for family in ("s2pl", "g2pl")}
+
+    def test_a_cached_read_costs_its_think_time_and_no_round(self):
+        cached, plain = _solo_records("c2pl"), _solo_records("s2pl")
+        assert cached.keys() == plain.keys()
+        hits = 0
+        for txn, record in cached.items():
+            rounds = record["rounds"]
+            requests = rounds.get("request", 0)
+            assert rounds.get("grant", 0) == requests
+            assert record["rounds_sequential"] == 2 * requests + 1
+            # the same operations think the same: hit or not
+            assert record["client_think"] == plain[txn]["client_think"]
+            hits += record["n_ops"] - requests
+        assert hits > 0
+
+
 class TestTracingIsObservationOnly:
     def test_traced_and_untraced_runs_share_a_metrics_fingerprint(self):
         kwargs = dict(PROTOCOL_CELLS["sharded-2pc"])
@@ -138,10 +199,25 @@ class TestTracingIsObservationOnly:
                                   seed=11)
         traced = run_simulation(traced_config(**kwargs), seed=11)
         traced_fp = result_fingerprint(traced)
-        for key in ("trace_summary", "trace_events", "trace_txns",
-                    "trace_probes"):
+        for key in TRACE_KEYS:
             traced_fp.pop(key)
         assert traced_fp == result_fingerprint(untraced)
+
+    @pytest.mark.parametrize("protocol,n_shards,faults,commit,cross,users",
+                             ACCEPTED_BATTERY)
+    def test_every_battery_cell_traces_without_steering(
+            self, protocol, n_shards, faults, commit, cross, users):
+        keywords = battery_keywords(protocol, n_shards, faults, commit,
+                                    cross, users)
+        untraced = run_simulation(SimulationConfig(**keywords), seed=5)
+        traced = run_simulation(SimulationConfig(trace=True, **keywords),
+                                seed=5)
+        traced_fp = result_fingerprint(traced)
+        for key in TRACE_KEYS:
+            traced_fp.pop(key)
+        assert traced_fp == result_fingerprint(untraced)
+        assert check_records(r for r in traced.trace.txns
+                             if not r.get("unfinished")) == []
 
 
 class TestPooledParity:

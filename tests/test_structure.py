@@ -17,7 +17,10 @@ re-introduced copy cannot hide behind one:
 * only the ``--jobs`` pool starts processes, and every run flag is
   declared once, on its config field;
 * a response's account (its components, sub-accounts, residual and
-  phases) is declared once, in ``repro.obs.schema``.
+  phases) is declared once, in ``repro.obs.schema``;
+* one s-2PL client loop and one s-2PL request handler: c-2PL and 2V-2PL
+  run ``S2PLClient.execute`` through its hooks, and no server of the
+  s-2PL family re-defines ``on_LockRequest``.
 """
 
 import ast
@@ -64,6 +67,41 @@ def test_no_sharded_subclasses():
                if isinstance(node, ast.ClassDef)
                and node.name.startswith("Sharded")]
     assert sharded == []
+
+
+def _classes():
+    """name -> (base names, names of the methods it defines) for every
+    class in the package."""
+    classes = {}
+    for _path, tree in _trees(""):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (
+                    [base.id for base in node.bases
+                     if isinstance(base, ast.Name)],
+                    {item.name for item in node.body
+                     if isinstance(item, ast.FunctionDef)})
+    return classes
+
+
+def test_one_client_loop_per_family_and_one_s2pl_request_handler():
+    classes = _classes()
+
+    def inherits(name, root):
+        return name == root or any(inherits(base, root)
+                                   for base in classes.get(name, ((),))[0])
+
+    loops = sorted(name for name, (_bases, methods) in classes.items()
+                   if "execute" in methods
+                   and inherits(name, "ProtocolClient"))
+    # ProtocolClient's is the abstract one
+    assert loops == ["G2PLClient", "ProtocolClient", "S2PLClient"]
+    handlers = sorted(name for name, (_bases, methods) in classes.items()
+                      if "on_LockRequest" in methods
+                      and inherits(name, "S2PLServer"))
+    assert handlers == ["S2PLServer"]
+    assert inherits("C2PLServer", "S2PLServer")
+    assert inherits("TwoVersionClient", "S2PLClient")
 
 
 def test_each_2pc_handler_is_defined_once():

@@ -219,3 +219,23 @@ def test_detection_prune_never_changes_a_trajectory(monkeypatch):
     monkeypatch.setattr(twoversion.TwoVersionServer, "_can_be_waited_on",
                         lambda self, txn_id: True)
     assert {seed: fingerprint(seed) for seed in (1, 2, 3)} == pruned
+
+
+def test_a_traced_run_names_every_deadlock_it_finds():
+    """One ``lock.deadlock`` row, naming a cycle of two or more, and one
+    ``txn.abort`` row per deadlock the server found."""
+    from repro import SimulationConfig, run_simulation
+
+    result = run_simulation(SimulationConfig(
+        protocol="2v2pl", n_clients=12, n_items=6, network_latency=100.0,
+        total_transactions=400, warmup_transactions=20, trace=True,
+        record_history=False), seed=7)
+    found = result.server_stats["deadlocks_found"]
+    deadlocks = [fields for _, kind, fields in result.trace.events
+                 if kind == "lock.deadlock"]
+    aborts = [fields for _, kind, fields in result.trace.events
+              if kind == "txn.abort"]
+    assert len(deadlocks) == len(aborts) == found > 0
+    assert all(fields["cycle"] >= 2 for fields in deadlocks)
+    assert [fields["requester"] for fields in deadlocks] == [
+        fields["txn"] for fields in aborts]
