@@ -253,13 +253,22 @@ class StubClient:
 
 
 class HungClient:
-    """Protocol-client stub whose transactions never finish."""
+    """Protocol-client stub whose transactions never finish.
+
+    It holds every event it waits on, as a server holds a queued
+    request. An event nothing references would leave its waiting
+    coroutine garbage: a collection would then close it, and the
+    driver's teardown would take the user out of the active set.
+    """
 
     def __init__(self, sim):
         self.sim = sim
+        self.waiting = []
 
     def execute(self, txn):
-        yield self.sim.event()
+        event = self.sim.event()
+        self.waiting.append(event)
+        yield event
 
 
 class ArrivalBudget:
