@@ -135,6 +135,15 @@ GOLDEN_CELLS = {
     "2v2pl_contention": (dict(_CONTENTION, protocol="2v2pl"), 73),
     "g2pl-ro_contention": (dict(_CONTENTION, protocol="g2pl-ro"), 73),
     "g2pl-basic_contention": (dict(_CONTENTION, protocol="g2pl-basic"), 73),
+    # 2V-2PL where grant ties reach the trajectory: under loss,
+    # duplication and jitter, and at population sites.
+    "2v2pl_contention_lossy": (dict(
+        _CONTENTION, protocol="2v2pl",
+        faults="loss=0.03,dup=0.01,jitter=25"), 73),
+    "2v2pl_population": (dict(
+        protocol="2v2pl", n_clients=4, n_items=10, network_latency=50.0,
+        population=40, arrival_rate=2e-3, total_transactions=200,
+        warmup_transactions=20, record_history=False), 5),
     "g2pl_contention_faulted": (dict(
         _CONTENTION, protocol="g2pl", n_clients=12, n_items=10,
         faults="loss=0.03,dup=0.01,jitter=25,crash=2@4000:8000"), 73),
