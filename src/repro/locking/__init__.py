@@ -3,7 +3,8 @@
 Implements the strict two-phase locking machinery of the s-2PL baseline
 (Eswaran et al. [14]): shared/exclusive locks with FIFO queuing at the data
 server, plus the wait-for cycle search (:mod:`repro.locking.waitfor`) that
-the paper runs whenever a lock cannot be granted.
+the paper runs whenever a lock cannot be granted; two-version 2PL runs
+the same table with a certify lock (:mod:`repro.locking.two_version`).
 """
 
 from repro._lazy import lazy_exports

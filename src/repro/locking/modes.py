@@ -4,23 +4,16 @@ import enum
 
 
 class LockMode(enum.Enum):
-    """Shared (read) and exclusive (write) locks, as in the paper §3.1."""
+    """Shared (read) and exclusive (write) locks, as in the paper §3.1,
+    and two-version 2PL's certify lock (:mod:`repro.locking.two_version`)."""
 
     READ = "read"
     WRITE = "write"
-
-    @property
-    def is_shared(self):
-        return self is LockMode.READ
+    CERTIFY = "certify"
 
     def compatible_with(self, other):
         """Two locks are compatible only when both are shared."""
         return self is LockMode.READ and other is LockMode.READ
-
-    @classmethod
-    def from_read_flag(cls, is_read):
-        """Map the workload's read/write coin flip to a mode."""
-        return cls.READ if is_read else cls.WRITE
 
     def __str__(self):
         return self.value

@@ -273,7 +273,7 @@ class S2PLServer(TwoPhaseParticipant, ProtocolServer):
     def stats(self):
         stats = super().stats()
         stats["deadlocks_found"] = self.deadlocks_found
-        if self.fault_mode:
+        if self._injector is not None:  # the crash sweep is armed
             stats["crash_reclaims"] = self.crash_reclaims
         return stats
 

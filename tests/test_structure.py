@@ -19,8 +19,9 @@ re-introduced copy cannot hide behind one:
 * a response's account (its components, sub-accounts, residual and
   phases) is declared once, in ``repro.obs.schema``;
 * one s-2PL client loop and one s-2PL request handler: c-2PL and 2V-2PL
-  run ``S2PLClient.execute`` through its hooks, and no server of the
-  s-2PL family re-defines ``on_LockRequest``.
+  run ``S2PLClient.execute`` through its hooks, their servers are
+  ``S2PLServer``s (2V-2PL's on a two-version ``LockTable``), and none
+  re-defines ``on_LockRequest``.
 """
 
 import ast
@@ -101,6 +102,10 @@ def test_one_client_loop_per_family_and_one_s2pl_request_handler():
                       and inherits(name, "S2PLServer"))
     assert handlers == ["S2PLServer"]
     assert inherits("C2PLServer", "S2PLServer")
+    # 2V-2PL is a certify mode on the s-2PL lock table, not a second
+    # lock manager
+    assert inherits("TwoVersionServer", "S2PLServer")
+    assert inherits("TwoVersionLockTable", "LockTable")
     assert inherits("TwoVersionClient", "S2PLClient")
 
 
@@ -180,7 +185,9 @@ def test_retired_names_resolve_nowhere():
                # graph object only tests build
                "waits_for_ordered", "_extra_wait_edges", "WaitForGraph",
                # properties nothing read
-               "perturbs_messages", "response_time_std"}
+               "perturbs_messages", "response_time_std",
+               # 2V-2PL's own lock manager, each part a scan of every item
+               "_drain_queues", "_release_everything", "_wait_edges"}
     found = []
     for path, tree in _trees(""):
         for node in ast.walk(tree):
@@ -203,6 +210,10 @@ def test_retired_names_resolve_nowhere():
     from repro.locking.lock_table import _ItemLock
 
     assert not hasattr(MergedRun, "endpoint")
+    # g-2PL keeps an ``_ItemState`` of its own; 2V-2PL's is gone
+    from repro.protocols import twoversion
+
+    assert not hasattr(twoversion, "_ItemState")
     # likewise ``order`` (the tracer's staged rows keep one), and the
     # facade's lazy name
     assert "order" not in _ItemLock.__slots__
@@ -442,16 +453,22 @@ def _resets_edge_cache(function):
 
 def test_whatever_changes_an_item_lock_resets_its_edge_cache():
     """A stale wait-edge cache is a wrong deadlock victim, and no golden
-    names the line that forgot: every function of the lock table that
+    names the line that forgot: every function of either lock table that
     changes a queue or a holder set must also set ``edges`` to None."""
-    (_, tree), = _trees(os.path.join("locking", "lock_table.py"))
-    mutating = [node for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef)
-                and list(_lock_state_mutations(node))]
-    assert [node.name for node in mutating] == [
-        "__init__", "acquire", "drop_queued", "release_all",
-        "_grant_from_queue"]
-    assert [node.name for node in mutating
+    mutating = {}
+    for path, tree in _trees(os.path.join("locking", "lock_table.py"),
+                             os.path.join("locking", "two_version.py")):
+        mutating[os.path.basename(path)] = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and list(_lock_state_mutations(node))]
+    assert {name: [node.name for node in nodes]
+            for name, nodes in mutating.items()} == {
+        "lock_table.py": ["__init__", "acquire", "drop_queued",
+                          "release_all", "_grant_from_queue"],
+        "two_version.py": ["acquire", "certify", "drop_queued",
+                           "_grant_from_queue"]}
+    assert [node.name for nodes in mutating.values() for node in nodes
             if not _resets_edge_cache(node)] == []
 
 
