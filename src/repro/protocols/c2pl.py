@@ -38,12 +38,11 @@ class C2PLServer(S2PLServer):
         self._recall_waits = {}     # item_id -> {"txn": writer, "clients": set}
         self._busy_edges = {}       # (writer_txn, busy_txn) -> item_id
         self.callbacks_sent = 0
-        self.cache_hits = 0         # server-visible proxy: grants avoided
 
     def stats(self):
+        # (a cache hit never reaches the server: the clients count them)
         stats = super().stats()
         stats["callbacks_sent"] = self.callbacks_sent
-        stats["cache_hits"] = self.cache_hits
         return stats
 
     # -- recalls ----------------------------------------------------------------
