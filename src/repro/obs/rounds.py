@@ -92,15 +92,24 @@ def expected_txn_rounds(protocol, n_ops, n_homes=1, commit_protocol="2pc"):
 
     2V-2PL's commit is a certify round trip (``commit`` out,
     ``commit_ack`` back) where s-2PL's is the one-way release -> 2m+2.
+    c-2PL's is s-2PL's when no read hits the cache. ``hybrid`` has no
+    one count (it runs whichever family its controller's mode picks: ask
+    for ``"s2pl"`` or ``"g2pl"``), and neither has a name outside these:
+    both raise ValueError.
     """
     if n_ops < 1:
         raise ValueError(f"n_ops must be >= 1, got {n_ops!r}")
     if n_homes < 1:
         raise ValueError(f"n_homes must be >= 1, got {n_homes!r}")
-    if protocol.startswith("g2pl"):
+    if protocol in ("g2pl", "g2pl-ro", "g2pl-basic"):
         return 3 * n_ops
     if protocol == "2v2pl":
         return 2 * n_ops + 2
+    if protocol == "hybrid":
+        raise ValueError("hybrid's rounds depend on its controller's mode: "
+                         "ask for its family, 's2pl' or 'g2pl'")
+    if protocol not in ("s2pl", "c2pl"):
+        raise ValueError(f"no closed form for protocol {protocol!r}")
     if n_homes == 1 or commit_protocol == "2pc-opt":
         return 2 * n_ops + 1
     return 2 * n_ops + 3

@@ -126,6 +126,15 @@ def test_expected_txn_rounds_closed_forms():
         expected_txn_rounds("s2pl", 0)
     with pytest.raises(ValueError):
         expected_txn_rounds("s2pl", 2, n_homes=0)
+    # 2V-2PL's certify round trip; c-2PL without a cache hit is s-2PL
+    assert expected_txn_rounds("2v2pl", 4) == 10
+    assert expected_txn_rounds("c2pl", 4) == 9
+    # no silent s-2PL answer: hybrid runs either family, and a name
+    # outside the table has no count
+    with pytest.raises(ValueError, match="hybrid"):
+        expected_txn_rounds("hybrid", 4)
+    with pytest.raises(ValueError, match="'s3pl'"):
+        expected_txn_rounds("s3pl", 4)
 
 
 # ---------------------------------------------------------------------------
