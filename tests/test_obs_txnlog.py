@@ -35,9 +35,12 @@ INTS = st.one_of(st.sampled_from(EDGES), st.integers(-300, 300),
 
 
 def width(column):
-    """A rank that only grows as a column widens: its item size, or past
-    every array once it is a list."""
-    return column.itemsize if type(column) is array else 16
+    """A rank that only grows as a column widens: 0 while it is new (an
+    empty list, which its first batch may still make an array), its item
+    size, or past every array once it is a list of values."""
+    if type(column) is array:
+        return column.itemsize
+    return 16 if column else 0
 
 
 @given(st.lists(st.lists(st.one_of(INTS, INTS, INTS, st.booleans()),
