@@ -107,9 +107,6 @@ def _profiled(args, label, work):
 
 
 def _cmd_run(args):
-    if getattr(args, "jobs", 1) not in (None, 1):
-        print("note: a single simulation always runs serially; "
-              "--jobs applies to compare/figure sweeps", file=sys.stderr)
     config = args.config
     if args.out and config.probe_interval is None:
         # Without an explicit interval, sample roughly once per round trip
@@ -391,7 +388,6 @@ def build_parser():
                                  "round trip apart unless "
                                  "--probe-interval) and .phases.csv")
     _add_workload_args(run_parser)
-    _add_jobs_arg(run_parser)
     run_parser.set_defaults(func=_cmd_run)
 
     compare_parser = sub.add_parser("compare",

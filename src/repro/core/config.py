@@ -12,9 +12,6 @@ from repro.stats import STREAMING_THRESHOLD
 #: how g-2PL orders a forward list (``fl_ordering``)
 FL_ORDERINGS = ("fifo", "reads_first", "writes_first")
 
-#: ``--help`` heading of the hybrid protocol's flags
-_ADAPT = "adaptive concurrency control (repro.adapt; protocol hybrid)"
-
 
 def _flag(default, flag, help=None, **argparse_kwargs):
     """A field with a command-line ``flag``: its metadata holds the flag,
@@ -22,11 +19,6 @@ def _flag(default, flag, help=None, **argparse_kwargs):
     only where the default cannot tell them."""
     return field(default=default,
                  metadata={"flag": flag, "help": help, **argparse_kwargs})
-
-
-def _adapt(default, flag, help, **argparse_kwargs):
-    """A flag under the hybrid protocol's ``--help`` heading."""
-    return _flag(default, flag, help, group=_ADAPT, **argparse_kwargs)
 
 
 def streaming_mode(value):
@@ -154,18 +146,6 @@ class SimulationConfig:
     seed: int = _flag(1, "--seed")
     record_history: bool = True
 
-    # hybrid options (read only by --protocol hybrid's server).
-    # A freeze depth of 1 scores 0.25 at the default scale, so low=0.3 ~=
-    # "windows are mostly singletons", high=0.5 ~= "three-deep backlogs".
-    hybrid_low: float = _adapt(
-        0.3, "--hybrid-low", "switch to single mode below this score")
-    hybrid_high: float = _adapt(
-        0.5, "--hybrid-high", "switch to grouped mode above this score")
-    hybrid_scale: float = _adapt(
-        3.0, "--hybrid-scale", "freeze depth at which the score reads 0.5")
-    adapt_ewma: float = _adapt(
-        0.3, "--adapt-ewma", "EWMA weight for the contention score")
-
     # observability (repro.obs)
     trace: bool = _flag(
         False, "--trace", "collect structured trace events and "
@@ -233,14 +213,6 @@ class SimulationConfig:
             # Validate eagerly (raises on malformed specs); the parsed
             # classes are rebuilt where needed, the config keeps the string.
             parse_txn_mix(self.txn_mix, n_items=self.n_items)
-        if not 0.0 <= self.hybrid_low <= self.hybrid_high <= 1.0:
-            raise ValueError(
-                f"hybrid thresholds must satisfy 0 <= low <= high <= 1 "
-                f"(got {self.hybrid_low:g}..{self.hybrid_high:g})")
-        if self.hybrid_scale <= 0:
-            raise ValueError("hybrid_scale must be positive")
-        if not 0.0 < self.adapt_ewma <= 1.0:
-            raise ValueError("adapt_ewma must be in (0, 1]")
         # Every rule about what runs with what is a row of the registry's
         # capability tables; a config that constructs, runs.
         unsupported = registry.rejection(self)
@@ -257,13 +229,6 @@ class SimulationConfig:
     def replace(self, **changes):
         """A copy with ``changes`` applied (validation re-runs)."""
         return dataclasses.replace(self, **changes)
-
-    def with_fidelity(self, fidelity):
-        """A copy at the given :class:`Fidelity` run length."""
-        if isinstance(fidelity, str):
-            fidelity = Fidelity[fidelity.upper()]
-        return self.replace(total_transactions=fidelity.transactions,
-                            warmup_transactions=fidelity.warmup)
 
     def workload_params(self):
         from repro.workload.generator import WorkloadParams

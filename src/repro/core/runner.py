@@ -468,10 +468,6 @@ class ReplicatedResult:
     def mean_response_time(self):
         return self.response_time.mean
 
-    @property
-    def mean_abort_percentage(self):
-        return self.abort_percentage.mean
-
     def summary(self):
         return (f"{self.config.protocol}: response={self.response_time} "
                 f"aborts={self.abort_percentage}%")

@@ -11,9 +11,5 @@ class LockMode(enum.Enum):
     WRITE = "write"
     CERTIFY = "certify"
 
-    def compatible_with(self, other):
-        """Two locks are compatible only when both are shared."""
-        return self is LockMode.READ and other is LockMode.READ
-
     def __str__(self):
         return self.value

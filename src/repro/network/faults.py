@@ -312,7 +312,3 @@ class FaultInjector:
             if at < end and until > start:
                 return True
         return False
-
-    def crash_sites(self):
-        """Site ids with at least one crash window."""
-        return set(self._crash_windows)

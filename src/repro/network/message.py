@@ -29,11 +29,6 @@ class Envelope:
         self.deliver_time = deliver_time
         self.envelope_id = envelope_id
 
-    @property
-    def in_flight_time(self):
-        """Total time the envelope spent on the wire."""
-        return self.deliver_time - self.send_time
-
     def __repr__(self):
         return (f"Envelope(src={self.src!r}, dst={self.dst!r}, "
                 f"payload={self.payload!r}, size={self.size!r}, "

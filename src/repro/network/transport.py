@@ -111,15 +111,6 @@ class Network:
         site.attach(self)
         return site
 
-    def site(self, site_id):
-        """Look up a registered site."""
-        return self._sites[site_id]
-
-    @property
-    def sites(self):
-        """All registered sites (read-only view)."""
-        return dict(self._sites)
-
     def send(self, src, dst, payload, size=1.0):
         """Ship ``payload`` from ``src`` to ``dst``; returns the envelope.
 

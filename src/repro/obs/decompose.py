@@ -41,9 +41,6 @@ class Decomposition:
     def mean(self, name):
         return self.phases[name]["mean"]
 
-    def fraction(self, name):
-        return self.phases[name]["fraction"]
-
     def describe(self):
         lines = [
             f"decomposition [{self.label}]: {self.n_txns} txns, "
@@ -94,13 +91,6 @@ def decompose_records(records, label="run"):
         response_mean=(acc.response.mean if acc.count else float("nan")),
         response_total=acc.response_total,
         phases=phases, violations=violations)
-
-
-def decompose_trace(trace, label="sim"):
-    """Decompose a :class:`~repro.obs.tracer.TraceData` (committed,
-    measured transactions — the calibration population)."""
-    records = [r for r in trace.txns if r["committed"] and r["measured"]]
-    return decompose_records(records, label=label)
 
 
 @dataclass

@@ -99,11 +99,8 @@ def _compile(label, names, label_value, values):
     ones: a row holding ``inf`` or ``nan`` in one must be spelled) and,
     for ``str``/``bool``/``None`` slots (listed in ``baked``), this row's
     value — the template serves the rows that share those. ``template``
-    is ``None`` when a slot holds anything else, or the row is not one
-    value per name.
+    is ``None`` when a slot holds anything else.
     """
-    if len(values) != len(names):
-        return None, (), ()
     parts = [_literal(f", {json.dumps(label)}: {_json_value(label_value)}")]
     floats, baked = [], []
     for slot, (name, value) in enumerate(zip(names, values)):
@@ -201,12 +198,12 @@ def _write_rows(out, rows, record_type, label, names_of, typed):
 def _write_ticks(out, log):
     """Write a :class:`~repro.obs.probes.ProbeLog` as JSON lines, a tick
     at a time: one template holds the tick's n lines, its time formatted
-    once and dropped in at :data:`_TIME`. A log with loose samples, or an
-    ``inf`` or ``nan`` anywhere in it, is written triple by triple."""
+    once and dropped in at :data:`_TIME`. A log with an ``inf`` or
+    ``nan`` anywhere in it is written triple by triple."""
     log.settle()
     names, times = log.names, log.times
     total = sum(map(sum, (times, *log.values)))
-    if log.loose or not names or total - total != 0.0:
+    if not names or total - total != 0.0:
         _write_rows(out, ((time, name, (value,)) for time, name, value in log),
                     "probe", "name", lambda name: ("value",), {})
         return
@@ -328,22 +325,15 @@ def write_jsonl(path, trace, config=None, seed=None):
     """One JSON object per line: a header, then events, transactions, and
     probe samples in that order."""
     events = trace.events
-    rows, of_its_kind = events.flat(), events.columns.__getitem__
+    rows = events.flat()
     typed = _typed_templates(events)
     with open(path, "w", encoding="utf-8") as out:
         header = {"type": "header", "seed": seed,
                   "config": config.describe() if config is not None else None,
                   "summary": _summary_dict(trace.summary)}
         out.write(json.dumps(header) + "\n")
-        start = 0
-        for index, (_, fields) in sorted(events.odd.items()):
-            # a row with field names of its own: a shape of one
-            _write_rows(out, islice(rows, index - start), "event", "kind",
-                        of_its_kind, typed)
-            _write_rows(out, islice(rows, 1), "event", "kind",
-                        lambda kind: tuple(fields), {})
-            start = index + 1
-        _write_rows(out, rows, "event", "kind", of_its_kind, typed)
+        _write_rows(out, rows, "event", "kind", events.columns.__getitem__,
+                    typed)
         _write_txns(out, trace.txns)
         _write_ticks(out, trace.probes)
     return path

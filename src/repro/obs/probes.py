@@ -7,8 +7,8 @@ without perturbing the relative order — or the results — of the simulated
 system. The series set is fixed when the sampler is built, so a tick is
 kept as what varies: its time and one value per series, each in a typed
 column of a :class:`ProbeLog` (16,479 ticks for the 65,916 samples of the
-ledger's ``traced_g2pl``), which still reads as the list of triples it
-replaced.
+ledger's ``traced_g2pl``), read back as ``(time, series, value)``
+triples.
 """
 
 from functools import reduce
@@ -19,27 +19,23 @@ from repro.obs.columns import STAGE, extend
 
 
 class ProbeLog:
-    """The captured gauge samples, read as the list of ``(time, series,
-    value)`` triples (``len``, iteration, indexing, ``==``, ``append`` /
-    ``extend`` and pickling behave as the list did).
+    """The captured gauge samples, iterated as ``(time, series, value)``
+    triples (``len``, iteration and pickling count and read them so).
 
     A tick, ``(time, v0, ..., vn)`` in the order of ``names``, is staged
     by :meth:`tick` and settled into ``times`` and one typed column per
-    series in ``values`` (see :mod:`repro.obs.columns`). A sample appended
-    on its own (tests, hand-made traces) goes to ``loose`` with the number
-    of ticks taken before it, which is its place in the sequence."""
+    series in ``values`` (see :mod:`repro.obs.columns`)."""
 
     def __init__(self):
         self.names = ()   # series of every tick, in source order
         self.times = []   # one clock reading per tick: a column
         self.values = []  # one column per series
         self.staged = []  # [(time, v0, ..., vn)] not yet settled
-        self.loose = []   # [(ticks before it, sample)]
 
     def declare(self, names):
         """Name the ticks' series (the sampler, before any tick)."""
         names = tuple(names)
-        if self._ticks() or len(set(names)) != len(names):
+        if self.times or self.staged or len(set(names)) != len(names):
             raise ValueError(f"cannot declare probe series {names}: "
                              f"ticks already taken, or a name twice")
         self.names = names
@@ -66,38 +62,15 @@ class ProbeLog:
                        for column, values in zip(self.values, columns)]
         staged.clear()
 
-    def _ticks(self):
-        return len(self.times) + len(self.staged)
-
-    def append(self, sample):
-        self.loose.append((self._ticks(), sample))
-
-    def extend(self, samples):
-        self.loose.extend((self._ticks(), sample) for sample in samples)
-
     def __len__(self):
-        return self._ticks() * len(self.names) + len(self.loose)
+        return (len(self.times) + len(self.staged)) * len(self.names)
 
     def __iter__(self):
         self.settle()
-        names, loose, at = self.names, self.loose, 0
-        for index, (time, *values) in enumerate(zip(self.times,
-                                                    *self.values)):
-            while at < len(loose) and loose[at][0] <= index:
-                yield loose[at][1]
-                at += 1
+        names = self.names
+        for time, *values in zip(self.times, *self.values):
             for name, value in zip(names, values):
                 yield time, name, value
-        for _, sample in loose[at:]:
-            yield sample
-
-    def __getitem__(self, index):
-        return list(self)[index]
-
-    def __eq__(self, other):
-        if not isinstance(other, (ProbeLog, list)):
-            return NotImplemented
-        return list(self) == list(other)
 
     def __getstate__(self):
         self.settle()
@@ -108,12 +81,7 @@ class ProbeLog:
         would add them up: left to right from 0.0 (``sum()`` compensates
         since 3.12) and ``>`` from ``-inf`` (plain ``max()`` keeps a NaN)."""
         self.settle()
-        columns = {}
-        if self.loose:
-            for _, name, value in self:
-                columns.setdefault(name, []).append(value)
-        elif self.times:
-            columns = dict(zip(self.names, self.values))
+        columns = dict(zip(self.names, self.values)) if self.times else {}
         return {name: {"n": len(column), "sum": reduce(add, column, 0.0),
                        "max": max(chain((float("-inf"),), column))}
                 for name, column in columns.items()}

@@ -135,10 +135,6 @@ class PhaseAccumulator:
         self.totals = {name: 0.0 for name in PHASES}
         self.response_total = 0.0
 
-    @property
-    def streaming(self):
-        return self.reservoirs is not None
-
     def _spill(self):
         rng = random.Random(self.seed)
         self.reservoirs = {
@@ -167,9 +163,6 @@ class PhaseAccumulator:
 
     def mean(self, name):
         return self.welford[name].mean
-
-    def std(self, name):
-        return self.welford[name].std
 
     def fraction(self, name):
         """Phase share of total response time."""

@@ -70,12 +70,6 @@ class TraceSummary:
             return float("nan")
         return self.rounds_total / self.committed
 
-    @property
-    def mean_response_time(self):
-        if self.committed == 0:
-            return float("nan")
-        return self.response_sum / self.committed
-
     def component_sums(self):
         """Response-time decomposition: the components, then the
         residual."""
@@ -89,14 +83,6 @@ class TraceSummary:
         if total <= 0:
             return {name: float("nan") for name in sums}
         return {name: value / total for name, value in sums.items()}
-
-    def phase_sums(self):
-        """Named-phase decomposition (see :mod:`repro.obs.spans`): the
-        account sums regrouped so every phase is disjoint and the phases
-        sum to ``response_sum`` exactly."""
-        from repro.obs.spans import phase_view
-
-        return phase_view(self.sums)
 
     def describe(self):
         """Multi-line human summary, used by the CLI."""

@@ -111,24 +111,22 @@ _ROUNDS = TXN_RECORD_FIELDS.index("rounds")
 
 
 class EventLog:
-    """The captured events, kept column-wise, read as a list of triples.
+    """The captured events, kept column-wise, read as ``(time, kind,
+    fields)`` triples.
 
     ``codes`` holds one entry per row, an index into ``kinds`` (an
     ``array('B')`` while there are at most 256 kinds). Per kind,
     ``fields[kind]`` holds that kind's rows in order as typed columns
     (see :mod:`repro.obs.columns`): their clock readings, then one column
     per name in ``columns[kind]`` (the schema's, then any other kind's
-    first ``emit``). A row whose names differ from its kind's (no shipped
-    kind does this, :func:`~repro.obs.schema.validate_events` reports it),
-    or whose value count does not match them, is kept as ``(time,
-    {field: value})`` under its index in ``odd`` instead.
+    first ``emit``). Every row of a kind has its kind's names:
+    :class:`Tracer` refuses one that does not.
 
     Rows arrive as ``(time, *values)`` tuples staged per kind, their
     kinds in row order in ``order``; :meth:`settle` moves them into the
     columns :data:`~repro.obs.columns.STAGE` rows at a time, and every
-    reader settles first. ``len()``, iteration, indexing, ``==`` and
-    pickling behave as the list of ``(time, kind, {field: value})``
-    triples did; exporters that want speed read :meth:`flat`.
+    reader settles first. ``len()``, iteration and pickling read the
+    rows as triples; exporters that want speed read :meth:`flat`.
     """
 
     def __init__(self):
@@ -136,7 +134,6 @@ class EventLog:
         self.codes = array("B")    # one kind code per row
         self.columns = dict(EVENT_SCHEMA)  # kind -> (field name, ...)
         self.fields = {}           # kind -> [times, one column per name]
-        self.odd = {}              # row index -> (time, {field: value})
         self.order = []            # the staged rows' kinds, in row order
         self.staged = defaultdict(list)  # kind -> [(time, *values), ...]
         self._code_of = {}         # kind -> code
@@ -144,20 +141,19 @@ class EventLog:
     def add_shape(self, time, kind, fields):
         """Record a row given as ``{field: value}`` whose names are not
         (yet) ``columns[kind]``: they become the kind's columns if it has
-        none, and the row is odd otherwise."""
+        none, and the row is refused otherwise."""
         names = tuple(fields)
         for name in names:
             if name in RESERVED_FIELDS:
                 raise ValueError(
                     f"event {kind!r}: field {name!r} would collide with "
                     f"the exported row's own {RESERVED_FIELDS} keys")
-        if self.columns.setdefault(kind, names) == names:
-            self.order.append(kind)
-            self.staged[kind].append((time, *fields.values()))
-            return
-        self.settle()
-        self.odd[len(self.codes)] = (time, dict(fields))
-        self._code_rows([kind])
+        if self.columns.setdefault(kind, names) != names:
+            raise ValueError(
+                f"event {kind!r}: fields {names} differ from the kind's "
+                f"columns {self.columns[kind]}")
+        self.order.append(kind)
+        self.staged[kind].append((time, *fields.values()))
 
     def _code_rows(self, kinds):
         """Append the code of each of ``kinds`` (one per row) to ``codes``."""
@@ -179,101 +175,37 @@ class EventLog:
         order = self.order
         if not order:
             return
-        start = len(self.codes)
         self._code_rows(order)
         for kind, rows in self.staged.items():
-            if not rows:
-                continue
-            names = self.columns.setdefault(kind, ())
-            width = len(names) + 1
-            try:
-                values = list(zip(*rows, strict=True))
-            except ValueError:
-                values = []
-            if len(values) != width:
-                values = list(zip(*self._set_aside(kind, start, width)))
-            if values:
-                columns = self.fields.get(kind) or [[] for _ in values]
+            if rows:
+                columns = self.fields.get(kind) or [[] for _ in rows[0]]
                 self.fields[kind] = [extend(column, batch) for column, batch
-                                     in zip(columns, values)]
-            rows.clear()
+                                     in zip(columns, zip(*rows))]
+                rows.clear()
         order.clear()
 
-    def _set_aside(self, kind, start, width):
-        """The staged rows of ``kind`` that are ``width`` wide; the others
-        go to ``odd`` as their ``(time, kind, fields)`` view reads them."""
-        names, fitting = self.columns[kind], []
-        indexes = (index for index, other in enumerate(self.order, start)
-                   if other == kind)
-        for index, row in zip(indexes, self.staged[kind]):
-            if len(row) == width:
-                fitting.append(row)
-            else:
-                self.odd[index] = (row[0], dict(zip(names, row[1:])))
-        return fitting
-
     def flat(self):
-        """Every row as ``(time, kind, values)``, in order: ``values`` in
-        ``columns[kind]`` order, an odd row's in its own."""
+        """Every row as ``(time, kind, values)``, in order, ``values`` in
+        ``columns[kind]`` order."""
         self.settle()
         kinds, codes = self.kinds, self.codes
         times, tuples = [], []
         for kind in kinds:
-            columns = self.fields.get(kind) or [()]
+            columns = self.fields[kind]
             times.append(iter(columns[0]))
             tuples.append(zip(*columns[1:]) if len(columns) > 1
                           else repeat(()))
-        if self.odd:
-            return self._flat_with_odd(times, tuples)
         return zip(map(next, map(times.__getitem__, codes)),
                    map(kinds.__getitem__, codes),
                    map(next, map(tuples.__getitem__, codes)))
-
-    def _flat_with_odd(self, times, tuples):
-        kinds, odd = self.kinds, self.odd
-        for index, code in enumerate(self.codes):
-            if index in odd:
-                time, fields = odd[index]
-                yield time, kinds[code], tuple(fields.values())
-            else:
-                yield next(times[code]), kinds[code], next(tuples[code])
-
-    def _triple(self, index):
-        codes, odd = self.codes, self.odd
-        code = codes[index]
-        kind = self.kinds[code]
-        if index in odd:
-            time, fields = odd[index]
-            return time, kind, dict(fields)
-        # the row's place in its kind's columns
-        at = codes[:index].count(code) - sum(
-            1 for other in odd if other < index and codes[other] == code)
-        time, *values = (column[at] for column in self.fields[kind])
-        return time, kind, dict(zip(self.columns[kind], values))
 
     def __len__(self):
         return len(self.codes) + len(self.order)
 
     def __iter__(self):
-        columns, odd = self.columns, self.odd
-        for index, (time, kind, values) in enumerate(self.flat()):
-            if index in odd:
-                yield time, kind, dict(odd[index][1])
-            else:
-                yield time, kind, dict(zip(columns[kind], values))
-
-    def __getitem__(self, index):
-        picked = range(len(self))[index]
-        self.settle()
-        if isinstance(index, slice):
-            return [self._triple(i) for i in picked]
-        return self._triple(picked)
-
-    def __eq__(self, other):
-        if not isinstance(other, (EventLog, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            mine == theirs for mine, theirs in zip(self, other))
+        columns = self.columns
+        for time, kind, values in self.flat():
+            yield time, kind, dict(zip(columns[kind], values))
 
     def __getstate__(self):
         self.settle()
@@ -555,12 +487,6 @@ class TxnLog:
             return [self._read(row) for row in picked]
         return self._read(picked)
 
-    def __eq__(self, other):
-        if not isinstance(other, (TxnLog, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            mine == theirs for mine, theirs in zip(self, other))
-
     def __getstate__(self):
         self.settle()
         return self.__dict__
@@ -593,9 +519,9 @@ def _tally(summary, record):
 class TraceData:
     """Everything one traced run captured (plain data, picklable)."""
 
-    events: EventLog  # reads as [(time, kind, {field: value}), ...]
+    events: EventLog  # iterates as (time, kind, {field: value})
     txns: TxnLog      # reads as [per-transaction record dict, ...]
-    probes: ProbeLog  # reads as [(time, series_name, value), ...]
+    probes: ProbeLog  # iterates as (time, series_name, value)
     summary: TraceSummary
 
 
@@ -631,13 +557,20 @@ class Tracer:
 
     def row(self, kind, *values):
         """One event of a declared kind, its ``values`` in the order of
-        ``EVENT_SCHEMA[kind]`` (held to it by ``tests/test_structure.py``)."""
+        ``EVENT_SCHEMA[kind]`` (held to it by ``tests/test_structure.py``);
+        a value count that does not match the kind's columns is refused."""
+        names = self._columns.get(kind)
+        if names is None or len(values) != len(names):
+            raise ValueError(f"event {kind!r}: {len(values)} values for "
+                             f"the kind's columns {names}")
         self._order.append(kind)
         self._staged[kind].append((self.sim.now, *values))
         if len(self._order) >= STAGE:
             self.events.settle()
 
     def emit(self, kind, /, **fields):
+        """One event given by name; its names must be its kind's columns
+        (the first ``emit`` of an undeclared kind sets them)."""
         if self._columns.get(kind) != tuple(fields):
             self.events.add_shape(self.sim.now, kind, fields)
             return

@@ -26,6 +26,11 @@ class AdaptiveG2PLServer(G2PLServer):
     gauges = G2PLServer.gauges + (
         ("hybrid_single_items", "single_mode_items"),)
 
+    #: every item's controller settings. A freeze depth of 1 scores 0.25
+    #: at this scale, so low=0.3 ~= "windows are mostly singletons" and
+    #: high=0.5 ~= "three-deep backlogs".
+    tuning = dict(low=0.3, high=0.5, ewma_alpha=0.3, scale=3.0)
+
     def __init__(self, sim, config, store, history, **kwargs):
         super().__init__(sim, config, store, history, **kwargs)
         self._contention_ctls = {}        # item_id -> ContentionController
@@ -37,10 +42,8 @@ class AdaptiveG2PLServer(G2PLServer):
     def _contention(self, item_id):
         ctl = self._contention_ctls.get(item_id)
         if ctl is None:
-            c = self.config
             ctl = self._contention_ctls[item_id] = ContentionController(
-                low=c.hybrid_low, high=c.hybrid_high,
-                ewma_alpha=c.adapt_ewma, scale=c.hybrid_scale)
+                **self.tuning)
         return ctl
 
     # -- hook overrides ------------------------------------------------------

@@ -274,7 +274,3 @@ class Simulator:
     def pending(self):
         """Number of heap entries currently pending."""
         return len(self._heap)
-
-    def peek(self):
-        """Timestamp of the next heap entry, or ``inf`` when drained."""
-        return self._heap[0][0] if self._heap else float("inf")

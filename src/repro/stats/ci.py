@@ -57,21 +57,6 @@ class ConfidenceInterval:
     confidence: float
     n: int
 
-    @property
-    def low(self):
-        return self.mean - self.half_width
-
-    @property
-    def high(self):
-        return self.mean + self.half_width
-
-    @property
-    def relative_precision(self):
-        """Half-width as a fraction of the mean (paper: ≤ 2%)."""
-        if self.mean == 0:
-            return float("inf") if self.half_width else 0.0
-        return abs(self.half_width / self.mean)
-
     def __str__(self):
         return f"{self.mean:.4g} ± {self.half_width:.3g} ({self.n} runs)"
 

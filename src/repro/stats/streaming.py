@@ -51,7 +51,8 @@ def linear_percentile(values, p):
 
 
 class Welford:
-    """Running count/mean/variance (Welford's online moments)."""
+    """Running count, mean and sum of squared deviations ``m2`` (Welford's
+    online moments; the run fingerprint reads ``m2``)."""
 
     __slots__ = ("count", "mean", "m2")
 
@@ -65,18 +66,6 @@ class Welford:
         delta = value - self.mean
         self.mean += delta / self.count
         self.m2 += delta * (value - self.mean)
-
-    @property
-    def variance(self):
-        """Sample variance (n-1 denominator); NaN below two samples."""
-        if self.count < 2:
-            return float("nan")
-        return self.m2 / (self.count - 1)
-
-    @property
-    def std(self):
-        variance = self.variance
-        return math.sqrt(variance) if variance == variance else variance
 
 
 class ReservoirSampler:
@@ -153,19 +142,6 @@ class WindowedThroughput:
             self.recent.append((self._index, self._count))
         self._count = 0
 
-    @property
-    def peak_rate(self):
-        """Peak commits per time unit over any complete or current window."""
-        return self.peak_count / self.window
-
-    def snapshot(self):
-        """Recent (window_start_time, count) pairs, current window included."""
-        rows = [(index * self.window, count)
-                for index, count in self.recent]
-        if self._index is not None:
-            rows.append((self._index * self.window, self._count))
-        return rows
-
 
 class RunningStat:
     """Count/sum/min/max accumulator with a ``list``-like ``append``.
@@ -189,14 +165,3 @@ class RunningStat:
             self.min = value
         if value > self.max:
             self.max = value
-
-    @property
-    def mean(self):
-        return self.sum / self.count if self.count else 0.0
-
-    def __len__(self):
-        return self.count
-
-    def __iter__(self):
-        raise TypeError(
-            "RunningStat keeps no per-value storage; use count/sum/min/max")

@@ -35,12 +35,6 @@ class VersionedStore:
         self._items[item_id] = item
         return item
 
-    def __contains__(self, item_id):
-        return item_id in self._items
-
-    def __len__(self):
-        return len(self._items)
-
     def item_ids(self):
         return list(self._items)
 
@@ -73,7 +67,3 @@ class VersionedStore:
         item.installed_at = now
         self.installs += 1
         return item.version
-
-    def snapshot_versions(self):
-        """Mapping item -> version (for assertions in tests)."""
-        return {item_id: item.version for item_id, item in self._items.items()}

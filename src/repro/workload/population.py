@@ -263,10 +263,6 @@ class PopulationState:
     peak_active: int = 0
     active: dict = field(default_factory=dict)  # user index -> txn id
 
-    @property
-    def inflight(self):
-        return len(self.active)
-
 
 class PopulationDriver:
     """Multiplexes one site's share of the logical-user population.

@@ -46,7 +46,3 @@ class TransactionSpec:
     @property
     def n_writes(self):
         return sum(1 for op in self.operations if not op.is_read)
-
-    @property
-    def is_read_only(self):
-        return self.n_writes == 0

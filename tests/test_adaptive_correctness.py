@@ -11,10 +11,13 @@ no-lost-window-entry invariant.  So every property here doubles as an
 end-to-end crash test of those validators.
 """
 
+from unittest.mock import patch
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
+from repro.protocols.adaptive import AdaptiveG2PLServer
 
 # ---------------------------------------------------------------------------
 # Random contention profiles
@@ -69,15 +72,16 @@ def test_random_hybrid_tunings_stay_correct(params):
     with a zero-width dead band); correctness must not depend on *when*
     an item changes mode."""
     low = params["low"]
+    tuning = dict(low=low, high=min(low + params["band"], 1.0),
+                  ewma_alpha=params["ewma"], scale=params["scale"])
     config = SimulationConfig(
         protocol="hybrid", n_clients=params["n_clients"], n_items=6,
         max_ops=4, read_probability=params["read_probability"],
-        network_latency=100.0, hybrid_low=low,
-        hybrid_high=min(low + params["band"], 1.0),
-        hybrid_scale=params["scale"], adapt_ewma=params["ewma"],
-        total_transactions=40, warmup_transactions=0,
-        record_history=True, seed=params["seed"])
-    result = run_simulation(config)
+        network_latency=100.0, total_transactions=40,
+        warmup_transactions=0, record_history=True, seed=params["seed"])
+    # patched in the body: @given runs it once per draw
+    with patch.object(AdaptiveG2PLServer, "tuning", tuning):
+        result = run_simulation(config)
     assert result.serializability.ok
     assert result.metrics.finished == 40
 

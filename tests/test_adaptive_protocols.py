@@ -13,11 +13,14 @@ Sharded hybrid runs are covered by ``tests/test_capabilities.py`` and
 ``tests/test_sharded_correctness.py``.
 """
 
+from unittest.mock import patch
+
 import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.runner import run_simulation
 from repro.perf.fingerprint import result_fingerprint
+from repro.protocols.adaptive import AdaptiveG2PLServer
 
 #: Counters added by AdaptiveG2PLServer.stats (and the window
 #: ledger it exposes); stripped before identity comparisons because the
@@ -122,7 +125,7 @@ class TestProbeGauges:
 class TestStaticIdentity:
     NEUTRAL = {
         # never crosses low threshold: stays grouped forever
-        "hybrid": dict(hybrid_low=0.0),
+        "hybrid": dict(AdaptiveG2PLServer.tuning, low=0.0),
     }
 
     @pytest.mark.parametrize("protocol", sorted(NEUTRAL))
@@ -130,8 +133,11 @@ class TestStaticIdentity:
         base_config, seed = _config()
         baseline = _neutral_fingerprint(run_simulation(base_config,
                                                        seed=seed))
-        config, seed = _config(protocol=protocol, **self.NEUTRAL[protocol])
-        adaptive = _neutral_fingerprint(run_simulation(config, seed=seed))
+        config, seed = _config(protocol=protocol)
+        with patch.object(AdaptiveG2PLServer, "tuning",
+                          self.NEUTRAL[protocol]):
+            adaptive = _neutral_fingerprint(run_simulation(config,
+                                                           seed=seed))
         assert adaptive == baseline
 
     def test_engaged_hybrid_diverges(self):

@@ -1,8 +1,42 @@
 """Tests for the command-line interface."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def documented_commands():
+    """``(file:line, argv)`` of every line of README.md, EXPERIMENTS.md
+    and DESIGN.md that starts with ``repro-experiment``, its ``\\``
+    continuation lines joined on and its ``#`` comment dropped."""
+    commands = []
+    for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md"):
+        lines = (ROOT / name).read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, 1):
+            if not line.lstrip().startswith("repro-experiment "):
+                continue
+            text, at = line, number
+            while text.rstrip().endswith("\\"):
+                text = text.rstrip()[:-1] + " " + lines[at]
+                at += 1
+            commands.append((f"{name}:{number}",
+                             shlex.split(text, comments=True)[1:]))
+    return commands
+
+
+@pytest.mark.parametrize("where,argv", documented_commands(),
+                         ids=[where for where, _ in documented_commands()])
+def test_every_documented_command_parses(where, argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        pytest.fail(f"{where}: repro-experiment {shlex.join(argv)} "
+                    f"exits {exc.code}")
 
 
 def test_list(capsys):
@@ -38,16 +72,6 @@ def test_compare_with_jobs(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "improvement over s-2PL" in out
-
-
-def test_run_with_jobs_notes_serial(capsys):
-    code = main(["run", "--protocol", "s2pl", "--clients", "5",
-                 "--items", "8", "--transactions", "100",
-                 "--warmup", "10", "--latency", "20", "--jobs", "4"])
-    assert code == 0
-    captured = capsys.readouterr()
-    assert "s2pl: response=" in captured.out
-    assert "runs serially" in captured.err
 
 
 def test_compare_builds_its_base_from_the_protocols_it_names(capsys):
@@ -133,7 +157,6 @@ def test_live_takes_its_run_from_the_config_flags(monkeypatch):
 
 BASE = dict(total_transactions=1000, warmup_transactions=100,
             record_history=False)
-HYBRID = ["--protocol", "hybrid"]
 
 #: argv -> the fields it moves off BASE
 PARITY = [
@@ -157,10 +180,7 @@ PARITY = [
     (["--streaming", "auto"], {}),
     (["--trace"], dict(trace=True)),
     (["--probe-interval", "50"], dict(probe_interval=50.0)),
-    (HYBRID + ["--hybrid-low", "0.1", "--hybrid-high", "0.9",
-               "--hybrid-scale", "2", "--adapt-ewma", "0.5"],
-     dict(protocol="hybrid", hybrid_low=0.1, hybrid_high=0.9,
-          hybrid_scale=2.0, adapt_ewma=0.5)),
+    (["--protocol", "hybrid"], dict(protocol="hybrid")),
 ]
 
 
@@ -232,10 +252,9 @@ def test_every_run_option_is_still_offered():
     offered = {option for action in run._actions
                for option in action.option_strings}
     assert offered == {
-        "--adapt-ewma", "--arrival", "--arrival-rate",
+        "--arrival", "--arrival-rate",
         "--clients", "--commit", "--cross-shard", "--faults", "--help",
-        "--hybrid-high", "--hybrid-low", "--hybrid-scale",
-        "--intra-latency", "--items", "--jobs", "--latency",
+        "--intra-latency", "--items", "--latency",
         "--max-inflight", "--out", "--population", "--pr",
         "--probe-interval", "--profile", "--protocol", "--regions", "--seed", "--shards",
         "--streaming", "--trace",

@@ -21,7 +21,6 @@ from repro.obs.decompose import (
     DivergenceReport,
     compare,
     decompose_records,
-    decompose_trace,
 )
 from repro.obs.spans import (
     PHASES,
@@ -227,8 +226,7 @@ class TestPooledParity:
         serial = run_cells(cells, jobs=1)
         pooled = run_cells(cells, jobs=4)
         for a, b in zip(serial, pooled):
-            assert a.trace.summary.phase_sums() == \
-                b.trace.summary.phase_sums()
+            assert a.trace.summary.sums == b.trace.summary.sums
 
 
 class TestSpanArithmetic:
@@ -273,10 +271,9 @@ class TestPhaseAccumulator:
         for record in self._records():
             exact.add(record)
             streaming.add(record)
-        assert not exact.streaming and streaming.streaming
+        assert exact.reservoirs is None and streaming.reservoirs
         for name in PHASES:
             assert streaming.mean(name) == pytest.approx(exact.mean(name))
-            assert streaming.std(name) == pytest.approx(exact.std(name))
             assert streaming.totals[name] == pytest.approx(
                 exact.totals[name])
             # capacity exceeds n, so the reservoir kept every value and
@@ -324,17 +321,6 @@ class TestDivergenceReport:
         for name in PHASES:
             assert name in text
         assert "network phase agreement" in text
-
-    def test_decompose_trace_selects_the_calibration_population(self):
-        result = run_simulation(traced_config(), seed=11)
-        decomposition = decompose_trace(result.trace)
-        assert decomposition.violations == []
-        assert decomposition.n_txns == sum(
-            1 for r in result.trace.txns
-            if r["committed"] and r["measured"])
-        assert decomposition.response_mean == pytest.approx(
-            result.trace.summary.response_sum
-            / result.trace.summary.committed)
 
 
 class TestLiveMergePhases:

@@ -125,7 +125,7 @@ def test_write_crossing_aborts_one_transaction():
     h.check_serializable()
     # The aborted transaction's items were forwarded unchanged; the two
     # items carry exactly the survivor's two committed writes.
-    versions = h.store.snapshot_versions()
+    versions = {item: h.store.version(item) for item in h.store.item_ids()}
     assert versions[0] + versions[1] == 2
     h.server.assert_invariants()
 

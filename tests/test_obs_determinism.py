@@ -58,9 +58,9 @@ class TestTracingIsInvisible:
     def test_traced_runs_reproducible(self):
         a = run_simulation(base_config(trace=True, probe_interval=100.0))
         b = run_simulation(base_config(trace=True, probe_interval=100.0))
-        assert a.trace.events == b.trace.events
-        assert a.trace.txns == b.trace.txns
-        assert a.trace.probes == b.trace.probes
+        assert list(a.trace.events) == list(b.trace.events)
+        assert list(a.trace.txns) == list(b.trace.txns)
+        assert list(a.trace.probes) == list(b.trace.probes)
         assert (dataclasses.asdict(a.trace.summary)
                 == dataclasses.asdict(b.trace.summary))
 

@@ -1,7 +1,7 @@
 """The columnar event and probe logs and the compiled JSONL writer, each
-against the thing it replaced: the list of ``(time, kind, fields)``
-triples, the list of ``(time, series, value)`` triples, and the per-row
-``json.dumps`` writer kept in :mod:`tests.helpers`."""
+against the thing it replaced: the ``(time, kind, fields)`` triples, the
+``(time, series, value)`` triples, and the per-row ``json.dumps`` writer
+kept in :mod:`tests.helpers`."""
 
 import dataclasses
 import json
@@ -47,14 +47,17 @@ class _Clock:
     now = 0.0
 
 
-def traced(events, probes=()):
-    """A finished trace of hand-made ``(time, kind, fields)`` events."""
+def traced(events, series=(), ticks=()):
+    """A finished trace of hand-made ``(time, kind, fields)`` events and
+    ``(time, v0, ..., vn)`` probe ticks of ``series``."""
     clock = _Clock()
     tracer = Tracer(clock)
     for time, kind, fields in events:
         clock.now = time
         tracer.emit(kind, **fields)
-    tracer.probes.extend(probes)
+    tracer.probes.declare(series)
+    for tick in ticks:
+        tracer.probes.tick(tick)
     return tracer.finish()
 
 
@@ -83,18 +86,27 @@ class TestWriterMatchesOracle:
         new, old = both_writers(tmp_path, result.trace, config, result.seed)
         assert new == old
 
-    def test_kind_with_two_key_sets_keeps_each_rows_own_names(self, tmp_path):
-        trace = traced([(1.0, "k", {"a": 1, "b": 2}),
-                        (2.0, "k", {"b": 3}),
-                        (3.0, "k", {"b": 4, "a": 5}),
-                        (4.0, "k", {"a": 6, "b": 7}),
-                        (5.0, "k", {})])
-        assert sorted(trace.events.odd) == [1, 2, 4]
-        new, old = both_writers(tmp_path, trace)
-        assert new == old
-        rows = [json.loads(line) for line in new.splitlines()[1:]]
-        assert [list(row)[3:] for row in rows] == [
-            ["a", "b"], ["b"], ["b", "a"], ["a", "b"], []]
+    def test_names_other_than_the_kinds_columns_are_refused(self):
+        tracer = Tracer(_Clock())
+        tracer.emit("k", a=1, b=2)
+        for names in ({"b": 3}, {"b": 4, "a": 5}, {}):
+            with pytest.raises(ValueError, match="'k'"):
+                tracer.emit("k", **names)
+        with pytest.raises(ValueError, match="'fl.repair'"):
+            tracer.emit("fl.repair", item=1)   # a declared kind's names
+        tracer.emit("k", a=6, b=7)
+        assert list(tracer.finish().events) == [
+            (0.0, "k", {"a": 1, "b": 2}), (0.0, "k", {"a": 6, "b": 7})]
+
+    def test_a_row_of_the_wrong_width_is_refused(self):
+        tracer = Tracer(_Clock())
+        for kind, values in (("txn.begin", (1,)), ("txn.begin", (1, 2, 3)),
+                             ("not.declared", ())):
+            with pytest.raises(ValueError, match=repr(kind)):
+                tracer.row(kind, *values)
+        tracer.row("txn.begin", 1, 2)
+        assert list(tracer.finish().events) == [
+            (0.0, "txn.begin", {"txn": 1, "client": 2})]
 
     def test_non_finite_floats_print_as_json_prints_them(self, tmp_path):
         trace = traced(
@@ -102,7 +114,7 @@ class TestWriterMatchesOracle:
              (2.0, "k", {"x": 1.5, "y": -math.inf}),
              (math.inf, "k", {"x": 1.5, "y": math.nan}),
              (3.0, "k", {"x": -0.0, "y": 2 ** 70})],
-            probes=[(1.0, "gauge", math.nan), (2.0, "gauge", 3.0)])
+            series=["gauge"], ticks=[(1.0, math.nan), (2.0, 3.0)])
         new, old = both_writers(tmp_path, trace)
         assert new == old
         body = new.split(b"\n", 1)[1]
@@ -135,38 +147,41 @@ field_names = st.one_of(
     st.sampled_from(["a", "b", "txn", "item", "pct%", "%s", "%(x)r", 'q"',
                      "back\\slash", "é", ""]),
     hostile_text).filter(lambda name: name not in RESERVED_FIELDS)
-# few kinds, so they repeat — with whatever key sets the draw gives them
-kinds = st.one_of(st.sampled_from(["k", "msg.send", "100%", 'say "hi"']),
-                  hostile_text)
+# few kinds, so they repeat; none the schema declares, whose names are set
+kinds = st.one_of(st.sampled_from(["k", "100%", 'say "hi"']),
+                  hostile_text).filter(lambda kind: kind not in EVENT_SCHEMA)
 times = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                   st.integers(min_value=0, max_value=2 ** 60))
-events_strategy = st.lists(
-    st.tuples(times, kinds, st.dictionaries(field_names, values, max_size=4)),
-    max_size=12)
-probes_strategy = st.lists(
-    st.tuples(times, st.one_of(st.sampled_from(["heap", "50%"]), hostile_text),
-              st.one_of(st.floats(allow_nan=True, allow_infinity=True),
-                        st.integers(-5, 2 ** 60))),
-    max_size=6)
+
+
+@st.composite
+def events_strategy(draw):
+    """Up to 12 ``(time, kind, fields)`` rows, every row of a kind with
+    the one key set the draw gives that kind."""
+    names_of = draw(st.dictionaries(
+        kinds, st.lists(field_names, max_size=4, unique=True),
+        min_size=1, max_size=3))
+    row = st.sampled_from(sorted(names_of)).flatmap(
+        lambda kind: st.tuples(times, st.just(kind), st.tuples(
+            *[values] * len(names_of[kind])).map(
+                lambda drawn: dict(zip(names_of[kind], drawn)))))
+    return draw(st.lists(row, max_size=12))
 
 
 @settings(max_examples=200, deadline=None)
-@given(events=events_strategy, probes=probes_strategy)
-def test_synthetic_hostile_trace_matches_oracle_and_the_triples(events,
-                                                                probes):
-    trace = traced(events, probes)
+@given(events=events_strategy())
+def test_synthetic_hostile_trace_matches_oracle_and_the_triples(events):
+    trace = traced(events)
     with tempfile.TemporaryDirectory() as directory:
         new, old = both_writers(directory, trace)
     assert new == old
     for line in new.splitlines():
         json.loads(line)
-    # repr compares NaNs by spelling, as == on the same objects would
+    # repr compares NaNs by spelling
     log = trace.events
     assert len(log) == len(events)
     assert repr(list(log)) == repr(events)
-    assert repr([log[i] for i in range(len(events))]) == repr(events)
     assert repr(list(pickle.loads(pickle.dumps(log)))) == repr(events)
-    assert log == events  # same value objects, so NaN is NaN by identity
 
 
 # -- positional rows: shared clock readings, baked slots ----------------------
@@ -239,14 +254,6 @@ class TestPositionalRowsMatchOracle:
         new, old = both_writers(tmp_path, trace)
         assert new == old
 
-    def test_a_row_of_the_wrong_width_reads_as_the_triple_does(self, tmp_path):
-        # the structure gate keeps these out of the package; the export
-        # still prints what the (time, kind, fields) view holds
-        trace = self.rows((1.0, "txn.begin", 1), (1.0, "txn.begin", 1, 2, 3),
-                          (1.0, "txn.begin", 1, 2))
-        new, old = both_writers(tmp_path, trace)
-        assert new == old
-
 
 row_times = st.sampled_from([0.0, -0.0, 1.5, 1.5, 2, 2.0, 1e22, math.inf])
 declared_rows = st.sampled_from(sorted(EVENT_SCHEMA)).flatmap(
@@ -265,7 +272,6 @@ def test_synthetic_positional_rows_match_oracle_and_the_triples(rows):
     triples = [(time, kind, dict(zip(EVENT_SCHEMA[kind], fields)))
                for time, kind, *fields in rows]
     assert repr(list(trace.events)) == repr(triples)
-    assert not trace.events.odd
 
 
 # -- the columnar probe log ---------------------------------------------------
@@ -277,25 +283,15 @@ gauge_values = st.one_of(
 series_names = st.lists(
     st.one_of(st.sampled_from(["heap", "50%", 'q"', "{0}"]), hostile_text),
     max_size=4, unique=True)
-loose_samples = st.tuples(
-    times, st.one_of(st.sampled_from(["heap", "50%", "other"]), hostile_text),
-    st.one_of(gauge_values, st.integers(-5, 2 ** 60)))
 
 
 @st.composite
 def probe_scripts(draw):
-    """``(names, steps)``: a step is a tick row, one loose sample, or a
-    list of loose samples to ``extend`` with."""
+    """``(names, ticks)``: the series, and up to 10 tick rows of them."""
     names = tuple(draw(series_names))
     tick = st.tuples(st.floats(allow_nan=True, allow_infinity=True),
                      *[gauge_values] * len(names))
-    steps = draw(st.lists(
-        st.one_of(tick.map(lambda row: ("tick", row)),
-                  loose_samples.map(lambda sample: ("append", sample)),
-                  st.lists(loose_samples, max_size=3).map(
-                      lambda samples: ("extend", samples))),
-        max_size=10))
-    return names, steps
+    return names, draw(st.lists(tick, max_size=10))
 
 
 def series_by_one_loop(triples):
@@ -317,35 +313,17 @@ def series_by_one_loop(triples):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(script=probe_scripts())
 def test_probe_log_reads_exports_and_sums_as_the_list_of_triples(script):
-    names, steps = script
+    names, ticks = script
     tracer = Tracer(_Clock())
     log, plain = tracer.probes, []
     log.declare(names)
-    for step, payload in steps:
-        if step == "tick":
-            log.tick(payload)
-            plain.extend((payload[0], name, value)
-                         for name, value in zip(names, payload[1:]))
-        elif step == "append":
-            log.append(payload)
-            plain.append(payload)
-        else:
-            log.extend(payload)
-            plain.extend(payload)
+    for tick in ticks:
+        log.tick(tick)
+        plain.extend((tick[0], name, value)
+                     for name, value in zip(names, tick[1:]))
     # repr compares NaNs by spelling and tells -0.0 from 0.0
     assert type(log) is ProbeLog and len(log) == len(plain)
     assert repr(list(log)) == repr(plain)
-    assert repr([log[i] for i in range(len(plain))]) == repr(plain)
-    assert repr([log[-i] for i in range(1, len(plain) + 1)]) == repr(
-        plain[::-1])
-    for index in (len(plain), -len(plain) - 1):
-        with pytest.raises(IndexError):
-            log[index]
-    for cut in (slice(None), slice(1, None, 2), slice(-3, None),
-                slice(None, None, -1), slice(2, 1)):
-        assert repr(log[cut]) == repr(plain[cut])
-    assert log == plain and plain == log   # the same value objects
-    assert log != plain + [(0.0, "extra", 0.0)]
     copy = pickle.loads(pickle.dumps(log))
     assert repr(list(copy)) == repr(plain) and copy.names == names
 
@@ -394,20 +372,10 @@ MISFITS = {
 
 
 def assert_reads_as(log, triples):
-    """``log`` iterates, indexes, slices, pickles and exports as the list
-    ``triples`` (``repr`` tells ``True`` from ``1``, ``1.0`` from ``1`` and
-    ``-0.0`` from ``0.0``; ``==`` holds a NaN to its own object)."""
+    """``log`` counts, iterates and pickles as ``triples`` (``repr`` tells
+    ``True`` from ``1``, ``1.0`` from ``1`` and ``-0.0`` from ``0.0``)."""
     assert len(log) == len(triples)
     assert repr(list(log)) == repr(triples)
-    assert log == triples
-    picks = sorted({0, 1, STAGE - 1, STAGE, len(triples) // 2,
-                    len(triples) - 3, len(triples) - 1}
-                   & set(range(len(triples))))
-    assert repr([log[i] for i in picks]) == repr([triples[i] for i in picks])
-    assert repr(log[-1]) == repr(triples[-1])
-    for cut in (slice(STAGE - 2, STAGE + 2), slice(-4, None),
-                slice(None, None, -997)):
-        assert repr(log[cut]) == repr(triples[cut])
     assert repr(list(pickle.loads(pickle.dumps(log)))) == repr(triples)
 
 
@@ -457,35 +425,6 @@ def test_a_column_stays_an_array_while_every_value_fits():
     assert committed == [True] * SETTLED
 
 
-def test_odd_rows_between_settled_batches(tmp_path):
-    """Rows not shaped like their kind — other names by ``emit``, a wrong
-    value count by ``row`` — on both sides of a settled batch, among rows
-    of the same kind that are."""
-    clock, triples, odd = _Clock(), [], 0
-    tracer = Tracer(clock)
-    for index in range(2 * STAGE + 7):
-        clock.now = float(index)
-        if index % 999 == 5:
-            tracer.emit("k", b=index, a="odd")
-            triples.append((float(index), "k", {"b": index, "a": "odd"}))
-            odd += 1
-        elif index % 1_001 == 9:
-            tracer.row("fl.graft", index)   # declared (txn, item)
-            triples.append((float(index), "fl.graft", {"txn": index}))
-            odd += 1
-        else:
-            tracer.emit("k", a=index, b=-index)
-            tracer.row("fl.graft", index, index + 1)
-            triples.append((float(index), "k", {"a": index, "b": -index}))
-            triples.append((float(index), "fl.graft",
-                            {"txn": index, "item": index + 1}))
-    trace = tracer.finish()
-    assert len(trace.events.odd) == odd > 10
-    assert_reads_as(trace.events, triples)
-    new, old = both_writers(tmp_path, trace)
-    assert new == old
-
-
 def test_more_kinds_than_a_byte_of_codes_holds(tmp_path):
     clock, triples = _Clock(), []
     tracer = Tracer(clock)
@@ -524,7 +463,7 @@ def test_a_traced_run_keeps_under_22_bytes_an_event():
     tuples of boxed values cost about 119 bytes each."""
     config, seed = golden_config("g2pl_traced")
     events = run_simulation(config, seed=seed).trace.events
-    assert len(events) > 4_000 and not events.odd
+    assert len(events) > 4_000
     assert resident_bytes(events) / len(events) < 22
 
 
@@ -563,7 +502,7 @@ def test_a_traced_run_keeps_under_240_bytes_a_transaction_record():
 
 # -- the view -----------------------------------------------------------------
 
-class TestEventLogReadsAsTheListDid:
+class TestEventLogReadsAsTriples:
     @pytest.fixture(scope="class")
     def trace(self):
         config, seed = golden_config("g2pl_traced")
@@ -580,35 +519,11 @@ class TestEventLogReadsAsTheListDid:
         assert list(send) == ["id", "src", "dst", "msg", "size", "deliver"]
         assert send["id"] == 1 and send["msg"] == "LockRequest"
 
-    def test_indexing_and_slicing(self, trace):
-        log, triples = trace.events, list(trace.events)
-        assert log[0] == triples[0]
-        assert log[-1] == triples[-1]
-        assert log[len(log) - 1] == triples[-1]
-        assert log[3:7] == triples[3:7]
-        assert log[::-500] == triples[::-500]
-        with pytest.raises(IndexError):
-            log[len(log)]
-        with pytest.raises(IndexError):
-            log[-len(log) - 1]
-
-    def test_equality(self, trace):
-        log, triples = trace.events, list(trace.events)
-        assert log == triples and triples == log
-        assert log == log
-        assert log != triples[:-1]
-        changed = list(triples)
-        time, kind, fields = changed[5]
-        changed[5] = (time, kind, dict(fields, extra=1))
-        assert log != changed
-        assert log != "not a trace"
-
     def test_pickle_round_trip(self, trace):
         copy = pickle.loads(pickle.dumps(trace))
-        assert copy.events == trace.events
         assert list(copy.events) == list(trace.events)
-        assert copy.probes == trace.probes
-        assert copy.txns == trace.txns
+        assert list(copy.probes) == list(trace.probes)
+        assert list(copy.txns) == list(trace.txns)
 
     def test_finish_shares_the_tracers_rows(self):
         # finish() used to copy both lists; a trace is resident once

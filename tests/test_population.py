@@ -385,7 +385,7 @@ class TestPopulationDriver:
         with pytest.raises(RuntimeError, match="simulation stalled"):
             assembly.run(config)
         assert assembly.control.finished == 0
-        assert all(driver.state.inflight == driver.state.n_users == 3
+        assert all(len(driver.state.active) == driver.state.n_users == 3
                    for driver in assembly.drivers.values())
 
     def test_validation(self):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import (
-    Fidelity,
     SimulationConfig,
     SimulationResult,
     available_protocols,
@@ -55,12 +54,6 @@ class TestConfig:
             cfg.replace(network_latency=-1.0)
         assert cfg.replace(seed=9).seed == 9
         assert cfg.seed == 1  # original untouched
-
-    def test_fidelity_levels(self):
-        cfg = SimulationConfig().with_fidelity(Fidelity.PAPER)
-        assert cfg.total_transactions == 50_000
-        cfg = SimulationConfig().with_fidelity("smoke")
-        assert cfg.total_transactions == 300
 
     def test_describe(self):
         assert "g2pl" in SimulationConfig().describe()

@@ -136,12 +136,10 @@ def test_step_processes_one_entry():
     assert sim.step() is False
 
 
-def test_peek_and_pending():
+def test_pending():
     sim = Simulator()
-    assert sim.peek() == float("inf")
     assert sim.pending == 0
     sim.call_later(3.5, lambda: None)
-    assert sim.peek() == 3.5
     assert sim.pending == 1
 
 
@@ -230,7 +228,7 @@ def test_every_driver_replays_the_same_trajectory(schedule, cuts):
     for t in cuts:
         assert sim.run(until=t) is None
         assert sim.now == t
-        assert sim.peek() > t
+        assert all(entry[0] > t for entry in sim._heap)
     sim.run()
     assert _observed(sim, order) == reference
 

@@ -9,7 +9,6 @@ from repro.protocols.transaction import TxnOutcome
 from repro.stats.ci import (
     _T_TABLES,
     _t_critical,
-    ConfidenceInterval,
     mean_confidence_interval,
 )
 from repro.stats.collector import MetricsCollector
@@ -204,7 +203,6 @@ class TestConfidenceInterval:
     def test_identical_samples_zero_width(self):
         ci = mean_confidence_interval([3.0, 3.0, 3.0])
         assert ci.half_width == 0.0
-        assert ci.relative_precision == 0.0
 
     def test_known_value(self):
         # n=5, mean=10, sample sd=1 -> half = 2.776 * 1/sqrt(5)
@@ -212,13 +210,6 @@ class TestConfidenceInterval:
         ci = mean_confidence_interval(samples)
         assert ci.mean == pytest.approx(10.0)
         assert ci.half_width == pytest.approx(2.776 / math.sqrt(5), rel=1e-3)
-
-    def test_bounds_and_relative_precision(self):
-        ci = ConfidenceInterval(mean=100.0, half_width=2.0, confidence=0.95,
-                                n=5)
-        assert ci.low == 98.0
-        assert ci.high == 102.0
-        assert ci.relative_precision == pytest.approx(0.02)
 
     def test_more_samples_tighter_interval(self):
         wide = mean_confidence_interval([9.0, 11.0])

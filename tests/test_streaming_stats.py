@@ -36,18 +36,13 @@ class TestWelford:
         assert welford.count == 5000
         assert welford.mean == pytest.approx(statistics.fmean(values),
                                              rel=1e-12)
-        assert welford.variance == pytest.approx(
+        assert welford.m2 / (welford.count - 1) == pytest.approx(
             statistics.variance(values), rel=1e-9)
-        assert welford.std == pytest.approx(statistics.stdev(values),
-                                            rel=1e-9)
 
     def test_small_counts(self):
         welford = Welford()
-        assert math.isnan(welford.variance)
         welford.add(7.0)
-        assert welford.mean == 7.0
-        assert math.isnan(welford.variance)
-        assert math.isnan(welford.std)
+        assert (welford.mean, welford.m2) == (7.0, 0.0)
 
 
 class TestReservoirSampler:
@@ -109,16 +104,15 @@ class TestWindowedThroughput:
             windows.record(when)
         assert windows.total == 6
         assert windows.peak_count == 3
-        assert windows.peak_rate == pytest.approx(0.3)
-        assert windows.snapshot() == [(0.0, 3), (10.0, 2), (20.0, 1)]
+        assert list(windows.recent) == [(0, 3), (1, 2)]
 
     def test_ring_is_bounded(self):
         windows = WindowedThroughput(window=1.0, max_windows=4)
         for when in range(100):
             windows.record(when + 0.5)
         assert windows.total == 100
-        # 4 retained complete windows + the current one
-        assert len(windows.snapshot()) == 5
+        # 4 retained complete windows
+        assert len(windows.recent) == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -132,8 +126,6 @@ class TestRunningStat:
             stat.append(value)
         assert (stat.count, stat.sum) == (3, 6.0)
         assert (stat.min, stat.max) == (1.0, 3.0)
-        assert stat.mean == 2.0
-        assert len(stat) == 3
 
     def test_refuses_iteration(self):
         # Guards against code silently iterating the stand-in as if it
@@ -142,7 +134,6 @@ class TestRunningStat:
         stat.append(1.0)
         with pytest.raises(TypeError):
             list(stat)
-        assert RunningStat().mean == 0.0
 
 
 def outcome(txn_id, committed=True, start=0.0, end=100.0):

@@ -21,7 +21,10 @@ re-introduced copy cannot hide behind one:
 * one s-2PL client loop and one s-2PL request handler: c-2PL and 2V-2PL
   run ``S2PLClient.execute`` through its hooks, their servers are
   ``S2PLServer``s (2V-2PL's on a two-version ``LockTable``), and none
-  re-defines ``on_LockRequest``.
+  re-defines ``on_LockRequest``;
+* every entry of ``scripts/reach_allowlist.txt`` (the functions
+  ``scripts/reach.py --check`` lets no entry point enter) names a
+  function the package still declares, with a reason.
 """
 
 import ast
@@ -187,7 +190,13 @@ def test_retired_names_resolve_nowhere():
                # properties nothing read
                "perturbs_messages", "response_time_std",
                # 2V-2PL's own lock manager, each part a scan of every item
-               "_drain_queues", "_release_everything", "_wait_edges"}
+               "_drain_queues", "_release_everything", "_wait_edges",
+               # hybrid's tuning fields only tests set off their defaults,
+               # the trace logs' rows no producer wrote, and accessors
+               # nothing called
+               "hybrid_low", "hybrid_high", "hybrid_scale", "adapt_ewma",
+               "_adapt", "_ADAPT", "_set_aside", "_flat_with_odd",
+               "_triple", "loose", "mean_abort_percentage"}
     found = []
     for path, tree in _trees(""):
         for node in ast.walk(tree):
@@ -618,3 +627,21 @@ def test_the_account_is_declared_once():
     for text in ('("slack", "overhead")', '["network", "lock_wait"]',
                  '{"network", "slack"}', '{"slack": "network"}'):
         assert _names_held(ast.parse(text).body[0].value, names) == 2
+
+
+def test_every_reach_allowlist_entry_names_a_declared_function():
+    """The allowlist is read, not driven: each entry a function the AST
+    still finds, each with its reason, the entries sorted and unique."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(SRC)), "scripts",
+                        "reach.py")
+    spec = importlib.util.spec_from_file_location("reach", path)
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    declared = {qualname for qualname, _ in reach.functions().values()}
+    entries = reach.read_allowlist()
+    names = [name for name, _ in entries]
+    assert entries and names == sorted(set(names))
+    assert [name for name in names if name not in declared] == []
+    assert [name for name, reason in entries if not reason] == []

@@ -70,7 +70,6 @@ class TestSpec:
         assert s.n_ops == 2
         assert s.items == (0, 1)
         assert s.n_writes == 1
-        assert not s.is_read_only
 
 
 class TestGenerator:
@@ -92,7 +91,7 @@ class TestGenerator:
     def test_read_probability_one_is_read_only(self):
         gen = make_generator(read_probability=1.0)
         for _ in range(50):
-            assert gen.next_spec(1).is_read_only
+            assert gen.next_spec(1).n_writes == 0
 
     def test_read_fraction_approximates_probability(self):
         gen = make_generator(read_probability=0.6)
