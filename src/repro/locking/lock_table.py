@@ -97,23 +97,9 @@ class LockTable:
 
     # -- queries -------------------------------------------------------------
 
-    def holders(self, item):
-        """Mapping txn -> mode of current holders of ``item``."""
-        lock = self._items.get(item)
-        return dict(lock.holders) if lock else {}
-
-    def waiters(self, item):
-        """List of (txn, mode) queued on ``item`` in FIFO order."""
-        lock = self._items.get(item)
-        return list(lock.queue) if lock else []
-
     def total_waiters(self):
         """Total queued requests across all items (a contention gauge)."""
         return self._n_queued
-
-    def held_items(self, txn):
-        """Items currently held by ``txn`` as a mapping item -> mode."""
-        return dict(self._held_by_txn.get(txn, {}))
 
     def holds(self, txn, item, mode=None):
         """Does ``txn`` hold ``item`` (in ``mode``, if given)?"""
@@ -121,12 +107,6 @@ class LockTable:
         if item not in held:
             return False
         return mode is None or held[item] is mode
-
-    def blockers_of(self, txn, item):
-        """Transactions that ``txn``'s queued request on ``item`` waits for
-        (see :meth:`_ItemLock.wait_edges`); empty when it has none."""
-        lock = self._items.get(item)
-        return lock.wait_edges().get(txn, frozenset()) if lock else frozenset()
 
     def waits_for(self, txn):
         """Every transaction a queued request of ``txn`` waits for (its

@@ -5,8 +5,9 @@ high-speed network in which the *network latency* — propagation plus
 switching delay — is the same between any two sites and in both directions,
 and the transmission delay is negligible. The transport here implements
 exactly that, plus two generalisations used by the ablation benches:
-an arbitrary per-pair latency matrix and a finite data rate (so the
-"message size does not matter" assumption can be tested rather than assumed).
+regions with intra- and inter-region latencies and a finite data rate (so
+the "message size does not matter" assumption can be tested rather than
+assumed).
 """
 
 from repro._lazy import lazy_exports
@@ -16,7 +17,6 @@ __all__ = [
     "Envelope",
     "FaultInjector",
     "FaultSpec",
-    "MatrixTopology",
     "Network",
     "NetworkEnvironment",
     "NetworkStats",
@@ -37,6 +37,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.network.presets": ("NetworkEnvironment", "TABLE2_ENVIRONMENTS",
                               "environment_for_latency"),
     "repro.network.reliable": ("Reliable", "ReliableAck", "ReliableLink"),
-    "repro.network.topology": ("MatrixTopology", "Site", "UniformTopology"),
+    "repro.network.topology": ("Site", "UniformTopology"),
     "repro.network.transport": ("Network", "NetworkStats"),
 })

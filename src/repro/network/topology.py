@@ -83,32 +83,3 @@ class RegionTopology:
         return (f"RegionTopology({len(self.region_of)} sites, "
                 f"{n_regions} regions, intra={self.intra_latency}, "
                 f"inter={self.inter_latency})")
-
-
-class MatrixTopology:
-    """General per-pair latencies, e.g. clustered clients far from the server.
-
-    ``latencies`` maps ``(src, dst)`` to a delay; missing reverse pairs fall
-    back to the forward entry (symmetric by default); otherwise ``default``
-    applies.
-    """
-
-    def __init__(self, latencies, default=0.0):
-        for pair, value in latencies.items():
-            if value < 0:
-                raise ValueError(f"negative latency {value!r} for pair {pair}")
-        if default < 0:
-            raise ValueError(f"negative default latency {default!r}")
-        self._latencies = dict(latencies)
-        self.default = default
-
-    def latency(self, src, dst):
-        if src == dst:
-            return 0.0
-        value = self._latencies.get((src, dst))
-        if value is None:
-            value = self._latencies.get((dst, src), self.default)
-        return value
-
-    def __repr__(self):
-        return f"MatrixTopology({len(self._latencies)} pairs, default={self.default})"

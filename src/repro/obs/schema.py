@@ -2,9 +2,8 @@
 
 #: event kind -> its columns, in row order: the one place that names a
 #: kind's fields. ``Tracer.row`` call sites pass the values in this order
-#: and the validator requires the names of every event (extra fields are
-#: allowed, but all events of one kind must carry the same names in the
-#: same order). None may be ``type``, ``t`` or ``kind``, the exported
+#: and the tracer refuses an event with other names or another count.
+#: None may be ``type``, ``t`` or ``kind``, the exported
 #: row's own keys: ``msg`` was once a second ``kind`` and lost to it.
 EVENT_SCHEMA = {
     # network
@@ -100,14 +99,14 @@ TXN_RECORD_KEYS = frozenset(TXN_RECORD_FIELDS)
 def validate_events(events, max_errors=20):
     """Check a trace's event stream against :data:`EVENT_SCHEMA`.
 
-    Returns a list of error strings (empty = valid): unknown kinds,
-    missing required fields, a kind whose events disagree on their field
-    names, and non-monotonic timestamps.
+    Returns a list of error strings (empty = valid): unknown kinds and
+    non-monotonic timestamps. A kind's field names need no check here:
+    :class:`~repro.obs.tracer.Tracer` refuses a row that does not carry
+    its kind's columns.
     """
     errors = []
     previous_time = float("-inf")
-    columns = {}
-    for index, (time, kind, fields) in enumerate(events):
+    for index, (time, kind, _) in enumerate(events):
         if len(errors) >= max_errors:
             errors.append("... (further errors suppressed)")
             break
@@ -116,19 +115,8 @@ def validate_events(events, max_errors=20):
                 f"event {index} ({kind}): time {time} < previous "
                 f"{previous_time} (trace must be time-ordered)")
         previous_time = time
-        required = EVENT_SCHEMA.get(kind)
-        if required is None:
+        if kind not in EVENT_SCHEMA:
             errors.append(f"event {index}: unknown kind {kind!r}")
-            continue
-        missing = set(required) - fields.keys()
-        if missing:
-            errors.append(
-                f"event {index} ({kind}): missing fields {sorted(missing)}")
-        names = tuple(fields)
-        if columns.setdefault(kind, names) != names:
-            errors.append(
-                f"event {index} ({kind}): fields {names} differ from the "
-                f"kind's columns {columns[kind]}")
     return errors
 
 
@@ -140,8 +128,4 @@ def validate_trace(trace):
         if missing:
             errors.append(
                 f"txn record {index}: missing keys {sorted(missing)}")
-    for index, sample in enumerate(trace.probes):
-        if len(sample) != 3:
-            errors.append(f"probe sample {index}: expected "
-                          f"(time, name, value), got {sample!r}")
     return errors

@@ -30,22 +30,6 @@ class PrecedenceGraph:
         self._out.setdefault(node, set())
         self._in.setdefault(node, set())
 
-    def __contains__(self, node):
-        return node in self._out
-
-    def __len__(self):
-        return len(self._out)
-
-    @property
-    def edge_count(self):
-        return sum(len(edges) for edges in self._out.values())
-
-    def successors(self, node):
-        return set(self._out.get(node, ()))
-
-    def predecessors(self, node):
-        return set(self._in.get(node, ()))
-
     def reaches_any(self, src, targets):
         """Is any member of ``targets`` reachable from ``src``?
 
@@ -207,4 +191,5 @@ class PrecedenceGraph:
         return None
 
     def __repr__(self):
-        return f"<PrecedenceGraph {len(self)} nodes, {self.edge_count} edges>"
+        edges = sum(map(len, self._out.values()))
+        return f"<PrecedenceGraph {len(self._out)} nodes, {edges} edges>"

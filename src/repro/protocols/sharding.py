@@ -92,9 +92,6 @@ class ShardMap:
         self._server_of = {item_id: shard_site_id(shard)
                            for item_id, shard in self._shard_of.items()}
 
-    def shard_of(self, item_id):
-        return self._shard_of[item_id]
-
     def server_of(self, item_id):
         """Site id of the home server owning ``item_id``."""
         return self._server_of[item_id]
@@ -154,9 +151,6 @@ class SharedPrecedence(PrecedenceGraph):
             return
         self._refs.pop(txn_id, None)
         super().remove_node(txn_id)
-
-    def refcount(self, txn_id):
-        return self._refs.get(txn_id, 0)
 
 
 class GlobalDeadlockDetector:

@@ -80,14 +80,6 @@ class RandomStreams:
             self._streams[name] = stream
         return stream
 
-    def uniform(self, name, low, high):
-        """Draw U(low, high) from stream ``name``."""
-        return self.stream(name).uniform(low, high)
-
-    def randint(self, name, low, high):
-        """Draw a uniform integer in [low, high] from stream ``name``."""
-        return self.stream(name).randint(low, high)
-
     def spawn(self, name):
         """Derive a child :class:`RandomStreams` namespace."""
         return RandomStreams(_derive_seed(self.root_seed, name))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import Harness, R, W, spec
+from helpers import Harness, R, W, committed_reads, spec
 
 
 def test_second_read_is_a_cache_hit():
@@ -37,7 +37,7 @@ def test_cached_read_never_stale():
     h.launch(2, spec((0, W), think=1.0), delay=50.0, txn_id=2)
     h.launch(1, spec((0, R), think=1.0), delay=120.0, txn_id=3)
     h.run()
-    reads = [r for r in h.history.reads() if r.txn_id == 3]
+    reads = [r for r in committed_reads(h.history) if r.txn_id == 3]
     assert reads[0].version == 1  # saw the new version, not the stale cache
     h.check_serializable()
 
@@ -148,7 +148,7 @@ def test_writer_caches_its_own_update():
     h.launch(1, spec((0, R), think=1.0), delay=60.0, txn_id=2)
     outcomes = h.run()
     assert outcomes[2].response_time == pytest.approx(1.0)  # local hit
-    reads = [r for r in h.history.reads() if r.txn_id == 2]
+    reads = [r for r in committed_reads(h.history) if r.txn_id == 2]
     assert reads[0].version == 1
     h.check_serializable()
 

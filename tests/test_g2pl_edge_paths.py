@@ -2,12 +2,11 @@
 
 from repro.network.faults import FaultInjector
 from repro.network.reliable import ReliableLink
-from repro.network.topology import MatrixTopology
 from repro.protocols.messages import CommitDecision, ReleaseWaiver
 from repro.protocols.sharding import ShardMap
 from repro.sim.rng import RandomStreams
 
-from helpers import Harness, R, W, spec
+from helpers import Harness, MatrixTopology, R, W, spec
 
 
 def asymmetric_topology(n_clients, server_client=50.0, client_client=1.0):
@@ -132,8 +131,7 @@ def test_windows_drain_when_clients_stop():
     info = h.server._items[0]
     assert info.chain is None
     assert not info.window
-    assert h.server.precedence.edge_count == 0
-    assert len(h.server.precedence) == 0
+    assert h.server.precedence._out == h.server.precedence._in == {}
 
 
 # -- window bookkeeping: the per-transaction index and the O(1) gauge --------
@@ -263,4 +261,4 @@ def test_a_refused_vote_abort_retires_a_live_participant():
     server.on_CommitDecision(CommitDecision(txn_id=5, commit=False))
     assert 5 in server._dead and 5 in server.twopc_aborts
     assert 5 not in server._txns
-    assert len(server.precedence) == 0
+    assert not server.precedence._out

@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import blockers_of, held_items, holders, waiters
 from repro.locking import LockMode, LockRequestState, LockTable
 
 R, W = LockMode.READ, LockMode.WRITE
@@ -21,21 +22,21 @@ def test_first_acquire_granted(table):
 def test_readers_share(table):
     assert table.acquire("t1", "x", R) is GRANTED
     assert table.acquire("t2", "x", R) is GRANTED
-    assert table.holders("x") == {"t1": R, "t2": R}
+    assert holders(table, "x") == {"t1": R, "t2": R}
 
 
 def test_writer_blocks_reader_and_vice_versa(table):
     assert table.acquire("t1", "x", W) is GRANTED
     assert table.acquire("t2", "x", R) is WAITING
     assert table.acquire("t3", "x", W) is WAITING
-    assert table.waiters("x") == [("t2", R), ("t3", W)]
+    assert waiters(table, "x") == [("t2", R), ("t3", W)]
 
 
 def test_reader_cannot_overtake_queued_writer(table):
     table.acquire("t1", "x", R)
     table.acquire("t2", "x", W)  # queued
     assert table.acquire("t3", "x", R) is WAITING  # no overtaking
-    assert table.waiters("x") == [("t2", W), ("t3", R)]
+    assert waiters(table, "x") == [("t2", W), ("t3", R)]
 
 
 def test_release_grants_fifo_prefix_of_readers(table):
@@ -45,8 +46,8 @@ def test_release_grants_fifo_prefix_of_readers(table):
     table.acquire("w2", "x", W)
     granted = table.release_all("w")
     assert granted == [("r1", "x", R), ("r2", "x", R)]
-    assert table.holders("x") == {"r1": R, "r2": R}
-    assert table.waiters("x") == [("w2", W)]
+    assert holders(table, "x") == {"r1": R, "r2": R}
+    assert waiters(table, "x") == [("w2", W)]
 
 
 def test_release_grants_single_writer(table):
@@ -55,7 +56,7 @@ def test_release_grants_single_writer(table):
     table.acquire("w2", "x", W)
     granted = table.release_all("r1")
     assert granted == [("w1", "x", W)]
-    assert table.waiters("x") == [("w2", W)]
+    assert waiters(table, "x") == [("w2", W)]
 
 
 def test_writer_granted_only_after_all_readers_release(table):
@@ -73,7 +74,7 @@ def test_release_all_spans_items(table):
     table.acquire("t3", "y", R)
     granted = table.release_all("t1")
     assert sorted(granted) == [("t2", "x", R), ("t3", "y", R)]
-    assert table.held_items("t1") == {}
+    assert held_items(table, "t1") == {}
 
 
 def test_release_drops_queued_requests_of_txn(table):
@@ -82,7 +83,7 @@ def test_release_drops_queued_requests_of_txn(table):
     table.acquire("t3", "x", R)  # queued behind t2
     granted = table.release_all("t2")  # t2 aborts while waiting
     assert granted == []
-    assert table.waiters("x") == [("t3", R)]
+    assert waiters(table, "x") == [("t3", R)]
     # t3 is granted when t1 releases
     assert table.release_all("t1") == [("t3", "x", R)]
 
@@ -126,7 +127,7 @@ def test_upgrade_with_other_readers_waits_at_head(table):
     table.acquire("t2", "x", R)
     table.acquire("t3", "x", W)  # queued
     assert table.acquire("t1", "x", W) is WAITING
-    assert table.waiters("x")[0] == ("t1", W)
+    assert waiters(table, "x")[0] == ("t1", W)
     granted = table.release_all("t2")
     assert granted == [("t1", "x", W)]
     assert table.holds("t1", "x", W)
@@ -137,27 +138,27 @@ def test_blockers_of_reports_holders_and_queue_ahead(table):
     table.acquire("h2", "x", R)
     table.acquire("w1", "x", W)
     table.acquire("r1", "x", R)
-    assert table.blockers_of("w1", "x") == {"h1", "h2"}
+    assert blockers_of(table, "w1", "x") == {"h1", "h2"}
     # r1 waits for the queued writer ahead of it, not for the readers
-    assert table.blockers_of("r1", "x") == {"w1"}
+    assert blockers_of(table, "r1", "x") == {"w1"}
 
 
 def test_blockers_of_unqueued_txn_is_empty(table):
     table.acquire("t1", "x", W)
-    assert table.blockers_of("t1", "x") == frozenset()
-    assert table.blockers_of("nobody", "x") == frozenset()
+    assert blockers_of(table, "t1", "x") == frozenset()
+    assert blockers_of(table, "nobody", "x") == frozenset()
     assert table.waits_for("nobody") == frozenset()
 
 
 def test_lock_state_cleared_when_idle(table):
     table.acquire("t1", "x", W)
     table.release_all("t1")
-    assert table.holders("x") == {}
-    assert table.waiters("x") == []
+    assert holders(table, "x") == {}
+    assert waiters(table, "x") == []
     assert "x" not in table._items  # fully garbage collected
 
 
 def test_held_items_reports_modes(table):
     table.acquire("t1", "x", R)
     table.acquire("t1", "y", W)
-    assert table.held_items("t1") == {"x": R, "y": W}
+    assert held_items(table, "t1") == {"x": R, "y": W}

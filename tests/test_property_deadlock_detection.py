@@ -10,8 +10,10 @@ from helpers import (
     R,
     W,
     WaitForGraph,
+    blockers_of,
     brute_force_blockers,
     brute_force_wait_edges,
+    waiters,
 )
 from repro.locking import LockTable
 
@@ -43,7 +45,7 @@ def drive(table, actions, after_each=None):
             table.release_all(txn)
         elif op == "drop":
             table.drop_queued(txn)
-        elif not any(t == txn for t, _ in table.waiters(item)):
+        elif not any(t == txn for t, _ in waiters(table, item)):
             table.acquire(txn, item, R if op == "read" else W)
         if after_each is not None:
             after_each()
@@ -118,7 +120,7 @@ def assert_cache_coherent(table):
     for txn in list(TXNS) + ["tail"]:
         assert table.waits_for(txn) == union.get(txn, set())
         for item, edges in per_item.items():
-            assert table.blockers_of(txn, item) == edges.get(txn, set())
+            assert blockers_of(table, txn, item) == edges.get(txn, set())
     assert set(table.waiting()) == set(union)
     assert [dict(edges) for edges in table.wait_edges()] == [
         edges for edges in per_item.values() if edges]

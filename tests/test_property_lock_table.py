@@ -4,6 +4,7 @@ from collections import OrderedDict, deque
 
 from hypothesis import given, settings, strategies as st
 
+from helpers import held_items, holders, waiters
 from repro.locking import LockMode, LockRequestState, LockTable
 
 R, W = LockMode.READ, LockMode.WRITE
@@ -28,10 +29,10 @@ def apply_actions(actions):
             table.release_all(txn)
         else:
             mode = R if op == "read" else W
-            held = table.held_items(txn)
+            held = held_items(table, txn)
             if item in held:
                 continue  # avoid upgrade paths in this generic stream
-            queued = any(t == txn for t, _ in table.waiters(item))
+            queued = any(t == txn for t, _ in waiters(table, item))
             if queued:
                 continue  # one request per txn per item
             table.acquire(txn, item, mode)
@@ -43,20 +44,20 @@ def check_invariants(table):
     # Collect every item mentioned anywhere.
     items = set(table._items)
     for item in items:
-        holders = table.holders(item)
-        waiters = table.waiters(item)
-        modes = list(holders.values())
+        held = holders(table, item)
+        queue = waiters(table, item)
+        modes = list(held.values())
         # 1. Either one writer or any number of readers.
         if W in modes:
-            assert len(modes) == 1, f"writer shares {item}: {holders}"
+            assert len(modes) == 1, f"writer shares {item}: {held}"
         # 2. No waiter is compatible with the holders AND first in line
         #    (otherwise it should have been granted).
-        if waiters:
-            first_txn, first_mode = waiters[0]
-            upgrade = first_txn in holders
+        if queue:
+            first_txn, first_mode = queue[0]
+            upgrade = first_txn in held
             if upgrade:
-                assert len(holders) > 1
-            elif not holders:
+                assert len(held) > 1
+            elif not held:
                 raise AssertionError(
                     f"item {item} has waiters but no holders")
             else:
@@ -64,7 +65,7 @@ def check_invariants(table):
                 assert not compatible, (
                     f"head waiter {first_txn} compatible but not granted")
         # 3. A transaction appears at most once in the queue.
-        queue_txns = [t for t, _ in waiters]
+        queue_txns = [t for t, _ in queue]
         assert len(queue_txns) == len(set(queue_txns))
 
 
@@ -226,7 +227,7 @@ def test_wait_index_and_grant_order_match_a_full_scan(actions):
             assert table.release_all(txn) == oracle.release_all(txn)
         elif op == "drop":
             assert table.drop_queued(txn) == oracle.drop_queued(txn)
-        elif any(t == txn for t, _ in table.waiters(item)):
+        elif any(t == txn for t, _ in waiters(table, item)):
             continue  # one request per txn per item
         else:
             mode = R if op == "read" else W
@@ -235,9 +236,9 @@ def test_wait_index_and_grant_order_match_a_full_scan(actions):
         check_wait_index(table)
         assert list(table._items) == list(oracle._items)
         for item in table._items:
-            holders, queue = oracle._items[item]
-            assert table.holders(item) == dict(holders)
-            assert table.waiters(item) == list(queue)
+            held, queue = oracle._items[item]
+            assert holders(table, item) == dict(held)
+            assert waiters(table, item) == list(queue)
     for txn in range(6):
         assert table.release_all(txn) == oracle.release_all(txn)
         check_wait_index(table)

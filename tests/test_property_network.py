@@ -2,8 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
+from helpers import MatrixTopology
 from repro.network.faults import FaultInjector, FaultSpec
-from repro.network.topology import MatrixTopology, Site, UniformTopology
+from repro.network.topology import Site, UniformTopology
 from repro.network.transport import Network
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams

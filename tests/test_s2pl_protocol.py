@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import Harness, R, W, spec
+from helpers import Harness, R, W, committed_reads, held_items, spec
 
 
 def test_single_transaction_commits_in_three_rounds():
@@ -64,8 +64,8 @@ def test_victim_release_lets_survivor_finish():
     h.launch(2, spec((1, W), (0, W), think=1.0))
     h.run()
     # After everything drains no locks remain.
-    assert h.server.lock_table.held_items(1) == {}
-    assert h.server.lock_table.held_items(2) == {}
+    assert held_items(h.server.lock_table, 1) == {}
+    assert held_items(h.server.lock_table, 2) == {}
 
 
 def test_read_deadlock_via_upgrade_free_crossing():
@@ -125,7 +125,7 @@ def test_history_records_read_versions():
     h.launch(1, spec((0, W), think=1.0))
     h.launch(2, spec((0, R), think=1.0), delay=100.0)
     h.run()
-    reads = h.history.reads()
+    reads = committed_reads(h.history)
     assert len(reads) == 1
     assert reads[0].version == 1  # saw the committed write
     h.check_serializable()

@@ -33,7 +33,7 @@ def test_random_shard_maps_route_consistently(data):
                    for item in range(n_items)}
     shard_map = ShardMap(n_shards, n_items, assignments)
     for item in range(n_items):
-        assert shard_map.shard_of(item) == assignments[item]
+        assert shard_map._shard_of[item] == assignments[item]
         assert shard_map.server_of(item) == shard_site_id(assignments[item])
         assert item in shard_map.items_of(assignments[item])
     # items_of partitions the item space exactly

@@ -56,7 +56,7 @@ def test_shard_map_routes_every_item_to_its_partition():
     parts = partition_items(10, 3)
     for shard, items in enumerate(parts):
         for item_id in items:
-            assert shard_map.shard_of(item_id) == shard
+            assert shard_map._shard_of[item_id] == shard
             assert shard_map.server_of(item_id) == shard_site_id(shard)
         assert shard_map.items_of(shard) == items
     assert shard_map.server_ids == (0, -1, -2)
@@ -65,7 +65,7 @@ def test_shard_map_routes_every_item_to_its_partition():
 def test_shard_map_explicit_assignments():
     assignments = {0: 1, 1: 0, 2: 1, 3: 0}
     shard_map = ShardMap(2, 4, assignments)
-    assert shard_map.shard_of(0) == 1
+    assert shard_map._shard_of[0] == 1
     assert shard_map.items_of(0) == (1, 3)
     assert shard_map.items_of(1) == (0, 2)
     with pytest.raises(ValueError):
@@ -100,13 +100,13 @@ def test_shared_precedence_refcounts_node_removal():
     graph = SharedPrecedence()
     graph.acquire(1)
     graph.acquire(1)   # second shard registers the same transaction
-    assert graph.refcount(1) == 2
+    assert graph._refs.get(1, 0) == 2
     graph.remove_node(1)
-    assert graph.refcount(1) == 1
-    assert 1 in graph
+    assert graph._refs.get(1, 0) == 1
+    assert 1 in graph._out
     graph.remove_node(1)
-    assert graph.refcount(1) == 0
-    assert 1 not in graph
+    assert graph._refs.get(1, 0) == 0
+    assert 1 not in graph._out
 
 
 # ---------------------------------------------------------------------------

@@ -59,13 +59,6 @@ def test_consuming_one_stream_does_not_shift_another():
     assert got == expected
 
 
-def test_uniform_and_randint_helpers():
-    streams = RandomStreams(5)
-    for _ in range(100):
-        value = streams.uniform("u", 2.0, 10.0)
-        assert 2.0 <= value <= 10.0
-        item = streams.randint("i", 1, 25)
-        assert 1 <= item <= 25
 
 
 def test_spawn_derives_independent_namespace():
